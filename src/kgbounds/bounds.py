@@ -217,10 +217,10 @@ def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
         raise ValidationError(
             f"delta_v has order {dv.shape[0]}, system has order {system.n}"
         )
-    c = spectral_norm(dv @ system.u_inv_sqrt)
+    delta_a = dv @ system.u_inv_sqrt
+    c = spectral_norm(delta_a)
     v_inv = _symmetric_inverse(system.spec.v)
     nu = spectral_norm(dv @ v_inv) if v_inv is not None else None
-    delta_a = dv @ system.u_inv_sqrt
     signed, is_zero = _mixed_product_sign(system.a_matrix, delta_a)
     return replace(pert, c=c, nu=nu, disjoint=is_zero, signed=signed)
 
@@ -232,11 +232,7 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
     difference of the assembled grams and is independent of the shift.
     """
     dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
-    w, p = _spd_eig(system.u_sqrt, "u_sqrt")
-    quarter = np.sqrt(w)
-    u_half = (p * quarter) @ p.T
-    u_half_inv = (p / quarter) @ p.T
-    x = u_half @ dv @ u_half_inv
+    x = system.spec.u_power(0.5) @ dv @ system.spec.u_power(-0.5)
     n = system.n
     dg = np.zeros((2 * n, 2 * n))
     dg[:n, n:] = x.T
@@ -246,6 +242,17 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # constants bundle
+
+
+#: bundle constants bounding |dg| <= kappa * g, then the two-sided pairs
+_SCALAR_KAPPAS = (
+    "kappa_general",
+    "kappa_sum",
+    "kappa_norm_product",
+    "kappa_relative",
+    "kappa_disjoint",
+)
+_PAIR_KAPPAS = ("kappa_signed", "kappa_exact")
 
 
 @dataclass(frozen=True)
@@ -272,6 +279,29 @@ class KappaBundle:
     kappa0_hat: float | None
     kappa_prime_hat: float | None
     valid: dict = field(default_factory=dict)
+
+    def entries(self):
+        """Ordered (key, value, applicable) rows of every computed constant.
+
+        Absent constants are left out; each pair is split into
+        ``<name>_minus`` and ``<name>_plus`` rows.
+        """
+        rows = []
+        for name in _SCALAR_KAPPAS:
+            value = getattr(self, name)
+            if value is not None:
+                rows.append((name, value, self.valid[name]))
+        for name in _PAIR_KAPPAS:
+            pair = getattr(self, name)
+            if pair is not None:
+                rows.append((f"{name}_minus", pair[0], self.valid[name]))
+                rows.append((f"{name}_plus", pair[1], self.valid[name]))
+        if self.kappa0_hat is not None:
+            rows.append(("kappa0_hat", self.kappa0_hat, self.valid["kappa_hats"]))
+            rows.append(
+                ("kappa_prime_hat", self.kappa_prime_hat, self.valid["kappa_hats"])
+            )
+        return rows
 
     def best_pair(self):
         """The sharpest available (kappa_minus, kappa_plus) pair."""
@@ -491,7 +521,7 @@ def perturbation_constants(
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
-    c_loose = spectral_norm(pert.delta_v) * spectral_norm(system.u_inv_sqrt)
+    c_loose = spectral_norm(pert.delta_v) / system.u_min()   # ||U^(-1)|| = 1/u_min
     k_prod = kappa_general(c_loose, b)
     k_rel = kappa_relative(pert.nu, b) if pert.nu is not None else None
 
@@ -637,17 +667,7 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
 
     bundle = perturbation_constants(system, pert)
     checks = []
-    for name in ("kappa_general", "kappa_sum", "kappa_norm_product"):
-        value = getattr(bundle, name)
-        checks.append(
-            KappaCheck(
-                name=name,
-                value=value,
-                applicable=bundle.valid[name],
-                passed=bool(max_dev <= value + _CHECK_SLACK),
-            )
-        )
-    for name in ("kappa_relative", "kappa_disjoint"):
+    for name in _SCALAR_KAPPAS:
         value = getattr(bundle, name)
         if value is not None:
             checks.append(
@@ -658,18 +678,10 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
                     passed=bool(max_dev <= value + _CHECK_SLACK),
                 )
             )
-    if bundle.kappa_signed is not None:
-        checks.append(
-            _pair_check(
-                "kappa_signed", bundle.kappa_signed, bundle.valid["kappa_signed"], signed
-            )
-        )
-    if bundle.kappa_exact is not None:
-        checks.append(
-            _pair_check(
-                "kappa_exact", bundle.kappa_exact, bundle.valid["kappa_exact"], signed
-            )
-        )
+    for name in _PAIR_KAPPAS:
+        pair = getattr(bundle, name)
+        if pair is not None:
+            checks.append(_pair_check(name, pair, bundle.valid[name], signed))
 
     return VerificationReport(
         shift=float(shift),

@@ -238,22 +238,27 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _pencil_scale(spec: ModelSpec, lam) -> float:
-    return (
-        spectral_norm(spec.u_squared)
-        + spectral_norm(spec.v) ** 2
-        + abs(complex(lam)) ** 2
-    )
+def _gate_norms(spec: ModelSpec):
+    """(||U^2||, ||V||), the model part of the residual gate scale."""
+    return float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+
+
+def _gate(spec: ModelSpec):
+    """lam -> RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2), norms taken once."""
+    u2_norm, v_norm = _gate_norms(spec)
+    base = u2_norm + v_norm**2
+    return lambda lam: RESIDUAL_GATE * (base + abs(complex(lam)) ** 2)
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     system = assemble_system(config.spec, config.shift)
     report = eigen_spectrum(system)
+    gate = _gate(config.spec)
     rows = []
     gate_failed = False
     for k, lam in enumerate(np.atleast_1d(report.eigenvalues)):
         resid = pencil_residual(config.spec, lam)
-        if resid > RESIDUAL_GATE * _pencil_scale(config.spec, lam):
+        if resid > gate(lam):
             gate_failed = True
         rows.append(
             [
@@ -305,54 +310,24 @@ def cmd_bounds(config: RunConfig) -> int:
         config
     )
 
-    def pair_str(pair):
-        if pair is None:
-            return ("", "")
-        return (_fmt(pair[0]), _fmt(pair[1]))
-
     if config.fmt == "csv":
+
+        def pair_str(pair):
+            return ("", "") if pair is None else (_fmt(pair[0]), _fmt(pair[1]))
+
         rows = [
             ["contraction_b", _fmt(bundle.b), ""],
             ["c_norm", _fmt(bundle.c), ""],
             ["gap_alpha", _fmt(alpha), ""],
             ["central_gap", *pair_str(gap)],
-            ["kappa_general", _fmt(bundle.kappa_general), bundle.valid["kappa_general"]],
-            ["kappa_sum", _fmt(bundle.kappa_sum), bundle.valid["kappa_sum"]],
-            [
-                "kappa_norm_product",
-                _fmt(bundle.kappa_norm_product),
-                bundle.valid["kappa_norm_product"],
-            ],
         ]
-        if bundle.kappa_relative is not None:
-            rows.append(
-                ["kappa_relative", _fmt(bundle.kappa_relative), bundle.valid["kappa_relative"]]
-            )
-        if bundle.kappa_disjoint is not None:
-            rows.append(
-                ["kappa_disjoint", _fmt(bundle.kappa_disjoint), bundle.valid["kappa_disjoint"]]
-            )
-        if bundle.kappa_signed is not None:
-            rows.append(
-                ["kappa_signed_minus", _fmt(bundle.kappa_signed[0]), bundle.valid["kappa_signed"]]
-            )
-            rows.append(
-                ["kappa_signed_plus", _fmt(bundle.kappa_signed[1]), bundle.valid["kappa_signed"]]
-            )
-        if bundle.kappa_exact is not None:
-            rows.append(
-                ["kappa_exact_minus", _fmt(bundle.kappa_exact[0]), bundle.valid["kappa_exact"]]
-            )
-            rows.append(
-                ["kappa_exact_plus", _fmt(bundle.kappa_exact[1]), bundle.valid["kappa_exact"]]
-            )
-        if bundle.kappa0_hat is not None:
-            rows.append(["kappa0_hat", _fmt(bundle.kappa0_hat), True])
-            rows.append(["kappa_prime_hat", _fmt(bundle.kappa_prime_hat), True])
-        rows.append(["interval_plain", *pair_str(plain)])
-        rows.append(["interval_improved", *pair_str(improved)])
-        rows.append(["interval_uniform", *pair_str(uniform)])
-        rows.append(["perturbation_norm", _fmt(s_norm), ""])
+        rows += [[key, _fmt(value), ok] for key, value, ok in bundle.entries()]
+        rows += [
+            ["interval_plain", *pair_str(plain)],
+            ["interval_improved", *pair_str(improved)],
+            ["interval_uniform", *pair_str(uniform)],
+            ["perturbation_norm", _fmt(s_norm), ""],
+        ]
         text = _csv_text(["key", "value", "extra"], rows)
     else:
         lines = [
@@ -363,30 +338,10 @@ def cmd_bounds(config: RunConfig) -> int:
             f"central gap of H: ({gap[0]:.6f}, {gap[1]:.6f})",
             "",
             "relative perturbation constants (value, applicable):",
-            f"  kappa_general      {bundle.kappa_general: .6e}  {bundle.valid['kappa_general']}",
-            f"  kappa_sum          {bundle.kappa_sum: .6e}  {bundle.valid['kappa_sum']}",
-            f"  kappa_norm_product {bundle.kappa_norm_product: .6e}  {bundle.valid['kappa_norm_product']}",
         ]
-        if bundle.kappa_relative is not None:
-            lines.append(
-                f"  kappa_relative     {bundle.kappa_relative: .6e}  {bundle.valid['kappa_relative']}"
-            )
-        if bundle.kappa_disjoint is not None:
-            lines.append(
-                f"  kappa_disjoint     {bundle.kappa_disjoint: .6e}  {bundle.valid['kappa_disjoint']}"
-            )
-        if bundle.kappa_signed is not None:
-            lines.append(
-                f"  kappa_signed       ({bundle.kappa_signed[0]: .6e}, {bundle.kappa_signed[1]: .6e})  {bundle.valid['kappa_signed']}"
-            )
-        if bundle.kappa_exact is not None:
-            lines.append(
-                f"  kappa_exact        ({bundle.kappa_exact[0]: .6e}, {bundle.kappa_exact[1]: .6e})  {bundle.valid['kappa_exact']}"
-            )
-        if bundle.kappa0_hat is not None:
-            lines.append(
-                f"  rescaled           kappa0_hat = {bundle.kappa0_hat: .6e}, kappa_prime_hat = {bundle.kappa_prime_hat: .6e}"
-            )
+        lines += [
+            f"  {key:<18} {value: .6e}  {ok}" for key, value, ok in bundle.entries()
+        ]
         lines += [
             "",
             "intervals certified free of perturbed spectrum:",
@@ -402,6 +357,7 @@ def cmd_bounds(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     pert = _perturbation(config)
     report = verify_bounds(config.spec, pert, config.shift)
+    gate = _gate(config.spec)
     rows = []
     gate_failed = False
     spec_p = config.spec.perturbed(pert.delta_v)
@@ -411,7 +367,7 @@ def cmd_verify(config: RunConfig) -> int:
         resid = max(
             pencil_residual(config.spec, lam), pencil_residual(spec_p, lam_p)
         )
-        if resid > RESIDUAL_GATE * _pencil_scale(config.spec, lam):
+        if resid > gate(lam):
             gate_failed = True
         rows.append(
             ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
@@ -466,12 +422,13 @@ def cmd_sweep(config: RunConfig) -> int:
     header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
     for k in range(two_n):
         header += [f"eig{k}_re", f"eig{k}_im"]
+    u2_norm, v_norm = _gate_norms(config.spec)
     rows = []
     gate_failed = False
     for i, t in enumerate(result.parameters):
         if result.residual_max[i] > RESIDUAL_GATE * (
-            spectral_norm(config.spec.u_squared)
-            + (abs(t) * spectral_norm(config.spec.v)) ** 2
+            u2_norm
+            + (abs(t) * v_norm) ** 2
             + float(np.abs(result.eigenvalues[i]).max()) ** 2
         ):
             gate_failed = True

@@ -7,17 +7,19 @@ blocks
     H  = [[U^(1/2) V U^(-1/2), U], [U, U^(-1/2) V U^(1/2)]]
     J  = [[0, I], [I, 0]]
     G  = J H    (symmetric)
-    H0 = [[0, U], [U, 0]]       with |H0| = diag(U, U)
 
 together with the contraction data A = (V - mu) U^(-1) and
-b = ||A||, which governs whether H - mu*I is similar to a selfadjoint
-operator (b < 1 suffices).  For b < 1 the shifted quadratic form admits
-the congruence
+b = ||A||.  For b < 1 the shifted quadratic form admits the congruence
 
-    G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2).
+    G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2),
 
-Everything here is dense and desk-scale; all outputs are plain numpy
-arrays inside frozen dataclasses and all functions are pure.
+so G - mu*J is positive definite and (J, G - mu*J) is a
+symmetric-definite pencil with the eigenvectors of H.
+
+Every power of U is read from the one eigendecomposition of U^2 that
+ModelSpec validation computes.  Everything here is dense and
+desk-scale; all outputs are plain numpy arrays inside frozen
+dataclasses and all functions are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "KleinGordonSystem",
     "sqrt_spd",
     "assemble_system",
-    "assemble_free",
     "operator_a",
     "contraction_bound",
     "optimize_shift",
@@ -48,6 +49,9 @@ SYMMETRY_RTOL = 1e-12
 
 #: a matrix counts as positive definite when min eig > PD_RTOL * ||m||
 PD_RTOL = 1e-12
+
+#: |exponent| of U -> square roots taken of the eigenvalues of U^2
+_ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
 
 
 def spectral_norm(a) -> float:
@@ -137,12 +141,16 @@ class ModelSpec:
 
     ``u_squared`` must be positive definite and of the same order as the
     symmetric potential ``v``.  Instances are immutable; the stored arrays
-    are defensive read-only copies.
+    are defensive read-only copies.  The eigendecomposition of U^2 that
+    validation computes is kept as ``u2_eigenvalues`` (ascending) and
+    ``u2_eigenvectors``; every power of U is formed from it.
     """
 
     u_squared: np.ndarray
     v: np.ndarray
     label: str = ""
+    u2_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    u2_eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
@@ -151,15 +159,27 @@ class ModelSpec:
             raise DimensionMismatch(
                 f"u_squared has order {u2.shape[0]} but v has order {v.shape[0]}"
             )
-        _spd_eig(u2, "u_squared")
-        u2.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "u_squared", u2)
-        object.__setattr__(self, "v", v)
+        w, p = _spd_eig(u2, "u_squared")
+        kept = {"u_squared": u2, "v": v, "u2_eigenvalues": w, "u2_eigenvectors": p}
+        for name, a in kept.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def order(self) -> int:
         return self.u_squared.shape[0]
+
+    def u_power(self, exponent: float):
+        """U^exponent, exponent in {+-1/2, +-1, +-2}, U the root of u_squared.
+
+        The eigenvalues are repeated square roots of those of U^2, never a
+        general power, so a given power is the same matrix on every call.
+        """
+        d = self.u2_eigenvalues
+        for _ in range(_ROOT_COUNT[abs(exponent)]):
+            d = np.sqrt(d)
+        p = self.u2_eigenvectors
+        return symmetrize(((p * d) if exponent > 0 else (p / d)) @ p.T)
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""
@@ -183,7 +203,6 @@ class KleinGordonSystem:
     u_sqrt, u_inv_sqrt : principal square root of u_squared and its inverse
     hamiltonian : H
     gram : G = J H, symmetrized
-    free_hamiltonian : H0 = [[0, U], [U, 0]]
     a_matrix : A = (V - mu) U^(-1)
     contraction : b = ||A||
     spec : the source model (kept for perturbation bookkeeping)
@@ -195,7 +214,6 @@ class KleinGordonSystem:
     u_inv_sqrt: np.ndarray
     hamiltonian: np.ndarray
     gram: np.ndarray
-    free_hamiltonian: np.ndarray
     a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
@@ -214,25 +232,16 @@ class KleinGordonSystem:
 
     def u_min(self) -> float:
         """Smallest eigenvalue of U = sqrt(U^2)."""
-        return float(np.linalg.eigvalsh(self.u_sqrt)[0])
+        return float(np.sqrt(self.spec.u2_eigenvalues[0]))
 
-
-def _u_powers(spec: ModelSpec):
-    """U^(1/2), U^(-1/2), U, U^(-1) from one eigendecomposition of U^2."""
-    w, p = _spd_eig(spec.u_squared, "u_squared")
-    root = np.sqrt(w)          # eigenvalues of U
-    quarter = np.sqrt(root)
-    u = symmetrize((p * root) @ p.T)
-    u_inv = symmetrize((p / root) @ p.T)
-    u_half = symmetrize((p * quarter) @ p.T)
-    u_half_inv = symmetrize((p / quarter) @ p.T)
-    return u, u_inv, u_half, u_half_inv
+    def u_max(self) -> float:
+        """Largest eigenvalue of U = sqrt(U^2), which is ||U||."""
+        return float(np.sqrt(self.spec.u2_eigenvalues[-1]))
 
 
 def operator_a(spec: ModelSpec, shift: float = 0.0):
     """A = (V - shift*I) U^(-1) with U the principal root of u_squared."""
-    _, u_inv, _, _ = _u_powers(spec)
-    return (spec.v - shift * np.eye(spec.order)) @ u_inv
+    return (spec.v - shift * np.eye(spec.order)) @ spec.u_power(-1)
 
 
 def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
@@ -241,52 +250,43 @@ def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """Build the block operators H, G, H0 and the contraction data.
+    """Build the block operators H, G and the contraction data.
 
     The assembled gram matrix is explicitly symmetrized; J @ H equals G
     entrywise up to rounding.
     """
-    u, u_inv, u_half, u_half_inv = _u_powers(spec)
-    n = spec.order
-    x = u_half @ spec.v @ u_half_inv          # U^(1/2) V U^(-1/2)
-    hamiltonian = np.block([[x, u], [u, x.T]])
-    gram = symmetrize(np.block([[u, x.T], [x, u]]))
-    free = np.block([[np.zeros((n, n)), u], [u, np.zeros((n, n))]])
-    a = (spec.v - shift * np.eye(n)) @ u_inv
+    u, u_inv = spec.u_power(1), spec.u_power(-1)
+    x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)   # U^(1/2) V U^(-1/2)
+    a = (spec.v - shift * np.eye(spec.order)) @ u_inv
     return KleinGordonSystem(
-        n=n,
+        n=spec.order,
         shift=float(shift),
         u_sqrt=u,
         u_inv_sqrt=u_inv,
-        hamiltonian=hamiltonian,
-        gram=gram,
-        free_hamiltonian=free,
+        hamiltonian=np.block([[x, u], [u, x.T]]),
+        gram=symmetrize(np.block([[u, x.T], [x, u]])),
         a_matrix=a,
         contraction=spectral_norm(a),
         spec=spec,
     )
 
 
-def assemble_free(spec: ModelSpec):
-    """The free Hamiltonian H0 = [[0, U], [U, 0]] and diag(U, U) = |H0|."""
-    u, _, _, _ = _u_powers(spec)
-    n = spec.order
-    zero = np.zeros((n, n))
-    free = np.block([[zero, u], [u, zero]])
-    u_block = np.block([[u, zero], [zero, u]])
-    return free, u_block
+#: 1/phi, the bracket fraction golden-section search keeps per step
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
-    """Minimize mu -> ||(V - mu) U^(-1)|| by ternary search.
+    """Minimize mu -> ||(V - mu) U^(-1)|| by golden-section search.
 
     The objective is the norm of an affine matrix function of mu, hence
-    convex, so a bracketed ternary search converges.  The bracket is
-    [min eig V - ||U||, max eig V + ||U||].  Returns (shift, contraction).
+    convex, so a bracketed golden-section search converges; each step
+    reuses one interior point and evaluates one new norm.  The bracket
+    is [min eig V - ||U||, max eig V + ||U||].  Returns (shift,
+    contraction).
     """
-    u, u_inv, _, _ = _u_powers(spec)
+    u_inv = spec.u_power(-1)
     v_u_inv = spec.v @ u_inv
-    u_norm = spectral_norm(u)
+    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
     v_eigs = np.linalg.eigvalsh(spec.v)
 
     def b_of(mu):
@@ -294,12 +294,17 @@ def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
 
     lo = float(v_eigs[0]) - u_norm
     hi = float(v_eigs[-1]) + u_norm
+    m1 = hi - _INV_PHI * (hi - lo)
+    m2 = lo + _INV_PHI * (hi - lo)
+    b1, b2 = b_of(m1), b_of(m2)
     while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if b_of(m1) <= b_of(m2):
-            hi = m2
+        if b1 <= b2:
+            hi, m2, b2 = m2, m1, b1
+            m1 = hi - _INV_PHI * (hi - lo)
+            b1 = b_of(m1)
         else:
-            lo = m1
+            lo, m1, b1 = m1, m2, b2
+            m2 = lo + _INV_PHI * (hi - lo)
+            b2 = b_of(m2)
     mu = 0.5 * (lo + hi)
     return mu, b_of(mu)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PerturbationSpec
-from .core import ModelSpec, spectral_norm, sqrt_spd, symmetrize
+from .core import ModelSpec, spectral_norm, symmetrize
 from .exceptions import AlphaOutOfRange, ParseError, ValidationError
 
 __all__ = [
@@ -156,7 +156,7 @@ def square_well_perturbation(eta: float) -> PerturbationSpec:
     flags are left for analyze_perturbation.
     """
     delta_v = np.diag([float(eta), 0.0])
-    u_inv = np.linalg.inv(sqrt_spd(SQUARE_WELL_U_SQUARED))
+    u_inv = square_well_model(0.0).u_power(-1)
     return PerturbationSpec(delta_v=delta_v, c=spectral_norm(delta_v @ u_inv))
 
 

@@ -1,19 +1,25 @@
-"""Spectra of H = JG via selfadjoint similarity, sign operators, gaps.
+"""Spectra of H = JG via the symmetric-definite pencil, sign operators, gaps.
 
-When the contraction b = ||(V - mu) U^(-1)|| is safely below one the
-shifted form G - mu*J is positive definite and, with W its principal
-square root, H - mu*I is similar to the symmetric matrix M = W J W:
+With J = J^T = J^(-1), the eigenproblem H x = lam x is equivalent to
 
-    W (H - mu*I) W^(-1) = M.
+    J x = theta (G - mu*J) x,    lam = mu + 1/theta,
 
-So the spectrum is real and computed by one symmetric eigensolve; the
-eigenvectors are W^(-1) Q for the eigenvectors Q of M.  Near and beyond
-b = 1 the square root degenerates, so a general dense eigensolver on H
+so whenever the contraction b = ||(V - mu) U^(-1)|| is below one the
+pencil (J, G - mu*J) is symmetric-definite: one Cholesky-based
+generalized symmetric eigensolve gives a real spectrum and the
+eigenvectors of H, normalized by Z^T (G - mu*J) Z = I (the symmetric
+linearization of Tisseur & Meerbergen, SIAM Rev. 43, 2001).  Near and
+beyond b = 1 the form degenerates, so a general dense eigensolver on H
 takes over and non-real pairs are flagged instead of hidden.
 
-The same route yields the sign operator J1 = sign(H - mu*I) =
-W^(-1) sign(M) W, whose norm measures how far the similarity is from an
-isometry (1 <= ||J1|| <= 1/(1-b)).
+The same eigenvectors give the sign operator without a second solve:
+Z^T J Z = Theta, hence
+
+    J1 = sign(H - mu*I) = Z |Theta|^(-1) Z^T J,
+    ||J1|| = ||Z |Theta|^(-1/2)||^2,
+
+which measures how far the similarity is from an isometry
+(1 <= ||J1|| <= 1/(1-b)).
 """
 
 from __future__ import annotations
@@ -21,14 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
+    PD_RTOL,
     KleinGordonSystem,
     ModelSpec,
     apply_j,
+    j_matrix,
     spectral_norm,
-    symmetrize,
-    _spd_eig,
 )
 from .exceptions import (
     EmptySpectrum,
@@ -50,7 +57,7 @@ __all__ = [
     "defect_check",
 ]
 
-#: the similarity route is used only while contraction < 1 - PATH_MARGIN
+#: the pencil route is used only while contraction < 1 - PATH_MARGIN
 PATH_MARGIN = 0.02
 
 #: |imag| above REAL_RTOL * ||H|| marks the spectrum as non-real
@@ -72,6 +79,8 @@ class SpectrumReport:
     ``sign_types`` holds 'positive' / 'negative' / 'neutral' per the sign
     of (Jx, x).  ``positive_ordered`` / ``negative_ordered`` list the
     eigenvalues right/left of the shift, ordered away from it.
+    ``witness`` is the first defective eigenvalue found, or None;
+    ``defective`` says whether there is one.
     """
 
     eigenvalues: np.ndarray
@@ -84,7 +93,8 @@ class SpectrumReport:
     residual_max: float
     is_real_spectrum: bool
     shift: float
-    solver_path: str  # 'similarity' or 'direct'
+    solver_path: str  # 'similarity' (the definite pencil) or 'direct'
+    witness: DefectWitness | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,30 +124,48 @@ def _ham_scale(h) -> float:
     return float(np.sqrt(one * inf))
 
 
-def _shifted_root(gram, shift: float):
-    """Eigen-factorized W = (G - shift*J)^(1/2); returns (W, W^(-1))."""
-    g = np.asarray(gram, dtype=float).copy()
+def _certified_definite(system: KleinGordonSystem) -> bool:
+    """Closed-form certificate that G - mu*J is safely positive definite.
+
+    The congruence G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]]
+    diag(U,U)^(1/2) gives lambda_min(G - mu*J) >= (1 - b) u_min and
+    ||G - mu*J|| <= (1 + b) u_max, so a True result implies
+    lambda_min(G - mu*J) > PD_RTOL * ||G - mu*J|| without factorizing.
+    """
+    b = system.contraction
+    return (1.0 - b) * system.u_min() > PD_RTOL * (1.0 + b) * system.u_max()
+
+
+def _definite_pencil(gram, shift: float):
+    """Eigenpairs (theta, Z) of J z = theta (G - shift*J) z.
+
+    theta ascends and Z^T (G - shift*J) Z = I.  Raises NotPositiveDefinite
+    when the Cholesky factorization of G - shift*J fails.
+    """
+    g = np.array(gram, dtype=float)
     n = g.shape[0] // 2
     idx = np.arange(n)
     g[idx, idx + n] -= shift
     g[idx + n, idx] -= shift
-    w, p = _spd_eig(g, "gram - shift*J")
-    root = np.sqrt(w)
-    return symmetrize((p * root) @ p.T), symmetrize((p / root) @ p.T)
+    try:
+        return scipy.linalg.eigh(j_matrix(n), g)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"gram - shift*J is not positive definite: {exc}"
+        ) from exc
 
 
 def similarity_eigensolve(gram, shift: float = 0.0):
-    """Eigenpairs of J G from the symmetric matrix W J W, W = (G-shift*J)^(1/2).
+    """Eigenpairs of J G from the definite pencil (J, G - shift*J).
 
-    Returns (eigenvalues ascending, eigenvectors as unit columns).  Raises
-    NotPositiveDefinite when G - shift*J is not positive definite.
+    Returns (eigenvalues ascending, eigenvectors as unit columns), with
+    lam = shift + 1/theta.  Raises NotPositiveDefinite when G - shift*J
+    is not positive definite.
     """
-    big_w, big_w_inv = _shifted_root(gram, shift)
-    m = symmetrize(big_w @ apply_j(big_w))
-    lam, q = np.linalg.eigh(m)
-    vecs = big_w_inv @ q
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return lam + shift, vecs
+    theta, z = _definite_pencil(gram, shift)
+    order = np.argsort(1.0 / theta)
+    vecs = z[:, order]
+    return shift + 1.0 / theta[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
 def _classify(eigenvalues, eigenvectors, shift):
@@ -200,28 +228,29 @@ def _neutral_defects(eigenvalues, eigenvectors, sign_types):
 def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
-    Uses the selfadjoint similarity while contraction < 1 - PATH_MARGIN
-    (so the spectrum is certified real); otherwise falls back to a dense
-    general eigensolver on H and flags non-real pairs.
+    Solves the definite pencil while contraction < 1 - PATH_MARGIN and
+    G - mu*J is certified positive definite (so the spectrum is certified
+    real); otherwise, or when the Cholesky factorization fails, falls
+    back to a dense general eigensolver on H and flags non-real pairs.
     """
     h = system.hamiltonian
     mu = system.shift
-    path = "similarity"
+    path = "direct"
     is_real = True
-    if system.contraction < 1.0 - PATH_MARGIN:
+    if system.contraction < 1.0 - PATH_MARGIN and _certified_definite(system):
         try:
             lam, vecs = similarity_eigensolve(system.gram, mu)
+            path = "similarity"
         except NotPositiveDefinite:
-            path = "direct"
-    else:
-        path = "direct"
+            pass
     if path == "direct":
         lam_c, vecs = np.linalg.eig(h)
         order = np.lexsort((lam_c.imag, lam_c.real))
         lam_c = lam_c[order]
         vecs = vecs[:, order]
         vecs /= np.linalg.norm(vecs, axis=0)
-        is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * _ham_scale(h))
+        scale = _ham_scale(h)
+        is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * scale)
         lam = lam_c.real if is_real else lam_c
 
     signs, pos, neg, gap = _classify(lam, vecs, mu)
@@ -229,15 +258,13 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     resid = h @ vecs - vecs * lam
     residual_max = float(np.linalg.norm(resid, axis=0).max())
 
-    defective = bool(_neutral_defects(lam, vecs, signs))
-    # the similarity route certifies a symmetric-similar, hence
-    # semisimple, operator; multiplicity defects can only arise on the
-    # direct path
-    if not defective and is_real and path == "direct":
-        scale = _ham_scale(h)
-        lam_sorted = np.sort(np.real(lam))
-        if np.any(np.diff(lam_sorted) <= MULT_RTOL * scale):
-            defective = bool(_cluster_defects(lam, h, scale))
+    witnesses = _neutral_defects(lam, vecs, signs)
+    # the pencil route certifies a symmetric-similar, hence semisimple,
+    # operator; multiplicity defects can only arise on the direct path
+    if not witnesses and is_real and path == "direct":
+        if np.any(np.diff(np.sort(lam)) <= MULT_RTOL * scale):
+            witnesses = _cluster_defects(lam, h, scale)
+    witness = witnesses[0] if witnesses else None
 
     return SpectrumReport(
         eigenvalues=lam,
@@ -246,26 +273,30 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         positive_ordered=pos,
         negative_ordered=neg,
         central_gap=gap,
-        defective=defective,
+        defective=witness is not None,
         residual_max=residual_max,
         is_real_spectrum=is_real,
         shift=mu,
         solver_path=path,
+        witness=witness,
     )
 
 
 def sign_operator(system: KleinGordonSystem) -> SignOperator:
-    """J1 = sign(H - mu*I) computed spectrally through the similarity.
+    """J1 = sign(H - mu*I) from the eigenvectors of the definite pencil.
 
-    J1 = W^(-1) sign(W J W) W; requires G - mu*J positive definite, which
-    holds whenever the contraction is below one.
+    With Z^T (G - mu*J) Z = I and Z^T J Z = Theta, J1 = Z |Theta|^(-1) Z^T J
+    and ||J1|| = ||Z |Theta|^(-1/2)||^2.  Requires G - mu*J certified
+    positive definite, which holds whenever the contraction is below one.
     """
-    big_w, big_w_inv = _shifted_root(system.gram, system.shift)
-    m = symmetrize(big_w @ apply_j(big_w))
-    lam, q = np.linalg.eigh(m)
-    sign_m = (q * np.sign(lam)) @ q.T
-    j1 = big_w_inv @ sign_m @ big_w
-    return SignOperator(j1=j1, norm_j1=spectral_norm(j1))
+    if not _certified_definite(system):
+        raise NotPositiveDefinite(
+            "gram - shift*J is not certified positive definite: "
+            f"contraction b = {system.contraction:.6g}"
+        )
+    theta, z = _definite_pencil(system.gram, system.shift)
+    y = z / np.sqrt(np.abs(theta))
+    return SignOperator(j1=y @ apply_j(y).T, norm_j1=spectral_norm(y) ** 2)
 
 
 def central_gap(report: SpectrumReport, shift: float):
@@ -312,18 +343,11 @@ def pencil_residual(spec: ModelSpec, lam) -> float:
 def defect_check(system: KleinGordonSystem, report: SpectrumReport):
     """Flag defective or near-defective eigenvalues.
 
-    An eigenvalue is flagged when its eigenvector is J-neutral
-    (|(Jx, x)| / ||x||^2 < NEUTRAL_TOL) or when a repeated eigenvalue has
-    geometric multiplicity below its cluster size.  Returns
-    (flag, witness) with the offending eigenvalue and vector, or
-    (False, None).
+    Returns (flag, witness) as recorded by eigen_spectrum: an eigenvalue
+    is flagged when its eigenvector is J-neutral
+    (|(Jx, x)| / ||x||^2 < NEUTRAL_TOL) or when, on the direct path, a
+    repeated eigenvalue has geometric multiplicity below its cluster
+    size; (False, None) otherwise.  ``system`` is the one the report
+    was computed from.
     """
-    witnesses = _neutral_defects(
-        report.eigenvalues, report.eigenvectors, report.sign_types
-    )
-    if not witnesses:
-        scale = _ham_scale(system.hamiltonian)
-        witnesses = _cluster_defects(report.eigenvalues, system.hamiltonian, scale)
-    if witnesses:
-        return True, witnesses[0]
-    return False, None
+    return report.defective, report.witness

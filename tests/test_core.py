@@ -7,8 +7,6 @@ from kgbounds import (
     ModelSpec,
     NotPositiveDefinite,
     ValidationError,
-    apply_j,
-    assemble_free,
     assemble_system,
     contraction_bound,
     j_matrix,
@@ -140,28 +138,6 @@ class TestAssemble:
             eigs = np.linalg.eigvalsh(middle)
             assert eigs[0] >= 1.0 - b - 1e-12
             assert 1.0 / eigs[0] <= 1.0 / (1.0 - b) + 1e-10
-
-
-class TestAssembleFree:
-    def test_diagonal_case(self):
-        spec = ModelSpec(u_squared=np.diag([1.0, 3.0]), v=np.zeros((2, 2)))
-        free, u_block = assemble_free(spec)
-        eigs = np.sort(np.linalg.eigvalsh(free))
-        np.testing.assert_allclose(
-            eigs, [-np.sqrt(3), -1.0, 1.0, np.sqrt(3)], atol=1e-12
-        )
-        np.testing.assert_allclose(u_block, apply_j(free), atol=1e-13)
-
-    def test_square_well_min_modulus(self):
-        free, _ = assemble_free(square_well_model(1.0))
-        assert abs(np.abs(np.linalg.eigvalsh(free)).min() - 1.0) <= 1e-12
-
-    def test_sign_of_free_hamiltonian_is_j(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        spec, _ = random_model(rng, n=4)
-        free, u_block = assemble_free(spec)
-        sign = free @ np.linalg.inv(scipy.linalg.sqrtm(free @ free).real)
-        np.testing.assert_allclose(sign, j_matrix(4), atol=1e-10)
 
 
 class TestOperatorA:

@@ -69,14 +69,34 @@ class TestEigenSpectrum:
             assert report.residual_max <= 1e-8 * spectral_norm(system.hamiltonian)
 
     def test_similarity_agrees_with_direct_eigensolver(self):
+        # up to b = 0.979, just inside PATH_MARGIN, and with U^2 scaled by
+        # 1e-4 .. 1e4 (V scaled along, which keeps b)
         rng = np.random.Generator(np.random.PCG64(10))
-        for _ in range(30):
-            spec, _ = random_model(rng, b_hi=0.9)
-            system = assemble_system(spec, 0.0)
+        for b_lo, b_hi in ((0.05, 0.9), (0.9, 0.979)):
+            for _ in range(15):
+                base, _ = random_model(rng, b_lo=b_lo, b_hi=b_hi)
+                for s in (1e-4, 1.0, 1e4):
+                    spec = ModelSpec(s * base.u_squared, np.sqrt(s) * base.v)
+                    system = assemble_system(spec, 0.0)
+                    report = eigen_spectrum(system)
+                    assert report.solver_path == "similarity"
+                    direct = np.sort(np.linalg.eigvals(system.hamiltonian).real)
+                    scale = spectral_norm(system.hamiltonian)
+                    err = np.abs(np.sort(report.eigenvalues) - direct).max()
+                    assert err <= 1e-8 * scale
+
+    def test_route_guard_margin(self):
+        # at the paper shift the well has b = tau/2: the pencil route up to
+        # b < 1 - PATH_MARGIN = 0.98, the direct path from there to b = 1,
+        # with the same real, non-defective spectrum on both sides
+        for tau, path in ((1.95, "similarity"), (1.97, "direct"), (1.99, "direct")):
+            system = assemble_system(square_well_model(tau), -tau / 2.0)
             report = eigen_spectrum(system)
-            direct = np.sort(np.linalg.eigvals(system.hamiltonian).real)
-            scale = spectral_norm(system.hamiltonian)
-            assert np.abs(np.sort(report.eigenvalues) - direct).max() <= 1e-8 * scale
+            assert report.solver_path == path
+            assert report.is_real_spectrum and not report.defective
+            np.testing.assert_allclose(
+                report.eigenvalues, square_well_pencil_roots(tau).real, atol=1e-8
+            )
 
     def test_sign_consistency(self):
         # with b < 1 every eigenvector is definitely signed, matching the
@@ -133,6 +153,18 @@ class TestSignOperator:
         assert np.abs(product - product.T).max() <= 1e-10
         eigs = np.linalg.eigvalsh(0.5 * (product + product.T))
         assert eigs[0] >= 1.0 / so.norm_j1 - 1e-9
+
+    def test_matches_eigendecomposition_of_h(self):
+        # J1 is the matrix function sign(. - mu) of H: X sign(Lambda - mu) X^-1
+        rng = np.random.Generator(np.random.PCG64(15))
+        for _ in range(20):
+            spec, _ = random_model(rng)
+            mu = float(rng.uniform(-0.2, 0.2))
+            system = assemble_system(spec, mu)
+            lam, x = np.linalg.eig(system.hamiltonian)
+            oracle = np.real((x * np.sign(lam.real - mu)) @ np.linalg.inv(x))
+            j1 = sign_operator(system).j1
+            assert np.abs(j1 - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
     def test_norm_bounded_by_contraction(self):
         rng = np.random.Generator(np.random.PCG64(13))
