@@ -53,7 +53,7 @@ from .exceptions import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .spectral import SpectrumReport, eigen_spectrum
+from .spectral import SpectrumReport, _certified_definite, eigen_spectrum
 
 __all__ = [
     "PerturbationSpec",
@@ -264,7 +264,7 @@ class KappaBundle:
     kappa_general evaluated with the coarser measurement
     c <= ||dV|| * ||U^(-1)||, the variant used in the worked-example
     tables.  ``kappa_exact`` are the extreme eigenvalues of dg relative
-    to g, the sharpest possible pair.
+    to g, the sharpest possible pair, always computed.
     """
 
     b: float
@@ -275,7 +275,7 @@ class KappaBundle:
     kappa_relative: float | None
     kappa_disjoint: float | None
     kappa_signed: tuple | None
-    kappa_exact: tuple | None
+    kappa_exact: tuple
     kappa0_hat: float | None
     kappa_prime_hat: float | None
     valid: dict = field(default_factory=dict)
@@ -302,15 +302,6 @@ class KappaBundle:
                 ("kappa_prime_hat", self.kappa_prime_hat, self.valid["kappa_hats"])
             )
         return rows
-
-    def best_pair(self):
-        """The sharpest available (kappa_minus, kappa_plus) pair."""
-        if self.kappa_exact is not None:
-            return self.kappa_exact
-        if self.kappa_signed is not None:
-            return self.kappa_signed
-        k = self.kappa_general
-        return (-k, k)
 
 
 def gap_bound(system: KleinGordonSystem) -> float:
@@ -503,15 +494,15 @@ def block_structure_analysis(a_matrix, delta_a) -> BlockStructure:
 # the bundle
 
 
-def perturbation_constants(
-    system: KleinGordonSystem, pert, exact: bool = True
-) -> KappaBundle:
+def perturbation_constants(system: KleinGordonSystem, pert) -> KappaBundle:
     """Evaluate every applicable constant for one system and perturbation.
 
     The validity flag of each entry records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
-    invalid entries keep their value for tabulation.  ``exact=False``
-    skips the generalized eigenproblem (the only dense 2n-sized solve).
+    invalid entries keep their value for tabulation.  The exact pair is
+    solved on (dG, G - mu*J) once the closed-form certificate, which
+    implies the PD_RTOL test of exact_kappa_pm, holds; NotPositiveDefinite
+    when it or the Cholesky factorization of G - mu*J fails.
     """
     b = system.contraction
     if b >= 1.0:
@@ -533,13 +524,20 @@ def perturbation_constants(
         else None
     )
 
-    k_exact = None
-    if exact:
-        k_exact = exact_kappa_pm(system.gram_shifted(), delta_gram(system, pert))
+    if not _certified_definite(system):
+        raise NotPositiveDefinite(
+            f"g = gram - shift*J is not certified positive definite: b = {b:.6g}"
+        )
+    try:
+        w = scipy.linalg.eigh(
+            delta_gram(system, pert), system.gram_shifted(), eigvals_only=True
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"g is not positive definite: {exc}") from exc
+    k_exact = (float(w[0]), float(w[-1]))
 
-    bundle_pair = k_exact if k_exact is not None else (k_sgn or (-k_gen, k_gen))
-    if bundle_pair[0] > -1.0:
-        k0_hat, kp_hat = rescale_kappa(*bundle_pair)
+    if k_exact[0] > -1.0:
+        k0_hat, kp_hat = rescale_kappa(*k_exact)
     else:
         k0_hat, kp_hat = None, None
 
@@ -550,7 +548,7 @@ def perturbation_constants(
         "kappa_relative": k_rel is not None and system.shift == 0.0 and k_rel < 1.0,
         "kappa_disjoint": k_dis is not None,
         "kappa_signed": k_sgn is not None and k_sgn[0] > -1.0,
-        "kappa_exact": k_exact is not None and k_exact[0] > -1.0,
+        "kappa_exact": k_exact[0] > -1.0,
         "kappa_hats": k0_hat is not None,
     }
     return KappaBundle(

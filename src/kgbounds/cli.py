@@ -238,28 +238,35 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _gate_norms(spec: ModelSpec):
-    """(||U^2||, ||V||), the model part of the residual gate scale."""
-    return float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
+    """EXIT_SOLVER, naming the first failing row, when a residual exceeds its gate.
 
-
-def _gate(spec: ModelSpec):
-    """lam -> RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2), norms taken once."""
-    u2_norm, v_norm = _gate_norms(spec)
-    base = u2_norm + v_norm**2
-    return lambda lam: RESIDUAL_GATE * (base + abs(complex(lam)) ** 2)
+    ``checks`` yields (row, eigenvalue, residual, t) per emitted row; the
+    gate is RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2).
+    """
+    u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+    for row, lam, resid, t in checks:
+        limit = RESIDUAL_GATE * (
+            u2_norm + (abs(t) * v_norm) ** 2 + abs(complex(lam)) ** 2
+        )
+        if resid > limit:
+            print(
+                f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
+                f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}",
+                file=sys.stderr,
+            )
+            return EXIT_SOLVER
+    return EXIT_OK
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     system = assemble_system(config.spec, config.shift)
     report = eigen_spectrum(system)
-    gate = _gate(config.spec)
     rows = []
-    gate_failed = False
+    checks = []
     for k, lam in enumerate(np.atleast_1d(report.eigenvalues)):
         resid = pencil_residual(config.spec, lam)
-        if resid > gate(lam):
-            gate_failed = True
+        checks.append((k, lam, resid, 1.0))
         rows.append(
             [
                 k,
@@ -274,10 +281,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         rows,
     )
     _write_text(config.out, text)
-    if gate_failed:
-        print("solver failure: a pencil residual exceeded the gate", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _gate_exit(config.spec, "index", checks)
 
 
 def _bounds_payload(config: RunConfig):
@@ -290,7 +294,7 @@ def _bounds_payload(config: RunConfig):
     mu = config.shift
 
     shifted_gap = (gap[0] - mu, gap[1] - mu)
-    km, kp = bundle.best_pair()
+    km, kp = bundle.kappa_exact
     kappa = max(abs(km), abs(kp))
     plain = improved = None
     if kappa < 1.0 and not np.isinf(shifted_gap).any():
@@ -300,7 +304,7 @@ def _bounds_payload(config: RunConfig):
         lo, hi = improved_inclusion(shifted_gap, km, kp)
         improved = (lo + mu, hi + mu)
     s_norm = spectral_norm(delta_gram(system, pert))
-    uniform_raw = norm_bound_interval(gap, s_norm, sign_operator(system).norm_j1)
+    uniform_raw = norm_bound_interval(gap, s_norm, sign_operator(report).norm_j1)
     uniform = uniform_raw if uniform_raw[0] < uniform_raw[1] else None
     return system, bundle, alpha, gap, plain, improved, uniform, s_norm
 
@@ -357,9 +361,8 @@ def cmd_bounds(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     pert = _perturbation(config)
     report = verify_bounds(config.spec, pert, config.shift)
-    gate = _gate(config.spec)
     rows = []
-    gate_failed = False
+    checks = []
     spec_p = config.spec.perturbed(pert.delta_v)
     for k, (lam, lam_p, dev) in enumerate(
         zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
@@ -367,8 +370,7 @@ def cmd_verify(config: RunConfig) -> int:
         resid = max(
             pencil_residual(config.spec, lam), pencil_residual(spec_p, lam_p)
         )
-        if resid > gate(lam):
-            gate_failed = True
+        checks.append((k, lam, resid, 1.0))
         rows.append(
             ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
         )
@@ -407,10 +409,7 @@ def cmd_verify(config: RunConfig) -> int:
         rows,
     )
     _write_text(config.out, text)
-    if gate_failed:
-        print("solver failure: a pencil residual exceeded the gate", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _gate_exit(config.spec, "index", checks)
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -422,16 +421,8 @@ def cmd_sweep(config: RunConfig) -> int:
     header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
     for k in range(two_n):
         header += [f"eig{k}_re", f"eig{k}_im"]
-    u2_norm, v_norm = _gate_norms(config.spec)
     rows = []
-    gate_failed = False
     for i, t in enumerate(result.parameters):
-        if result.residual_max[i] > RESIDUAL_GATE * (
-            u2_norm
-            + (abs(t) * v_norm) ** 2
-            + float(np.abs(result.eigenvalues[i]).max()) ** 2
-        ):
-            gate_failed = True
         row = [
             "point",
             _fmt(t),
@@ -445,10 +436,11 @@ def cmd_sweep(config: RunConfig) -> int:
     critical = "" if result.critical_value is None else _fmt(result.critical_value)
     rows.append(["critical", critical, "", "", ""] + [""] * (2 * two_n))
     _write_text(config.out, _csv_text(header, rows))
-    if gate_failed:
-        print("solver failure: a pencil residual exceeded the gate", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    # the row maximum of the residuals, gated at the largest-modulus
+    # eigenvalue of the potential t * V; generated row by row, not stored
+    lam_max = (eigs[np.argmax(np.abs(eigs))] for eigs in result.eigenvalues)
+    checks = zip(result.parameters, lam_max, result.residual_max, result.parameters)
+    return _gate_exit(config.spec, "sweep parameter", checks)
 
 
 def cmd_reproduce(config: RunConfig) -> int:

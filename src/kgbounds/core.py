@@ -24,6 +24,7 @@ dataclasses and all functions are pure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,11 +155,7 @@ class ModelSpec:
 
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
-        v = check_symmetric(self.v, "v")
-        if u2.shape != v.shape:
-            raise DimensionMismatch(
-                f"u_squared has order {u2.shape[0]} but v has order {v.shape[0]}"
-            )
+        v = _symmetric_of_order(self.v, u2.shape[0], "v")
         w, p = _spd_eig(u2, "u_squared")
         kept = {"u_squared": u2, "v": v, "u2_eigenvalues": w, "u2_eigenvectors": p}
         for name, a in kept.items():
@@ -183,13 +180,29 @@ class ModelSpec:
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""
-        delta_v = check_symmetric(delta_v, "delta_v")
-        if delta_v.shape != self.v.shape:
-            raise DimensionMismatch(
-                f"delta_v has order {delta_v.shape[0]}, expected {self.order}"
-            )
+        delta_v = _symmetric_of_order(delta_v, self.order, "delta_v")
         label = f"{self.label}+perturbation" if self.label else ""
-        return ModelSpec(self.u_squared, self.v + delta_v, label)
+        return self.with_potential(self.v + delta_v, label)
+
+    def with_potential(self, v, label: str) -> "ModelSpec":
+        """A spec with potential v sharing this spec's validated U^2 data.
+
+        Only v is validated (symmetry and order).
+        """
+        v = _symmetric_of_order(v, self.order, "v")
+        v.setflags(write=False)
+        spec = copy.copy(self)
+        object.__setattr__(spec, "v", v)
+        object.__setattr__(spec, "label", label)
+        return spec
+
+
+def _symmetric_of_order(a, order: int, name: str):
+    """The symmetrized copy of a, which must be symmetric of the given order."""
+    a = check_symmetric(a, name)
+    if a.shape[0] != order:
+        raise DimensionMismatch(f"{name} has order {a.shape[0]}, expected {order}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -217,10 +230,6 @@ class KleinGordonSystem:
     a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
-
-    def j(self):
-        """The block swap symmetry matching this system's order."""
-        return j_matrix(self.n)
 
     def gram_shifted(self):
         """G - mu*J, the positive definite form when contraction < 1."""
@@ -257,7 +266,7 @@ def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
     """
     u, u_inv = spec.u_power(1), spec.u_power(-1)
     x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)   # U^(1/2) V U^(-1/2)
-    a = (spec.v - shift * np.eye(spec.order)) @ u_inv
+    a = operator_a(spec, shift)
     return KleinGordonSystem(
         n=spec.order,
         shift=float(shift),

@@ -337,7 +337,7 @@ def sweep_potential(
     params = np.linspace(lo, hi, steps)
 
     def spectrum(t):
-        spec = ModelSpec(base.u_squared, t * base.v, label=base.label)
+        spec = base.with_potential(t * base.v, base.label)
         return spec, eigen_spectrum(assemble_system(spec, shift))
 
     rows = []

@@ -8,15 +8,17 @@ so whenever the contraction b = ||(V - mu) U^(-1)|| is below one the
 pencil (J, G - mu*J) is symmetric-definite: one Cholesky-based
 generalized symmetric eigensolve gives a real spectrum and the
 eigenvectors of H, normalized by Z^T (G - mu*J) Z = I (the symmetric
-linearization of Tisseur & Meerbergen, SIAM Rev. 43, 2001).  Near and
-beyond b = 1 the form degenerates, so a general dense eigensolver on H
-takes over and non-real pairs are flagged instead of hidden.
+linearization of Tisseur & Meerbergen, SIAM Rev. 43, 2001).  The
+pencil is used exactly when a closed-form bound certifies G - mu*J
+positive definite and the Cholesky factorization succeeds; every other
+system goes to a general dense eigensolver on H, which flags non-real
+pairs instead of hiding them.
 
-The same eigenvectors give the sign operator without a second solve:
-Z^T J Z = Theta, hence
+The same solve gives the sign operator: the unit eigenvectors x_k have
+J-signatures s_k = (J x_k, x_k) = theta_k / ||z_k||^2, hence
 
-    J1 = sign(H - mu*I) = Z |Theta|^(-1) Z^T J,
-    ||J1|| = ||Z |Theta|^(-1/2)||^2,
+    J1 = sign(H - mu*I) = X |S|^(-1) X^T J = Z |Theta|^(-1) Z^T J,
+    ||J1|| = ||X |S|^(-1/2)||^2,
 
 which measures how far the similarity is from an isometry
 (1 <= ||J1|| <= 1/(1-b)).
@@ -57,9 +59,6 @@ __all__ = [
     "defect_check",
 ]
 
-#: the pencil route is used only while contraction < 1 - PATH_MARGIN
-PATH_MARGIN = 0.02
-
 #: |imag| above REAL_RTOL * ||H|| marks the spectrum as non-real
 REAL_RTOL = 1e-8
 
@@ -76,15 +75,17 @@ class SpectrumReport:
 
     ``eigenvalues`` is sorted ascending (by real part when non-real) and
     aligned column-wise with ``eigenvectors`` (unit 2-norm columns).
-    ``sign_types`` holds 'positive' / 'negative' / 'neutral' per the sign
-    of (Jx, x).  ``positive_ordered`` / ``negative_ordered`` list the
-    eigenvalues right/left of the shift, ordered away from it.
+    ``signatures`` holds s_k = (Jx_k, x_k) / (x_k, x_k) and ``sign_types``
+    its class, 'positive' / 'negative' / 'neutral'.  ``positive_ordered``
+    / ``negative_ordered`` list the eigenvalues right/left of the shift,
+    ordered away from it.
     ``witness`` is the first defective eigenvalue found, or None;
     ``defective`` says whether there is one.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)
+    signatures: np.ndarray = field(repr=False)
     sign_types: tuple
     positive_ordered: np.ndarray
     negative_ordered: np.ndarray
@@ -169,10 +170,10 @@ def similarity_eigensolve(gram, shift: float = 0.0):
 
 
 def _classify(eigenvalues, eigenvectors, shift):
+    signatures = np.empty(eigenvectors.shape[1])
     signs = []
-    for k in range(eigenvectors.shape[1]):
-        x = eigenvectors[:, k]
-        s = np.real(np.vdot(x, apply_j(x))) / np.real(np.vdot(x, x))
+    for k, x in enumerate(eigenvectors.T):
+        s = signatures[k] = np.real(np.vdot(x, apply_j(x))) / np.real(np.vdot(x, x))
         if s > NEUTRAL_TOL:
             signs.append("positive")
         elif s < -NEUTRAL_TOL:
@@ -184,7 +185,7 @@ def _classify(eigenvalues, eigenvectors, shift):
     neg = np.sort(re[re < shift])[::-1]
     lo = float(neg[0]) if neg.size else -np.inf
     hi = float(pos[0]) if pos.size else np.inf
-    return tuple(signs), pos, neg, (lo, hi)
+    return signatures, tuple(signs), pos, neg, (lo, hi)
 
 
 def _cluster_defects(eigenvalues, hamiltonian, scale):
@@ -213,31 +214,19 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
     return witnesses
 
 
-def _neutral_defects(eigenvalues, eigenvectors, sign_types):
-    witnesses = []
-    for k, tag in enumerate(sign_types):
-        if tag == "neutral":
-            witnesses.append(
-                DefectWitness(
-                    complex(eigenvalues[k]), eigenvectors[:, k], "neutral-eigenvector"
-                )
-            )
-    return witnesses
-
-
 def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
-    Solves the definite pencil while contraction < 1 - PATH_MARGIN and
-    G - mu*J is certified positive definite (so the spectrum is certified
-    real); otherwise, or when the Cholesky factorization fails, falls
-    back to a dense general eigensolver on H and flags non-real pairs.
+    Solves the definite pencil when G - mu*J is certified positive
+    definite (so the spectrum is certified real and semisimple);
+    otherwise, or when the Cholesky factorization fails, falls back to a
+    dense general eigensolver on H and flags non-real pairs.
     """
     h = system.hamiltonian
     mu = system.shift
     path = "direct"
     is_real = True
-    if system.contraction < 1.0 - PATH_MARGIN and _certified_definite(system):
+    if _certified_definite(system):
         try:
             lam, vecs = similarity_eigensolve(system.gram, mu)
             path = "similarity"
@@ -253,12 +242,16 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * scale)
         lam = lam_c.real if is_real else lam_c
 
-    signs, pos, neg, gap = _classify(lam, vecs, mu)
+    signatures, signs, pos, neg, gap = _classify(lam, vecs, mu)
 
     resid = h @ vecs - vecs * lam
     residual_max = float(np.linalg.norm(resid, axis=0).max())
 
-    witnesses = _neutral_defects(lam, vecs, signs)
+    witnesses = [
+        DefectWitness(complex(lam[k]), vecs[:, k], "neutral-eigenvector")
+        for k, tag in enumerate(signs)
+        if tag == "neutral"
+    ]
     # the pencil route certifies a symmetric-similar, hence semisimple,
     # operator; multiplicity defects can only arise on the direct path
     if not witnesses and is_real and path == "direct":
@@ -269,6 +262,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=lam,
         eigenvectors=vecs,
+        signatures=signatures,
         sign_types=signs,
         positive_ordered=pos,
         negative_ordered=neg,
@@ -282,20 +276,21 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     )
 
 
-def sign_operator(system: KleinGordonSystem) -> SignOperator:
-    """J1 = sign(H - mu*I) from the eigenvectors of the definite pencil.
+def sign_operator(report: SpectrumReport) -> SignOperator:
+    """J1 = sign(H - mu*I) from the eigenvectors of a pencil-route report.
 
-    With Z^T (G - mu*J) Z = I and Z^T J Z = Theta, J1 = Z |Theta|^(-1) Z^T J
-    and ||J1|| = ||Z |Theta|^(-1/2)||^2.  Requires G - mu*J certified
-    positive definite, which holds whenever the contraction is below one.
+    With unit eigenvectors X and J-signatures S of a report solved on the
+    definite pencil, J1 = X |S|^(-1) X^T J and ||J1|| = ||X |S|^(-1/2)||^2,
+    so no second solve is needed.  Raises NotPositiveDefinite when the
+    report came from the direct path, that is when G - mu*J was not
+    certified positive definite or its Cholesky factorization failed.
     """
-    if not _certified_definite(system):
+    if report.solver_path != "similarity":
         raise NotPositiveDefinite(
             "gram - shift*J is not certified positive definite: "
-            f"contraction b = {system.contraction:.6g}"
+            f"the spectrum at shift {report.shift:.6g} took the direct path"
         )
-    theta, z = _definite_pencil(system.gram, system.shift)
-    y = z / np.sqrt(np.abs(theta))
+    y = report.eigenvectors / np.sqrt(np.abs(report.signatures))
     return SignOperator(j1=y @ apply_j(y).T, norm_j1=spectral_norm(y) ** 2)
 
 

@@ -80,6 +80,7 @@ def solved200(corpus200):
                 "spec": spec,
                 "dv": dv,
                 "system": system,
+                "report": report,
                 "lam": np.sort(np.real(report.eigenvalues)),
                 "lam_p": np.sort(np.real(report_p.eigenvalues)),
                 "km": km,
@@ -190,7 +191,7 @@ def test_criterion_6_property_suite(solved200):
         b = system.contraction
 
         # (a) sign-operator norm window
-        nj = sign_operator(system).norm_j1
+        nj = sign_operator(item["report"]).norm_j1
         assert 1.0 - 1e-12 <= nj <= 1.0 / (1.0 - b) + 1e-10
 
         # (b) guaranteed central gap

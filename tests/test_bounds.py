@@ -238,8 +238,9 @@ class TestNormBoundInterval:
         # excludes every eigenvalue of the perturbed Hamiltonian
         spec = square_well_model(1.0)
         system = assemble_system(spec, -0.5)
-        gap = central_gap(eigen_spectrum(system), -0.5)
-        nj1 = sign_operator(system).norm_j1
+        report = eigen_spectrum(system)
+        gap = central_gap(report, -0.5)
+        nj1 = sign_operator(report).norm_j1
         lo, hi = norm_bound_interval(gap, 0.1, nj1)
         report_p = eigen_spectrum(
             assemble_system(spec.perturbed(np.diag([0.1, 0.0])), -0.5)
@@ -253,9 +254,10 @@ class TestNormBoundInterval:
         for _ in range(20):
             spec, dv = random_model_and_perturbation(rng)
             system = assemble_system(spec, 0.0)
-            gap = central_gap(eigen_spectrum(system), 0.0)
+            report = eigen_spectrum(system)
+            gap = central_gap(report, 0.0)
             a = spectral_norm(delta_gram(system, PerturbationSpec(delta_v=dv)))
-            lo, hi = norm_bound_interval(gap, a, sign_operator(system).norm_j1)
+            lo, hi = norm_bound_interval(gap, a, sign_operator(report).norm_j1)
             if lo >= hi:
                 continue
             report_p = eigen_spectrum(assemble_system(spec.perturbed(dv), 0.0))
@@ -388,6 +390,21 @@ class TestPerturbationConstants:
         assert abs(
             bundle.kappa_relative - pert.nu * bundle.b / (1 - bundle.b)
         ) <= 1e-12
+
+    def test_exact_pair_matches_oracle(self, corpus200):
+        # the certificate-gated solve gives the validated oracle's pair
+        for spec, dv in corpus200[:40]:
+            system = assemble_system(spec, 0.0)
+            oracle = exact_kappa_pm(system.gram_shifted(), delta_gram(system, dv))
+            assert perturbation_constants(system, dv).kappa_exact == oracle
+
+    def test_uncertified_system_rejected(self):
+        # b = 1 - 5e-14 < 1, but too close to one for the certificate
+        tau = 2.0 - 1e-13
+        system = assemble_system(square_well_model(tau), -tau / 2.0)
+        assert system.contraction < 1.0
+        with pytest.raises(NotPositiveDefinite):
+            perturbation_constants(system, square_well_perturbation(0.1))
 
     def test_nu_absent_for_singular_v(self):
         system = assemble_system(square_well_model(0.0), 0.0)

@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from kgbounds import save_model, square_well_model
+from kgbounds import bounds, core, save_model, spectral, square_well_model
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 
 
@@ -102,6 +103,19 @@ class TestVerifyCommand:
         bound = {r[1]: r for r in rows if r[0] == "bound"}["kappa_norm_product"]
         assert f"{float(bound[5]):.4e}" == "6.6667e-01"
 
+    def test_gate_failure_names_the_row(self, tmp_path, capsys):
+        # eta = 0.35 perturbs the well past tau = 2: the real parts that
+        # verify reports for the non-real pair fail the residual gate
+        out = tmp_path / "verify.csv"
+        args = ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"]
+        assert main(args + ["--out", str(out)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.search(
+            r"at index \d+, eigenvalue \S+: pencil residual \S+ exceeds "
+            r"the gate \S+",
+            err,
+        ), err
+
     def test_random_perturbation_on_oscillator(self, tmp_path):
         args = [
             "verify",
@@ -127,6 +141,26 @@ class TestVerifyCommand:
 
 
 class TestBoundsCommand:
+    def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
+        pencil_calls, spd_orders = [], []
+
+        def count_pencil(*args, **kwargs):
+            pencil_calls.append(1)
+            return definite_pencil(*args, **kwargs)
+
+        def record_spd(m, *args, **kwargs):
+            spd_orders.append(np.shape(m)[0])
+            return spd_eig(m, *args, **kwargs)
+
+        definite_pencil, spd_eig = spectral._definite_pencil, core._spd_eig
+        monkeypatch.setattr(spectral, "_definite_pencil", count_pencil)
+        monkeypatch.setattr(core, "_spd_eig", record_spd)
+        monkeypatch.setattr(bounds, "_spd_eig", record_spd)
+        args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert len(pencil_calls) == 1
+        assert 80 not in spd_orders  # only the order-40 U^2 is validated
+
     def test_zero_perturbation_keeps_gap(self, tmp_path):
         out = tmp_path / "bounds.csv"
         code = main(

@@ -74,6 +74,21 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             spec.v[0, 0] = 5.0
 
+    def test_with_potential_shares_u_squared_data(self):
+        spec = square_well_model(1.0)
+        new = spec.with_potential(2.0 * spec.v, "doubled")
+        assert new.u_squared is spec.u_squared
+        assert new.u2_eigenvalues is spec.u2_eigenvalues
+        assert new.u2_eigenvectors is spec.u2_eigenvectors
+        np.testing.assert_array_equal(new.v, 2.0 * spec.v)
+        assert new.label == "doubled" and spec.label != "doubled"
+        with pytest.raises(ValueError):
+            new.v[0, 0] = 5.0
+        with pytest.raises(ValidationError):
+            spec.with_potential(np.array([[0.0, 1.0], [0.0, 0.0]]), "")
+        with pytest.raises(DimensionMismatch):
+            spec.with_potential(np.zeros((3, 3)), "")
+
 
 class TestAssemble:
     def test_free_hamiltonian(self):

@@ -5,6 +5,7 @@ from kgbounds import (
     EmptySpectrum,
     ModelSpec,
     NonRealSpectrum,
+    NotPositiveDefinite,
     ZeroInSpectrum,
     apply_j,
     assemble_system,
@@ -69,10 +70,10 @@ class TestEigenSpectrum:
             assert report.residual_max <= 1e-8 * spectral_norm(system.hamiltonian)
 
     def test_similarity_agrees_with_direct_eigensolver(self):
-        # up to b = 0.979, just inside PATH_MARGIN, and with U^2 scaled by
-        # 1e-4 .. 1e4 (V scaled along, which keeps b)
+        # up to b = 1 - 1e-6, where the certificate still holds, and with
+        # U^2 scaled by 1e-4 .. 1e4 (V scaled along, which keeps b)
         rng = np.random.Generator(np.random.PCG64(10))
-        for b_lo, b_hi in ((0.05, 0.9), (0.9, 0.979)):
+        for b_lo, b_hi in ((0.05, 0.9), (0.9, 0.999), (0.999, 1.0 - 1e-6)):
             for _ in range(15):
                 base, _ = random_model(rng, b_lo=b_lo, b_hi=b_hi)
                 for s in (1e-4, 1.0, 1e4):
@@ -85,18 +86,23 @@ class TestEigenSpectrum:
                     err = np.abs(np.sort(report.eigenvalues) - direct).max()
                     assert err <= 1e-8 * scale
 
-    def test_route_guard_margin(self):
-        # at the paper shift the well has b = tau/2: the pencil route up to
-        # b < 1 - PATH_MARGIN = 0.98, the direct path from there to b = 1,
-        # with the same real, non-defective spectrum on both sides
-        for tau, path in ((1.95, "similarity"), (1.97, "direct"), (1.99, "direct")):
+    def test_route_follows_certificate(self):
+        # at the paper shift the well has b = tau/2: every b < 1 is
+        # certified and takes the pencil route, with a real, non-defective
+        # spectrum; b = 1 is not certified and takes the direct path
+        for tau in (1.95, 1.97, 1.99, 1.9999):
             system = assemble_system(square_well_model(tau), -tau / 2.0)
             report = eigen_spectrum(system)
-            assert report.solver_path == path
+            assert report.solver_path == "similarity"
             assert report.is_real_spectrum and not report.defective
             np.testing.assert_allclose(
                 report.eigenvalues, square_well_pencil_roots(tau).real, atol=1e-8
             )
+        report = eigen_spectrum(assemble_system(square_well_model(2.0), -1.0))
+        assert report.solver_path == "direct"
+        np.testing.assert_allclose(
+            np.real(report.eigenvalues), square_well_pencil_roots(2.0).real, atol=1e-6
+        )
 
     def test_sign_consistency(self):
         # with b < 1 every eigenvector is definitely signed, matching the
@@ -133,20 +139,20 @@ class TestEigenSpectrum:
 class TestSignOperator:
     def test_free_case_returns_j(self):
         system = assemble_system(free_spec([1.0, 3.0]), 0.0)
-        so = sign_operator(system)
+        so = sign_operator(eigen_spectrum(system))
         np.testing.assert_allclose(so.j1, j_matrix(2), atol=1e-12)
         assert abs(so.norm_j1 - 1.0) <= 1e-12
 
     def test_square_well_norm_window(self):
         system = assemble_system(square_well_model(1.0), -0.5)
-        so = sign_operator(system)
+        so = sign_operator(eigen_spectrum(system))
         assert 1.0 - 1e-12 <= so.norm_j1 <= 2.0 + 1e-10  # 1/(1-b) = 2
 
     def test_involution_and_product_definiteness(self):
         rng = np.random.Generator(np.random.PCG64(11))
         spec, _ = random_model(rng)
         system = assemble_system(spec, 0.0)
-        so = sign_operator(system)
+        so = sign_operator(eigen_spectrum(system))
         two_n = 2 * system.n
         assert spectral_norm(so.j1 @ so.j1 - np.eye(two_n)) <= 1e-8
         product = j_matrix(system.n) @ so.j1
@@ -163,7 +169,7 @@ class TestSignOperator:
             system = assemble_system(spec, mu)
             lam, x = np.linalg.eig(system.hamiltonian)
             oracle = np.real((x * np.sign(lam.real - mu)) @ np.linalg.inv(x))
-            j1 = sign_operator(system).j1
+            j1 = sign_operator(eigen_spectrum(system)).j1
             assert np.abs(j1 - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
     def test_norm_bounded_by_contraction(self):
@@ -171,16 +177,23 @@ class TestSignOperator:
         for _ in range(20):
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
-            so = sign_operator(system)
+            so = sign_operator(eigen_spectrum(system))
             assert 1.0 - 1e-12 <= so.norm_j1
             assert so.norm_j1 <= 1.0 / (1.0 - system.contraction) + 1e-10
+
+    def test_direct_path_report_rejected(self):
+        # b = 1 at the paper shift: the report is not certified
+        report = eigen_spectrum(assemble_system(square_well_model(2.0), -1.0))
+        assert report.solver_path == "direct"
+        with pytest.raises(NotPositiveDefinite):
+            sign_operator(report)
 
     def test_equivalent_scalar_product_window(self):
         # (psi, psi)/||J1|| <= (J J1 psi, psi) <= (psi, psi) ||J1||
         rng = np.random.Generator(np.random.PCG64(14))
         spec, _ = random_model(rng, n=4)
         system = assemble_system(spec, 0.0)
-        so = sign_operator(system)
+        so = sign_operator(eigen_spectrum(system))
         product = 0.5 * (lambda m: m + m.T)(j_matrix(4) @ so.j1)
         for _ in range(20):
             psi = rng.normal(size=8)
