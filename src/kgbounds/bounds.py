@@ -606,6 +606,10 @@ class VerificationReport:
     |lam'_k - lam_k| / |lam_k - mu|, with eigenvalues of both systems
     paired in ascending order (identical to the order convention whenever
     both spectra put the same count on each side of the shift).
+    ``eigenvectors`` / ``eigenvectors_perturbed`` are the H-frame
+    eigenvectors of the two spectra, column k belonging to the k-th
+    entry of ``eigenvalues`` / ``eigenvalues_perturbed`` (whose real
+    parts these are).
     """
 
     shift: float
@@ -619,6 +623,8 @@ class VerificationReport:
     real_spectrum: bool
     real_spectrum_perturbed: bool
     side_counts_match: bool
+    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors_perturbed: np.ndarray = field(repr=False)
 
 
 #: slack used only to keep pass/fail flags stable at exact equality
@@ -651,6 +657,10 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
 
     lam = np.sort(np.real(rep.eigenvalues))
     lam_p = np.sort(np.real(rep_p.eigenvalues))
+    # both solver paths order by real part, so lam and lam_p line up
+    # with the eigenvector columns kept in the report
+    assert np.array_equal(lam, np.real(rep.eigenvalues))
+    assert np.array_equal(lam_p, np.real(rep_p.eigenvalues))
     side_match = int(np.sum(lam < shift)) == int(np.sum(lam_p < shift))
 
     denom = lam - shift
@@ -693,4 +703,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         real_spectrum=rep.is_real_spectrum,
         real_spectrum_perturbed=rep_p.is_real_spectrum,
         side_counts_match=side_match,
+        eigenvectors=rep.eigenvectors,
+        eigenvectors_perturbed=rep_p.eigenvectors,
     )

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 parse failure (bad arguments or model file),
 3 validation failure (structurally bad matrix data), 4 solver failure.
+The residual columns (``pencil_residual`` of spectrum, ``residual_max``
+of sweep) hold eigenpair backward errors ||Q(lam) x|| / ||x|| of
+Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE.
 CSV output is UTF-8 with LF line endings and full-precision reals, so a
 fixed configuration and seed reproduce byte-identical files.
 """
@@ -37,15 +40,16 @@ from .models import (
     random_perturbation,
     square_well_model,
 )
-from .spectral import central_gap, eigen_spectrum, pencil_residual, sign_operator
+from .spectral import central_gap, eigen_spectrum, eigenpair_residuals, sign_operator
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
-#: an emitted eigenvalue fails the run when its pencil residual exceeds
-#: RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2)
+#: an emitted eigenvalue fails the run when the backward error
+#: ||Q(lam) x|| / ||x|| of its eigenpair, Q(lam) = (lam - V)^2 - U^2,
+#: exceeds RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2)
 RESIDUAL_GATE = 1e-6
 
 
@@ -239,20 +243,24 @@ def _csv_text(header, rows) -> str:
 
 
 def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
-    """EXIT_SOLVER, naming the first failing row, when a residual exceeds its gate.
+    """EXIT_SOLVER, naming the first failing eigenvalue, when a residual fails its gate.
 
-    ``checks`` yields (row, eigenvalue, residual, t) per emitted row; the
-    gate is RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2).
+    ``checks`` yields (row, eigenvalue, residual, t, cause) per emitted
+    eigenvalue, the residual being the eigenpair backward error of
+    spectral.eigenpair_residuals; the gate is
+    RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2).  A non-empty
+    ``cause`` is appended to the message.  A NaN residual fails.
     """
     u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
-    for row, lam, resid, t in checks:
+    for row, lam, resid, t, cause in checks:
         limit = RESIDUAL_GATE * (
             u2_norm + (abs(t) * v_norm) ** 2 + abs(complex(lam)) ** 2
         )
-        if resid > limit:
+        if not resid <= limit:
             print(
                 f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
-                f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}",
+                f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"
+                + (f" ({cause})" if cause else ""),
                 file=sys.stderr,
             )
             return EXIT_SOLVER
@@ -262,25 +270,18 @@ def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
 def cmd_spectrum(config: RunConfig) -> int:
     system = assemble_system(config.spec, config.shift)
     report = eigen_spectrum(system)
-    rows = []
-    checks = []
-    for k, lam in enumerate(np.atleast_1d(report.eigenvalues)):
-        resid = pencil_residual(config.spec, lam)
-        checks.append((k, lam, resid, 1.0))
-        rows.append(
-            [
-                k,
-                _fmt(np.real(lam)),
-                _fmt(np.imag(lam)),
-                report.sign_types[k],
-                _fmt(resid),
-            ]
-        )
+    lams = report.eigenvalues
+    resids = eigenpair_residuals(config.spec, lams, report.eigenvectors)
+    rows = (
+        [k, _fmt(np.real(lam)), _fmt(np.imag(lam)), report.sign_types[k], _fmt(r)]
+        for k, (lam, r) in enumerate(zip(lams, resids))
+    )
     text = _csv_text(
         ["index", "eigenvalue_re", "eigenvalue_im", "sign_type", "pencil_residual"],
         rows,
     )
     _write_text(config.out, text)
+    checks = ((k, lam, r, 1.0, "") for k, (lam, r) in enumerate(zip(lams, resids)))
     return _gate_exit(config.spec, "index", checks)
 
 
@@ -361,16 +362,29 @@ def cmd_bounds(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     pert = _perturbation(config)
     report = verify_bounds(config.spec, pert, config.shift)
-    rows = []
+    resids = eigenpair_residuals(
+        config.spec, report.eigenvalues, report.eigenvectors
+    )
+    resids_p = eigenpair_residuals(
+        config.spec.perturbed(pert.delta_v),
+        report.eigenvalues_perturbed,
+        report.eigenvectors_perturbed,
+    )
+    # the emitted values are real parts; on a non-real spectrum their
+    # residuals fail the gate, and the message names that cause
+    cause = "" if report.real_spectrum else "the spectrum is not real"
+    cause_p = (
+        "" if report.real_spectrum_perturbed else "the perturbed spectrum is not real"
+    )
     checks = []
-    spec_p = config.spec.perturbed(pert.delta_v)
+    rows = []
     for k, (lam, lam_p, dev) in enumerate(
         zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
     ):
-        resid = max(
-            pencil_residual(config.spec, lam), pencil_residual(spec_p, lam_p)
-        )
-        checks.append((k, lam, resid, 1.0))
+        if resids_p[k] > resids[k]:
+            checks.append((k, lam, resids_p[k], 1.0, cause_p))
+        else:
+            checks.append((k, lam, resids[k], 1.0, cause))
         rows.append(
             ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
         )
@@ -421,25 +435,32 @@ def cmd_sweep(config: RunConfig) -> int:
     header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
     for k in range(two_n):
         header += [f"eig{k}_re", f"eig{k}_im"]
-    rows = []
-    for i, t in enumerate(result.parameters):
-        row = [
-            "point",
-            _fmt(t),
-            result.is_real[i],
-            result.defect_flags[i],
-            _fmt(result.residual_max[i]),
-        ]
-        for lam in result.eigenvalues[i]:
-            row += [_fmt(lam.real), _fmt(lam.imag)]
-        rows.append(row)
-    critical = "" if result.critical_value is None else _fmt(result.critical_value)
-    rows.append(["critical", critical, "", "", ""] + [""] * (2 * two_n))
-    _write_text(config.out, _csv_text(header, rows))
-    # the row maximum of the residuals, gated at the largest-modulus
-    # eigenvalue of the potential t * V; generated row by row, not stored
-    lam_max = (eigs[np.argmax(np.abs(eigs))] for eigs in result.eigenvalues)
-    checks = zip(result.parameters, lam_max, result.residual_max, result.parameters)
+
+    def rows():
+        # yielded straight into the CSV writer, never held as one list
+        for i, t in enumerate(result.parameters):
+            row = [
+                "point",
+                _fmt(t),
+                result.is_real[i],
+                result.defect_flags[i],
+                _fmt(result.residual_max[i]),
+            ]
+            for lam in result.eigenvalues[i]:
+                row += [_fmt(lam.real), _fmt(lam.imag)]
+            yield row
+        critical = "" if result.critical_value is None else _fmt(result.critical_value)
+        yield ["critical", critical, "", "", ""] + [""] * (2 * two_n)
+
+    _write_text(config.out, _csv_text(header, rows()))
+    # every eigenvalue against its own gate, for the potential t * V
+    checks = (
+        (t, lam, r, t, "")
+        for t, eigs, resids in zip(
+            result.parameters, result.eigenvalues, result.residuals
+        )
+        for lam, r in zip(eigs, resids)
+    )
     return _gate_exit(config.spec, "sweep parameter", checks)
 
 

@@ -32,7 +32,7 @@ from .models import (
     HarmonicParams,
     square_well_model,
 )
-from .spectral import eigen_spectrum, pencil_residual
+from .spectral import eigen_spectrum, eigenpair_residuals
 
 __all__ = [
     "EXAMPLE2_TAUS",
@@ -308,16 +308,21 @@ def render_example1_report(result: Example1Result) -> str:
 class SweepResult:
     """Eigenvalue trajectories as the potential is scaled.
 
-    ``eigenvalues[k]`` holds the spectrum (complex) at ``parameters[k]``;
-    ``critical_value`` is the bisected coupling where the spectrum stops
-    being real, or None when it stays real over the whole range.
+    ``eigenvalues[k]`` holds the spectrum (complex, sorted) at
+    ``parameters[k]``; ``residuals[k, j]`` is the eigenpair backward error
+    ||Q(lam) x|| / ||x|| of ``eigenvalues[k, j]`` under the potential
+    ``parameters[k] * V`` (spectral.eigenpair_residuals), and
+    ``residual_max[k]`` its row maximum.  ``critical_value`` is the
+    bisected coupling where the spectrum stops being real, or None when
+    it stays real over the whole range.
     """
 
     parameters: np.ndarray
     eigenvalues: np.ndarray          # shape (steps, 2n), complex
     is_real: np.ndarray              # bool per row
     defect_flags: np.ndarray         # bool per row
-    residual_max: np.ndarray         # max pencil residual per row
+    residuals: np.ndarray            # shape (steps, 2n)
+    residual_max: np.ndarray         # row maximum of residuals
     critical_value: float | None
 
 
@@ -340,17 +345,19 @@ def sweep_potential(
         spec = base.with_potential(t * base.v, base.label)
         return spec, eigen_spectrum(assemble_system(spec, shift))
 
-    rows = []
-    real_flags = []
-    defect_flags = []
-    residuals = []
-    for t in params:
+    two_n = 2 * base.order
+    eigenvalues = np.empty((steps, two_n), dtype=complex)
+    residuals = np.empty((steps, two_n))
+    real_flags = np.empty(steps, dtype=bool)
+    defect_flags = np.empty(steps, dtype=bool)
+    for i, t in enumerate(params):
         spec, report = spectrum(t)
-        lam = np.asarray(report.eigenvalues, dtype=complex)
-        rows.append(np.sort_complex(lam))
-        real_flags.append(report.is_real_spectrum)
-        defect_flags.append(report.defective)
-        residuals.append(max(pencil_residual(spec, x) for x in lam))
+        lam = report.eigenvalues
+        order = np.argsort(lam, kind="stable")  # complex: by real, then imag
+        eigenvalues[i] = lam[order]
+        residuals[i] = eigenpair_residuals(spec, lam, report.eigenvectors)[order]
+        real_flags[i] = report.is_real_spectrum
+        defect_flags[i] = report.defective
 
     critical = None
     flips = [
@@ -371,9 +378,10 @@ def sweep_potential(
 
     return SweepResult(
         parameters=params,
-        eigenvalues=np.array(rows),
-        is_real=np.array(real_flags),
-        defect_flags=np.array(defect_flags),
-        residual_max=np.array(residuals),
+        eigenvalues=eigenvalues,
+        is_real=real_flags,
+        defect_flags=defect_flags,
+        residuals=residuals,
+        residual_max=residuals.max(axis=1),
         critical_value=critical,
     )

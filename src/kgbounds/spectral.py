@@ -55,6 +55,7 @@ __all__ = [
     "sign_operator",
     "central_gap",
     "relative_distance",
+    "eigenpair_residuals",
     "pencil_residual",
     "defect_check",
 ]
@@ -323,11 +324,37 @@ def relative_distance(lam: float, spectrum) -> float:
     return float(np.min(np.abs((s - lam) / s)))
 
 
+def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):
+    """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
+
+    ``eigenvectors`` holds H-frame columns [a_k; b_k] (as in
+    SpectrumReport); x_k = U^(-1/2) a_k is the matching quadratic
+    eigenvector, since H [a; b] = lam [a; b] gives Q(lam) U^(-1/2) a = 0.
+    Each value is the normwise backward error of the pair (lam_k, x_k)
+    (Tisseur, LAA 309, 2000) and, as sigma_min(Q) = min_x ||Q x|| / ||x||,
+    never below pencil_residual(spec, lam_k).  Real and complex pairs;
+    one U^(-1/2) product and three n x n by n x 2n products in all.
+    """
+    lam = np.asarray(eigenvalues)
+    x = spec.u_power(-0.5) @ eigenvectors[: spec.order]
+    x = x.astype(np.result_type(x, lam), copy=False)
+    x_norm = np.linalg.norm(x, axis=0)
+    vx = spec.v @ x
+    q = spec.v @ vx
+    q -= spec.u_squared @ x
+    vx *= 2.0 * lam
+    q -= vx
+    x *= lam * lam
+    q += x
+    return np.linalg.norm(q, axis=0) / x_norm
+
+
 def pencil_residual(spec: ModelSpec, lam) -> float:
     """Smallest singular value of (lam*I - V)^2 - U^2.
 
     Vanishes exactly at the eigenvalues of H, so this is an independent
-    cross-check on any eigensolver output; accepts complex lam.
+    cross-check on any eigensolver output; accepts complex lam.  The
+    tests' oracle for eigenpair_residuals.
     """
     n = spec.order
     shifted = complex(lam) * np.eye(n) - spec.v

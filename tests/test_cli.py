@@ -1,11 +1,12 @@
 import csv
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from kgbounds import bounds, core, save_model, spectral, square_well_model
+from kgbounds import bounds, cli, core, harness, save_model, spectral, square_well_model
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 
 
@@ -115,6 +116,7 @@ class TestVerifyCommand:
             r"the gate \S+",
             err,
         ), err
+        assert err.rstrip().endswith("(the perturbed spectrum is not real)"), err
 
     def test_random_perturbation_on_oscillator(self, tmp_path):
         args = [
@@ -233,6 +235,55 @@ class TestSweepCommand:
             main(["sweep", "--tau", "1", "--sweep-range", "oops", "--steps", "5"])
             == EXIT_PARSE
         )
+
+
+class TestResidualGate:
+    def test_no_singular_value_oracle_calls(self, monkeypatch, tmp_path):
+        # the gate reads eigenpair backward errors; pencil_residual, one
+        # SVD per eigenvalue, is left to the tests
+        calls = []
+        oracle = spectral.pencil_residual
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(
+                module, "pencil_residual", None
+            ) is oracle:
+                monkeypatch.setattr(module, "pencil_residual", count)
+        src = ["--alpha", "0.3", "--grid-points", "40", "--out", str(tmp_path / "o")]
+        assert main(["spectrum", *src]) == EXIT_OK
+        assert main(["verify", *src, "--eta", "1e-3"]) == EXIT_OK
+        assert main(["sweep", *src, "--sweep-range", "0:1", "--steps", "3"]) == EXIT_OK
+        assert calls == []
+
+    def test_nan_residual_fails(self, monkeypatch, capsys):
+        def nan(spec, lams, vecs):
+            return np.full(len(lams), np.nan)
+
+        monkeypatch.setattr(cli, "eigenpair_residuals", nan)
+        assert main(["spectrum", "--tau", "1"]) == EXIT_SOLVER
+        assert "pencil residual nan exceeds the gate" in capsys.readouterr().err
+
+    def test_sweep_names_the_failing_eigenvalue(self, monkeypatch, capsys):
+        # a residual failing at a smallest-modulus eigenvalue: the message
+        # names it, not the largest-modulus eigenvalue of its row
+        residuals = harness.eigenpair_residuals
+
+        def fail_smallest(spec, lams, vecs):
+            r = residuals(spec, lams, vecs)
+            r[np.argmin(np.abs(lams))] = 1.0
+            return r
+
+        monkeypatch.setattr(harness, "eigenpair_residuals", fail_smallest)
+        args = ["sweep", "--tau", "1", "--sweep-range", "0:1", "--steps", "3"]
+        assert main(args) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        found = re.search(r"at sweep parameter 0\.0, eigenvalue (\S+):", err)
+        assert found, err
+        assert abs(complex(found.group(1))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReproduceCommand:

@@ -3,6 +3,7 @@ import pytest
 
 from kgbounds import (
     ModelSpec,
+    harness,
     ValidationError,
     example2_tables,
     render_example2_report,
@@ -73,6 +74,17 @@ class TestSweep:
                 np.sort(row.real), [-np.sqrt(3), -1.0, 1.0, np.sqrt(3)], atol=1e-10
             )
             assert np.abs(row.imag).max() == 0.0
+
+    def test_residuals_aligned_with_sorted_eigenvalues(self, monkeypatch):
+        # a stand-in residual equal to the real part of its eigenvalue
+        # shows which eigenvalue each stored residual belongs to
+        monkeypatch.setattr(
+            harness, "eigenpair_residuals", lambda spec, lams, vecs: np.real(lams)
+        )
+        result = sweep_potential(square_well_model(1.0), 0.0, 2.2, 12)
+        assert not result.is_real.all()  # complex rows are covered
+        np.testing.assert_array_equal(result.residuals, result.eigenvalues.real)
+        np.testing.assert_array_equal(result.residual_max, result.residuals.max(axis=1))
 
     def test_rows_sorted_by_parameter(self):
         result = sweep_potential(square_well_model(1.0), 0.0, 1.0, 6)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgbounds import (
     EmptySpectrum,
+    HarmonicParams,
     ModelSpec,
     NonRealSpectrum,
     NotPositiveDefinite,
@@ -12,7 +15,9 @@ from kgbounds import (
     central_gap,
     defect_check,
     eigen_spectrum,
+    eigenpair_residuals,
     gap_bound,
+    harmonic_model,
     j_matrix,
     pencil_residual,
     relative_distance,
@@ -20,7 +25,7 @@ from kgbounds import (
     spectral_norm,
     square_well_model,
 )
-from conftest import random_model
+from conftest import random_model, random_orthogonal
 from test_core import square_well_pencil_roots
 
 
@@ -265,6 +270,89 @@ class TestPencilResidual:
 
     def test_nonzero_away_from_spectrum(self):
         assert pencil_residual(square_well_model(1.0), 0.123) > 1e-3
+
+
+EPS = np.finfo(float).eps
+
+
+def gate_scale(spec, lam):
+    """||U^2|| + ||V||^2 + |lam|^2, the scale of Q(lam) = (lam - V)^2 - U^2."""
+    return spec.u2_eigenvalues[-1] + spectral_norm(spec.v) ** 2 + abs(lam) ** 2
+
+
+def residual_cases(corpus):
+    """(spec, report) over the corpus, the well, the oscillator, bad scaling."""
+    for spec, _ in corpus:
+        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+    for tau in (0.0, 1.0, 1.7, 1.99, 2.0, 2.1):
+        spec = square_well_model(tau)
+        for mu in (0.0, -tau / 2.0):
+            yield spec, eigen_spectrum(assemble_system(spec, mu))
+    for alpha in (0.3, 0.985):
+        spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=40))
+        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+    base = corpus[0][0]
+    for s in (1e-8, 1e8):
+        spec = ModelSpec(s * base.u_squared, np.sqrt(s) * base.v)
+        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+
+
+class TestEigenpairResiduals:
+    def test_never_below_pencil_residual_and_far_below_the_gate(self, corpus200):
+        # sigma_min(Q) = min_x ||Q x|| / ||x||, so the backward error is
+        # never below the pencil residual, up to rounding in both
+        for spec, report in residual_cases(corpus200):
+            lams = report.eigenvalues
+            new = eigenpair_residuals(spec, lams, report.eigenvectors)
+            for lam, r in zip(lams, new):
+                scale = gate_scale(spec, lam)
+                assert r >= pencil_residual(spec, lam) - 4.0 * EPS * scale
+                assert r < 1e-10 * scale
+
+    def test_never_below_pencil_residual_away_from_the_spectrum(self, corpus200):
+        for spec, report in residual_cases(corpus200):
+            moved = report.eigenvalues + 1e-3 * (1.0 + np.abs(report.eigenvalues))
+            new = eigenpair_residuals(spec, moved, report.eigenvectors)
+            for lam, r in zip(moved, new):
+                assert r >= pencil_residual(spec, lam) * (1.0 - 1e-8)
+
+    def test_exact_values_on_the_free_model(self):
+        # free model U = diag(2, 3): H [e_1; e_1] = 2 [e_1; e_1] and
+        # H [e_2; -e_2] = -3 [e_2; -e_2]; away from the spectrum the value
+        # is |(lam - 0)^2 - 4| along e_1
+        spec = free_spec([4.0, 9.0])
+        lams = np.array([2.0, -3.0, 2.0 + 1.0j])
+        vecs = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1], [0, -1, 0]], dtype=float)
+        r = eigenpair_residuals(spec, lams, vecs)
+        np.testing.assert_allclose(r[:2], 0.0, atol=1e-15)
+        assert abs(r[2] - abs((2.0 + 1.0j) ** 2 - 4.0)) <= 1e-14
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(0.0, 1.0 - 1e-6),
+        log_scale=st.floats(-8.0, 8.0),
+        mu_frac=st.floats(-1.0, 1.0),
+    )
+    def test_property_never_below_pencil_residual(self, n, seed, b, log_scale, mu_frac):
+        # U^2 with entries scaled by 10^log_scale, V with (V - mu) U^-1 of
+        # norm b, solved at the shift mu
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s = 10.0**log_scale
+        q = random_orthogonal(rng, n)
+        u2 = (q * (s * rng.uniform(0.4, 4.0, size=n))) @ q.T
+        u_inv = ModelSpec(u2, np.zeros((n, n))).u_power(-1)
+        raw = rng.normal(size=(n, n))
+        raw = raw + raw.T
+        mu = mu_frac * np.sqrt(s)
+        dv = raw * (b / max(spectral_norm(raw @ u_inv), 1e-300))
+        spec = ModelSpec(u2, dv + mu * np.eye(n))
+        report = eigen_spectrum(assemble_system(spec, mu))
+        lams = report.eigenvalues
+        new = eigenpair_residuals(spec, lams, report.eigenvectors)
+        for lam, r in zip(lams, new):
+            assert r >= pencil_residual(spec, lam) - 4.0 * EPS * gate_scale(spec, lam)
 
 
 class TestDefectCheck:
