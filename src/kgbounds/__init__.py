@@ -16,7 +16,6 @@ from .bounds import (
     gap_bound,
     gap_inclusion,
     improved_inclusion,
-    interval_is_empty,
     kappa_disjoint,
     kappa_general,
     kappa_relative,
@@ -45,7 +44,6 @@ from .exceptions import (
     AlphaOutOfRange,
     ContractionNotLessThanOne,
     DimensionMismatch,
-    EmptySpectrum,
     KappaMinusNotAboveMinusOne,
     KappaOutOfRange,
     KGError,
@@ -53,7 +51,6 @@ from .exceptions import (
     NotPositiveDefinite,
     ParseError,
     ValidationError,
-    ZeroInSpectrum,
 )
 from .harness import (
     Example1Result,
@@ -82,11 +79,9 @@ from .spectral import (
     SignOperator,
     SpectrumReport,
     central_gap,
-    defect_check,
     eigen_spectrum,
     eigenpair_residuals,
     pencil_residual,
-    relative_distance,
     sign_operator,
     similarity_eigensolve,
 )

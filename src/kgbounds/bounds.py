@@ -80,7 +80,6 @@ __all__ = [
     "kappa_disjoint",
     "kappa_signed_pair",
     "t_norm_bound",
-    "interval_is_empty",
 ]
 
 #: semidefiniteness slack for the sign-condition test, scaled by ||A|| ||dA||
@@ -146,12 +145,6 @@ def t_norm_bound(a: float, w: float) -> float:
     return 0.5 * (a + math.sqrt(a * a + 4.0 * w * w))
 
 
-def interval_is_empty(interval) -> bool:
-    """True when the endpoints of an open interval cross or coincide."""
-    lo, hi = interval
-    return not lo < hi
-
-
 # ---------------------------------------------------------------------------
 # perturbation records
 
@@ -189,10 +182,13 @@ def _symmetric_inverse(v):
     return (p / w) @ p.T
 
 
-def _mixed_product_sign(a_matrix, delta_a):
-    """Classify dA^T A + A^T dA: ('negative'|'positive'|None, is_zero)."""
+def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
+    """Classify dA^T A + A^T dA: ('negative'|'positive'|None, is_zero).
+
+    b = ||A|| and c = ||dA|| scale the semidefiniteness slack.
+    """
     mixed = symmetrize(delta_a.T @ a_matrix + a_matrix.T @ delta_a)
-    tol = SIGN_TOL * max(spectral_norm(a_matrix) * spectral_norm(delta_a), 1e-300)
+    tol = SIGN_TOL * max(b * c, 1e-300)
     eigs = np.linalg.eigvalsh(mixed)
     is_zero = bool(np.abs(eigs).max(initial=0.0) <= tol)
     if eigs[-1] <= tol:
@@ -206,7 +202,7 @@ def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
     """Measure a perturbation against an assembled system.
 
     Accepts a PerturbationSpec or a raw symmetric matrix and returns a
-    fully populated record: c from the system's U^(-1), nu from V when V
+    fully populated record: c from the model's U^(-1), nu from V when V
     is invertible, and the disjoint / sign classification from the
     mixed product with A = (V - mu) U^(-1).
     """
@@ -217,11 +213,13 @@ def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
         raise ValidationError(
             f"delta_v has order {dv.shape[0]}, system has order {system.n}"
         )
-    delta_a = dv @ system.u_inv_sqrt
+    delta_a = dv @ system.spec.u_power(-1)
     c = spectral_norm(delta_a)
     v_inv = _symmetric_inverse(system.spec.v)
     nu = spectral_norm(dv @ v_inv) if v_inv is not None else None
-    signed, is_zero = _mixed_product_sign(system.a_matrix, delta_a)
+    signed, is_zero = _mixed_product_sign(
+        system.a_matrix, delta_a, system.contraction, c
+    )
     return replace(pert, c=c, nu=nu, disjoint=is_zero, signed=signed)
 
 
@@ -363,13 +361,11 @@ def rescale_kappa(kappa_minus: float, kappa_plus: float):
 
 @dataclass(frozen=True)
 class GapInclusion:
-    """A spectral gap of H and the intervals certified to stay inside rho(H')."""
+    """A spectral gap of H and the interval certified to stay inside rho(H')."""
 
     original: tuple
     predicted: tuple
     case_tag: str  # 'positive-gap' | 'straddling' | 'negative-gap'
-    improved: tuple | None = None
-    uniform: tuple | None = None
 
 
 def gap_inclusion(gap, kappa: float) -> GapInclusion:

@@ -94,9 +94,18 @@ def _add_common(p: argparse.ArgumentParser):
         action="store_true",
         help="use mu = -tau/2 (square well models only)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path; stdout when omitted")
-    p.add_argument("--format", dest="fmt", choices=["csv", "report"], default="csv")
+
+
+def _add_perturbation(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--eta",
+        type=float,
+        required=True,
+        help="perturbation strength: diag(-eta, 0) for the square well, a "
+        "seeded random symmetric perturbation of that scale otherwise",
+    )
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,17 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="perturbation constants and gap intervals")
     _add_common(p)
-    p.add_argument(
-        "--eta",
-        type=float,
-        required=True,
-        help="perturbation strength: diag(-eta, 0) for the square well, a "
-        "seeded random symmetric perturbation of that scale otherwise",
-    )
+    _add_perturbation(p)
+    p.add_argument("--format", dest="fmt", choices=["csv", "report"], default="csv")
 
     p = sub.add_parser("verify", help="true deviations against every bound")
     _add_common(p)
-    p.add_argument("--eta", type=float, required=True, help="as for bounds")
+    _add_perturbation(p)
 
     p = sub.add_parser("sweep", help="eigenvalue trajectories under t * V")
     _add_common(p)
@@ -209,9 +213,9 @@ def _resolve_config(args) -> RunConfig:
         tau=tau,
         shift=shift,
         eta=getattr(args, "eta", None),
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         out=args.out,
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "csv"),
         sweep_range=sweep_range,
         steps=getattr(args, "steps", 0),
         which=None,

@@ -16,8 +16,10 @@ b = ||A||.  For b < 1 the shifted quadratic form admits the congruence
 so G - mu*J is positive definite and (J, G - mu*J) is a
 symmetric-definite pencil with the eigenvectors of H.
 
-Every power of U is read from the one eigendecomposition of U^2 that
-ModelSpec validation computes.  Everything here is dense and
+ModelSpec owns the powers of U: each is formed once from the
+eigendecomposition of U^2 that validation computes, and shared by every
+spec derived from it with another potential.  KleinGordonSystem stores
+G alone and derives H = J G on demand.  Everything here is dense and
 desk-scale; all outputs are plain numpy arrays inside frozen
 dataclasses and all functions are pure.
 """
@@ -41,6 +43,7 @@ __all__ = [
     "optimize_shift",
     "j_matrix",
     "apply_j",
+    "shifted_gram",
     "spectral_norm",
     "symmetrize",
 ]
@@ -144,7 +147,9 @@ class ModelSpec:
     symmetric potential ``v``.  Instances are immutable; the stored arrays
     are defensive read-only copies.  The eigendecomposition of U^2 that
     validation computes is kept as ``u2_eigenvalues`` (ascending) and
-    ``u2_eigenvectors``; every power of U is formed from it.
+    ``u2_eigenvectors``; every power of U is formed from it, once, and
+    kept with it.  Specs derived by ``with_potential`` or ``perturbed``
+    share all of this, so nothing that depends on V is kept here.
     """
 
     u_squared: np.ndarray
@@ -152,6 +157,7 @@ class ModelSpec:
     label: str = ""
     u2_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     u2_eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _u_powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
@@ -161,6 +167,8 @@ class ModelSpec:
         for name, a in kept.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        # created here, not on first use, so that copies share it
+        object.__setattr__(self, "_u_powers", {})
 
     @property
     def order(self) -> int:
@@ -170,13 +178,19 @@ class ModelSpec:
         """U^exponent, exponent in {+-1/2, +-1, +-2}, U the root of u_squared.
 
         The eigenvalues are repeated square roots of those of U^2, never a
-        general power, so a given power is the same matrix on every call.
+        general power.  Each power is formed on its first request and the
+        same read-only array is returned on every later one.
         """
-        d = self.u2_eigenvalues
-        for _ in range(_ROOT_COUNT[abs(exponent)]):
-            d = np.sqrt(d)
-        p = self.u2_eigenvectors
-        return symmetrize(((p * d) if exponent > 0 else (p / d)) @ p.T)
+        power = self._u_powers.get(exponent)
+        if power is None:
+            d = self.u2_eigenvalues
+            for _ in range(_ROOT_COUNT[abs(exponent)]):
+                d = np.sqrt(d)
+            p = self.u2_eigenvectors
+            power = symmetrize(((p * d) if exponent > 0 else (p / d)) @ p.T)
+            power.setflags(write=False)
+            self._u_powers[exponent] = power
+        return power
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""
@@ -209,13 +223,14 @@ def _symmetric_of_order(a, order: int, name: str):
 class KleinGordonSystem:
     """Assembled 2n x 2n block operators for one model and shift.
 
+    Only G is stored; H = J G is derived from it, and the powers of U
+    are read from ``spec.u_power``.
+
     Fields
     ------
     n : block order (matrices are 2n x 2n)
     shift : the real spectral shift mu
-    u_sqrt, u_inv_sqrt : principal square root of u_squared and its inverse
-    hamiltonian : H
-    gram : G = J H, symmetrized
+    gram : G = J H, exactly symmetric
     a_matrix : A = (V - mu) U^(-1)
     contraction : b = ||A||
     spec : the source model (kept for perturbation bookkeeping)
@@ -223,21 +238,19 @@ class KleinGordonSystem:
 
     n: int
     shift: float
-    u_sqrt: np.ndarray
-    u_inv_sqrt: np.ndarray
-    hamiltonian: np.ndarray
     gram: np.ndarray
     a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
 
+    @property
+    def hamiltonian(self):
+        """H = J G, formed anew on every access."""
+        return apply_j(self.gram)
+
     def gram_shifted(self):
         """G - mu*J, the positive definite form when contraction < 1."""
-        g = self.gram.copy()
-        n = self.n
-        g[:n, n:] -= self.shift * np.eye(n)
-        g[n:, :n] -= self.shift * np.eye(n)
-        return g
+        return shifted_gram(self.gram, self.shift)
 
     def u_min(self) -> float:
         """Smallest eigenvalue of U = sqrt(U^2)."""
@@ -246,6 +259,16 @@ class KleinGordonSystem:
     def u_max(self) -> float:
         """Largest eigenvalue of U = sqrt(U^2), which is ||U||."""
         return float(np.sqrt(self.spec.u2_eigenvalues[-1]))
+
+
+def shifted_gram(gram, shift: float):
+    """G - shift*J as a new array, for a 2n x 2n gram matrix G."""
+    g = np.array(gram, dtype=float)
+    n = g.shape[0] // 2
+    idx = np.arange(n)
+    g[idx, idx + n] -= shift
+    g[idx + n, idx] -= shift
+    return g
 
 
 def operator_a(spec: ModelSpec, shift: float = 0.0):
@@ -259,21 +282,18 @@ def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """Build the block operators H, G and the contraction data.
+    """Build the gram matrix G and the contraction data.
 
-    The assembled gram matrix is explicitly symmetrized; J @ H equals G
-    entrywise up to rounding.
+    G = [[U, X^T], [X, U]] with X = U^(1/2) V U^(-1/2) is exactly
+    symmetric, because every power of U is.
     """
-    u, u_inv = spec.u_power(1), spec.u_power(-1)
+    u = spec.u_power(1)
     x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)   # U^(1/2) V U^(-1/2)
     a = operator_a(spec, shift)
     return KleinGordonSystem(
         n=spec.order,
         shift=float(shift),
-        u_sqrt=u,
-        u_inv_sqrt=u_inv,
-        hamiltonian=np.block([[x, u], [u, x.T]]),
-        gram=symmetrize(np.block([[u, x.T], [x, u]])),
+        gram=np.block([[u, x.T], [x, u]]),
         a_matrix=a,
         contraction=spectral_norm(a),
         spec=spec,

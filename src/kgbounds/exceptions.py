@@ -38,15 +38,6 @@ class NonRealSpectrum(KGError):
     spectrum has non-negligible imaginary parts."""
 
 
-class EmptySpectrum(KGError):
-    """Raised when a relative distance is requested against an empty set."""
-
-
-class ZeroInSpectrum(KGError):
-    """Raised when a relative distance is requested against a set
-    containing zero (the quotient is undefined there)."""
-
-
 class KappaOutOfRange(KGError):
     """Raised when a relative perturbation constant is outside [0, 1)."""
 

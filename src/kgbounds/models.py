@@ -69,10 +69,9 @@ class HarmonicParams:
 
 @dataclass(frozen=True)
 class SquareWellParams:
-    """Well coupling tau >= 0 and an optional perturbation strength eta."""
+    """Well coupling tau >= 0."""
 
     tau: float
-    eta: float | None = None
 
     def __post_init__(self):
         if self.tau < 0.0:
@@ -207,11 +206,23 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _number(doc: dict, key: str, path, kind=float, default=None):
+    """Field ``key`` converted by ``kind``; required when there is no default."""
+    value = _require(doc, key, path) if default is None else doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{path}: field \"{key}\" must be a number, got {json.dumps(value)}"
+        ) from exc
+
+
 def load_model(path) -> ModelSpec:
     """Read a model file: explicit matrices or a named parameterized family.
 
-    Raises ParseError for malformed JSON or missing fields and
-    ValidationError (or subclasses) for structurally bad matrices.
+    Raises ParseError for malformed JSON, missing fields or non-numeric
+    family parameters and ValidationError (or subclasses) for
+    structurally bad matrices or out-of-range parameters.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -227,14 +238,16 @@ def load_model(path) -> ModelSpec:
         family = doc["model"]
         if family == "harmonic":
             params = HarmonicParams(
-                alpha=float(_require(doc, "alpha", path)),
-                beta=float(doc.get("beta", 0.0)),
-                grid_points=int(doc.get("grid_points", DEFAULT_GRID_POINTS)),
-                half_width=float(doc.get("half_width", DEFAULT_HALF_WIDTH)),
+                alpha=_number(doc, "alpha", path),
+                beta=_number(doc, "beta", path, default=0.0),
+                grid_points=_number(
+                    doc, "grid_points", path, int, default=DEFAULT_GRID_POINTS
+                ),
+                half_width=_number(doc, "half_width", path, default=DEFAULT_HALF_WIDTH),
             )
             return harmonic_model(params)
         if family == "square_well":
-            return square_well_model(float(_require(doc, "tau", path)))
+            return square_well_model(_number(doc, "tau", path))
         raise ParseError(f"{path}: unknown model family \"{family}\"")
 
     u_squared = _require(doc, "u_squared", path)

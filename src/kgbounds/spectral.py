@@ -37,14 +37,10 @@ from .core import (
     ModelSpec,
     apply_j,
     j_matrix,
+    shifted_gram,
     spectral_norm,
 )
-from .exceptions import (
-    EmptySpectrum,
-    NonRealSpectrum,
-    NotPositiveDefinite,
-    ZeroInSpectrum,
-)
+from .exceptions import NonRealSpectrum, NotPositiveDefinite
 
 __all__ = [
     "SpectrumReport",
@@ -54,10 +50,8 @@ __all__ = [
     "similarity_eigensolve",
     "sign_operator",
     "central_gap",
-    "relative_distance",
     "eigenpair_residuals",
     "pencil_residual",
-    "defect_check",
 ]
 
 #: |imag| above REAL_RTOL * ||H|| marks the spectrum as non-real
@@ -92,7 +86,6 @@ class SpectrumReport:
     negative_ordered: np.ndarray
     central_gap: tuple
     defective: bool
-    residual_max: float
     is_real_spectrum: bool
     shift: float
     solver_path: str  # 'similarity' (the definite pencil) or 'direct'
@@ -144,13 +137,9 @@ def _definite_pencil(gram, shift: float):
     theta ascends and Z^T (G - shift*J) Z = I.  Raises NotPositiveDefinite
     when the Cholesky factorization of G - shift*J fails.
     """
-    g = np.array(gram, dtype=float)
-    n = g.shape[0] // 2
-    idx = np.arange(n)
-    g[idx, idx + n] -= shift
-    g[idx + n, idx] -= shift
+    g = shifted_gram(gram, shift)
     try:
-        return scipy.linalg.eigh(j_matrix(n), g)
+        return scipy.linalg.eigh(j_matrix(g.shape[0] // 2), g)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"gram - shift*J is not positive definite: {exc}"
@@ -223,7 +212,6 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     otherwise, or when the Cholesky factorization fails, falls back to a
     dense general eigensolver on H and flags non-real pairs.
     """
-    h = system.hamiltonian
     mu = system.shift
     path = "direct"
     is_real = True
@@ -234,6 +222,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         except NotPositiveDefinite:
             pass
     if path == "direct":
+        h = system.hamiltonian
         lam_c, vecs = np.linalg.eig(h)
         order = np.lexsort((lam_c.imag, lam_c.real))
         lam_c = lam_c[order]
@@ -244,9 +233,6 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         lam = lam_c.real if is_real else lam_c
 
     signatures, signs, pos, neg, gap = _classify(lam, vecs, mu)
-
-    resid = h @ vecs - vecs * lam
-    residual_max = float(np.linalg.norm(resid, axis=0).max())
 
     witnesses = [
         DefectWitness(complex(lam[k]), vecs[:, k], "neutral-eigenvector")
@@ -269,7 +255,6 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         negative_ordered=neg,
         central_gap=gap,
         defective=witness is not None,
-        residual_max=residual_max,
         is_real_spectrum=is_real,
         shift=mu,
         solver_path=path,
@@ -314,16 +299,6 @@ def central_gap(report: SpectrumReport, shift: float):
     return lo, hi
 
 
-def relative_distance(lam: float, spectrum) -> float:
-    """inf over the spectrum of |(s - lam) / s|."""
-    s = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if s.size == 0:
-        raise EmptySpectrum("relative distance against an empty spectrum")
-    if np.any(s == 0.0):
-        raise ZeroInSpectrum("relative distance undefined when 0 is in the spectrum")
-    return float(np.min(np.abs((s - lam) / s)))
-
-
 def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):
     """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
 
@@ -360,16 +335,3 @@ def pencil_residual(spec: ModelSpec, lam) -> float:
     shifted = complex(lam) * np.eye(n) - spec.v
     q = shifted @ shifted - spec.u_squared
     return float(np.linalg.svd(q, compute_uv=False)[-1])
-
-
-def defect_check(system: KleinGordonSystem, report: SpectrumReport):
-    """Flag defective or near-defective eigenvalues.
-
-    Returns (flag, witness) as recorded by eigen_spectrum: an eigenvalue
-    is flagged when its eigenvector is J-neutral
-    (|(Jx, x)| / ||x||^2 < NEUTRAL_TOL) or when, on the direct path, a
-    repeated eigenvalue has geometric multiplicity below its cluster
-    size; (False, None) otherwise.  ``system`` is the one the report
-    was computed from.
-    """
-    return report.defective, report.witness

@@ -6,7 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from kgbounds import bounds, cli, core, harness, save_model, spectral, square_well_model
+from kgbounds import (
+    KleinGordonSystem,
+    ModelSpec,
+    bounds,
+    cli,
+    core,
+    harness,
+    save_model,
+    spectral,
+    square_well_model,
+)
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 
 
@@ -237,6 +247,71 @@ class TestSweepCommand:
         )
 
 
+class TestEachQuantityOnce:
+    """Each power of U is formed once per model, each norm taken once."""
+
+    @staticmethod
+    def distinct_powers(monkeypatch):
+        # every returned array is kept, so a new object is a new formation
+        formed = []
+        u_power = ModelSpec.u_power
+
+        def spy(self, exponent):
+            power = u_power(self, exponent)
+            if not any(power is seen for seen in formed):
+                formed.append(power)
+            return power
+
+        monkeypatch.setattr(ModelSpec, "u_power", spy)
+        return formed
+
+    @staticmethod
+    def norm_calls(monkeypatch):
+        calls = []
+        norm = core.spectral_norm
+
+        def count(a):
+            calls.append(1)
+            return norm(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(
+                module, "spectral_norm", None
+            ) is norm:
+                monkeypatch.setattr(module, "spectral_norm", count)
+        return calls
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_four_powers_and_six_norms(self, command, monkeypatch, capsys):
+        formed = self.distinct_powers(monkeypatch)
+        norms = self.norm_calls(monkeypatch)
+        args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert len(formed) == 4
+        assert len(norms) == 6
+
+    def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
+        formed = self.distinct_powers(monkeypatch)
+        args = ["sweep", "--tau", "1", "--sweep-range", "0:2.2", "--steps", "101"]
+        assert main(args) == EXIT_OK
+        assert len(formed) <= 4
+
+    def test_certified_spectrum_never_forms_h(self, monkeypatch, capsys):
+        reads = []
+        hamiltonian = KleinGordonSystem.hamiltonian
+
+        def spy(system):
+            reads.append(1)
+            return hamiltonian.fget(system)
+
+        monkeypatch.setattr(KleinGordonSystem, "hamiltonian", property(spy))
+        assert main(["spectrum", "--alpha", "0.3", "--grid-points", "40"]) == EXIT_OK
+        assert reads == []
+        # the direct path, taken beyond the critical coupling, does read it
+        assert main(["spectrum", "--tau", "2.2"]) == EXIT_OK
+        assert reads
+
+
 class TestResidualGate:
     def test_no_singular_value_oracle_calls(self, monkeypatch, tmp_path):
         # the gate reads eigenpair backward errors; pencil_residual, one
@@ -337,6 +412,38 @@ class TestExitCodes:
             '{"u_squared": [[1.0, 0.0], [0.0, -1.0]], "v": [[0.0, 0.0], [0.0, 0.0]]}'
         )
         assert main(["spectrum", "--model", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"model": "harmonic", "alpha": "abc"}', "alpha"),
+            ('{"model": "square_well", "tau": [1, 2]}', "tau"),
+            (
+                '{"model": "harmonic", "alpha": 0.3, "grid_points": "ten"}',
+                "grid_points",
+            ),
+        ],
+    )
+    def test_non_numeric_family_field(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["spectrum", "--model", str(path)]) == EXIT_PARSE
+        assert f'field "{field}"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--tau", "1", "--format", "report"],
+            ["spectrum", "--tau", "1", "--seed", "3"],
+            ["verify", "--tau", "1", "--eta", "0.1", "--format", "report"],
+            ["sweep", "--tau", "1", "--sweep-range", "0:1", "--seed", "3"],
+        ],
+    )
+    def test_option_of_another_command(self, args, capsys):
+        # --seed belongs to bounds and verify, --format to bounds alone
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_PARSE
 
     def test_two_model_sources(self):
         assert main(["spectrum", "--tau", "1", "--alpha", "0.3"]) == EXIT_PARSE

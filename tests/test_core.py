@@ -73,6 +73,8 @@ class TestModelSpec:
         spec = square_well_model(1.0)
         with pytest.raises(ValueError):
             spec.v[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            spec.u_power(-1)[0, 0] = 5.0
 
     def test_with_potential_shares_u_squared_data(self):
         spec = square_well_model(1.0)
@@ -80,6 +82,9 @@ class TestModelSpec:
         assert new.u_squared is spec.u_squared
         assert new.u2_eigenvalues is spec.u2_eigenvalues
         assert new.u2_eigenvectors is spec.u2_eigenvectors
+        # the powers of U are formed once and shared with every copy
+        assert new.u_power(-0.5) is spec.u_power(-0.5)
+        assert spec.perturbed(spec.v).u_power(1) is new.u_power(1)
         np.testing.assert_array_equal(new.v, 2.0 * spec.v)
         assert new.label == "doubled" and spec.label != "doubled"
         with pytest.raises(ValueError):
@@ -120,6 +125,7 @@ class TestAssemble:
             j = j_matrix(system.n)
             assert np.abs(j @ system.hamiltonian - system.gram).max() <= 1e-10
             assert np.abs(j @ system.gram - system.hamiltonian).max() <= 1e-10
+            np.testing.assert_array_equal(system.gram, system.gram.T)
 
     def test_shifted_factorization(self):
         # G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2)
@@ -129,7 +135,7 @@ class TestAssemble:
             mu = float(rng.normal())
             system = assemble_system(spec, mu)
             n = system.n
-            u_half = sqrt_spd(system.u_sqrt)
+            u_half = sqrt_spd(spec.u_power(1))
             u_block_half = np.block(
                 [[u_half, np.zeros((n, n))], [np.zeros((n, n)), u_half]]
             )

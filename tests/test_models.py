@@ -11,7 +11,6 @@ from kgbounds import (
     ValidationError,
     assemble_system,
     contraction_bound,
-    defect_check,
     eigen_spectrum,
     exact_harmonic_eigs,
     harmonic_model,
@@ -148,8 +147,9 @@ class TestSquareWell:
 
     def test_defective_at_two(self):
         system = assemble_system(square_well_model(2.0), -1.0)
-        flag, witness = defect_check(system, eigen_spectrum(system))
-        assert flag and abs(complex(witness.eigenvalue).real + 1.0) < 1e-6
+        report = eigen_spectrum(system)
+        assert report.defective
+        assert abs(complex(report.witness.eigenvalue).real + 1.0) < 1e-6
 
     def test_contraction_exactly_half_coupling(self):
         for tau in (0.3, 1.0, 1.7, 1.95):
