@@ -63,6 +63,7 @@ __all__ = [
     "BlockStructure",
     "VerificationReport",
     "analyze_perturbation",
+    "delta_block",
     "delta_gram",
     "gap_bound",
     "perturbation_constants",
@@ -223,14 +224,23 @@ def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
     return replace(pert, c=c, nu=nu, disjoint=is_zero, signed=signed)
 
 
+def delta_block(system: KleinGordonSystem, pert) -> np.ndarray:
+    """X = U^(1/2) dV U^(-1/2), the lower block of dG = [[0, X^T], [X, 0]].
+
+    dG has exactly the singular values of X, so ||dG|| = ||X|| is an
+    n x n norm.
+    """
+    dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
+    return system.spec.u_power(0.5) @ dv @ system.spec.u_power(-0.5)
+
+
 def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
     """The gram-matrix increment dG produced by the potential change.
 
     dG = [[0, U^(-1/2) dV U^(1/2)], [U^(1/2) dV U^(-1/2), 0]]; equals the
     difference of the assembled grams and is independent of the shift.
     """
-    dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
-    x = system.spec.u_power(0.5) @ dv @ system.spec.u_power(-0.5)
+    x = delta_block(system, pert)
     n = system.n
     dg = np.zeros((2 * n, 2 * n))
     dg[:n, n:] = x.T

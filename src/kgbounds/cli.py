@@ -12,8 +12,8 @@ fixed configuration and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 from . import harness
 from .bounds import (
     PerturbationSpec,
-    delta_gram,
+    delta_block,
     gap_bound,
     gap_inclusion,
     improved_inclusion,
@@ -238,12 +238,20 @@ def _write_text(out, text: str):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(out, header, rows):
+    """Stream header and rows as CSV to the file ``out``, or to stdout.
+
+    Every row goes straight through one csv.writer (UTF-8, LF endings);
+    the text is never assembled in memory.
+    """
+    if out is None or out == "-":
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(out, "w", encoding="utf-8", newline="")
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
@@ -280,11 +288,11 @@ def cmd_spectrum(config: RunConfig) -> int:
         [k, _fmt(np.real(lam)), _fmt(np.imag(lam)), report.sign_types[k], _fmt(r)]
         for k, (lam, r) in enumerate(zip(lams, resids))
     )
-    text = _csv_text(
+    _write_csv(
+        config.out,
         ["index", "eigenvalue_re", "eigenvalue_im", "sign_type", "pencil_residual"],
         rows,
     )
-    _write_text(config.out, text)
     checks = ((k, lam, r, 1.0, "") for k, (lam, r) in enumerate(zip(lams, resids)))
     return _gate_exit(config.spec, "index", checks)
 
@@ -308,7 +316,7 @@ def _bounds_payload(config: RunConfig):
     if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
         lo, hi = improved_inclusion(shifted_gap, km, kp)
         improved = (lo + mu, hi + mu)
-    s_norm = spectral_norm(delta_gram(system, pert))
+    s_norm = spectral_norm(delta_block(system, pert))   # = ||dG||
     uniform_raw = norm_bound_interval(gap, s_norm, sign_operator(report).norm_j1)
     uniform = uniform_raw if uniform_raw[0] < uniform_raw[1] else None
     return system, bundle, alpha, gap, plain, improved, uniform, s_norm
@@ -337,7 +345,7 @@ def cmd_bounds(config: RunConfig) -> int:
             ["interval_uniform", *pair_str(uniform)],
             ["perturbation_norm", _fmt(s_norm), ""],
         ]
-        text = _csv_text(["key", "value", "extra"], rows)
+        _write_csv(config.out, ["key", "value", "extra"], rows)
     else:
         lines = [
             f"model: {config.spec.label or '(explicit matrices)'}",
@@ -358,8 +366,7 @@ def cmd_bounds(config: RunConfig) -> int:
             f"  improved: {improved}",
             f"  uniform:  {uniform}   (perturbation norm {s_norm:.6e})",
         ]
-        text = "\n".join(lines) + "\n"
-    _write_text(config.out, text)
+        _write_text(config.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -413,7 +420,8 @@ def cmd_verify(config: RunConfig) -> int:
         rows.append(
             ["bound", check.name, "", "", "", value, check.applicable, check.passed]
         )
-    text = _csv_text(
+    _write_csv(
+        config.out,
         [
             "row_type",
             "key",
@@ -426,7 +434,6 @@ def cmd_verify(config: RunConfig) -> int:
         ],
         rows,
     )
-    _write_text(config.out, text)
     return _gate_exit(config.spec, "index", checks)
 
 
@@ -456,7 +463,7 @@ def cmd_sweep(config: RunConfig) -> int:
         critical = "" if result.critical_value is None else _fmt(result.critical_value)
         yield ["critical", critical, "", "", ""] + [""] * (2 * two_n)
 
-    _write_text(config.out, _csv_text(header, rows()))
+    _write_csv(config.out, header, rows())
     # every eigenvalue against its own gate, for the potential t * V
     checks = (
         (t, lam, r, t, "")
@@ -480,13 +487,12 @@ def cmd_reproduce(config: RunConfig) -> int:
                     [_fmt(tau), _fmt(eta), _fmt(result.true_distances[i, j])]
                 )
                 rows_bound.append([_fmt(tau), _fmt(eta), _fmt(result.bounds[i, j])])
-        (out_dir / "example2_true_distances.csv").write_text(
-            _csv_text(["tau", "eta", "max_relative_distance"], rows_true),
-            encoding="utf-8",
+        _write_csv(
+            out_dir / "example2_true_distances.csv",
+            ["tau", "eta", "max_relative_distance"],
+            rows_true,
         )
-        (out_dir / "example2_bounds.csv").write_text(
-            _csv_text(["tau", "eta", "bound"], rows_bound), encoding="utf-8"
-        )
+        _write_csv(out_dir / "example2_bounds.csv", ["tau", "eta", "bound"], rows_bound)
         text = harness.render_example2_report(result)
         (out_dir / "example2_report.txt").write_text(text, encoding="utf-8")
         sys.stdout.write(text)
@@ -509,22 +515,20 @@ def cmd_reproduce(config: RunConfig) -> int:
         ]
         for r in result.rows
     ]
-    (out_dir / "example1_table.csv").write_text(
-        _csv_text(
-            [
-                "alpha",
-                "beta",
-                "mode",
-                "mu_plus_discrete",
-                "mu_plus_exact",
-                "error_plus",
-                "mu_minus_discrete",
-                "mu_minus_exact",
-                "error_minus",
-            ],
-            rows,
-        ),
-        encoding="utf-8",
+    _write_csv(
+        out_dir / "example1_table.csv",
+        [
+            "alpha",
+            "beta",
+            "mode",
+            "mu_plus_discrete",
+            "mu_plus_exact",
+            "error_plus",
+            "mu_minus_discrete",
+            "mu_minus_exact",
+            "error_minus",
+        ],
+        rows,
     )
     text = harness.render_example1_report(result)
     (out_dir / "example1_report.txt").write_text(text, encoding="utf-8")

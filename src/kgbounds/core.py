@@ -30,6 +30,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite, ValidationError
 
@@ -57,13 +58,35 @@ PD_RTOL = 1e-12
 #: |exponent| of U -> square roots taken of the eigenvalues of U^2
 _ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
 
+#: from this order up, LAPACK's evr driver computing the one top eigenvalue
+#: beats numpy's eigvalsh computing all of them
+_SUBSET_MIN_ORDER = 32
+
+
+def _top_eigenvalue(s) -> float:
+    """Largest eigenvalue of a symmetric matrix; only its lower triangle is read."""
+    n = s.shape[0]
+    if n < _SUBSET_MIN_ORDER:
+        return float(np.linalg.eigvalsh(s)[-1])
+    top = scipy.linalg.eigh(
+        s, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr"
+    )
+    return float(top[0])
+
 
 def spectral_norm(a) -> float:
-    """Largest singular value of a dense matrix."""
+    """Largest singular value of a dense matrix, without an SVD.
+
+    Returns sqrt(max(lambda_max(a^T a), 0)), the Gram matrix taken on
+    the smaller side of a.  The top eigenvalue of a Gram matrix has
+    O(eps) relative error, so this agrees with the SVD to rounding; the
+    clamp keeps the norm of a zero matrix at exactly 0.0.
+    """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return float(np.sqrt(max(_top_eigenvalue(gram), 0.0)))
 
 
 def symmetrize(a):
@@ -300,40 +323,98 @@ def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
     )
 
 
-#: 1/phi, the bracket fraction golden-section search keeps per step
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: (3 - sqrt(5)) / 2, the golden-section fraction of Brent's fallback step
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+
+#: sqrt(machine epsilon): a smooth minimum is resolved to this relative width
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """A minimizer of f on [lo, hi] by Brent's method.
+
+    Parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola is not trusted; stops when
+    the bracket around the best point x is within
+    2 (sqrt(eps) |x| + tol/3) of it (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5; the fmin of Forsythe,
+    Malcolm & Moler, 1977).  Converges for every unimodal f.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            # the parabola's vertex, when it lies in the bracket and the
+            # step is under half the one before last
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x <= m else -tol1
+        if not parabolic:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + d if abs(d) >= tol1 else x + (tol1 if d >= 0.0 else -tol1)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
-    """Minimize mu -> ||(V - mu) U^(-1)|| by golden-section search.
+    """Minimize mu -> b(mu) = ||(V - mu) U^(-1)|| by Brent's method.
 
-    The objective is the norm of an affine matrix function of mu, hence
-    convex, so a bracketed golden-section search converges; each step
-    reuses one interior point and evaluates one new norm.  The bracket
-    is [min eig V - ||U||, max eig V + ||U||].  Returns (shift,
-    contraction).
+    With Bk = U^(-1) V^k U^(-1), formed once,
+
+        b(mu)^2 = lambda_max(B2 - 2 mu B1 + mu^2 B0),
+
+    so each evaluation is the top eigenvalue of one symmetric n x n
+    matrix.  b is the norm of an affine matrix function of mu, hence
+    convex, and so is b^2; Brent's method on the bracket
+    [min eig V - ||U||, max eig V + ||U||] converges to its minimizer
+    within tol plus sqrt(eps) relative.  Returns (shift, contraction),
+    the contraction taken by spectral_norm at that shift.
     """
     u_inv = spec.u_power(-1)
     v_u_inv = spec.v @ u_inv
+    b2 = v_u_inv.T @ v_u_inv
+    b1 = symmetrize(u_inv @ v_u_inv)
+    b0 = spec.u_power(-2)
     u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
     v_eigs = np.linalg.eigvalsh(spec.v)
 
-    def b_of(mu):
-        return spectral_norm(v_u_inv - mu * u_inv)
+    def b_squared(mu):
+        return _top_eigenvalue(b2 - (2.0 * mu) * b1 + (mu * mu) * b0)
 
     lo = float(v_eigs[0]) - u_norm
     hi = float(v_eigs[-1]) + u_norm
-    m1 = hi - _INV_PHI * (hi - lo)
-    m2 = lo + _INV_PHI * (hi - lo)
-    b1, b2 = b_of(m1), b_of(m2)
-    while hi - lo > tol:
-        if b1 <= b2:
-            hi, m2, b2 = m2, m1, b1
-            m1 = hi - _INV_PHI * (hi - lo)
-            b1 = b_of(m1)
-        else:
-            lo, m1, b1 = m1, m2, b2
-            m2 = lo + _INV_PHI * (hi - lo)
-            b2 = b_of(m2)
-    mu = 0.5 * (lo + hi)
-    return mu, b_of(mu)
+    mu = _brent_minimize(b_squared, lo, hi, tol)
+    return mu, spectral_norm(v_u_inv - mu * u_inv)

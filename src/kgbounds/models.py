@@ -17,12 +17,13 @@ digits so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PerturbationSpec
-from .core import ModelSpec, spectral_norm, symmetrize
+from .core import ModelSpec, symmetrize
 from .exceptions import AlphaOutOfRange, ParseError, ValidationError
 
 __all__ = [
@@ -151,12 +152,14 @@ def square_well_perturbation(eta: float) -> PerturbationSpec:
     """The well perturbation dV = diag(eta, 0).
 
     The contraction measurement c = ||dV U^(-1)|| = |eta| sqrt(2/3) is
-    filled in against the fixed well U^2; the V-dependent condition
-    flags are left for analyze_perturbation.
+    filled in from its closed form: the first row of the well's U^(-1)
+    has squared norm 2/3.  The V-dependent condition flags are left for
+    analyze_perturbation.
     """
-    delta_v = np.diag([float(eta), 0.0])
-    u_inv = square_well_model(0.0).u_power(-1)
-    return PerturbationSpec(delta_v=delta_v, c=spectral_norm(delta_v @ u_inv))
+    eta = float(eta)
+    return PerturbationSpec(
+        delta_v=np.diag([eta, 0.0]), c=abs(eta) * math.sqrt(2.0 / 3.0)
+    )
 
 
 def random_perturbation(order: int, scale: float, seed: int) -> PerturbationSpec:
@@ -206,14 +209,24 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _integral(value) -> int:
+    """An integral JSON number as an int: 10 and 10.0 pass, 10.7, true and "10" fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"not integral: {value!r}")
+    return int(value)
+
+
 def _number(doc: dict, key: str, path, kind=float, default=None):
     """Field ``key`` converted by ``kind``; required when there is no default."""
     value = _require(doc, key, path) if default is None else doc.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integral number" if kind is _integral else "a number"
         raise ParseError(
-            f"{path}: field \"{key}\" must be a number, got {json.dumps(value)}"
+            f"{path}: field \"{key}\" must be {noun}, got {json.dumps(value)}"
         ) from exc
 
 
@@ -241,7 +254,7 @@ def load_model(path) -> ModelSpec:
                 alpha=_number(doc, "alpha", path),
                 beta=_number(doc, "beta", path, default=0.0),
                 grid_points=_number(
-                    doc, "grid_points", path, int, default=DEFAULT_GRID_POINTS
+                    doc, "grid_points", path, _integral, default=DEFAULT_GRID_POINTS
                 ),
                 half_width=_number(doc, "half_width", path, default=DEFAULT_HALF_WIDTH),
             )

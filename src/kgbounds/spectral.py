@@ -94,10 +94,20 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class SignOperator:
-    """J1 = sign(H - mu*I) and its spectral norm."""
+    """J1 = sign(H - mu*I) through its factor Y = X |S|^(-1/2).
 
-    j1: np.ndarray
+    ``y`` holds the unit eigenvectors X scaled by their J-signatures S,
+    so that J1 = Y (J Y)^T; ``j1`` forms that 2n x 2n product anew on
+    every access.  ``norm_j1`` = ||Y||^2 = ||J1|| needs no product.
+    """
+
+    y: np.ndarray = field(repr=False)
     norm_j1: float
+
+    @property
+    def j1(self):
+        """J1 = Y (J Y)^T = X |S|^(-1) X^T J."""
+        return self.y @ apply_j(self.y).T
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ def _ham_scale(h) -> float:
     """Spectral norm of H, or a cheap upper estimate for large orders."""
     h = np.asarray(h)
     if h.shape[0] <= 256:
-        return float(np.linalg.norm(h, 2))
+        return spectral_norm(h)
     one = np.abs(h).sum(axis=0).max()
     inf = np.abs(h).sum(axis=1).max()
     return float(np.sqrt(one * inf))
@@ -267,7 +277,8 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
 
     With unit eigenvectors X and J-signatures S of a report solved on the
     definite pencil, J1 = X |S|^(-1) X^T J and ||J1|| = ||X |S|^(-1/2)||^2,
-    so no second solve is needed.  Raises NotPositiveDefinite when the
+    so no second solve is needed; only the factor Y = X |S|^(-1/2) and
+    its norm are computed here.  Raises NotPositiveDefinite when the
     report came from the direct path, that is when G - mu*J was not
     certified positive definite or its Cholesky factorization failed.
     """
@@ -277,7 +288,7 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
             f"the spectrum at shift {report.shift:.6g} took the direct path"
         )
     y = report.eigenvectors / np.sqrt(np.abs(report.signatures))
-    return SignOperator(j1=y @ apply_j(y).T, norm_j1=spectral_norm(y) ** 2)
+    return SignOperator(y=y, norm_j1=spectral_norm(y) ** 2)
 
 
 def central_gap(report: SpectrumReport, shift: float):

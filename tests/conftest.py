@@ -6,6 +6,7 @@ the same matrices.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kgbounds import ModelSpec, spectral_norm, sqrt_spd
 
@@ -47,3 +48,28 @@ def corpus200():
     """200 seeded random (spec, delta_v) pairs with n <= 8, b < 0.7."""
     rng = np.random.Generator(np.random.PCG64(20240601))
     return [random_model_and_perturbation(rng) for _ in range(200)]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that records every SVD: numpy's or scipy's svd, and a 2-norm
+    of a matrix, which numpy takes by SVD."""
+    calls = []
+    np_svd, sp_svd, norm = np.linalg.svd, scipy.linalg.svd, np.linalg.norm
+
+    def spy(svd):
+        def record(*args, **kwargs):
+            calls.append(svd.__module__)
+            return svd(*args, **kwargs)
+
+        return record
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2) and np.ndim(x) == 2:
+            calls.append("numpy.linalg.norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy(np_svd))
+    monkeypatch.setattr(scipy.linalg, "svd", spy(sp_svd))
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    return calls

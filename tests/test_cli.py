@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,17 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert len(pencil_calls) == 1
         assert 80 not in spd_orders  # only the order-40 U^2 is validated
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize("shift", [[], ["--optimize-shift"]])
+    def test_no_singular_value_decomposition(
+        self, command, shift, svd_calls, capsys
+    ):
+        # every norm is the top eigenvalue of a Gram matrix and the shift
+        # search evaluates b^2 the same way
+        args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        assert main(args + shift) == EXIT_OK
+        assert svd_calls == []
 
     def test_zero_perturbation_keeps_gap(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -445,6 +459,16 @@ class TestExitCodes:
             main(args)
         assert exc.value.code == EXIT_PARSE
 
+    @pytest.mark.parametrize("value", ["10.7", "true", '"10"'])
+    def test_non_integral_grid_points(self, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"model": "harmonic", "alpha": 0.3, "grid_points": {value}}}'
+        )
+        assert main(["spectrum", "--model", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert 'field "grid_points" must be an integral number' in err
+
     def test_two_model_sources(self):
         assert main(["spectrum", "--tau", "1", "--alpha", "0.3"]) == EXIT_PARSE
 
@@ -462,3 +486,44 @@ class TestExitCodes:
             main(["spectrum", "--model", str(path), "--paper-shift"])
             == EXIT_VALIDATION
         )
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--alpha", "0.3", "--grid-points", "12"],
+            ["bounds", "--tau", "1", "--paper-shift", "--eta", "0.1"],
+            ["verify", "--tau", "1", "--paper-shift", "--eta", "0.1"],
+            ["sweep", "--tau", "1", "--sweep-range", "0:2.2", "--steps", "11"],
+        ],
+    )
+    def test_stdout_and_file_give_the_same_bytes(self, args, tmp_path, capsys):
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "out.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        written = out.read_bytes()
+        assert written == printed
+        assert written.endswith(b"\n") and b"\r" not in written
+
+    def test_reproduce_tables_have_lf_endings(self, tmp_path, capsys):
+        assert main(["reproduce", "example2", "--out", str(tmp_path)]) == EXIT_OK
+        for name in ("example2_true_distances.csv", "example2_bounds.csv"):
+            data = (tmp_path / name).read_bytes()
+            assert data.count(b"\n") > 1 and b"\r" not in data
+
+
+def test_cold_start_does_not_import_scipy_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, kgbounds.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

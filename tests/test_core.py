@@ -4,11 +4,14 @@ import scipy.linalg
 
 from kgbounds import (
     DimensionMismatch,
+    HarmonicParams,
     ModelSpec,
     NotPositiveDefinite,
     ValidationError,
     assemble_system,
     contraction_bound,
+    core,
+    harmonic_model,
     j_matrix,
     operator_a,
     optimize_shift,
@@ -176,6 +179,38 @@ class TestOperatorA:
         assert abs(spectral_norm(a) - np.sqrt(2.0 / 3.0)) <= 1e-12
 
 
+class TestSpectralNorm:
+    """The Gram-eigenvalue norm against numpy's SVD-based 2-norm."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.Generator(np.random.PCG64(41))
+        for n in (1, 2, 5, 31, 32, 33, 80):
+            yield rng.normal(size=(n, n))
+        for shape in ((3, 7), (7, 3), (1, 9), (9, 1), (40, 70), (70, 40)):
+            yield rng.normal(size=shape)
+        for n, rank in ((6, 2), (50, 7)):
+            yield rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        base = rng.normal(size=(6, 6))
+        for scale in (1e-8, 1e8):
+            yield scale * base
+            yield scale * rng.normal(size=(40, 40))
+
+    def test_matches_svd(self):
+        for a in self.matrices():
+            oracle = np.linalg.norm(a, 2)
+            assert abs(spectral_norm(a) - oracle) <= 1e-13 * oracle, a.shape
+
+    def test_zero_matrix_is_exactly_zero(self):
+        for shape in ((1, 1), (3, 3), (2, 5), (40, 40)):
+            assert spectral_norm(np.zeros(shape)) == 0.0
+
+    def test_no_singular_value_decomposition(self, svd_calls):
+        for a in self.matrices():
+            spectral_norm(a)
+        assert svd_calls == []
+
+
 class TestContractionBound:
     def test_pure_shift(self):
         spec = ModelSpec(u_squared=np.diag([4.0, 9.0]), v=np.zeros((2, 2)))
@@ -203,7 +238,66 @@ class TestContractionBound:
             assert mid <= avg + 1e-12
 
 
+def golden_section_shift(spec, tol=1e-12):
+    """The golden-section search optimize_shift ran before Brent's method:
+    mu -> ||V U^(-1) - mu U^(-1)|| by SVD on the same bracket."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    u_inv = spec.u_power(-1)
+    v_u_inv = spec.v @ u_inv
+    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
+    v_eigs = np.linalg.eigvalsh(spec.v)
+
+    def b_of(mu):
+        return float(np.linalg.norm(v_u_inv - mu * u_inv, 2))
+
+    lo = float(v_eigs[0]) - u_norm
+    hi = float(v_eigs[-1]) + u_norm
+    m1 = hi - inv_phi * (hi - lo)
+    m2 = lo + inv_phi * (hi - lo)
+    b1, b2 = b_of(m1), b_of(m2)
+    while hi - lo > tol:
+        if b1 <= b2:
+            hi, m2, b2 = m2, m1, b1
+            m1 = hi - inv_phi * (hi - lo)
+            b1 = b_of(m1)
+        else:
+            lo, m1, b1 = m1, m2, b2
+            m2 = lo + inv_phi * (hi - lo)
+            b2 = b_of(m2)
+    mu = 0.5 * (lo + hi)
+    return mu, b_of(mu)
+
+
 class TestOptimizeShift:
+    @staticmethod
+    def specs():
+        for tau in (0.5, 1.0, 1.5, 2.1):
+            yield square_well_model(tau)
+        for alpha in (0.3, 0.985):
+            yield harmonic_model(HarmonicParams(alpha=alpha, grid_points=40))
+        rng = np.random.Generator(np.random.PCG64(20240601))
+        for _ in range(10):
+            yield random_model(rng)[0]
+
+    def test_matches_golden_section_reference(self):
+        for spec in self.specs():
+            _, b = optimize_shift(spec)
+            _, b_ref = golden_section_shift(spec)
+            assert abs(b - b_ref) <= 1e-14 * b_ref, spec.label
+
+    def test_at_most_forty_evaluations(self, monkeypatch):
+        # the golden-section search took 59 SVDs on this model
+        calls = []
+        top = core._top_eigenvalue
+
+        def count(s):
+            calls.append(1)
+            return top(s)
+
+        monkeypatch.setattr(core, "_top_eigenvalue", count)
+        optimize_shift(harmonic_model(HarmonicParams(alpha=0.3, grid_points=160)))
+        assert 0 < len(calls) <= 40
+
     def test_zero_potential(self):
         spec = ModelSpec(u_squared=np.diag([1.0, 2.0]), v=np.zeros((2, 2)))
         mu, b = optimize_shift(spec)

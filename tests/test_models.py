@@ -263,6 +263,11 @@ class TestModelFiles:
         np.testing.assert_array_equal(loaded.u_squared, direct.u_squared)
         np.testing.assert_array_equal(loaded.v, direct.v)
 
+    def test_integral_float_grid_points(self, tmp_path):
+        path = tmp_path / "osc.json"
+        path.write_text('{"model": "harmonic", "alpha": 0.3, "grid_points": 10.0}')
+        assert load_model(path).order == 10
+
     def test_unknown_family(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"model": "pendulum", "tau": 1.0}')

@@ -146,6 +146,13 @@ class TestSignOperator:
         np.testing.assert_allclose(so.j1, j_matrix(2), atol=1e-12)
         assert abs(so.norm_j1 - 1.0) <= 1e-12
 
+    def test_j1_is_derived_from_the_factor(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        spec, _ = random_model(rng)
+        so = sign_operator(eigen_spectrum(assemble_system(spec, 0.0)))
+        np.testing.assert_array_equal(so.j1, so.y @ apply_j(so.y).T)
+        assert so.norm_j1 == spectral_norm(so.y) ** 2
+
     def test_square_well_norm_window(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         so = sign_operator(eigen_spectrum(system))
