@@ -65,7 +65,6 @@ from .harness import (
 )
 from .models import (
     HarmonicParams,
-    SquareWellParams,
     exact_harmonic_eigs,
     harmonic_model,
     harmonic_sensitivity,

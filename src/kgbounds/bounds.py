@@ -16,10 +16,13 @@ module evaluates every such constant that the block structure offers,
     kappa_disjoint  = c / sqrt(1 - b^2)   when the mixed product vanishes
     kappa_signed    = asymmetric pair when V*dV is semidefinite
 
-together with the exact extremes (kappa_minus, kappa_plus) of dg/g from
-the generalized symmetric-definite eigenproblem (the brute-force oracle
-for all the formulas above), the multiplicative rescaling that turns an
-asymmetric pair into the always-admissible constant
+together with the exact extremes (kappa_minus, kappa_plus) of dg/g, the
+sharpest pair and the brute-force check on all the formulas above.  The
+pencil eigenvectors Z of the spectrum, Z^T (G - mu*J) Z = I, diagonalize
+g, so the pair is the extreme eigenvalues of the congruence Z^T dG Z
+and G - mu*J is factorized once per (model, shift).  Then come the
+multiplicative rescaling that turns an asymmetric pair into the
+always-admissible constant
 
     kappa0_hat = (kappa_plus + kappa_minus) / 2
     kappa_prime_hat = (kappa_plus - kappa_minus) / (2 + kappa_plus + kappa_minus)
@@ -53,7 +56,7 @@ from .exceptions import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .spectral import SpectrumReport, _certified_definite, eigen_spectrum
+from .spectral import SpectrumReport, eigen_spectrum
 
 __all__ = [
     "PerturbationSpec",
@@ -500,15 +503,22 @@ def block_structure_analysis(a_matrix, delta_a) -> BlockStructure:
 # the bundle
 
 
-def perturbation_constants(system: KleinGordonSystem, pert) -> KappaBundle:
+def perturbation_constants(
+    system: KleinGordonSystem, pert, report: SpectrumReport
+) -> KappaBundle:
     """Evaluate every applicable constant for one system and perturbation.
 
-    The validity flag of each entry records whether its hypothesis holds
-    and, where the statement needs it, whether the value is below one;
-    invalid entries keep their value for tabulation.  The exact pair is
-    solved on (dG, G - mu*J) once the closed-form certificate, which
-    implies the PD_RTOL test of exact_kappa_pm, holds; NotPositiveDefinite
-    when it or the Cholesky factorization of G - mu*J fails.
+    ``report`` is the spectrum of ``system``.  The validity flag of each
+    entry records whether its hypothesis holds and, where the statement
+    needs it, whether the value is below one; invalid entries keep their
+    value for tabulation.  The exact pair comes from the report's pencil
+    eigenvectors z_k = x_k / sqrt(|s_k| |lam_k - mu|), which satisfy
+    Z^T (G - mu*J) Z = I: it is the extreme eigenvalues of
+    Z^T dG Z = M + M^T with M = Z_2^T X Z_1, X = delta_block(system, pert)
+    and Z_1, Z_2 the upper and lower halves of Z.  Neither G - mu*J nor
+    dG is formed.  NotPositiveDefinite when the report took the direct
+    path, that is when G - mu*J was not certified positive definite or
+    its Cholesky factorization failed.
     """
     b = system.contraction
     if b >= 1.0:
@@ -530,16 +540,16 @@ def perturbation_constants(system: KleinGordonSystem, pert) -> KappaBundle:
         else None
     )
 
-    if not _certified_definite(system):
+    if report.solver_path != "similarity":
         raise NotPositiveDefinite(
             f"g = gram - shift*J is not certified positive definite: b = {b:.6g}"
         )
-    try:
-        w = scipy.linalg.eigh(
-            delta_gram(system, pert), system.gram_shifted(), eigvals_only=True
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"g is not positive definite: {exc}") from exc
+    n = system.n
+    z = report.eigenvectors / np.sqrt(
+        np.abs(report.signatures * (report.eigenvalues - system.shift))
+    )
+    m = z[n:].T @ (delta_block(system, pert) @ z[:n])
+    w = np.linalg.eigvalsh(m + m.T)
     k_exact = (float(w[0]), float(w[-1]))
 
     if k_exact[0] > -1.0:
@@ -649,7 +659,8 @@ def _pair_check(name, pair, applicable, signed_devs):
 def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationReport:
     """Compare predicted bounds against the exactly computed spectra.
 
-    Assembles the system and its perturbation at the same shift, solves
+    Assembles the system and its perturbation at the same shift, raises
+    ContractionNotLessThanOne before solving anything when b >= 1, solves
     both spectra (general eigensolver with real parts when the
     contraction passes one), pairs eigenvalues in ascending order and
     evaluates each constant of the bundle as a pass/fail check.
@@ -658,6 +669,7 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         pert = PerturbationSpec(delta_v=pert)
     system = assemble_system(spec, shift)
     system_p = assemble_system(spec.perturbed(pert.delta_v), shift)
+    gap_bound(system)   # ContractionNotLessThanOne before any spectrum is solved
     rep = eigen_spectrum(system)
     rep_p = eigen_spectrum(system_p)
 
@@ -679,7 +691,7 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     devs = np.abs(signed)
     max_dev = float(devs.max(initial=0.0))
 
-    bundle = perturbation_constants(system, pert)
+    bundle = perturbation_constants(system, pert, rep)
     checks = []
     for name in _SCALAR_KAPPAS:
         value = getattr(bundle, name)

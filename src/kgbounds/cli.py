@@ -300,9 +300,9 @@ def cmd_spectrum(config: RunConfig) -> int:
 def _bounds_payload(config: RunConfig):
     system = assemble_system(config.spec, config.shift)
     pert = _perturbation(config)
-    bundle = perturbation_constants(system, pert)
-    alpha = gap_bound(system)
+    alpha = gap_bound(system)   # ContractionNotLessThanOne before any solve
     report = eigen_spectrum(system)
+    bundle = perturbation_constants(system, pert, report)
     gap = central_gap(report, config.shift)
     mu = config.shift
 

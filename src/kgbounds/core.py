@@ -271,10 +271,6 @@ class KleinGordonSystem:
         """H = J G, formed anew on every access."""
         return apply_j(self.gram)
 
-    def gram_shifted(self):
-        """G - mu*J, the positive definite form when contraction < 1."""
-        return shifted_gram(self.gram, self.shift)
-
     def u_min(self) -> float:
         """Smallest eigenvalue of U = sqrt(U^2)."""
         return float(np.sqrt(self.spec.u2_eigenvalues[0]))

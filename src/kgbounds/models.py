@@ -17,7 +17,6 @@ digits so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from .exceptions import AlphaOutOfRange, ParseError, ValidationError
 
 __all__ = [
     "HarmonicParams",
-    "SquareWellParams",
     "harmonic_model",
     "exact_harmonic_eigs",
     "harmonic_sensitivity",
@@ -66,17 +64,6 @@ class HarmonicParams:
             raise ValidationError(f"grid_points must be >= 3, got {self.grid_points}")
         if self.half_width <= 0.0:
             raise ValidationError(f"half_width must be > 0, got {self.half_width}")
-
-
-@dataclass(frozen=True)
-class SquareWellParams:
-    """Well coupling tau >= 0."""
-
-    tau: float
-
-    def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValidationError(f"tau must be >= 0, got {self.tau}")
 
 
 def harmonic_model(p: HarmonicParams) -> ModelSpec:
@@ -136,30 +123,25 @@ def harmonic_sensitivity(alpha: float) -> float:
     return -1.5 * alpha / (1.0 - alpha * alpha)
 
 
-def square_well_model(p) -> ModelSpec:
-    """The 2 x 2 well: U^2 = [[2, -1], [-1, 2]], V = tau * diag(-1, 0)."""
-    if not isinstance(p, SquareWellParams):
-        p = SquareWellParams(tau=float(p))
-    v = p.tau * np.diag([-1.0, 0.0])
+def square_well_model(tau: float) -> ModelSpec:
+    """The 2 x 2 well: U^2 = [[2, -1], [-1, 2]], V = tau * diag(-1, 0), tau >= 0."""
+    tau = float(tau)
+    if tau < 0.0:
+        raise ValidationError(f"tau must be >= 0, got {tau}")
     return ModelSpec(
         u_squared=SQUARE_WELL_U_SQUARED.copy(),
-        v=v,
-        label=f"square_well(tau={p.tau:g})",
+        v=tau * np.diag([-1.0, 0.0]),
+        label=f"square_well(tau={tau:g})",
     )
 
 
 def square_well_perturbation(eta: float) -> PerturbationSpec:
     """The well perturbation dV = diag(eta, 0).
 
-    The contraction measurement c = ||dV U^(-1)|| = |eta| sqrt(2/3) is
-    filled in from its closed form: the first row of the well's U^(-1)
-    has squared norm 2/3.  The V-dependent condition flags are left for
-    analyze_perturbation.
+    Its measured constants, c = ||dV U^(-1)|| = |eta| sqrt(2/3) among
+    them, are left for analyze_perturbation.
     """
-    eta = float(eta)
-    return PerturbationSpec(
-        delta_v=np.diag([eta, 0.0]), c=abs(eta) * math.sqrt(2.0 / 3.0)
-    )
+    return PerturbationSpec(delta_v=np.diag([float(eta), 0.0]))
 
 
 def random_perturbation(order: int, scale: float, seed: int) -> PerturbationSpec:
@@ -209,16 +191,21 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
-def _integral(value) -> int:
-    """An integral JSON number as an int: 10 and 10.0 pass, 10.7, true and "10" fail."""
+def _real(value) -> float:
+    """A JSON number as a float: 0.3 and 3 pass, true and "0.3" fail."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"not a number: {value!r}")
-    if not float(value).is_integer():
+    return float(value)
+
+
+def _integral(value) -> int:
+    """An integral JSON number as an int: 10 and 10.0 pass, 10.7, true and "10" fail."""
+    if not _real(value).is_integer():
         raise ValueError(f"not integral: {value!r}")
     return int(value)
 
 
-def _number(doc: dict, key: str, path, kind=float, default=None):
+def _number(doc: dict, key: str, path, kind=_real, default=None):
     """Field ``key`` converted by ``kind``; required when there is no default."""
     value = _require(doc, key, path) if default is None else doc.get(key, default)
     try:

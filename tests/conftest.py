@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kgbounds import ModelSpec, spectral_norm, sqrt_spd
+from kgbounds import (
+    ModelSpec,
+    eigen_spectrum,
+    perturbation_constants,
+    spectral_norm,
+    sqrt_spd,
+)
 
 
 def random_orthogonal(rng, n):
@@ -41,6 +47,11 @@ def random_model_and_perturbation(rng, n=None, b_lo=0.05, b_hi=0.65):
     c_target = float(rng.uniform(0.05, 0.9)) * (1.0 - b)
     dv = dv_raw * (c_target / spectral_norm(dv_raw @ u_inv))
     return spec, dv
+
+
+def constants_of(system, pert):
+    """perturbation_constants with the spectrum of the same system."""
+    return perturbation_constants(system, pert, eigen_spectrum(system))
 
 
 @pytest.fixture(scope="session")

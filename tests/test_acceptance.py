@@ -32,7 +32,7 @@ from kgbounds import (
     sweep_potential,
     verify_bounds,
 )
-from kgbounds.core import ModelSpec
+from kgbounds.core import ModelSpec, shifted_gram
 
 # reference values of the reproduced tables (rows tau = 0, 1, 1.7;
 # columns eta = 0.001, 0.1, 0.3)
@@ -72,7 +72,8 @@ def solved200(corpus200):
         system_p = assemble_system(spec.perturbed(dv), 0.0)
         report_p = eigen_spectrum(system_p)
         km, kp = exact_kappa_pm(
-            system.gram_shifted(), delta_gram(system, PerturbationSpec(delta_v=dv))
+            shifted_gram(system.gram, system.shift),
+            delta_gram(system, PerturbationSpec(delta_v=dv)),
         )
         solved.append(
             {

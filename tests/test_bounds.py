@@ -27,7 +27,6 @@ from kgbounds import (
     kappa_signed_pair,
     kappa_sum,
     norm_bound_interval,
-    perturbation_constants,
     rescale_kappa,
     sign_operator,
     similarity_eigensolve,
@@ -37,7 +36,13 @@ from kgbounds import (
     sqrt_spd,
     verify_bounds,
 )
-from conftest import random_model, random_model_and_perturbation, random_spd
+from kgbounds.core import shifted_gram
+from conftest import (
+    constants_of,
+    random_model,
+    random_model_and_perturbation,
+    random_spd,
+)
 
 
 class TestGapBound:
@@ -101,7 +106,8 @@ class TestExactKappa:
     def test_square_well_bounded_by_table_constant(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         pert = PerturbationSpec(delta_v=np.diag([-0.1, 0.0]))
-        km, kp = exact_kappa_pm(system.gram_shifted(), delta_gram(system, pert))
+        g = shifted_gram(system.gram, system.shift)
+        km, kp = exact_kappa_pm(g, delta_gram(system, pert))
         assert max(abs(km), abs(kp)) <= 0.2 + 1e-12
 
     def test_requires_positive_definite_g(self):
@@ -312,7 +318,8 @@ class TestBlockStructure:
         transformed = upper.T @ da_block @ upper
         eigs = np.linalg.eigvalsh(0.5 * (transformed + transformed.T))
         km, kp = exact_kappa_pm(
-            system.gram_shifted(), delta_gram(system, PerturbationSpec(delta_v=dv))
+            shifted_gram(system.gram, system.shift),
+            delta_gram(system, PerturbationSpec(delta_v=dv)),
         )
         assert abs(eigs[0] - km) <= 1e-9
         assert abs(eigs[-1] - kp) <= 1e-9
@@ -329,7 +336,7 @@ class TestBlockStructure:
 class TestPerturbationConstants:
     def test_zero_perturbation_collapses(self):
         system = assemble_system(square_well_model(1.0), -0.5)
-        bundle = perturbation_constants(system, np.zeros((2, 2)))
+        bundle = constants_of(system, np.zeros((2, 2)))
         assert bundle.kappa_general == 0.0
         assert bundle.kappa_sum == system.contraction
         assert bundle.kappa_exact == (0.0, 0.0)
@@ -337,7 +344,7 @@ class TestPerturbationConstants:
 
     def test_square_well_table_constant(self):
         system = assemble_system(square_well_model(1.0), -0.5)
-        bundle = perturbation_constants(system, square_well_perturbation(0.1))
+        bundle = constants_of(system, square_well_perturbation(0.1))
         # the product-norm route is the table value eta / (1 - tau/2)
         assert abs(bundle.kappa_norm_product - 0.2) <= 1e-12
         # the direct measurement c = eta sqrt(2/3) is tighter
@@ -346,7 +353,7 @@ class TestPerturbationConstants:
 
     def test_invalid_but_tabulated(self):
         system = assemble_system(square_well_model(1.7), -0.85)
-        bundle = perturbation_constants(system, square_well_perturbation(0.3))
+        bundle = constants_of(system, square_well_perturbation(0.3))
         assert abs(bundle.kappa_norm_product - 2.0) <= 1e-12
         assert not bundle.valid["kappa_norm_product"]
 
@@ -361,7 +368,7 @@ class TestPerturbationConstants:
         system = assemble_system(spec, 0.0)
         pert = analyze_perturbation(system, np.diag([0.0, 0.3, 0.0]))
         assert pert.disjoint
-        bundle = perturbation_constants(system, pert)
+        bundle = constants_of(system, pert)
         assert bundle.kappa_disjoint is not None
         assert abs(
             bundle.kappa_disjoint - bundle.c / np.sqrt(1 - bundle.b**2)
@@ -375,7 +382,7 @@ class TestPerturbationConstants:
         system = assemble_system(spec, 0.0)
         pert = analyze_perturbation(system, np.diag([-0.2, 0.1]))  # V dV <= 0
         assert pert.signed == "negative"
-        bundle = perturbation_constants(system, pert)
+        bundle = constants_of(system, pert)
         km, kp = bundle.kappa_signed
         assert abs(km + bundle.c / np.sqrt(1 - bundle.b**2)) <= 1e-14
         assert abs(kp - bundle.c / (1 - bundle.b)) <= 1e-14
@@ -385,17 +392,36 @@ class TestPerturbationConstants:
         system = assemble_system(spec, 0.0)
         pert = analyze_perturbation(system, np.diag([0.1, 0.15]))
         assert abs(pert.nu - 0.25) <= 1e-12  # ||dV V^-1|| for diagonals
-        bundle = perturbation_constants(system, pert)
+        bundle = constants_of(system, pert)
         assert abs(
             bundle.kappa_relative - pert.nu * bundle.b / (1 - bundle.b)
         ) <= 1e-12
 
     def test_exact_pair_matches_oracle(self, corpus200):
-        # the certificate-gated solve gives the validated oracle's pair
-        for spec, dv in corpus200[:40]:
+        # the congruence Z^T dG Z on the spectrum's pencil eigenvectors
+        # agrees with the generalized eigensolve of (dG, G - mu*J) to
+        # rounding: over the corpus, near the critical contraction and
+        # on models scaled by 1e-8 and 1e8
+        rng = np.random.Generator(np.random.PCG64(20261018))
+        near_critical = [
+            random_model_and_perturbation(rng, b_lo=0.99, b_hi=1.0 - 1e-6)
+            for _ in range(100)
+        ]
+        scaled = []
+        for k in range(100):
+            spec, dv = random_model_and_perturbation(rng)
+            s = 1e-8 if k % 2 else 1e8
+            scaled.append(
+                (ModelSpec(u_squared=s * s * spec.u_squared, v=s * spec.v), s * dv)
+            )
+        for spec, dv in corpus200 + near_critical + scaled:
             system = assemble_system(spec, 0.0)
-            oracle = exact_kappa_pm(system.gram_shifted(), delta_gram(system, dv))
-            assert perturbation_constants(system, dv).kappa_exact == oracle
+            km, kp = exact_kappa_pm(
+                shifted_gram(system.gram, system.shift), delta_gram(system, dv)
+            )
+            pair = constants_of(system, dv).kappa_exact
+            tol = 1e-12 * max(abs(km), abs(kp))
+            assert abs(pair[0] - km) <= tol and abs(pair[1] - kp) <= tol
 
     def test_uncertified_system_rejected(self):
         # b = 1 - 5e-14 < 1, but too close to one for the certificate
@@ -403,13 +429,13 @@ class TestPerturbationConstants:
         system = assemble_system(square_well_model(tau), -tau / 2.0)
         assert system.contraction < 1.0
         with pytest.raises(NotPositiveDefinite):
-            perturbation_constants(system, square_well_perturbation(0.1))
+            constants_of(system, square_well_perturbation(0.1))
 
     def test_nu_absent_for_singular_v(self):
         system = assemble_system(square_well_model(0.0), 0.0)
         pert = analyze_perturbation(system, np.diag([0.1, 0.0]))
         assert pert.nu is None
-        assert perturbation_constants(system, pert).kappa_relative is None
+        assert constants_of(system, pert).kappa_relative is None
 
 
 class TestEigenvalueIntervals:
@@ -437,7 +463,8 @@ class TestEigenvalueIntervals:
             system = assemble_system(spec, 0.0)
             report = eigen_spectrum(system)
             km, kp = exact_kappa_pm(
-                system.gram_shifted(), delta_gram(system, PerturbationSpec(delta_v=dv))
+                shifted_gram(system.gram, system.shift),
+                delta_gram(system, PerturbationSpec(delta_v=dv)),
             )
             kappa = max(abs(km), abs(kp))
             intervals = eigenvalue_interval_bounds(report, kappa)

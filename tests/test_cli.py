@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kgbounds import (
     KleinGordonSystem,
@@ -175,6 +176,47 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert len(pencil_calls) == 1
         assert 80 not in spd_orders  # only the order-40 U^2 is validated
+
+    @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
+    def test_one_generalized_eigensolve_per_system(
+        self, command, solves, monkeypatch, capsys
+    ):
+        # the exact kappa pair is read off the spectrum's pencil
+        # eigenvectors, so G - mu*J is factorized once per (model, shift)
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def spy(a, b=None, *args, **kwargs):
+            if b is not None:
+                calls.append(np.shape(b))
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert calls == [(80, 80)] * solves
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    def test_contraction_rejected_before_any_solve(
+        self, command, monkeypatch, capsys
+    ):
+        calls = []
+        solve = spectral.eigen_spectrum
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(
+                module, "eigen_spectrum", None
+            ) is solve:
+                monkeypatch.setattr(module, "eigen_spectrum", count)
+        args = [command, "--tau", "2.5", "--eta", "0.1", "--shift", "-1.25"]
+        assert main(args) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"solver error: contraction b = \S+ is not < 1\n", err), err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     @pytest.mark.parametrize("shift", [[], ["--optimize-shift"]])
@@ -432,6 +474,17 @@ class TestExitCodes:
         [
             ('{"model": "harmonic", "alpha": "abc"}', "alpha"),
             ('{"model": "square_well", "tau": [1, 2]}', "tau"),
+            ('{"model": "square_well", "tau": true}', "tau"),
+            ('{"model": "harmonic", "alpha": "0.3", "grid_points": 10}', "alpha"),
+            (
+                '{"model": "harmonic", "alpha": 0.3, "beta": false, "grid_points": 10}',
+                "beta",
+            ),
+            (
+                '{"model": "harmonic", "alpha": 0.3, "half_width": "8", '
+                '"grid_points": 10}',
+                "half_width",
+            ),
             (
                 '{"model": "harmonic", "alpha": 0.3, "grid_points": "ten"}',
                 "grid_points",

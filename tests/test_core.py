@@ -117,7 +117,7 @@ class TestAssemble:
         # tau = 2, shift -1 sits exactly at b = 1
         system = assemble_system(square_well_model(2.0), -1.0)
         assert abs(system.contraction - 1.0) <= 1e-12
-        smallest = np.linalg.eigvalsh(system.gram_shifted())[0]
+        smallest = np.linalg.eigvalsh(core.shifted_gram(system.gram, -1.0))[0]
         assert abs(smallest) <= 1e-10
 
     def test_j_times_h_equals_gram(self):
@@ -145,10 +145,9 @@ class TestAssemble:
             a = system.a_matrix
             middle = np.block([[np.eye(n), a.T], [a, np.eye(n)]])
             rebuilt = u_block_half @ middle @ u_block_half
-            scale = spectral_norm(system.gram_shifted())
-            assert np.abs(rebuilt - system.gram_shifted()).max() <= 1e-9 * max(
-                scale, 1.0
-            )
+            g = core.shifted_gram(system.gram, mu)
+            scale = spectral_norm(g)
+            assert np.abs(rebuilt - g).max() <= 1e-9 * max(scale, 1.0)
 
     def test_middle_block_inverse_bound(self):
         # b < 1 makes [[I, A^T], [A, I]] positive definite with inverse

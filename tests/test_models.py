@@ -7,8 +7,8 @@ from kgbounds import (
     ModelSpec,
     ParseError,
     PerturbationSpec,
-    SquareWellParams,
     ValidationError,
+    analyze_perturbation,
     assemble_system,
     contraction_bound,
     eigen_spectrum,
@@ -17,13 +17,13 @@ from kgbounds import (
     harmonic_sensitivity,
     kappa_general,
     load_model,
-    perturbation_constants,
     random_perturbation,
     save_model,
     spectral_norm,
     square_well_model,
     square_well_perturbation,
 )
+from conftest import constants_of
 
 
 def u_eigs(spec):
@@ -138,7 +138,7 @@ class TestHarmonicSensitivity:
 
 class TestSquareWell:
     def test_matrices(self):
-        spec = square_well_model(SquareWellParams(tau=1.5))
+        spec = square_well_model(1.5)
         np.testing.assert_allclose(spec.u_squared, [[2.0, -1.0], [-1.0, 2.0]])
         np.testing.assert_allclose(spec.v, [[-1.5, 0.0], [0.0, 0.0]])
 
@@ -158,7 +158,7 @@ class TestSquareWell:
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValidationError):
-            SquareWellParams(tau=-0.5)
+            square_well_model(-0.5)
 
 
 class TestSquareWellPerturbation:
@@ -168,12 +168,15 @@ class TestSquareWellPerturbation:
 
     def test_zero_strength_gives_zero_constants(self):
         system = assemble_system(square_well_model(1.0), -0.5)
-        bundle = perturbation_constants(system, square_well_perturbation(0.0))
+        bundle = constants_of(system, square_well_perturbation(0.0))
         assert bundle.kappa_general == 0.0
         assert bundle.kappa_exact == (0.0, 0.0)
 
     def test_contraction_measurement(self):
-        pert = square_well_perturbation(0.001)
+        # c = ||dV U^(-1)|| = |eta| sqrt(2/3): the first row of the well's
+        # U^(-1) has squared norm 2/3
+        system = assemble_system(square_well_model(1.0), -0.5)
+        pert = analyze_perturbation(system, square_well_perturbation(0.001))
         assert abs(pert.c - 0.001 * np.sqrt(2.0 / 3.0)) <= 1e-15
 
     def test_shifted_table_bound(self):
