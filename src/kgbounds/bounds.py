@@ -19,8 +19,9 @@ module evaluates every such constant that the block structure offers,
 together with the exact extremes (kappa_minus, kappa_plus) of dg/g, the
 sharpest pair and the brute-force check on all the formulas above.  The
 pencil eigenvectors Z of the spectrum, Z^T (G - mu*J) Z = I, diagonalize
-g, so the pair is the extreme eigenvalues of the congruence Z^T dG Z
-and G - mu*J is factorized once per (model, shift).  Then come the
+g, so the pair is the extreme eigenvalues of the congruence Z^T dG Z,
+and the one n x n Cholesky factorization of U^2 - (V - mu)^2 behind the
+spectrum is the only one per (model, shift).  Then come the
 multiplicative rescaling that turns an asymmetric pair into the
 always-admissible constant
 
@@ -518,7 +519,7 @@ def perturbation_constants(
     and Z_1, Z_2 the upper and lower halves of Z.  Neither G - mu*J nor
     dG is formed.  NotPositiveDefinite when the report took the direct
     path, that is when G - mu*J was not certified positive definite or
-    its Cholesky factorization failed.
+    the Cholesky factorization of U^2 - (V - mu)^2 failed.
     """
     b = system.contraction
     if b >= 1.0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,6 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=float, default=12.0)
     p.add_argument("--out", default=".", help="output directory")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first command of the process and reused."""
+    return build_parser()
 
 
 def _resolve_model(args) -> tuple:
@@ -546,8 +553,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
         return _DISPATCH[config.command](config)

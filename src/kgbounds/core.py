@@ -1,27 +1,34 @@
-"""Assembly of block Hamiltonians H = JG from matrix data (U^2, V).
+"""Model data (U^2, V), the contraction, and the block operators of H = JG.
 
 The model data is a positive definite ``u_squared`` and a symmetric
-potential ``v`` of the same order n.  From these we build the 2n x 2n
-blocks
+potential ``v`` of the same order n.  The spectrum of the 2n x 2n
 
     H  = [[U^(1/2) V U^(-1/2), U], [U, U^(-1/2) V U^(1/2)]]
     J  = [[0, I], [I, 0]]
     G  = J H    (symmetric)
 
-together with the contraction data A = (V - mu) U^(-1) and
-b = ||A||.  For b < 1 the shifted quadratic form admits the congruence
+is that of the quadratic Q(lam) = (lam - V)^2 - U^2, and with the
+contraction data A = (V - mu) U^(-1), b = ||A||, the shifted form
 
-    G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2),
+    G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2)
 
-so G - mu*J is positive definite and (J, G - mu*J) is a
-symmetric-definite pencil with the eigenvectors of H.
+is positive definite whenever b < 1.  The same pencil in the frame
+K = [[U^2, V], [V, I]] (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
+congruent through diag(U^(1/2), U^(-1/2)), factorizes with W = V - mu*I
+as
+
+    K - mu*J = [[I, W], [0, I]] diag(U^2 - W W, I) [[I, 0], [W, I]],
+
+so G - mu*J is positive definite exactly when the n x n
+-Q(mu) = U^2 - W W is (Sylvester's law of inertia); the spectral
+module solves in that frame.
 
 ModelSpec owns the powers of U: each is formed once from the
 eigendecomposition of U^2 that validation computes, and shared by every
 spec derived from it with another potential.  KleinGordonSystem stores
-G alone and derives H = J G on demand.  Everything here is dense and
-desk-scale; all outputs are plain numpy arrays inside frozen
-dataclasses and all functions are pure.
+the contraction data alone and derives G, and H = J G from it, on
+demand.  Everything here is dense and desk-scale; all outputs are plain
+numpy arrays inside frozen dataclasses and all functions are pure.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "j_matrix",
     "apply_j",
     "shifted_gram",
+    "shifted_potential",
     "spectral_norm",
     "symmetrize",
 ]
@@ -244,27 +252,36 @@ def _symmetric_of_order(a, order: int, name: str):
 
 @dataclass(frozen=True)
 class KleinGordonSystem:
-    """Assembled 2n x 2n block operators for one model and shift.
+    """One model and shift: the contraction data and, on demand, H and G.
 
-    Only G is stored; H = J G is derived from it, and the powers of U
-    are read from ``spec.u_power``.
+    Neither G nor H is stored: both are formed anew on every access,
+    from the powers of U that ``spec.u_power`` keeps.
 
     Fields
     ------
-    n : block order (matrices are 2n x 2n)
+    n : block order (H and G are 2n x 2n)
     shift : the real spectral shift mu
-    gram : G = J H, exactly symmetric
     a_matrix : A = (V - mu) U^(-1)
     contraction : b = ||A||
-    spec : the source model (kept for perturbation bookkeeping)
+    spec : the source model
     """
 
     n: int
     shift: float
-    gram: np.ndarray
     a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
+
+    @property
+    def gram(self):
+        """G = [[U, X^T], [X, U]], X = U^(1/2) V U^(-1/2), formed anew.
+
+        Exactly symmetric, because every power of U is.
+        """
+        spec = self.spec
+        u = spec.u_power(1)
+        x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)
+        return np.block([[u, x.T], [x, u]])
 
     @property
     def hamiltonian(self):
@@ -290,9 +307,21 @@ def shifted_gram(gram, shift: float):
     return g
 
 
+def shifted_potential(spec: ModelSpec, shift: float = 0.0):
+    """W = V - shift*I as a new array.
+
+    The shift comes off the diagonal of V itself, before any product,
+    so a potential far from the origin loses no digits to a later
+    cancellation.
+    """
+    w = np.array(spec.v)
+    w.flat[:: spec.order + 1] -= shift
+    return w
+
+
 def operator_a(spec: ModelSpec, shift: float = 0.0):
     """A = (V - shift*I) U^(-1) with U the principal root of u_squared."""
-    return (spec.v - shift * np.eye(spec.order)) @ spec.u_power(-1)
+    return shifted_potential(spec, shift) @ spec.u_power(-1)
 
 
 def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
@@ -301,18 +330,16 @@ def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """Build the gram matrix G and the contraction data.
+    """The contraction data of one model and shift: A and b = ||A||.
 
-    G = [[U, X^T], [X, U]] with X = U^(1/2) V U^(-1/2) is exactly
-    symmetric, because every power of U is.
+    Neither G nor H is formed here: the definite pencil is solved from
+    (U^2, V - shift*I) alone, and the system derives G and H only when
+    a caller reads them (the direct eigensolver and the tests' oracles).
     """
-    u = spec.u_power(1)
-    x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)   # U^(1/2) V U^(-1/2)
     a = operator_a(spec, shift)
     return KleinGordonSystem(
         n=spec.order,
         shift=float(shift),
-        gram=np.block([[u, x.T], [x, u]]),
         a_matrix=a,
         contraction=spectral_norm(a),
         spec=spec,

@@ -5,14 +5,28 @@ With J = J^T = J^(-1), the eigenproblem H x = lam x is equivalent to
     J x = theta (G - mu*J) x,    lam = mu + 1/theta,
 
 so whenever the contraction b = ||(V - mu) U^(-1)|| is below one the
-pencil (J, G - mu*J) is symmetric-definite: one Cholesky-based
-generalized symmetric eigensolve gives a real spectrum and the
-eigenvectors of H, normalized by Z^T (G - mu*J) Z = I (the symmetric
-linearization of Tisseur & Meerbergen, SIAM Rev. 43, 2001).  The
-pencil is used exactly when a closed-form bound certifies G - mu*J
-positive definite and the Cholesky factorization succeeds; every other
-system goes to a general dense eigensolver on H, which flags non-real
-pairs instead of hiding them.
+pencil (J, G - mu*J) is symmetric-definite and the spectrum is real and
+semisimple.  It is solved in the frame K = [[U^2, V], [V, I]]
+(Tisseur & Meerbergen, SIAM Rev. 43, 2001), congruent to G through
+diag(U^(1/2), U^(-1/2)), where the shifted pencil factorizes as
+
+    K - mu*J = F F^T,    F = [[M, W], [0, I]],    M M^T = U^2 - W W,
+
+with W = V - mu*I.  So one n x n Cholesky factorization of
+-Q(mu) = U^2 - (V - mu)^2 certifies the pencil definite, by Sylvester's
+law of inertia, and reduces it to the standard symmetric eigenproblem
+
+    C y = theta y,    C = F^(-1) J F^(-T)
+                        = [[-2 M^(-1) W M^(-T), M^(-1)], [M^(-T), 0]]
+
+of order 2n.  Its eigenvectors give the quadratic eigenvectors
+x = M^(-T) y_1, (lam - V)^2 x = U^2 x, and (lam - V) x = y_2 - W x;
+the reported eigenvectors of H are the unit columns of
+[U^(1/2) x; U^(-1/2) (lam - V) x].  The pencil is used exactly when a
+closed-form bound certifies G - mu*J positive definite and the
+Cholesky factorization succeeds; every other system goes to a general
+dense eigensolver on H, which flags non-real pairs instead of hiding
+them.
 
 The same solve gives the sign operator: the unit eigenvectors x_k have
 J-signatures s_k = (J x_k, x_k) = theta_k / ||z_k||^2, hence
@@ -30,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .core import (
     PD_RTOL,
@@ -38,6 +53,7 @@ from .core import (
     apply_j,
     j_matrix,
     shifted_gram,
+    shifted_potential,
     spectral_norm,
 )
 from .exceptions import NonRealSpectrum, NotPositiveDefinite
@@ -145,7 +161,8 @@ def _definite_pencil(gram, shift: float):
     """Eigenpairs (theta, Z) of J z = theta (G - shift*J) z.
 
     theta ascends and Z^T (G - shift*J) Z = I.  Raises NotPositiveDefinite
-    when the Cholesky factorization of G - shift*J fails.
+    when the Cholesky factorization of G - shift*J fails.  The tests'
+    H-frame oracle for the K-frame solve.
     """
     g = shifted_gram(gram, shift)
     try:
@@ -161,7 +178,7 @@ def similarity_eigensolve(gram, shift: float = 0.0):
 
     Returns (eigenvalues ascending, eigenvectors as unit columns), with
     lam = shift + 1/theta.  Raises NotPositiveDefinite when G - shift*J
-    is not positive definite.
+    is not positive definite.  Kept as the tests' oracle.
     """
     theta, z = _definite_pencil(gram, shift)
     order = np.argsort(1.0 / theta)
@@ -169,27 +186,69 @@ def similarity_eigensolve(gram, shift: float = 0.0):
     return shift + 1.0 / theta[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
+def _k_frame_eigensolve(spec: ModelSpec, shift: float):
+    """Eigenpairs of H from the K-frame pencil (J, K - shift*J).
+
+    Factors -Q(shift) = U^2 - W W = M M^T, W = V - shift*I, solves the
+    standard symmetric C y = theta y (see the module docstring) and
+    returns (eigenvalues ascending, unit H-frame eigenvectors).  Raises
+    NotPositiveDefinite when the Cholesky factorization fails.  Only
+    the lower triangles of -Q(shift), W and C are read.
+    """
+    n = spec.order
+    w = shifted_potential(spec, shift)
+    m, info = lapack.dpotrf(spec.u_squared - w @ w.T, lower=1, clean=1)
+    if info != 0:
+        raise NotPositiveDefinite(
+            "U^2 - (V - shift*I)^2 is not positive definite: leading minor "
+            f"{info} of {n} at shift {shift:.6g}"
+        )
+    m_inv, _ = lapack.dtrtri(m, lower=1)
+    p, _ = lapack.dsygst(w, m, itype=1, lower=1)   # M^(-1) W M^(-T)
+    c = np.zeros((2 * n, 2 * n))
+    c[:n, :n] = p
+    c[:n, :n] *= -2.0
+    c[n:, :n] = m_inv.T
+    theta, y = np.linalg.eigh(c)
+    order = np.argsort(1.0 / theta)
+    theta, y = theta[order], y[:, order]
+    x = blas.dtrmm(1.0, m_inv, y[:n], lower=1, trans_a=1)   # M^(-T) y_1
+    lam_minus_v_x = y[n:] - w @ x                         # (lam - V) x
+    vecs = np.concatenate(
+        [spec.u_power(0.5) @ x, spec.u_power(-0.5) @ lam_minus_v_x]
+    )
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return shift + 1.0 / theta, vecs
+
+
 def _classify(eigenvalues, eigenvectors, shift):
-    signatures = np.empty(eigenvectors.shape[1])
-    signs = []
-    for k, x in enumerate(eigenvectors.T):
-        s = signatures[k] = np.real(np.vdot(x, apply_j(x))) / np.real(np.vdot(x, x))
-        if s > NEUTRAL_TOL:
-            signs.append("positive")
-        elif s < -NEUTRAL_TOL:
-            signs.append("negative")
-        else:
-            signs.append("neutral")
+    # s_k = (J x_k, x_k) / (x_k, x_k) = 2 Re(a_k^H b_k) / ||x_k||^2, x_k = [a_k; b_k]
+    n = eigenvectors.shape[0] // 2
+    top, bottom = eigenvectors[:n], eigenvectors[n:]
+    if np.iscomplexobj(eigenvectors):
+        top = top.conj()
+        sq = np.einsum("ij,ij->j", eigenvectors.conj(), eigenvectors).real
+    else:
+        sq = np.einsum("ij,ij->j", eigenvectors, eigenvectors)
+    signatures = 2.0 * np.einsum("ij,ij->j", top, bottom).real / sq
+    signs = tuple(
+        "positive" if s > NEUTRAL_TOL else "negative" if s < -NEUTRAL_TOL else "neutral"
+        for s in signatures.tolist()
+    )
     re = np.real(eigenvalues)
     pos = np.sort(re[re > shift])
     neg = np.sort(re[re < shift])[::-1]
     lo = float(neg[0]) if neg.size else -np.inf
     hi = float(pos[0]) if pos.size else np.inf
-    return signatures, tuple(signs), pos, neg, (lo, hi)
+    return signatures, signs, pos, neg, (lo, hi)
 
 
 def _cluster_defects(eigenvalues, hamiltonian, scale):
-    """Witnesses for repeated eigenvalues with too few eigenvectors."""
+    """Witnesses for repeated eigenvalues with too few eigenvectors.
+
+    One SVD of H - center*I per cluster gives both the geometric
+    multiplicity and the witness null vector.
+    """
     tol = MULT_RTOL * scale
     order = np.argsort(np.real(eigenvalues))
     lam = np.asarray(eigenvalues)[order]
@@ -204,12 +263,11 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
             continue
         center = cluster.mean()
         shifted = hamiltonian - center * np.eye(hamiltonian.shape[0])
-        sv = np.linalg.svd(shifted, compute_uv=False)
+        _, sv, vh = np.linalg.svd(shifted)
         geometric = int(np.sum(sv < tol))
         if geometric < cluster.size:
-            null_vec = np.linalg.svd(shifted)[2][-1].conj()
             witnesses.append(
-                DefectWitness(complex(center), null_vec, "multiplicity-defect")
+                DefectWitness(complex(center), vh[-1].conj(), "multiplicity-defect")
             )
     return witnesses
 
@@ -217,17 +275,18 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
 def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
-    Solves the definite pencil when G - mu*J is certified positive
-    definite (so the spectrum is certified real and semisimple);
-    otherwise, or when the Cholesky factorization fails, falls back to a
-    dense general eigensolver on H and flags non-real pairs.
+    Solves the definite pencil in the K frame when G - mu*J is
+    certified positive definite (so the spectrum is certified real and
+    semisimple); otherwise, or when the n x n Cholesky factorization of
+    U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver on
+    H and flags non-real pairs.  Only the fallback forms H.
     """
     mu = system.shift
     path = "direct"
     is_real = True
     if _certified_definite(system):
         try:
-            lam, vecs = similarity_eigensolve(system.gram, mu)
+            lam, vecs = _k_frame_eigensolve(system.spec, mu)
             path = "similarity"
         except NotPositiveDefinite:
             pass
@@ -280,7 +339,8 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
     so no second solve is needed; only the factor Y = X |S|^(-1/2) and
     its norm are computed here.  Raises NotPositiveDefinite when the
     report came from the direct path, that is when G - mu*J was not
-    certified positive definite or its Cholesky factorization failed.
+    certified positive definite or the Cholesky factorization of
+    U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotPositiveDefinite(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,6 +44,29 @@ from conftest import (
     random_model_and_perturbation,
     random_spd,
 )
+
+
+def mp_kappa_pair(spec, dv, shift=0.0, dps=60):
+    """Extreme eigenvalues of the pencil (dK, K - shift*J) in dps digits.
+
+    K = [[U^2, V], [V, I]] and dK = [[0, dV], [dV, 0]] are congruent to G
+    and dG, so this is the exact pair of the float data, computed
+    without a matrix root: L^(-1) dK L^(-T) with K - shift*J = L L^T.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        n = spec.order
+        k, dk = mp.zeros(2 * n, 2 * n), mp.zeros(2 * n, 2 * n)
+        for i in range(n):
+            k[n + i, n + i] = 1
+            for j in range(n):
+                k[i, j] = mp.mpf(spec.u_squared[i, j])
+                w = mp.mpf(spec.v[i, j]) - (mp.mpf(shift) if i == j else 0)
+                k[i, n + j] = k[n + i, j] = w
+                dk[i, n + j] = dk[n + i, j] = mp.mpf(dv[i, j])
+        l_inv = mp.inverse(mp.cholesky(k))
+        w = mp.eigsy(l_inv * dk * l_inv.T, eigvals_only=True)
+        return float(min(w)), float(max(w))
 
 
 class TestGapBound:
@@ -399,9 +423,11 @@ class TestPerturbationConstants:
 
     def test_exact_pair_matches_oracle(self, corpus200):
         # the congruence Z^T dG Z on the spectrum's pencil eigenvectors
-        # agrees with the generalized eigensolve of (dG, G - mu*J) to
-        # rounding: over the corpus, near the critical contraction and
-        # on models scaled by 1e-8 and 1e8
+        # agrees to rounding with the generalized eigensolve of
+        # (dG, G - mu*J) over the corpus and on models scaled by 1e-8 and
+        # 1e8; near the critical contraction that oracle itself drifts
+        # (up to 7e-12), so there the pair is held to a 60-digit solve
+        # of the congruent K-frame pencil (dK, K - mu*J)
         rng = np.random.Generator(np.random.PCG64(20261018))
         near_critical = [
             random_model_and_perturbation(rng, b_lo=0.99, b_hi=1.0 - 1e-6)
@@ -414,14 +440,36 @@ class TestPerturbationConstants:
             scaled.append(
                 (ModelSpec(u_squared=s * s * spec.u_squared, v=s * spec.v), s * dv)
             )
-        for spec, dv in corpus200 + near_critical + scaled:
-            system = assemble_system(spec, 0.0)
-            km, kp = exact_kappa_pm(
+
+        def oracle(system, dv):
+            return exact_kappa_pm(
                 shifted_gram(system.gram, system.shift), delta_gram(system, dv)
             )
+
+        cases = [(spec, dv, oracle) for spec, dv in corpus200 + scaled] + [
+            (spec, dv, lambda system, dv: mp_kappa_pair(system.spec, dv))
+            for spec, dv in near_critical
+        ]
+        for spec, dv, reference in cases:
+            system = assemble_system(spec, 0.0)
+            km, kp = reference(system, dv)
             pair = constants_of(system, dv).kappa_exact
             tol = 1e-12 * max(abs(km), abs(kp))
             assert abs(pair[0] - km) <= tol and abs(pair[1] - kp) <= tol
+
+    @pytest.mark.parametrize("v0", [1e2, 1e4, 1e6])
+    def test_far_shift_keeps_the_pair(self, v0):
+        # V0 + v0*I at shift v0 is V0 at shift 0 moved along the axis:
+        # the same pencil, so the same exact pair, up to the rounding of
+        # the stored potential V0 + v0*I
+        rng = np.random.Generator(np.random.PCG64(20261019))
+        for _ in range(20):
+            spec, dv = random_model_and_perturbation(rng)
+            near = constants_of(assemble_system(spec, 0.0), dv).kappa_exact
+            far_spec = spec.with_potential(spec.v + v0 * np.eye(spec.order), "far")
+            far = constants_of(assemble_system(far_spec, v0), dv).kappa_exact
+            tol = (1e-15 * v0 + 1e-13) * max(abs(near[0]), abs(near[1]))
+            assert abs(far[0] - near[0]) <= tol and abs(far[1] - near[1]) <= tol
 
     def test_uncertified_system_rejected(self):
         # b = 1 - 5e-14 < 1, but too close to one for the certificate

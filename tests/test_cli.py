@@ -158,43 +158,65 @@ class TestVerifyCommand:
 
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
-        pencil_calls, spd_orders = [], []
+        pencil_calls, oracle_calls, spd_orders = [], [], []
 
         def count_pencil(*args, **kwargs):
             pencil_calls.append(1)
+            return k_frame(*args, **kwargs)
+
+        def count_oracle(*args, **kwargs):
+            oracle_calls.append(1)
             return definite_pencil(*args, **kwargs)
 
         def record_spd(m, *args, **kwargs):
             spd_orders.append(np.shape(m)[0])
             return spd_eig(m, *args, **kwargs)
 
+        k_frame = spectral._k_frame_eigensolve
         definite_pencil, spd_eig = spectral._definite_pencil, core._spd_eig
-        monkeypatch.setattr(spectral, "_definite_pencil", count_pencil)
+        monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
+        monkeypatch.setattr(spectral, "_definite_pencil", count_oracle)
         monkeypatch.setattr(core, "_spd_eig", record_spd)
         monkeypatch.setattr(bounds, "_spd_eig", record_spd)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert len(pencil_calls) == 1
+        assert oracle_calls == []  # the H-frame pencil is the tests' oracle
         assert 80 not in spd_orders  # only the order-40 U^2 is validated
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
-    def test_one_generalized_eigensolve_per_system(
-        self, command, solves, monkeypatch, capsys
-    ):
-        # the exact kappa pair is read off the spectrum's pencil
-        # eigenvectors, so G - mu*J is factorized once per (model, shift)
-        calls = []
+    def test_one_cholesky_per_system(self, command, solves, monkeypatch, capsys):
+        # one n x n Cholesky factorization of U^2 - (V - mu)^2 certifies
+        # and reduces the pencil of each (model, shift); the exact kappa
+        # pair is read off the same solve's eigenvectors, and no
+        # generalized eigensolve runs
+        generalized, factored = [], []
         eigh = scipy.linalg.eigh
 
-        def spy(a, b=None, *args, **kwargs):
+        def spy_eigh(a, b=None, *args, **kwargs):
             if b is not None:
-                calls.append(np.shape(b))
+                generalized.append(np.shape(b))
             return eigh(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        def spy_cholesky(factor):
+            def record(a, *args, **kwargs):
+                factored.append(np.shape(a))
+                return factor(a, *args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+        for module, name in [
+            (scipy.linalg.lapack, "dpotrf"),
+            (scipy.linalg, "cholesky"),
+            (scipy.linalg, "cho_factor"),
+            (np.linalg, "cholesky"),
+        ]:
+            monkeypatch.setattr(module, name, spy_cholesky(getattr(module, name)))
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert calls == [(80, 80)] * solves
+        assert generalized == []
+        assert factored == [(40, 40)] * solves
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_contraction_rejected_before_any_solve(
@@ -338,12 +360,14 @@ class TestEachQuantityOnce:
         return calls
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
-    def test_four_powers_and_six_norms(self, command, monkeypatch, capsys):
+    def test_three_powers_and_six_norms(self, command, monkeypatch, capsys):
+        # U^(-1) for the contraction, U^(1/2) and U^(-1/2) for the
+        # H-frame eigenvectors and dG; U itself only G needs
         formed = self.distinct_powers(monkeypatch)
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert len(formed) == 4
+        assert len(formed) == 3
         assert len(norms) == 6
 
     def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
@@ -352,20 +376,26 @@ class TestEachQuantityOnce:
         assert main(args) == EXIT_OK
         assert len(formed) <= 4
 
-    def test_certified_spectrum_never_forms_h(self, monkeypatch, capsys):
+    def test_certified_spectrum_never_forms_h(self, monkeypatch, tmp_path, capsys):
+        # neither H nor G: the certified path solves from (U^2, V - mu*I)
         reads = []
-        hamiltonian = KleinGordonSystem.hamiltonian
+        for name in ("gram", "hamiltonian"):
+            derived = getattr(KleinGordonSystem, name)
 
-        def spy(system):
-            reads.append(1)
-            return hamiltonian.fget(system)
+            def spy(system, name=name, derived=derived):
+                reads.append(name)
+                return derived.fget(system)
 
-        monkeypatch.setattr(KleinGordonSystem, "hamiltonian", property(spy))
-        assert main(["spectrum", "--alpha", "0.3", "--grid-points", "40"]) == EXIT_OK
+            monkeypatch.setattr(KleinGordonSystem, name, property(spy))
+        src = ["--alpha", "0.3", "--grid-points", "40", "--out", str(tmp_path / "o")]
+        assert main(["spectrum", *src]) == EXIT_OK
+        assert main(["bounds", *src, "--eta", "1e-3"]) == EXIT_OK
+        assert main(["verify", *src, "--eta", "1e-3"]) == EXIT_OK
+        assert main(["sweep", *src, "--sweep-range", "0:1", "--steps", "3"]) == EXIT_OK
         assert reads == []
-        # the direct path, taken beyond the critical coupling, does read it
+        # the direct path, taken beyond the critical coupling, does form both
         assert main(["spectrum", "--tau", "2.2"]) == EXIT_OK
-        assert reads
+        assert set(reads) == {"gram", "hamiltonian"}
 
 
 class TestResidualGate:
@@ -565,6 +595,21 @@ class TestCsvOutput:
         for name in ("example2_true_distances.csv", "example2_bounds.csv"):
             data = (tmp_path / name).read_bytes()
             assert data.count(b"\n") > 1 and b"\r" not in data
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def count():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", count)
+    cli._parser.cache_clear()
+    assert main(["spectrum", "--tau", "1"]) == EXIT_OK
+    assert main(["bounds", "--tau", "0.5", "--eta", "0.1"]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_cold_start_does_not_import_scipy_optimize():

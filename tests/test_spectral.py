@@ -18,6 +18,8 @@ from kgbounds import (
     j_matrix,
     pencil_residual,
     sign_operator,
+    similarity_eigensolve,
+    spectral,
     spectral_norm,
     square_well_model,
 )
@@ -89,6 +91,20 @@ class TestEigenSpectrum:
                     err = np.abs(np.sort(report.eigenvalues) - direct).max()
                     assert err <= 1e-8 * scale
 
+    def test_k_frame_matches_the_h_frame_pencil(self, corpus200):
+        # the K-frame solve against the generalized eigensolve of
+        # (J, G - mu*J): same eigenvalues, parallel unit eigenvectors
+        for spec, _ in corpus200:
+            for mu in (0.0, 0.1):
+                system = assemble_system(spec, mu)
+                report = eigen_spectrum(system)
+                assert report.solver_path == "similarity"
+                lam, vecs = similarity_eigensolve(system.gram, mu)
+                scale = np.abs(lam).max()
+                assert np.abs(report.eigenvalues - lam).max() <= 1e-13 * scale
+                cosines = np.abs(np.einsum("ij,ij->j", report.eigenvectors, vecs))
+                assert np.abs(cosines - 1.0).max() <= 1e-10
+
     def test_route_follows_certificate(self):
         # at the paper shift the well has b = tau/2: every b < 1 is
         # certified and takes the pencil route, with a real, non-defective
@@ -137,6 +153,41 @@ class TestEigenSpectrum:
             )
             for lam in report.eigenvalues:
                 assert pencil_residual(spec, lam) <= 1e-8 * (scale + abs(lam) ** 2)
+
+
+def column_loop_signatures(eigenvectors):
+    """The per-column reference: (J x, x) / (x, x) by vdot."""
+    return np.array(
+        [
+            np.real(np.vdot(x, apply_j(x))) / np.real(np.vdot(x, x))
+            for x in eigenvectors.T
+        ]
+    )
+
+
+class TestClassify:
+    def test_matches_the_column_loop(self, corpus200):
+        # two column reductions against one vdot per column: the sums
+        # run in another order, so the signatures agree to a few ulps of
+        # their unit scale and every sign type is the same
+        reports = [eigen_spectrum(assemble_system(s, 0.0)) for s, _ in corpus200[:50]]
+        reports += [
+            eigen_spectrum(assemble_system(square_well_model(tau), 0.0))
+            for tau in (2.0, 2.2, 3.0)   # direct path: neutral, complex
+        ]
+        assert any(np.iscomplexobj(r.eigenvectors) for r in reports)
+        for report in reports:
+            loop = column_loop_signatures(report.eigenvectors)
+            signatures, signs, *_ = spectral._classify(
+                report.eigenvalues, report.eigenvectors, report.shift
+            )
+            assert np.abs(signatures - loop).max() <= 8 * np.finfo(float).eps
+            assert signs == tuple(
+                "positive" if s > spectral.NEUTRAL_TOL
+                else "negative" if s < -spectral.NEUTRAL_TOL
+                else "neutral"
+                for s in loop
+            )
 
 
 class TestSignOperator:
@@ -349,6 +400,25 @@ class TestDefectCheck:
         x = report.witness.vector
         neutrality = abs(np.vdot(x, apply_j(x))) / np.vdot(x, x).real
         assert neutrality < 1e-6
+
+    def test_one_svd_per_cluster(self, svd_calls):
+        # a Jordan block: one cluster, and one SVD gives both its
+        # geometric multiplicity and the witness null vector e1
+        h = np.array([[1.0, 1.0], [0.0, 1.0]])
+        (witness,) = spectral._cluster_defects(np.array([1.0, 1.0]), h, 1.0)
+        assert len(svd_calls) == 1
+        assert witness.reason == "multiplicity-defect"
+        assert witness.eigenvalue == 1.0
+        np.testing.assert_allclose(np.abs(witness.vector), [1.0, 0.0], atol=1e-15)
+
+    def test_semisimple_clusters_one_svd_each(self, svd_calls):
+        # U^2 = I, V = 1.5 I: b = 1.5 sends the spectrum to the direct
+        # path, with the double eigenvalues 0.5 and 2.5, both semisimple
+        spec = ModelSpec(u_squared=np.eye(2), v=1.5 * np.eye(2))
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        assert report.solver_path == "direct" and not report.defective
+        np.testing.assert_allclose(report.eigenvalues, [0.5, 0.5, 2.5, 2.5])
+        assert len(svd_calls) == 2
 
     def test_clean_below_critical(self):
         system = assemble_system(square_well_model(1.0), -0.5)
