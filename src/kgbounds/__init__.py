@@ -3,6 +3,7 @@ block Hamiltonians H = JG built from matrix data (U^2, V)."""
 
 from .bounds import (
     BlockStructure,
+    BoundsReport,
     GapInclusion,
     KappaBundle,
     KappaCheck,
@@ -10,9 +11,9 @@ from .bounds import (
     VerificationReport,
     analyze_perturbation,
     block_structure_analysis,
+    bounds_report,
     delta_block,
     delta_gram,
-    eigenvalue_interval_bounds,
     exact_kappa_pm,
     gap_bound,
     gap_inclusion,
@@ -25,7 +26,6 @@ from .bounds import (
     norm_bound_interval,
     perturbation_constants,
     rescale_kappa,
-    t_norm_bound,
     verify_bounds,
 )
 from .core import (
@@ -48,7 +48,6 @@ from .exceptions import (
     KappaMinusNotAboveMinusOne,
     KappaOutOfRange,
     KGError,
-    NonRealSpectrum,
     NotPositiveDefinite,
     ParseError,
     ValidationError,
@@ -78,7 +77,6 @@ from .spectral import (
     DefectWitness,
     SignOperator,
     SpectrumReport,
-    central_gap,
     eigen_spectrum,
     eigenpair_residuals,
     pencil_residual,

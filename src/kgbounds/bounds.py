@@ -28,9 +28,10 @@ always-admissible constant
     kappa0_hat = (kappa_plus + kappa_minus) / 2
     kappa_prime_hat = (kappa_plus - kappa_minus) / (2 + kappa_plus + kappa_minus)
 
-the gap inclusion intervals, the uniform norm-bound interval through
-||J1||, and a verification harness that compares every predicted bound
-against exactly computed spectra.
+the gap inclusion intervals and the uniform norm-bound interval through
+||J1||.  bounds_report gathers all of these for one (model, dV, shift)
+as one ordered list of named rows, and verify_bounds starts from it to
+compare every predicted constant against exactly computed spectra.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ from .exceptions import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .spectral import SpectrumReport, eigen_spectrum
+from .spectral import (
+    SpectrumReport,
+    eigen_spectrum,
+    eigenpair_residuals,
+    sign_operator,
+)
 
 __all__ = [
     "PerturbationSpec",
@@ -65,6 +71,7 @@ __all__ = [
     "KappaCheck",
     "GapInclusion",
     "BlockStructure",
+    "BoundsReport",
     "VerificationReport",
     "analyze_perturbation",
     "delta_block",
@@ -77,14 +84,13 @@ __all__ = [
     "improved_inclusion",
     "norm_bound_interval",
     "block_structure_analysis",
-    "eigenvalue_interval_bounds",
+    "bounds_report",
     "verify_bounds",
     "kappa_general",
     "kappa_sum",
     "kappa_relative",
     "kappa_disjoint",
     "kappa_signed_pair",
-    "t_norm_bound",
 ]
 
 #: semidefiniteness slack for the sign-condition test, scaled by ||A|| ||dA||
@@ -139,15 +145,6 @@ def kappa_signed_pair(c: float, b: float, direction: str = "negative"):
     if direction == "positive":
         return -loose, tight
     raise ValueError(f"direction must be 'negative' or 'positive', got {direction!r}")
-
-
-def t_norm_bound(a: float, w: float) -> float:
-    """Largest eigenvalue of the arrow matrix [[a*I, B^T], [B, 0]], ||B|| = w.
-
-    Equals (a + sqrt(a^2 + 4 w^2)) / 2; evaluated at a = 2 b ||dA|| / (1-b^2)
-    with w = ||dA|| / sqrt(1-b^2) it reproduces ||dA|| / (1-b) exactly.
-    """
-    return 0.5 * (a + math.sqrt(a * a + 4.0 * w * w))
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +456,15 @@ class BlockStructure:
     kappa_minus: float
     kappa_plus: float
 
-    def t_bound(self, a: float, w: float | None = None) -> float:
-        """Arrow-matrix norm estimate (a + sqrt(a^2 + 4 w^2)) / 2.
+    def t_bound(self, a: float) -> float:
+        """Largest eigenvalue of the arrow matrix [[a*I, B^T], [B, 0]].
 
-        Defaults to the conservative w = norm_b_bound, under which
-        a = 2 b ||dA|| / (1 - b^2) reproduces ||dA|| / (1 - b).
+        Equals (a + sqrt(a^2 + 4 w^2)) / 2 with the conservative
+        w = norm_b_bound >= ||B||; at a = 2 b ||dA|| / (1 - b^2) it
+        reproduces ||dA|| / (1 - b) exactly.
         """
-        return t_norm_bound(a, self.norm_b_bound if w is None else w)
+        w = self.norm_b_bound
+        return 0.5 * (a + math.sqrt(a * a + 4.0 * w * w))
 
 
 def block_structure_analysis(a_matrix, delta_a) -> BlockStructure:
@@ -513,7 +512,8 @@ def perturbation_constants(
     entry records whether its hypothesis holds and, where the statement
     needs it, whether the value is below one; invalid entries keep their
     value for tabulation.  The exact pair comes from the report's pencil
-    eigenvectors z_k = x_k / sqrt(|s_k| |lam_k - mu|), which satisfy
+    eigenvectors z_k = x_k / sqrt(|s_k| |lam_k - mu|), with lam_k - mu
+    the solve's own 1/theta_k (report.offsets), which satisfy
     Z^T (G - mu*J) Z = I: it is the extreme eigenvalues of
     Z^T dG Z = M + M^T with M = Z_2^T X Z_1, X = delta_block(system, pert)
     and Z_1, Z_2 the upper and lower halves of Z.  Neither G - mu*J nor
@@ -546,9 +546,7 @@ def perturbation_constants(
             f"g = gram - shift*J is not certified positive definite: b = {b:.6g}"
         )
     n = system.n
-    z = report.eigenvectors / np.sqrt(
-        np.abs(report.signatures * (report.eigenvalues - system.shift))
-    )
+    z = report.eigenvectors / np.sqrt(np.abs(report.signatures * report.offsets))
     m = z[n:].T @ (delta_block(system, pert) @ z[:n])
     w = np.linalg.eigvalsh(m + m.T)
     k_exact = (float(w[0]), float(w[-1]))
@@ -585,24 +583,86 @@ def perturbation_constants(
 
 
 # ---------------------------------------------------------------------------
-# per-eigenvalue intervals and verification
+# the bounds table and verification
 
 
-def eigenvalue_interval_bounds(report: SpectrumReport, kappa: float):
-    """Two-sided interval for each eigenvalue under |dg| <= kappa g.
+@dataclass(frozen=True)
+class BoundsReport:
+    """Every statement for one (model, dV, shift): b, alpha, kappa, intervals.
 
-    Works in the shifted frame: for s = lam - mu the perturbed partner
-    stays within mu + [s (1-kappa), s (1+kappa)] (endpoints ordered per
-    the sign of s).  Returns an (2n, 2) array of (lo, hi) rows aligned
-    with report.eigenvalues.
+    ``system`` is the model assembled at the shift, ``spectrum`` its
+    spectrum, ``perturbation`` the potential change, ``alpha`` the
+    guaranteed half-width of the central gap (gap_bound) and ``bundle``
+    every kappa constant.  The gap inclusion intervals and the norms
+    they need are derived by rows() alone.
     """
-    if not 0.0 <= kappa < 1.0:
-        raise KappaOutOfRange(f"kappa = {kappa} must lie in [0, 1)")
-    lam = np.real(report.eigenvalues)
-    s = lam - report.shift
-    left = report.shift + s * (1.0 - kappa)
-    right = report.shift + s * (1.0 + kappa)
-    return np.stack([np.minimum(left, right), np.maximum(left, right)], axis=1)
+
+    system: KleinGordonSystem = field(repr=False)
+    spectrum: SpectrumReport = field(repr=False)
+    perturbation: PerturbationSpec = field(repr=False)
+    alpha: float
+    bundle: KappaBundle
+
+    def rows(self):
+        """The ordered (key, value, extra) rows of every statement.
+
+        A scalar row holds its value and extra None; a bundle constant
+        holds its applicable flag in extra; an interval (central_gap and
+        interval_*) holds its ends in value and extra, both None when no
+        interval is certified.  The plain and improved intervals shrink
+        the central gap in the shifted frame by kappa_exact; the uniform
+        one moves both ends inward by ||dG|| ||J1||, dG the gram increment
+        (perturbation_norm).
+        """
+        bundle, mu = self.bundle, self.system.shift
+        gap = self.spectrum.central_gap
+        shifted_gap = (gap[0] - mu, gap[1] - mu)
+        km, kp = bundle.kappa_exact
+        kappa = max(abs(km), abs(kp))
+        plain = improved = uniform = (None, None)
+        if kappa < 1.0 and not np.isinf(shifted_gap).any():
+            lo, hi = gap_inclusion(shifted_gap, kappa).predicted
+            plain = (lo + mu, hi + mu)
+        if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
+            lo, hi = improved_inclusion(shifted_gap, km, kp)
+            improved = (lo + mu, hi + mu)
+        s_norm = spectral_norm(delta_block(self.system, self.perturbation))
+        norm_j1 = sign_operator(self.spectrum).norm_j1
+        lo, hi = norm_bound_interval(gap, s_norm, norm_j1)
+        if lo < hi:
+            uniform = (lo, hi)
+        return [
+            ("contraction_b", bundle.b, None),
+            ("c_norm", bundle.c, None),
+            ("gap_alpha", self.alpha, None),
+            ("central_gap", *gap),
+            *bundle.entries(),
+            ("interval_plain", *plain),
+            ("interval_improved", *improved),
+            ("interval_uniform", *uniform),
+            ("perturbation_norm", s_norm, None),
+        ]
+
+
+def bounds_report(spec: ModelSpec, pert, shift: float = 0.0) -> BoundsReport:
+    """Assemble, solve and evaluate every constant for one (model, dV, shift).
+
+    Raises ContractionNotLessThanOne when b >= 1, before any spectrum is
+    solved; otherwise solves the spectrum once and reads the kappa
+    bundle off its pencil eigenvectors (perturbation_constants).
+    """
+    if not isinstance(pert, PerturbationSpec):
+        pert = PerturbationSpec(delta_v=pert)
+    system = assemble_system(spec, shift)
+    alpha = gap_bound(system)
+    spectrum = eigen_spectrum(system)
+    return BoundsReport(
+        system=system,
+        spectrum=spectrum,
+        perturbation=pert,
+        alpha=alpha,
+        bundle=perturbation_constants(system, pert, spectrum),
+    )
 
 
 @dataclass(frozen=True)
@@ -623,10 +683,10 @@ class VerificationReport:
     |lam'_k - lam_k| / |lam_k - mu|, with eigenvalues of both systems
     paired in ascending order (identical to the order convention whenever
     both spectra put the same count on each side of the shift).
-    ``eigenvectors`` / ``eigenvectors_perturbed`` are the H-frame
-    eigenvectors of the two spectra, column k belonging to the k-th
-    entry of ``eigenvalues`` / ``eigenvalues_perturbed`` (whose real
-    parts these are).
+    ``residuals`` / ``residuals_perturbed`` are the eigenpair backward
+    errors (spectral.eigenpair_residuals) of ``eigenvalues`` /
+    ``eigenvalues_perturbed``, the real parts of the two spectra, with
+    their computed eigenvectors under the model and the perturbed model.
     """
 
     shift: float
@@ -640,8 +700,8 @@ class VerificationReport:
     real_spectrum: bool
     real_spectrum_perturbed: bool
     side_counts_match: bool
-    eigenvectors: np.ndarray = field(repr=False)
-    eigenvectors_perturbed: np.ndarray = field(repr=False)
+    residuals: np.ndarray = field(repr=False)
+    residuals_perturbed: np.ndarray = field(repr=False)
 
 
 #: slack used only to keep pass/fail flags stable at exact equality
@@ -660,19 +720,17 @@ def _pair_check(name, pair, applicable, signed_devs):
 def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationReport:
     """Compare predicted bounds against the exactly computed spectra.
 
-    Assembles the system and its perturbation at the same shift, raises
-    ContractionNotLessThanOne before solving anything when b >= 1, solves
-    both spectra (general eigensolver with real parts when the
-    contraction passes one), pairs eigenvalues in ascending order and
-    evaluates each constant of the bundle as a pass/fail check.
+    Starts from bounds_report, so ContractionNotLessThanOne is raised
+    when b >= 1 before the perturbed model is built or anything is
+    solved.  Then solves the perturbed spectrum at the same shift
+    (general eigensolver with real parts when its contraction passes
+    one), pairs eigenvalues in ascending order and evaluates each
+    constant of the bundle as a pass/fail check.
     """
-    if not isinstance(pert, PerturbationSpec):
-        pert = PerturbationSpec(delta_v=pert)
-    system = assemble_system(spec, shift)
-    system_p = assemble_system(spec.perturbed(pert.delta_v), shift)
-    gap_bound(system)   # ContractionNotLessThanOne before any spectrum is solved
-    rep = eigen_spectrum(system)
-    rep_p = eigen_spectrum(system_p)
+    base = bounds_report(spec, pert, shift)
+    rep, bundle = base.spectrum, base.bundle
+    spec_p = spec.perturbed(base.perturbation.delta_v)
+    rep_p = eigen_spectrum(assemble_system(spec_p, shift))
 
     lam = np.sort(np.real(rep.eigenvalues))
     lam_p = np.sort(np.real(rep_p.eigenvalues))
@@ -692,7 +750,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     devs = np.abs(signed)
     max_dev = float(devs.max(initial=0.0))
 
-    bundle = perturbation_constants(system, pert, rep)
     checks = []
     for name in _SCALAR_KAPPAS:
         value = getattr(bundle, name)
@@ -722,6 +779,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         real_spectrum=rep.is_real_spectrum,
         real_spectrum_perturbed=rep_p.is_real_spectrum,
         side_counts_match=side_match,
-        eigenvectors=rep.eigenvectors,
-        eigenvectors_perturbed=rep_p.eigenvectors,
+        residuals=eigenpair_residuals(spec, lam, rep.eigenvectors),
+        residuals_perturbed=eigenpair_residuals(spec_p, lam_p, rep_p.eigenvectors),
     )

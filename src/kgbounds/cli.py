@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 parse failure (bad arguments or model file),
 3 validation failure (structurally bad matrix data), 4 solver failure.
+Each command resolves its arguments into a model, a shift and, for
+bounds and verify, a perturbation, calls the library once and renders
+what it returns: ``kg bounds`` writes the rows of bounds.BoundsReport,
+as CSV or, with ``--format report``, as one aligned text line per row
+under a model/shift header.
 The residual columns (``pencil_residual`` of spectrum, ``residual_max``
 of sweep) hold eigenpair backward errors ||Q(lam) x|| / ||x|| of
 Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE.
@@ -16,22 +21,12 @@ import contextlib
 import csv
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .bounds import (
-    PerturbationSpec,
-    delta_block,
-    gap_bound,
-    gap_inclusion,
-    improved_inclusion,
-    norm_bound_interval,
-    perturbation_constants,
-    verify_bounds,
-)
+from .bounds import PerturbationSpec, bounds_report, verify_bounds
 from .core import ModelSpec, assemble_system, optimize_shift, spectral_norm
 from .exceptions import KGError, ParseError, ValidationError
 from .models import (
@@ -41,7 +36,7 @@ from .models import (
     random_perturbation,
     square_well_model,
 )
-from .spectral import central_gap, eigen_spectrum, eigenpair_residuals, sign_operator
+from .spectral import eigen_spectrum, eigenpair_residuals
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,25 +51,6 @@ RESIDUAL_GATE = 1e-6
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command configuration: one model source, one shift policy."""
-
-    command: str
-    spec: ModelSpec | None
-    tau: float | None
-    shift: float
-    eta: float | None
-    seed: int
-    out: str | None
-    fmt: str
-    sweep_range: tuple | None
-    steps: int
-    which: str | None
-    grid_points: int
-    half_width: float
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -148,26 +124,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _resolve_model(args) -> tuple:
+def _resolve(args) -> tuple:
+    """(spec, tau, shift): the one model source and the shift policy.
+
+    ``tau`` is the square-well coupling, None for other models.
+    """
     sources = [args.model is not None, args.tau is not None, args.alpha is not None]
     if sum(sources) != 1:
         raise ParseError(
             "exactly one model source is required: --model, --tau or --alpha"
         )
+    tau = args.tau
     if args.model is not None:
-        return load_model(args.model), None
-    if args.tau is not None:
-        return square_well_model(args.tau), args.tau
-    params = HarmonicParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        grid_points=args.grid_points,
-        half_width=args.half_width,
-    )
-    return harmonic_model(params), None
+        spec = load_model(args.model)
+    elif tau is not None:
+        spec = square_well_model(tau)
+    else:
+        params = HarmonicParams(
+            alpha=args.alpha,
+            beta=args.beta,
+            grid_points=args.grid_points,
+            half_width=args.half_width,
+        )
+        spec = harmonic_model(params)
 
-
-def _resolve_shift(args, spec: ModelSpec, tau) -> float:
     chosen = [
         args.shift is not None,
         bool(args.optimize_shift),
@@ -176,66 +156,23 @@ def _resolve_shift(args, spec: ModelSpec, tau) -> float:
     if sum(chosen) > 1:
         raise ParseError("choose at most one of --shift, --optimize-shift, --paper-shift")
     if args.shift is not None:
-        return args.shift
-    if args.optimize_shift:
-        return optimize_shift(spec)[0]
-    if args.paper_shift:
+        shift = args.shift
+    elif args.optimize_shift:
+        shift = optimize_shift(spec)[0]
+    elif args.paper_shift:
         if tau is None:
             raise ValidationError("--paper-shift requires a square well model (--tau)")
-        return -tau / 2.0
-    return 0.0
+        shift = -tau / 2.0
+    else:
+        shift = 0.0
+    return spec, tau, shift
 
 
-def _resolve_config(args) -> RunConfig:
-    if args.command == "reproduce":
-        return RunConfig(
-            command="reproduce",
-            spec=None,
-            tau=None,
-            shift=0.0,
-            eta=None,
-            seed=0,
-            out=args.out,
-            fmt="report",
-            sweep_range=None,
-            steps=0,
-            which=args.which,
-            grid_points=args.grid_points,
-            half_width=args.half_width,
-        )
-    spec, tau = _resolve_model(args)
-    shift = _resolve_shift(args, spec, tau)
-    sweep_range = None
-    if getattr(args, "sweep_range", None) is not None:
-        try:
-            lo, hi = args.sweep_range.split(":")
-            sweep_range = (float(lo), float(hi))
-        except ValueError as exc:
-            raise ParseError(
-                f"--sweep-range must look like a:b, got {args.sweep_range!r}"
-            ) from exc
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        tau=tau,
-        shift=shift,
-        eta=getattr(args, "eta", None),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        fmt=getattr(args, "fmt", "csv"),
-        sweep_range=sweep_range,
-        steps=getattr(args, "steps", 0),
-        which=None,
-        grid_points=args.grid_points,
-        half_width=args.half_width,
-    )
-
-
-def _perturbation(config: RunConfig) -> PerturbationSpec:
-    if config.tau is not None:
+def _perturbation(args, spec: ModelSpec, tau) -> PerturbationSpec:
+    if tau is not None:
         # deepened-well convention: the perturbed coupling is tau + eta
-        return PerturbationSpec(delta_v=np.diag([-config.eta, 0.0]))
-    return random_perturbation(config.spec.order, config.eta, config.seed)
+        return PerturbationSpec(delta_v=np.diag([-args.eta, 0.0]))
+    return random_perturbation(spec.order, args.eta, args.seed)
 
 
 def _write_text(out, text: str):
@@ -286,108 +223,64 @@ def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    system = assemble_system(config.spec, config.shift)
-    report = eigen_spectrum(system)
+def cmd_spectrum(args) -> int:
+    spec, _, shift = _resolve(args)
+    report = eigen_spectrum(assemble_system(spec, shift))
     lams = report.eigenvalues
-    resids = eigenpair_residuals(config.spec, lams, report.eigenvectors)
+    resids = eigenpair_residuals(spec, lams, report.eigenvectors)
     rows = (
         [k, _fmt(np.real(lam)), _fmt(np.imag(lam)), report.sign_types[k], _fmt(r)]
         for k, (lam, r) in enumerate(zip(lams, resids))
     )
     _write_csv(
-        config.out,
+        args.out,
         ["index", "eigenvalue_re", "eigenvalue_im", "sign_type", "pencil_residual"],
         rows,
     )
     checks = ((k, lam, r, 1.0, "") for k, (lam, r) in enumerate(zip(lams, resids)))
-    return _gate_exit(config.spec, "index", checks)
+    return _gate_exit(spec, "index", checks)
 
 
-def _bounds_payload(config: RunConfig):
-    system = assemble_system(config.spec, config.shift)
-    pert = _perturbation(config)
-    alpha = gap_bound(system)   # ContractionNotLessThanOne before any solve
-    report = eigen_spectrum(system)
-    bundle = perturbation_constants(system, pert, report)
-    gap = central_gap(report, config.shift)
-    mu = config.shift
-
-    shifted_gap = (gap[0] - mu, gap[1] - mu)
-    km, kp = bundle.kappa_exact
-    kappa = max(abs(km), abs(kp))
-    plain = improved = None
-    if kappa < 1.0 and not np.isinf(shifted_gap).any():
-        inc = gap_inclusion(shifted_gap, kappa)
-        plain = (inc.predicted[0] + mu, inc.predicted[1] + mu)
-    if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
-        lo, hi = improved_inclusion(shifted_gap, km, kp)
-        improved = (lo + mu, hi + mu)
-    s_norm = spectral_norm(delta_block(system, pert))   # = ||dG||
-    uniform_raw = norm_bound_interval(gap, s_norm, sign_operator(report).norm_j1)
-    uniform = uniform_raw if uniform_raw[0] < uniform_raw[1] else None
-    return system, bundle, alpha, gap, plain, improved, uniform, s_norm
+def _csv_cell(x) -> str:
+    """A bounds row cell: empty when absent, True/False for a flag."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, (bool, np.bool_)) else _fmt(x)
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    system, bundle, alpha, gap, plain, improved, uniform, s_norm = _bounds_payload(
-        config
-    )
+def _report_cell(x) -> str:
+    """A bounds row cell of the text report: 7 significant digits, '-' when absent."""
+    if x is None:
+        return "-"
+    return str(x) if isinstance(x, (bool, np.bool_)) else f"{x: .6e}"
 
-    if config.fmt == "csv":
 
-        def pair_str(pair):
-            return ("", "") if pair is None else (_fmt(pair[0]), _fmt(pair[1]))
-
-        rows = [
-            ["contraction_b", _fmt(bundle.b), ""],
-            ["c_norm", _fmt(bundle.c), ""],
-            ["gap_alpha", _fmt(alpha), ""],
-            ["central_gap", *pair_str(gap)],
-        ]
-        rows += [[key, _fmt(value), ok] for key, value, ok in bundle.entries()]
-        rows += [
-            ["interval_plain", *pair_str(plain)],
-            ["interval_improved", *pair_str(improved)],
-            ["interval_uniform", *pair_str(uniform)],
-            ["perturbation_norm", _fmt(s_norm), ""],
-        ]
-        _write_csv(config.out, ["key", "value", "extra"], rows)
+def cmd_bounds(args) -> int:
+    spec, tau, shift = _resolve(args)
+    rows = bounds_report(spec, _perturbation(args, spec, tau), shift).rows()
+    if args.fmt == "csv":
+        _write_csv(
+            args.out,
+            ["key", "value", "extra"],
+            ([key, _csv_cell(value), _csv_cell(extra)] for key, value, extra in rows),
+        )
     else:
         lines = [
-            f"model: {config.spec.label or '(explicit matrices)'}",
-            f"shift mu = {config.shift:.17g}",
-            f"contraction b = {bundle.b:.6f}, c = ||dV U^-1|| = {bundle.c:.6f}",
-            f"guaranteed gap half-width alpha = {alpha:.6f}",
-            f"central gap of H: ({gap[0]:.6f}, {gap[1]:.6f})",
-            "",
-            "relative perturbation constants (value, applicable):",
+            f"model: {spec.label or '(explicit matrices)'}",
+            f"shift mu = {shift:.17g}",
         ]
         lines += [
-            f"  {key:<18} {value: .6e}  {ok}" for key, value, ok in bundle.entries()
+            f"  {key:<18} {_report_cell(value):>13}  {_report_cell(extra)}"
+            for key, value, extra in rows
         ]
-        lines += [
-            "",
-            "intervals certified free of perturbed spectrum:",
-            f"  plain:    {plain}",
-            f"  improved: {improved}",
-            f"  uniform:  {uniform}   (perturbation norm {s_norm:.6e})",
-        ]
-        _write_text(config.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    pert = _perturbation(config)
-    report = verify_bounds(config.spec, pert, config.shift)
-    resids = eigenpair_residuals(
-        config.spec, report.eigenvalues, report.eigenvectors
-    )
-    resids_p = eigenpair_residuals(
-        config.spec.perturbed(pert.delta_v),
-        report.eigenvalues_perturbed,
-        report.eigenvectors_perturbed,
-    )
+def cmd_verify(args) -> int:
+    spec, tau, shift = _resolve(args)
+    report = verify_bounds(spec, _perturbation(args, spec, tau), shift)
+    resids, resids_p = report.residuals, report.residuals_perturbed
     # the emitted values are real parts; on a non-real spectrum their
     # residuals fail the gate, and the message names that cause
     cause = "" if report.real_spectrum else "the spectrum is not real"
@@ -428,7 +321,7 @@ def cmd_verify(config: RunConfig) -> int:
             ["bound", check.name, "", "", "", value, check.applicable, check.passed]
         )
     _write_csv(
-        config.out,
+        args.out,
         [
             "row_type",
             "key",
@@ -441,14 +334,19 @@ def cmd_verify(config: RunConfig) -> int:
         ],
         rows,
     )
-    return _gate_exit(config.spec, "index", checks)
+    return _gate_exit(spec, "index", checks)
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    lo, hi = config.sweep_range
-    result = harness.sweep_potential(
-        config.spec, lo, hi, config.steps, shift=config.shift
-    )
+def cmd_sweep(args) -> int:
+    spec, _, shift = _resolve(args)
+    try:
+        lo, hi = args.sweep_range.split(":")
+        lo, hi = float(lo), float(hi)
+    except ValueError as exc:
+        raise ParseError(
+            f"--sweep-range must look like a:b, got {args.sweep_range!r}"
+        ) from exc
+    result = harness.sweep_potential(spec, lo, hi, args.steps, shift=shift)
     two_n = result.eigenvalues.shape[1]
     header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
     for k in range(two_n):
@@ -470,7 +368,7 @@ def cmd_sweep(config: RunConfig) -> int:
         critical = "" if result.critical_value is None else _fmt(result.critical_value)
         yield ["critical", critical, "", "", ""] + [""] * (2 * two_n)
 
-    _write_csv(config.out, header, rows())
+    _write_csv(args.out, header, rows())
     # every eigenvalue against its own gate, for the potential t * V
     checks = (
         (t, lam, r, t, "")
@@ -479,13 +377,13 @@ def cmd_sweep(config: RunConfig) -> int:
         )
         for lam, r in zip(eigs, resids)
     )
-    return _gate_exit(config.spec, "sweep parameter", checks)
+    return _gate_exit(spec, "sweep parameter", checks)
 
 
-def cmd_reproduce(config: RunConfig) -> int:
-    out_dir = Path(config.out)
+def cmd_reproduce(args) -> int:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.which == "example2":
+    if args.which == "example2":
         result = harness.example2_tables()
         rows_true, rows_bound = [], []
         for i, tau in enumerate(result.taus):
@@ -506,7 +404,7 @@ def cmd_reproduce(config: RunConfig) -> int:
         return EXIT_OK
 
     result = harness.example1_table(
-        grid_points=config.grid_points, half_width=config.half_width
+        grid_points=args.grid_points, half_width=args.half_width
     )
     rows = [
         [
@@ -555,8 +453,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

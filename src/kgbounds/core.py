@@ -352,6 +352,9 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 #: sqrt(machine epsilon): a smooth minimum is resolved to this relative width
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
+#: absolute part of the width to which optimize_shift resolves its minimizer
+SHIFT_TOL = 1e-10
+
 
 def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
     """A minimizer of f on [lo, hi] by Brent's method.
@@ -412,7 +415,7 @@ def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
                 v, fv = u, fu
 
 
-def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
+def optimize_shift(spec: ModelSpec):
     """Minimize mu -> b(mu) = ||(V - mu) U^(-1)|| by Brent's method.
 
     With Bk = U^(-1) V^k U^(-1), formed once,
@@ -423,7 +426,7 @@ def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
     matrix.  b is the norm of an affine matrix function of mu, hence
     convex, and so is b^2; Brent's method on the bracket
     [min eig V - ||U||, max eig V + ||U||] converges to its minimizer
-    within tol plus sqrt(eps) relative.  Returns (shift, contraction),
+    within SHIFT_TOL plus sqrt(eps) relative.  Returns (shift, contraction),
     the contraction taken by spectral_norm at that shift.
     """
     u_inv = spec.u_power(-1)
@@ -439,5 +442,5 @@ def optimize_shift(spec: ModelSpec, tol: float = 1e-10):
 
     lo = float(v_eigs[0]) - u_norm
     hi = float(v_eigs[-1]) + u_norm
-    mu = _brent_minimize(b_squared, lo, hi, tol)
+    mu = _brent_minimize(b_squared, lo, hi, SHIFT_TOL)
     return mu, spectral_norm(v_u_inv - mu * u_inv)

@@ -33,11 +33,6 @@ class ContractionNotLessThanOne(KGError):
     """Raised when an operation requires the contraction bound b < 1."""
 
 
-class NonRealSpectrum(KGError):
-    """Raised when an operation requires a real spectrum but the computed
-    spectrum has non-negligible imaginary parts."""
-
-
 class KappaOutOfRange(KGError):
     """Raised when a relative perturbation constant is outside [0, 1)."""
 

@@ -51,6 +51,14 @@ __all__ = [
 EXAMPLE2_TAUS = (0.0, 1.0, 1.7)
 EXAMPLE2_ETAS = (0.001, 0.1, 0.3)
 
+#: the oscillator table: field strengths, mass offsets and modes
+EXAMPLE1_ALPHAS = (0.0, 0.3, 0.6)
+EXAMPLE1_BETAS = (0.0, 1.0)
+EXAMPLE1_MODES = (0, 1, 2)
+#: the sensitivity study perturbs alpha = SENSITIVITY_ALPHA by SENSITIVITY_EPS
+SENSITIVITY_ALPHA = 0.5
+SENSITIVITY_EPS = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # example 2: the 2 x 2 well
@@ -69,14 +77,15 @@ class Example2Result:
     reports: tuple = field(repr=False, default=())
 
 
-def example2_tables(taus=EXAMPLE2_TAUS, etas=EXAMPLE2_ETAS) -> Example2Result:
+def example2_tables() -> Example2Result:
     """Reproduce the well tables: max shifted relative deviations and bounds.
 
-    For each (tau, eta) the well is deepened, V' = V - diag(eta, 0), the
-    shift is mu = -tau/2, and the tabulated entry is
-    max_k |lam'_k - lam_k| / |lam_k + tau/2| over ascending pairing.  The
-    bound entry is eta / (1 - tau/2).
+    For each (tau, eta) of EXAMPLE2_TAUS x EXAMPLE2_ETAS the well is
+    deepened, V' = V - diag(eta, 0), the shift is mu = -tau/2, and the
+    tabulated entry is max_k |lam'_k - lam_k| / |lam_k + tau/2| over
+    ascending pairing.  The bound entry is eta / (1 - tau/2).
     """
+    taus, etas = EXAMPLE2_TAUS, EXAMPLE2_ETAS
     true_table = np.zeros((len(taus), len(etas)))
     bound_table = np.zeros_like(true_table)
     reports = []
@@ -93,8 +102,8 @@ def example2_tables(taus=EXAMPLE2_TAUS, etas=EXAMPLE2_ETAS) -> Example2Result:
     norm_v_u_inv = spectral_norm(base.v @ base.u_power(-1))
     norm_v_u2_inv = spectral_norm(base.v @ base.u_power(-2))
     return Example2Result(
-        taus=tuple(taus),
-        etas=tuple(etas),
+        taus=taus,
+        etas=etas,
         true_distances=true_table,
         bounds=bound_table,
         norm_v_u_inv=norm_v_u_inv,
@@ -201,32 +210,26 @@ def _discrete_extremes(alpha, beta, grid_points, half_width, modes):
     return spec, system, [(float(pos[m]), float(neg[m])) for m in modes]
 
 
-def example1_table(
-    alphas=(0.0, 0.3, 0.6),
-    betas=(0.0, 1.0),
-    modes=(0, 1, 2),
-    grid_points=1000,
-    half_width=12.0,
-    sensitivity_alpha=0.5,
-    sensitivity_eps=1e-4,
-) -> Example1Result:
+def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
     """Discretized oscillator eigenvalues against the closed form.
 
-    Also compares the first-order sensitivity of the lowest positive
-    eigenvalue under alpha -> alpha + eps: the finite difference on the
-    closed form, the finite difference on the discretized model, the
-    predicted logarithmic derivative, and the certified bound
-    eps / (1 - alpha).
+    Tabulates EXAMPLE1_MODES for every (alpha, beta) of EXAMPLE1_ALPHAS x
+    EXAMPLE1_BETAS.  Also compares the first-order sensitivity of the
+    lowest positive eigenvalue under alpha -> alpha + eps, at
+    alpha = SENSITIVITY_ALPHA and eps = SENSITIVITY_EPS: the finite
+    difference on the closed form, the finite difference on the
+    discretized model, the predicted logarithmic derivative, and the
+    certified bound eps / (1 - alpha).
     """
     rows = []
     contraction = {}
-    for alpha in alphas:
-        for beta in betas:
+    for alpha in EXAMPLE1_ALPHAS:
+        for beta in EXAMPLE1_BETAS:
             spec, system, pairs = _discrete_extremes(
-                alpha, beta, grid_points, half_width, modes
+                alpha, beta, grid_points, half_width, EXAMPLE1_MODES
             )
             contraction[(alpha, beta)] = system.contraction
-            for mode, (mu_p, mu_m) in zip(modes, pairs):
+            for mode, (mu_p, mu_m) in zip(EXAMPLE1_MODES, pairs):
                 ex_p, ex_m = exact_harmonic_eigs(alpha, beta, mode)
                 rows.append(
                     Example1Row(
@@ -242,7 +245,7 @@ def example1_table(
                     )
                 )
 
-    a0, eps = sensitivity_alpha, sensitivity_eps
+    a0, eps = SENSITIVITY_ALPHA, SENSITIVITY_EPS
     mu0 = exact_harmonic_eigs(a0, 0.0, 0)[0]
     mu1 = exact_harmonic_eigs(a0 + eps, 0.0, 0)[0]
     fd_exact = (mu1 - mu0) / (mu0 * eps)

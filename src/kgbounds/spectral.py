@@ -56,7 +56,7 @@ from .core import (
     shifted_potential,
     spectral_norm,
 )
-from .exceptions import NonRealSpectrum, NotPositiveDefinite
+from .exceptions import NotPositiveDefinite
 
 __all__ = [
     "SpectrumReport",
@@ -65,7 +65,6 @@ __all__ = [
     "eigen_spectrum",
     "similarity_eigensolve",
     "sign_operator",
-    "central_gap",
     "eigenpair_residuals",
     "pencil_residual",
 ]
@@ -86,15 +85,21 @@ class SpectrumReport:
 
     ``eigenvalues`` is sorted ascending (by real part when non-real) and
     aligned column-wise with ``eigenvectors`` (unit 2-norm columns).
+    ``offsets`` holds lam_k - mu as the solve produced it: 1/theta_k on
+    the pencil path, where mu + offsets rounds to ``eigenvalues``, and
+    eigenvalues - mu on the direct path.
     ``signatures`` holds s_k = (Jx_k, x_k) / (x_k, x_k) and ``sign_types``
     its class, 'positive' / 'negative' / 'neutral'.  ``positive_ordered``
     / ``negative_ordered`` list the eigenvalues right/left of the shift,
-    ordered away from it.
+    ordered away from it.  ``central_gap`` is (largest eigenvalue below
+    the shift, smallest above it), with -inf/+inf on an empty side; an
+    eigenvalue exactly at the shift belongs to neither side.
     ``witness`` is the first defective eigenvalue found, or None;
     ``defective`` says whether there is one.
     """
 
     eigenvalues: np.ndarray
+    offsets: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     sign_types: tuple
@@ -191,9 +196,10 @@ def _k_frame_eigensolve(spec: ModelSpec, shift: float):
 
     Factors -Q(shift) = U^2 - W W = M M^T, W = V - shift*I, solves the
     standard symmetric C y = theta y (see the module docstring) and
-    returns (eigenvalues ascending, unit H-frame eigenvectors).  Raises
-    NotPositiveDefinite when the Cholesky factorization fails.  Only
-    the lower triangles of -Q(shift), W and C are read.
+    returns (the offsets lam - shift = 1/theta ascending, unit H-frame
+    eigenvectors).  Raises NotPositiveDefinite when the Cholesky
+    factorization fails.  Only the lower triangles of -Q(shift), W and C
+    are read.
     """
     n = spec.order
     w = shifted_potential(spec, shift)
@@ -210,15 +216,16 @@ def _k_frame_eigensolve(spec: ModelSpec, shift: float):
     c[:n, :n] *= -2.0
     c[n:, :n] = m_inv.T
     theta, y = np.linalg.eigh(c)
-    order = np.argsort(1.0 / theta)
-    theta, y = theta[order], y[:, order]
+    offsets = 1.0 / theta
+    order = np.argsort(offsets)
+    offsets, y = offsets[order], y[:, order]
     x = blas.dtrmm(1.0, m_inv, y[:n], lower=1, trans_a=1)   # M^(-T) y_1
     lam_minus_v_x = y[n:] - w @ x                         # (lam - V) x
     vecs = np.concatenate(
         [spec.u_power(0.5) @ x, spec.u_power(-0.5) @ lam_minus_v_x]
     )
     vecs /= np.linalg.norm(vecs, axis=0)
-    return shift + 1.0 / theta, vecs
+    return offsets, vecs
 
 
 def _classify(eigenvalues, eigenvectors, shift):
@@ -286,7 +293,8 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     is_real = True
     if _certified_definite(system):
         try:
-            lam, vecs = _k_frame_eigensolve(system.spec, mu)
+            offsets, vecs = _k_frame_eigensolve(system.spec, mu)
+            lam = mu + offsets
             path = "similarity"
         except NotPositiveDefinite:
             pass
@@ -300,6 +308,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         scale = _ham_scale(h)
         is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * scale)
         lam = lam_c.real if is_real else lam_c
+        offsets = lam - mu
 
     signatures, signs, pos, neg, gap = _classify(lam, vecs, mu)
 
@@ -317,6 +326,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
 
     return SpectrumReport(
         eigenvalues=lam,
+        offsets=offsets,
         eigenvectors=vecs,
         signatures=signatures,
         sign_types=signs,
@@ -349,25 +359,6 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
         )
     y = report.eigenvectors / np.sqrt(np.abs(report.signatures))
     return SignOperator(y=y, norm_j1=spectral_norm(y) ** 2)
-
-
-def central_gap(report: SpectrumReport, shift: float):
-    """The open interval around the shift free of spectrum.
-
-    Returns (largest eigenvalue < shift, smallest eigenvalue > shift),
-    with -inf/+inf on an empty side.  Eigenvalues exactly at the shift
-    belong to neither side.  Requires a real spectrum.
-    """
-    if not report.is_real_spectrum:
-        raise NonRealSpectrum(
-            "central gap is undefined: the computed spectrum has non-real pairs"
-        )
-    lam = np.real(report.eigenvalues)
-    below = lam[lam < shift]
-    above = lam[lam > shift]
-    lo = float(below.max()) if below.size else -np.inf
-    hi = float(above.min()) if above.size else np.inf
-    return lo, hi
 
 
 def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):

@@ -12,7 +12,6 @@ from kgbounds import (
     PerturbationSpec,
     assemble_system,
     block_structure_analysis,
-    central_gap,
     contraction_bound,
     delta_gram,
     eigen_spectrum,

@@ -15,10 +15,8 @@ from kgbounds import (
     analyze_perturbation,
     assemble_system,
     block_structure_analysis,
-    central_gap,
     delta_gram,
     eigen_spectrum,
-    eigenvalue_interval_bounds,
     exact_kappa_pm,
     gap_bound,
     gap_inclusion,
@@ -268,7 +266,7 @@ class TestNormBoundInterval:
         spec = square_well_model(1.0)
         system = assemble_system(spec, -0.5)
         report = eigen_spectrum(system)
-        gap = central_gap(report, -0.5)
+        gap = report.central_gap
         nj1 = sign_operator(report).norm_j1
         lo, hi = norm_bound_interval(gap, 0.1, nj1)
         report_p = eigen_spectrum(
@@ -284,7 +282,7 @@ class TestNormBoundInterval:
             spec, dv = random_model_and_perturbation(rng)
             system = assemble_system(spec, 0.0)
             report = eigen_spectrum(system)
-            gap = central_gap(report, 0.0)
+            gap = report.central_gap
             a = spectral_norm(delta_gram(system, PerturbationSpec(delta_v=dv)))
             lo, hi = norm_bound_interval(gap, a, sign_operator(report).norm_j1)
             if lo >= hi:
@@ -468,7 +466,7 @@ class TestPerturbationConstants:
             near = constants_of(assemble_system(spec, 0.0), dv).kappa_exact
             far_spec = spec.with_potential(spec.v + v0 * np.eye(spec.order), "far")
             far = constants_of(assemble_system(far_spec, v0), dv).kappa_exact
-            tol = (1e-15 * v0 + 1e-13) * max(abs(near[0]), abs(near[1]))
+            tol = (1e-16 * v0 + 2e-13) * max(abs(near[0]), abs(near[1]))
             assert abs(far[0] - near[0]) <= tol and abs(far[1] - near[1]) <= tol
 
     def test_uncertified_system_rejected(self):
@@ -487,41 +485,12 @@ class TestPerturbationConstants:
 
 
 class TestEigenvalueIntervals:
-    def test_degenerate_at_zero_kappa(self):
-        report = eigen_spectrum(assemble_system(square_well_model(1.0), -0.5))
-        intervals = eigenvalue_interval_bounds(report, 0.0)
-        np.testing.assert_allclose(intervals[:, 0], report.eigenvalues)
-        np.testing.assert_allclose(intervals[:, 1], report.eigenvalues)
-
     def test_table_cell_tau_zero(self):
         spec = square_well_model(0.0)
-        report = eigen_spectrum(assemble_system(spec, 0.0))
-        intervals = eigenvalue_interval_bounds(report, 0.001)
-        k = int(np.argmin(np.abs(report.eigenvalues - 1.0)))
-        np.testing.assert_allclose(intervals[k], (0.999, 1.001), atol=1e-12)
         vr = verify_bounds(spec, np.diag([-0.001, 0.0]), 0.0)
         lam_p = vr.eigenvalues_perturbed[np.argmin(np.abs(vr.eigenvalues - 1.0))]
         assert 0.999 <= lam_p <= 1.001
         assert f"{vr.max_deviation:.4e}" == "5.0037e-04"
-
-    def test_random_spec_containment(self):
-        rng = np.random.Generator(np.random.PCG64(22))
-        for _ in range(20):
-            spec, dv = random_model_and_perturbation(rng)
-            system = assemble_system(spec, 0.0)
-            report = eigen_spectrum(system)
-            km, kp = exact_kappa_pm(
-                shifted_gram(system.gram, system.shift),
-                delta_gram(system, PerturbationSpec(delta_v=dv)),
-            )
-            kappa = max(abs(km), abs(kp))
-            intervals = eigenvalue_interval_bounds(report, kappa)
-            lam_p = np.sort(
-                np.real(eigen_spectrum(assemble_system(spec.perturbed(dv), 0.0)).eigenvalues)
-            )
-            order = np.argsort(np.real(report.eigenvalues))
-            for (lo, hi), lp in zip(intervals[order], lam_p):
-                assert lo - 1e-10 <= lp <= hi + 1e-10
 
 
 class TestVerifyBounds:

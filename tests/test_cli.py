@@ -132,6 +132,21 @@ class TestVerifyCommand:
         ), err
         assert err.rstrip().endswith("(the perturbed spectrum is not real)"), err
 
+    def test_perturbed_model_built_once(self, monkeypatch, capsys):
+        # verify_bounds builds the perturbed spec once and the residual
+        # gate reads the residuals it computed there
+        built = []
+        perturbed = ModelSpec.perturbed
+
+        def spy(self, delta_v):
+            built.append(1)
+            return perturbed(self, delta_v)
+
+        monkeypatch.setattr(ModelSpec, "perturbed", spy)
+        args = ["verify", "--alpha", "0.3", "--grid-points", "20", "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert built == [1]
+
     def test_random_perturbation_on_oscillator(self, tmp_path):
         args = [
             "verify",
@@ -222,23 +237,26 @@ class TestBoundsCommand:
     def test_contraction_rejected_before_any_solve(
         self, command, monkeypatch, capsys
     ):
-        calls = []
-        solve = spectral.eigen_spectrum
+        # b >= 1 is caught on the model's own system: the perturbed model
+        # is never assembled and no spectrum is solved
+        calls = {"eigen_spectrum": [], "assemble_system": []}
+        for attr, fn in [
+            ("eigen_spectrum", spectral.eigen_spectrum),
+            ("assemble_system", core.assemble_system),
+        ]:
 
-        def count(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+            def count(*args, attr=attr, fn=fn, **kwargs):
+                calls[attr].append(1)
+                return fn(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("kgbounds") and getattr(
-                module, "eigen_spectrum", None
-            ) is solve:
-                monkeypatch.setattr(module, "eigen_spectrum", count)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("kgbounds") and getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, count)
         args = [command, "--tau", "2.5", "--eta", "0.1", "--shift", "-1.25"]
         assert main(args) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert re.fullmatch(r"solver error: contraction b = \S+ is not < 1\n", err), err
-        assert calls == []
+        assert calls == {"eigen_spectrum": [], "assemble_system": [1]}
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     @pytest.mark.parametrize("shift", [[], ["--optimize-shift"]])
@@ -269,11 +287,36 @@ class TestBoundsCommand:
             ["bounds", "--tau", "1", "--eta", "0.1", "--paper-shift", "--format", "report"]
         )
         assert code == EXIT_OK
-        text = capsys.readouterr().out
-        assert "kappa_general" in text and "intervals" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["model: square_well(tau=1)", "shift mu = -0.5"]
+        rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+        assert "kappa_general" in rows and "interval_uniform" in rows
         # the table-style constant eta/(1 - tau/2) = 0.2 and alpha = 1/2
-        assert "2.000000e-01" in text
-        assert "alpha = 0.500000" in text
+        assert rows["kappa_norm_product"] == ["2.000000e-01", "True"]
+        assert rows["gap_alpha"][0] == "5.000000e-01"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--tau", "1", "--paper-shift", "--eta", "0.1"],
+            ["--alpha", "0.3", "--grid-points", "30", "--eta", "1e-3", "--seed", "4"],
+        ],
+    )
+    def test_report_renders_the_csv_rows(self, source, capsys):
+        # one list of rows: the report has the CSV's keys in the CSV's
+        # order, and each of its numbers is the CSV value rounded
+        assert main(["bounds", *source]) == EXIT_OK
+        csv_rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert main(["bounds", *source, "--format", "report"]) == EXIT_OK
+        report = capsys.readouterr().out.splitlines()
+        report_rows = [line.split() for line in report[2:]]
+        assert [r[0] for r in report_rows] == [r[0] for r in csv_rows]
+        for (key, *cells), (_, *printed) in zip(csv_rows, report_rows):
+            for cell, shown in zip(cells, printed):
+                if cell in ("", "True", "False"):
+                    assert shown == (cell or "-"), key
+                else:
+                    assert shown == f"{float(cell):.6e}", key
 
     def test_disjoint_pair_reported(self, tmp_path):
         # V = 0 keeps the mixed product zero for any perturbation, so the

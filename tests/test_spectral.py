@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from kgbounds import (
     HarmonicParams,
     ModelSpec,
-    NonRealSpectrum,
     NotPositiveDefinite,
     apply_j,
     assemble_system,
-    central_gap,
     eigen_spectrum,
     eigenpair_residuals,
     gap_bound,
@@ -266,28 +264,23 @@ class TestSignOperator:
 class TestCentralGap:
     def test_free_case(self):
         report = eigen_spectrum(assemble_system(free_spec([1.0, 3.0]), 0.0))
-        np.testing.assert_allclose(central_gap(report, 0.0), (-1.0, 1.0), atol=1e-12)
+        np.testing.assert_allclose(report.central_gap, (-1.0, 1.0), atol=1e-12)
 
     def test_square_well_contains_guaranteed_interval(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         report = eigen_spectrum(system)
-        lo, hi = central_gap(report, -0.5)
+        lo, hi = report.central_gap
         alpha = gap_bound(system)  # (1 - 1/2) * 1 = 1/2
         assert abs(alpha - 0.5) <= 1e-12
         assert lo <= -0.5 - alpha + 1e-12 and -0.5 + alpha - 1e-12 <= hi
         assert hi - lo >= 2.0 * alpha - 1e-12
 
     def test_empty_side_gives_infinity(self):
-        report = eigen_spectrum(assemble_system(free_spec([1.0]), 0.0))
-        lo, hi = central_gap(report, 5.0)  # all eigenvalues below the shift
-        assert lo == 1.0 and hi == np.inf
-        lo, hi = central_gap(report, -5.0)
-        assert lo == -np.inf and hi == -1.0
-
-    def test_nonreal_spectrum_rejected(self):
-        report = eigen_spectrum(assemble_system(square_well_model(2.2), 0.0))
-        with pytest.raises(NonRealSpectrum):
-            central_gap(report, 0.0)
+        # all eigenvalues below the shift, then all above it
+        report = eigen_spectrum(assemble_system(free_spec([1.0]), 5.0))
+        assert report.central_gap == (1.0, np.inf)
+        report = eigen_spectrum(assemble_system(free_spec([1.0]), -5.0))
+        assert report.central_gap == (-np.inf, -1.0)
 
 
 class TestPencilResidual:
