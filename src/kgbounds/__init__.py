@@ -2,7 +2,6 @@
 block Hamiltonians H = JG built from matrix data (U^2, V)."""
 
 from .bounds import (
-    BlockStructure,
     BoundsReport,
     GapInclusion,
     KappaBundle,
@@ -10,11 +9,9 @@ from .bounds import (
     PerturbationSpec,
     VerificationReport,
     analyze_perturbation,
-    block_structure_analysis,
     bounds_report,
     delta_block,
     delta_gram,
-    exact_kappa_pm,
     gap_bound,
     gap_inclusion,
     improved_inclusion,
@@ -33,12 +30,9 @@ from .core import (
     ModelSpec,
     apply_j,
     assemble_system,
-    contraction_bound,
-    j_matrix,
     operator_a,
     optimize_shift,
     spectral_norm,
-    sqrt_spd,
     symmetrize,
 )
 from .exceptions import (
@@ -48,6 +42,7 @@ from .exceptions import (
     KappaMinusNotAboveMinusOne,
     KappaOutOfRange,
     KGError,
+    NotCertified,
     NotPositiveDefinite,
     ParseError,
     ValidationError,
@@ -81,7 +76,6 @@ from .spectral import (
     eigenpair_residuals,
     pencil_residual,
     sign_operator,
-    similarity_eigensolve,
 )
 
 __version__ = "0.1.0"

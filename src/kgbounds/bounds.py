@@ -17,9 +17,11 @@ module evaluates every such constant that the block structure offers,
     kappa_signed    = asymmetric pair when V*dV is semidefinite
 
 together with the exact extremes (kappa_minus, kappa_plus) of dg/g, the
-sharpest pair and the brute-force check on all the formulas above.  The
-pencil eigenvectors Z of the spectrum, Z^T (G - mu*J) Z = I, diagonalize
-g, so the pair is the extreme eigenvalues of the congruence Z^T dG Z,
+sharpest pair and the brute-force check on all the formulas above.  In
+the frame K = [[U^2, V], [V, I]], congruent to G, the potential change
+is dK = [[0, dV], [dV, 0]], and the spectrum's K-frame pencil
+eigenvectors Z, Z^T (K - mu*J) Z = I, diagonalize g, so the pair is the
+extreme eigenvalues of the congruence Z^T dK Z: no root of U is taken,
 and the one n x n Cholesky factorization of U^2 - (V - mu)^2 behind the
 spectrum is the only one per (model, shift).  Then come the
 multiplicative rescaling that turns an asymmetric pair into the
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     KleinGordonSystem,
@@ -49,13 +50,12 @@ from .core import (
     check_symmetric,
     spectral_norm,
     symmetrize,
-    _spd_eig,
 )
 from .exceptions import (
     ContractionNotLessThanOne,
     KappaMinusNotAboveMinusOne,
     KappaOutOfRange,
-    NotPositiveDefinite,
+    NotCertified,
     ValidationError,
 )
 from .spectral import (
@@ -70,7 +70,6 @@ __all__ = [
     "KappaBundle",
     "KappaCheck",
     "GapInclusion",
-    "BlockStructure",
     "BoundsReport",
     "VerificationReport",
     "analyze_perturbation",
@@ -78,12 +77,10 @@ __all__ = [
     "delta_gram",
     "gap_bound",
     "perturbation_constants",
-    "exact_kappa_pm",
     "rescale_kappa",
     "gap_inclusion",
     "improved_inclusion",
     "norm_bound_interval",
-    "block_structure_analysis",
     "bounds_report",
     "verify_bounds",
     "kappa_general",
@@ -156,7 +153,8 @@ class PerturbationSpec:
     """A symmetric potential perturbation and its measured constants.
 
     ``c`` is ||dV U^(-1)||; ``nu`` the smallest factor with
-    ||dV psi|| <= nu ||V psi|| (absent when V is singular); ``disjoint``
+    ||dV psi|| <= nu ||V psi|| (absent when V is singular or dV V^(-1)
+    overflows); ``disjoint``
     whether the symmetrized product dV V + V dV vanishes; ``signed``
     'negative' / 'positive' when dA^T A + A^T dA is semidefinite of that
     sign.  Constructors that lack the matrices to measure against leave
@@ -218,7 +216,12 @@ def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
     delta_a = dv @ system.spec.u_power(-1)
     c = spectral_norm(delta_a)
     v_inv = _symmetric_inverse(system.spec.v)
-    nu = spectral_norm(dv @ v_inv) if v_inv is not None else None
+    dv_v_inv = dv @ v_inv if v_inv is not None else None
+    nu = (
+        spectral_norm(dv_v_inv)
+        if dv_v_inv is not None and np.isfinite(dv_v_inv).all()
+        else None
+    )
     signed, is_zero = _mixed_product_sign(
         system.a_matrix, delta_a, system.contraction, c
     )
@@ -325,24 +328,6 @@ def gap_bound(system: KleinGordonSystem) -> float:
     return (1.0 - system.contraction) * system.u_min()
 
 
-def exact_kappa_pm(g, delta_g):
-    """Extreme eigenvalues of the pencil dG x = lam G x (G positive definite).
-
-    Equivalently the extreme eigenvalues of G^(-1/2) dG G^(-1/2): the
-    exact range of dg(psi,psi) / g(psi,psi), hence the brute-force oracle
-    every closed-form constant must dominate.
-    """
-    g = check_symmetric(g, "g")
-    delta_g = check_symmetric(delta_g, "delta_g")
-    if g.shape != delta_g.shape:
-        raise ValidationError(
-            f"g has order {g.shape[0]} but delta_g has order {delta_g.shape[0]}"
-        )
-    _spd_eig(g, "g")
-    w = scipy.linalg.eigh(delta_g, g, eigvals_only=True)
-    return float(w[0]), float(w[-1])
-
-
 def rescale_kappa(kappa_minus: float, kappa_plus: float):
     """Optimal multiplicative shift for an asymmetric pair.
 
@@ -436,70 +421,6 @@ def norm_bound_interval(gap, a: float, norm_j1: float):
 
 
 # ---------------------------------------------------------------------------
-# block structure
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Constants from the block Cholesky factorization of [[I, A^T], [A, I]].
-
-    a_minus / a_plus bound the (1,1) block of the congruence-transformed
-    perturbation, norm_b is ||dA (I - A^T A)^(-1/2)|| and norm_b_bound its
-    closed-form majorant ||dA|| / sqrt(1 - b^2).  kappa_minus / kappa_plus
-    are the certified form-quotient extremes built from the actual norms.
-    """
-
-    a_minus: float
-    a_plus: float
-    norm_b: float
-    norm_b_bound: float
-    kappa_minus: float
-    kappa_plus: float
-
-    def t_bound(self, a: float) -> float:
-        """Largest eigenvalue of the arrow matrix [[a*I, B^T], [B, 0]].
-
-        Equals (a + sqrt(a^2 + 4 w^2)) / 2 with the conservative
-        w = norm_b_bound >= ||B||; at a = 2 b ||dA|| / (1 - b^2) it
-        reproduces ||dA|| / (1 - b) exactly.
-        """
-        w = self.norm_b_bound
-        return 0.5 * (a + math.sqrt(a * a + 4.0 * w * w))
-
-
-def block_structure_analysis(a_matrix, delta_a) -> BlockStructure:
-    """Extreme bounds on dg/g exploiting the off-diagonal block structure.
-
-    Forms M11 = -(I - A^T A)^(-1/2) (dA^T A + A^T dA) (I - A^T A)^(-1/2)
-    and B = dA (I - A^T A)^(-1/2); the certified form-quotient range is
-    [(a_minus - sqrt(a_minus^2 + 4||B||^2))/2,
-     (a_plus + sqrt(a_plus^2 + 4||B||^2))/2].
-    """
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    delta_a = np.asarray(delta_a, dtype=float)
-    b = spectral_norm(a_matrix)
-    if b >= 1.0:
-        raise ContractionNotLessThanOne(f"||A|| = {b} is not < 1")
-    s = symmetrize(np.eye(a_matrix.shape[0]) - a_matrix.T @ a_matrix)
-    w, p = np.linalg.eigh(s)
-    inv_root = (p / np.sqrt(w)) @ p.T
-    mixed = symmetrize(delta_a.T @ a_matrix + a_matrix.T @ delta_a)
-    m11 = symmetrize(-inv_root @ mixed @ inv_root)
-    eigs = np.linalg.eigvalsh(m11)
-    a_minus, a_plus = float(eigs[0]), float(eigs[-1])
-    norm_b = spectral_norm(delta_a @ inv_root)
-    c = spectral_norm(delta_a)
-    return BlockStructure(
-        a_minus=a_minus,
-        a_plus=a_plus,
-        norm_b=norm_b,
-        norm_b_bound=c / math.sqrt(1.0 - b * b),
-        kappa_minus=0.5 * (a_minus - math.sqrt(a_minus**2 + 4.0 * norm_b**2)),
-        kappa_plus=0.5 * (a_plus + math.sqrt(a_plus**2 + 4.0 * norm_b**2)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the bundle
 
 
@@ -511,15 +432,13 @@ def perturbation_constants(
     ``report`` is the spectrum of ``system``.  The validity flag of each
     entry records whether its hypothesis holds and, where the statement
     needs it, whether the value is below one; invalid entries keep their
-    value for tabulation.  The exact pair comes from the report's pencil
-    eigenvectors z_k = x_k / sqrt(|s_k| |lam_k - mu|), with lam_k - mu
-    the solve's own 1/theta_k (report.offsets), which satisfy
-    Z^T (G - mu*J) Z = I: it is the extreme eigenvalues of
-    Z^T dG Z = M + M^T with M = Z_2^T X Z_1, X = delta_block(system, pert)
-    and Z_1, Z_2 the upper and lower halves of Z.  Neither G - mu*J nor
-    dG is formed.  NotPositiveDefinite when the report took the direct
-    path, that is when G - mu*J was not certified positive definite or
-    the Cholesky factorization of U^2 - (V - mu)^2 failed.
+    value for tabulation.  The exact pair comes from the report's K-frame
+    pencil eigenvectors Z, Z^T (K - mu*J) Z = I: it is the extreme
+    eigenvalues of Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2
+    the upper and lower halves of Z.  Neither K - mu*J nor dK is formed.
+    NotCertified when the report took the direct path, that is when
+    G - mu*J was not certified positive definite or the Cholesky
+    factorization of U^2 - (V - mu)^2 failed.
     """
     b = system.contraction
     if b >= 1.0:
@@ -542,12 +461,11 @@ def perturbation_constants(
     )
 
     if report.solver_path != "similarity":
-        raise NotPositiveDefinite(
-            f"g = gram - shift*J is not certified positive definite: b = {b:.6g}"
+        raise NotCertified(
+            f"g = gram - shift*J is not certified positive definite: b = {b:.17g}"
         )
-    n = system.n
-    z = report.eigenvectors / np.sqrt(np.abs(report.signatures * report.offsets))
-    m = z[n:].T @ (delta_block(system, pert) @ z[:n])
+    n, z = system.n, report.eigenvectors
+    m = z[n:].T @ (pert.delta_v @ z[:n])
     w = np.linalg.eigvalsh(m + m.T)
     k_exact = (float(w[0]), float(w[-1]))
 

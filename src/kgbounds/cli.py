@@ -1,7 +1,8 @@
 """Command line front end: kg spectrum | bounds | verify | sweep | reproduce.
 
 Exit codes: 0 success, 2 parse failure (bad arguments or model file),
-3 validation failure (structurally bad matrix data), 4 solver failure.
+3 validation failure (structurally bad matrix data), 4 solver failure
+(among them a valid model whose shifted pencil is not certified definite).
 Each command resolves its arguments into a model, a shift and, for
 bounds and verify, a perturbation, calls the library once and renders
 what it returns: ``kg bounds`` writes the rows of bounds.BoundsReport,
@@ -134,6 +135,8 @@ def _resolve(args) -> tuple:
         raise ParseError(
             "exactly one model source is required: --model, --tau or --alpha"
         )
+    if args.shift is not None and not np.isfinite(args.shift):
+        raise ParseError(f"--shift must be a finite number, got {args.shift}")
     tau = args.tau
     if args.model is not None:
         spec = load_model(args.model)

@@ -34,6 +34,7 @@ numpy arrays inside frozen dataclasses and all functions are pure.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +45,10 @@ from .exceptions import DimensionMismatch, NotPositiveDefinite, ValidationError
 __all__ = [
     "ModelSpec",
     "KleinGordonSystem",
-    "sqrt_spd",
     "assemble_system",
     "operator_a",
-    "contraction_bound",
     "optimize_shift",
-    "j_matrix",
     "apply_j",
-    "shifted_gram",
     "shifted_potential",
     "spectral_norm",
     "symmetrize",
@@ -65,6 +62,10 @@ PD_RTOL = 1e-12
 
 #: |exponent| of U -> square roots taken of the eigenvalues of U^2
 _ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
+
+#: entries whose squares neither overflow nor underflow; spectral_norm
+#: scales a matrix outside this range by a power of two, which is exact
+_GRAM_RANGE = (2.0**-500, 2.0**500)
 
 #: from this order up, LAPACK's evr driver computing the one top eigenvalue
 #: beats numpy's eigvalsh computing all of them
@@ -88,13 +89,21 @@ def spectral_norm(a) -> float:
     Returns sqrt(max(lambda_max(a^T a), 0)), the Gram matrix taken on
     the smaller side of a.  The top eigenvalue of a Gram matrix has
     O(eps) relative error, so this agrees with the SVD to rounding; the
-    clamp keeps the norm of a zero matrix at exactly 0.0.
+    clamp keeps the norm of a zero matrix at exactly 0.0.  A matrix whose
+    largest entry lies outside _GRAM_RANGE is first scaled to one near 1
+    by a power of two, so the Gram matrix neither overflows nor
+    underflows.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
+    exponent = 0
+    largest = np.abs(a).max()
+    if largest > 0.0 and not _GRAM_RANGE[0] <= largest <= _GRAM_RANGE[1]:
+        exponent = math.frexp(largest)[1]
+        a = np.ldexp(a, -exponent)
     gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    return float(np.sqrt(max(_top_eigenvalue(gram), 0.0)))
+    return math.ldexp(float(np.sqrt(max(_top_eigenvalue(gram), 0.0))), exponent)
 
 
 def symmetrize(a):
@@ -125,18 +134,10 @@ def check_symmetric(a, name: str = "matrix"):
     return symmetrize(a)
 
 
-def j_matrix(n: int):
-    """The block swap symmetry [[0, I], [I, 0]] of order 2n."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
-
-
 def apply_j(x):
     """Apply the block swap to a vector or to the rows of a matrix.
 
-    Equivalent to j_matrix(n) @ x without forming the product.
+    Equivalent to [[0, I], [I, 0]] @ x without forming the product.
     """
     x = np.asarray(x)
     n = x.shape[0] // 2
@@ -158,16 +159,6 @@ def _spd_eig(m, name: str = "matrix"):
             f"(tolerance {PD_RTOL * norm:.3e})"
         )
     return w, p
-
-
-def sqrt_spd(m, name: str = "matrix"):
-    """Principal square root of a symmetric positive definite matrix.
-
-    Computed from the full symmetric eigendecomposition; the result R is
-    symmetric positive definite with R @ R = m to working accuracy.
-    """
-    w, p = _spd_eig(m, name)
-    return symmetrize((p * np.sqrt(w)) @ p.T)
 
 
 @dataclass(frozen=True)
@@ -297,16 +288,6 @@ class KleinGordonSystem:
         return float(np.sqrt(self.spec.u2_eigenvalues[-1]))
 
 
-def shifted_gram(gram, shift: float):
-    """G - shift*J as a new array, for a 2n x 2n gram matrix G."""
-    g = np.array(gram, dtype=float)
-    n = g.shape[0] // 2
-    idx = np.arange(n)
-    g[idx, idx + n] -= shift
-    g[idx + n, idx] -= shift
-    return g
-
-
 def shifted_potential(spec: ModelSpec, shift: float = 0.0):
     """W = V - shift*I as a new array.
 
@@ -322,11 +303,6 @@ def shifted_potential(spec: ModelSpec, shift: float = 0.0):
 def operator_a(spec: ModelSpec, shift: float = 0.0):
     """A = (V - shift*I) U^(-1) with U the principal root of u_squared."""
     return shifted_potential(spec, shift) @ spec.u_power(-1)
-
-
-def contraction_bound(spec: ModelSpec, shift: float = 0.0) -> float:
-    """b = ||(V - shift*I) U^(-1)||; may be >= 1, the caller decides."""
-    return spectral_norm(operator_a(spec, shift))
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:

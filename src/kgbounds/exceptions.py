@@ -29,6 +29,13 @@ class DimensionMismatch(ValidationError):
     """Raised when matrix orders do not agree."""
 
 
+class NotCertified(KGError):
+    """Raised when G - mu*J of a valid model is not certified positive
+    definite at the chosen shift, so the sign operator and the exact kappa
+    pair, which need the definite pencil, do not exist: a solver failure,
+    not bad matrix data."""
+
+
 class ContractionNotLessThanOne(KGError):
     """Raised when an operation requires the contraction bound b < 1."""
 

@@ -19,20 +19,26 @@ law of inertia, and reduces it to the standard symmetric eigenproblem
     C y = theta y,    C = F^(-1) J F^(-T)
                         = [[-2 M^(-1) W M^(-T), M^(-1)], [M^(-T), 0]]
 
-of order 2n.  Its eigenvectors give the quadratic eigenvectors
-x = M^(-T) y_1, (lam - V)^2 x = U^2 x, and (lam - V) x = y_2 - W x;
-the reported eigenvectors of H are the unit columns of
-[U^(1/2) x; U^(-1/2) (lam - V) x].  The pencil is used exactly when a
-closed-form bound certifies G - mu*J positive definite and the
-Cholesky factorization succeeds; every other system goes to a general
-dense eigensolver on H, which flags non-real pairs instead of hiding
-them.
+of order 2n.  The reported eigenvectors are the pencil's own
 
-The same solve gives the sign operator: the unit eigenvectors x_k have
-J-signatures s_k = (J x_k, x_k) = theta_k / ||z_k||^2, hence
+    Z = F^(-T) Y = [X; (Lam - V) X],    Z^T (K - mu*J) Z = I,
 
-    J1 = sign(H - mu*I) = X |S|^(-1) X^T J = Z |Theta|^(-1) Z^T J,
-    ||J1|| = ||X |S|^(-1/2)||^2,
+with the quadratic eigenvectors X = M^(-T) Y_1, (lam - V)^2 x = U^2 x,
+so no root of U is taken.  Each column has the J-signature
+(J z, z) = theta, whose sign is the side of the shift its eigenvalue
+lies on: the sign types are certified, with no tolerance.  The pencil
+is used exactly when a closed-form bound certifies G - mu*J positive
+definite and the Cholesky factorization succeeds; every other system
+goes to a general dense eigensolver on H, which flags non-real pairs
+instead of hiding them, classifies the unit eigenvectors [a; b] of H
+against NEUTRAL_TOL and reports z = E [a; b], E = diag(U^(-1/2), U^(1/2)),
+which keeps (J z, z) because E J E = J.
+
+The same solve gives the sign operator: the H-frame pencil
+eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
+Y = D Z |Theta|^(-1/2)
+
+    J1 = sign(H - mu*I) = Y (J Y)^T,    ||J1|| = ||Y||^2,
 
 which measures how far the similarity is from an isometry
 (1 <= ||J1|| <= 1/(1-b)).
@@ -43,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .core import (
@@ -51,19 +56,16 @@ from .core import (
     KleinGordonSystem,
     ModelSpec,
     apply_j,
-    j_matrix,
-    shifted_gram,
     shifted_potential,
     spectral_norm,
 )
-from .exceptions import NotPositiveDefinite
+from .exceptions import NotCertified
 
 __all__ = [
     "SpectrumReport",
     "SignOperator",
     "DefectWitness",
     "eigen_spectrum",
-    "similarity_eigensolve",
     "sign_operator",
     "eigenpair_residuals",
     "pencil_residual",
@@ -75,7 +77,8 @@ REAL_RTOL = 1e-8
 #: eigenvalues within MULT_RTOL * ||H|| form one multiplicity cluster
 MULT_RTOL = 1e-8
 
-#: |(Jx, x)| / ||x||^2 below this marks an eigenvector as neutral
+#: on the direct path, |(Jx, x)| / ||x||^2 below this marks an
+#: eigenvector of H as neutral
 NEUTRAL_TOL = 1e-6
 
 
@@ -84,22 +87,25 @@ class SpectrumReport:
     """Classified spectrum of one assembled system.
 
     ``eigenvalues`` is sorted ascending (by real part when non-real) and
-    aligned column-wise with ``eigenvectors`` (unit 2-norm columns).
-    ``offsets`` holds lam_k - mu as the solve produced it: 1/theta_k on
-    the pencil path, where mu + offsets rounds to ``eigenvalues``, and
-    eigenvalues - mu on the direct path.
-    ``signatures`` holds s_k = (Jx_k, x_k) / (x_k, x_k) and ``sign_types``
-    its class, 'positive' / 'negative' / 'neutral'.  ``positive_ordered``
-    / ``negative_ordered`` list the eigenvalues right/left of the shift,
-    ordered away from it.  ``central_gap`` is (largest eigenvalue below
-    the shift, smallest above it), with -inf/+inf on an empty side; an
-    eigenvalue exactly at the shift belongs to neither side.
-    ``witness`` is the first defective eigenvalue found, or None;
-    ``defective`` says whether there is one.
+    aligned column-wise with ``eigenvectors``, the K-frame eigenvectors
+    z_k = [x_k; (lam_k - V) x_k] of the pencil (J, K - mu*J), x_k the
+    quadratic eigenvector: on the pencil path normalized by
+    Z^T (K - mu*J) Z = I, on the direct path the image
+    [U^(-1/2) a_k; U^(1/2) b_k] of the unit eigenvector [a_k; b_k] of H.
+    ``signatures`` holds (J z_k, z_k): theta_k = 1/(lam_k - mu) on the
+    pencil path, the unit H-frame signature on the direct path.
+    ``sign_types`` is its class, 'positive' / 'negative' / 'neutral';
+    only the direct path, which has no certificate, tests it against
+    NEUTRAL_TOL.  ``positive_ordered`` / ``negative_ordered`` list the
+    eigenvalues right/left of the shift, ordered away from it.
+    ``central_gap`` is (largest eigenvalue below the shift, smallest
+    above it), with -inf/+inf on an empty side; an eigenvalue exactly
+    at the shift belongs to neither side.  ``witness`` is the first
+    defective eigenvalue found, or None; ``defective`` says whether
+    there is one.  ``spec`` is the model solved.
     """
 
     eigenvalues: np.ndarray
-    offsets: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     sign_types: tuple
@@ -110,16 +116,17 @@ class SpectrumReport:
     is_real_spectrum: bool
     shift: float
     solver_path: str  # 'similarity' (the definite pencil) or 'direct'
+    spec: ModelSpec = field(repr=False, compare=False)
     witness: DefectWitness | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
 class SignOperator:
-    """J1 = sign(H - mu*I) through its factor Y = X |S|^(-1/2).
+    """J1 = sign(H - mu*I) through its factor Y.
 
-    ``y`` holds the unit eigenvectors X scaled by their J-signatures S,
-    so that J1 = Y (J Y)^T; ``j1`` forms that 2n x 2n product anew on
-    every access.  ``norm_j1`` = ||Y||^2 = ||J1|| needs no product.
+    ``y`` holds the H-frame pencil eigenvectors scaled to J-signature
+    +-1, so that J1 = Y (J Y)^T; ``j1`` forms that 2n x 2n product anew
+    on every access.  ``norm_j1`` = ||Y||^2 = ||J1|| needs no product.
     """
 
     y: np.ndarray = field(repr=False)
@@ -127,13 +134,13 @@ class SignOperator:
 
     @property
     def j1(self):
-        """J1 = Y (J Y)^T = X |S|^(-1) X^T J."""
+        """J1 = Y (J Y)^T."""
         return self.y @ apply_j(self.y).T
 
 
 @dataclass(frozen=True)
 class DefectWitness:
-    """An eigenvalue flagged as defective and the offending eigenvector."""
+    """An eigenvalue flagged as defective and the offending eigenvector of H."""
 
     eigenvalue: complex
     vector: np.ndarray = field(repr=False)
@@ -162,50 +169,22 @@ def _certified_definite(system: KleinGordonSystem) -> bool:
     return (1.0 - b) * system.u_min() > PD_RTOL * (1.0 + b) * system.u_max()
 
 
-def _definite_pencil(gram, shift: float):
-    """Eigenpairs (theta, Z) of J z = theta (G - shift*J) z.
-
-    theta ascends and Z^T (G - shift*J) Z = I.  Raises NotPositiveDefinite
-    when the Cholesky factorization of G - shift*J fails.  The tests'
-    H-frame oracle for the K-frame solve.
-    """
-    g = shifted_gram(gram, shift)
-    try:
-        return scipy.linalg.eigh(j_matrix(g.shape[0] // 2), g)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"gram - shift*J is not positive definite: {exc}"
-        ) from exc
-
-
-def similarity_eigensolve(gram, shift: float = 0.0):
-    """Eigenpairs of J G from the definite pencil (J, G - shift*J).
-
-    Returns (eigenvalues ascending, eigenvectors as unit columns), with
-    lam = shift + 1/theta.  Raises NotPositiveDefinite when G - shift*J
-    is not positive definite.  Kept as the tests' oracle.
-    """
-    theta, z = _definite_pencil(gram, shift)
-    order = np.argsort(1.0 / theta)
-    vecs = z[:, order]
-    return shift + 1.0 / theta[order], vecs / np.linalg.norm(vecs, axis=0)
-
-
 def _k_frame_eigensolve(spec: ModelSpec, shift: float):
-    """Eigenpairs of H from the K-frame pencil (J, K - shift*J).
+    """Eigenpairs of the K-frame pencil (J, K - shift*J).
 
     Factors -Q(shift) = U^2 - W W = M M^T, W = V - shift*I, solves the
     standard symmetric C y = theta y (see the module docstring) and
-    returns (the offsets lam - shift = 1/theta ascending, unit H-frame
-    eigenvectors).  Raises NotPositiveDefinite when the Cholesky
-    factorization fails.  Only the lower triangles of -Q(shift), W and C
-    are read.
+    returns (theta, Z = [x; y_2 - W x]) ordered by ascending
+    1/theta = lam - shift, with x = M^(-T) y_1 and
+    Z^T (K - shift*J) Z = I.  Raises NotCertified when the Cholesky
+    factorization fails.  Only the lower triangles of -Q(shift), W and
+    C are read.
     """
     n = spec.order
     w = shifted_potential(spec, shift)
     m, info = lapack.dpotrf(spec.u_squared - w @ w.T, lower=1, clean=1)
     if info != 0:
-        raise NotPositiveDefinite(
+        raise NotCertified(
             "U^2 - (V - shift*I)^2 is not positive definite: leading minor "
             f"{info} of {n} at shift {shift:.6g}"
         )
@@ -216,20 +195,18 @@ def _k_frame_eigensolve(spec: ModelSpec, shift: float):
     c[:n, :n] *= -2.0
     c[n:, :n] = m_inv.T
     theta, y = np.linalg.eigh(c)
-    offsets = 1.0 / theta
-    order = np.argsort(offsets)
-    offsets, y = offsets[order], y[:, order]
+    order = np.argsort(1.0 / theta)
+    theta, y = theta[order], y[:, order]
     x = blas.dtrmm(1.0, m_inv, y[:n], lower=1, trans_a=1)   # M^(-T) y_1
-    lam_minus_v_x = y[n:] - w @ x                         # (lam - V) x
-    vecs = np.concatenate(
-        [spec.u_power(0.5) @ x, spec.u_power(-0.5) @ lam_minus_v_x]
-    )
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return offsets, vecs
+    return theta, np.concatenate([x, y[n:] - w @ x])      # [x; (lam - V) x]
 
 
-def _classify(eigenvalues, eigenvectors, shift):
-    # s_k = (J x_k, x_k) / (x_k, x_k) = 2 Re(a_k^H b_k) / ||x_k||^2, x_k = [a_k; b_k]
+def _classify(eigenvectors):
+    """(signatures, sign types) of eigenvectors of H against NEUTRAL_TOL.
+
+    s_k = (J x_k, x_k) / (x_k, x_k) = 2 Re(a_k^H b_k) / ||x_k||^2,
+    x_k = [a_k; b_k]; the direct path's test, with no certificate.
+    """
     n = eigenvectors.shape[0] // 2
     top, bottom = eigenvectors[:n], eigenvectors[n:]
     if np.iscomplexobj(eigenvectors):
@@ -242,12 +219,7 @@ def _classify(eigenvalues, eigenvectors, shift):
         "positive" if s > NEUTRAL_TOL else "negative" if s < -NEUTRAL_TOL else "neutral"
         for s in signatures.tolist()
     )
-    re = np.real(eigenvalues)
-    pos = np.sort(re[re > shift])
-    neg = np.sort(re[re < shift])[::-1]
-    lo = float(neg[0]) if neg.size else -np.inf
-    hi = float(pos[0]) if pos.size else np.inf
-    return signatures, signs, pos, neg, (lo, hi)
+    return signatures, signs
 
 
 def _cluster_defects(eigenvalues, hamiltonian, scale):
@@ -284,21 +256,26 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
 
     Solves the definite pencil in the K frame when G - mu*J is
     certified positive definite (so the spectrum is certified real and
-    semisimple); otherwise, or when the n x n Cholesky factorization of
-    U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver on
-    H and flags non-real pairs.  Only the fallback forms H.
+    semisimple, and so are the sign types); otherwise, or when the
+    n x n Cholesky factorization of U^2 - (V - mu)^2 fails, falls back
+    to a dense general eigensolver on H and flags non-real pairs and
+    defective eigenvalues.  Only the fallback forms H or a root of U.
     """
-    mu = system.shift
-    path = "direct"
-    is_real = True
+    mu, spec = system.shift, system.spec
+    path, is_real, witness = "direct", True, None
     if _certified_definite(system):
         try:
-            offsets, vecs = _k_frame_eigensolve(system.spec, mu)
-            lam = mu + offsets
+            signatures, vecs = _k_frame_eigensolve(spec, mu)
             path = "similarity"
-        except NotPositiveDefinite:
+        except NotCertified:
             pass
-    if path == "direct":
+    if path == "similarity":
+        # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors
+        lam = mu + 1.0 / signatures
+        signs = tuple(
+            "positive" if t > 0.0 else "negative" for t in signatures.tolist()
+        )
+    else:
         h = system.hamiltonian
         lam_c, vecs = np.linalg.eig(h)
         order = np.lexsort((lam_c.imag, lam_c.real))
@@ -308,35 +285,41 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         scale = _ham_scale(h)
         is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * scale)
         lam = lam_c.real if is_real else lam_c
-        offsets = lam - mu
+        signatures, signs = _classify(vecs)
+        witnesses = [
+            DefectWitness(complex(lam[k]), vecs[:, k], "neutral-eigenvector")
+            for k, tag in enumerate(signs)
+            if tag == "neutral"
+        ]
+        # the pencil route certifies a symmetric-similar, hence semisimple,
+        # operator; multiplicity defects can only arise here
+        if not witnesses and is_real:
+            if np.any(np.diff(np.sort(lam)) <= MULT_RTOL * scale):
+                witnesses = _cluster_defects(lam, h, scale)
+        witness = witnesses[0] if witnesses else None
+        n = spec.order
+        vecs = np.concatenate(
+            [spec.u_power(-0.5) @ vecs[:n], spec.u_power(0.5) @ vecs[n:]]
+        )
 
-    signatures, signs, pos, neg, gap = _classify(lam, vecs, mu)
-
-    witnesses = [
-        DefectWitness(complex(lam[k]), vecs[:, k], "neutral-eigenvector")
-        for k, tag in enumerate(signs)
-        if tag == "neutral"
-    ]
-    # the pencil route certifies a symmetric-similar, hence semisimple,
-    # operator; multiplicity defects can only arise on the direct path
-    if not witnesses and is_real and path == "direct":
-        if np.any(np.diff(np.sort(lam)) <= MULT_RTOL * scale):
-            witnesses = _cluster_defects(lam, h, scale)
-    witness = witnesses[0] if witnesses else None
-
+    re = np.real(lam)
+    pos = np.sort(re[re > mu])
+    neg = np.sort(re[re < mu])[::-1]
+    lo = float(neg[0]) if neg.size else -np.inf
+    hi = float(pos[0]) if pos.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
-        offsets=offsets,
         eigenvectors=vecs,
         signatures=signatures,
         sign_types=signs,
         positive_ordered=pos,
         negative_ordered=neg,
-        central_gap=gap,
+        central_gap=(lo, hi),
         defective=witness is not None,
         is_real_spectrum=is_real,
         shift=mu,
         solver_path=path,
+        spec=spec,
         witness=witness,
     )
 
@@ -344,37 +327,39 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
 def sign_operator(report: SpectrumReport) -> SignOperator:
     """J1 = sign(H - mu*I) from the eigenvectors of a pencil-route report.
 
-    With unit eigenvectors X and J-signatures S of a report solved on the
-    definite pencil, J1 = X |S|^(-1) X^T J and ||J1|| = ||X |S|^(-1/2)||^2,
-    so no second solve is needed; only the factor Y = X |S|^(-1/2) and
-    its norm are computed here.  Raises NotPositiveDefinite when the
-    report came from the direct path, that is when G - mu*J was not
-    certified positive definite or the Cholesky factorization of
-    U^2 - (V - mu)^2 failed.
+    The report's K-frame eigenvectors Z have (J z_k, z_k) = theta_k, and
+    D Z, D = diag(U^(1/2), U^(-1/2)), are the H-frame ones, so
+    J1 = Y (J Y)^T and ||J1|| = ||Y||^2 with Y = D Z |Theta|^(-1/2): no
+    second solve is needed, only the factor Y and its norm.  Raises
+    NotCertified when the report came from the direct path, that is
+    when G - mu*J was not certified positive definite or the Cholesky
+    factorization of U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
-        raise NotPositiveDefinite(
+        raise NotCertified(
             "gram - shift*J is not certified positive definite: "
-            f"the spectrum at shift {report.shift:.6g} took the direct path"
+            f"the spectrum at shift {report.shift:.17g} took the direct path"
         )
-    y = report.eigenvectors / np.sqrt(np.abs(report.signatures))
+    spec, z = report.spec, report.eigenvectors
+    n = spec.order
+    y = np.concatenate([spec.u_power(0.5) @ z[:n], spec.u_power(-0.5) @ z[n:]])
+    y /= np.sqrt(np.abs(report.signatures))
     return SignOperator(y=y, norm_j1=spectral_norm(y) ** 2)
 
 
 def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):
     """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
 
-    ``eigenvectors`` holds H-frame columns [a_k; b_k] (as in
-    SpectrumReport); x_k = U^(-1/2) a_k is the matching quadratic
-    eigenvector, since H [a; b] = lam [a; b] gives Q(lam) U^(-1/2) a = 0.
+    ``eigenvectors`` holds K-frame columns [x_k; (lam_k - V) x_k] (as in
+    SpectrumReport), whose top block x_k is the quadratic eigenvector.
     Each value is the normwise backward error of the pair (lam_k, x_k)
     (Tisseur, LAA 309, 2000) and, as sigma_min(Q) = min_x ||Q x|| / ||x||,
     never below pencil_residual(spec, lam_k).  Real and complex pairs;
-    one U^(-1/2) product and three n x n by n x 2n products in all.
+    three n x n by n x 2n products in all, and the columns passed in
+    are not written to.
     """
     lam = np.asarray(eigenvalues)
-    x = spec.u_power(-0.5) @ eigenvectors[: spec.order]
-    x = x.astype(np.result_type(x, lam), copy=False)
+    x = eigenvectors[: spec.order].astype(np.result_type(eigenvectors, lam))
     x_norm = np.linalg.norm(x, axis=0)
     vx = spec.v @ x
     q = spec.v @ vx

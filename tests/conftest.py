@@ -13,8 +13,8 @@ from kgbounds import (
     eigen_spectrum,
     perturbation_constants,
     spectral_norm,
-    sqrt_spd,
 )
+from oracles import sqrt_spd
 
 
 def random_orthogonal(rng, n):

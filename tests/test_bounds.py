@@ -4,20 +4,21 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgbounds import (
     ContractionNotLessThanOne,
     KappaMinusNotAboveMinusOne,
     KappaOutOfRange,
     ModelSpec,
+    NotCertified,
     NotPositiveDefinite,
     PerturbationSpec,
     analyze_perturbation,
     assemble_system,
-    block_structure_analysis,
     delta_gram,
     eigen_spectrum,
-    exact_kappa_pm,
     gap_bound,
     gap_inclusion,
     improved_inclusion,
@@ -28,20 +29,27 @@ from kgbounds import (
     norm_bound_interval,
     rescale_kappa,
     sign_operator,
-    similarity_eigensolve,
     spectral_norm,
     square_well_model,
     square_well_perturbation,
-    sqrt_spd,
     verify_bounds,
 )
-from kgbounds.core import shifted_gram
+from oracles import (
+    block_structure_analysis,
+    exact_kappa_pm,
+    shifted_gram,
+    similarity_eigensolve,
+    sqrt_spd,
+)
 from conftest import (
     constants_of,
     random_model,
     random_model_and_perturbation,
+    random_orthogonal,
     random_spd,
 )
+
+EPS = np.finfo(float).eps
 
 
 def mp_kappa_pair(spec, dv, shift=0.0, dps=60):
@@ -455,6 +463,58 @@ class TestPerturbationConstants:
             tol = 1e-12 * max(abs(km), abs(kp))
             assert abs(pair[0] - km) <= tol and abs(pair[1] - kp) <= tol
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(0.0, 1.0 - 1e-6),
+        c_frac=st.floats(0.01, 0.9),
+        log_scale=st.floats(-8.0, 8.0),
+        mu_frac=st.floats(-1.0, 1.0),
+    )
+    # V = mu*I with a subnormal mu: ||dV V^(-1)|| is near the top of the
+    # float range (its Gram matrix overflows), then V^(-1) itself overflows
+    # and nu is absent
+    @example(
+        n=3, seed=0, b=0.0, c_frac=0.5, log_scale=0.0, mu_frac=1.1125369292536007e-308
+    )
+    @example(n=3, seed=0, b=0.0, c_frac=0.5, log_scale=0.0, mu_frac=5e-324)
+    def test_property_k_frame_eigenvectors_and_pair(
+        self, n, seed, b, c_frac, log_scale, mu_frac
+    ):
+        # U^2 scaled by 10^log_scale, (V - mu) U^-1 of norm b and
+        # dV U^-1 of norm c_frac (1 - b), solved at the shift mu.  The
+        # report's eigenvectors satisfy Z^T (K - mu*J) Z = I and give the
+        # exact pair of the H-frame oracle, both to first-order rounding
+        # in the condition 1/(1 - b) of the pencil
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s = 10.0**log_scale
+        q = random_orthogonal(rng, n)
+        u2 = (q * (s * rng.uniform(0.4, 4.0, size=n))) @ q.T
+        u_inv = ModelSpec(u2, np.zeros((n, n))).u_power(-1)
+
+        def scaled(norm):
+            raw = rng.normal(size=(n, n))
+            raw = raw + raw.T
+            return raw * (norm / max(spectral_norm(raw @ u_inv), 1e-300))
+
+        mu = mu_frac * np.sqrt(s)
+        w = scaled(b)
+        dv = scaled(c_frac * (1.0 - b))
+        spec = ModelSpec(u2, w + mu * np.eye(n))
+        system = assemble_system(spec, mu)
+        report = eigen_spectrum(system)
+        assert report.solver_path == "similarity"
+        z, tol = report.eigenvectors, 16 * n * EPS / (1.0 - b)
+        k_shifted = np.block([[u2, w], [w, np.eye(n)]])
+        assert np.abs(z.T @ k_shifted @ z - np.eye(2 * n)).max() <= tol
+        km, kp = exact_kappa_pm(
+            shifted_gram(system.gram, mu), delta_gram(system, dv)
+        )
+        pair = constants_of(system, dv).kappa_exact
+        scale = max(abs(km), abs(kp))
+        assert abs(pair[0] - km) <= tol * scale and abs(pair[1] - kp) <= tol * scale
+
     @pytest.mark.parametrize("v0", [1e2, 1e4, 1e6])
     def test_far_shift_keeps_the_pair(self, v0):
         # V0 + v0*I at shift v0 is V0 at shift 0 moved along the axis:
@@ -474,7 +534,7 @@ class TestPerturbationConstants:
         tau = 2.0 - 1e-13
         system = assemble_system(square_well_model(tau), -tau / 2.0)
         assert system.contraction < 1.0
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotCertified):
             constants_of(system, square_well_perturbation(0.1))
 
     def test_nu_absent_for_singular_v(self):

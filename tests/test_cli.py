@@ -13,7 +13,6 @@ import scipy.linalg
 from kgbounds import (
     KleinGordonSystem,
     ModelSpec,
-    bounds,
     cli,
     core,
     harness,
@@ -173,30 +172,22 @@ class TestVerifyCommand:
 
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
-        pencil_calls, oracle_calls, spd_orders = [], [], []
+        pencil_calls, spd_orders = [], []
 
         def count_pencil(*args, **kwargs):
             pencil_calls.append(1)
             return k_frame(*args, **kwargs)
 
-        def count_oracle(*args, **kwargs):
-            oracle_calls.append(1)
-            return definite_pencil(*args, **kwargs)
-
         def record_spd(m, *args, **kwargs):
             spd_orders.append(np.shape(m)[0])
             return spd_eig(m, *args, **kwargs)
 
-        k_frame = spectral._k_frame_eigensolve
-        definite_pencil, spd_eig = spectral._definite_pencil, core._spd_eig
+        k_frame, spd_eig = spectral._k_frame_eigensolve, core._spd_eig
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
-        monkeypatch.setattr(spectral, "_definite_pencil", count_oracle)
         monkeypatch.setattr(core, "_spd_eig", record_spd)
-        monkeypatch.setattr(bounds, "_spd_eig", record_spd)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert len(pencil_calls) == 1
-        assert oracle_calls == []  # the H-frame pencil is the tests' oracle
         assert 80 not in spd_orders  # only the order-40 U^2 is validated
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
@@ -373,14 +364,15 @@ class TestEachQuantityOnce:
 
     @staticmethod
     def distinct_powers(monkeypatch):
-        # every returned array is kept, so a new object is a new formation
+        # every returned array is kept, so a new object is a new formation;
+        # the list holds (exponent, power) per formation
         formed = []
         u_power = ModelSpec.u_power
 
         def spy(self, exponent):
             power = u_power(self, exponent)
-            if not any(power is seen for seen in formed):
-                formed.append(power)
+            if not any(power is seen for _, seen in formed):
+                formed.append((exponent, power))
             return power
 
         monkeypatch.setattr(ModelSpec, "u_power", spy)
@@ -402,16 +394,39 @@ class TestEachQuantityOnce:
                 monkeypatch.setattr(module, "spectral_norm", count)
         return calls
 
-    @pytest.mark.parametrize("command", ["verify", "bounds"])
-    def test_three_powers_and_six_norms(self, command, monkeypatch, capsys):
-        # U^(-1) for the contraction, U^(1/2) and U^(-1/2) for the
-        # H-frame eigenvectors and dG; U itself only G needs
+    @pytest.mark.parametrize(
+        "command, powers",
+        [("verify", [-1]), ("bounds", [-1, -0.5, 0.5])],
+        ids=["verify", "bounds"],
+    )
+    def test_three_powers_and_six_norms(self, command, powers, monkeypatch, capsys):
+        # U^(-1) for the contraction; the spectra, residuals and the exact
+        # kappa pair stay in the K frame, and only the rows of kg bounds
+        # take U^(1/2) and U^(-1/2), for ||dG|| and ||J1||; U itself only
+        # G needs
         formed = self.distinct_powers(monkeypatch)
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert len(formed) == 3
+        assert sorted(exponent for exponent, _ in formed) == powers
         assert len(norms) == 6
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--alpha", "0.3", "--grid-points", "40"],
+            ["sweep", "--tau", "1", "--paper-shift", "--sweep-range", "0:1",
+             "--steps", "11"],
+        ],
+        ids=["spectrum", "sweep"],
+    )
+    def test_certified_commands_form_only_u_inverse(self, args, monkeypatch, capsys):
+        # U^(-1) for the contraction; the spectra and the residual gate
+        # stay in the K frame, which needs no root of U (every step of
+        # the sweep has b <= 1/2 at the paper shift)
+        formed = self.distinct_powers(monkeypatch)
+        assert main(args) == EXIT_OK
+        assert [exponent for exponent, _ in formed] == [-1]
 
     def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
         formed = self.distinct_powers(monkeypatch)
@@ -604,6 +619,33 @@ class TestExitCodes:
             main(["bounds", "--tau", "2.5", "--eta", "0.1", "--shift", "-1.25"])
             == EXIT_SOLVER
         )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum"],
+            ["bounds", "--eta", "0.1"],
+            ["sweep", "--sweep-range", "0:1", "--steps", "3"],
+        ],
+        ids=["spectrum", "bounds", "sweep"],
+    )
+    def test_non_finite_shift(self, command, value, capsys):
+        args = [command[0], "--tau", "1", f"--shift={value}", *command[1:]]
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "--shift" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    def test_uncertified_valid_model_is_a_solver_failure(self, command, capsys):
+        # b = 1 - 5e-14 < 1 at the paper shift: valid data, but too close
+        # to the critical coupling for the certificate, so the exact pair
+        # does not exist; b is printed to 17 digits, not rounded to 1
+        args = [command, "--tau", "1.9999999999999", "--paper-shift", "--eta", "0.1"]
+        assert main(args) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:")
+        assert float(re.search(r"b = (\S+)", err).group(1)) < 1.0
 
     def test_paper_shift_requires_square_well(self, tmp_path):
         path = tmp_path / "free.json"

@@ -10,7 +10,6 @@ from kgbounds import (
     ValidationError,
     analyze_perturbation,
     assemble_system,
-    contraction_bound,
     eigen_spectrum,
     exact_harmonic_eigs,
     harmonic_model,
@@ -23,6 +22,7 @@ from kgbounds import (
     square_well_model,
     square_well_perturbation,
 )
+from oracles import contraction_bound
 from conftest import constants_of
 
 

@@ -6,21 +6,20 @@ from hypothesis import strategies as st
 from kgbounds import (
     HarmonicParams,
     ModelSpec,
-    NotPositiveDefinite,
+    NotCertified,
     apply_j,
     assemble_system,
     eigen_spectrum,
     eigenpair_residuals,
     gap_bound,
     harmonic_model,
-    j_matrix,
     pencil_residual,
     sign_operator,
-    similarity_eigensolve,
     spectral,
     spectral_norm,
     square_well_model,
 )
+from oracles import h_frame, j_matrix, similarity_eigensolve
 from conftest import random_model, random_orthogonal
 from test_core import square_well_pencil_roots
 
@@ -68,7 +67,7 @@ class TestEigenSpectrum:
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
             report = eigen_spectrum(system)
-            h, vecs = system.hamiltonian, report.eigenvectors
+            h, vecs = system.hamiltonian, h_frame(report)
             residual = np.linalg.norm(h @ vecs - vecs * report.eigenvalues, axis=0)
             assert residual.max() <= 1e-8 * spectral_norm(h)
 
@@ -91,7 +90,8 @@ class TestEigenSpectrum:
 
     def test_k_frame_matches_the_h_frame_pencil(self, corpus200):
         # the K-frame solve against the generalized eigensolve of
-        # (J, G - mu*J): same eigenvalues, parallel unit eigenvectors
+        # (J, G - mu*J): same eigenvalues, and the K-frame eigenvectors
+        # mapped to the H frame are parallel to the oracle's
         for spec, _ in corpus200:
             for mu in (0.0, 0.1):
                 system = assemble_system(spec, mu)
@@ -100,7 +100,9 @@ class TestEigenSpectrum:
                 lam, vecs = similarity_eigensolve(system.gram, mu)
                 scale = np.abs(lam).max()
                 assert np.abs(report.eigenvalues - lam).max() <= 1e-13 * scale
-                cosines = np.abs(np.einsum("ij,ij->j", report.eigenvectors, vecs))
+                mapped = h_frame(report)
+                mapped /= np.linalg.norm(mapped, axis=0)
+                cosines = np.abs(np.einsum("ij,ij->j", mapped, vecs))
                 assert np.abs(cosines - 1.0).max() <= 1e-10
 
     def test_route_follows_certificate(self):
@@ -131,6 +133,23 @@ class TestEigenSpectrum:
             report = eigen_spectrum(system)
             for lam, tag in zip(report.eigenvalues, report.sign_types):
                 assert tag == ("positive" if lam > 0 else "negative")
+
+    def test_pencil_sign_types_need_no_tolerance(self, corpus200, monkeypatch):
+        # (J z, z) = theta on the pencil path, so the sign types are the
+        # signs of theta: even NEUTRAL_TOL = 1 leaves them unchanged
+        systems = [assemble_system(s, 0.0) for s, _ in corpus200[:50]]
+        systems += [
+            assemble_system(square_well_model(tau), -tau / 2.0)
+            for tau in (1.0, 1.99, 1.9999)
+        ]
+        before = [eigen_spectrum(system) for system in systems]
+        assert all(r.solver_path == "similarity" for r in before)
+        monkeypatch.setattr(spectral, "NEUTRAL_TOL", 1.0)
+        for system, report in zip(systems, before):
+            after = eigen_spectrum(system)
+            assert after.sign_types == report.sign_types
+            np.testing.assert_array_equal(after.signatures, report.signatures)
+            assert "neutral" not in after.sign_types
 
     def test_gap_exclusion(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -165,9 +184,10 @@ def column_loop_signatures(eigenvectors):
 
 class TestClassify:
     def test_matches_the_column_loop(self, corpus200):
-        # two column reductions against one vdot per column: the sums
-        # run in another order, so the signatures agree to a few ulps of
-        # their unit scale and every sign type is the same
+        # two column reductions against one vdot per column, on the
+        # H-frame eigenvectors: the sums run in another order, so the
+        # signatures agree to a few ulps of their unit scale and every
+        # sign type is the same
         reports = [eigen_spectrum(assemble_system(s, 0.0)) for s, _ in corpus200[:50]]
         reports += [
             eigen_spectrum(assemble_system(square_well_model(tau), 0.0))
@@ -175,10 +195,9 @@ class TestClassify:
         ]
         assert any(np.iscomplexobj(r.eigenvectors) for r in reports)
         for report in reports:
-            loop = column_loop_signatures(report.eigenvectors)
-            signatures, signs, *_ = spectral._classify(
-                report.eigenvalues, report.eigenvectors, report.shift
-            )
+            vecs = h_frame(report)
+            loop = column_loop_signatures(vecs)
+            signatures, signs = spectral._classify(vecs)
             assert np.abs(signatures - loop).max() <= 8 * np.finfo(float).eps
             assert signs == tuple(
                 "positive" if s > spectral.NEUTRAL_TOL
@@ -244,7 +263,7 @@ class TestSignOperator:
         # b = 1 at the paper shift: the report is not certified
         report = eigen_spectrum(assemble_system(square_well_model(2.0), -1.0))
         assert report.solver_path == "direct"
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotCertified):
             sign_operator(report)
 
     def test_equivalent_scalar_product_window(self):
