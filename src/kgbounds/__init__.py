@@ -4,11 +4,9 @@ block Hamiltonians H = JG built from matrix data (U^2, V)."""
 from .bounds import (
     BoundsReport,
     GapInclusion,
-    KappaBundle,
     KappaCheck,
     PerturbationSpec,
     VerificationReport,
-    analyze_perturbation,
     bounds_report,
     delta_block,
     delta_gram,

@@ -31,15 +31,19 @@ always-admissible constant
     kappa_prime_hat = (kappa_plus - kappa_minus) / (2 + kappa_plus + kappa_minus)
 
 the gap inclusion intervals and the uniform norm-bound interval through
-||J1||.  bounds_report gathers all of these for one (model, dV, shift)
-as one ordered list of named rows, and verify_bounds starts from it to
-compare every predicted constant against exactly computed spectra.
+||J1||.  One record holds everything known about one (model, dV,
+shift): perturbation_constants measures dV (c, nu and the sign of the
+mixed product) and evaluates every kappa into a BoundsReport, and
+bounds_report assembles and solves for it.  Only two of the record's
+methods walk the kappa names: rows(), the table of ``kg bounds``, and
+checks(), which verify_bounds uses to compare every predicted constant
+against exactly computed spectra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +71,10 @@ from .spectral import (
 
 __all__ = [
     "PerturbationSpec",
-    "KappaBundle",
     "KappaCheck",
     "GapInclusion",
     "BoundsReport",
     "VerificationReport",
-    "analyze_perturbation",
     "delta_block",
     "delta_gram",
     "gap_bound",
@@ -145,41 +147,23 @@ def kappa_signed_pair(c: float, b: float, direction: str = "negative"):
 
 
 # ---------------------------------------------------------------------------
-# perturbation records
+# the perturbation
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A symmetric potential perturbation and its measured constants.
+    """A symmetric potential perturbation dV, kept as a read-only copy.
 
-    ``c`` is ||dV U^(-1)||; ``nu`` the smallest factor with
-    ||dV psi|| <= nu ||V psi|| (absent when V is singular or dV V^(-1)
-    overflows); ``disjoint``
-    whether the symmetrized product dV V + V dV vanishes; ``signed``
-    'negative' / 'positive' when dA^T A + A^T dA is semidefinite of that
-    sign.  Constructors that lack the matrices to measure against leave
-    the corresponding fields None; analyze_perturbation fills them in.
+    What it measures against a system (c, nu and the sign of the mixed
+    product) is recorded by perturbation_constants in the BoundsReport.
     """
 
     delta_v: np.ndarray
-    c: float | None = None
-    nu: float | None = None
-    disjoint: bool | None = None
-    signed: str | None = None
 
     def __post_init__(self):
         dv = check_symmetric(self.delta_v, "delta_v")
         dv.setflags(write=False)
         object.__setattr__(self, "delta_v", dv)
-
-
-def _symmetric_inverse(v):
-    """Inverse of a symmetric matrix, or None when numerically singular."""
-    w, p = np.linalg.eigh(v)
-    scale = np.abs(w).max(initial=0.0)
-    if scale == 0.0 or np.abs(w).min() <= INV_RTOL * scale:
-        return None
-    return (p / w) @ p.T
 
 
 def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
@@ -198,34 +182,24 @@ def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
     return None, is_zero
 
 
-def analyze_perturbation(system: KleinGordonSystem, pert) -> PerturbationSpec:
-    """Measure a perturbation against an assembled system.
+def _relative_factor(dv, v):
+    """nu = ||dV V^(-1)|| = ||dV P diag(1/w)||, from V = P diag(w) P^T.
 
-    Accepts a PerturbationSpec or a raw symmetric matrix and returns a
-    fully populated record: c from the model's U^(-1), nu from V when V
-    is invertible, and the disjoint / sign classification from the
-    mixed product with A = (V - mu) U^(-1).
+    None when V is numerically singular (min |w| <= INV_RTOL max |w|),
+    or when 1/w, that is V^(-1), the product or nu itself overflows.
     """
-    if not isinstance(pert, PerturbationSpec):
-        pert = PerturbationSpec(delta_v=pert)
-    dv = pert.delta_v
-    if dv.shape[0] != system.n:
-        raise ValidationError(
-            f"delta_v has order {dv.shape[0]}, system has order {system.n}"
-        )
-    delta_a = dv @ system.spec.u_power(-1)
-    c = spectral_norm(delta_a)
-    v_inv = _symmetric_inverse(system.spec.v)
-    dv_v_inv = dv @ v_inv if v_inv is not None else None
-    nu = (
-        spectral_norm(dv_v_inv)
-        if dv_v_inv is not None and np.isfinite(dv_v_inv).all()
-        else None
-    )
-    signed, is_zero = _mixed_product_sign(
-        system.a_matrix, delta_a, system.contraction, c
-    )
-    return replace(pert, c=c, nu=nu, disjoint=is_zero, signed=signed)
+    w, p = np.linalg.eigh(v)
+    scale = np.abs(w).max(initial=0.0)
+    if scale == 0.0 or np.abs(w).min() <= INV_RTOL * scale:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv_v_inv = (dv @ p) * (1.0 / w)
+    if not np.isfinite(dv_v_inv).all():
+        return None
+    try:
+        return spectral_norm(dv_v_inv)
+    except OverflowError:
+        return None
 
 
 def delta_block(system: KleinGordonSystem, pert) -> np.ndarray:
@@ -253,67 +227,7 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# constants bundle
-
-
-#: bundle constants bounding |dg| <= kappa * g, then the two-sided pairs
-_SCALAR_KAPPAS = (
-    "kappa_general",
-    "kappa_sum",
-    "kappa_norm_product",
-    "kappa_relative",
-    "kappa_disjoint",
-)
-_PAIR_KAPPAS = ("kappa_signed", "kappa_exact")
-
-
-@dataclass(frozen=True)
-class KappaBundle:
-    """Every applicable relative perturbation constant for one (system, dV).
-
-    ``valid`` flags each entry: the hypothesis holds and the value is
-    below one where the statement needs it.  ``kappa_norm_product`` is
-    kappa_general evaluated with the coarser measurement
-    c <= ||dV|| * ||U^(-1)||, the variant used in the worked-example
-    tables.  ``kappa_exact`` are the extreme eigenvalues of dg relative
-    to g, the sharpest possible pair, always computed.
-    """
-
-    b: float
-    c: float
-    kappa_general: float
-    kappa_sum: float
-    kappa_norm_product: float
-    kappa_relative: float | None
-    kappa_disjoint: float | None
-    kappa_signed: tuple | None
-    kappa_exact: tuple
-    kappa0_hat: float | None
-    kappa_prime_hat: float | None
-    valid: dict = field(default_factory=dict)
-
-    def entries(self):
-        """Ordered (key, value, applicable) rows of every computed constant.
-
-        Absent constants are left out; each pair is split into
-        ``<name>_minus`` and ``<name>_plus`` rows.
-        """
-        rows = []
-        for name in _SCALAR_KAPPAS:
-            value = getattr(self, name)
-            if value is not None:
-                rows.append((name, value, self.valid[name]))
-        for name in _PAIR_KAPPAS:
-            pair = getattr(self, name)
-            if pair is not None:
-                rows.append((f"{name}_minus", pair[0], self.valid[name]))
-                rows.append((f"{name}_plus", pair[1], self.valid[name]))
-        if self.kappa0_hat is not None:
-            rows.append(("kappa0_hat", self.kappa0_hat, self.valid["kappa_hats"]))
-            rows.append(
-                ("kappa_prime_hat", self.kappa_prime_hat, self.valid["kappa_hats"])
-            )
-        return rows
+# the central gap and the rescaled pair
 
 
 def gap_bound(system: KleinGordonSystem) -> float:
@@ -421,54 +335,216 @@ def norm_bound_interval(gap, a: float, norm_j1: float):
 
 
 # ---------------------------------------------------------------------------
-# the bundle
+# the bounds record
+
+
+#: constants bounding |dg| <= kappa * g, then the two-sided pairs
+_SCALAR_KAPPAS = (
+    "kappa_general",
+    "kappa_sum",
+    "kappa_norm_product",
+    "kappa_relative",
+    "kappa_disjoint",
+)
+_PAIR_KAPPAS = ("kappa_signed", "kappa_exact")
+
+#: slack used only to keep pass/fail flags stable at exact equality
+_CHECK_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class KappaCheck:
+    """One predicted bound compared against the true deviations."""
+
+    name: str
+    value: object  # float or (kappa_minus, kappa_plus)
+    applicable: bool
+    passed: bool
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Every statement for one (model, dV, shift): b, alpha, kappa, intervals.
+
+    ``system`` is the model assembled at the shift, ``spectrum`` its
+    spectrum, ``perturbation`` the validated potential change dV and
+    ``alpha`` the guaranteed half-width of the central gap (gap_bound).
+    ``c`` = ||dV U^(-1)||; ``nu`` the smallest factor with
+    ||dV psi|| <= nu ||V psi||, absent when V is numerically singular or
+    when V^(-1), dV V^(-1) or nu itself overflows; ``disjoint`` whether
+    the mixed product dA^T A + A^T dA, A = (V - mu) U^(-1),
+    dA = dV U^(-1), vanishes; ``signed`` 'negative' / 'positive' when it is
+    semidefinite of that sign.  Then every kappa: ``kappa_norm_product``
+    is kappa_general evaluated with the coarser measurement
+    c <= ||dV|| ||U^(-1)||, the variant of the worked-example tables, and
+    ``kappa_exact`` the extreme eigenvalues of dg relative to g, the
+    sharpest pair, always computed.  ``valid`` flags each kappa: its
+    hypothesis holds and the value is below one where the statement
+    needs it.  The gap inclusion intervals and the norms they need are
+    derived by rows() alone.
+    """
+
+    system: KleinGordonSystem = field(repr=False)
+    spectrum: SpectrumReport = field(repr=False)
+    perturbation: PerturbationSpec = field(repr=False)
+    alpha: float
+    b: float
+    c: float
+    nu: float | None
+    disjoint: bool
+    signed: str | None
+    kappa_general: float
+    kappa_sum: float
+    kappa_norm_product: float
+    kappa_relative: float | None
+    kappa_disjoint: float | None
+    kappa_signed: tuple | None
+    kappa_exact: tuple
+    kappa0_hat: float | None
+    kappa_prime_hat: float | None
+    valid: dict
+
+    def entries(self):
+        """Ordered (key, value, applicable) rows of every computed constant.
+
+        Absent constants are left out; each pair is split into
+        ``<name>_minus`` and ``<name>_plus`` rows.
+        """
+        rows = []
+        for name in _SCALAR_KAPPAS:
+            value = getattr(self, name)
+            if value is not None:
+                rows.append((name, value, self.valid[name]))
+        for name in _PAIR_KAPPAS:
+            pair = getattr(self, name)
+            if pair is not None:
+                rows.append((f"{name}_minus", pair[0], self.valid[name]))
+                rows.append((f"{name}_plus", pair[1], self.valid[name]))
+        if self.kappa0_hat is not None:
+            rows.append(("kappa0_hat", self.kappa0_hat, self.valid["kappa_hats"]))
+            rows.append(
+                ("kappa_prime_hat", self.kappa_prime_hat, self.valid["kappa_hats"])
+            )
+        return rows
+
+    def rows(self):
+        """The ordered (key, value, extra) rows of every statement.
+
+        A scalar row holds its value and extra None; a kappa constant
+        holds its applicable flag in extra; an interval (central_gap and
+        interval_*) holds its ends in value and extra, both None when no
+        interval is certified.  The plain and improved intervals shrink
+        the central gap in the shifted frame by kappa_exact; the uniform
+        one moves both ends inward by ||dG|| ||J1||, dG the gram increment
+        (perturbation_norm).
+        """
+        mu = self.system.shift
+        gap = self.spectrum.central_gap
+        shifted_gap = (gap[0] - mu, gap[1] - mu)
+        km, kp = self.kappa_exact
+        kappa = max(abs(km), abs(kp))
+        plain = improved = uniform = (None, None)
+        if kappa < 1.0 and not np.isinf(shifted_gap).any():
+            lo, hi = gap_inclusion(shifted_gap, kappa).predicted
+            plain = (lo + mu, hi + mu)
+        if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
+            lo, hi = improved_inclusion(shifted_gap, km, kp)
+            improved = (lo + mu, hi + mu)
+        s_norm = spectral_norm(delta_block(self.system, self.perturbation))
+        norm_j1 = sign_operator(self.spectrum).norm_j1
+        lo, hi = norm_bound_interval(gap, s_norm, norm_j1)
+        if lo < hi:
+            uniform = (lo, hi)
+        return [
+            ("contraction_b", self.b, None),
+            ("c_norm", self.c, None),
+            ("gap_alpha", self.alpha, None),
+            ("central_gap", *gap),
+            *self.entries(),
+            ("interval_plain", *plain),
+            ("interval_improved", *improved),
+            ("interval_uniform", *uniform),
+            ("perturbation_norm", s_norm, None),
+        ]
+
+    def checks(self, signed_deviations):
+        """One KappaCheck per computed kappa against the signed deviations.
+
+        A scalar kappa k is checked as the pair (-k, k), which passes
+        exactly when max |deviation| <= k; a pair passes when every
+        deviation lies inside it, both up to _CHECK_SLACK.
+        """
+        checks = []
+        for name in _SCALAR_KAPPAS + _PAIR_KAPPAS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            lo, hi = value if isinstance(value, tuple) else (-value, value)
+            passed = bool(
+                np.all(signed_deviations >= lo - _CHECK_SLACK)
+                and np.all(signed_deviations <= hi + _CHECK_SLACK)
+            )
+            checks.append(KappaCheck(name, value, self.valid[name], passed))
+        return tuple(checks)
 
 
 def perturbation_constants(
     system: KleinGordonSystem, pert, report: SpectrumReport
-) -> KappaBundle:
-    """Evaluate every applicable constant for one system and perturbation.
+) -> BoundsReport:
+    """Measure dV against one system and evaluate every applicable constant.
 
-    ``report`` is the spectrum of ``system``.  The validity flag of each
-    entry records whether its hypothesis holds and, where the statement
-    needs it, whether the value is below one; invalid entries keep their
-    value for tabulation.  The exact pair comes from the report's K-frame
-    pencil eigenvectors Z, Z^T (K - mu*J) Z = I: it is the extreme
-    eigenvalues of Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2
-    the upper and lower halves of Z.  Neither K - mu*J nor dK is formed.
+    ``pert`` is a PerturbationSpec or a raw symmetric matrix and
+    ``report`` the spectrum of ``system``.  Raises
+    ContractionNotLessThanOne when b >= 1 (gap_bound).  c comes from the
+    model's U^(-1), nu from the eigendecomposition of V, and the disjoint
+    and sign classification from the mixed product with
+    A = (V - mu) U^(-1).  The validity flag of each kappa records whether
+    its hypothesis holds and, where the statement needs it, whether the
+    value is below one; invalid entries keep their value for
+    tabulation.  The exact pair comes from the report's K-frame pencil
+    eigenvectors Z, Z^T (K - mu*J) Z = I: it is the extreme eigenvalues
+    of Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2 the upper
+    and lower halves of Z.  Neither K - mu*J nor dK is formed.
     NotCertified when the report took the direct path, that is when
     G - mu*J was not certified positive definite or the Cholesky
     factorization of U^2 - (V - mu)^2 failed.
     """
-    b = system.contraction
-    if b >= 1.0:
-        raise ContractionNotLessThanOne(f"contraction b = {b} is not < 1")
-    pert = analyze_perturbation(system, pert)
-    c = pert.c
-
-    k_gen = kappa_general(c, b)
-    k_sum = kappa_sum(c, b)
-    c_loose = spectral_norm(pert.delta_v) / system.u_min()   # ||U^(-1)|| = 1/u_min
-    k_prod = kappa_general(c_loose, b)
-    k_rel = kappa_relative(pert.nu, b) if pert.nu is not None else None
-
-    structural_ok = b * b + c * c < 1.0
-    k_dis = kappa_disjoint(c, b) if (pert.disjoint and structural_ok) else None
-    k_sgn = (
-        kappa_signed_pair(c, b, pert.signed)
-        if (pert.signed is not None and structural_ok)
-        else None
-    )
-
+    alpha = gap_bound(system)
+    if not isinstance(pert, PerturbationSpec):
+        pert = PerturbationSpec(delta_v=pert)
+    dv, b = pert.delta_v, system.contraction
+    if dv.shape[0] != system.n:
+        raise ValidationError(
+            f"delta_v has order {dv.shape[0]}, system has order {system.n}"
+        )
     if report.solver_path != "similarity":
         raise NotCertified(
             f"g = gram - shift*J is not certified positive definite: b = {b:.17g}"
         )
+
+    delta_a = dv @ system.spec.u_power(-1)
+    c = spectral_norm(delta_a)
+    nu = _relative_factor(dv, system.spec.v)
+    signed, disjoint = _mixed_product_sign(system.a_matrix, delta_a, b, c)
+
+    k_gen = kappa_general(c, b)
+    k_sum = kappa_sum(c, b)
+    c_loose = spectral_norm(dv) / system.u_min()   # ||U^(-1)|| = 1/u_min
+    k_prod = kappa_general(c_loose, b)
+    k_rel = kappa_relative(nu, b) if nu is not None else None
+
+    structural_ok = b * b + c * c < 1.0
+    k_dis = kappa_disjoint(c, b) if (disjoint and structural_ok) else None
+    k_sgn = (
+        kappa_signed_pair(c, b, signed)
+        if (signed is not None and structural_ok)
+        else None
+    )
+
     n, z = system.n, report.eigenvectors
-    m = z[n:].T @ (pert.delta_v @ z[:n])
+    m = z[n:].T @ (dv @ z[:n])
     w = np.linalg.eigvalsh(m + m.T)
     k_exact = (float(w[0]), float(w[-1]))
-
     if k_exact[0] > -1.0:
         k0_hat, kp_hat = rescale_kappa(*k_exact)
     else:
@@ -484,9 +560,16 @@ def perturbation_constants(
         "kappa_exact": k_exact[0] > -1.0,
         "kappa_hats": k0_hat is not None,
     }
-    return KappaBundle(
+    return BoundsReport(
+        system=system,
+        spectrum=report,
+        perturbation=pert,
+        alpha=alpha,
         b=b,
         c=c,
+        nu=nu,
+        disjoint=disjoint,
+        signed=signed,
         kappa_general=k_gen,
         kappa_sum=k_sum,
         kappa_norm_product=k_prod,
@@ -500,97 +583,20 @@ def perturbation_constants(
     )
 
 
-# ---------------------------------------------------------------------------
-# the bounds table and verification
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Every statement for one (model, dV, shift): b, alpha, kappa, intervals.
-
-    ``system`` is the model assembled at the shift, ``spectrum`` its
-    spectrum, ``perturbation`` the potential change, ``alpha`` the
-    guaranteed half-width of the central gap (gap_bound) and ``bundle``
-    every kappa constant.  The gap inclusion intervals and the norms
-    they need are derived by rows() alone.
-    """
-
-    system: KleinGordonSystem = field(repr=False)
-    spectrum: SpectrumReport = field(repr=False)
-    perturbation: PerturbationSpec = field(repr=False)
-    alpha: float
-    bundle: KappaBundle
-
-    def rows(self):
-        """The ordered (key, value, extra) rows of every statement.
-
-        A scalar row holds its value and extra None; a bundle constant
-        holds its applicable flag in extra; an interval (central_gap and
-        interval_*) holds its ends in value and extra, both None when no
-        interval is certified.  The plain and improved intervals shrink
-        the central gap in the shifted frame by kappa_exact; the uniform
-        one moves both ends inward by ||dG|| ||J1||, dG the gram increment
-        (perturbation_norm).
-        """
-        bundle, mu = self.bundle, self.system.shift
-        gap = self.spectrum.central_gap
-        shifted_gap = (gap[0] - mu, gap[1] - mu)
-        km, kp = bundle.kappa_exact
-        kappa = max(abs(km), abs(kp))
-        plain = improved = uniform = (None, None)
-        if kappa < 1.0 and not np.isinf(shifted_gap).any():
-            lo, hi = gap_inclusion(shifted_gap, kappa).predicted
-            plain = (lo + mu, hi + mu)
-        if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
-            lo, hi = improved_inclusion(shifted_gap, km, kp)
-            improved = (lo + mu, hi + mu)
-        s_norm = spectral_norm(delta_block(self.system, self.perturbation))
-        norm_j1 = sign_operator(self.spectrum).norm_j1
-        lo, hi = norm_bound_interval(gap, s_norm, norm_j1)
-        if lo < hi:
-            uniform = (lo, hi)
-        return [
-            ("contraction_b", bundle.b, None),
-            ("c_norm", bundle.c, None),
-            ("gap_alpha", self.alpha, None),
-            ("central_gap", *gap),
-            *bundle.entries(),
-            ("interval_plain", *plain),
-            ("interval_improved", *improved),
-            ("interval_uniform", *uniform),
-            ("perturbation_norm", s_norm, None),
-        ]
-
-
 def bounds_report(spec: ModelSpec, pert, shift: float = 0.0) -> BoundsReport:
     """Assemble, solve and evaluate every constant for one (model, dV, shift).
 
     Raises ContractionNotLessThanOne when b >= 1, before any spectrum is
-    solved; otherwise solves the spectrum once and reads the kappa
-    bundle off its pencil eigenvectors (perturbation_constants).
+    solved; otherwise solves the spectrum once and reads every constant
+    off it (perturbation_constants).
     """
-    if not isinstance(pert, PerturbationSpec):
-        pert = PerturbationSpec(delta_v=pert)
     system = assemble_system(spec, shift)
-    alpha = gap_bound(system)
-    spectrum = eigen_spectrum(system)
-    return BoundsReport(
-        system=system,
-        spectrum=spectrum,
-        perturbation=pert,
-        alpha=alpha,
-        bundle=perturbation_constants(system, pert, spectrum),
-    )
+    gap_bound(system)
+    return perturbation_constants(system, pert, eigen_spectrum(system))
 
 
-@dataclass(frozen=True)
-class KappaCheck:
-    """One predicted bound compared against the true deviations."""
-
-    name: str
-    value: object  # float or (kappa_minus, kappa_plus)
-    applicable: bool
-    passed: bool
+# ---------------------------------------------------------------------------
+# verification
 
 
 @dataclass(frozen=True)
@@ -601,10 +607,13 @@ class VerificationReport:
     |lam'_k - lam_k| / |lam_k - mu|, with eigenvalues of both systems
     paired in ascending order (identical to the order convention whenever
     both spectra put the same count on each side of the shift).
-    ``residuals`` / ``residuals_perturbed`` are the eigenpair backward
-    errors (spectral.eigenpair_residuals) of ``eigenvalues`` /
-    ``eigenvalues_perturbed``, the real parts of the two spectra, with
-    their computed eigenvectors under the model and the perturbed model.
+    ``bounds`` is the BoundsReport of the unperturbed model and
+    ``checks`` its kappa constants against the signed deviations
+    (BoundsReport.checks).  ``residuals`` / ``residuals_perturbed`` are
+    the eigenpair backward errors (spectral.eigenpair_residuals) of
+    ``eigenvalues`` / ``eigenvalues_perturbed``, the real parts of the
+    two spectra, with their computed eigenvectors under the model and
+    the perturbed model.
     """
 
     shift: float
@@ -613,26 +622,12 @@ class VerificationReport:
     deviations: np.ndarray
     signed_deviations: np.ndarray
     max_deviation: float
-    bundle: KappaBundle
+    bounds: BoundsReport
     checks: tuple
     real_spectrum: bool
     real_spectrum_perturbed: bool
-    side_counts_match: bool
     residuals: np.ndarray = field(repr=False)
     residuals_perturbed: np.ndarray = field(repr=False)
-
-
-#: slack used only to keep pass/fail flags stable at exact equality
-_CHECK_SLACK = 1e-12
-
-
-def _pair_check(name, pair, applicable, signed_devs):
-    lo, hi = pair
-    ok = bool(
-        np.all(signed_devs >= lo - _CHECK_SLACK)
-        and np.all(signed_devs <= hi + _CHECK_SLACK)
-    )
-    return KappaCheck(name=name, value=(lo, hi), applicable=applicable, passed=ok)
 
 
 def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationReport:
@@ -642,21 +637,18 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     when b >= 1 before the perturbed model is built or anything is
     solved.  Then solves the perturbed spectrum at the same shift
     (general eigensolver with real parts when its contraction passes
-    one), pairs eigenvalues in ascending order and evaluates each
-    constant of the bundle as a pass/fail check.
+    one), pairs eigenvalues in ascending order and checks each kappa
+    constant against the deviations.
     """
-    base = bounds_report(spec, pert, shift)
-    rep, bundle = base.spectrum, base.bundle
-    spec_p = spec.perturbed(base.perturbation.delta_v)
+    bounds = bounds_report(spec, pert, shift)
+    rep = bounds.spectrum
+    spec_p = spec.perturbed(bounds.perturbation.delta_v)
     rep_p = eigen_spectrum(assemble_system(spec_p, shift))
 
-    lam = np.sort(np.real(rep.eigenvalues))
-    lam_p = np.sort(np.real(rep_p.eigenvalues))
     # both solver paths order by real part, so lam and lam_p line up
-    # with the eigenvector columns kept in the report
-    assert np.array_equal(lam, np.real(rep.eigenvalues))
-    assert np.array_equal(lam_p, np.real(rep_p.eigenvalues))
-    side_match = int(np.sum(lam < shift)) == int(np.sum(lam_p < shift))
+    # with each other and with the eigenvector columns kept in the report
+    lam, lam_p = np.real(rep.eigenvalues), np.real(rep_p.eigenvalues)
+    assert np.all(np.diff(lam) >= 0.0) and np.all(np.diff(lam_p) >= 0.0)
 
     denom = lam - shift
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -666,24 +658,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     stuck = np.where(lam_p == lam, 0.0, np.inf)
     signed = np.where(denom != 0.0, signed, stuck)
     devs = np.abs(signed)
-    max_dev = float(devs.max(initial=0.0))
-
-    checks = []
-    for name in _SCALAR_KAPPAS:
-        value = getattr(bundle, name)
-        if value is not None:
-            checks.append(
-                KappaCheck(
-                    name=name,
-                    value=value,
-                    applicable=bundle.valid[name],
-                    passed=bool(max_dev <= value + _CHECK_SLACK),
-                )
-            )
-    for name in _PAIR_KAPPAS:
-        pair = getattr(bundle, name)
-        if pair is not None:
-            checks.append(_pair_check(name, pair, bundle.valid[name], signed))
 
     return VerificationReport(
         shift=float(shift),
@@ -691,12 +665,11 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         eigenvalues_perturbed=lam_p,
         deviations=devs,
         signed_deviations=signed,
-        max_deviation=max_dev,
-        bundle=bundle,
-        checks=tuple(checks),
+        max_deviation=float(devs.max(initial=0.0)),
+        bounds=bounds,
+        checks=bounds.checks(signed),
         real_spectrum=rep.is_real_spectrum,
         real_spectrum_perturbed=rep_p.is_real_spectrum,
-        side_counts_match=side_match,
         residuals=eigenpair_residuals(spec, lam, rep.eigenvectors),
         residuals_perturbed=eigenpair_residuals(spec_p, lam_p, rep_p.eigenvectors),
     )

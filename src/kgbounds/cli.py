@@ -36,6 +36,7 @@ from .models import (
     load_model,
     random_perturbation,
     square_well_model,
+    square_well_perturbation,
 )
 from .spectral import eigen_spectrum, eigenpair_residuals
 
@@ -161,7 +162,7 @@ def _resolve(args) -> tuple:
     if args.shift is not None:
         shift = args.shift
     elif args.optimize_shift:
-        shift = optimize_shift(spec)[0]
+        shift = optimize_shift(spec)
     elif args.paper_shift:
         if tau is None:
             raise ValidationError("--paper-shift requires a square well model (--tau)")
@@ -174,7 +175,7 @@ def _resolve(args) -> tuple:
 def _perturbation(args, spec: ModelSpec, tau) -> PerturbationSpec:
     if tau is not None:
         # deepened-well convention: the perturbed coupling is tau + eta
-        return PerturbationSpec(delta_v=np.diag([-args.eta, 0.0]))
+        return square_well_perturbation(-args.eta)
     return random_perturbation(spec.order, args.eta, args.seed)
 
 

@@ -5,8 +5,10 @@ The two reproductions are desk-scale experiments:
 * example 2: the 2 x 2 well over couplings tau in {0, 1, 1.7} and
   perturbation strengths eta in {0.001, 0.1, 0.3} at the shift
   mu = -tau/2.  The tabulated deviations correspond to deepening the
-  well (coupling tau -> tau + eta); the respective bounds are
-  eta / (1 - tau/2).
+  well (coupling tau -> tau + eta).  Each cell is one verify_bounds
+  run, and its bound is the constant that run's BoundsReport holds,
+  kappa_norm_product = ||dV|| ||U^(-1)|| / (1 - b), which is the
+  paper's eta / (1 - tau/2) on the well.
 * example 1: the oscillator ladder, comparing discretized eigenvalues
   against the closed form and the first-order sensitivity against the
   certified bound.
@@ -18,11 +20,11 @@ eigenvalues collide and leave the real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PerturbationSpec, kappa_general, verify_bounds
+from .bounds import verify_bounds
 from .core import ModelSpec, assemble_system, spectral_norm
 from .exceptions import ValidationError
 from .models import (
@@ -31,6 +33,7 @@ from .models import (
     harmonic_sensitivity,
     HarmonicParams,
     square_well_model,
+    square_well_perturbation,
 )
 from .spectral import eigen_spectrum, eigenpair_residuals
 
@@ -74,7 +77,6 @@ class Example2Result:
     bounds: np.ndarray
     norm_v_u_inv: float         # ||V U^(-1)|| / tau
     norm_v_u2_inv: float        # ||V (U^2)^(-1)|| / tau
-    reports: tuple = field(repr=False, default=())
 
 
 def example2_tables() -> Example2Result:
@@ -83,23 +85,24 @@ def example2_tables() -> Example2Result:
     For each (tau, eta) of EXAMPLE2_TAUS x EXAMPLE2_ETAS the well is
     deepened, V' = V - diag(eta, 0), the shift is mu = -tau/2, and the
     tabulated entry is max_k |lam'_k - lam_k| / |lam_k + tau/2| over
-    ascending pairing.  The bound entry is eta / (1 - tau/2).
+    ascending pairing.  The bound entry is the run's kappa_norm_product,
+    ||dV|| ||U^(-1)|| / (1 - b) = eta / (1 - tau/2): ||U^(-1)|| = 1 and
+    b = tau/2 at this shift.
     """
     taus, etas = EXAMPLE2_TAUS, EXAMPLE2_ETAS
     true_table = np.zeros((len(taus), len(etas)))
     bound_table = np.zeros_like(true_table)
-    reports = []
     for i, tau in enumerate(taus):
         spec = square_well_model(tau)
         for j, eta in enumerate(etas):
-            pert = PerturbationSpec(delta_v=np.diag([-float(eta), 0.0]))
-            report = verify_bounds(spec, pert, shift=-tau / 2.0)
+            report = verify_bounds(
+                spec, square_well_perturbation(-eta), shift=-tau / 2.0
+            )
             true_table[i, j] = report.max_deviation
-            bound_table[i, j] = kappa_general(eta, tau / 2.0)
-            reports.append(report)
+            bound_table[i, j] = report.bounds.kappa_norm_product
 
     base = square_well_model(1.0)
-    norm_v_u_inv = spectral_norm(base.v @ base.u_power(-1))
+    norm_v_u_inv = assemble_system(base).contraction
     norm_v_u2_inv = spectral_norm(base.v @ base.u_power(-2))
     return Example2Result(
         taus=taus,
@@ -108,7 +111,6 @@ def example2_tables() -> Example2Result:
         bounds=bound_table,
         norm_v_u_inv=norm_v_u_inv,
         norm_v_u2_inv=norm_v_u2_inv,
-        reports=tuple(reports),
     )
 
 
@@ -207,7 +209,7 @@ def _discrete_extremes(alpha, beta, grid_points, half_width, modes):
     report = eigen_spectrum(system)
     pos = report.positive_ordered
     neg = report.negative_ordered
-    return spec, system, [(float(pos[m]), float(neg[m])) for m in modes]
+    return system, [(float(pos[m]), float(neg[m])) for m in modes]
 
 
 def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
@@ -225,7 +227,7 @@ def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
     contraction = {}
     for alpha in EXAMPLE1_ALPHAS:
         for beta in EXAMPLE1_BETAS:
-            spec, system, pairs = _discrete_extremes(
+            system, pairs = _discrete_extremes(
                 alpha, beta, grid_points, half_width, EXAMPLE1_MODES
             )
             contraction[(alpha, beta)] = system.contraction
@@ -249,8 +251,8 @@ def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
     mu0 = exact_harmonic_eigs(a0, 0.0, 0)[0]
     mu1 = exact_harmonic_eigs(a0 + eps, 0.0, 0)[0]
     fd_exact = (mu1 - mu0) / (mu0 * eps)
-    _, _, pairs0 = _discrete_extremes(a0, 0.0, grid_points, half_width, (0,))
-    _, _, pairs1 = _discrete_extremes(a0 + eps, 0.0, grid_points, half_width, (0,))
+    _, pairs0 = _discrete_extremes(a0, 0.0, grid_points, half_width, (0,))
+    _, pairs1 = _discrete_extremes(a0 + eps, 0.0, grid_points, half_width, (0,))
     fd_disc = (pairs1[0][0] - pairs0[0][0]) / (pairs0[0][0] * eps)
 
     return Example1Result(
@@ -355,10 +357,11 @@ def sweep_potential(
     defect_flags = np.empty(steps, dtype=bool)
     for i, t in enumerate(params):
         spec, report = spectrum(t)
-        lam = report.eigenvalues
-        order = np.argsort(lam, kind="stable")  # complex: by real, then imag
-        eigenvalues[i] = lam[order]
-        residuals[i] = eigenpair_residuals(spec, lam, report.eigenvectors)[order]
+        # both solver paths order by real part, then imaginary part
+        eigenvalues[i] = report.eigenvalues
+        residuals[i] = eigenpair_residuals(
+            spec, report.eigenvalues, report.eigenvectors
+        )
         real_flags[i] = report.is_real_spectrum
         defect_flags[i] = report.defective
 

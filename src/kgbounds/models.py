@@ -136,10 +136,12 @@ def square_well_model(tau: float) -> ModelSpec:
 
 
 def square_well_perturbation(eta: float) -> PerturbationSpec:
-    """The well perturbation dV = diag(eta, 0).
+    """The well perturbation dV = diag(eta, 0); a negative eta deepens the well.
 
-    Its measured constants, c = ||dV U^(-1)|| = |eta| sqrt(2/3) among
-    them, are left for analyze_perturbation.
+    square_well_perturbation(-eta) moves the coupling tau to tau + eta,
+    the convention of the worked example and of ``kg`` on the well.  Its
+    measured constants, c = ||dV U^(-1)|| = |eta| sqrt(2/3) among them,
+    are recorded by perturbation_constants.
     """
     return PerturbationSpec(delta_v=np.diag([float(eta), 0.0]))
 

@@ -294,7 +294,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         # the pencil route certifies a symmetric-similar, hence semisimple,
         # operator; multiplicity defects can only arise here
         if not witnesses and is_real:
-            if np.any(np.diff(np.sort(lam)) <= MULT_RTOL * scale):
+            if np.any(np.diff(lam) <= MULT_RTOL * scale):
                 witnesses = _cluster_defects(lam, h, scale)
         witness = witnesses[0] if witnesses else None
         n = spec.order
@@ -302,9 +302,10 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
             [spec.u_power(-0.5) @ vecs[:n], spec.u_power(0.5) @ vecs[n:]]
         )
 
+    # both paths order lam ascending by real part
     re = np.real(lam)
-    pos = np.sort(re[re > mu])
-    neg = np.sort(re[re < mu])[::-1]
+    pos = re[re > mu]
+    neg = re[re < mu][::-1]
     lo = float(neg[0]) if neg.size else -np.inf
     hi = float(pos[0]) if pos.size else np.inf
     return SpectrumReport(

@@ -282,13 +282,13 @@ def test_criterion_8_structured_bound_soundness():
         for _ in range(100):
             spec, dv = _diagonal_pair(rng, disjoint=(kind == "disjoint"))
             vr = verify_bounds(spec, dv, 0.0)
-            bundle = vr.bundle
+            bounds = vr.bounds
             if kind == "disjoint":
-                assert bundle.kappa_disjoint is not None
-                assert vr.max_deviation <= bundle.kappa_disjoint + 1e-9
+                assert bounds.kappa_disjoint is not None
+                assert vr.max_deviation <= bounds.kappa_disjoint + 1e-9
             else:
-                assert bundle.kappa_signed is not None
-                km, kp = bundle.kappa_signed
+                assert bounds.kappa_signed is not None
+                km, kp = bounds.kappa_signed
                 assert np.all(vr.signed_deviations >= km - 1e-9)
                 assert np.all(vr.signed_deviations <= kp + 1e-9)
             # the closed-form retrieval: t_bound at a = 2b||dA||/(1-b^2)

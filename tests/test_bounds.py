@@ -15,7 +15,6 @@ from kgbounds import (
     NotCertified,
     NotPositiveDefinite,
     PerturbationSpec,
-    analyze_perturbation,
     assemble_system,
     delta_gram,
     eigen_spectrum,
@@ -396,36 +395,45 @@ class TestPerturbationConstants:
             label="disjoint",
         )
         system = assemble_system(spec, 0.0)
-        pert = analyze_perturbation(system, np.diag([0.0, 0.3, 0.0]))
-        assert pert.disjoint
-        bundle = constants_of(system, pert)
-        assert bundle.kappa_disjoint is not None
+        bounds = constants_of(system, np.diag([0.0, 0.3, 0.0]))
+        assert bounds.disjoint
+        assert bounds.kappa_disjoint is not None
         assert abs(
-            bundle.kappa_disjoint - bundle.c / np.sqrt(1 - bundle.b**2)
+            bounds.kappa_disjoint - bounds.c / np.sqrt(1 - bounds.b**2)
         ) <= 1e-14
-        assert bundle.kappa_disjoint <= bundle.kappa_general + 1e-14
+        assert bounds.kappa_disjoint <= bounds.kappa_general + 1e-14
 
     def test_signed_flag(self):
         spec = ModelSpec(
             u_squared=np.diag([2.0, 3.0]), v=np.diag([0.9, -0.4]), label="signed"
         )
         system = assemble_system(spec, 0.0)
-        pert = analyze_perturbation(system, np.diag([-0.2, 0.1]))  # V dV <= 0
-        assert pert.signed == "negative"
-        bundle = constants_of(system, pert)
-        km, kp = bundle.kappa_signed
-        assert abs(km + bundle.c / np.sqrt(1 - bundle.b**2)) <= 1e-14
-        assert abs(kp - bundle.c / (1 - bundle.b)) <= 1e-14
+        bounds = constants_of(system, np.diag([-0.2, 0.1]))  # V dV <= 0
+        assert bounds.signed == "negative"
+        km, kp = bounds.kappa_signed
+        assert abs(km + bounds.c / np.sqrt(1 - bounds.b**2)) <= 1e-14
+        assert abs(kp - bounds.c / (1 - bounds.b)) <= 1e-14
 
     def test_nu_measured_against_invertible_v(self):
         spec = ModelSpec(u_squared=np.diag([2.0, 3.0]), v=np.diag([0.5, -0.6]))
         system = assemble_system(spec, 0.0)
-        pert = analyze_perturbation(system, np.diag([0.1, 0.15]))
-        assert abs(pert.nu - 0.25) <= 1e-12  # ||dV V^-1|| for diagonals
-        bundle = constants_of(system, pert)
+        bounds = constants_of(system, np.diag([0.1, 0.15]))
+        assert abs(bounds.nu - 0.25) <= 1e-12  # ||dV V^-1|| for diagonals
         assert abs(
-            bundle.kappa_relative - pert.nu * bundle.b / (1 - bundle.b)
+            bounds.kappa_relative - bounds.nu * bounds.b / (1 - bounds.b)
         ) <= 1e-12
+
+    def test_nu_matches_the_inverse_product(self, corpus200):
+        # nu = ||dV P diag(1/w)|| from V = P diag(w) P^T against the
+        # product with the explicit inverse, on dense V and dV.  Either
+        # route carries a relative error of order eps cond(V) (the corpus
+        # reaches cond(V) = 1.7e4), so the tolerance scales with it
+        for spec, dv in corpus200:
+            nu = constants_of(assemble_system(spec, 0.0), dv).nu
+            reference = spectral_norm(dv @ np.linalg.inv(spec.v))
+            w = np.abs(np.linalg.eigvalsh(spec.v))
+            tol = 4 * spec.order * EPS * w.max() / w.min()
+            assert abs(nu - reference) <= tol * reference
 
     def test_exact_pair_matches_oracle(self, corpus200):
         # the congruence Z^T dG Z on the spectrum's pencil eigenvectors
@@ -539,9 +547,9 @@ class TestPerturbationConstants:
 
     def test_nu_absent_for_singular_v(self):
         system = assemble_system(square_well_model(0.0), 0.0)
-        pert = analyze_perturbation(system, np.diag([0.1, 0.0]))
-        assert pert.nu is None
-        assert constants_of(system, pert).kappa_relative is None
+        bounds = constants_of(system, np.diag([0.1, 0.0]))
+        assert bounds.nu is None
+        assert bounds.kappa_relative is None
 
 
 class TestEigenvalueIntervals:
@@ -578,7 +586,7 @@ class TestVerifyBounds:
     def test_exact_pair_brackets_signed_deviations(self, corpus200):
         for spec, dv in corpus200[:40]:
             vr = verify_bounds(spec, dv, 0.0)
-            km, kp = vr.bundle.kappa_exact
+            km, kp = vr.bounds.kappa_exact
             assert np.all(vr.signed_deviations >= km - 1e-9)
             assert np.all(vr.signed_deviations <= kp + 1e-9)
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,32 @@ class TestBoundsCommand:
             <= float(rows["kappa_general"][1]) + 1e-12
         )
 
+    @pytest.mark.parametrize(
+        "v, eta, seed",
+        [
+            ("[[1e-310, 0.0], [0.0, 2e-310]]", "1e-3", "0"),
+            ("[[1e-300, 0.0], [0.0, 2e-300]]", "1.79e8", "4"),
+        ],
+        ids=["inverse-overflows", "nu-overflows"],
+    )
+    def test_overflowing_nu_is_absent(self, v, eta, seed, tmp_path, capsys):
+        # V = diag(1e-310, 2e-310) has V^(-1) = diag(1e310, 5e309), which
+        # overflows; V = diag(1e-300, 2e-300) does not, but with this dV
+        # nu = ||dV V^(-1)|| exceeds the float range.  Either way nu and
+        # kappa_relative are absent, the command succeeds, and no
+        # RuntimeWarning is emitted
+        path = tmp_path / "tiny_v.json"
+        path.write_text('{"u_squared": [[2.0, 0.0], [0.0, 3.0]], "v": ' + v + "}")
+        args = ["bounds", "--model", str(path), "--eta", eta, "--seed", seed]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        keys = [row[0] for row in csv.reader(captured.out.splitlines())]
+        assert "kappa_general" in keys and "kappa_relative" not in keys
+        assert captured.err == "" and caught == []
+
 
 class TestSweepCommand:
     def test_critical_row(self, tmp_path):
@@ -646,6 +673,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error:")
         assert float(re.search(r"b = (\S+)", err).group(1)) < 1.0
+
+    def test_perturbation_overflowing_its_symmetrization(self, capsys):
+        # dV = diag(-1.7e308, 0) is finite, but dV + dV^T is not: rejected
+        # when the perturbation is built, before anything is measured
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bounds", "--tau", "1", "--eta", "1.7e308"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: delta_v contains non-finite entries\n"
+        assert caught == []
 
     def test_paper_shift_requires_square_well(self, tmp_path):
         path = tmp_path / "free.json"

@@ -278,7 +278,7 @@ class TestOptimizeShift:
 
     def test_matches_golden_section_reference(self):
         for spec in self.specs():
-            _, b = optimize_shift(spec)
+            b = assemble_system(spec, optimize_shift(spec)).contraction
             _, b_ref = golden_section_shift(spec)
             assert abs(b - b_ref) <= 1e-14 * b_ref, spec.label
 
@@ -297,7 +297,8 @@ class TestOptimizeShift:
 
     def test_zero_potential(self):
         spec = ModelSpec(u_squared=np.diag([1.0, 2.0]), v=np.zeros((2, 2)))
-        mu, b = optimize_shift(spec)
+        mu = optimize_shift(spec)
+        b = assemble_system(spec, mu).contraction
         assert abs(mu) <= 1e-8
         assert b <= 1e-8
 
@@ -305,11 +306,13 @@ class TestOptimizeShift:
         rng = np.random.Generator(np.random.PCG64(8))
         u_squared = random_spd(rng, 3)
         spec = ModelSpec(u_squared=u_squared, v=2.5 * np.eye(3))
-        mu, b = optimize_shift(spec)
+        mu = optimize_shift(spec)
+        b = assemble_system(spec, mu).contraction
         assert abs(mu - 2.5) <= 1e-7
         assert b <= 1e-7
 
     def test_square_well_no_worse_than_half_shift(self):
-        mu, b = optimize_shift(square_well_model(1.0))
+        spec = square_well_model(1.0)
+        b = assemble_system(spec, optimize_shift(spec)).contraction
         assert b <= 0.5 + 1e-9
-        assert b <= contraction_bound(square_well_model(1.0), 0.0) + 1e-12
+        assert b <= contraction_bound(spec, 0.0) + 1e-12

@@ -8,7 +8,6 @@ from kgbounds import (
     ParseError,
     PerturbationSpec,
     ValidationError,
-    analyze_perturbation,
     assemble_system,
     eigen_spectrum,
     exact_harmonic_eigs,
@@ -176,8 +175,8 @@ class TestSquareWellPerturbation:
         # c = ||dV U^(-1)|| = |eta| sqrt(2/3): the first row of the well's
         # U^(-1) has squared norm 2/3
         system = assemble_system(square_well_model(1.0), -0.5)
-        pert = analyze_perturbation(system, square_well_perturbation(0.001))
-        assert abs(pert.c - 0.001 * np.sqrt(2.0 / 3.0)) <= 1e-15
+        bounds = constants_of(system, square_well_perturbation(0.001))
+        assert abs(bounds.c - 0.001 * np.sqrt(2.0 / 3.0)) <= 1e-15
 
     def test_shifted_table_bound(self):
         assert abs(kappa_general(0.1, 1.0 / 2.0) - 0.2) <= 1e-15
