@@ -105,7 +105,7 @@ INV_RTOL = 1e-12
 
 def kappa_general(c: float, b: float) -> float:
     """c / (1 - b), the constant from measuring dg against the free form."""
-    if b >= 1.0:
+    if not b < 1.0:
         raise ContractionNotLessThanOne(f"contraction b = {b} is not < 1")
     return c / (1.0 - b)
 
@@ -117,14 +117,14 @@ def kappa_sum(c: float, b: float) -> float:
 
 def kappa_relative(nu: float, b: float) -> float:
     """nu * b / (1 - b) when the perturbation is measured by V itself."""
-    if b >= 1.0:
+    if not b < 1.0:
         raise ContractionNotLessThanOne(f"contraction b = {b} is not < 1")
     return nu * b / (1.0 - b)
 
 
 def kappa_disjoint(c: float, b: float) -> float:
     """c / sqrt(1 - b^2), valid when the mixed product V*dV vanishes."""
-    if b >= 1.0:
+    if not b < 1.0:
         raise ContractionNotLessThanOne(f"contraction b = {b} is not < 1")
     return c / math.sqrt(1.0 - b * b)
 
@@ -135,7 +135,7 @@ def kappa_signed_pair(c: float, b: float, direction: str = "negative"):
     direction 'negative' (V*dV <= 0): (-c / sqrt(1-b^2), c / (1-b));
     direction 'positive' mirrors it to (-c / (1-b), c / sqrt(1-b^2)).
     """
-    if b >= 1.0:
+    if not b < 1.0:
         raise ContractionNotLessThanOne(f"contraction b = {b} is not < 1")
     tight = c / math.sqrt(1.0 - b * b)
     loose = c / (1.0 - b)
@@ -196,10 +196,8 @@ def _relative_factor(dv, v):
         dv_v_inv = (dv @ p) * (1.0 / w)
     if not np.isfinite(dv_v_inv).all():
         return None
-    try:
-        return spectral_norm(dv_v_inv)
-    except OverflowError:
-        return None
+    nu = spectral_norm(dv_v_inv)
+    return nu if math.isfinite(nu) else None
 
 
 def delta_block(system: KleinGordonSystem, pert) -> np.ndarray:
@@ -235,7 +233,7 @@ def gap_bound(system: KleinGordonSystem) -> float:
 
     No eigenvalue of H lies in (mu - alpha, mu + alpha) when b < 1.
     """
-    if system.contraction >= 1.0:
+    if not system.contraction < 1.0:
         raise ContractionNotLessThanOne(
             f"contraction b = {system.contraction} is not < 1"
         )
@@ -495,10 +493,11 @@ def perturbation_constants(
 
     ``pert`` is a PerturbationSpec or a raw symmetric matrix and
     ``report`` the spectrum of ``system``.  Raises
-    ContractionNotLessThanOne when b >= 1 (gap_bound).  c comes from the
-    model's U^(-1), nu from the eigendecomposition of V, and the disjoint
-    and sign classification from the mixed product with
-    A = (V - mu) U^(-1).  The validity flag of each kappa records whether
+    ContractionNotLessThanOne when b >= 1 (gap_bound), and
+    ValidationError when c = ||dV U^(-1)|| is beyond the float range.
+    c comes from the model's U^(-1), nu from the eigendecomposition of
+    V, and the disjoint and sign classification from the mixed product
+    with A = (V - mu) U^(-1).  The validity flag of each kappa records whether
     its hypothesis holds and, where the statement needs it, whether the
     value is below one; invalid entries keep their value for
     tabulation.  The exact pair comes from the report's K-frame pencil
@@ -522,8 +521,13 @@ def perturbation_constants(
             f"g = gram - shift*J is not certified positive definite: b = {b:.17g}"
         )
 
-    delta_a = dv @ system.spec.u_power(-1)
+    with np.errstate(over="ignore"):   # an entry beyond the float range: c = inf
+        delta_a = dv @ system.spec.u_power(-1)
     c = spectral_norm(delta_a)
+    if not math.isfinite(c):
+        raise ValidationError(
+            f"the perturbation is out of range: c = ||dV U^(-1)|| = {c} is not finite"
+        )
     nu = _relative_factor(dv, system.spec.v)
     signed, disjoint = _mixed_product_sign(system.a_matrix, delta_a, b, c)
 

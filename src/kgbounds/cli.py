@@ -136,8 +136,10 @@ def _resolve(args) -> tuple:
         raise ParseError(
             "exactly one model source is required: --model, --tau or --alpha"
         )
-    if args.shift is not None and not np.isfinite(args.shift):
-        raise ParseError(f"--shift must be a finite number, got {args.shift}")
+    for flag in ("shift", "eta"):
+        value = getattr(args, flag, None)
+        if value is not None and not np.isfinite(value):
+            raise ParseError(f"--{flag} must be a finite number, got {value}")
     tau = args.tau
     if args.model is not None:
         spec = load_model(args.model)
@@ -202,29 +204,38 @@ def _write_csv(out, header, rows):
         writer.writerows(rows)
 
 
-def _gate_exit(spec: ModelSpec, row_name: str, checks) -> int:
+def _gate_exit(
+    spec: ModelSpec, row_name: str, rows, lams, resids, couplings=1.0, causes=""
+) -> int:
     """EXIT_SOLVER, naming the first failing eigenvalue, when a residual fails its gate.
 
-    ``checks`` yields (row, eigenvalue, residual, t, cause) per emitted
-    eigenvalue, the residual being the eigenpair backward error of
-    spectral.eigenpair_residuals; the gate is
-    RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2).  A non-empty
-    ``cause`` is appended to the message.  A NaN residual fails.
+    ``lams`` holds the emitted eigenvalues and ``resids`` their
+    eigenpair backward errors (spectral.eigenpair_residuals); ``rows``
+    (the row label of each), ``couplings`` t and ``causes`` broadcast
+    against them.  The gate of each is
+    RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2), and the first
+    failing entry in row-major order is named, with its cause appended
+    when non-empty.  A NaN residual fails.
     """
     u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
-    for row, lam, resid, t, cause in checks:
-        limit = RESIDUAL_GATE * (
-            u2_norm + (abs(t) * v_norm) ** 2 + abs(complex(lam)) ** 2
-        )
-        if not resid <= limit:
-            print(
-                f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
-                f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"
-                + (f" ({cause})" if cause else ""),
-                file=sys.stderr,
-            )
-            return EXIT_SOLVER
-    return EXIT_OK
+    limits = RESIDUAL_GATE * (
+        u2_norm + (np.abs(couplings) * v_norm) ** 2 + np.abs(lams) ** 2
+    )
+    failing = ~(resids <= limits)
+    if not failing.any():
+        return EXIT_OK
+    first = np.unravel_index(np.argmax(failing), failing.shape)
+    row, lam, resid, limit, cause = (
+        np.broadcast_to(a, failing.shape)[first]
+        for a in (rows, lams, resids, limits, causes)
+    )
+    print(
+        f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
+        f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"
+        + (f" ({cause})" if cause else ""),
+        file=sys.stderr,
+    )
+    return EXIT_SOLVER
 
 
 def cmd_spectrum(args) -> int:
@@ -241,8 +252,7 @@ def cmd_spectrum(args) -> int:
         ["index", "eigenvalue_re", "eigenvalue_im", "sign_type", "pencil_residual"],
         rows,
     )
-    checks = ((k, lam, r, 1.0, "") for k, (lam, r) in enumerate(zip(lams, resids)))
-    return _gate_exit(spec, "index", checks)
+    return _gate_exit(spec, "index", np.arange(lams.size), lams, resids)
 
 
 def _csv_cell(x) -> str:
@@ -291,18 +301,12 @@ def cmd_verify(args) -> int:
     cause_p = (
         "" if report.real_spectrum_perturbed else "the perturbed spectrum is not real"
     )
-    checks = []
-    rows = []
-    for k, (lam, lam_p, dev) in enumerate(
-        zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
-    ):
-        if resids_p[k] > resids[k]:
-            checks.append((k, lam, resids_p[k], 1.0, cause_p))
-        else:
-            checks.append((k, lam, resids[k], 1.0, cause))
-        rows.append(
-            ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
+    rows = [
+        ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
+        for k, (lam, lam_p, dev) in enumerate(
+            zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
         )
+    ]
     rows.append(
         [
             "summary",
@@ -338,7 +342,16 @@ def cmd_verify(args) -> int:
         ],
         rows,
     )
-    return _gate_exit(spec, "index", checks)
+    # each eigenvalue is gated on the larger of its two residuals
+    worse = resids_p > resids
+    return _gate_exit(
+        spec,
+        "index",
+        np.arange(resids.size),
+        report.eigenvalues,
+        np.where(worse, resids_p, resids),
+        causes=[cause_p if w else cause for w in worse.tolist()],
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -350,6 +363,10 @@ def cmd_sweep(args) -> int:
         raise ParseError(
             f"--sweep-range must look like a:b, got {args.sweep_range!r}"
         ) from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ParseError(
+            f"--sweep-range ends must be finite numbers, got {args.sweep_range!r}"
+        )
     result = harness.sweep_potential(spec, lo, hi, args.steps, shift=shift)
     two_n = result.eigenvalues.shape[1]
     header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
@@ -374,14 +391,10 @@ def cmd_sweep(args) -> int:
 
     _write_csv(args.out, header, rows())
     # every eigenvalue against its own gate, for the potential t * V
-    checks = (
-        (t, lam, r, t, "")
-        for t, eigs, resids in zip(
-            result.parameters, result.eigenvalues, result.residuals
-        )
-        for lam, r in zip(eigs, resids)
+    t = result.parameters[:, None]
+    return _gate_exit(
+        spec, "sweep parameter", t, result.eigenvalues, result.residuals, t
     )
-    return _gate_exit(spec, "sweep parameter", checks)
 
 
 def cmd_reproduce(args) -> int:

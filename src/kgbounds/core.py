@@ -26,9 +26,11 @@ module solves in that frame.
 ModelSpec owns the powers of U: each is formed once from the
 eigendecomposition of U^2 that validation computes, and shared by every
 spec derived from it with another potential.  KleinGordonSystem stores
-the contraction data alone and derives G, and H = J G from it, on
-demand.  Everything here is dense and desk-scale; all outputs are plain
-numpy arrays inside frozen dataclasses and all functions are pure.
+the contraction data alone and derives H, and G = J H from it, on
+demand; hamiltonians forms H for a whole stack of potentials t V, and
+spectral_norm and shifted_potential take stacks too.  Everything here
+is dense and desk-scale; all outputs are plain numpy arrays inside
+frozen dataclasses and all functions are pure.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "operator_a",
     "optimize_shift",
     "apply_j",
+    "hamiltonians",
     "shifted_potential",
     "spectral_norm",
     "symmetrize",
@@ -59,6 +62,9 @@ SYMMETRY_RTOL = 1e-12
 
 #: a matrix counts as positive definite when min eig > PD_RTOL * ||m||
 PD_RTOL = 1e-12
+
+#: half the largest float: entries up to it cannot overflow a_ij +- a_ji
+_HALF_MAX = float(np.finfo(float).max) / 2
 
 #: |exponent| of U -> square roots taken of the eigenvalues of U^2
 _ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
@@ -72,18 +78,32 @@ _GRAM_RANGE = (2.0**-500, 2.0**500)
 _SUBSET_MIN_ORDER = 32
 
 
-def _top_eigenvalue(s) -> float:
-    """Largest eigenvalue of a symmetric matrix; only its lower triangle is read."""
-    n = s.shape[0]
+def _top_eigenvalue(s):
+    """Largest eigenvalue of a symmetric matrix, or of each in a stack (..., n, n).
+
+    A float for one matrix, an array for a stack; only the lower
+    triangles are read.  One small matrix, also a stack of one, goes
+    straight to LAPACK's dsyevd, which costs a third of numpy's eigvalsh
+    call at n = 2; a stack of several goes through eigvalsh as one call.
+    """
+    n = s.shape[-1]
+    if s.ndim > 2:
+        if n < _SUBSET_MIN_ORDER and s.size > n * n:
+            return np.linalg.eigvalsh(s)[..., -1]
+        tops = [_top_eigenvalue(m) for m in s.reshape(-1, n, n)]
+        return np.reshape(tops, s.shape[:-2])
     if n < _SUBSET_MIN_ORDER:
-        return float(np.linalg.eigvalsh(s)[-1])
+        w, _, info = scipy.linalg.lapack.dsyevd(s, compute_v=0, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float(w[-1])
     top = scipy.linalg.eigh(
         s, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr"
     )
     return float(top[0])
 
 
-def spectral_norm(a) -> float:
+def spectral_norm(a):
     """Largest singular value of a dense matrix, without an SVD.
 
     Returns sqrt(max(lambda_max(a^T a), 0)), the Gram matrix taken on
@@ -92,18 +112,37 @@ def spectral_norm(a) -> float:
     clamp keeps the norm of a zero matrix at exactly 0.0.  A matrix whose
     largest entry lies outside _GRAM_RANGE is first scaled to one near 1
     by a power of two, so the Gram matrix neither overflows nor
-    underflows.
+    underflows; a norm beyond the float range is inf, and a matrix with
+    a non-finite entry has that entry's modulus (inf or nan) as norm.
+    A stack (..., m, n) gives the array of its matrices' norms, each
+    scaled on its own.
     """
     a = np.asarray(a, dtype=float)
+    stack = a.shape[:-2]
     if a.size == 0:
-        return 0.0
-    exponent = 0
-    largest = np.abs(a).max()
-    if largest > 0.0 and not _GRAM_RANGE[0] <= largest <= _GRAM_RANGE[1]:
-        exponent = math.frexp(largest)[1]
-        a = np.ldexp(a, -exponent)
-    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    return math.ldexp(float(np.sqrt(max(_top_eigenvalue(gram), 0.0))), exponent)
+        return np.zeros(stack) if stack else 0.0
+    largest = np.abs(a).max(axis=(-2, -1))
+    lo, hi = _GRAM_RANGE
+    if stack:
+        rescale = not (lo <= largest.min() and largest.max() <= hi)
+    else:
+        rescale = not lo <= largest <= hi
+    if rescale:
+        # also taken by a zero matrix, which keeps exponent 0
+        finite = np.isfinite(largest)
+        outside = ~((largest >= lo) & (largest <= hi) | (largest == 0.0))
+        exponent = np.where(outside & finite, np.frexp(largest)[1], 0)
+        a = np.where(finite[..., None, None], a, 0.0)
+        a = np.ldexp(a, -exponent[..., None, None])
+    at = a.swapaxes(-1, -2)
+    gram = at @ a if a.shape[-2] >= a.shape[-1] else a @ at
+    top = _top_eigenvalue(gram)
+    if not rescale:
+        return np.sqrt(np.maximum(top, 0.0)) if stack else math.sqrt(max(top, 0.0))
+    norm = np.sqrt(np.maximum(top, 0.0))
+    with np.errstate(over="ignore"):
+        norm = np.where(finite, np.ldexp(norm, exponent), largest)
+    return norm if stack else float(norm)
 
 
 def symmetrize(a):
@@ -125,18 +164,28 @@ def check_symmetric(a, name: str = "matrix"):
     """Validate approximate symmetry and return the symmetrized copy.
 
     Entries so large that a_ij + a_ji overflows leave the copy
-    non-finite, and are rejected as such.
+    non-finite, and are rejected as such; below _HALF_MAX no sum or
+    difference of two entries can overflow, and the copy is finite.
     """
     a = _as_square(a, name)
+    largest = np.abs(a).max() if a.size else 0.0
+    if largest <= _HALF_MAX:
+        _check_drift(a, largest, name)
+        return symmetrize(a)
     with np.errstate(over="ignore"):
-        scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-        drift = np.abs(a - a.T).max() if a.size else 0.0
-        if drift > SYMMETRY_RTOL * scale:
-            raise ValidationError(
-                f"{name} is not symmetric: max |a_ij - a_ji| = {drift:.3e} "
-                f"exceeds {SYMMETRY_RTOL * scale:.3e}"
-            )
+        _check_drift(a, largest, name)
         return _as_square(symmetrize(a), name)
+
+
+def _check_drift(a, largest, name: str):
+    """ValidationError when max |a_ij - a_ji| exceeds SYMMETRY_RTOL * (1 + largest)."""
+    scale = 1.0 + largest
+    drift = np.abs(a - a.T).max() if a.size else 0.0
+    if drift > SYMMETRY_RTOL * scale:
+        raise ValidationError(
+            f"{name} is not symmetric: max |a_ij - a_ji| = {drift:.3e} "
+            f"exceeds {SYMMETRY_RTOL * scale:.3e}"
+        )
 
 
 def apply_j(x):
@@ -152,10 +201,10 @@ def apply_j(x):
 def _spd_eig(m, name: str = "matrix"):
     """Eigendecomposition of a symmetric positive definite matrix.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue does not
-    clear PD_RTOL * ||m||.
+    m must already be validated symmetric (check_symmetric).  Raises
+    NotPositiveDefinite when the smallest eigenvalue does not clear
+    PD_RTOL * ||m||.
     """
-    m = check_symmetric(m, name)
     w, p = np.linalg.eigh(m)
     norm = max(abs(w[0]), abs(w[-1]))
     if w[0] <= PD_RTOL * norm or w[0] <= 0.0:
@@ -270,19 +319,16 @@ class KleinGordonSystem:
 
     @property
     def gram(self):
-        """G = [[U, X^T], [X, U]], X = U^(1/2) V U^(-1/2), formed anew.
+        """G = J H = [[U, X^T], [X, U]], X = U^(1/2) V U^(-1/2), formed anew.
 
         Exactly symmetric, because every power of U is.
         """
-        spec = self.spec
-        u = spec.u_power(1)
-        x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)
-        return np.block([[u, x.T], [x, u]])
+        return apply_j(self.hamiltonian)
 
     @property
     def hamiltonian(self):
-        """H = J G, formed anew on every access."""
-        return apply_j(self.gram)
+        """H = [[X, U], [U, X^T]] (see hamiltonians), formed anew on every access."""
+        return hamiltonians(self.spec, (1.0,))[0]
 
     def u_min(self) -> float:
         """Smallest eigenvalue of U = sqrt(U^2)."""
@@ -293,21 +339,50 @@ class KleinGordonSystem:
         return float(np.sqrt(self.spec.u2_eigenvalues[-1]))
 
 
-def shifted_potential(spec: ModelSpec, shift: float = 0.0):
-    """W = V - shift*I as a new array.
+def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
+    """W = V - shift*I as a new array, or the stack of W = t V - shift*I.
 
+    With ``couplings`` (k values of t) the result has shape (k, n, n).
     The shift comes off the diagonal of V itself, before any product,
     so a potential far from the origin loses no digits to a later
     cancellation.
     """
-    w = np.array(spec.v)
-    w.flat[:: spec.order + 1] -= shift
+    n = spec.order
+    if couplings is None:
+        w = np.array(spec.v)
+    else:
+        w = np.multiply.outer(np.asarray(couplings, dtype=float), spec.v)
+    w.reshape(-1, n * n)[:, :: n + 1] -= shift
     return w
 
 
+def hamiltonians(spec: ModelSpec, couplings):
+    """H(t) = [[t X, U], [U, t X^T]], X = U^(1/2) V U^(-1/2), per coupling t.
+
+    H(t) = J G(t) is the Hamiltonian of the potential t V; the stack has
+    shape (k, 2n, 2n).  X is formed once per call, and t = 1 gives the
+    Hamiltonian of the spec itself, bit for bit.
+    """
+    n = spec.order
+    x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)
+    tx = np.multiply.outer(np.asarray(couplings, dtype=float), x)
+    h = np.empty((tx.shape[0], 2 * n, 2 * n))
+    h[:, :n, :n] = tx
+    h[:, :n, n:] = spec.u_power(1)
+    h[:, n:, :n] = spec.u_power(1)
+    h[:, n:, n:] = tx.swapaxes(-1, -2)
+    return h
+
+
 def operator_a(spec: ModelSpec, shift: float = 0.0):
-    """A = (V - shift*I) U^(-1) with U the principal root of u_squared."""
-    return shifted_potential(spec, shift) @ spec.u_power(-1)
+    """A = (V - shift*I) U^(-1) with U the principal root of u_squared.
+
+    An entry beyond the float range is inf, with no warning: b = ||A||
+    is then inf, or nan where infinities of both signs meet, and every
+    certified route rejects either, as not b < 1.
+    """
+    with np.errstate(over="ignore"):
+        return shifted_potential(spec, shift) @ spec.u_power(-1)
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:

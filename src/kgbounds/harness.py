@@ -15,11 +15,15 @@ The two reproductions are desk-scale experiments:
 
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
-eigenvalues collide and leave the real axis.
+eigenvalues collide and leave the real axis.  It solves its steps in
+blocks of couplings, one stacked spectral.eigen_spectra call and one
+stacked eigenpair_residuals call per block, sized by BLOCK_BUDGET so
+that a block's temporaries stay near those of a single step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,7 @@ from .models import (
     square_well_model,
     square_well_perturbation,
 )
-from .spectral import eigen_spectrum, eigenpair_residuals
+from .spectral import eigen_spectra, eigen_spectrum, eigenpair_residuals
 
 __all__ = [
     "EXAMPLE2_TAUS",
@@ -61,6 +65,11 @@ EXAMPLE1_MODES = (0, 1, 2)
 #: the sensitivity study perturbs alpha = SENSITIVITY_ALPHA by SENSITIVITY_EPS
 SENSITIVITY_ALPHA = 0.5
 SENSITIVITY_EPS = 1e-4
+
+#: matrix entries per block of a sweep: a block solves
+#: max(1, BLOCK_BUDGET // (2n)^2) couplings in one stacked call, which
+#: keeps its temporaries near those of one step (one row from n = 16 up)
+BLOCK_BUDGET = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -336,47 +345,54 @@ def sweep_potential(
 ) -> SweepResult:
     """Scan t in [lo, hi]: spectrum of the model with potential t * V.
 
-    The critical coupling is located by bisection (to 1e-6) on the
-    reality of the spectrum within the first bracket where it flips.
+    The steps are solved in blocks of max(1, BLOCK_BUDGET // (2n)^2)
+    couplings, one stacked eigen_spectra call and one stacked
+    eigenpair_residuals call per block.  Every t V is exactly symmetric,
+    and |t| is largest at an end of the range, so the two end
+    potentials are validated (ValidationError when t V leaves the float
+    range) before anything is solved.  The critical coupling is located
+    by bisection (to 1e-6), one stack of one per step, on the reality of
+    the spectrum within the first bracket where it flips.
     """
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValidationError(f"sweep range ({lo}, {hi}) is not finite")
     if not lo < hi:
         raise ValidationError(f"sweep range ({lo}, {hi}) is empty")
+    with np.errstate(over="ignore"):
+        for t in (lo, hi):
+            base.with_potential(t * base.v, base.label)
 
     params = np.linspace(lo, hi, steps)
-
-    def spectrum(t):
-        spec = base.with_potential(t * base.v, base.label)
-        return spec, eigen_spectrum(assemble_system(spec, shift))
-
     two_n = 2 * base.order
+    block = max(1, BLOCK_BUDGET // two_n**2)
     eigenvalues = np.empty((steps, two_n), dtype=complex)
     residuals = np.empty((steps, two_n))
     real_flags = np.empty(steps, dtype=bool)
     defect_flags = np.empty(steps, dtype=bool)
-    for i, t in enumerate(params):
-        spec, report = spectrum(t)
+    for start in range(0, steps, block):
+        rows = slice(start, start + block)
+        t = params[rows]
+        solved = eigen_spectra(base, t, shift)
         # both solver paths order by real part, then imaginary part
-        eigenvalues[i] = report.eigenvalues
-        residuals[i] = eigenpair_residuals(
-            spec, report.eigenvalues, report.eigenvectors
+        eigenvalues[rows] = solved.eigenvalues
+        residuals[rows] = eigenpair_residuals(
+            base,
+            solved.eigenvalues,
+            solved.eigenvectors,
+            np.multiply.outer(t, base.v),
         )
-        real_flags[i] = report.is_real_spectrum
-        defect_flags[i] = report.defective
+        real_flags[rows] = solved.is_real
+        defect_flags[rows] = solved.defective
 
     critical = None
-    flips = [
-        k
-        for k in range(len(params) - 1)
-        if real_flags[k] and not real_flags[k + 1]
-    ]
-    if flips:
+    flips = np.flatnonzero(real_flags[:-1] & ~real_flags[1:])
+    if flips.size:
         t_lo, t_hi = float(params[flips[0]]), float(params[flips[0] + 1])
         while t_hi - t_lo > 1e-6:
             mid = 0.5 * (t_lo + t_hi)
-            _, report = spectrum(mid)
-            if report.is_real_spectrum:
+            if eigen_spectra(base, (mid,), shift).is_real[0]:
                 t_lo = mid
             else:
                 t_hi = mid

@@ -151,10 +151,15 @@ def random_perturbation(order: int, scale: float, seed: int) -> PerturbationSpec
 
     Uses the PCG64 generator, so a fixed seed reproduces the same matrix
     on every platform.  The draw is symmetrized, which keeps every entry
-    within [-scale, scale].
+    within [-scale, scale].  Raises ValidationError for a scale that is
+    negative or NaN, or whose range 2*scale is beyond the float range.
     """
-    if scale < 0.0:
+    if not scale >= 0.0:
         raise ValidationError(f"scale must be >= 0, got {scale}")
+    if not np.isfinite(2.0 * float(scale)):
+        raise ValidationError(
+            f"scale {scale} is out of range: the draw range 2*scale overflows"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = rng.uniform(-scale, scale, size=(order, order))
     return PerturbationSpec(delta_v=symmetrize(raw))

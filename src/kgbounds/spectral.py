@@ -34,6 +34,17 @@ instead of hiding them, classifies the unit eigenvectors [a; b] of H
 against NEUTRAL_TOL and reports z = E [a; b], E = diag(U^(-1/2), U^(1/2)),
 which keeps (J z, z) because E J E = J.
 
+Every solve is stacked.  eigen_spectra takes the potentials t V of one
+model, one per coupling t, at one shift: the certified rows go through
+one stacked Cholesky factorization, inverse of the factor, eigh and a
+few stacked products (numpy's gufuncs), the other rows through one stacked
+eig, and the per-row work after the solve (ordering, signatures,
+witnesses) is stacked too; only a multiplicity cluster takes an SVD of
+its own.  A stack of one calls LAPACK's dpotrf, dtrtri and dsyevd
+directly, which at small orders cost a fifth of numpy's stacked calls.
+eigen_spectrum is the stack of one of a system's own potential, and the
+coupling sweep solves its steps in blocks.
+
 The same solve gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
 Y = D Z |Theta|^(-1/2)
@@ -46,16 +57,18 @@ which measures how far the similarity is from an isometry
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .core import (
     PD_RTOL,
     KleinGordonSystem,
     ModelSpec,
     apply_j,
+    hamiltonians,
     shifted_potential,
     spectral_norm,
 )
@@ -63,9 +76,11 @@ from .exceptions import NotCertified
 
 __all__ = [
     "SpectrumReport",
+    "SpectrumStack",
     "SignOperator",
     "DefectWitness",
     "eigen_spectrum",
+    "eigen_spectra",
     "sign_operator",
     "eigenpair_residuals",
     "pencil_residual",
@@ -80,7 +95,6 @@ MULT_RTOL = 1e-8
 #: on the direct path, |(Jx, x)| / ||x||^2 below this marks an
 #: eigenvector of H as neutral
 NEUTRAL_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -147,79 +161,161 @@ class DefectWitness:
     reason: str
 
 
-def _ham_scale(h) -> float:
-    """Spectral norm of H, or a cheap upper estimate for large orders."""
-    h = np.asarray(h)
-    if h.shape[0] <= 256:
-        return spectral_norm(h)
-    one = np.abs(h).sum(axis=0).max()
-    inf = np.abs(h).sum(axis=1).max()
-    return float(np.sqrt(one * inf))
-
-
-def _certified_definite(system: KleinGordonSystem) -> bool:
-    """Closed-form certificate that G - mu*J is safely positive definite.
+def _certified_definite(spec: ModelSpec, contractions):
+    """Closed-form certificate that G - mu*J is safely positive definite, per b.
 
     The congruence G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]]
     diag(U,U)^(1/2) gives lambda_min(G - mu*J) >= (1 - b) u_min and
-    ||G - mu*J|| <= (1 + b) u_max, so a True result implies
-    lambda_min(G - mu*J) > PD_RTOL * ||G - mu*J|| without factorizing.
+    ||G - mu*J|| <= (1 + b) u_max, so a True entry implies
+    lambda_min(G - mu*J) > PD_RTOL * ||G - mu*J|| for that contraction
+    b without factorizing.
     """
-    b = system.contraction
-    return (1.0 - b) * system.u_min() > PD_RTOL * (1.0 + b) * system.u_max()
+    u_min = math.sqrt(spec.u2_eigenvalues[0])
+    u_max = math.sqrt(spec.u2_eigenvalues[-1])
+    b = contractions
+    return (1.0 - b) * u_min > PD_RTOL * (1.0 + b) * u_max
 
 
-def _k_frame_eigensolve(spec: ModelSpec, shift: float):
-    """Eigenpairs of the K-frame pencil (J, K - shift*J).
+@dataclass(frozen=True)
+class SpectrumStack:
+    """Spectra of the potentials t V of one model at one shift, one row per t.
 
-    Factors -Q(shift) = U^2 - W W = M M^T, W = V - shift*I, solves the
-    standard symmetric C y = theta y (see the module docstring) and
-    returns (theta, Z = [x; y_2 - W x]) ordered by ascending
+    Row k holds, for the potential t_k V of the k-th coupling, what a
+    SpectrumReport holds: ``eigenvalues`` sorted ascending by real part
+    (a complex array when some row is non-real, the imaginary parts of
+    real rows being zero), the K-frame ``eigenvectors`` z_k as columns,
+    their ``signatures`` (J z_k, z_k), whether the row took the definite
+    ``pencil``, ``is_real`` and the first defective eigenvalue of the
+    row, or None, in ``witnesses``.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray = field(repr=False)
+    signatures: np.ndarray = field(repr=False)
+    pencil: np.ndarray
+    is_real: np.ndarray
+    witnesses: tuple = field(repr=False)
+
+    @property
+    def defective(self) -> np.ndarray:
+        """Per row: whether a defective eigenvalue was found."""
+        return np.array([w is not None for w in self.witnesses], dtype=bool)
+
+
+def _ham_scale(h):
+    """Spectral norm of each H of a stack, or a cheap upper estimate at large orders."""
+    if h.shape[-1] <= 256:
+        return spectral_norm(h)
+    one = np.abs(h).sum(axis=-2).max(axis=-1)
+    inf = np.abs(h).sum(axis=-1).max(axis=-1)
+    return np.sqrt(one * inf)
+
+
+def _cholesky(a):
+    """Lower Cholesky factors of a stack, and which of its matrices have one.
+
+    One stacked factorization, with None for "all of them"; when it
+    fails, as it does for the whole stack when one matrix is not
+    positive definite, the matrices are factored again one at a time,
+    so only the failing ones are marked.  A stack of one goes to LAPACK's
+    dpotrf directly (see _eigh).
+    """
+    if len(a) == 1:
+        m, info = lapack.dpotrf(a[0], lower=1, clean=1)
+        return m[None], None if info == 0 else np.zeros(1, dtype=bool)
+    try:
+        return np.linalg.cholesky(a), None
+    except np.linalg.LinAlgError:
+        pass
+    factors, factored = np.zeros_like(a), np.zeros(len(a), dtype=bool)
+    for k, m in enumerate(a):
+        try:
+            factors[k] = np.linalg.cholesky(m)
+            factored[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return factors, factored
+
+
+def _lower_inverse(m):
+    """Inverse of each lower triangular matrix of a stack.
+
+    A stack of one goes to LAPACK's dtrtri directly (see _eigh); a
+    larger stack, which the block budget keeps to small orders, to one
+    stacked general inverse.
+    """
+    if len(m) == 1:
+        return lapack.dtrtri(m[0], lower=1)[0][None]
+    return np.linalg.inv(m)
+
+
+def _eigh(c):
+    """Ascending eigenvalues and eigenvectors of each symmetric matrix of a stack.
+
+    Only the lower triangles are read.  A stack of one goes to LAPACK's
+    dsyevd directly: at small orders numpy's stacked call costs several
+    times the solve itself.
+    """
+    if len(c) == 1:
+        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return theta[None], y[None]
+    return np.linalg.eigh(c)
+
+
+def _k_frame_eigensolve(spec: ModelSpec, w):
+    """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
+
+    ``w`` holds W = V_k - shift*I, shape (k, n, n).  Factors each
+    -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
+    C y = theta y (see the module docstring) and returns
+    (theta, Z = [x; y_2 - W x], factored): ``factored`` marks the rows
+    whose Cholesky factorization succeeded (None when all did), and
+    theta and Z hold those rows alone, each ordered by ascending
     1/theta = lam - shift, with x = M^(-T) y_1 and
-    Z^T (K - shift*J) Z = I.  Raises NotCertified when the Cholesky
-    factorization fails.  Only the lower triangles of -Q(shift), W and
+    Z^T (K - shift*J) Z = I.  Only the lower triangles of -Q(shift) and
     C are read.
     """
     n = spec.order
-    w = shifted_potential(spec, shift)
-    m, info = lapack.dpotrf(spec.u_squared - w @ w.T, lower=1, clean=1)
-    if info != 0:
-        raise NotCertified(
-            "U^2 - (V - shift*I)^2 is not positive definite: leading minor "
-            f"{info} of {n} at shift {shift:.6g}"
-        )
-    m_inv, _ = lapack.dtrtri(m, lower=1)
-    p, _ = lapack.dsygst(w, m, itype=1, lower=1)   # M^(-1) W M^(-T)
-    c = np.zeros((2 * n, 2 * n))
-    c[:n, :n] = p
-    c[:n, :n] *= -2.0
-    c[n:, :n] = m_inv.T
-    theta, y = np.linalg.eigh(c)
-    order = np.argsort(1.0 / theta)
-    theta, y = theta[order], y[:, order]
-    x = blas.dtrmm(1.0, m_inv, y[:n], lower=1, trans_a=1)   # M^(-T) y_1
-    return theta, np.concatenate([x, y[n:] - w @ x])      # [x; (lam - V) x]
+    m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
+    if factored is not None:
+        w, m = w[factored], m[factored]
+    m_inv = _lower_inverse(m)
+    m_inv_t = m_inv.swapaxes(-1, -2)
+    c = np.zeros((len(w), 2 * n, 2 * n))
+    c[:, :n, :n] = (-2.0 * m_inv) @ w @ m_inv_t   # -2 M^(-1) W M^(-T)
+    c[:, n:, :n] = m_inv_t
+    theta, y = _eigh(c)
+    rows, order = np.arange(len(c))[:, None], np.argsort(1.0 / theta, axis=-1)
+    theta, y = theta[rows, order], y.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    x = m_inv_t @ y[:, :n]                                  # M^(-T) y_1
+    return theta, np.concatenate([x, y[:, n:] - w @ x], axis=1), factored
 
 
-def _classify(eigenvectors):
-    """(signatures, sign types) of eigenvectors of H against NEUTRAL_TOL.
+def _signatures(eigenvectors):
+    """s_k = (J x_k, x_k) / (x_k, x_k) of eigenvectors of H, per column.
 
-    s_k = (J x_k, x_k) / (x_k, x_k) = 2 Re(a_k^H b_k) / ||x_k||^2,
-    x_k = [a_k; b_k]; the direct path's test, with no certificate.
+    s_k = 2 Re(a_k^H b_k) / ||x_k||^2 for x_k = [a_k; b_k]; a stack
+    (..., 2n, 2n) gives (..., 2n).
     """
-    n = eigenvectors.shape[0] // 2
-    top, bottom = eigenvectors[:n], eigenvectors[n:]
+    n = eigenvectors.shape[-2] // 2
+    top, bottom = eigenvectors[..., :n, :], eigenvectors[..., n:, :]
     if np.iscomplexobj(eigenvectors):
         top = top.conj()
-        sq = np.einsum("ij,ij->j", eigenvectors.conj(), eigenvectors).real
+        sq = np.einsum("...ij,...ij->...j", eigenvectors.conj(), eigenvectors).real
     else:
-        sq = np.einsum("ij,ij->j", eigenvectors, eigenvectors)
-    signatures = 2.0 * np.einsum("ij,ij->j", top, bottom).real / sq
-    signs = tuple(
-        "positive" if s > NEUTRAL_TOL else "negative" if s < -NEUTRAL_TOL else "neutral"
+        sq = np.einsum("...ij,...ij->...j", eigenvectors, eigenvectors)
+    return 2.0 * np.einsum("...ij,...ij->...j", top, bottom).real / sq
+
+
+def _sign_types(signatures, tol: float) -> tuple:
+    """The class of each signature: 'positive' above tol, 'negative' below -tol,
+    'neutral' otherwise."""
+    return tuple(
+        "positive" if s > tol else "negative" if s < -tol else "neutral"
         for s in signatures.tolist()
     )
-    return signatures, signs
 
 
 def _cluster_defects(eigenvalues, hamiltonian, scale):
@@ -251,56 +347,128 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
     return witnesses
 
 
+def _direct_eigensolve(spec: ModelSpec, couplings):
+    """The general dense eigensolver on H(t) for each coupling t.
+
+    Returns (lam, Z, signatures, is_real, witnesses) per row: lam sorted
+    by real part, then imaginary part, and real on the rows whose
+    imaginary parts stay within REAL_RTOL * ||H||; Z = E [a; b],
+    E = diag(U^(-1/2), U^(1/2)), from the unit eigenvectors [a; b] of H
+    that eig returns; their H-frame signatures; and the first eigenvalue
+    of each row with a neutral eigenvector (against NEUTRAL_TOL) or, on
+    a real row without one, with a multiplicity cluster short of
+    eigenvectors.
+    """
+    h = hamiltonians(spec, couplings)
+    lam, vecs = np.linalg.eig(h)
+    rows, order = np.arange(len(h))[:, None], np.lexsort((lam.imag, lam.real))
+    lam, vecs = lam[rows, order], vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    scale = _ham_scale(h)
+    is_real = np.abs(lam.imag).max(axis=-1, initial=0.0) <= REAL_RTOL * scale
+    if np.iscomplexobj(lam):
+        lam = lam.real if is_real.all() else np.where(is_real[:, None], lam.real, lam)
+    signatures = _signatures(vecs)
+    neutral = ~((signatures > NEUTRAL_TOL) | (signatures < -NEUTRAL_TOL))
+    has_neutral = neutral.any(axis=-1)
+    witnesses = [None] * len(lam)
+    for k in has_neutral.nonzero()[0]:
+        j = int(np.argmax(neutral[k]))
+        witnesses[k] = DefectWitness(
+            complex(lam[k, j]), vecs[k, :, j], "neutral-eigenvector"
+        )
+    # the pencil route certifies a symmetric-similar, hence semisimple,
+    # operator; multiplicity defects can only arise here, on real rows
+    # with no neutral eigenvector
+    for k in (is_real & ~has_neutral).nonzero()[0]:
+        re = lam[k].real
+        if np.any(np.diff(re) <= MULT_RTOL * scale[k]):
+            found = _cluster_defects(re, h[k], scale[k])
+            witnesses[k] = found[0] if found else None
+    n = spec.order
+    vecs = np.concatenate(
+        [spec.u_power(-0.5) @ vecs[:, :n], spec.u_power(0.5) @ vecs[:, n:]], axis=1
+    )
+    return lam, vecs, signatures, is_real, witnesses
+
+
+def eigen_spectra(
+    spec: ModelSpec, couplings, shift: float = 0.0, contractions=None
+) -> SpectrumStack:
+    """The spectra of the potentials t V of spec, one per coupling t.
+
+    The stacked solver behind every spectrum: each row with contraction
+    b(t) = ||(t V - shift) U^(-1)|| certified by the closed-form bound
+    (see _certified_definite) takes the definite pencil in the K frame,
+    all such rows in one stacked solve (_k_frame_eigensolve); a row
+    whose Cholesky factorization fails, and every uncertified row, goes
+    to the general eigensolver on H(t) (_direct_eigensolve), which
+    alone forms H or a root of U.  ``contractions`` are the rows' b when
+    the caller has them; otherwise they are measured here.
+    """
+    t = np.asarray(couplings, dtype=float)
+    w = shifted_potential(spec, shift, t)
+    if contractions is None:
+        with np.errstate(over="ignore"):   # as operator_a: b = inf on overflow
+            contractions = spectral_norm(w @ spec.u_power(-1))
+    pencil = _certified_definite(spec, np.asarray(contractions, dtype=float))
+    solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
+    rows = pencil.nonzero()[0]
+    if rows.size:
+        theta, z, factored = _k_frame_eigensolve(spec, w[rows])
+        if factored is not None:
+            pencil[rows] = factored
+            rows = rows[factored]
+        if rows.size:
+            # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
+            # certified real and semisimple
+            real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
+            solved.append((rows, shift + 1.0 / theta, z, theta, real, none))
+    if rows.size < t.size:
+        rows = (~pencil).nonzero()[0]
+        solved.append((rows, *_direct_eigensolve(spec, t[rows])))
+    k = t.size
+    if len(solved) == 1:
+        _, lam, vecs, signatures, is_real, witnesses = solved[0]
+    else:
+        # rows of both paths: scatter them into one stack
+        two_n = 2 * spec.order
+        lam = np.empty((k, two_n), np.result_type(*(p[1] for p in solved)))
+        vecs = np.empty((k, two_n, two_n), np.result_type(*(p[2] for p in solved)))
+        signatures, is_real = np.empty((k, two_n)), np.empty(k, dtype=bool)
+        witnesses = [None] * k
+        for rows, *part in solved:
+            lam[rows], vecs[rows], signatures[rows], is_real[rows] = part[:4]
+            for row, witness in zip(rows, part[4]):
+                witnesses[row] = witness
+    return SpectrumStack(
+        eigenvalues=lam,
+        eigenvectors=vecs,
+        signatures=signatures,
+        pencil=pencil,
+        is_real=is_real,
+        witnesses=tuple(witnesses),
+    )
+
+
 def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
-    Solves the definite pencil in the K frame when G - mu*J is
-    certified positive definite (so the spectrum is certified real and
-    semisimple, and so are the sign types); otherwise, or when the
-    n x n Cholesky factorization of U^2 - (V - mu)^2 fails, falls back
-    to a dense general eigensolver on H and flags non-real pairs and
-    defective eigenvalues.  Only the fallback forms H or a root of U.
+    The one row of eigen_spectra for the system's own potential at its
+    shift and contraction: solves the definite pencil in the K frame
+    when G - mu*J is certified positive definite (so the spectrum is
+    certified real and semisimple, and so are the sign types);
+    otherwise, or when the n x n Cholesky factorization of
+    U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver
+    on H and flags non-real pairs and defective eigenvalues.  Only the
+    fallback forms H or a root of U.
     """
     mu, spec = system.shift, system.spec
-    path, is_real, witness = "direct", True, None
-    if _certified_definite(system):
-        try:
-            signatures, vecs = _k_frame_eigensolve(spec, mu)
-            path = "similarity"
-        except NotCertified:
-            pass
-    if path == "similarity":
-        # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors
-        lam = mu + 1.0 / signatures
-        signs = tuple(
-            "positive" if t > 0.0 else "negative" for t in signatures.tolist()
-        )
-    else:
-        h = system.hamiltonian
-        lam_c, vecs = np.linalg.eig(h)
-        order = np.lexsort((lam_c.imag, lam_c.real))
-        lam_c = lam_c[order]
-        vecs = vecs[:, order]
-        vecs /= np.linalg.norm(vecs, axis=0)
-        scale = _ham_scale(h)
-        is_real = bool(np.abs(lam_c.imag).max(initial=0.0) <= REAL_RTOL * scale)
-        lam = lam_c.real if is_real else lam_c
-        signatures, signs = _classify(vecs)
-        witnesses = [
-            DefectWitness(complex(lam[k]), vecs[:, k], "neutral-eigenvector")
-            for k, tag in enumerate(signs)
-            if tag == "neutral"
-        ]
-        # the pencil route certifies a symmetric-similar, hence semisimple,
-        # operator; multiplicity defects can only arise here
-        if not witnesses and is_real:
-            if np.any(np.diff(lam) <= MULT_RTOL * scale):
-                witnesses = _cluster_defects(lam, h, scale)
-        witness = witnesses[0] if witnesses else None
-        n = spec.order
-        vecs = np.concatenate(
-            [spec.u_power(-0.5) @ vecs[:n], spec.u_power(0.5) @ vecs[n:]]
-        )
+    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,))
+    lam, signatures = stack.eigenvalues[0], stack.signatures[0]
+    pencil = bool(stack.pencil[0])
+    # the pencil's signatures theta are never zero: its sign types need no tolerance
+    signs = _sign_types(signatures, 0.0 if pencil else NEUTRAL_TOL)
+    witness = stack.witnesses[0]
 
     # both paths order lam ascending by real part
     re = np.real(lam)
@@ -310,16 +478,16 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     hi = float(pos[0]) if pos.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
-        eigenvectors=vecs,
+        eigenvectors=stack.eigenvectors[0],
         signatures=signatures,
         sign_types=signs,
         positive_ordered=pos,
         negative_ordered=neg,
         central_gap=(lo, hi),
         defective=witness is not None,
-        is_real_spectrum=is_real,
+        is_real_spectrum=bool(stack.is_real[0]),
         shift=mu,
-        solver_path=path,
+        solver_path="similarity" if pencil else "direct",
         spec=spec,
         witness=witness,
     )
@@ -348,7 +516,7 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
     return SignOperator(y=y, norm_j1=spectral_norm(y) ** 2)
 
 
-def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):
+def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=None):
     """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
 
     ``eigenvectors`` holds K-frame columns [x_k; (lam_k - V) x_k] (as in
@@ -357,19 +525,22 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors):
     (Tisseur, LAA 309, 2000) and, as sigma_min(Q) = min_x ||Q x|| / ||x||,
     never below pencil_residual(spec, lam_k).  Real and complex pairs;
     three n x n by n x 2n products in all, and the columns passed in
-    are not written to.
+    are not written to.  Stacks (..., 2n) of eigenvalues and
+    (..., 2n, 2n) of eigenvectors take a stack (..., n, n) of
+    ``potentials`` in place of spec.v, one per row.
     """
-    lam = np.asarray(eigenvalues)
-    x = eigenvectors[: spec.order].astype(np.result_type(eigenvectors, lam))
-    x_norm = np.linalg.norm(x, axis=0)
-    vx = spec.v @ x
-    q = spec.v @ vx
+    lam = np.asarray(eigenvalues)[..., None, :]
+    v = spec.v if potentials is None else potentials
+    x = eigenvectors[..., : spec.order, :].astype(np.result_type(eigenvectors, lam))
+    x_norm = np.linalg.norm(x, axis=-2)
+    vx = v @ x
+    q = v @ vx
     q -= spec.u_squared @ x
     vx *= 2.0 * lam
     q -= vx
     x *= lam * lam
     q += x
-    return np.linalg.norm(q, axis=0) / x_norm
+    return np.linalg.norm(q, axis=-2) / x_norm
 
 
 def pencil_residual(spec: ModelSpec, lam) -> float:

@@ -64,7 +64,7 @@ def corpus200():
 @pytest.fixture
 def svd_calls(monkeypatch):
     """A list that records every SVD: numpy's or scipy's svd, and a 2-norm
-    of a matrix, which numpy takes by SVD."""
+    of a matrix or of a stack of them, which numpy takes by SVD."""
     calls = []
     np_svd, sp_svd, norm = np.linalg.svd, scipy.linalg.svd, np.linalg.norm
 
@@ -76,7 +76,7 @@ def svd_calls(monkeypatch):
         return record
 
     def spy_norm(x, ord=None, *args, **kwargs):
-        if ord in (2, -2) and np.ndim(x) == 2:
+        if ord in (2, -2) and np.ndim(x) >= 2:
             calls.append("numpy.linalg.norm")
         return norm(x, ord, *args, **kwargs)
 

@@ -47,7 +47,7 @@ def sqrt_spd(m, name: str = "matrix"):
     Computed from the full symmetric eigendecomposition; the result R is
     symmetric positive definite with R @ R = m to working accuracy.
     """
-    w, p = _spd_eig(m, name)
+    w, p = _spd_eig(check_symmetric(m, name), name)
     return symmetrize((p * np.sqrt(w)) @ p.T)
 
 

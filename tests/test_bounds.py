@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ from kgbounds import (
     improved_inclusion,
     kappa_disjoint,
     kappa_general,
+    kappa_relative,
     kappa_signed_pair,
     kappa_sum,
     norm_bound_interval,
@@ -94,6 +96,18 @@ class TestGapBound:
     def test_requires_contraction_below_one(self):
         with pytest.raises(ContractionNotLessThanOne):
             gap_bound(assemble_system(square_well_model(2.5), -1.25))
+
+    def test_nan_contraction_is_rejected(self):
+        # b = nan, as an overflowing A with entries inf - inf gives, is no
+        # contraction: neither the gap nor any kappa may be formed from it
+        system = dataclasses.replace(
+            assemble_system(square_well_model(1.0), 0.0), contraction=math.nan
+        )
+        with pytest.raises(ContractionNotLessThanOne, match="b = nan"):
+            gap_bound(system)
+        for kappa in (kappa_general, kappa_relative, kappa_disjoint, kappa_signed_pair):
+            with pytest.raises(ContractionNotLessThanOne, match="b = nan"):
+                kappa(0.1, math.nan)
 
 
 class TestScalarFormulas:

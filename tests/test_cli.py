@@ -19,7 +19,10 @@ from kgbounds import (
     harness,
     save_model,
     spectral,
+    spectral_norm,
     square_well_model,
+    square_well_perturbation,
+    verify_bounds,
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 
@@ -206,8 +209,10 @@ class TestBoundsCommand:
             return eigh(a, b, *args, **kwargs)
 
         def spy_cholesky(factor):
+            # one entry per factored matrix, also within a stack
             def record(a, *args, **kwargs):
-                factored.append(np.shape(a))
+                shape = np.shape(a)
+                factored.extend([shape[-2:]] * int(np.prod(shape[:-2])))
                 return factor(a, *args, **kwargs)
 
             return record
@@ -379,6 +384,36 @@ class TestSweepCommand:
         critical = [r for r in rows if r[0] == "critical"][0]
         assert abs(float(critical[1]) - 2.0) <= 1e-6
 
+    @pytest.mark.parametrize("sweep_range", ["0:inf", "nan:1", "1:nan", "0:1e309"])
+    def test_non_finite_range_end(self, sweep_range, capsys):
+        args = ["sweep", "--tau", "1", "--sweep-range", sweep_range, "--steps", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: --sweep-range ends must be finite")
+
+    def test_overflowing_potential_rejected_before_any_solve(
+        self, monkeypatch, capsys
+    ):
+        # 1e308 V is finite but its symmetrization is not: the message of
+        # the model validation, and no solve, hence no overflow warning
+        solves = []
+        spectra = harness.eigen_spectra
+
+        def count(*args, **kwargs):
+            solves.append(1)
+            return spectra(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "eigen_spectra", count)
+        args = ["sweep", "--tau", "1", "--sweep-range", "0:1e308", "--steps", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: v contains non-finite entries\n"
+        assert captured.out == "" and solves == []
+
     def test_bad_range(self, tmp_path):
         assert (
             main(["sweep", "--tau", "1", "--sweep-range", "oops", "--steps", "5"])
@@ -462,7 +497,8 @@ class TestEachQuantityOnce:
         assert len(formed) <= 4
 
     def test_certified_spectrum_never_forms_h(self, monkeypatch, tmp_path, capsys):
-        # neither H nor G: the certified path solves from (U^2, V - mu*I)
+        # neither H nor G: the certified path solves from (U^2, V - mu*I),
+        # and core.hamiltonians, behind both properties, is never called
         reads = []
         for name in ("gram", "hamiltonian"):
             derived = getattr(KleinGordonSystem, name)
@@ -472,15 +508,26 @@ class TestEachQuantityOnce:
                 return derived.fget(system)
 
             monkeypatch.setattr(KleinGordonSystem, name, property(spy))
+        formed = core.hamiltonians
+
+        def spy_formed(*args, **kwargs):
+            reads.append("hamiltonians")
+            return formed(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(
+                module, "hamiltonians", None
+            ) is formed:
+                monkeypatch.setattr(module, "hamiltonians", spy_formed)
         src = ["--alpha", "0.3", "--grid-points", "40", "--out", str(tmp_path / "o")]
         assert main(["spectrum", *src]) == EXIT_OK
         assert main(["bounds", *src, "--eta", "1e-3"]) == EXIT_OK
         assert main(["verify", *src, "--eta", "1e-3"]) == EXIT_OK
         assert main(["sweep", *src, "--sweep-range", "0:1", "--steps", "3"]) == EXIT_OK
         assert reads == []
-        # the direct path, taken beyond the critical coupling, does form both
+        # the direct path, taken beyond the critical coupling, forms H once
         assert main(["spectrum", "--tau", "2.2"]) == EXIT_OK
-        assert set(reads) == {"gram", "hamiltonian"}
+        assert reads == ["hamiltonians"]
 
 
 class TestResidualGate:
@@ -518,9 +565,11 @@ class TestResidualGate:
         # names it, not the largest-modulus eigenvalue of its row
         residuals = harness.eigenpair_residuals
 
-        def fail_smallest(spec, lams, vecs):
-            r = residuals(spec, lams, vecs)
-            r[np.argmin(np.abs(lams))] = 1.0
+        def fail_smallest(spec, lams, vecs, *potentials):
+            # per row of a stacked block
+            r = residuals(spec, lams, vecs, *potentials)
+            smallest = np.argmin(np.abs(lams), axis=-1)[..., None]
+            np.put_along_axis(r, smallest, 1.0, axis=-1)
             return r
 
         monkeypatch.setattr(harness, "eigenpair_residuals", fail_smallest)
@@ -530,6 +579,73 @@ class TestResidualGate:
         found = re.search(r"at sweep parameter 0\.0, eigenvalue (\S+):", err)
         assert found, err
         assert abs(complex(found.group(1))) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_gate_message(spec, row_name, checks):
+    """The residual gate as a loop over (row, lam, residual, t, cause)."""
+    u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+    for row, lam, resid, t, cause in checks:
+        limit = cli.RESIDUAL_GATE * (
+            u2_norm + (abs(t) * v_norm) ** 2 + abs(complex(lam)) ** 2
+        )
+        if not resid <= limit:
+            return (
+                f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
+                f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"
+                + (f" ({cause})" if cause else "")
+                + "\n"
+            )
+    return ""
+
+
+class TestStackedGate:
+    @pytest.mark.parametrize("fill", [1e-3, np.nan])
+    def test_sweep_names_the_first_failure_in_row_order(
+        self, fill, monkeypatch, capsys
+    ):
+        # failures planted at every eigenvalue right of 1 from t = 1.1 on:
+        # the first in row-major order is named, as by the loop
+        residuals = harness.eigenpair_residuals
+
+        def plant(spec, lams, vecs, potentials):
+            r = residuals(spec, lams, vecs, potentials)
+            t = potentials[:, 0, 0] / spec.v[0, 0]
+            r[(t[:, None] >= 1.1) & (np.real(lams) > 1.0)] = fill
+            return r
+
+        monkeypatch.setattr(harness, "eigenpair_residuals", plant)
+        spec = square_well_model(1.0)
+        result = harness.sweep_potential(spec, 0.0, 2.2, 201)
+        checks = (
+            (t, lam, r, t, "")
+            for t, eigs, resids in zip(
+                result.parameters, result.eigenvalues, result.residuals
+            )
+            for lam, r in zip(eigs, resids)
+        )
+        expected = reference_gate_message(spec, "sweep parameter", checks)
+        assert expected
+        args = ["sweep", "--tau", "1", "--sweep-range", "0:2.2", "--steps", "201"]
+        assert main(args) == EXIT_SOLVER
+        assert capsys.readouterr().err == expected
+
+    def test_verify_names_the_worse_residual_and_its_cause(self, capsys):
+        # eta = 0.35 perturbs the well past tau = 2: the message is the
+        # loop's, over the larger residual of each pair
+        args = ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"]
+        assert main(args) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        spec = square_well_model(1.7)
+        report = verify_bounds(spec, square_well_perturbation(-0.35), -0.85)
+        checks = (
+            (k, lam, rp, 1.0, "the perturbed spectrum is not real")
+            if rp > r
+            else (k, lam, r, 1.0, "")
+            for k, (lam, r, rp) in enumerate(
+                zip(report.eigenvalues, report.residuals, report.residuals_perturbed)
+            )
+        )
+        assert err == reference_gate_message(spec, "index", checks)
 
 
 class TestReproduceCommand:
@@ -662,6 +778,74 @@ class TestExitCodes:
         assert main(args) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "--shift" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize(
+        "source",
+        [["--tau", "1"], ["--alpha", "0.3", "--grid-points", "10"]],
+        ids=["well", "oscillator"],
+    )
+    def test_non_finite_eta(self, source, command, value, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *source, f"--eta={value}"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: --eta must be a finite number, got {value}\n"
+
+    def test_random_perturbation_range_overflows(self, capsys):
+        # 2 * 1.7e308 overflows: the uniform draw on [-eta, eta] has no range
+        args = ["verify", "--alpha", "0.3", "--grid-points", "10", "--eta", "1.7e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: scale 1.7e+308 is out of range")
+
+    @pytest.mark.parametrize("eta", ["2e158", "5e158"])
+    def test_overflowing_c_is_a_validation_error(self, eta, tmp_path, capsys):
+        # ||U^(-1)|| = 1e150 and dV of scale 2e158: c = ||dV U^(-1)||
+        # exceeds the float range; at 5e158 the entries of dV U^(-1) do
+        path = tmp_path / "tiny_u.json"
+        path.write_text(
+            '{"u_squared": [[1e-300, 0.0], [0.0, 2e-300]], '
+            '"v": [[0.0, 0.0], [0.0, 0.0]]}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", "--model", str(path), "--eta", eta])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "c = ||dV U^(-1)|| = inf" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # V U^(-1) = diag(1e450, 0) overflows: b = inf
+            '{"u_squared": [[1e-300, 0.0], [0.0, 2e-300]], '
+            '"v": [[1e300, 0.0], [0.0, 0.0]]}',
+            # U^(-1) has entries of both signs: each entry of V U^(-1) sums
+            # an inf and a -inf, which gives inf or nan by the BLAS's order
+            # of accumulation; both are rejected by gap_bound
+            '{"u_squared": [[1.5e-300, 0.5e-300], [0.5e-300, 1.5e-300]], '
+            '"v": [[1e300, 1e300], [1e300, 1e300]]}',
+        ],
+        ids=["diagonal", "mixed-signs"],
+    )
+    def test_infinite_contraction_is_a_solver_failure(
+        self, command, model, tmp_path, capsys
+    ):
+        path = tmp_path / "huge_b.json"
+        path.write_text(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--model", str(path), "--eta", "1"])
+        assert code == EXIT_SOLVER
+        assert re.fullmatch(
+            r"solver error: contraction b = (inf|nan) is not < 1\n",
+            capsys.readouterr().err,
+        )
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_uncertified_valid_model_is_a_solver_failure(self, command, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -69,6 +71,14 @@ class TestModelSpec:
     def test_asymmetric_v_rejected(self):
         with pytest.raises(ValidationError):
             ModelSpec(u_squared=np.eye(2), v=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_v_is_validated_before_positive_definiteness(self):
+        # both faults: V's is reported, the indefinite U^2 is never factored
+        u2 = np.diag([1.0, -2.0])
+        with pytest.raises(ValidationError, match="v is not symmetric"):
+            ModelSpec(u_squared=u2, v=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DimensionMismatch):
+            ModelSpec(u_squared=u2, v=np.zeros((3, 3)))
 
     def test_arrays_are_read_only(self):
         spec = square_well_model(1.0)
@@ -205,7 +215,33 @@ class TestSpectralNorm:
     def test_no_singular_value_decomposition(self, svd_calls):
         for a in self.matrices():
             spectral_norm(a)
+        spectral_norm(np.stack([np.eye(3), 2e300 * np.ones((3, 3))]))
         assert svd_calls == []
+
+    def test_stack_scales_each_matrix(self):
+        # one matrix of the stack far outside the Gram range must not
+        # disturb the others, and each norm is that of its matrix alone
+        rng = np.random.Generator(np.random.PCG64(12))
+        for n in (3, 40):
+            stack = rng.normal(size=(4, n, n))
+            stack[1] *= 1e200
+            stack[2] *= 1e-200
+            stack[3] = 0.0
+            norms = spectral_norm(stack)
+            assert norms.shape == (4,)
+            assert norms[3] == 0.0
+            for a, norm in zip(stack, norms):
+                assert norm == spectral_norm(a)
+
+    def test_beyond_the_float_range_is_inf(self):
+        # ||[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]|| = 3e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_norm(np.full((2, 2), 1.5e308)) == np.inf
+            assert spectral_norm(np.diag([np.inf, 1.0])) == np.inf
+            assert np.isnan(spectral_norm(np.diag([np.nan, 1.0])))
+            norms = spectral_norm(np.stack([np.full((2, 2), 1.5e308), np.eye(2)]))
+        assert norms.tolist() == [np.inf, 1.0]
 
 
 class TestContractionBound:

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +9,15 @@ from kgbounds import (
     ModelSpec,
     harness,
     ValidationError,
+    assemble_system,
+    eigen_spectrum,
+    eigenpair_residuals,
     example2_tables,
     render_example2_report,
     square_well_model,
     sweep_potential,
 )
+from conftest import random_model
 
 
 class TestExample2Tables:
@@ -79,7 +87,9 @@ class TestSweep:
         # a stand-in residual equal to the real part of its eigenvalue
         # shows which eigenvalue each stored residual belongs to
         monkeypatch.setattr(
-            harness, "eigenpair_residuals", lambda spec, lams, vecs: np.real(lams)
+            harness,
+            "eigenpair_residuals",
+            lambda spec, lams, vecs, *potentials: np.real(lams),
         )
         result = sweep_potential(square_well_model(1.0), 0.0, 2.2, 12)
         assert not result.is_real.all()  # complex rows are covered
@@ -95,3 +105,134 @@ class TestSweep:
             sweep_potential(square_well_model(1.0), 0.0, 1.0, 1)
         with pytest.raises(ValidationError):
             sweep_potential(square_well_model(1.0), 2.0, 1.0, 5)
+
+
+def per_step_reports(base, params, shift):
+    """eigen_spectrum of each step, one assembled system per coupling t."""
+    for t in params:
+        spec = base.with_potential(t * base.v, base.label)
+        yield spec, eigen_spectrum(assemble_system(spec, shift))
+
+
+class TestStackedSweep:
+    """The blocked sweep against one eigen_spectrum per step."""
+
+    @staticmethod
+    def assert_rows_match(base, lo, hi, steps, shift=0.0):
+        result = sweep_potential(base, lo, hi, steps, shift)
+        paths = []
+        for k, (spec, report) in enumerate(
+            per_step_reports(base, result.parameters, shift)
+        ):
+            lam = report.eigenvalues
+            scale = 1.0 + np.abs(lam)
+            assert np.abs(result.eigenvalues[k] - lam).max() <= 1e-12 * scale.max(), k
+            assert result.is_real[k] == report.is_real_spectrum, k
+            assert result.defect_flags[k] == report.defective, k
+            resid = eigenpair_residuals(spec, lam, report.eigenvectors)
+            assert np.abs(result.residuals[k] - resid).max() <= 1e-12 * scale.max(), k
+            paths.append(report.solver_path)
+        return result, paths
+
+    def test_defective_coupling_hit_exactly(self):
+        # t = 2 on the tau = 1 well is the defective coupling itself
+        result, paths = self.assert_rows_match(square_well_model(1.0), 0.0, 4.0, 3)
+        assert result.parameters[1] == 2.0
+        assert result.defect_flags[1] and not result.defect_flags[0]
+        assert paths == ["similarity", "direct", "direct"]
+
+    def test_long_well_sweep_across_both_paths(self):
+        base = square_well_model(1.0)
+        result, paths = self.assert_rows_match(base, 0.0, 2.2, 1001)
+        assert not result.is_real.all() and result.is_real.any()
+        # the path switches inside a block, not at its boundary
+        block = harness.BLOCK_BUDGET // (2 * base.order) ** 2
+        switch = paths.index("direct")
+        assert switch % block != 0 and paths[switch - 1] == "similarity"
+        assert len(result.parameters) > 2 * block
+
+    def test_nonzero_shift(self):
+        self.assert_rows_match(square_well_model(1.0), 0.0, 3.0, 40, shift=-0.7)
+
+    def test_random_order_eight_model(self):
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(88)), n=8)
+        result, paths = self.assert_rows_match(spec, -1.0, 3.0, 30, shift=0.2)
+        assert {"similarity", "direct"} <= set(paths)
+
+    def test_peak_memory_within_results(self):
+        # blocks bound the temporaries: the peak is the result arrays and
+        # at most 256 KiB more, however many steps there are
+        base = square_well_model(1.0)
+        sweep_potential(base, 0.0, 2.2, 11)   # warm imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = sweep_potential(base, 0.0, 2.2, 4001)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(
+            a.nbytes
+            for a in (
+                result.parameters,
+                result.eigenvalues,
+                result.is_real,
+                result.defect_flags,
+                result.residuals,
+                result.residual_max,
+            )
+        )
+        assert peak <= kept + 256 * 1024
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The number of couplings of each eigen_spectra call of the sweep."""
+        calls = []
+        spectra = harness.eigen_spectra
+
+        def count(spec, couplings, *args, **kwargs):
+            calls.append(len(couplings))
+            return spectra(spec, couplings, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "eigen_spectra", count)
+        return calls
+
+    def test_one_solve_per_block(self, monkeypatch):
+        calls = self.count_rows(monkeypatch)
+        base = square_well_model(1.0)
+        steps = 1001
+        result = sweep_potential(base, 0.0, 2.2, steps)
+        block = harness.BLOCK_BUDGET // (2 * base.order) ** 2
+        blocks = math.ceil(steps / block)
+        bisection = math.ceil(math.log2(2.2 / (steps - 1) / 1e-6))
+        assert result.critical_value is not None
+        assert sum(calls[:blocks]) == steps and max(calls) <= block
+        assert len(calls) <= blocks + bisection
+        assert calls[blocks:] == [1] * (len(calls) - blocks)
+
+    def test_block_of_one_row_from_order_sixteen(self, monkeypatch):
+        calls = self.count_rows(monkeypatch)
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(16)), n=16)
+        sweep_potential(spec, 0.0, 0.5, 4)
+        assert calls == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e308), (-1e308, 0.0)])
+    def test_overflowing_potential_rejected_before_any_solve(
+        self, lo, hi, monkeypatch
+    ):
+        # 1e308 V is finite, but symmetrizing it is not
+        monkeypatch.setattr(harness, "eigen_spectra", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="v contains non-finite"):
+                sweep_potential(square_well_model(1.0), lo, hi, 5)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, np.inf), (np.nan, 1.0), (-1.7e308, 1.7e308)]
+    )
+    def test_non_finite_range(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not finite"):
+                sweep_potential(square_well_model(0.0), lo, hi, 5)

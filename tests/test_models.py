@@ -200,6 +200,14 @@ class TestRandomPerturbation:
         pert = random_perturbation(6, 0.3, 7)
         np.testing.assert_array_equal(pert.delta_v, pert.delta_v.T)
 
+    @pytest.mark.parametrize(
+        "scale", [-1.0, np.nan, np.inf, 1.7e308, np.float64(1.7e308)]
+    )
+    def test_scale_out_of_range(self, scale):
+        # a NumPy scalar whose range 2*scale overflows is rejected, no warning
+        with pytest.raises(ValidationError, match="scale"):
+            random_perturbation(3, scale, 1)
+
 
 class TestModelFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):

@@ -9,6 +9,7 @@ from kgbounds import (
     NotCertified,
     apply_j,
     assemble_system,
+    core,
     eigen_spectrum,
     eigenpair_residuals,
     gap_bound,
@@ -197,7 +198,8 @@ class TestClassify:
         for report in reports:
             vecs = h_frame(report)
             loop = column_loop_signatures(vecs)
-            signatures, signs = spectral._classify(vecs)
+            signatures = spectral._signatures(vecs)
+            signs = spectral._sign_types(signatures, spectral.NEUTRAL_TOL)
             assert np.abs(signatures - loop).max() <= 8 * np.finfo(float).eps
             assert signs == tuple(
                 "positive" if s > spectral.NEUTRAL_TOL
@@ -440,3 +442,97 @@ class TestDefectCheck:
     def test_free_case_clean(self):
         system = assemble_system(free_spec([1.0, 3.0]), 0.0)
         assert not eigen_spectrum(system).defective
+
+
+class TestStackedSolve:
+    """eigen_spectra: one stacked kernel, eigen_spectrum its stack of one."""
+
+    @staticmethod
+    def per_row(spec, couplings, shift):
+        for t in couplings:
+            system = assemble_system(spec.with_potential(t * spec.v, ""), shift)
+            yield eigen_spectrum(system)
+
+    def test_rows_match_stacks_of_one(self):
+        # pencil rows, direct rows, a defective and non-real rows in one stack
+        spec = square_well_model(1.0)
+        couplings = np.array([0.0, 0.5, 1.1, 1.3, 2.0, 2.4])
+        stack = spectral.eigen_spectra(spec, couplings, -0.25)
+        reports = list(self.per_row(spec, couplings, -0.25))
+        assert stack.pencil.tolist() == [
+            r.solver_path == "similarity" for r in reports
+        ]
+        assert set(stack.pencil.tolist()) == {True, False}
+        assert stack.defective.tolist() == [r.defective for r in reports]
+        assert stack.is_real.tolist() == [r.is_real_spectrum for r in reports]
+        assert not stack.is_real.all()
+        for k, report in enumerate(reports):
+            scale = 1.0 + np.abs(report.eigenvalues).max()
+            moved = np.abs(stack.eigenvalues[k] - report.eigenvalues).max()
+            assert moved <= 1e-12 * scale
+            np.testing.assert_allclose(
+                stack.signatures[k], report.signatures, rtol=1e-10, atol=1e-12
+            )
+
+    def test_failed_factorization_sends_only_its_row_direct(self, monkeypatch):
+        # the stacked Cholesky raises for the whole stack when one matrix
+        # fails: the stack is factored again row by row, and only the
+        # failing row takes the direct path
+        spec = square_well_model(1.0)
+        couplings = np.array([0.1, 0.2, 0.3, 0.4])
+        w = core.shifted_potential(spec, 0.0, couplings[2:3])[0]
+        failing = spec.u_squared - w @ w.T
+        cholesky, calls = np.linalg.cholesky, []
+
+        def fail_one(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            hit = np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-14
+            if np.any(hit):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_one)
+        stack = spectral.eigen_spectra(spec, couplings, 0.0)
+        assert calls == [(4, 2, 2)] + [(2, 2)] * 4
+        assert stack.pencil.tolist() == [True, True, False, True]
+        assert stack.is_real.all() and not stack.defective.any()
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        # the other rows are those of the stack that factors at once, bit
+        # for bit, and every row matches its stack of one
+        whole = spectral.eigen_spectra(spec, couplings, 0.0)
+        for k, report in enumerate(self.per_row(spec, couplings, 0.0)):
+            assert np.abs(stack.eigenvalues[k] - report.eigenvalues).max() <= 1e-12
+            if k != 2:
+                np.testing.assert_array_equal(
+                    stack.eigenvectors[k], whole.eigenvectors[k]
+                )
+
+    def test_failed_factorization_of_a_stack_of_one(self, monkeypatch):
+        # a stack of one is factored by LAPACK's dpotrf; when it fails,
+        # the row takes the direct path
+        system = assemble_system(square_well_model(1.0), 0.0)
+        certified = eigen_spectrum(system)
+        dpotrf = spectral.lapack.dpotrf
+        monkeypatch.setattr(
+            spectral.lapack, "dpotrf", lambda a, **kwargs: (dpotrf(a, **kwargs)[0], 1)
+        )
+        report = eigen_spectrum(system)
+        assert certified.solver_path == "similarity"
+        assert report.solver_path == "direct"
+        assert report.is_real_spectrum and not report.defective
+        assert np.abs(report.eigenvalues - certified.eigenvalues).max() <= 1e-12
+
+    def test_stacked_residuals_match_rows(self):
+        spec = square_well_model(1.0)
+        couplings = np.array([0.3, 1.5, 2.2])
+        stack = spectral.eigen_spectra(spec, couplings, 0.0)
+        potentials = np.multiply.outer(couplings, spec.v)
+        stacked = eigenpair_residuals(
+            spec, stack.eigenvalues, stack.eigenvectors, potentials
+        )
+        for k, t in enumerate(couplings):
+            row_spec = spec.with_potential(t * spec.v, "")
+            row = eigenpair_residuals(
+                row_spec, stack.eigenvalues[k], stack.eigenvectors[k]
+            )
+            np.testing.assert_allclose(stacked[k], row, rtol=1e-12, atol=1e-15)
