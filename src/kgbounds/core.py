@@ -42,7 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite, ValidationError
+from .exceptions import (
+    DimensionMismatch,
+    KGError,
+    NotPositiveDefinite,
+    ValidationError,
+)
 
 __all__ = [
     "ModelSpec",
@@ -85,6 +90,8 @@ def _top_eigenvalue(s):
     triangles are read.  One small matrix, also a stack of one, goes
     straight to LAPACK's dsyevd, which costs a third of numpy's eigvalsh
     call at n = 2; a stack of several goes through eigvalsh as one call.
+    From _SUBSET_MIN_ORDER up, LAPACK's dsyevr computes the top
+    eigenvalue alone, and a non-finite entry raises KGError.
     """
     n = s.shape[-1]
     if s.ndim > 2:
@@ -94,13 +101,27 @@ def _top_eigenvalue(s):
         return np.reshape(tops, s.shape[:-2])
     if n < _SUBSET_MIN_ORDER:
         w, _, info = scipy.linalg.lapack.dsyevd(s, compute_v=0, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return float(w[-1])
-    top = scipy.linalg.eigh(
-        s, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr"
-    )
-    return float(top[0])
+        top = w[-1]
+    else:
+        if not np.isfinite(s).all():
+            raise KGError(f"a symmetric matrix of order {n} has a non-finite entry")
+        # the optimal workspace, as scipy.linalg.eigh queries it: with
+        # less, dsytrd reduces unblocked and rounds differently
+        lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+        w, _, _, _, info = scipy.linalg.lapack.dsyevr(
+            s,
+            compute_v=0,
+            range="I",
+            il=n,
+            iu=n,
+            lower=1,
+            lwork=int(lwork),
+            liwork=liwork,
+        )
+        top = w[0]
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(top)
 
 
 def spectral_norm(a):
@@ -411,6 +432,11 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 #: absolute part of the width to which optimize_shift resolves its minimizer
 SHIFT_TOL = 1e-10
 
+#: optimize_shift scales the potential unless er + eu + max(er, 0) is at
+#: most this, where r < 2^er is its bracket's reach and ||U^(-1)|| < 2^eu:
+#: then its matrices and Brent's products stay below 2^1006
+_UNSCALED_EXPONENT = 500
+
 
 def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
     """A minimizer of f on [lo, hi] by Brent's method.
@@ -484,18 +510,34 @@ def optimize_shift(spec: ModelSpec):
     [min eig V - ||U||, max eig V + ||U||] converges to its minimizer
     within SHIFT_TOL plus sqrt(eps) relative.  Returns the shift; its
     contraction is assemble_system(spec, shift).contraction.
+
+    On the bracket, with r = max |bracket end|, the evaluated matrix and
+    each of its three terms is at most 4 (r ||U^(-1)||)^2 in norm, and
+    the products in Brent's steps at most 16 r^2 times the largest
+    value.  When either could overflow, the search runs on the
+    potential V / 2^k instead, with 2^k > r max(||U^(-1)||, 1):
+    b(mu) = 2^k b_k(mu / 2^k), b_k the contraction of (U^2, V / 2^k),
+    so the minimizer of b_k, scaled back by 2^k, is the shift.
+    Otherwise k = 0 and the search is unscaled.
     """
     u_inv = spec.u_power(-1)
-    v_u_inv = spec.v @ u_inv
+    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
+    v_eigs = np.linalg.eigvalsh(spec.v)
+    lo = float(v_eigs[0]) - u_norm
+    hi = float(v_eigs[-1]) + u_norm
+    # r < 2^er and ||U^(-1)|| < 2^eu: the matrices stay below
+    # 2^(2 (er + eu) + 2) in norm and Brent's products below 2^(4 er + 2 eu + 6)
+    er = math.frexp(max(-lo, hi))[1]
+    eu = math.frexp(1.0 / math.sqrt(spec.u2_eigenvalues[0]))[1]
+    k = 0 if er + eu + max(er, 0) <= _UNSCALED_EXPONENT else er + max(eu, 0)
+    v = np.ldexp(spec.v, -k) if k else spec.v
+    v_u_inv = v @ u_inv
     b2 = v_u_inv.T @ v_u_inv
     b1 = symmetrize(u_inv @ v_u_inv)
     b0 = spec.u_power(-2)
-    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
-    v_eigs = np.linalg.eigvalsh(spec.v)
 
     def b_squared(mu):
         return _top_eigenvalue(b2 - (2.0 * mu) * b1 + (mu * mu) * b0)
 
-    lo = float(v_eigs[0]) - u_norm
-    hi = float(v_eigs[-1]) + u_norm
-    return _brent_minimize(b_squared, lo, hi, SHIFT_TOL)
+    mu = _brent_minimize(b_squared, math.ldexp(lo, -k), math.ldexp(hi, -k), SHIFT_TOL)
+    return math.ldexp(mu, k)

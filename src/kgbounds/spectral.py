@@ -43,7 +43,11 @@ witnesses) is stacked too; only a multiplicity cluster takes an SVD of
 its own.  A stack of one calls LAPACK's dpotrf, dtrtri and dsyevd
 directly, which at small orders cost a fifth of numpy's stacked calls.
 eigen_spectrum is the stack of one of a system's own potential, and the
-coupling sweep solves its steps in blocks.
+coupling sweep solves its steps in blocks.  A caller that reads the
+eigenvalues alone (the oscillator table of example 1) asks for no
+vectors: the pencil rows then take LAPACK's eigenvalue-only dsyevr, and
+neither X nor Z is formed, since the signatures theta are the
+eigenvalues of C themselves.
 
 The same solve gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
@@ -72,7 +76,7 @@ from .core import (
     shifted_potential,
     spectral_norm,
 )
-from .exceptions import NotCertified
+from .exceptions import KGError, NotCertified
 
 __all__ = [
     "SpectrumReport",
@@ -183,18 +187,21 @@ class SpectrumStack:
     Row k holds, for the potential t_k V of the k-th coupling, what a
     SpectrumReport holds: ``eigenvalues`` sorted ascending by real part
     (a complex array when some row is non-real, the imaginary parts of
-    real rows being zero), the K-frame ``eigenvectors`` z_k as columns,
-    their ``signatures`` (J z_k, z_k), whether the row took the definite
-    ``pencil``, ``is_real`` and the first defective eigenvalue of the
-    row, or None, in ``witnesses``.
+    real rows being zero), the K-frame ``eigenvectors`` z_k as columns
+    (None for a solve without vectors), their ``signatures``
+    (J z_k, z_k), whether the row took the definite ``pencil``,
+    ``is_real`` and the first defective eigenvalue of the row, or None,
+    in ``witnesses``.  ``contractions`` holds the b(t) each row was
+    routed on.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray | None = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     pencil: np.ndarray
     is_real: np.ndarray
     witnesses: tuple = field(repr=False)
+    contractions: np.ndarray
 
     @property
     def defective(self) -> np.ndarray:
@@ -249,22 +256,30 @@ def _lower_inverse(m):
     return np.linalg.inv(m)
 
 
-def _eigh(c):
+def _eigh(c, vectors: bool = True):
     """Ascending eigenvalues and eigenvectors of each symmetric matrix of a stack.
 
-    Only the lower triangles are read.  A stack of one goes to LAPACK's
-    dsyevd directly: at small orders numpy's stacked call costs several
-    times the solve itself.
+    Only the lower triangles are read.  A stack of one goes to LAPACK
+    directly, dsyevd with vectors and dsyevr without: at small orders
+    numpy's stacked call costs several times the solve itself, and at
+    order 2000 dsyevr without vectors takes about half the time of
+    dsyevd, with or without them.  With ``vectors=False`` the
+    eigenvectors are None.
     """
     if len(c) == 1:
-        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
+        if vectors:
+            theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
+        else:
+            theta, y, _, _, info = lapack.dsyevr(c[0], compute_v=0, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return theta[None], y[None]
-    return np.linalg.eigh(c)
+        return theta[None], y[None] if vectors else None
+    if vectors:
+        return np.linalg.eigh(c)
+    return np.linalg.eigvalsh(c), None
 
 
-def _k_frame_eigensolve(spec: ModelSpec, w):
+def _k_frame_eigensolve(spec: ModelSpec, w, vectors: bool = True):
     """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
 
     ``w`` holds W = V_k - shift*I, shape (k, n, n).  Factors each
@@ -274,8 +289,9 @@ def _k_frame_eigensolve(spec: ModelSpec, w):
     whose Cholesky factorization succeeded (None when all did), and
     theta and Z hold those rows alone, each ordered by ascending
     1/theta = lam - shift, with x = M^(-T) y_1 and
-    Z^T (K - shift*J) Z = I.  Only the lower triangles of -Q(shift) and
-    C are read.
+    Z^T (K - shift*J) Z = I.  With ``vectors=False`` C is solved for
+    its eigenvalues alone and Z is None.  Only the lower triangles of
+    -Q(shift) and C are read.
     """
     n = spec.order
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
@@ -286,9 +302,12 @@ def _k_frame_eigensolve(spec: ModelSpec, w):
     c = np.zeros((len(w), 2 * n, 2 * n))
     c[:, :n, :n] = (-2.0 * m_inv) @ w @ m_inv_t   # -2 M^(-1) W M^(-T)
     c[:, n:, :n] = m_inv_t
-    theta, y = _eigh(c)
+    theta, y = _eigh(c, vectors)
     rows, order = np.arange(len(c))[:, None], np.argsort(1.0 / theta, axis=-1)
-    theta, y = theta[rows, order], y.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    theta = theta[rows, order]
+    if not vectors:
+        return theta, None, factored
+    y = y.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
     x = m_inv_t @ y[:, :n]                                  # M^(-T) y_1
     return theta, np.concatenate([x, y[:, n:] - w @ x], axis=1), factored
 
@@ -357,9 +376,16 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
     that eig returns; their H-frame signatures; and the first eigenvalue
     of each row with a neutral eigenvector (against NEUTRAL_TOL) or, on
     a real row without one, with a multiplicity cluster short of
-    eigenvectors.
+    eigenvectors.  Raises KGError when an entry of H is beyond the float
+    range, as U^(1/2) V U^(-1/2) can be for a finite potential.
     """
-    h = hamiltonians(spec, couplings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hamiltonians(spec, couplings)
+    if not np.isfinite(h).all():
+        raise KGError(
+            "the Hamiltonian H = JG is beyond the float range: "
+            "U^(1/2) V U^(-1/2) has a non-finite entry"
+        )
     lam, vecs = np.linalg.eig(h)
     rows, order = np.arange(len(h))[:, None], np.lexsort((lam.imag, lam.real))
     lam, vecs = lam[rows, order], vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
@@ -392,7 +418,11 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
 
 
 def eigen_spectra(
-    spec: ModelSpec, couplings, shift: float = 0.0, contractions=None
+    spec: ModelSpec,
+    couplings,
+    shift: float = 0.0,
+    contractions=None,
+    vectors: bool = True,
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
@@ -403,18 +433,23 @@ def eigen_spectra(
     whose Cholesky factorization fails, and every uncertified row, goes
     to the general eigensolver on H(t) (_direct_eigensolve), which
     alone forms H or a root of U.  ``contractions`` are the rows' b when
-    the caller has them; otherwise they are measured here.
+    the caller has them; otherwise they are measured here, and either
+    way the stack keeps them.  With ``vectors=False`` the pencil rows
+    are solved for their eigenvalues alone (their signatures theta need
+    no vectors) and the stack's eigenvectors are None; the direct rows
+    still compute the vectors that classify them.
     """
     t = np.asarray(couplings, dtype=float)
     w = shifted_potential(spec, shift, t)
     if contractions is None:
         with np.errstate(over="ignore"):   # as operator_a: b = inf on overflow
             contractions = spectral_norm(w @ spec.u_power(-1))
-    pencil = _certified_definite(spec, np.asarray(contractions, dtype=float))
+    contractions = np.asarray(contractions, dtype=float)
+    pencil = _certified_definite(spec, contractions)
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
     rows = pencil.nonzero()[0]
     if rows.size:
-        theta, z, factored = _k_frame_eigensolve(spec, w[rows])
+        theta, z, factored = _k_frame_eigensolve(spec, w[rows], vectors)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
@@ -433,20 +468,26 @@ def eigen_spectra(
         # rows of both paths: scatter them into one stack
         two_n = 2 * spec.order
         lam = np.empty((k, two_n), np.result_type(*(p[1] for p in solved)))
-        vecs = np.empty((k, two_n, two_n), np.result_type(*(p[2] for p in solved)))
+        if vectors:
+            vecs = np.empty(
+                (k, two_n, two_n), np.result_type(*(p[2] for p in solved))
+            )
         signatures, is_real = np.empty((k, two_n)), np.empty(k, dtype=bool)
         witnesses = [None] * k
-        for rows, *part in solved:
-            lam[rows], vecs[rows], signatures[rows], is_real[rows] = part[:4]
-            for row, witness in zip(rows, part[4]):
+        for rows, lam_p, vecs_p, signatures_p, real_p, witnesses_p in solved:
+            lam[rows], signatures[rows], is_real[rows] = lam_p, signatures_p, real_p
+            if vectors:
+                vecs[rows] = vecs_p
+            for row, witness in zip(rows, witnesses_p):
                 witnesses[row] = witness
     return SpectrumStack(
         eigenvalues=lam,
-        eigenvectors=vecs,
+        eigenvectors=vecs if vectors else None,
         signatures=signatures,
         pencil=pencil,
         is_real=is_real,
         witnesses=tuple(witnesses),
+        contractions=contractions,
     )
 
 

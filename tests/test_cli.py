@@ -869,6 +869,36 @@ class TestExitCodes:
         assert err == "validation error: delta_v contains non-finite entries\n"
         assert caught == []
 
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_optimize_shift_on_an_overflowing_potential(self, n, tmp_path, capsys):
+        # (V U^(-1))^T (V U^(-1)) overflows for V of scale 1e200: the shift
+        # search runs on V / 2^k, and the optimal b is far from below one
+        e = np.eye(n, k=1)
+        spec = ModelSpec(
+            u_squared=3.0 * np.eye(n) - e - e.T,
+            v=np.diag(np.linspace(-1e200, 1e200, n)),
+        )
+        path = tmp_path / "huge_v.json"
+        save_model(spec, path)
+        args = ["bounds", "--model", str(path), "--eta", "0.1", "--optimize-shift"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code == EXIT_SOLVER and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: contraction b = ")
+        assert 1e199 < float(re.search(r"b = (\S+)", err).group(1)) < 1e201
+
+    def test_overflowing_hamiltonian_on_the_direct_path(self, capsys):
+        # the perturbed potential is finite, U^(1/2) (V + dV) U^(-1/2) is not
+        args = ["verify", "--alpha", "0.3", "--grid-points", "10", "--eta", "8.9e307"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code == EXIT_SOLVER and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: the Hamiltonian H = JG is beyond")
+
     def test_paper_shift_requires_square_well(self, tmp_path):
         path = tmp_path / "free.json"
         save_model(square_well_model(1.0), path)

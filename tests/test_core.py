@@ -244,6 +244,31 @@ class TestSpectralNorm:
         assert norms.tolist() == [np.inf, 1.0]
 
 
+class TestTopEigenvalue:
+    def test_matches_scipy_subset_solve_bit_for_bit(self):
+        # from order 32 up, LAPACK's dsyevr is called directly, with the
+        # workspace scipy.linalg.eigh queries
+        rng = np.random.Generator(np.random.PCG64(32))
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=160))
+        v_u_inv = spec.v @ spec.u_power(-1)
+        mats = [v_u_inv.T @ v_u_inv]
+        for n in (32, 80, 160, 320):
+            a = rng.normal(size=(n, n))
+            mats.append(a @ a.T)
+        for s in mats:
+            n = s.shape[0]
+            top = scipy.linalg.eigh(
+                s, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr"
+            )
+            assert core._top_eigenvalue(s) == top[0]
+
+    def test_non_finite_entry_raises(self):
+        s = np.eye(40)
+        s[3, 5] = s[5, 3] = np.inf
+        with pytest.raises(core.KGError, match="non-finite"):
+            core._top_eigenvalue(s)
+
+
 class TestContractionBound:
     def test_pure_shift(self):
         spec = ModelSpec(u_squared=np.diag([4.0, 9.0]), v=np.zeros((2, 2)))
@@ -352,3 +377,21 @@ class TestOptimizeShift:
         b = assemble_system(spec, optimize_shift(spec)).contraction
         assert b <= 0.5 + 1e-9
         assert b <= contraction_bound(spec, 0.0) + 1e-12
+
+    @pytest.mark.parametrize("n", [4, 40])
+    @pytest.mark.parametrize("u_scale, v_scale", [(1.0, 1e200), (1e100, 1e150)])
+    def test_overflowing_potential(self, n, u_scale, v_scale):
+        # at 1e200 the matrices of the search overflow, at (1e100, 1e150)
+        # the products of Brent's parabolic steps do; the search runs on
+        # V / 2^k and finds the optimal b of the unscaled model, scaled
+        e = np.eye(n, k=1)
+        u_squared = 3.0 * np.eye(n) - e - e.T
+        v = np.diag(np.linspace(-1.0, 1.0, n))
+        unit = ModelSpec(u_squared=u_squared, v=v)
+        b_unit = assemble_system(unit, optimize_shift(unit)).contraction
+        spec = ModelSpec(u_squared=u_scale * u_squared, v=v_scale * v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = assemble_system(spec, optimize_shift(spec)).contraction
+        expected = v_scale / np.sqrt(u_scale) * b_unit
+        assert abs(b - expected) <= 1e-14 * expected

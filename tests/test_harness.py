@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from kgbounds import (
+    HarmonicParams,
     ModelSpec,
+    core,
     harness,
     ValidationError,
     assemble_system,
     eigen_spectrum,
     eigenpair_residuals,
+    example1_table,
     example2_tables,
+    harmonic_model,
     render_example2_report,
     square_well_model,
     sweep_potential,
@@ -39,6 +43,51 @@ class TestExample2Tables:
         assert "0.81650" in text
         assert "1.8" in text and "1.7" in text
         assert "deepened well" in text
+
+
+class TestExample1Table:
+    """example1_table against one eigen_spectrum per oscillator model."""
+
+    GRID = 60
+
+    @classmethod
+    def reference(cls, alpha, beta):
+        """(b, positive and negative eigenvalues ordered away from 0)."""
+        spec = harmonic_model(
+            HarmonicParams(alpha=alpha, beta=beta, grid_points=cls.GRID)
+        )
+        system = assemble_system(spec, 0.0)
+        report = eigen_spectrum(system)
+        return system.contraction, report.positive_ordered, report.negative_ordered
+
+    def test_one_u2_eigendecomposition_per_mass_offset(self, monkeypatch):
+        calls = []
+        spd_eig = core._spd_eig
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return spd_eig(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_spd_eig", count)
+        example1_table(self.GRID)
+        assert len(calls) == len(harness.EXAMPLE1_BETAS) == 2
+
+    def test_rows_and_contractions_match_per_model_solves(self):
+        result = example1_table(self.GRID)
+        refs = {key: self.reference(*key) for key in result.contraction}
+        for row in result.rows:
+            _, pos, neg = refs[(row.alpha, row.beta)]
+            for value, ref in ((row.mu_plus, pos), (row.mu_minus, neg)):
+                assert abs(value - ref[row.mode]) <= 1e-13 * abs(ref[row.mode])
+        assert len(result.rows) == 3 * len(refs) == 18
+        # alpha * x is the same product in both: b bit for bit
+        assert result.contraction == {key: ref[0] for key, ref in refs.items()}
+
+        a0, eps = result.sensitivity_alpha, result.sensitivity_eps
+        mu0 = self.reference(a0, 0.0)[1][0]
+        mu1 = self.reference(a0 + eps, 0.0)[1][0]
+        fd = (mu1 - mu0) / (mu0 * eps)
+        assert abs(result.fd_ratio_discrete - fd) <= 1e-8 * abs(fd)
 
 
 class TestSweep:

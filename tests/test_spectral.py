@@ -536,3 +536,76 @@ class TestStackedSolve:
                 row_spec, stack.eigenvalues[k], stack.eigenvectors[k]
             )
             np.testing.assert_allclose(stacked[k], row, rtol=1e-12, atol=1e-15)
+
+
+class TestEigenvaluesOnly:
+    """eigen_spectra(..., vectors=False) against the solve with vectors."""
+
+    @staticmethod
+    def assert_same_rows(spec, couplings, shift=0.0):
+        full = spectral.eigen_spectra(spec, couplings, shift)
+        bare = spectral.eigen_spectra(spec, couplings, shift, vectors=False)
+        assert bare.eigenvectors is None
+        assert bare.pencil.tolist() == full.pencil.tolist()
+        assert bare.is_real.tolist() == full.is_real.tolist()
+        assert bare.defective.tolist() == full.defective.tolist()
+        np.testing.assert_array_equal(bare.contractions, full.contractions)
+        scale = np.abs(full.eigenvalues).max(axis=-1, keepdims=True)
+        assert (np.abs(bare.eigenvalues - full.eigenvalues) <= 1e-13 * scale).all()
+        sig_scale = np.abs(full.signatures).max(axis=-1, keepdims=True)
+        assert (np.abs(bare.signatures - full.signatures) <= 1e-13 * sig_scale).all()
+        return full, bare
+
+    def test_random_certified_specs(self):
+        rng = np.random.Generator(np.random.PCG64(1314))
+        for _ in range(20):
+            spec, _ = random_model(rng, n=int(rng.integers(2, 12)))
+            t = rng.uniform(0.2, 1.4, size=int(rng.integers(1, 5)))
+            full, _ = self.assert_same_rows(spec, t, float(rng.uniform(-0.1, 0.1)))
+            assert full.pencil.all()
+
+    def test_stacks_of_one(self):
+        rng = np.random.Generator(np.random.PCG64(1315))
+        for _ in range(10):
+            spec, _ = random_model(rng, n=int(rng.integers(2, 12)))
+            full, _ = self.assert_same_rows(spec, (1.0,))
+            assert full.pencil.all()
+
+    def test_oscillator(self):
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=40))
+        full, _ = self.assert_same_rows(spec, (1.0,))
+        assert full.pencil.all()
+
+    def test_direct_rows_are_unchanged(self):
+        # uncertified, defective and non-real rows still take the direct
+        # path, with the vectors that classify them, bit for bit
+        spec = square_well_model(1.0)
+        couplings = np.array([0.0, 0.5, 1.3, 2.0, 2.4])
+        full, bare = self.assert_same_rows(spec, couplings, -0.25)
+        direct = ~full.pencil
+        assert direct.any() and full.pencil.any()
+        np.testing.assert_array_equal(
+            bare.eigenvalues[direct], full.eigenvalues[direct]
+        )
+        np.testing.assert_array_equal(
+            bare.signatures[direct], full.signatures[direct]
+        )
+
+    def test_no_eigenvectors_are_formed(self, monkeypatch):
+        # a stack of one takes LAPACK's eigenvalue-only dsyevr (the
+        # contraction's Gram matrix takes dsyevd without vectors)
+        calls = []
+        dsyevd, dsyevr = spectral.lapack.dsyevd, spectral.lapack.dsyevr
+
+        def spy(name, routine):
+            def record(a, *args, **kwargs):
+                calls.append((name, kwargs.get("compute_v")))
+                return routine(a, *args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(spectral.lapack, "dsyevd", spy("dsyevd", dsyevd))
+        monkeypatch.setattr(spectral.lapack, "dsyevr", spy("dsyevr", dsyevr))
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=20))
+        spectral.eigen_spectra(spec, (1.0,), 0.0, vectors=False)
+        assert calls == [("dsyevd", 0), ("dsyevr", 0)]
