@@ -31,7 +31,12 @@ always-admissible constant
     kappa_prime_hat = (kappa_plus - kappa_minus) / (2 + kappa_plus + kappa_minus)
 
 the gap inclusion intervals and the uniform norm-bound interval through
-||J1||.  One record holds everything known about one (model, dV,
+||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma the n x n angular
+operator of the positive spectral subspace (spectral.sign_operator).
+Every spectral quantity here is an end of a spectrum, and only the ends
+are computed (core._extreme_eigenvalues): the exact pair, the sign of
+the mixed product and each norm.  nu comes from a Bunch-Kaufman solve
+with V.  One record holds everything known about one (model, dV,
 shift): perturbation_constants measures dV (c, nu and the sign of the
 mixed product) and evaluates every kappa into a BoundsReport, and
 bounds_report assembles and solves for it.  Only two of the record's
@@ -46,9 +51,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     KleinGordonSystem,
+    _extreme_eigenvalues,
     ModelSpec,
     assemble_system,
     check_symmetric,
@@ -95,7 +102,8 @@ __all__ = [
 #: semidefiniteness slack for the sign-condition test, scaled by ||A|| ||dA||
 SIGN_TOL = 1e-10
 
-#: a symmetric matrix counts as invertible when min |eig| > INV_RTOL * ||m||
+#: a symmetric matrix counts as invertible when LAPACK's estimate of its
+#: reciprocal 1-norm condition number exceeds INV_RTOL
 INV_RTOL = 1e-12
 
 
@@ -173,30 +181,37 @@ def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
     """
     mixed = symmetrize(delta_a.T @ a_matrix + a_matrix.T @ delta_a)
     tol = SIGN_TOL * max(b * c, 1e-300)
-    eigs = np.linalg.eigvalsh(mixed)
-    is_zero = bool(np.abs(eigs).max(initial=0.0) <= tol)
-    if eigs[-1] <= tol:
+    lowest, highest = _extreme_eigenvalues(mixed, 1, 1)[[0, -1]]
+    is_zero = bool(max(-lowest, highest) <= tol)
+    if highest <= tol:
         return "negative", is_zero
-    if eigs[0] >= -tol:
+    if lowest >= -tol:
         return "positive", is_zero
     return None, is_zero
 
 
 def _relative_factor(dv, v):
-    """nu = ||dV V^(-1)|| = ||dV P diag(1/w)||, from V = P diag(w) P^T.
+    """nu = ||dV V^(-1)|| = ||V^(-1) dV||, from a Bunch-Kaufman solve with V.
 
-    None when V is numerically singular (min |w| <= INV_RTOL max |w|),
-    or when 1/w, that is V^(-1), the product or nu itself overflows.
+    None when V is numerically singular (LAPACK's estimate of
+    1/cond_1(V), from the same factorization, is at most INV_RTOL), when
+    ||V||_1 or V^(-1) overflows (its 1-norm by that estimate), or when
+    the product or nu itself does.
     """
-    w, p = np.linalg.eigh(v)
-    scale = np.abs(w).max(initial=0.0)
-    if scale == 0.0 or np.abs(w).min() <= INV_RTOL * scale:
+    with np.errstate(over="ignore"):
+        v_norm = float(np.abs(v).sum(axis=0).max(initial=0.0))   # ||V||_1
+    if v_norm == 0.0 or not math.isfinite(v_norm):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        dv_v_inv = (dv @ p) * (1.0 / w)
-    if not np.isfinite(dv_v_inv).all():
+    factor, pivots, v_inv_dv, info = lapack.dsysv(v, dv, lower=1)
+    if info != 0:
         return None
-    nu = spectral_norm(dv_v_inv)
+    rcond, _ = lapack.dsycon(factor, pivots, v_norm, lower=1)
+    # ||V^(-1)||_1 = 1 / (rcond ||V||_1) beyond the float range
+    if rcond <= INV_RTOL or rcond * v_norm < 1.0 / np.finfo(float).max:
+        return None
+    if not np.isfinite(v_inv_dv).all():
+        return None
+    nu = spectral_norm(v_inv_dv)
     return nu if math.isfinite(nu) else None
 
 
@@ -495,16 +510,17 @@ def perturbation_constants(
     ``report`` the spectrum of ``system``.  Raises
     ContractionNotLessThanOne when b >= 1 (gap_bound), and
     ValidationError when c = ||dV U^(-1)|| is beyond the float range.
-    c comes from the model's U^(-1), nu from the eigendecomposition of
-    V, and the disjoint and sign classification from the mixed product
-    with A = (V - mu) U^(-1).  The validity flag of each kappa records whether
-    its hypothesis holds and, where the statement needs it, whether the
-    value is below one; invalid entries keep their value for
-    tabulation.  The exact pair comes from the report's K-frame pencil
-    eigenvectors Z, Z^T (K - mu*J) Z = I: it is the extreme eigenvalues
-    of Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2 the upper
-    and lower halves of Z.  Neither K - mu*J nor dK is formed.
-    NotCertified when the report took the direct path, that is when
+    c comes from the model's U^(-1), nu from a Bunch-Kaufman solve with
+    V, and the disjoint and sign classification from the extreme
+    eigenvalues of the mixed product with A = (V - mu) U^(-1).  The
+    validity flag of each kappa records whether its hypothesis holds
+    and, where the statement needs it, whether the value is below one;
+    invalid entries keep their value for tabulation.  The exact pair
+    comes from the report's K-frame pencil eigenvectors Z,
+    Z^T (K - mu*J) Z = I: it is the extreme eigenvalues of
+    Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2 the upper and
+    lower halves of Z, computed alone.  Neither K - mu*J nor dK is
+    formed.  NotCertified when the report took the direct path, that is when
     G - mu*J was not certified positive definite or the Cholesky
     factorization of U^2 - (V - mu)^2 failed.
     """
@@ -547,7 +563,7 @@ def perturbation_constants(
 
     n, z = system.n, report.eigenvectors
     m = z[n:].T @ (dv @ z[:n])
-    w = np.linalg.eigvalsh(m + m.T)
+    w = _extreme_eigenvalues(m + m.T, 1, 1)
     k_exact = (float(w[0]), float(w[-1]))
     if k_exact[0] > -1.0:
         k0_hat, kp_hat = rescale_kappa(*k_exact)

@@ -28,9 +28,17 @@ eigendecomposition of U^2 that validation computes, and shared by every
 spec derived from it with another potential.  KleinGordonSystem stores
 the contraction data alone and derives H, and G = J H from it, on
 demand; hamiltonians forms H for a whole stack of potentials t V, and
-spectral_norm and shifted_potential take stacks too.  Everything here
-is dense and desk-scale; all outputs are plain numpy arrays inside
-frozen dataclasses and all functions are pure.
+spectral_norm and shifted_potential take stacks too.
+
+Every number the bounds rest on is an end of a symmetric spectrum: a
+norm, the exact kappa pair, the sign of a mixed product, the bracket
+and the values of the shift search, the modes of example 1 nearest the
+shift.  _extreme_eigenvalues computes the requested ends alone, from
+order 32 up by one tridiagonalization and a bisection per end, and
+optimize_shift minimizes b by the subspace method from that order up,
+with one full top eigenpair per step.  Everything here is dense and
+desk-scale; all outputs are plain numpy arrays inside frozen
+dataclasses and all functions are pure.
 """
 
 from __future__ import annotations
@@ -78,50 +86,93 @@ _ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
 #: scales a matrix outside this range by a power of two, which is exact
 _GRAM_RANGE = (2.0**-500, 2.0**500)
 
-#: from this order up, LAPACK's evr driver computing the one top eigenvalue
-#: beats numpy's eigvalsh computing all of them
+#: from this order up, one tridiagonalization and bisection for the
+#: requested eigenvalues alone beat numpy's eigvalsh computing all of them
 _SUBSET_MIN_ORDER = 32
 
+#: dsyevr leaves a matrix unscaled when its largest entry lies in
+#: [_RMIN, _RMAX] (LAPACK's SMLNUM = safe minimum / precision)
+_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = min(1.0 / _RMIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 
-def _top_eigenvalue(s):
-    """Largest eigenvalue of a symmetric matrix, or of each in a stack (..., n, n).
 
-    A float for one matrix, an array for a stack; only the lower
-    triangles are read.  One small matrix, also a stack of one, goes
-    straight to LAPACK's dsyevd, which costs a third of numpy's eigvalsh
-    call at n = 2; a stack of several goes through eigvalsh as one call.
-    From _SUBSET_MIN_ORDER up, LAPACK's dsyevr computes the top
-    eigenvalue alone, and a non-finite entry raises KGError.
+def _unit_scaled(s):
+    """(s / 2^e, e), s scaled below 1 by a power of two, which is exact.
+
+    Only a matrix whose largest entry lies outside [_RMIN, _RMAX] is
+    scaled; otherwise e = 0 and s is returned as it is, as dsyevr would
+    leave it.
+    """
+    largest = max(s.max(), -s.min())
+    if largest > 0.0 and not _RMIN <= largest <= _RMAX:
+        exponent = int(np.frexp(largest)[1])
+        return np.ldexp(s, -exponent), exponent
+    return s, 0
+
+
+def _ends(w, low: int, high: int):
+    """The low first and high last entries of ascending rows w, each once."""
+    n = w.shape[-1]
+    if low + high >= n:
+        return w
+    if not low:
+        return w[..., n - high :]
+    if not high:
+        return w[..., :low]
+    return np.concatenate([w[..., :low], w[..., n - high :]], axis=-1)
+
+
+def _extreme_eigenvalues(s, low: int, high: int):
+    """The low smallest and high largest eigenvalues of a symmetric matrix.
+
+    Returns them ascending, as an array (..., m) for a matrix or a stack
+    (..., n, n), m = min(low + high, n): every eigenvalue once when the
+    two ends meet.  The eigenvalues are those of the lower triangles.
+    Below _SUBSET_MIN_ORDER, or when all eigenvalues are asked for, one
+    matrix (also a stack of one) goes straight to LAPACK's dsyevd, which
+    costs a third of numpy's eigvalsh call at n = 2, and a stack of
+    several through eigvalsh as one call.  From _SUBSET_MIN_ORDER up,
+    each matrix takes dsyevr's own partial-range path, step for step:
+    one blocked dsytrd with the workspace dsyevr hands it and one dstebz
+    bisection per end, so the results are those of dsyevr(range="I")
+    bit for bit whenever dsyevr leaves the matrix unscaled.  A matrix it
+    would scale is scaled by a power of two instead (_unit_scaled):
+    dsyevr scales to the edge of [_RMIN, _RMAX], where dstebz splits the
+    tridiagonal at off-diagonals whose squares underflow and loses
+    digits (7e-14 of ||s|| on a clustered matrix scaled by 1e-150).
+    There a non-finite entry raises KGError.
     """
     n = s.shape[-1]
-    if s.ndim > 2:
-        if n < _SUBSET_MIN_ORDER and s.size > n * n:
-            return np.linalg.eigvalsh(s)[..., -1]
-        tops = [_top_eigenvalue(m) for m in s.reshape(-1, n, n)]
-        return np.reshape(tops, s.shape[:-2])
-    if n < _SUBSET_MIN_ORDER:
-        w, _, info = scipy.linalg.lapack.dsyevd(s, compute_v=0, lower=1)
-        top = w[-1]
-    else:
-        if not np.isfinite(s).all():
-            raise KGError(f"a symmetric matrix of order {n} has a non-finite entry")
-        # the optimal workspace, as scipy.linalg.eigh queries it: with
-        # less, dsytrd reduces unblocked and rounds differently
-        lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
-        w, _, _, _, info = scipy.linalg.lapack.dsyevr(
-            s,
-            compute_v=0,
-            range="I",
-            il=n,
-            iu=n,
-            lower=1,
-            lwork=int(lwork),
-            liwork=liwork,
-        )
-        top = w[0]
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return float(top)
+    if s.ndim > 2 and (s.size == n * n or n >= _SUBSET_MIN_ORDER):
+        rows = [_extreme_eigenvalues(a, low, high) for a in s.reshape(-1, n, n)]
+        return np.reshape(rows, s.shape[:-2] + (min(low + high, n),))
+    if n < _SUBSET_MIN_ORDER or not 0 < low + high < n:
+        if n == 1:
+            w = s[..., 0, :].copy()
+        elif s.ndim > 2:
+            w = np.linalg.eigvalsh(s)
+        else:
+            w, _, info = scipy.linalg.lapack.dsyevd(s, compute_v=0, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _ends(w, low, high)
+    if not np.isfinite(s).all():
+        raise KGError(f"a symmetric matrix of order {n} has a non-finite entry")
+    s, exponent = _unit_scaled(s)
+    # dsyevr's optimal workspace less the 5n it keeps for itself: with
+    # less, dsytrd reduces unblocked and rounds differently
+    lwork = int(scipy.linalg.lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
+    _, d, e, _, _ = scipy.linalg.lapack.dsytrd(s, lower=1, lwork=lwork)
+    ends = []
+    for il, iu in ((1, low), (n - high + 1, n)):
+        if il <= iu:
+            _, w, _, _, info = scipy.linalg.lapack.dstebz(
+                d, e, 2, 0.0, 0.0, il, iu, 0.0, "E"
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            ends.append(w[: iu - il + 1])
+    return np.ldexp(np.concatenate(ends), exponent)
 
 
 def spectral_norm(a):
@@ -157,7 +208,8 @@ def spectral_norm(a):
         a = np.ldexp(a, -exponent[..., None, None])
     at = a.swapaxes(-1, -2)
     gram = at @ a if a.shape[-2] >= a.shape[-1] else a @ at
-    top = _top_eigenvalue(gram)
+    top = _extreme_eigenvalues(gram, 0, 1)[..., -1]
+    top = top if stack else float(top)
     if not rescale:
         return np.sqrt(np.maximum(top, 0.0)) if stack else math.sqrt(max(top, 0.0))
     norm = np.sqrt(np.maximum(top, 0.0))
@@ -429,8 +481,16 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 #: sqrt(machine epsilon): a smooth minimum is resolved to this relative width
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
-#: absolute part of the width to which optimize_shift resolves its minimizer
-SHIFT_TOL = 1e-10
+#: optimize_shift resolves its minimizer to this fraction of its bracket's
+#: width, or of 1 when the bracket is wider, plus sqrt(eps) relative
+SHIFT_RTOL = 1e-10
+
+#: the subspace search stops when its best b^2 and the projected minimum
+#: agree to this, relative to b^2
+_SUBSPACE_RTOL = 4.0 * np.finfo(float).eps
+
+#: the subspace search returns its best shift after this many full solves
+_SUBSPACE_MAX_SOLVES = 24
 
 #: optimize_shift scales the potential unless er + eu + max(er, 0) is at
 #: most this, where r < 2^er is its bracket's reach and ||U^(-1)|| < 2^eu:
@@ -497,8 +557,66 @@ def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
                 v, fv = u, fu
 
 
+def _top_eigenpair(s):
+    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
+
+    LAPACK's dsyevr for the one top index, with its optimal workspace,
+    on the matrix scaled as _extreme_eigenvalues scales it: the
+    eigenvalue is _extreme_eigenvalues(s, 0, 1) bit for bit.  Only the
+    lower triangle enters the eigenpair.
+    """
+    n = s.shape[0]
+    s, exponent = _unit_scaled(s)
+    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+    w, z, _, _, info = scipy.linalg.lapack.dsyevr(
+        s, range="I", il=n, iu=n, lower=1, lwork=int(lwork), liwork=liwork
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return math.ldexp(w[0], exponent), z[:, 0]
+
+
+def _subspace_minimize(b2, b1, b0, lo: float, hi: float, tol: float) -> float:
+    """A minimizer of f(mu) = lambda_max(B2 - 2 mu B1 + mu^2 B0) on [lo, hi].
+
+    The subspace method for eigenvalue optimization (Kangal, Meerbergen,
+    Mengi & Michiels, SIAM J. Matrix Anal. Appl. 39, 2018): each full
+    solve at a shift adds the top eigenvector there to an orthonormal
+    basis Q, and the next shift minimizes the projected
+    f_Q(mu) = lambda_max(Q^T (B2 - 2 mu B1 + mu^2 B0) Q) by Brent's
+    method to the width tol.  f_Q <= f everywhere, so min f_Q is a lower
+    bound on min f, and the search stops, returning the best shift
+    solved at, once its f and min f_Q agree to _SUBSPACE_RTOL relative;
+    it starts at the centre of the bracket and makes at most
+    _SUBSPACE_MAX_SOLVES full solves.
+    """
+
+    def projected(mu):
+        s = p2 - (2.0 * mu) * p1 + (mu * mu) * p0
+        return float(_extreme_eigenvalues(s, 0, 1)[0])
+
+    mu = 0.5 * (lo + hi)
+    best, best_mu = math.inf, mu
+    vectors = []
+    for _ in range(_SUBSPACE_MAX_SOLVES):
+        value, vector = _top_eigenpair(b2 - (2.0 * mu) * b1 + (mu * mu) * b0)
+        if value < best:
+            best, best_mu = value, mu
+        vectors.append(vector)
+        q = np.linalg.qr(np.column_stack(vectors))[0]
+        p2, p1, p0 = (q.T @ b @ q for b in (b2, b1, b0))
+        if len(vectors) == 1:
+            # a scalar quadratic in mu, with p0 = q^T U^(-2) q > 0
+            mu = min(max(float(p1[0, 0] / p0[0, 0]), lo), hi)
+        else:
+            mu = _brent_minimize(projected, lo, hi, tol)
+        if best - projected(mu) <= _SUBSPACE_RTOL * best:
+            break
+    return best_mu
+
+
 def optimize_shift(spec: ModelSpec):
-    """Minimize mu -> b(mu) = ||(V - mu) U^(-1)|| by Brent's method.
+    """Minimize mu -> b(mu) = ||(V - mu) U^(-1)|| over the shift.
 
     With Bk = U^(-1) V^k U^(-1), formed once,
 
@@ -506,10 +624,14 @@ def optimize_shift(spec: ModelSpec):
 
     so each evaluation is the top eigenvalue of one symmetric n x n
     matrix.  b is the norm of an affine matrix function of mu, hence
-    convex, and so is b^2; Brent's method on the bracket
-    [min eig V - ||U||, max eig V + ||U||] converges to its minimizer
-    within SHIFT_TOL plus sqrt(eps) relative.  Returns the shift; its
-    contraction is assemble_system(spec, shift).contraction.
+    convex, and so is b^2, on the bracket
+    [min eig V - ||U||, max eig V + ||U||].  Below _SUBSET_MIN_ORDER
+    Brent's method minimizes b^2 itself; from that order up the
+    subspace method (_subspace_minimize) does, with one full solve per
+    step, and Brent's method only its projected problems.  Either
+    resolves the minimizer to SHIFT_RTOL of the bracket's width (of 1
+    on a wider bracket) plus sqrt(eps) relative.  Returns the shift;
+    its contraction is assemble_system(spec, shift).contraction.
 
     On the bracket, with r = max |bracket end|, the evaluated matrix and
     each of its three terms is at most 4 (r ||U^(-1)||)^2 in norm, and
@@ -522,9 +644,9 @@ def optimize_shift(spec: ModelSpec):
     """
     u_inv = spec.u_power(-1)
     u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
-    v_eigs = np.linalg.eigvalsh(spec.v)
-    lo = float(v_eigs[0]) - u_norm
-    hi = float(v_eigs[-1]) + u_norm
+    v_min, v_max = _extreme_eigenvalues(spec.v, 1, 1)[[0, -1]]
+    lo = float(v_min) - u_norm
+    hi = float(v_max) + u_norm
     # r < 2^er and ||U^(-1)|| < 2^eu: the matrices stay below
     # 2^(2 (er + eu) + 2) in norm and Brent's products below 2^(4 er + 2 eu + 6)
     er = math.frexp(max(-lo, hi))[1]
@@ -535,9 +657,15 @@ def optimize_shift(spec: ModelSpec):
     b2 = v_u_inv.T @ v_u_inv
     b1 = symmetrize(u_inv @ v_u_inv)
     b0 = spec.u_power(-2)
+    lo, hi = math.ldexp(lo, -k), math.ldexp(hi, -k)
+    # relative to the bracket, so that a potential of small scale is
+    # resolved; on a wide bracket sqrt(eps) |mu| soon dominates
+    tol = SHIFT_RTOL * min(hi - lo, 1.0)
+    if spec.order >= _SUBSET_MIN_ORDER:
+        return math.ldexp(_subspace_minimize(b2, b1, b0, lo, hi, tol), k)
 
     def b_squared(mu):
-        return _top_eigenvalue(b2 - (2.0 * mu) * b1 + (mu * mu) * b0)
+        s = b2 - (2.0 * mu) * b1 + (mu * mu) * b0
+        return float(_extreme_eigenvalues(s, 0, 1)[0])
 
-    mu = _brent_minimize(b_squared, math.ldexp(lo, -k), math.ldexp(hi, -k), SHIFT_TOL)
-    return math.ldexp(mu, k)
+    return math.ldexp(_brent_minimize(b_squared, lo, hi, tol), k)

@@ -14,8 +14,9 @@ The two reproductions are desk-scale experiments:
   certified bound.  The field strength alpha scales the potential
   alone, so the table builds one model per mass offset beta, with one
   U^2 validated and inverted once, and solves each alpha as a coupling
-  of it: one eigenvalue-only row of spectral.eigen_spectra, whose
-  stack also keeps the contraction b the row was routed on.
+  of it: one row of spectral.eigen_spectra that asks only for the
+  tabulated modes, the few eigenvalues nearest the shift on each side,
+  and whose stack also keeps the contraction b the row was routed on.
 
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
@@ -218,9 +219,10 @@ def _discrete_extremes(spec, alpha, modes):
     ``spec`` is the oscillator of one mass offset with V = diag(x), the
     field strength 1, so the potential of field strength alpha is its
     coupling t = alpha: the same product alpha * x that harmonic_model
-    forms.  One row of eigen_spectra at shift 0, eigenvalues alone.
+    forms.  One row of eigen_spectra at shift 0, solved for the
+    max(modes) + 1 eigenvalues nearest the shift on each side alone.
     """
-    stack = eigen_spectra(spec, (alpha,), 0.0, vectors=False)
+    stack = eigen_spectra(spec, (alpha,), 0.0, nearest=max(modes) + 1)
     # both solver paths order the row ascending by real part
     re = np.real(stack.eigenvalues[0])
     pos, neg = re[re > 0.0], re[re < 0.0][::-1]

@@ -43,11 +43,12 @@ witnesses) is stacked too; only a multiplicity cluster takes an SVD of
 its own.  A stack of one calls LAPACK's dpotrf, dtrtri and dsyevd
 directly, which at small orders cost a fifth of numpy's stacked calls.
 eigen_spectrum is the stack of one of a system's own potential, and the
-coupling sweep solves its steps in blocks.  A caller that reads the
-eigenvalues alone (the oscillator table of example 1) asks for no
-vectors: the pencil rows then take LAPACK's eigenvalue-only dsyevr, and
-neither X nor Z is formed, since the signatures theta are the
-eigenvalues of C themselves.
+coupling sweep solves its steps in blocks.  A caller that reads a few
+eigenvalues alone (the oscillator table of example 1) asks for the k
+nearest the shift on each side: since lam - mu = 1/theta, they are the
+k smallest and k largest eigenvalues of C, which the pencil rows then
+compute alone (core._extreme_eigenvalues), and neither X nor Z is
+formed, since the signatures theta are the eigenvalues of C themselves.
 
 The same solve gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
@@ -56,7 +57,12 @@ Y = D Z |Theta|^(-1/2)
     J1 = sign(H - mu*I) = Y (J Y)^T,    ||J1|| = ||Y||^2,
 
 which measures how far the similarity is from an isometry
-(1 <= ||J1|| <= 1/(1-b)).
+(1 <= ||J1|| <= 1/(1-b)).  The norm is taken at order n: in the
+eigenbasis of J the positive columns [a; b] of D Z become
+[P; Q] = [a + b; a - b] / sqrt(2), whose span is the graph of the
+angular operator Gamma = Q P^(-1), ||Gamma|| < 1, and
+
+    ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||).
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from scipy.linalg import lapack
 
 from .core import (
     PD_RTOL,
+    _extreme_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
     apply_j,
@@ -140,20 +147,29 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class SignOperator:
-    """J1 = sign(H - mu*I) through its factor Y.
+    """J1 = sign(H - mu*I) of a pencil-route spectrum, and its norm.
 
-    ``y`` holds the H-frame pencil eigenvectors scaled to J-signature
-    +-1, so that J1 = Y (J Y)^T; ``j1`` forms that 2n x 2n product anew
-    on every access.  ``norm_j1`` = ||Y||^2 = ||J1|| needs no product.
+    ``norm_j1`` = ||J1|| = (1 + g) / (1 - g), g = ||Gamma|| the norm of
+    the angular operator (see sign_operator).  ``y`` forms the factor Y,
+    the H-frame pencil eigenvectors scaled to J-signature +-1, and
+    ``j1`` the product J1 = Y (J Y)^T, both anew on every access.
     """
 
-    y: np.ndarray = field(repr=False)
+    report: SpectrumReport = field(repr=False)
     norm_j1: float
+
+    @property
+    def y(self):
+        """Y = D Z |Theta|^(-1/2), D = diag(U^(1/2), U^(-1/2)); ||Y||^2 = ||J1||."""
+        y = _h_frame(self.report.spec, self.report.eigenvectors)
+        y /= np.sqrt(np.abs(self.report.signatures))
+        return y
 
     @property
     def j1(self):
         """J1 = Y (J Y)^T."""
-        return self.y @ apply_j(self.y).T
+        y = self.y
+        return y @ apply_j(y).T
 
 
 @dataclass(frozen=True)
@@ -188,7 +204,7 @@ class SpectrumStack:
     SpectrumReport holds: ``eigenvalues`` sorted ascending by real part
     (a complex array when some row is non-real, the imaginary parts of
     real rows being zero), the K-frame ``eigenvectors`` z_k as columns
-    (None for a solve without vectors), their ``signatures``
+    (None for a nearest-k request), their ``signatures``
     (J z_k, z_k), whether the row took the definite ``pencil``,
     ``is_real`` and the first defective eigenvalue of the row, or None,
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
@@ -256,30 +272,22 @@ def _lower_inverse(m):
     return np.linalg.inv(m)
 
 
-def _eigh(c, vectors: bool = True):
+def _eigh(c):
     """Ascending eigenvalues and eigenvectors of each symmetric matrix of a stack.
 
-    Only the lower triangles are read.  A stack of one goes to LAPACK
-    directly, dsyevd with vectors and dsyevr without: at small orders
-    numpy's stacked call costs several times the solve itself, and at
-    order 2000 dsyevr without vectors takes about half the time of
-    dsyevd, with or without them.  With ``vectors=False`` the
-    eigenvectors are None.
+    Only the lower triangles are read.  A stack of one goes to LAPACK's
+    dsyevd directly: at small orders numpy's stacked call costs several
+    times the solve itself.
     """
     if len(c) == 1:
-        if vectors:
-            theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
-        else:
-            theta, y, _, _, info = lapack.dsyevr(c[0], compute_v=0, lower=1)
+        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return theta[None], y[None] if vectors else None
-    if vectors:
-        return np.linalg.eigh(c)
-    return np.linalg.eigvalsh(c), None
+        return theta[None], y[None]
+    return np.linalg.eigh(c)
 
 
-def _k_frame_eigensolve(spec: ModelSpec, w, vectors: bool = True):
+def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
 
     ``w`` holds W = V_k - shift*I, shape (k, n, n).  Factors each
@@ -289,9 +297,10 @@ def _k_frame_eigensolve(spec: ModelSpec, w, vectors: bool = True):
     whose Cholesky factorization succeeded (None when all did), and
     theta and Z hold those rows alone, each ordered by ascending
     1/theta = lam - shift, with x = M^(-T) y_1 and
-    Z^T (K - shift*J) Z = I.  With ``vectors=False`` C is solved for
-    its eigenvalues alone and Z is None.  Only the lower triangles of
-    -Q(shift) and C are read.
+    Z^T (K - shift*J) Z = I.  With ``nearest`` = k, C is solved for its
+    k smallest and k largest eigenvalues alone, the k eigenvalues
+    nearest the shift on each side, and Z is None.  Only the lower
+    triangles of -Q(shift) and C are read.
     """
     n = spec.order
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
@@ -302,10 +311,13 @@ def _k_frame_eigensolve(spec: ModelSpec, w, vectors: bool = True):
     c = np.zeros((len(w), 2 * n, 2 * n))
     c[:, :n, :n] = (-2.0 * m_inv) @ w @ m_inv_t   # -2 M^(-1) W M^(-T)
     c[:, n:, :n] = m_inv_t
-    theta, y = _eigh(c, vectors)
+    if nearest is not None:
+        theta, y = _extreme_eigenvalues(c, nearest, nearest), None
+    else:
+        theta, y = _eigh(c)
     rows, order = np.arange(len(c))[:, None], np.argsort(1.0 / theta, axis=-1)
     theta = theta[rows, order]
-    if not vectors:
+    if y is None:
         return theta, None, factored
     y = y.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
     x = m_inv_t @ y[:, :n]                                  # M^(-T) y_1
@@ -422,7 +434,7 @@ def eigen_spectra(
     couplings,
     shift: float = 0.0,
     contractions=None,
-    vectors: bool = True,
+    nearest: int | None = None,
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
@@ -434,10 +446,13 @@ def eigen_spectra(
     to the general eigensolver on H(t) (_direct_eigensolve), which
     alone forms H or a root of U.  ``contractions`` are the rows' b when
     the caller has them; otherwise they are measured here, and either
-    way the stack keeps them.  With ``vectors=False`` the pencil rows
-    are solved for their eigenvalues alone (their signatures theta need
-    no vectors) and the stack's eigenvectors are None; the direct rows
-    still compute the vectors that classify them.
+    way the stack keeps them.  With ``nearest`` = k each row holds the
+    2k eigenvalues in the middle of its ascending order alone, and the
+    stack's eigenvectors are None: on a pencil row, which has n
+    eigenvalues on each side of the shift, they are the k nearest it on
+    each side, solved for alone (their signatures theta need no
+    vectors); the direct rows still compute every eigenpair, with the
+    vectors that classify them.
     """
     t = np.asarray(couplings, dtype=float)
     w = shifted_potential(spec, shift, t)
@@ -449,7 +464,7 @@ def eigen_spectra(
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
     rows = pencil.nonzero()[0]
     if rows.size:
-        theta, z, factored = _k_frame_eigensolve(spec, w[rows], vectors)
+        theta, z, factored = _k_frame_eigensolve(spec, w[rows], nearest)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
@@ -460,29 +475,34 @@ def eigen_spectra(
             solved.append((rows, shift + 1.0 / theta, z, theta, real, none))
     if rows.size < t.size:
         rows = (~pencil).nonzero()[0]
-        solved.append((rows, *_direct_eigensolve(spec, t[rows])))
+        lam, vecs, signatures, is_real, witnesses = _direct_eigensolve(spec, t[rows])
+        if nearest is not None:
+            n = spec.order
+            middle = slice(n - min(nearest, n), n + min(nearest, n))
+            lam, vecs, signatures = lam[:, middle], None, signatures[:, middle]
+        solved.append((rows, lam, vecs, signatures, is_real, witnesses))
     k = t.size
     if len(solved) == 1:
         _, lam, vecs, signatures, is_real, witnesses = solved[0]
     else:
         # rows of both paths: scatter them into one stack
-        two_n = 2 * spec.order
-        lam = np.empty((k, two_n), np.result_type(*(p[1] for p in solved)))
-        if vectors:
+        width = solved[0][1].shape[-1]
+        lam = np.empty((k, width), np.result_type(*(p[1] for p in solved)))
+        if nearest is None:
             vecs = np.empty(
-                (k, two_n, two_n), np.result_type(*(p[2] for p in solved))
+                (k, width, width), np.result_type(*(p[2] for p in solved))
             )
-        signatures, is_real = np.empty((k, two_n)), np.empty(k, dtype=bool)
+        signatures, is_real = np.empty((k, width)), np.empty(k, dtype=bool)
         witnesses = [None] * k
         for rows, lam_p, vecs_p, signatures_p, real_p, witnesses_p in solved:
             lam[rows], signatures[rows], is_real[rows] = lam_p, signatures_p, real_p
-            if vectors:
+            if nearest is None:
                 vecs[rows] = vecs_p
             for row, witness in zip(rows, witnesses_p):
                 witnesses[row] = witness
     return SpectrumStack(
         eigenvalues=lam,
-        eigenvectors=vecs if vectors else None,
+        eigenvectors=vecs if nearest is None else None,
         signatures=signatures,
         pencil=pencil,
         is_real=is_real,
@@ -534,27 +554,50 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     )
 
 
+def _h_frame(spec: ModelSpec, z):
+    """D z = [U^(1/2) z_1; U^(-1/2) z_2] of K-frame columns z = [z_1; z_2]."""
+    n = spec.order
+    return np.concatenate([spec.u_power(0.5) @ z[:n], spec.u_power(-0.5) @ z[n:]])
+
+
 def sign_operator(report: SpectrumReport) -> SignOperator:
-    """J1 = sign(H - mu*I) from the eigenvectors of a pencil-route report.
+    """J1 = sign(H - mu*I) and its norm from a pencil-route report.
 
     The report's K-frame eigenvectors Z have (J z_k, z_k) = theta_k, and
     D Z, D = diag(U^(1/2), U^(-1/2)), are the H-frame ones, so
     J1 = Y (J Y)^T and ||J1|| = ||Y||^2 with Y = D Z |Theta|^(-1/2): no
-    second solve is needed, only the factor Y and its norm.  Raises
-    NotCertified when the report came from the direct path, that is
-    when G - mu*J was not certified positive definite or the Cholesky
-    factorization of U^2 - (V - mu)^2 failed.
+    second solve is needed.  The norm is taken at order n: in J's
+    eigenbasis the n positive columns [a; b] of D Z become
+    [P; Q] = [a + b; a - b] / sqrt(2), whose span, the positive
+    spectral subspace, is the graph of the angular operator
+    Gamma = Q P^(-1), a strict contraction; then
+
+        ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||),
+
+    one n x n solve and one n x n norm, and the column scales and the
+    1/sqrt(2) cancel in Gamma.  Y itself is formed only when the
+    operator's ``y`` or ``j1`` is read.  Raises NotCertified when the
+    report came from the direct path, that is when G - mu*J was not
+    certified positive definite or the Cholesky factorization of
+    U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotCertified(
             "gram - shift*J is not certified positive definite: "
             f"the spectrum at shift {report.shift:.17g} took the direct path"
         )
-    spec, z = report.spec, report.eigenvectors
-    n = spec.order
-    y = np.concatenate([spec.u_power(0.5) @ z[:n], spec.u_power(-0.5) @ z[n:]])
-    y /= np.sqrt(np.abs(report.signatures))
-    return SignOperator(y=y, norm_j1=spectral_norm(y) ** 2)
+    n = report.spec.order
+    # the pencil orders lam ascending, with n eigenvalues on each side of
+    # the shift: the last n columns are the positive ones
+    dz = _h_frame(report.spec, report.eigenvectors[:, n:])
+    a, b = dz[:n], dz[n:]
+    # Gamma^T = P^(-T) Q^T has the norm of Gamma
+    _, _, gamma_t, info = lapack.dgesv((a + b).T, (a - b).T)
+    # a singular P, like ||Gamma|| >= 1, can only come of rounding, and
+    # then no finite norm is certified
+    g = spectral_norm(gamma_t) if info == 0 else math.inf
+    norm_j1 = (1.0 + g) / (1.0 - g) if g < 1.0 else math.inf
+    return SignOperator(report=report, norm_j1=norm_j1)
 
 
 def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=None):

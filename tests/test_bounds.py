@@ -449,6 +449,16 @@ class TestPerturbationConstants:
             tol = 4 * spec.order * EPS * w.max() / w.min()
             assert abs(nu - reference) <= tol * reference
 
+    def test_nu_matches_a_50_digit_solve(self, corpus200):
+        # corpus case 85 has cond(V) = 1.7e4: from the eigendecomposition
+        # of V, nu was 1.0e-12 off; the Bunch-Kaufman solve keeps 1e-13
+        spec, dv = corpus200[85]
+        nu = constants_of(assemble_system(spec, 0.0), dv).nu
+        with mpmath.workdps(50):
+            product = mpmath.matrix(dv.tolist()) * mpmath.matrix(spec.v.tolist()) ** -1
+            reference = max(mpmath.svd_r(product, compute_uv=False))
+            assert abs(nu - reference) <= 1e-13 * reference
+
     def test_exact_pair_matches_oracle(self, corpus200):
         # the congruence Z^T dG Z on the spectrum's pencil eigenvectors
         # agrees to rounding with the generalized eigensolve of

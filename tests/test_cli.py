@@ -194,6 +194,37 @@ class TestBoundsCommand:
         assert len(pencil_calls) == 1
         assert 80 not in spd_orders  # only the order-40 U^2 is validated
 
+    def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
+        # every dense symmetric eigen-reduction kg bounds --optimize-shift
+        # runs at N = 160, by routine and order: the U^2 validation (eigh),
+        # the bracket's extremes of V, the one full solve of the shift
+        # search (dsyevr), the contraction, the spectrum (dsyevd with
+        # vectors), c, nu, the mixed product, ||dV||, the exact pair at
+        # order 2n, ||dG|| and ||Gamma||; the other 47 Brent steps and
+        # full spectra of the previous search are gone
+        calls = []
+
+        def spy(module, name):
+            routine = getattr(module, name)
+
+            def record(a, *args, **kwargs):
+                calls.append((name, np.shape(a)[-1]))
+                return routine(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        for name in ("dsytrd", "dsyevd", "dsyevr"):
+            spy(scipy.linalg.lapack, name)
+        for name in ("eigh", "eigvalsh"):
+            spy(np.linalg, name)
+        args = ["bounds", "--alpha", "0.3", "--grid-points", "160", "--optimize-shift"]
+        args += ["--eta", "1e-3", "--out", str(tmp_path / "bounds.csv")]
+        assert main(args) == EXIT_OK
+        assert sorted(calls) == sorted(
+            [("eigh", 160), ("dsyevr", 160), ("dsyevd", 320), ("dsytrd", 320)]
+            + [("dsytrd", 160)] * 8
+        )
+
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
     def test_one_cholesky_per_system(self, command, solves, monkeypatch, capsys):
         # one n x n Cholesky factorization of U^2 - (V - mu)^2 certifies

@@ -246,8 +246,8 @@ class TestSpectralNorm:
 
 class TestTopEigenvalue:
     def test_matches_scipy_subset_solve_bit_for_bit(self):
-        # from order 32 up, LAPACK's dsyevr is called directly, with the
-        # workspace scipy.linalg.eigh queries
+        # from order 32 up, dsyevr's own partial-range path (dsytrd with
+        # dsyevr's workspace, then dstebz) is called step by step
         rng = np.random.Generator(np.random.PCG64(32))
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=160))
         v_u_inv = spec.v @ spec.u_power(-1)
@@ -260,13 +260,64 @@ class TestTopEigenvalue:
             top = scipy.linalg.eigh(
                 s, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr"
             )
-            assert core._top_eigenvalue(s) == top[0]
+            assert core._extreme_eigenvalues(s, 0, 1)[0] == top[0]
 
     def test_non_finite_entry_raises(self):
         s = np.eye(40)
         s[3, 5] = s[5, 3] = np.inf
         with pytest.raises(core.KGError, match="non-finite"):
-            core._top_eigenvalue(s)
+            core._extreme_eigenvalues(s, 0, 1)
+
+
+def symmetric_matrices(rng, n):
+    """Random, clustered and 1e+-150-scaled symmetric matrices of order n."""
+    a = rng.normal(size=(n, n))
+    random = a + a.T
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    w = np.repeat([-1.0, 1e-3, 1.0], -(-n // 3))[:n] + 1e-13 * rng.normal(size=n)
+    clustered = (q * w) @ q.T
+    clustered = 0.5 * (clustered + clustered.T)
+    return [random, clustered, 1e150 * random, 1e-150 * clustered]
+
+
+class TestExtremeEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 320])
+    def test_matches_the_full_spectrum(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        for s in symmetric_matrices(rng, n):
+            full = np.linalg.eigvalsh(s)
+            scale = np.abs(full).max()
+            for low in (0, 1, 3):
+                for high in (0, 1, 3):
+                    w = core._extreme_eigenvalues(s, low, high)
+                    m = min(low + high, n)
+                    expected = np.concatenate([full[:low], full[n - m + low :]])
+                    assert w.shape == (m,)
+                    assert (np.abs(w - expected) <= 1e-14 * scale).all()
+
+    @pytest.mark.parametrize("n", [32, 33, 320])
+    def test_each_end_is_the_evr_subset_solve_bit_for_bit(self, n):
+        # on the matrices dsyevr leaves unscaled, all but the 1e+-150 ones
+        rng = np.random.Generator(np.random.PCG64(n + 1))
+        for s in symmetric_matrices(rng, n)[:2]:
+            for low, high in ((0, 1), (1, 1), (3, 3)):
+                w = core._extreme_eigenvalues(s, low, high)
+                ends = (([0, low - 1], w[:low]), ([n - high, n - 1], w[low:]))
+                for index, end in ends:
+                    if end.size:
+                        evr = scipy.linalg.eigh(
+                            s, eigvals_only=True, subset_by_index=index, driver="evr"
+                        )
+                        np.testing.assert_array_equal(end, evr)
+
+    def test_stack_is_solved_per_matrix(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for n in (3, 40):
+            stack = np.stack(symmetric_matrices(rng, n)[:2])
+            w = core._extreme_eigenvalues(stack, 1, 2)
+            assert w.shape == (2, 3)
+            for row, s in zip(w, stack):
+                np.testing.assert_array_equal(row, core._extreme_eigenvalues(s, 1, 2))
 
 
 class TestContractionBound:
@@ -344,17 +395,39 @@ class TestOptimizeShift:
             assert abs(b - b_ref) <= 1e-14 * b_ref, spec.label
 
     def test_at_most_forty_evaluations(self, monkeypatch):
-        # the golden-section search took 59 SVDs on this model
+        # the golden-section search took 59 SVDs on this model and Brent's
+        # method 15 full solves; the subspace search needs one, since the
+        # optimum is the centre of V's spectrum where it starts, and the
+        # bracket's extreme eigenvalues of V one more
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=160))
         calls = []
-        top = core._top_eigenvalue
 
-        def count(s):
-            calls.append(1)
-            return top(s)
+        def spy(routine):
+            def record(s, *args):
+                calls.append(s.shape[-1])
+                return routine(s, *args)
 
-        monkeypatch.setattr(core, "_top_eigenvalue", count)
-        optimize_shift(harmonic_model(HarmonicParams(alpha=0.3, grid_points=160)))
-        assert 0 < len(calls) <= 40
+            return record
+
+        for name in ("_top_eigenpair", "_extreme_eigenvalues"):
+            monkeypatch.setattr(core, name, spy(getattr(core, name)))
+        optimize_shift(spec)
+        full = [n for n in calls if n == spec.order]
+        assert 0 < len(full) <= 6
+
+    def test_potential_of_small_scale(self):
+        # an absolute tolerance of 1e-10 dwarfed this bracket (about 1e-20
+        # wide) and left b 4-15 % too large; relative to the bracket it
+        # matches a golden-section search resolved at V's scale
+        rng = np.random.Generator(np.random.PCG64(2020))
+        for n in range(2, 51):
+            a = rng.normal(size=(n, n))
+            spec = ModelSpec(
+                u_squared=1e-200 * random_spd(rng, n), v=1e-20 * (a + a.T)
+            )
+            b = assemble_system(spec, optimize_shift(spec)).contraction
+            _, b_ref = golden_section_shift(spec, tol=1e-32)
+            assert abs(b - b_ref) <= 1e-12 * b_ref, n
 
     def test_zero_potential(self):
         spec = ModelSpec(u_squared=np.diag([1.0, 2.0]), v=np.zeros((2, 2)))

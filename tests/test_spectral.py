@@ -219,9 +219,21 @@ class TestSignOperator:
     def test_j1_is_derived_from_the_factor(self):
         rng = np.random.Generator(np.random.PCG64(12))
         spec, _ = random_model(rng)
-        so = sign_operator(eigen_spectrum(assemble_system(spec, 0.0)))
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        so = sign_operator(report)
         np.testing.assert_array_equal(so.j1, so.y @ apply_j(so.y).T)
-        assert so.norm_j1 == spectral_norm(so.y) ** 2
+        assert abs(so.norm_j1 - spectral_norm(so.y) ** 2) <= 1e-13 * so.norm_j1
+        # the angular identity: in J's eigenbasis the positive columns of Y
+        # are [P; Q] with P^T P - Q^T Q = I, and Gamma = Q P^(-1) has
+        # ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||)
+        n = spec.order
+        y = so.y[:, report.signatures > 0.0]
+        p = (y[:n] + y[n:]) / np.sqrt(2.0)
+        q = (y[:n] - y[n:]) / np.sqrt(2.0)
+        np.testing.assert_allclose(p.T @ p - q.T @ q, np.eye(n), atol=1e-12)
+        g = np.linalg.norm(q @ np.linalg.inv(p), 2)
+        assert g < 1.0
+        assert abs(so.norm_j1 - (1.0 + g) / (1.0 - g)) <= 1e-13 * so.norm_j1
 
     def test_square_well_norm_window(self):
         system = assemble_system(square_well_model(1.0), -0.5)
@@ -539,21 +551,25 @@ class TestStackedSolve:
 
 
 class TestEigenvaluesOnly:
-    """eigen_spectra(..., vectors=False) against the solve with vectors."""
+    """eigen_spectra(..., nearest=k) against the solve with vectors."""
 
     @staticmethod
-    def assert_same_rows(spec, couplings, shift=0.0):
+    def assert_same_rows(spec, couplings, shift=0.0, nearest=3):
         full = spectral.eigen_spectra(spec, couplings, shift)
-        bare = spectral.eigen_spectra(spec, couplings, shift, vectors=False)
+        bare = spectral.eigen_spectra(spec, couplings, shift, nearest=nearest)
+        n = spec.order
+        middle = slice(n - min(nearest, n), n + min(nearest, n))
         assert bare.eigenvectors is None
         assert bare.pencil.tolist() == full.pencil.tolist()
         assert bare.is_real.tolist() == full.is_real.tolist()
         assert bare.defective.tolist() == full.defective.tolist()
         np.testing.assert_array_equal(bare.contractions, full.contractions)
         scale = np.abs(full.eigenvalues).max(axis=-1, keepdims=True)
-        assert (np.abs(bare.eigenvalues - full.eigenvalues) <= 1e-13 * scale).all()
+        lam = full.eigenvalues[:, middle]
+        assert (np.abs(bare.eigenvalues - lam) <= 1e-13 * scale).all()
         sig_scale = np.abs(full.signatures).max(axis=-1, keepdims=True)
-        assert (np.abs(bare.signatures - full.signatures) <= 1e-13 * sig_scale).all()
+        sig = full.signatures[:, middle]
+        assert (np.abs(bare.signatures - sig) <= 1e-13 * sig_scale).all()
         return full, bare
 
     def test_random_certified_specs(self):
@@ -568,44 +584,53 @@ class TestEigenvaluesOnly:
         rng = np.random.Generator(np.random.PCG64(1315))
         for _ in range(10):
             spec, _ = random_model(rng, n=int(rng.integers(2, 12)))
-            full, _ = self.assert_same_rows(spec, (1.0,))
+            nearest = int(rng.integers(1, 4))
+            full, _ = self.assert_same_rows(spec, (1.0,), nearest=nearest)
             assert full.pencil.all()
 
     def test_oscillator(self):
+        # order 2n = 80: the tridiagonalization and bisection path
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=40))
-        full, _ = self.assert_same_rows(spec, (1.0,))
-        assert full.pencil.all()
+        for nearest in (1, 3):
+            full, bare = self.assert_same_rows(spec, (1.0,), nearest=nearest)
+            assert full.pencil.all()
+            assert bare.eigenvalues.shape == (1, 2 * nearest)
 
     def test_direct_rows_are_unchanged(self):
         # uncertified, defective and non-real rows still take the direct
-        # path, with the vectors that classify them, bit for bit
+        # path, with the vectors that classify them, and keep the middle
+        # of their spectrum bit for bit
         spec = square_well_model(1.0)
         couplings = np.array([0.0, 0.5, 1.3, 2.0, 2.4])
-        full, bare = self.assert_same_rows(spec, couplings, -0.25)
+        full, bare = self.assert_same_rows(spec, couplings, -0.25, nearest=1)
         direct = ~full.pencil
         assert direct.any() and full.pencil.any()
         np.testing.assert_array_equal(
-            bare.eigenvalues[direct], full.eigenvalues[direct]
+            bare.eigenvalues[direct], full.eigenvalues[direct][:, 1:3]
         )
         np.testing.assert_array_equal(
-            bare.signatures[direct], full.signatures[direct]
+            bare.signatures[direct], full.signatures[direct][:, 1:3]
         )
 
     def test_no_eigenvectors_are_formed(self, monkeypatch):
-        # a stack of one takes LAPACK's eigenvalue-only dsyevr (the
-        # contraction's Gram matrix takes dsyevd without vectors)
+        # from order 32 up a stack of one takes one tridiagonalization
+        # (dsytrd) and one bisection per end (dstebz); the contraction's
+        # Gram matrix, of order 20, takes dsyevd without vectors
         calls = []
-        dsyevd, dsyevr = spectral.lapack.dsyevd, spectral.lapack.dsyevr
 
-        def spy(name, routine):
+        def spy(name):
+            routine = getattr(spectral.lapack, name)
+
             def record(a, *args, **kwargs):
                 calls.append((name, kwargs.get("compute_v")))
                 return routine(a, *args, **kwargs)
 
-            return record
+            monkeypatch.setattr(spectral.lapack, name, record)
 
-        monkeypatch.setattr(spectral.lapack, "dsyevd", spy("dsyevd", dsyevd))
-        monkeypatch.setattr(spectral.lapack, "dsyevr", spy("dsyevr", dsyevr))
+        for name in ("dsyevd", "dsyevr", "dsytrd", "dstebz"):
+            spy(name)
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=20))
-        spectral.eigen_spectra(spec, (1.0,), 0.0, vectors=False)
-        assert calls == [("dsyevd", 0), ("dsyevr", 0)]
+        spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
+        assert calls == [
+            ("dsyevd", 0), ("dsytrd", None), ("dstebz", None), ("dstebz", None)
+        ]
