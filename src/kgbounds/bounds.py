@@ -10,7 +10,7 @@ for the eigenvalues (in the shifted frame) paired by the order
 convention: positive ones increasing, negative ones decreasing.  This
 module evaluates every such constant that the block structure offers,
 
-    kappa_general   = c / (1 - b)         c = ||dV U^(-1)||
+    kappa_general   = c / (1 - b)         c = ||dV U^(-1)|| = ||L^(-1) dV||
     kappa_sum       = c + b
     kappa_relative  = nu * b / (1 - b)    ||dV psi|| <= nu ||V psi||
     kappa_disjoint  = c / sqrt(1 - b^2)   when the mixed product vanishes
@@ -23,7 +23,8 @@ is dK = [[0, dV], [dV, 0]], and the spectrum's K-frame pencil
 eigenvectors Z, Z^T (K - mu*J) Z = I, diagonalize g, so the pair is the
 extreme eigenvalues of the congruence Z^T dK Z: no root of U is taken,
 and the one n x n Cholesky factorization of U^2 - (V - mu)^2 behind the
-spectrum is the only one per (model, shift).  Then come the
+spectrum is the only one per (model, shift); c, b and the mixed
+product read U^(-1) as L^(-1), L L^T = U^2 (core).  Then come the
 multiplicative rescaling that turns an asymmetric pair into the
 always-admissible constant
 
@@ -31,10 +32,11 @@ always-admissible constant
     kappa_prime_hat = (kappa_plus - kappa_minus) / (2 + kappa_plus + kappa_minus)
 
 the gap inclusion intervals and the uniform norm-bound interval through
-||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma the n x n angular
-operator of the positive spectral subspace (spectral.sign_operator).
-Every spectral quantity here is an end of a spectrum, and only the ends
-are computed (core._extreme_eigenvalues): the exact pair, the sign of
+||dG|| and ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma the n x n
+angular operator of the positive spectral subspace
+(spectral.sign_operator), the H-frame rows and the only ones to read a
+root of U (ModelSpec.half_roots).  Every spectral quantity here is an
+end of a spectrum, and only the ends are computed (core._extreme_eigenvalues): the exact pair, the sign of
 the mixed product and each norm.  nu comes from a Bunch-Kaufman solve
 with V.  One record holds everything known about one (model, dV,
 shift): perturbation_constants measures dV (c, nu and the sign of the
@@ -222,7 +224,8 @@ def delta_block(system: KleinGordonSystem, pert) -> np.ndarray:
     n x n norm.
     """
     dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
-    return system.spec.u_power(0.5) @ dv @ system.spec.u_power(-0.5)
+    root, inverse_root = system.spec.half_roots()
+    return root @ dv @ inverse_root
 
 
 def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
@@ -252,7 +255,7 @@ def gap_bound(system: KleinGordonSystem) -> float:
         raise ContractionNotLessThanOne(
             f"contraction b = {system.contraction} is not < 1"
         )
-    return (1.0 - system.contraction) * system.u_min()
+    return (1.0 - system.contraction) * system.spec.u_min
 
 
 def rescale_kappa(kappa_minus: float, kappa_plus: float):
@@ -385,8 +388,8 @@ class BoundsReport:
     ``c`` = ||dV U^(-1)||; ``nu`` the smallest factor with
     ||dV psi|| <= nu ||V psi||, absent when V is numerically singular or
     when V^(-1), dV V^(-1) or nu itself overflows; ``disjoint`` whether
-    the mixed product dA^T A + A^T dA, A = (V - mu) U^(-1),
-    dA = dV U^(-1), vanishes; ``signed`` 'negative' / 'positive' when it is
+    the mixed product dA^T A + A^T dA, A = (V - mu) L^(-T),
+    dA = dV L^(-T), vanishes; ``signed`` 'negative' / 'positive' when it is
     semidefinite of that sign.  Then every kappa: ``kappa_norm_product``
     is kappa_general evaluated with the coarser measurement
     c <= ||dV|| ||U^(-1)||, the variant of the worked-example tables, and
@@ -510,9 +513,11 @@ def perturbation_constants(
     ``report`` the spectrum of ``system``.  Raises
     ContractionNotLessThanOne when b >= 1 (gap_bound), and
     ValidationError when c = ||dV U^(-1)|| is beyond the float range.
-    c comes from the model's U^(-1), nu from a Bunch-Kaufman solve with
-    V, and the disjoint and sign classification from the extreme
-    eigenvalues of the mixed product with A = (V - mu) U^(-1).  The
+    c = ||L^(-1) dV|| comes from a triangular solve, nu from a
+    Bunch-Kaufman solve with V, and the disjoint and sign classification
+    from the extreme eigenvalues of the mixed product
+    L^(-1) (W dV + dV W) L^(-T), W = V - mu, congruent to the U frame's
+    through the orthogonal U L^(-T).  The
     validity flag of each kappa records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
     invalid entries keep their value for tabulation.  The exact pair
@@ -537,19 +542,18 @@ def perturbation_constants(
             f"g = gram - shift*J is not certified positive definite: b = {b:.17g}"
         )
 
-    with np.errstate(over="ignore"):   # an entry beyond the float range: c = inf
-        delta_a = dv @ system.spec.u_power(-1)
+    delta_a = system.spec.l_solve(dv).T   # an entry beyond the float range: c = inf
     c = spectral_norm(delta_a)
-    if not math.isfinite(c):
+    if not math.isfinite(c):   # a nan too: dV and L are finite
         raise ValidationError(
-            f"the perturbation is out of range: c = ||dV U^(-1)|| = {c} is not finite"
+            "the perturbation is out of range: c = ||dV U^(-1)|| = inf is not finite"
         )
     nu = _relative_factor(dv, system.spec.v)
     signed, disjoint = _mixed_product_sign(system.a_matrix, delta_a, b, c)
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
-    c_loose = spectral_norm(dv) / system.u_min()   # ||U^(-1)|| = 1/u_min
+    c_loose = spectral_norm(dv) / system.spec.u_min   # ||U^(-1)|| = 1/u_min
     k_prod = kappa_general(c_loose, b)
     k_rel = kappa_relative(nu, b) if nu is not None else None
 

@@ -217,7 +217,7 @@ def _gate_exit(
     failing entry in row-major order is named, with its cause appended
     when non-empty.  A NaN residual fails.
     """
-    u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+    u2_norm, v_norm = spec.u_max**2, spectral_norm(spec.v)
     limits = RESIDUAL_GATE * (
         u2_norm + (np.abs(couplings) * v_norm) ** 2 + np.abs(lams) ** 2
     )

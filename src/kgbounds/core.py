@@ -1,4 +1,4 @@
-"""Model data (U^2, V), the contraction, and the block operators of H = JG.
+"""Model data (U^2, V), the contraction, and its Cholesky frame.
 
 The model data is a positive definite ``u_squared`` and a symmetric
 potential ``v`` of the same order n.  The spectrum of the 2n x 2n
@@ -7,28 +7,27 @@ potential ``v`` of the same order n.  The spectrum of the 2n x 2n
     J  = [[0, I], [I, 0]]
     G  = J H    (symmetric)
 
-is that of the quadratic Q(lam) = (lam - V)^2 - U^2, and with the
-contraction data A = (V - mu) U^(-1), b = ||A||, the shifted form
-
-    G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2)
-
-is positive definite whenever b < 1.  The same pencil in the frame
+is that of the quadratic Q(lam) = (lam - V)^2 - U^2.  In the frame
 K = [[U^2, V], [V, I]] (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
-congruent through diag(U^(1/2), U^(-1/2)), factorizes with W = V - mu*I
-as
+congruent to G through diag(U^(1/2), U^(-1/2)), the Cholesky factor
+L L^T = U^2 and W = V - mu*I give
 
-    K - mu*J = [[I, W], [0, I]] diag(U^2 - W W, I) [[I, 0], [W, I]],
+    K - mu*J = diag(L, I) [[I, A^T], [A, I]] diag(L^T, I),    A = W L^(-T)
+             = [[I, W], [0, I]] diag(U^2 - W W, I) [[I, 0], [W, I]],
 
-so G - mu*J is positive definite exactly when the n x n
--Q(mu) = U^2 - W W is (Sylvester's law of inertia); the spectral
-module solves in that frame.
+so the shifted form is positive definite whenever the contraction
+b = ||A|| is below one, and exactly when -Q(mu) = U^2 - W W is
+(Sylvester's law of inertia); the spectral module solves in that frame.
+A is the U-frame (V - mu) U^(-1) times the orthogonal U L^(-T), so b
+and every norm read through L are those of the U frame.
 
-ModelSpec owns the powers of U: each is formed once from the
-eigendecomposition of U^2 that validation computes, and shared by every
-spec derived from it with another potential.  KleinGordonSystem stores
-the contraction data alone and derives H, and G = J H from it, on
-demand; hamiltonians forms H for a whole stack of potentials t V, and
-spectral_norm and shifted_potential take stacks too.
+ModelSpec validates U^2 by its Cholesky factorization and the ends of
+its spectrum, and keeps L, u_min = 1/||U^(-1)|| and u_max = ||U||,
+shared with every spec derived with another potential.  The only root
+of U ever formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two
+H-frame rows of ``kg bounds``.  KleinGordonSystem stores the
+contraction data of one shift; shifted_potential and spectral_norm
+take stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum: a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -48,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import (
     DimensionMismatch,
@@ -64,7 +63,6 @@ __all__ = [
     "operator_a",
     "optimize_shift",
     "apply_j",
-    "hamiltonians",
     "shifted_potential",
     "spectral_norm",
     "symmetrize",
@@ -78,9 +76,6 @@ PD_RTOL = 1e-12
 
 #: half the largest float: entries up to it cannot overflow a_ij +- a_ji
 _HALF_MAX = float(np.finfo(float).max) / 2
-
-#: |exponent| of U -> square roots taken of the eigenvalues of U^2
-_ROOT_COUNT = {2.0: 0, 1.0: 1, 0.5: 2}
 
 #: entries whose squares neither overflow nor underflow; spectral_norm
 #: scales a matrix outside this range by a power of two, which is exact
@@ -152,7 +147,7 @@ def _extreme_eigenvalues(s, low: int, high: int):
         elif s.ndim > 2:
             w = np.linalg.eigvalsh(s)
         else:
-            w, _, info = scipy.linalg.lapack.dsyevd(s, compute_v=0, lower=1)
+            w, _, info = lapack.dsyevd(s, compute_v=0, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return _ends(w, low, high)
@@ -161,12 +156,12 @@ def _extreme_eigenvalues(s, low: int, high: int):
     s, exponent = _unit_scaled(s)
     # dsyevr's optimal workspace less the 5n it keeps for itself: with
     # less, dsytrd reduces unblocked and rounds differently
-    lwork = int(scipy.linalg.lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
-    _, d, e, _, _ = scipy.linalg.lapack.dsytrd(s, lower=1, lwork=lwork)
+    lwork = int(lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
+    _, d, e, _, _ = lapack.dsytrd(s, lower=1, lwork=lwork)
     ends = []
     for il, iu in ((1, low), (n - high + 1, n)):
         if il <= iu:
-            _, w, _, _, info = scipy.linalg.lapack.dstebz(
+            _, w, _, _, info = lapack.dstebz(
                 d, e, 2, 0.0, 0.0, il, iu, 0.0, "E"
             )
             if info != 0:
@@ -271,75 +266,76 @@ def apply_j(x):
     return np.concatenate([x[n:], x[:n]], axis=0)
 
 
-def _spd_eig(m, name: str = "matrix"):
-    """Eigendecomposition of a symmetric positive definite matrix.
-
-    m must already be validated symmetric (check_symmetric).  Raises
-    NotPositiveDefinite when the smallest eigenvalue does not clear
-    PD_RTOL * ||m||.
-    """
-    w, p = np.linalg.eigh(m)
-    norm = max(abs(w[0]), abs(w[-1]))
-    if w[0] <= PD_RTOL * norm or w[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"{name} is not positive definite: min eigenvalue {w[0]:.3e} "
-            f"(tolerance {PD_RTOL * norm:.3e})"
-        )
-    return w, p
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """The model pair (U^2, V) as dense symmetric matrices.
 
     ``u_squared`` must be positive definite and of the same order as the
     symmetric potential ``v``.  Instances are immutable; the stored arrays
-    are defensive read-only copies.  The eigendecomposition of U^2 that
-    validation computes is kept as ``u2_eigenvalues`` (ascending) and
-    ``u2_eigenvectors``; every power of U is formed from it, once, and
-    kept with it.  Specs derived by ``with_potential`` or ``perturbed``
-    share all of this, so nothing that depends on V is kept here.
+    are defensive read-only copies.  Validation keeps the lower Cholesky
+    factor L L^T = U^2 as ``cholesky`` and the ends of the spectrum of U
+    as ``u_min`` and ``u_max`` = ||U||.  Specs derived by
+    ``with_potential`` or ``perturbed`` share these and half_roots, so
+    nothing that depends on V is kept here.
     """
 
     u_squared: np.ndarray
     v: np.ndarray
     label: str = ""
-    u2_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    u2_eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
-    _u_powers: dict = field(init=False, repr=False, compare=False)
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
+    u_min: float = field(init=False, repr=False, compare=False)
+    u_max: float = field(init=False, repr=False, compare=False)
+    _half_roots: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
         v = _symmetric_of_order(self.v, u2.shape[0], "v")
-        w, p = _spd_eig(u2, "u_squared")
-        kept = {"u_squared": u2, "v": v, "u2_eigenvalues": w, "u2_eigenvectors": p}
-        for name, a in kept.items():
+        lowest, highest = (float(w) for w in _extreme_eigenvalues(u2, 1, 1)[[0, -1]])
+        norm = max(abs(lowest), abs(highest))
+        factor, info = lapack.dpotrf(u2, lower=1, clean=1)
+        if info != 0 or lowest <= PD_RTOL * norm or lowest <= 0.0:
+            raise NotPositiveDefinite(
+                f"u_squared is not positive definite: min eigenvalue {lowest:.3e} "
+                f"(tolerance {PD_RTOL * norm:.3e})"
+            )
+        for name, a in {"u_squared": u2, "v": v, "cholesky": factor}.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "u_min", math.sqrt(lowest))
+        object.__setattr__(self, "u_max", math.sqrt(highest))
         # created here, not on first use, so that copies share it
-        object.__setattr__(self, "_u_powers", {})
+        object.__setattr__(self, "_half_roots", [])
 
     @property
     def order(self) -> int:
         return self.u_squared.shape[0]
 
-    def u_power(self, exponent: float):
-        """U^exponent, exponent in {+-1/2, +-1, +-2}, U the root of u_squared.
+    def l_solve(self, b):
+        """L^(-1) b for a matrix or a stack (..., n, m) of them.
 
-        The eigenvalues are repeated square roots of those of U^2, never a
-        general power.  Each power is formed on its first request and the
-        same read-only array is returned on every later one.
+        One triangular solve (LAPACK's dtrtrs) for all columns at once.
+        An entry beyond the float range comes out inf, or nan where the
+        substitution meets 0 * inf, with no warning.
         """
-        power = self._u_powers.get(exponent)
-        if power is None:
-            d = self.u2_eigenvalues
-            for _ in range(_ROOT_COUNT[abs(exponent)]):
-                d = np.sqrt(d)
-            p = self.u2_eigenvectors
-            power = symmetrize(((p * d) if exponent > 0 else (p / d)) @ p.T)
-            power.setflags(write=False)
-            self._u_powers[exponent] = power
-        return power
+        columns = np.moveaxis(np.asarray(b, dtype=float), -2, 0)
+        x = lapack.dtrtrs(self.cholesky, columns.reshape(self.order, -1), lower=1)[0]
+        return np.moveaxis(x.reshape(columns.shape), 0, -2)
+
+    def half_roots(self):
+        """(U^(1/2), U^(-1/2)), U the principal root of u_squared.
+
+        The one root of U the library forms, for the H-frame rows of
+        ``kg bounds``: both from one eigendecomposition of U^2, on the
+        first request, and the same read-only pair on every later one.
+        """
+        if not self._half_roots:
+            w, p = np.linalg.eigh(self.u_squared)
+            d = np.sqrt(np.sqrt(w))
+            for root in (p * d, p / d):
+                root = symmetrize(root @ p.T)
+                root.setflags(write=False)
+                self._half_roots.append(root)
+        return tuple(self._half_roots)
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""
@@ -370,16 +366,13 @@ def _symmetric_of_order(a, order: int, name: str):
 
 @dataclass(frozen=True)
 class KleinGordonSystem:
-    """One model and shift: the contraction data and, on demand, H and G.
-
-    Neither G nor H is stored: both are formed anew on every access,
-    from the powers of U that ``spec.u_power`` keeps.
+    """One model and shift: the contraction data.
 
     Fields
     ------
     n : block order (H and G are 2n x 2n)
     shift : the real spectral shift mu
-    a_matrix : A = (V - mu) U^(-1)
+    a_matrix : A = (V - mu) L^(-T), L L^T = U^2
     contraction : b = ||A||
     spec : the source model
     """
@@ -389,27 +382,6 @@ class KleinGordonSystem:
     a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
-
-    @property
-    def gram(self):
-        """G = J H = [[U, X^T], [X, U]], X = U^(1/2) V U^(-1/2), formed anew.
-
-        Exactly symmetric, because every power of U is.
-        """
-        return apply_j(self.hamiltonian)
-
-    @property
-    def hamiltonian(self):
-        """H = [[X, U], [U, X^T]] (see hamiltonians), formed anew on every access."""
-        return hamiltonians(self.spec, (1.0,))[0]
-
-    def u_min(self) -> float:
-        """Smallest eigenvalue of U = sqrt(U^2)."""
-        return float(np.sqrt(self.spec.u2_eigenvalues[0]))
-
-    def u_max(self) -> float:
-        """Largest eigenvalue of U = sqrt(U^2), which is ||U||."""
-        return float(np.sqrt(self.spec.u2_eigenvalues[-1]))
 
 
 def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
@@ -429,41 +401,24 @@ def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
     return w
 
 
-def hamiltonians(spec: ModelSpec, couplings):
-    """H(t) = [[t X, U], [U, t X^T]], X = U^(1/2) V U^(-1/2), per coupling t.
-
-    H(t) = J G(t) is the Hamiltonian of the potential t V; the stack has
-    shape (k, 2n, 2n).  X is formed once per call, and t = 1 gives the
-    Hamiltonian of the spec itself, bit for bit.
-    """
-    n = spec.order
-    x = spec.u_power(0.5) @ spec.v @ spec.u_power(-0.5)
-    tx = np.multiply.outer(np.asarray(couplings, dtype=float), x)
-    h = np.empty((tx.shape[0], 2 * n, 2 * n))
-    h[:, :n, :n] = tx
-    h[:, :n, n:] = spec.u_power(1)
-    h[:, n:, :n] = spec.u_power(1)
-    h[:, n:, n:] = tx.swapaxes(-1, -2)
-    return h
-
-
 def operator_a(spec: ModelSpec, shift: float = 0.0):
-    """A = (V - shift*I) U^(-1) with U the principal root of u_squared.
+    """A = (V - shift*I) L^(-T), L L^T = U^2: the transpose of L^(-1) W.
 
-    An entry beyond the float range is inf, with no warning: b = ||A||
-    is then inf, or nan where infinities of both signs meet, and every
-    certified route rejects either, as not b < 1.
+    A is the U-frame (V - shift*I) U^(-1) times the orthogonal U L^(-T),
+    so it has the same singular values.  An entry beyond the float
+    range is inf or nan (ModelSpec.l_solve), with no warning: b = ||A||
+    is then inf or nan, and every certified route rejects either, as
+    not b < 1.
     """
-    with np.errstate(over="ignore"):
-        return shifted_potential(spec, shift) @ spec.u_power(-1)
+    return spec.l_solve(shifted_potential(spec, shift)).T
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
     """The contraction data of one model and shift: A and b = ||A||.
 
-    Neither G nor H is formed here: the definite pencil is solved from
-    (U^2, V - shift*I) alone, and the system derives G and H only when
-    a caller reads them (the direct eigensolver and the tests' oracles).
+    Neither G nor H is formed: the definite pencil is solved from
+    (U^2, V - shift*I) alone, and the direct path from the root-free
+    companion form of the spectral module.
     """
     a = operator_a(spec, shift)
     return KleinGordonSystem(
@@ -567,8 +522,8 @@ def _top_eigenpair(s):
     """
     n = s.shape[0]
     s, exponent = _unit_scaled(s)
-    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
-    w, z, _, _, info = scipy.linalg.lapack.dsyevr(
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    w, z, _, _, info = lapack.dsyevr(
         s, range="I", il=n, iu=n, lower=1, lwork=int(lwork), liwork=liwork
     )
     if info != 0:
@@ -606,7 +561,7 @@ def _subspace_minimize(b2, b1, b0, lo: float, hi: float, tol: float) -> float:
         q = np.linalg.qr(np.column_stack(vectors))[0]
         p2, p1, p0 = (q.T @ b @ q for b in (b2, b1, b0))
         if len(vectors) == 1:
-            # a scalar quadratic in mu, with p0 = q^T U^(-2) q > 0
+            # a scalar quadratic in mu, with p0 = q^T B0 q > 0
             mu = min(max(float(p1[0, 0] / p0[0, 0]), lo), hi)
         else:
             mu = _brent_minimize(projected, lo, hi, tol)
@@ -618,7 +573,7 @@ def _subspace_minimize(b2, b1, b0, lo: float, hi: float, tol: float) -> float:
 def optimize_shift(spec: ModelSpec):
     """Minimize mu -> b(mu) = ||(V - mu) U^(-1)|| over the shift.
 
-    With Bk = U^(-1) V^k U^(-1), formed once,
+    With Bk = L^(-1) V^k L^(-T), L L^T = U^2, formed once,
 
         b(mu)^2 = lambda_max(B2 - 2 mu B1 + mu^2 B0),
 
@@ -634,29 +589,30 @@ def optimize_shift(spec: ModelSpec):
     its contraction is assemble_system(spec, shift).contraction.
 
     On the bracket, with r = max |bracket end|, the evaluated matrix and
-    each of its three terms is at most 4 (r ||U^(-1)||)^2 in norm, and
+    each of its three terms is at most 4 (r ||L^(-1)||)^2 in norm, and
     the products in Brent's steps at most 16 r^2 times the largest
     value.  When either could overflow, the search runs on the
-    potential V / 2^k instead, with 2^k > r max(||U^(-1)||, 1):
+    potential V / 2^k instead, with 2^k > r max(||L^(-1)||, 1):
     b(mu) = 2^k b_k(mu / 2^k), b_k the contraction of (U^2, V / 2^k),
     so the minimizer of b_k, scaled back by 2^k, is the shift.
-    Otherwise k = 0 and the search is unscaled.
+    Otherwise k = 0 and the search is unscaled.  ||L^(-1)|| = 1/u_min
+    is ||U^(-1)||, and each Bk is the U-frame U^(-1) V^k U^(-1)
+    conjugated by the orthogonal U L^(-T), so b(mu) is unchanged.
     """
-    u_inv = spec.u_power(-1)
-    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
     v_min, v_max = _extreme_eigenvalues(spec.v, 1, 1)[[0, -1]]
-    lo = float(v_min) - u_norm
-    hi = float(v_max) + u_norm
-    # r < 2^er and ||U^(-1)|| < 2^eu: the matrices stay below
+    lo = float(v_min) - spec.u_max
+    hi = float(v_max) + spec.u_max
+    # r < 2^er and ||L^(-1)|| < 2^eu: the matrices stay below
     # 2^(2 (er + eu) + 2) in norm and Brent's products below 2^(4 er + 2 eu + 6)
     er = math.frexp(max(-lo, hi))[1]
-    eu = math.frexp(1.0 / math.sqrt(spec.u2_eigenvalues[0]))[1]
+    eu = math.frexp(1.0 / spec.u_min)[1]
     k = 0 if er + eu + max(er, 0) <= _UNSCALED_EXPONENT else er + max(eu, 0)
     v = np.ldexp(spec.v, -k) if k else spec.v
-    v_u_inv = v @ u_inv
-    b2 = v_u_inv.T @ v_u_inv
-    b1 = symmetrize(u_inv @ v_u_inv)
-    b0 = spec.u_power(-2)
+    l_inv_v = spec.l_solve(v)
+    l_inv = spec.l_solve(np.eye(spec.order))
+    b2 = l_inv_v @ l_inv_v.T
+    b1 = symmetrize(spec.l_solve(l_inv_v.T))
+    b0 = l_inv @ l_inv.T
     lo, hi = math.ldexp(lo, -k), math.ldexp(hi, -k)
     # relative to the bracket, so that a potential of small scale is
     # resolved; on a wide bracket sqrt(eps) |mu| soon dominates

@@ -29,10 +29,15 @@ so no root of U is taken.  Each column has the J-signature
 lies on: the sign types are certified, with no tolerance.  The pencil
 is used exactly when a closed-form bound certifies G - mu*J positive
 definite and the Cholesky factorization succeeds; every other system
-goes to a general dense eigensolver on H, which flags non-real pairs
-instead of hiding them, classifies the unit eigenvectors [a; b] of H
-against NEUTRAL_TOL and reports z = E [a; b], E = diag(U^(-1/2), U^(1/2)),
-which keeps (J z, z) because E J E = J.
+goes to a general dense eigensolver on the root-free companion form
+
+    L_g = [[V, g I], [U^2 / g, V]],    g = ||U||,
+
+similar to H through diag(U^(1/2), U^(-1/2)) diag(I, g), which flags
+non-real pairs instead of hiding them.  Its unit eigenvectors [x; y]
+give z = [x; g y] = [x; (lam - V) x], and their signatures
+(J [x; y], [x; y]), of the sign of the H frame's, are classified
+against NEUTRAL_TOL.
 
 Every solve is stacked.  eigen_spectra takes the potentials t V of one
 model, one per coupling t, at one shift: the certified rows go through
@@ -50,9 +55,9 @@ k smallest and k largest eigenvalues of C, which the pencil rows then
 compute alone (core._extreme_eigenvalues), and neither X nor Z is
 formed, since the signatures theta are the eigenvalues of C themselves.
 
-The same solve gives the sign operator: the H-frame pencil
-eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
-Y = D Z |Theta|^(-1/2)
+The same solve gives the sign operator, which alone here forms a root
+of U (ModelSpec.half_roots): the H-frame pencil eigenvectors are D Z,
+D = diag(U^(1/2), U^(-1/2)), so with Y = D Z |Theta|^(-1/2)
 
     J1 = sign(H - mu*I) = Y (J Y)^T,    ||J1|| = ||Y||^2,
 
@@ -79,7 +84,6 @@ from .core import (
     KleinGordonSystem,
     ModelSpec,
     apply_j,
-    hamiltonians,
     shifted_potential,
     spectral_norm,
 )
@@ -97,15 +101,19 @@ __all__ = [
     "pencil_residual",
 ]
 
-#: |imag| above REAL_RTOL * ||H|| marks the spectrum as non-real
+#: |imag| above REAL_RTOL * ||L_g|| marks the spectrum as non-real
 REAL_RTOL = 1e-8
 
-#: eigenvalues within MULT_RTOL * ||H|| form one multiplicity cluster
+#: eigenvalues within MULT_RTOL * ||L_g|| form one multiplicity cluster
 MULT_RTOL = 1e-8
 
 #: on the direct path, |(Jx, x)| / ||x||^2 below this marks an
-#: eigenvector of H as neutral
+#: eigenvector of L_g as neutral
 NEUTRAL_TOL = 1e-6
+
+#: the direct path solves no L_g whose norm is not below this (see
+#: _direct_eigensolve)
+DIRECT_NORM_LIMIT = 2.0**510
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -115,10 +123,11 @@ class SpectrumReport:
     aligned column-wise with ``eigenvectors``, the K-frame eigenvectors
     z_k = [x_k; (lam_k - V) x_k] of the pencil (J, K - mu*J), x_k the
     quadratic eigenvector: on the pencil path normalized by
-    Z^T (K - mu*J) Z = I, on the direct path the image
-    [U^(-1/2) a_k; U^(1/2) b_k] of the unit eigenvector [a_k; b_k] of H.
-    ``signatures`` holds (J z_k, z_k): theta_k = 1/(lam_k - mu) on the
-    pencil path, the unit H-frame signature on the direct path.
+    Z^T (K - mu*J) Z = I, on the direct path [x_k; g y_k] from the unit
+    eigenvector [x_k; y_k] of the companion form L_g, g = ||U||.
+    ``signatures`` holds theta_k = (J z_k, z_k) = 1/(lam_k - mu) on the
+    pencil path, and on the direct path (J [x_k; y_k], [x_k; y_k]), of
+    the sign of (J z_k, z_k) and of the H-frame signature.
     ``sign_types`` is its class, 'positive' / 'negative' / 'neutral';
     only the direct path, which has no certificate, tests it against
     NEUTRAL_TOL.  ``positive_ordered`` / ``negative_ordered`` list the
@@ -174,7 +183,11 @@ class SignOperator:
 
 @dataclass(frozen=True)
 class DefectWitness:
-    """An eigenvalue flagged as defective and the offending eigenvector of H."""
+    """An eigenvalue flagged as defective and the offending unit eigenvector of L_g.
+
+    The direct path alone flags defects (_direct_eigensolve); the vector
+    is J-neutral exactly when the corresponding eigenvector of H is.
+    """
 
     eigenvalue: complex
     vector: np.ndarray = field(repr=False)
@@ -185,15 +198,14 @@ def _certified_definite(spec: ModelSpec, contractions):
     """Closed-form certificate that G - mu*J is safely positive definite, per b.
 
     The congruence G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]]
-    diag(U,U)^(1/2) gives lambda_min(G - mu*J) >= (1 - b) u_min and
+    diag(U,U)^(1/2), A = (V - mu) U^(-1) with the singular values of
+    core's A, gives lambda_min(G - mu*J) >= (1 - b) u_min and
     ||G - mu*J|| <= (1 + b) u_max, so a True entry implies
     lambda_min(G - mu*J) > PD_RTOL * ||G - mu*J|| for that contraction
     b without factorizing.
     """
-    u_min = math.sqrt(spec.u2_eigenvalues[0])
-    u_max = math.sqrt(spec.u2_eigenvalues[-1])
     b = contractions
-    return (1.0 - b) * u_min > PD_RTOL * (1.0 + b) * u_max
+    return (1.0 - b) * spec.u_min > PD_RTOL * (1.0 + b) * spec.u_max
 
 
 @dataclass(frozen=True)
@@ -223,15 +235,6 @@ class SpectrumStack:
     def defective(self) -> np.ndarray:
         """Per row: whether a defective eigenvalue was found."""
         return np.array([w is not None for w in self.witnesses], dtype=bool)
-
-
-def _ham_scale(h):
-    """Spectral norm of each H of a stack, or a cheap upper estimate at large orders."""
-    if h.shape[-1] <= 256:
-        return spectral_norm(h)
-    one = np.abs(h).sum(axis=-2).max(axis=-1)
-    inf = np.abs(h).sum(axis=-1).max(axis=-1)
-    return np.sqrt(one * inf)
 
 
 def _cholesky(a):
@@ -349,10 +352,10 @@ def _sign_types(signatures, tol: float) -> tuple:
     )
 
 
-def _cluster_defects(eigenvalues, hamiltonian, scale):
+def _cluster_defects(eigenvalues, lg, scale):
     """Witnesses for repeated eigenvalues with too few eigenvectors.
 
-    One SVD of H - center*I per cluster gives both the geometric
+    One SVD of L_g - center*I per cluster gives both the geometric
     multiplicity and the witness null vector.
     """
     tol = MULT_RTOL * scale
@@ -368,7 +371,7 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
         if cluster.size < 2:
             continue
         center = cluster.mean()
-        shifted = hamiltonian - center * np.eye(hamiltonian.shape[0])
+        shifted = lg - center * np.eye(lg.shape[0])
         _, sv, vh = np.linalg.svd(shifted)
         geometric = int(np.sum(sv < tol))
         if geometric < cluster.size:
@@ -379,32 +382,55 @@ def _cluster_defects(eigenvalues, hamiltonian, scale):
 
 
 def _direct_eigensolve(spec: ModelSpec, couplings):
-    """The general dense eigensolver on H(t) for each coupling t.
+    """The general dense eigensolver on the companion form L_g(t), per coupling t.
 
-    Returns (lam, Z, signatures, is_real, witnesses) per row: lam sorted
-    by real part, then imaginary part, and real on the rows whose
-    imaginary parts stay within REAL_RTOL * ||H||; Z = E [a; b],
-    E = diag(U^(-1/2), U^(1/2)), from the unit eigenvectors [a; b] of H
-    that eig returns; their H-frame signatures; and the first eigenvalue
-    of each row with a neutral eigenvector (against NEUTRAL_TOL) or, on
-    a real row without one, with a multiplicity cluster short of
-    eigenvectors.  Raises KGError when an entry of H is beyond the float
-    range, as U^(1/2) V U^(-1/2) can be for a finite potential.
+    L_g(t) = [[t V, g I], [U^2 / g, t V]], g = ||U||, is root-free and
+    has the spectrum of H(t): [x; y] is an eigenvector exactly when
+    Q(lam) x = 0 for the potential t V and g y = (lam - t V) x.  Returns
+    (lam, Z, signatures, is_real, witnesses) per row: lam sorted by real
+    part, then imaginary part, and real on the rows whose imaginary
+    parts stay within REAL_RTOL * ||L_g||; Z = [x; g y] from the unit
+    eigenvectors [x; y] that eig returns (real parts on a real row);
+    their signatures (J [x; y], [x; y]); and the first eigenvalue of
+    each row with a neutral eigenvector (against NEUTRAL_TOL) or, on a
+    real row without one, with a multiplicity cluster short of
+    eigenvectors, with its unit L_g eigenvector.
+
+    KGError when ||L_g|| is not below DIRECT_NORM_LIMIT = 2^510.  Below
+    it every term of eigenpair_residuals and of the residual gate is
+    finite: t V and g I are blocks of L_g and |lam| <= ||L_g|| to
+    rounding, so g^2 = ||U^2||, ||t V||^2 and |lam|^2 are each below
+    2^1020; with ||x|| <= 1, each term of Q(lam) x = t V (t V x) - U^2 x
+    - 2 lam t V x + lam^2 x, and each partial sum of its products
+    (Cauchy-Schwarz on a row), is below 2^1021, and Q(lam) x below
+    5 * 2^1020 < 2^1023, whose norm eigenpair_residuals takes scaled.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = hamiltonians(spec, couplings)
-    if not np.isfinite(h).all():
+    n, g = spec.order, spec.u_max
+    t = np.asarray(couplings, dtype=float)
+    lg = np.zeros((t.size, 2 * n, 2 * n))
+    with np.errstate(over="ignore"):
+        lg[:, :n, :n] = np.multiply.outer(t, spec.v)
+    lg[:, n:, n:] = lg[:, :n, :n]
+    lg[:, :n, n:] = g * np.eye(n)
+    lg[:, n:, :n] = spec.u_squared / g
+    scale = spectral_norm(lg)
+    if not (scale < DIRECT_NORM_LIMIT).all():
         raise KGError(
-            "the Hamiltonian H = JG is beyond the float range: "
-            "U^(1/2) V U^(-1/2) has a non-finite entry"
+            "the direct eigensolver's companion form is out of range: "
+            f"||L_g|| = {scale.max():.6e} is not below 2^510"
         )
-    lam, vecs = np.linalg.eig(h)
-    rows, order = np.arange(len(h))[:, None], np.lexsort((lam.imag, lam.real))
+    lam, vecs = np.linalg.eig(lg)
+    rows, order = np.arange(len(lg))[:, None], np.lexsort((lam.imag, lam.real))
     lam, vecs = lam[rows, order], vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
-    scale = _ham_scale(h)
     is_real = np.abs(lam.imag).max(axis=-1, initial=0.0) <= REAL_RTOL * scale
     if np.iscomplexobj(lam):
-        lam = lam.real if is_real.all() else np.where(is_real[:, None], lam.real, lam)
+        # a double eigenvalue split into a complex pair by rounding keeps
+        # the real part of the pair's eigenvector, an eigenvector of it
+        if is_real.all():
+            lam, vecs = lam.real, vecs.real
+        else:
+            lam = np.where(is_real[:, None], lam.real, lam)
+            vecs = np.where(is_real[:, None, None], vecs.real, vecs)
     signatures = _signatures(vecs)
     neutral = ~((signatures > NEUTRAL_TOL) | (signatures < -NEUTRAL_TOL))
     has_neutral = neutral.any(axis=-1)
@@ -420,13 +446,10 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
     for k in (is_real & ~has_neutral).nonzero()[0]:
         re = lam[k].real
         if np.any(np.diff(re) <= MULT_RTOL * scale[k]):
-            found = _cluster_defects(re, h[k], scale[k])
+            found = _cluster_defects(re, lg[k], scale[k])
             witnesses[k] = found[0] if found else None
-    n = spec.order
-    vecs = np.concatenate(
-        [spec.u_power(-0.5) @ vecs[:, :n], spec.u_power(0.5) @ vecs[:, n:]], axis=1
-    )
-    return lam, vecs, signatures, is_real, witnesses
+    z = np.concatenate([vecs[:, :n], g * vecs[:, n:]], axis=1)
+    return lam, z, signatures, is_real, witnesses
 
 
 def eigen_spectra(
@@ -439,12 +462,13 @@ def eigen_spectra(
     """The spectra of the potentials t V of spec, one per coupling t.
 
     The stacked solver behind every spectrum: each row with contraction
-    b(t) = ||(t V - shift) U^(-1)|| certified by the closed-form bound
-    (see _certified_definite) takes the definite pencil in the K frame,
-    all such rows in one stacked solve (_k_frame_eigensolve); a row
-    whose Cholesky factorization fails, and every uncertified row, goes
-    to the general eigensolver on H(t) (_direct_eigensolve), which
-    alone forms H or a root of U.  ``contractions`` are the rows' b when
+    b(t) = ||L^(-1) (t V - shift)|| = ||(t V - shift) U^(-1)|| certified
+    by the closed-form bound (see _certified_definite) takes the
+    definite pencil in the K frame, all such rows in one stacked solve
+    (_k_frame_eigensolve); a row whose Cholesky factorization fails, and
+    every uncertified row, goes to the general eigensolver on the
+    root-free companion form L_g(t) (_direct_eigensolve).  Neither path
+    forms H or a root of U.  ``contractions`` are the rows' b when
     the caller has them; otherwise they are measured here, and either
     way the stack keeps them.  With ``nearest`` = k each row holds the
     2k eigenvalues in the middle of its ascending order alone, and the
@@ -457,8 +481,8 @@ def eigen_spectra(
     t = np.asarray(couplings, dtype=float)
     w = shifted_potential(spec, shift, t)
     if contractions is None:
-        with np.errstate(over="ignore"):   # as operator_a: b = inf on overflow
-            contractions = spectral_norm(w @ spec.u_power(-1))
+        # as operator_a: ||L^(-1) W|| = ||W L^(-T)||, inf or nan on overflow
+        contractions = spectral_norm(spec.l_solve(w))
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
@@ -520,8 +544,8 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     certified real and semisimple, and so are the sign types);
     otherwise, or when the n x n Cholesky factorization of
     U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver
-    on H and flags non-real pairs and defective eigenvalues.  Only the
-    fallback forms H or a root of U.
+    on the companion form L_g, similar to H, and flags non-real pairs
+    and defective eigenvalues.  Neither path forms H or a root of U.
     """
     mu, spec = system.shift, system.spec
     stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,))
@@ -557,7 +581,8 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
 def _h_frame(spec: ModelSpec, z):
     """D z = [U^(1/2) z_1; U^(-1/2) z_2] of K-frame columns z = [z_1; z_2]."""
     n = spec.order
-    return np.concatenate([spec.u_power(0.5) @ z[:n], spec.u_power(-0.5) @ z[n:]])
+    root, inverse_root = spec.half_roots()
+    return np.concatenate([root @ z[:n], inverse_root @ z[n:]])
 
 
 def sign_operator(report: SpectrumReport) -> SignOperator:
@@ -611,7 +636,9 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     three n x n by n x 2n products in all, and the columns passed in
     are not written to.  Stacks (..., 2n) of eigenvalues and
     (..., 2n, 2n) of eigenvectors take a stack (..., n, n) of
-    ``potentials`` in place of spec.v, one per row.
+    ``potentials`` in place of spec.v, one per row.  A column of
+    Q(lam_k) x_k whose squares leave the float range is scaled by a
+    power of two, exactly, before its norm is taken.
     """
     lam = np.asarray(eigenvalues)[..., None, :]
     v = spec.v if potentials is None else potentials
@@ -624,7 +651,13 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     q -= vx
     x *= lam * lam
     q += x
-    return np.linalg.norm(q, axis=-2) / x_norm
+    with np.errstate(over="ignore"):
+        q_norm = np.linalg.norm(q, axis=-2)
+        if not np.isfinite(q_norm).all():
+            exponent = np.frexp(np.abs(q).max(axis=-2))[1]
+            scaled = q * np.ldexp(1.0, -exponent)[..., None, :]
+            q_norm = np.ldexp(np.linalg.norm(scaled, axis=-2), exponent)
+    return q_norm / x_norm
 
 
 def pencil_residual(spec: ModelSpec, lam) -> float:

@@ -1,10 +1,12 @@
 """Independent H-frame oracles for the tests.
 
-The library solves the definite pencil in the frame
-K = [[U^2, V], [V, I]] and never forms G - mu*J or a root of U on its
-certified path.  These routines work in the frame of G = J H instead,
-with generalized eigensolves and matrix square roots, so the tests can
-hold the library's numbers against a second, independent route.
+The library works with the Cholesky factor L L^T = U^2: it solves the
+definite pencil in the frame K = [[U^2, V], [V, I]], the direct path on
+the root-free companion form L_g, and never forms G, H or a power of U
+outside two H-frame rows of ``kg bounds``.  These routines work in the
+frame of G = J H instead, with powers of U from the eigendecomposition
+of U^2, generalized eigensolves and matrix square roots, so the tests
+can hold the library's numbers against a second, independent route.
 """
 
 import math
@@ -15,12 +17,13 @@ import scipy.linalg
 
 from kgbounds import ContractionNotLessThanOne, NotPositiveDefinite, ValidationError
 from kgbounds.core import (
-    _spd_eig,
+    PD_RTOL,
     check_symmetric,
     operator_a,
     spectral_norm,
     symmetrize,
 )
+from kgbounds.spectral import NEUTRAL_TOL, REAL_RTOL, _signatures, _sign_types
 
 
 def j_matrix(n: int):
@@ -41,6 +44,22 @@ def shifted_gram(gram, shift: float):
     return g
 
 
+def _spd_eig(m, name: str = "matrix"):
+    """Eigendecomposition of a symmetric positive definite matrix.
+
+    Raises NotPositiveDefinite when the smallest eigenvalue does not
+    clear PD_RTOL * ||m||, the test ModelSpec validates U^2 with.
+    """
+    w, p = np.linalg.eigh(m)
+    norm = max(abs(w[0]), abs(w[-1]))
+    if w[0] <= PD_RTOL * norm or w[0] <= 0.0:
+        raise NotPositiveDefinite(
+            f"{name} is not positive definite: min eigenvalue {w[0]:.3e} "
+            f"(tolerance {PD_RTOL * norm:.3e})"
+        )
+    return w, p
+
+
 def sqrt_spd(m, name: str = "matrix"):
     """Principal square root of a symmetric positive definite matrix.
 
@@ -49,6 +68,47 @@ def sqrt_spd(m, name: str = "matrix"):
     """
     w, p = _spd_eig(check_symmetric(m, name), name)
     return symmetrize((p * np.sqrt(w)) @ p.T)
+
+
+def u_power(spec, exponent: float):
+    """U^exponent, exponent in {+-1/2, +-1, +-2}, from the eigendecomposition of U^2."""
+    w, p = _spd_eig(spec.u_squared, "u_squared")
+    d = w ** (exponent / 2.0)
+    return symmetrize((p * d) @ p.T)
+
+
+def l_frame(spec, m):
+    """m L^(-T), L L^T = U^2: the frame of the library's A and dA."""
+    return scipy.linalg.solve_triangular(spec.cholesky, m, lower=True).T
+
+
+def hamiltonian(spec, coupling: float = 1.0):
+    """H = [[t X, U], [U, t X^T]], X = U^(1/2) V U^(-1/2), of the potential t V."""
+    x = coupling * (u_power(spec, 0.5) @ spec.v @ u_power(spec, -0.5))
+    u = u_power(spec, 1.0)
+    return np.block([[x, u], [u, x.T]])
+
+
+def gram(spec, coupling: float = 1.0):
+    """G = J H = [[U, t X^T], [t X, U]], exactly symmetric."""
+    h = hamiltonian(spec, coupling)
+    n = spec.order
+    return np.concatenate([h[n:], h[:n]])
+
+
+def direct_h_frame(spec, coupling: float = 1.0):
+    """(lam, sign_types, is_real) from a general eigensolve of H itself.
+
+    lam sorted by real part, then imaginary part; is_real when every
+    imaginary part is within REAL_RTOL * ||H||; the unit eigenvectors
+    of H classified against NEUTRAL_TOL.
+    """
+    h = hamiltonian(spec, coupling)
+    lam, vecs = np.linalg.eig(h)
+    order = np.lexsort((lam.imag, lam.real))
+    lam, vecs = lam[order], vecs[:, order]
+    is_real = bool(np.abs(lam.imag).max() <= REAL_RTOL * spectral_norm(h))
+    return lam, _sign_types(_signatures(vecs), NEUTRAL_TOL), is_real
 
 
 def contraction_bound(spec, shift: float = 0.0) -> float:
@@ -65,7 +125,7 @@ def h_frame(report):
     """
     spec, z = report.spec, report.eigenvectors
     n = spec.order
-    return np.concatenate([spec.u_power(0.5) @ z[:n], spec.u_power(-0.5) @ z[n:]])
+    return np.concatenate([u_power(spec, 0.5) @ z[:n], u_power(spec, -0.5) @ z[n:]])
 
 
 def _definite_pencil(gram, shift: float):

@@ -32,6 +32,9 @@ from oracles import (
     block_structure_analysis,
     contraction_bound,
     exact_kappa_pm,
+    gram,
+    hamiltonian,
+    l_frame,
     shifted_gram,
     similarity_eigensolve,
 )
@@ -74,7 +77,7 @@ def solved200(corpus200):
         system_p = assemble_system(spec.perturbed(dv), 0.0)
         report_p = eigen_spectrum(system_p)
         km, kp = exact_kappa_pm(
-            shifted_gram(system.gram, system.shift),
+            shifted_gram(gram(system.spec), system.shift),
             delta_gram(system, PerturbationSpec(delta_v=dv)),
         )
         solved.append(
@@ -141,7 +144,7 @@ def test_criterion_4_defectiveness_and_critical_coupling():
 
     system = assemble_system(spec2, -1.0)
     report = eigen_spectrum(system)
-    h = system.hamiltonian
+    h = hamiltonian(system.spec)
     near = np.abs(np.real(report.eigenvalues) + 1.0) < 1e-6
     assert near.sum() == 2  # algebraic multiplicity 2
     sv_h = np.linalg.svd(h + np.eye(4), compute_uv=False)
@@ -224,8 +227,8 @@ def test_criterion_6_property_suite(solved200):
         # (f) positive semidefinite form growth never shrinks the gap
         r = rng.normal(size=(2 * system.n, 2))
         dg = r @ r.T
-        dg *= 0.25 * spectral_norm(system.gram) / spectral_norm(dg)
-        lam_grown = np.sort(similarity_eigensolve(system.gram + dg, 0.0)[0])
+        dg *= 0.25 * spectral_norm(gram(system.spec)) / spectral_norm(dg)
+        lam_grown = np.sort(similarity_eigensolve(gram(system.spec) + dg, 0.0)[0])
         grown_gap = (lam_grown[lam_grown < 0].max(), lam_grown[lam_grown > 0].min())
         assert grown_gap[0] <= gap[0] + 1e-10
         assert grown_gap[1] >= gap[1] - 1e-10
@@ -239,7 +242,7 @@ def test_criterion_6_property_suite(solved200):
 def test_criterion_7_oracle_equivalence(solved200):
     for item in solved200:
         system, lam = item["system"], item["lam"]
-        h = system.hamiltonian
+        h = hamiltonian(system.spec)
         scale_h = spectral_norm(h)
         direct = np.sort(np.linalg.eigvals(h).real)
         assert np.abs(lam - direct).max() <= 1e-8 * scale_h
@@ -294,7 +297,7 @@ def test_criterion_8_structured_bound_soundness():
             # the closed-form retrieval: t_bound at a = 2b||dA||/(1-b^2)
             # dominates ||dA||/(1-b)
             system = assemble_system(spec, 0.0)
-            da = dv @ spec.u_power(-1)
+            da = l_frame(spec, dv)
             b = system.contraction
             c = spectral_norm(da)
             bs = block_structure_analysis(system.a_matrix, da)

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgbounds import bounds as bounds_module
 from kgbounds import (
     ContractionNotLessThanOne,
     KappaMinusNotAboveMinusOne,
@@ -28,6 +29,7 @@ from kgbounds import (
     kappa_signed_pair,
     kappa_sum,
     norm_bound_interval,
+    optimize_shift,
     rescale_kappa,
     sign_operator,
     spectral_norm,
@@ -38,9 +40,12 @@ from kgbounds import (
 from oracles import (
     block_structure_analysis,
     exact_kappa_pm,
+    gram,
+    l_frame,
     shifted_gram,
     similarity_eigensolve,
     sqrt_spd,
+    u_power,
 )
 from conftest import (
     constants_of,
@@ -149,7 +154,7 @@ class TestExactKappa:
     def test_square_well_bounded_by_table_constant(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         pert = PerturbationSpec(delta_v=np.diag([-0.1, 0.0]))
-        g = shifted_gram(system.gram, system.shift)
+        g = shifted_gram(gram(system.spec), system.shift)
         km, kp = exact_kappa_pm(g, delta_gram(system, pert))
         assert max(abs(km), abs(kp)) <= 0.2 + 1e-12
 
@@ -353,7 +358,7 @@ class TestBlockStructure:
         rng = np.random.Generator(np.random.PCG64(19))
         spec, dv = random_model_and_perturbation(rng, n=5)
         system = assemble_system(spec, 0.0)
-        a, da = system.a_matrix, dv @ spec.u_power(-1)
+        a, da = system.a_matrix, l_frame(spec, dv)
         n = 5
         s_inv_root = np.linalg.inv(sqrt_spd(np.eye(n) - a.T @ a))
         upper = np.block([[s_inv_root, np.zeros((n, n))], [-a @ s_inv_root, np.eye(n)]])
@@ -361,7 +366,7 @@ class TestBlockStructure:
         transformed = upper.T @ da_block @ upper
         eigs = np.linalg.eigvalsh(0.5 * (transformed + transformed.T))
         km, kp = exact_kappa_pm(
-            shifted_gram(system.gram, system.shift),
+            shifted_gram(gram(system.spec), system.shift),
             delta_gram(system, PerturbationSpec(delta_v=dv)),
         )
         assert abs(eigs[0] - km) <= 1e-9
@@ -481,7 +486,7 @@ class TestPerturbationConstants:
 
         def oracle(system, dv):
             return exact_kappa_pm(
-                shifted_gram(system.gram, system.shift), delta_gram(system, dv)
+                shifted_gram(gram(system.spec), system.shift), delta_gram(system, dv)
             )
 
         cases = [(spec, dv, oracle) for spec, dv in corpus200 + scaled] + [
@@ -523,7 +528,7 @@ class TestPerturbationConstants:
         s = 10.0**log_scale
         q = random_orthogonal(rng, n)
         u2 = (q * (s * rng.uniform(0.4, 4.0, size=n))) @ q.T
-        u_inv = ModelSpec(u2, np.zeros((n, n))).u_power(-1)
+        u_inv = u_power(ModelSpec(u2, np.zeros((n, n))), -1)
 
         def scaled(norm):
             raw = rng.normal(size=(n, n))
@@ -541,7 +546,7 @@ class TestPerturbationConstants:
         k_shifted = np.block([[u2, w], [w, np.eye(n)]])
         assert np.abs(z.T @ k_shifted @ z - np.eye(2 * n)).max() <= tol
         km, kp = exact_kappa_pm(
-            shifted_gram(system.gram, mu), delta_gram(system, dv)
+            shifted_gram(gram(system.spec), mu), delta_gram(system, dv)
         )
         pair = constants_of(system, dv).kappa_exact
         scale = max(abs(km), abs(kp))
@@ -574,6 +579,48 @@ class TestPerturbationConstants:
         bounds = constants_of(system, np.diag([0.1, 0.0]))
         assert bounds.nu is None
         assert bounds.kappa_relative is None
+
+
+class TestBadlyScaledConstants:
+    """b, c, the mixed product and the optimized b read through L, against
+    the U frame's (V - mu) U^(-1) from a matrix square root."""
+
+    @staticmethod
+    def cases(corpus):
+        # (U^2, V, dV, shift): the corpus at shift 0, and the well at its
+        # paper shift, where the mixed product is semidefinite (and zero
+        # at tau = 0)
+        for spec, dv in corpus:
+            yield spec.u_squared, spec.v, dv, 0.0
+        for tau in (0.0, 1.0, 1.7):
+            spec = square_well_model(tau)
+            yield spec.u_squared, spec.v, np.diag([-0.1, 0.0]), -tau / 2.0
+
+    def test_scaled_models_keep_the_u_frame_constants(self, corpus200):
+        # (s^2 U^2, s V, s dV) at the shift s mu has the same b and c
+        signs = set()
+        for u2, v, dv, mu in self.cases(corpus200):
+            for s in (1e-8, 1e8):
+                spec = ModelSpec(s * s * u2, s * v)
+                u_inv = np.linalg.inv(sqrt_spd(spec.u_squared))
+                shift = s * mu
+                w = spec.v - shift * np.eye(spec.order)
+                a, da = w @ u_inv, (s * dv) @ u_inv
+                b, c = np.linalg.norm(a, 2), np.linalg.norm(da, 2)
+                report = constants_of(assemble_system(spec, shift), s * dv)
+                assert abs(report.b - b) <= 1e-13 * b
+                assert abs(report.c - c) <= 1e-13 * c
+                classified = (report.signed, report.disjoint)
+                assert classified == bounds_module._mixed_product_sign(a, da, b, c)
+                signs.add(classified)
+
+                optimized = optimize_shift(spec)
+                a_opt = (spec.v - optimized * np.eye(spec.order)) @ u_inv
+                b_opt = np.linalg.norm(a_opt, 2)
+                assert abs(assemble_system(spec, optimized).contraction - b_opt) <= (
+                    1e-13 * b_opt
+                )
+        assert {(None, False), ("positive", False), ("negative", True)} <= signs
 
 
 class TestEigenvalueIntervals:
@@ -629,11 +676,11 @@ class TestMonotoneDomination:
         for _ in range(20):
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
-            lam, _ = similarity_eigensolve(system.gram, 0.0)
+            lam, _ = similarity_eigensolve(gram(system.spec), 0.0)
             r = rng.normal(size=(2 * system.n, 2))
             dg = r @ r.T
-            dg *= 0.3 * spectral_norm(system.gram) / spectral_norm(dg)
-            lam_p, _ = similarity_eigensolve(system.gram + dg, 0.0)
+            dg *= 0.3 * spectral_norm(gram(system.spec)) / spectral_norm(dg)
+            lam_p, _ = similarity_eigensolve(gram(system.spec) + dg, 0.0)
             gap = (lam[lam < 0].max(), lam[lam > 0].min())
             gap_p = (lam_p[lam_p < 0].max(), lam_p[lam_p > 0].min())
             assert gap_p[0] <= gap[0] + 1e-10

@@ -176,32 +176,36 @@ class TestVerifyCommand:
 
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
-        pencil_calls, spd_orders = [], []
+        pencil_calls, factored_orders = [], []
 
         def count_pencil(*args, **kwargs):
             pencil_calls.append(1)
             return k_frame(*args, **kwargs)
 
-        def record_spd(m, *args, **kwargs):
-            spd_orders.append(np.shape(m)[0])
-            return spd_eig(m, *args, **kwargs)
+        def record_factor(m, *args, **kwargs):
+            factored_orders.append(np.shape(m)[0])
+            return dpotrf(m, *args, **kwargs)
 
-        k_frame, spd_eig = spectral._k_frame_eigensolve, core._spd_eig
+        k_frame, dpotrf = spectral._k_frame_eigensolve, scipy.linalg.lapack.dpotrf
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
-        monkeypatch.setattr(core, "_spd_eig", record_spd)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", record_factor)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert len(pencil_calls) == 1
-        assert 80 not in spd_orders  # only the order-40 U^2 is validated
+        # the order-40 U^2 is validated by its Cholesky factorization and
+        # -Q(mu) factored by the pencil solve; nothing of order 80 is
+        assert factored_orders == [40, 40]
 
     def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
         # every dense symmetric eigen-reduction kg bounds --optimize-shift
-        # runs at N = 160, by routine and order: the U^2 validation (eigh),
-        # the bracket's extremes of V, the one full solve of the shift
-        # search (dsyevr), the contraction, the spectrum (dsyevd with
-        # vectors), c, nu, the mixed product, ||dV||, the exact pair at
-        # order 2n, ||dG|| and ||Gamma||; the other 47 Brent steps and
-        # full spectra of the previous search are gone
+        # runs at N = 160, by routine and order: the ends of the spectrum
+        # of U^2 that validate it, the bracket's extremes of V, the one
+        # full solve of the shift search (dsyevr), the contraction, the
+        # spectrum (dsyevd with vectors), c, nu, the mixed product, ||dV||,
+        # the exact pair at order 2n, ||dG|| and ||Gamma||; the one eigh
+        # of U^2 forms the U^(+-1/2) of the ||dG|| and ||J1|| rows.  The
+        # other 47 Brent steps and full spectra of the previous search
+        # are gone
         calls = []
 
         def spy(module, name):
@@ -222,7 +226,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert sorted(calls) == sorted(
             [("eigh", 160), ("dsyevr", 160), ("dsyevd", 320), ("dsytrd", 320)]
-            + [("dsytrd", 160)] * 8
+            + [("dsytrd", 160)] * 9
         )
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
@@ -230,7 +234,9 @@ class TestBoundsCommand:
         # one n x n Cholesky factorization of U^2 - (V - mu)^2 certifies
         # and reduces the pencil of each (model, shift); the exact kappa
         # pair is read off the same solve's eigenvectors, and no
-        # generalized eigensolve runs
+        # generalized eigensolve runs.  The one more factorization is
+        # that of U^2, which validates the model and is shared by the
+        # perturbed model
         generalized, factored = [], []
         eigh = scipy.linalg.eigh
 
@@ -259,7 +265,7 @@ class TestBoundsCommand:
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert generalized == []
-        assert factored == [(40, 40)] * solves
+        assert factored == [(40, 40)] * (solves + 1)
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_contraction_rejected_before_any_solve(
@@ -453,23 +459,43 @@ class TestSweepCommand:
 
 
 class TestEachQuantityOnce:
-    """Each power of U is formed once per model, each norm taken once."""
+    """No root of U outside kg bounds' H-frame rows, each norm taken once."""
 
     @staticmethod
-    def distinct_powers(monkeypatch):
-        # every returned array is kept, so a new object is a new formation;
-        # the list holds (exponent, power) per formation
-        formed = []
-        u_power = ModelSpec.u_power
+    def u_roots(monkeypatch, order):
+        """(pairs, decompositions): every U^(+-1/2) pair formed, and the
+        order-``order`` symmetric eigendecompositions with vectors, the
+        only kind of solve a root of U^2 could come from."""
+        pairs, decompositions = [], []
+        half_roots = ModelSpec.half_roots
 
-        def spy(self, exponent):
-            power = u_power(self, exponent)
-            if not any(power is seen for _, seen in formed):
-                formed.append((exponent, power))
-            return power
+        def spy_roots(self):
+            pair = half_roots(self)
+            if not any(pair[0] is seen[0] for seen in pairs):
+                pairs.append(pair)
+            return pair
 
-        monkeypatch.setattr(ModelSpec, "u_power", spy)
-        return formed
+        def spy(routine, with_vectors):
+            def record(a, *args, **kwargs):
+                if np.shape(a)[-1] == order and with_vectors(kwargs):
+                    decompositions.append(routine.__name__)
+                return routine(a, *args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(ModelSpec, "half_roots", spy_roots)
+        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, lambda kw: True))
+        monkeypatch.setattr(
+            scipy.linalg,
+            "eigh",
+            spy(scipy.linalg.eigh, lambda kw: not kw.get("eigvals_only")),
+        )
+        for name in ("dsyevd", "dsyevr"):
+            routine = getattr(scipy.linalg.lapack, name)
+            monkeypatch.setattr(
+                scipy.linalg.lapack, name, spy(routine, lambda kw: kw.get("compute_v", 1))
+            )
+        return pairs, decompositions
 
     @staticmethod
     def norm_calls(monkeypatch):
@@ -488,20 +514,17 @@ class TestEachQuantityOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "command, powers",
-        [("verify", [-1]), ("bounds", [-1, -0.5, 0.5])],
-        ids=["verify", "bounds"],
+        "command, pairs", [("verify", 0), ("bounds", 1)], ids=["verify", "bounds"]
     )
-    def test_three_powers_and_six_norms(self, command, powers, monkeypatch, capsys):
-        # U^(-1) for the contraction; the spectra, residuals and the exact
-        # kappa pair stay in the K frame, and only the rows of kg bounds
-        # take U^(1/2) and U^(-1/2), for ||dG|| and ||J1||; U itself only
-        # G needs
-        formed = self.distinct_powers(monkeypatch)
+    def test_three_powers_and_six_norms(self, command, pairs, monkeypatch, capsys):
+        # verify reads U only through L; kg bounds forms U^(1/2) and
+        # U^(-1/2) once, from one order-n eigh, for ||dG|| and ||J1||
+        formed, decompositions = self.u_roots(monkeypatch, 40)
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert sorted(exponent for exponent, _ in formed) == powers
+        assert len(formed) == pairs
+        assert decompositions == ["eigh"] * pairs
         assert len(norms) == 6
 
     @pytest.mark.parametrize(
@@ -514,51 +537,67 @@ class TestEachQuantityOnce:
         ids=["spectrum", "sweep"],
     )
     def test_certified_commands_form_only_u_inverse(self, args, monkeypatch, capsys):
-        # U^(-1) for the contraction; the spectra and the residual gate
-        # stay in the K frame, which needs no root of U (every step of
-        # the sweep has b <= 1/2 at the paper shift)
-        formed = self.distinct_powers(monkeypatch)
+        # the contraction reads U^(-1) through L, and the spectra and the
+        # residual gate stay in the K frame, which needs no root of U
+        # (every step of the sweep has b <= 1/2 at the paper shift)
+        order = 40 if "--alpha" in args else 2
+        formed, decompositions = self.u_roots(monkeypatch, order)
         assert main(args) == EXIT_OK
-        assert [exponent for exponent, _ in formed] == [-1]
+        assert formed == [] and decompositions == []
+
+    @pytest.mark.parametrize(
+        "args, order",
+        [
+            (["spectrum", "--tau", "2.2"], 2),
+            (["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.3"], 2),
+            (["reproduce", "example2"], 2),
+            (["reproduce", "example1", "--grid-points", "40"], 40),
+        ],
+        ids=["spectrum-direct", "verify-direct", "example2", "example1"],
+    )
+    def test_no_root_of_u_on_either_path(self, args, order, monkeypatch, tmp_path, capsys):
+        # direct rows solve the root-free L_g: the well beyond the critical
+        # coupling, the verify row perturbed onto it, and example 2's cell
+        # there; example 1 solves its pencil rows from L alone
+        formed, decompositions = self.u_roots(monkeypatch, order)
+        out = ["--out", str(tmp_path / ("o" if args[0] == "reproduce" else "o.csv"))]
+        assert main(args + out) == EXIT_OK
+        assert formed == [] and decompositions == []
 
     def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
-        formed = self.distinct_powers(monkeypatch)
+        # pencil and direct rows alike: no root of U at all
+        formed, decompositions = self.u_roots(monkeypatch, 2)
         args = ["sweep", "--tau", "1", "--sweep-range", "0:2.2", "--steps", "101"]
         assert main(args) == EXIT_OK
-        assert len(formed) <= 4
+        assert formed == [] and decompositions == []
 
     def test_certified_spectrum_never_forms_h(self, monkeypatch, tmp_path, capsys):
-        # neither H nor G: the certified path solves from (U^2, V - mu*I),
-        # and core.hamiltonians, behind both properties, is never called
-        reads = []
-        for name in ("gram", "hamiltonian"):
-            derived = getattr(KleinGordonSystem, name)
+        # neither H nor G: the certified path runs no general eigensolve,
+        # and the direct path one, on the root-free companion form
+        # L_g = [[V, g I], [U^2 / g, V]], g = ||U||, not on H
+        solved = []
+        eig = np.linalg.eig
 
-            def spy(system, name=name, derived=derived):
-                reads.append(name)
-                return derived.fget(system)
+        def spy_eig(a):
+            solved.append(np.array(a))
+            return eig(a)
 
-            monkeypatch.setattr(KleinGordonSystem, name, property(spy))
-        formed = core.hamiltonians
-
-        def spy_formed(*args, **kwargs):
-            reads.append("hamiltonians")
-            return formed(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("kgbounds") and getattr(
-                module, "hamiltonians", None
-            ) is formed:
-                monkeypatch.setattr(module, "hamiltonians", spy_formed)
+        monkeypatch.setattr(np.linalg, "eig", spy_eig)
         src = ["--alpha", "0.3", "--grid-points", "40", "--out", str(tmp_path / "o")]
         assert main(["spectrum", *src]) == EXIT_OK
         assert main(["bounds", *src, "--eta", "1e-3"]) == EXIT_OK
         assert main(["verify", *src, "--eta", "1e-3"]) == EXIT_OK
         assert main(["sweep", *src, "--sweep-range", "0:1", "--steps", "3"]) == EXIT_OK
-        assert reads == []
-        # the direct path, taken beyond the critical coupling, forms H once
+        assert solved == []
+        # the direct path, taken beyond the critical coupling, solves L_g once
         assert main(["spectrum", "--tau", "2.2"]) == EXIT_OK
-        assert reads == ["hamiltonians"]
+        assert len(solved) == 1
+        spec = square_well_model(2.2)
+        g = np.sqrt(3.0)   # ||U||: the eigenvalues of U^2 are 1 and 3
+        expected = np.block(
+            [[spec.v, g * np.eye(2)], [spec.u_squared / g, spec.v]]
+        )
+        np.testing.assert_allclose(solved[0][0], expected, rtol=1e-15, atol=0)
 
 
 class TestResidualGate:
@@ -614,7 +653,7 @@ class TestResidualGate:
 
 def reference_gate_message(spec, row_name, checks):
     """The residual gate as a loop over (row, lam, residual, t, cause)."""
-    u2_norm, v_norm = float(spec.u2_eigenvalues[-1]), spectral_norm(spec.v)
+    u2_norm, v_norm = spec.u_max**2, spectral_norm(spec.v)
     for row, lam, resid, t, cause in checks:
         limit = cli.RESIDUAL_GATE * (
             u2_norm + (abs(t) * v_norm) ** 2 + abs(complex(lam)) ** 2
@@ -921,14 +960,63 @@ class TestExitCodes:
         assert 1e199 < float(re.search(r"b = (\S+)", err).group(1)) < 1e201
 
     def test_overflowing_hamiltonian_on_the_direct_path(self, capsys):
-        # the perturbed potential is finite, U^(1/2) (V + dV) U^(-1/2) is not
+        # the perturbed potential is finite, but the norm of its companion
+        # form L_g is beyond the direct path's range: refused before eig
         args = ["verify", "--alpha", "0.3", "--grid-points", "10", "--eta", "8.9e307"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(args)
-        assert code == EXIT_SOLVER and caught == []
+        assert code == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith("solver error: the Hamiltonian H = JG is beyond")
+        assert err.startswith("solver error: ") and "||L_g|| = " in err
+        assert "is not below 2^510" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_eigenvalues_near_1e300_are_refused(self, command, tmp_path, capsys):
+        # U^2 = diag(1e-300, 2e-300), V = diag(1e300, 0): b is beyond the
+        # float range, and the direct path's L_g has norm 1e300 > 2^510,
+        # so it is refused, with no overflow in the residuals or the gate
+        path = tmp_path / "huge_lam.json"
+        path.write_text(
+            '{"u_squared": [[1e-300, 0.0], [0.0, 2e-300]], '
+            '"v": [[1e300, 0.0], [0.0, 0.0]]}'
+        )
+        args = [command, "--model", str(path)]
+        if command == "sweep":
+            args += ["--sweep-range", "0.5:1", "--steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"solver error: the direct eigensolver's companion form is out of "
+            r"range: \|\|L_g\|\| = \S+ is not below 2\^510\n",
+            err,
+        )
+        assert float(re.search(r"= (\S+) is", err).group(1)) >= 2.0**510
+
+    def test_direct_path_just_below_the_range_limit(self, tmp_path, capsys):
+        # U^2 = diag(2^1000, 2^1001) and V = diag(2^505, 0): b = 32 takes
+        # the direct path, with ||L_g|| just below 2^510.  The eigenvalues
+        # 2^505 +- 2^500 square to about 2^1010, and Q(lam) x, whose
+        # squares leave the float range, the residuals and the gate stay
+        # finite, with no warning
+        path = tmp_path / "large_lam.json"
+        path.write_text(
+            f'{{"u_squared": [[{2.0**1000!r}, 0.0], [0.0, {2.0**1001!r}]], '
+            f'"v": [[{2.0**505!r}, 0.0], [0.0, 0.0]]}}'
+        )
+        out = tmp_path / "spec.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["spectrum", "--model", str(path), "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        rows = read_csv(out)[1:]
+        residuals = [float(r[4]) for r in rows]
+        assert all(np.isfinite(residuals))
+        top = 2.0**505 + 2.0**500
+        assert max(abs(float(r[1])) for r in rows) == pytest.approx(top, rel=1e-12)
 
     def test_paper_shift_requires_square_well(self, tmp_path):
         path = tmp_path / "free.json"

@@ -18,7 +18,15 @@ from kgbounds import (
     spectral_norm,
     square_well_model,
 )
-from oracles import contraction_bound, j_matrix, shifted_gram, sqrt_spd
+from oracles import (
+    contraction_bound,
+    gram,
+    hamiltonian,
+    j_matrix,
+    shifted_gram,
+    sqrt_spd,
+    u_power,
+)
 from conftest import random_model, random_spd
 
 
@@ -85,17 +93,19 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             spec.v[0, 0] = 5.0
         with pytest.raises(ValueError):
-            spec.u_power(-1)[0, 0] = 5.0
+            spec.cholesky[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            spec.half_roots()[1][0, 0] = 5.0
 
     def test_with_potential_shares_u_squared_data(self):
         spec = square_well_model(1.0)
         new = spec.with_potential(2.0 * spec.v, "doubled")
         assert new.u_squared is spec.u_squared
-        assert new.u2_eigenvalues is spec.u2_eigenvalues
-        assert new.u2_eigenvectors is spec.u2_eigenvectors
-        # the powers of U are formed once and shared with every copy
-        assert new.u_power(-0.5) is spec.u_power(-0.5)
-        assert spec.perturbed(spec.v).u_power(1) is new.u_power(1)
+        assert new.cholesky is spec.cholesky
+        assert (new.u_min, new.u_max) == (spec.u_min, spec.u_max)
+        # the pair U^(+-1/2) is formed once and shared with every copy
+        assert new.half_roots()[1] is spec.half_roots()[1]
+        assert spec.perturbed(spec.v).half_roots()[0] is new.half_roots()[0]
         np.testing.assert_array_equal(new.v, 2.0 * spec.v)
         assert new.label == "doubled" and spec.label != "doubled"
         with pytest.raises(ValueError):
@@ -113,19 +123,19 @@ class TestAssemble:
         expected = np.block(
             [[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
         )
-        np.testing.assert_allclose(system.hamiltonian, expected, atol=1e-14)
+        np.testing.assert_allclose(hamiltonian(system.spec), expected, atol=1e-14)
         assert system.contraction == 0.0
 
     def test_square_well_matches_pencil_roots(self):
         system = assemble_system(square_well_model(1.0), 0.0)
-        eigs = np.sort(np.linalg.eigvals(system.hamiltonian).real)
+        eigs = np.sort(np.linalg.eigvals(hamiltonian(system.spec)).real)
         np.testing.assert_allclose(eigs, square_well_pencil_roots(1.0), atol=1e-8)
 
     def test_boundary_contraction_makes_shifted_gram_singular(self):
         # tau = 2, shift -1 sits exactly at b = 1
         system = assemble_system(square_well_model(2.0), -1.0)
         assert abs(system.contraction - 1.0) <= 1e-12
-        smallest = np.linalg.eigvalsh(shifted_gram(system.gram, -1.0))[0]
+        smallest = np.linalg.eigvalsh(shifted_gram(gram(system.spec), -1.0))[0]
         assert abs(smallest) <= 1e-10
 
     def test_j_times_h_equals_gram(self):
@@ -134,11 +144,14 @@ class TestAssemble:
             spec, _ = random_model(rng)
             system = assemble_system(spec, float(rng.normal()))
             j = j_matrix(system.n)
-            assert np.abs(j @ system.hamiltonian - system.gram).max() <= 1e-10
-            assert np.abs(j @ system.gram - system.hamiltonian).max() <= 1e-10
-            np.testing.assert_array_equal(system.gram, system.gram.T)
+            assert np.abs(j @ hamiltonian(system.spec) - gram(system.spec)).max() <= 1e-10
+            assert np.abs(j @ gram(system.spec) - hamiltonian(system.spec)).max() <= 1e-10
+            np.testing.assert_array_equal(gram(system.spec), gram(system.spec).T)
 
     def test_shifted_factorization(self):
+        # K - mu*J = diag(L, I) [[I, A^T], [A, I]] diag(L^T, I), L L^T = U^2,
+        # K = [[U^2, V], [V, I]]; and A has the singular values of the
+        # U-frame (V - mu) U^(-1), with which
         # G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]] diag(U,U)^(1/2)
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(5):
@@ -146,14 +159,27 @@ class TestAssemble:
             mu = float(rng.normal())
             system = assemble_system(spec, mu)
             n = system.n
-            u_half = sqrt_spd(spec.u_power(1))
-            u_block_half = np.block(
-                [[u_half, np.zeros((n, n))], [np.zeros((n, n)), u_half]]
-            )
+            zero, eye = np.zeros((n, n)), np.eye(n)
+            l_block = np.block([[spec.cholesky, zero], [zero, eye]])
             a = system.a_matrix
-            middle = np.block([[np.eye(n), a.T], [a, np.eye(n)]])
-            rebuilt = u_block_half @ middle @ u_block_half
-            g = shifted_gram(system.gram, mu)
+            middle = np.block([[eye, a.T], [a, eye]])
+            rebuilt = l_block @ middle @ l_block.T
+            w = spec.v - mu * eye
+            k = np.block([[spec.u_squared, w], [w, eye]])
+            assert np.abs(rebuilt - k).max() <= 1e-9 * max(spectral_norm(k), 1.0)
+
+            a_u = w @ u_power(spec, -1)
+            np.testing.assert_allclose(
+                np.linalg.svd(a, compute_uv=False),
+                np.linalg.svd(a_u, compute_uv=False),
+                rtol=0,
+                atol=1e-12 * max(system.contraction, 1.0),
+            )
+            u_half = sqrt_spd(u_power(spec, 1))
+            u_block_half = np.block([[u_half, zero], [zero, u_half]])
+            middle_u = np.block([[eye, a_u.T], [a_u, eye]])
+            rebuilt = u_block_half @ middle_u @ u_block_half
+            g = shifted_gram(gram(system.spec), mu)
             scale = spectral_norm(g)
             assert np.abs(rebuilt - g).max() <= 1e-9 * max(scale, 1.0)
 
@@ -250,7 +276,7 @@ class TestTopEigenvalue:
         # dsyevr's workspace, then dstebz) is called step by step
         rng = np.random.Generator(np.random.PCG64(32))
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=160))
-        v_u_inv = spec.v @ spec.u_power(-1)
+        v_u_inv = spec.v @ u_power(spec, -1)
         mats = [v_u_inv.T @ v_u_inv]
         for n in (32, 80, 160, 320):
             a = rng.normal(size=(n, n))
@@ -351,9 +377,9 @@ def golden_section_shift(spec, tol=1e-12):
     """The golden-section search optimize_shift ran before Brent's method:
     mu -> ||V U^(-1) - mu U^(-1)|| by SVD on the same bracket."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    u_inv = spec.u_power(-1)
+    u_inv = u_power(spec, -1)
     v_u_inv = spec.v @ u_inv
-    u_norm = float(np.sqrt(spec.u2_eigenvalues[-1]))
+    u_norm = spec.u_max
     v_eigs = np.linalg.eigvalsh(spec.v)
 
     def b_of(mu):

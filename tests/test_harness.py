@@ -61,16 +61,24 @@ class TestExample1Table:
         return system.contraction, report.positive_ordered, report.negative_ordered
 
     def test_one_u2_eigendecomposition_per_mass_offset(self, monkeypatch):
-        calls = []
-        spd_eig = core._spd_eig
+        # one validation of U^2, by its Cholesky factorization and the ends
+        # of its spectrum, per mass offset, and no eigendecomposition of it
+        calls, decompositions = [], []
+        validate, eigh = core.ModelSpec.__post_init__, np.linalg.eigh
 
-        def count(*args, **kwargs):
+        def count(spec):
             calls.append(1)
-            return spd_eig(*args, **kwargs)
+            validate(spec)
 
-        monkeypatch.setattr(core, "_spd_eig", count)
+        def record(a, *args, **kwargs):
+            decompositions.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(core.ModelSpec, "__post_init__", count)
+        monkeypatch.setattr(np.linalg, "eigh", record)
         example1_table(self.GRID)
         assert len(calls) == len(harness.EXAMPLE1_BETAS) == 2
+        assert self.GRID not in decompositions
 
     def test_rows_and_contractions_match_per_model_solves(self):
         result = example1_table(self.GRID)

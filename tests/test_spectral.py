@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,16 @@ from kgbounds import (
     spectral_norm,
     square_well_model,
 )
-from oracles import h_frame, j_matrix, similarity_eigensolve
-from conftest import random_model, random_orthogonal
+from oracles import (
+    direct_h_frame,
+    gram,
+    h_frame,
+    hamiltonian,
+    j_matrix,
+    similarity_eigensolve,
+    u_power,
+)
+from conftest import random_model, random_orthogonal, random_spd
 from test_core import square_well_pencil_roots
 
 
@@ -68,7 +77,7 @@ class TestEigenSpectrum:
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
             report = eigen_spectrum(system)
-            h, vecs = system.hamiltonian, h_frame(report)
+            h, vecs = hamiltonian(system.spec), h_frame(report)
             residual = np.linalg.norm(h @ vecs - vecs * report.eigenvalues, axis=0)
             assert residual.max() <= 1e-8 * spectral_norm(h)
 
@@ -84,8 +93,8 @@ class TestEigenSpectrum:
                     system = assemble_system(spec, 0.0)
                     report = eigen_spectrum(system)
                     assert report.solver_path == "similarity"
-                    direct = np.sort(np.linalg.eigvals(system.hamiltonian).real)
-                    scale = spectral_norm(system.hamiltonian)
+                    direct = np.sort(np.linalg.eigvals(hamiltonian(system.spec)).real)
+                    scale = spectral_norm(hamiltonian(system.spec))
                     err = np.abs(np.sort(report.eigenvalues) - direct).max()
                     assert err <= 1e-8 * scale
 
@@ -98,7 +107,7 @@ class TestEigenSpectrum:
                 system = assemble_system(spec, mu)
                 report = eigen_spectrum(system)
                 assert report.solver_path == "similarity"
-                lam, vecs = similarity_eigensolve(system.gram, mu)
+                lam, vecs = similarity_eigensolve(gram(system.spec), mu)
                 scale = np.abs(lam).max()
                 assert np.abs(report.eigenvalues - lam).max() <= 1e-13 * scale
                 mapped = h_frame(report)
@@ -259,7 +268,7 @@ class TestSignOperator:
             spec, _ = random_model(rng)
             mu = float(rng.uniform(-0.2, 0.2))
             system = assemble_system(spec, mu)
-            lam, x = np.linalg.eig(system.hamiltonian)
+            lam, x = np.linalg.eig(hamiltonian(system.spec))
             oracle = np.real((x * np.sign(lam.real - mu)) @ np.linalg.inv(x))
             j1 = sign_operator(eigen_spectrum(system)).j1
             assert np.abs(j1 - oracle).max() <= 1e-9 * np.abs(oracle).max()
@@ -339,7 +348,7 @@ EPS = np.finfo(float).eps
 
 def gate_scale(spec, lam):
     """||U^2|| + ||V||^2 + |lam|^2, the scale of Q(lam) = (lam - V)^2 - U^2."""
-    return spec.u2_eigenvalues[-1] + spectral_norm(spec.v) ** 2 + abs(lam) ** 2
+    return spec.u_max**2 + spectral_norm(spec.v) ** 2 + abs(lam) ** 2
 
 
 def residual_cases(corpus):
@@ -404,7 +413,7 @@ class TestEigenpairResiduals:
         s = 10.0**log_scale
         q = random_orthogonal(rng, n)
         u2 = (q * (s * rng.uniform(0.4, 4.0, size=n))) @ q.T
-        u_inv = ModelSpec(u2, np.zeros((n, n))).u_power(-1)
+        u_inv = u_power(ModelSpec(u2, np.zeros((n, n))), -1)
         raw = rng.normal(size=(n, n))
         raw = raw + raw.T
         mu = mu_frac * np.sqrt(s)
@@ -454,6 +463,76 @@ class TestDefectCheck:
     def test_free_case_clean(self):
         system = assemble_system(free_spec([1.0, 3.0]), 0.0)
         assert not eigen_spectrum(system).defective
+
+
+def direct_path_models():
+    """24 seeded models of order n <= 4 with b = ||V U^(-1)|| in [1, 3]:
+    U^2 scaled by 10^e, e uniform in [-3, 3], so V spans about 1e+-2."""
+    rng = np.random.Generator(np.random.PCG64(2016))
+    models = []
+    for _ in range(24):
+        n = int(rng.integers(1, 5))
+        u2 = 10.0 ** rng.uniform(-3.0, 3.0) * random_spd(rng, n)
+        raw = rng.normal(size=(n, n))
+        raw = raw + raw.T
+        b = rng.uniform(1.0, 3.0)
+        v = raw * (b / spectral_norm(raw @ u_power(ModelSpec(u2, raw), -1)))
+        models.append(ModelSpec(u2, v))
+    return models
+
+
+def companion_eigenvalues(spec, dps=50):
+    """Eigenvalues of [[0, I], [U^2 - V^2, 2 V]], the companion form of
+    Q(lam) = (lam - V)^2 - U^2, by a dps-digit mpmath eigensolve."""
+    n = spec.order
+    with mpmath.workdps(dps):
+        u2, v = mpmath.matrix(spec.u_squared.tolist()), mpmath.matrix(spec.v.tolist())
+        comp = mpmath.zeros(2 * n, 2 * n)
+        lower = u2 - v * v
+        for i in range(n):
+            comp[i, n + i] = 1
+            for j in range(n):
+                comp[n + i, j] = lower[i, j]
+                comp[n + i, n + j] = 2 * v[i, j]
+        lam = mpmath.eig(comp, left=False, right=False)
+        return np.array([complex(x) for x in lam])
+
+
+class TestDirectPath:
+    """The root-free L_g against a 50-digit reference and the H-frame eig."""
+
+    def test_eigenvalues_match_a_50_digit_companion_solve(self):
+        for spec in direct_path_models():
+            report = eigen_spectrum(assemble_system(spec, 0.0))
+            assert report.solver_path == "direct"
+            reference = list(companion_eigenvalues(spec))
+            lam = np.asarray(report.eigenvalues, dtype=complex)
+            scale = np.abs(lam).max()
+            for value in lam:
+                k = int(np.argmin([abs(value - r) for r in reference]))
+                assert abs(value - reference.pop(k)) <= 1e-13 * scale
+
+    def test_eigenvectors_are_k_frame_columns(self):
+        # Z = [x; (lam - V) x]: the lower block of the unit L_g eigenvector
+        # scaled by g, to rounding of ||L_g|| <= ||V|| + ||U||
+        specs = direct_path_models()
+        specs += [square_well_model(tau) for tau in (1.5, 2.0, 2.2)]
+        for spec in specs:
+            report = eigen_spectrum(assemble_system(spec, 0.0))
+            n, z, lam = spec.order, report.eigenvectors, report.eigenvalues
+            lower = z[:n] * lam - spec.v @ z[:n]
+            scale = spectral_norm(spec.v) + spec.u_max
+            assert np.abs(z[n:] - lower).max() <= 1e-13 * scale
+
+    def test_sign_types_and_reality_match_the_h_frame(self):
+        specs = direct_path_models()
+        specs += [square_well_model(tau) for tau in np.linspace(1.25, 2.2, 40)]
+        for spec in specs:
+            report = eigen_spectrum(assemble_system(spec, 0.0))
+            assert report.solver_path == "direct"
+            _, signs, is_real = direct_h_frame(spec)
+            assert report.sign_types == signs
+            assert report.is_real_spectrum == is_real
 
 
 class TestStackedSolve:
@@ -627,9 +706,10 @@ class TestEigenvaluesOnly:
 
             monkeypatch.setattr(spectral.lapack, name, record)
 
+        # built first: its validation takes the ends of the spectrum of U^2
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=20))
         for name in ("dsyevd", "dsyevr", "dsytrd", "dstebz"):
             spy(name)
-        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=20))
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
         assert calls == [
             ("dsyevd", 0), ("dsytrd", None), ("dstebz", None), ("dstebz", None)
