@@ -38,7 +38,7 @@ from .models import (
     square_well_model,
     square_well_perturbation,
 )
-from .spectral import eigen_spectrum, eigenpair_residuals
+from .spectral import _overflow_exponent, eigen_spectrum, eigenpair_residuals
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -215,13 +215,20 @@ def _gate_exit(
     against them.  The gate of each is
     RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2), and the first
     failing entry in row-major order is named, with its cause appended
-    when non-empty.  A NaN residual fails.
+    when non-empty.  A NaN residual fails.  When the largest of ||U||,
+    ||t V|| and |lam| is 2^k beyond 2^500, where a square could
+    overflow, residuals and gates are compared divided by 2^(2k), as
+    eigenpair_residuals forms them: exactly the same comparisons.
     """
-    u2_norm, v_norm = spec.u_max**2, spectral_norm(spec.v)
-    limits = RESIDUAL_GATE * (
-        u2_norm + (np.abs(couplings) * v_norm) ** 2 + np.abs(lams) ** 2
-    )
-    failing = ~(resids <= limits)
+    u_max, lam_abs = spec.u_max, np.abs(lams)
+    tv_norm = np.abs(couplings) * spectral_norm(spec.v)
+    k = _overflow_exponent(max(u_max, tv_norm.max(), lam_abs.max()))
+    scaled = resids
+    if k:
+        u_max, tv_norm, lam_abs = (np.ldexp(a, -k) for a in (u_max, tv_norm, lam_abs))
+        scaled = np.ldexp(resids, -2 * k)
+    limits = RESIDUAL_GATE * (u_max**2 + tv_norm**2 + lam_abs**2)
+    failing = ~(scaled <= limits)
     if not failing.any():
         return EXIT_OK
     first = np.unravel_index(np.argmax(failing), failing.shape)
@@ -229,6 +236,8 @@ def _gate_exit(
         np.broadcast_to(a, failing.shape)[first]
         for a in (rows, lams, resids, limits, causes)
     )
+    with np.errstate(over="ignore"):
+        limit = np.ldexp(limit, 2 * k)
     print(
         f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
         f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"

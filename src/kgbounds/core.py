@@ -16,28 +16,36 @@ L L^T = U^2 and W = V - mu*I give
              = [[I, W], [0, I]] diag(U^2 - W W, I) [[I, 0], [W, I]],
 
 so the shifted form is positive definite whenever the contraction
-b = ||A|| is below one, and exactly when -Q(mu) = U^2 - W W is
-(Sylvester's law of inertia); the spectral module solves in that frame.
-A is the U-frame (V - mu) U^(-1) times the orthogonal U L^(-T), so b
-and every norm read through L are those of the U frame.
+b = ||A|| is below one, and exactly when -Q(mu) = U^2 - W W = M M^T
+is (Sylvester's law of inertia).  Then K - mu*J = F F^T with
+F = [[M, W], [0, I]], and H - mu is similar to the symmetric
+T = F^T J F = [[0, M^T], [M, 2W]] (the spectral module solves it):
+the eigenvalues of T are the lam - mu themselves.  A is the U-frame
+(V - mu) U^(-1) times the orthogonal U L^(-T), so b and every norm
+read through L are those of the U frame.
 
 ModelSpec validates U^2 by its Cholesky factorization and the ends of
 its spectrum, and keeps L, u_min = 1/||U^(-1)|| and u_max = ||U||,
-shared with every spec derived with another potential.  The only root
-of U ever formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two
-H-frame rows of ``kg bounds``.  KleinGordonSystem stores the
-contraction data of one shift; shifted_potential and spectral_norm
-take stacks.
+shared with every spec derived with another potential.  It records
+once whether U^2 is tridiagonal (keeping its two diagonals) and
+whether V is diagonal, as on the 1D oscillator; then T, with its
+unknowns interleaved, is tridiagonal too.  The only root of U ever
+formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two H-frame
+rows of ``kg bounds``.  KleinGordonSystem stores the contraction data
+of one shift; shifted_potential and spectral_norm take stacks.
 
-Every number the bounds rest on is an end of a symmetric spectrum: a
+Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
-and the values of the shift search, the modes of example 1 nearest the
-shift.  _extreme_eigenvalues computes the requested ends alone, from
-order 32 up by one tridiagonalization and a bisection per end, and
-optimize_shift minimizes b by the subspace method from that order up,
-with one full top eigenpair per step.  Everything here is dense and
-desk-scale; all outputs are plain numpy arrays inside frozen
-dataclasses and all functions are pure.
+and the values of the shift search) or the middle of one (the modes of
+example 1 nearest the shift).  _extreme_eigenvalues computes the
+requested ends alone, from order 32 up by one tridiagonalization and a
+bisection per end, _middle_eigenvalues the middle by one bisection,
+and a matrix that is tridiagonal already is bisected on its own
+diagonals (_tridiagonal_eigenvalues).  optimize_shift minimizes b by
+the subspace method from that order up, with one full top eigenpair
+per step.  Everything here is dense and desk-scale; all outputs are
+plain numpy arrays inside frozen dataclasses and all functions are
+pure.
 """
 
 from __future__ import annotations
@@ -91,18 +99,21 @@ _RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _RMAX = min(1.0 / _RMIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 
 
-def _unit_scaled(s):
-    """(s / 2^e, e), s scaled below 1 by a power of two, which is exact.
+def _unit_exponent(largest) -> int:
+    """The e that scales a largest entry below 1 by 2^-e, or 0 inside [_RMIN, _RMAX].
 
     Only a matrix whose largest entry lies outside [_RMIN, _RMAX] is
-    scaled; otherwise e = 0 and s is returned as it is, as dsyevr would
-    leave it.
+    scaled; inside it dsyevr would leave it as it is.
     """
-    largest = max(s.max(), -s.min())
     if largest > 0.0 and not _RMIN <= largest <= _RMAX:
-        exponent = int(np.frexp(largest)[1])
-        return np.ldexp(s, -exponent), exponent
-    return s, 0
+        return int(np.frexp(largest)[1])
+    return 0
+
+
+def _unit_scaled(s):
+    """(s / 2^e, e), e = _unit_exponent of s's largest entry; exact."""
+    exponent = _unit_exponent(max(s.max(), -s.min()))
+    return (np.ldexp(s, -exponent), exponent) if exponent else (s, 0)
 
 
 def _ends(w, low: int, high: int):
@@ -151,6 +162,40 @@ def _extreme_eigenvalues(s, low: int, high: int):
             if info != 0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return _ends(w, low, high)
+    d, e, exponent = _tridiagonal_form(s)
+    return np.ldexp(_bisect(d, e, ((1, low), (n - high + 1, n))), exponent)
+
+
+def _middle_eigenvalues(s, k: int):
+    """The 2k eigenvalues in the middle of a symmetric spectrum of order 2n.
+
+    Returns the eigenvalues n-k+1 .. n+k of the ascending order (every
+    one when k >= n) of a matrix or of each of a stack, from the lower
+    triangles: the k on each side of the middle.  Below
+    _SUBSET_MIN_ORDER they are sliced from the whole spectrum
+    (_extreme_eigenvalues); from that order up each matrix takes
+    _extreme_eigenvalues' tridiagonalization and one dstebz bisection
+    over the middle indices.
+    """
+    m = s.shape[-1]
+    n = m // 2
+    if m < _SUBSET_MIN_ORDER or k >= n:
+        return _extreme_eigenvalues(s, m, 0)[..., n - min(k, n) : n + min(k, n)]
+    rows = []
+    for a in s.reshape(-1, m, m):
+        d, e, exponent = _tridiagonal_form(a)
+        rows.append(np.ldexp(_bisect(d, e, ((n - k + 1, n + k),)), exponent))
+    return np.reshape(rows, s.shape[:-2] + (2 * k,))
+
+
+def _tridiagonal_form(s):
+    """(d, e, exponent): dsyevr's tridiagonal reduction of s / 2^exponent.
+
+    The diagonal d and off-diagonal e of one blocked dsytrd, with the
+    workspace dsyevr hands it, of the lower triangle of s scaled as
+    _unit_scaled scales it.  KGError on a non-finite entry.
+    """
+    n = s.shape[-1]
     if not np.isfinite(s).all():
         raise KGError(f"a symmetric matrix of order {n} has a non-finite entry")
     s, exponent = _unit_scaled(s)
@@ -158,16 +203,40 @@ def _extreme_eigenvalues(s, low: int, high: int):
     # less, dsytrd reduces unblocked and rounds differently
     lwork = int(lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
     _, d, e, _, _ = lapack.dsytrd(s, lower=1, lwork=lwork)
-    ends = []
-    for il, iu in ((1, low), (n - high + 1, n)):
+    return d, e, exponent
+
+
+def _bisect(d, e, ranges):
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e) by index range.
+
+    ``ranges`` holds 1-based ascending index ranges (il, iu); each
+    non-empty one takes one dstebz bisection, and the eigenvalues come
+    out ascending within each range and concatenated in the order of
+    ``ranges``.
+    """
+    found = []
+    for il, iu in ranges:
         if il <= iu:
-            _, w, _, _, info = lapack.dstebz(
-                d, e, 2, 0.0, 0.0, il, iu, 0.0, "E"
-            )
+            _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, il, iu, 0.0, "E")
             if info != 0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            ends.append(w[: iu - il + 1])
-    return np.ldexp(np.concatenate(ends), exponent)
+            found.append(w[: iu - il + 1])
+    return np.concatenate(found)
+
+
+def _tridiagonal_eigenvalues(d, e, ranges):
+    """_bisect on the tridiagonal (d, e) scaled as _unit_scaled scales a matrix.
+
+    A matrix that is tridiagonal already needs no dsytrd: the one
+    dsytrd would return is the matrix itself (its Householder vectors
+    vanish), so this is _extreme_eigenvalues bit for bit from
+    _SUBSET_MIN_ORDER up.
+    """
+    largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+    exponent = _unit_exponent(largest)
+    if exponent:
+        d, e = np.ldexp(d, -exponent), np.ldexp(e, -exponent)
+    return np.ldexp(_bisect(d, e, ranges), exponent)
 
 
 def spectral_norm(a):
@@ -274,9 +343,13 @@ class ModelSpec:
     symmetric potential ``v``.  Instances are immutable; the stored arrays
     are defensive read-only copies.  Validation keeps the lower Cholesky
     factor L L^T = U^2 as ``cholesky`` and the ends of the spectrum of U
-    as ``u_min`` and ``u_max`` = ||U||.  Specs derived by
-    ``with_potential`` or ``perturbed`` share these and half_roots, so
-    nothing that depends on V is kept here.
+    as ``u_min`` and ``u_max`` = ||U||.  It also records the structure
+    the spectral module's tridiagonal path needs: ``u2_bands``, the
+    diagonal and off-diagonal of U^2 when U^2 is tridiagonal (else
+    None), whose ends are then bisected on those diagonals alone from
+    _SUBSET_MIN_ORDER up, and ``v_diagonal``.  Specs derived by
+    ``with_potential`` or ``perturbed`` share the U^2 data and
+    half_roots; ``v_diagonal`` is checked again for their potential.
     """
 
     u_squared: np.ndarray
@@ -285,12 +358,20 @@ class ModelSpec:
     cholesky: np.ndarray = field(init=False, repr=False, compare=False)
     u_min: float = field(init=False, repr=False, compare=False)
     u_max: float = field(init=False, repr=False, compare=False)
+    u2_bands: tuple | None = field(init=False, repr=False, compare=False)
+    v_diagonal: bool = field(init=False, repr=False, compare=False)
     _half_roots: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
         v = _symmetric_of_order(self.v, u2.shape[0], "v")
-        lowest, highest = (float(w) for w in _extreme_eigenvalues(u2, 1, 1)[[0, -1]])
+        n = u2.shape[0]
+        bands = _tridiagonal_bands(u2)
+        if bands is not None and n >= _SUBSET_MIN_ORDER:
+            ends = _tridiagonal_eigenvalues(*bands, ((1, 1), (n, n)))
+        else:
+            ends = _extreme_eigenvalues(u2, 1, 1)
+        lowest, highest = (float(w) for w in ends[[0, -1]])
         norm = max(abs(lowest), abs(highest))
         factor, info = lapack.dpotrf(u2, lower=1, clean=1)
         if info != 0 or lowest <= PD_RTOL * norm or lowest <= 0.0:
@@ -303,6 +384,8 @@ class ModelSpec:
             object.__setattr__(self, name, a)
         object.__setattr__(self, "u_min", math.sqrt(lowest))
         object.__setattr__(self, "u_max", math.sqrt(highest))
+        object.__setattr__(self, "u2_bands", bands)
+        object.__setattr__(self, "v_diagonal", _is_diagonal(v))
         # created here, not on first use, so that copies share it
         object.__setattr__(self, "_half_roots", [])
 
@@ -310,15 +393,35 @@ class ModelSpec:
     def order(self) -> int:
         return self.u_squared.shape[0]
 
+    @property
+    def tridiagonal(self) -> bool:
+        """Whether U^2 is tridiagonal and V diagonal, so every W = t V - mu is."""
+        return self.u2_bands is not None and self.v_diagonal
+
     def l_solve(self, b):
-        """L^(-1) b for a matrix or a stack (..., n, m) of them.
+        """L^(-1) b for a matrix or a stack (..., n, m) of them, b finite.
 
         One triangular solve (LAPACK's dtrtrs) for all columns at once.
-        An entry beyond the float range comes out inf, or nan where the
-        substitution meets 0 * inf, with no warning.
+        An entry beyond the float range comes out inf, with no warning.
+        Every entry of L^(-1) b_j is at most ||L^(-1)|| ||b_j|| <=
+        r max|b|, r = sqrt(n) / u_min, and each partial sum of the
+        substitution at most max|b| + ||L|| r max|b|, ||L|| = u_max.
+        When the larger bound reaches 2^1020, b is solved scaled by a
+        power of two and the solution scaled back, so an overflow gives
+        inf, never the nan of 0 * inf or inf - inf.
         """
         columns = np.moveaxis(np.asarray(b, dtype=float), -2, 0)
-        x = lapack.dtrtrs(self.cholesky, columns.reshape(self.order, -1), lower=1)[0]
+        rhs = columns.reshape(self.order, -1)
+        r = math.sqrt(self.order) / self.u_min
+        growth = max(r, 1.0 + self.u_max * r)
+        largest = np.abs(rhs).max(initial=0.0)
+        scale = max(math.frexp(largest)[1] + math.frexp(growth)[1] - 1020, 0)
+        if scale:
+            rhs = np.ldexp(rhs, -scale)
+        x = lapack.dtrtrs(self.cholesky, rhs, lower=1)[0]
+        if scale:
+            with np.errstate(over="ignore"):
+                x = np.ldexp(x, scale)
         return np.moveaxis(x.reshape(columns.shape), 0, -2)
 
     def half_roots(self):
@@ -352,8 +455,28 @@ class ModelSpec:
         v.setflags(write=False)
         spec = copy.copy(self)
         object.__setattr__(spec, "v", v)
+        object.__setattr__(spec, "v_diagonal", _is_diagonal(v))
         object.__setattr__(spec, "label", label)
         return spec
+
+
+def _is_diagonal(a) -> bool:
+    """Whether every nonzero entry of a square matrix lies on its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+
+
+def _tridiagonal_bands(a):
+    """(diagonal, off-diagonal) of a symmetric matrix that is tridiagonal, else None.
+
+    Read-only copies; a is tridiagonal when it has no nonzero entry but
+    those of its three diagonals, which its symmetry lets one count.
+    """
+    d, e = a.diagonal().copy(), a.diagonal(-1).copy()
+    if np.count_nonzero(a) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
+        return None
+    d.setflags(write=False)
+    e.setflags(write=False)
+    return d, e
 
 
 def _symmetric_of_order(a, order: int, name: str):

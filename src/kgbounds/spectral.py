@@ -16,20 +16,33 @@ with W = V - mu*I.  So one n x n Cholesky factorization of
 -Q(mu) = U^2 - (V - mu)^2 certifies the pencil definite, by Sylvester's
 law of inertia, and reduces it to the standard symmetric eigenproblem
 
-    C y = theta y,    C = F^(-1) J F^(-T)
-                        = [[-2 M^(-1) W M^(-T), M^(-1)], [M^(-T), 0]]
+    T y = sigma y,    T = F^T J F = [[0, M^T], [M, 2W]],
 
-of order 2n.  The reported eigenvectors are the pencil's own
+of order 2n (the symmetric linearization of the hyperbolic quadratic;
+Tisseur & Meerbergen; Guo, Higham & Tisseur, SIMAX 30, 2009).  T is
+similar to H - mu: with z = F^(-T) y, J z = theta (K - mu*J) z reads
+F^(-1) J F^(-T) y = theta y, the inverse of T y = (1/theta) y, so
+sigma = 1/theta = lam - mu itself, ascending in the report's order,
+and M is never inverted.  The reported eigenvectors are the pencil's
+own
 
-    Z = F^(-T) Y = [X; (Lam - V) X],    Z^T (K - mu*J) Z = I,
+    Z = F^(-T) Y = [X; (Lam - V) X],    Z^T (K - mu*J) Z = Y^T Y = I,
 
-with the quadratic eigenvectors X = M^(-T) Y_1, (lam - V)^2 x = U^2 x,
-so no root of U is taken.  Each column has the J-signature
-(J z, z) = theta, whose sign is the side of the shift its eigenvalue
-lies on: the sign types are certified, with no tolerance.  The pencil
-is used exactly when a closed-form bound certifies G - mu*J positive
-definite and the Cholesky factorization succeeds; every other system
-goes to a general dense eigensolver on the root-free companion form
+with the quadratic eigenvectors X = M^(-T) Y_1 from one triangular
+solve, (lam - V)^2 x = U^2 x, so no root of U is taken.  Each column
+has the J-signature (J z, z) = theta = 1/sigma, whose sign is the side
+of the shift its eigenvalue lies on: the sign types are certified,
+with no tolerance.  When U^2 is tridiagonal and V diagonal (the
+oscillator: a local potential on a 1D grid), -Q(mu) is tridiagonal, M
+lower bidiagonal, and with the unknowns ordered
+(y_2[0], y_1[0], y_2[1], y_1[1], ...) T is tridiagonal, with diagonal
+(2 w_0, 0, 2 w_1, 0, ...) and off-diagonal (M_00, M_10, M_11, M_21, ...):
+from order 2n = core._SUBSET_MIN_ORDER up such a row is factored in
+O(n) (dpttrf) and solved with no reduction to tridiagonal form.  The
+pencil is used exactly when a closed-form bound certifies G - mu*J
+positive definite and the Cholesky factorization succeeds; every other
+system goes to a general dense eigensolver on the root-free companion
+form
 
     L_g = [[V, g I], [U^2 / g, V]],    g = ||U||,
 
@@ -41,19 +54,20 @@ against NEUTRAL_TOL.
 
 Every solve is stacked.  eigen_spectra takes the potentials t V of one
 model, one per coupling t, at one shift: the certified rows go through
-one stacked Cholesky factorization, inverse of the factor, eigh and a
-few stacked products (numpy's gufuncs), the other rows through one stacked
-eig, and the per-row work after the solve (ordering, signatures,
-witnesses) is stacked too; only a multiplicity cluster takes an SVD of
-its own.  A stack of one calls LAPACK's dpotrf, dtrtri and dsyevd
-directly, which at small orders cost a fifth of numpy's stacked calls.
-eigen_spectrum is the stack of one of a system's own potential, and the
-coupling sweep solves its steps in blocks.  A caller that reads a few
-eigenvalues alone (the oscillator table of example 1) asks for the k
-nearest the shift on each side: since lam - mu = 1/theta, they are the
-k smallest and k largest eigenvalues of C, which the pencil rows then
-compute alone (core._extreme_eigenvalues), and neither X nor Z is
-formed, since the signatures theta are the eigenvalues of C themselves.
+one stacked Cholesky factorization, eigh of T and one stacked
+triangular solve (numpy's gufuncs), or row by row through the
+tridiagonal T, the other rows through one stacked eig, and the per-row
+work after the solve (ordering, signatures, witnesses) is stacked too;
+only a multiplicity cluster takes an SVD of its own.  A stack of one
+calls LAPACK's dpotrf, dsyevd and dtrtrs directly, which at small
+orders cost a fifth of numpy's stacked calls.  eigen_spectrum is the
+stack of one of a system's own potential, and the coupling sweep solves
+its steps in blocks.  A caller that reads a few eigenvalues alone (the
+oscillator table of example 1) asks for the k nearest the shift on each
+side: since sigma = lam - mu, they are the eigenvalues n-k+1 .. n+k of
+T, which the pencil rows then compute alone by one bisection
+(core._middle_eigenvalues, or dstebz on the tridiagonal T), and
+neither X nor Z is formed, since the signatures are 1/sigma.
 
 The same solve gives the sign operator, which alone here forms a root
 of U (ModelSpec.half_roots): the H-frame pencil eigenvectors are D Z,
@@ -80,7 +94,10 @@ from scipy.linalg import lapack
 
 from .core import (
     PD_RTOL,
-    _extreme_eigenvalues,
+    _GRAM_RANGE,
+    _SUBSET_MIN_ORDER,
+    _middle_eigenvalues,
+    _tridiagonal_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
     apply_j,
@@ -263,18 +280,6 @@ def _cholesky(a):
     return factors, factored
 
 
-def _lower_inverse(m):
-    """Inverse of each lower triangular matrix of a stack.
-
-    A stack of one goes to LAPACK's dtrtri directly (see _eigh); a
-    larger stack, which the block budget keeps to small orders, to one
-    stacked general inverse.
-    """
-    if len(m) == 1:
-        return lapack.dtrtri(m[0], lower=1)[0][None]
-    return np.linalg.inv(m)
-
-
 def _eigh(c):
     """Ascending eigenvalues and eigenvectors of each symmetric matrix of a stack.
 
@@ -295,36 +300,82 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
 
     ``w`` holds W = V_k - shift*I, shape (k, n, n).  Factors each
     -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
-    C y = theta y (see the module docstring) and returns
-    (theta, Z = [x; y_2 - W x], factored): ``factored`` marks the rows
-    whose Cholesky factorization succeeded (None when all did), and
-    theta and Z hold those rows alone, each ordered by ascending
-    1/theta = lam - shift, with x = M^(-T) y_1 and
-    Z^T (K - shift*J) Z = I.  With ``nearest`` = k, C is solved for its
-    k smallest and k largest eigenvalues alone, the k eigenvalues
-    nearest the shift on each side, and Z is None.  Only the lower
-    triangles of -Q(shift) and C are read.
+    T y = sigma y, T = [[0, M^T], [M, 2W]] (see the module docstring),
+    and returns (sigma, Z = [x; y_2 - W x], factored): ``factored``
+    marks the rows whose Cholesky factorization succeeded (None when
+    all did), and sigma and Z hold those rows alone, each ordered by
+    ascending sigma = lam - shift = 1/theta, with x = M^(-T) y_1 and
+    Z^T (K - shift*J) Z = I.  With ``nearest`` = k, T is solved for its
+    eigenvalues n-k+1 .. n+k alone, the k nearest the shift on each
+    side, and Z is None.  When the spec is tridiagonal (U^2 tridiagonal,
+    V diagonal) from order 2n = _SUBSET_MIN_ORDER up, so is T, and
+    _tridiagonal_eigensolve solves it; otherwise only the lower
+    triangles of -Q(shift) and T are read.
     """
     n = spec.order
+    if spec.tridiagonal and 2 * n >= _SUBSET_MIN_ORDER:
+        return _tridiagonal_eigensolve(spec, w.diagonal(axis1=-2, axis2=-1), nearest)
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
     if factored is not None:
         w, m = w[factored], m[factored]
-    m_inv = _lower_inverse(m)
-    m_inv_t = m_inv.swapaxes(-1, -2)
-    c = np.zeros((len(w), 2 * n, 2 * n))
-    c[:, :n, :n] = (-2.0 * m_inv) @ w @ m_inv_t   # -2 M^(-1) W M^(-T)
-    c[:, n:, :n] = m_inv_t
+    t = np.zeros((len(w), 2 * n, 2 * n))
+    t[:, n:, :n] = m
+    t[:, n:, n:] = 2.0 * w
     if nearest is not None:
-        theta, y = _extreme_eigenvalues(c, nearest, nearest), None
+        return _middle_eigenvalues(t, nearest), None, factored
+    sigma, y = _eigh(t)
+    if len(m) == 1:
+        x = lapack.dtrtrs(m[0], y[0, :n], lower=1, trans=1)[0][None]
     else:
-        theta, y = _eigh(c)
-    rows, order = np.arange(len(c))[:, None], np.argsort(1.0 / theta, axis=-1)
-    theta = theta[rows, order]
-    if y is None:
-        return theta, None, factored
-    y = y.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
-    x = m_inv_t @ y[:, :n]                                  # M^(-T) y_1
-    return theta, np.concatenate([x, y[:, n:] - w @ x], axis=1), factored
+        x = np.linalg.solve(m.swapaxes(-1, -2), y[:, :n])   # M^(-T) y_1
+    return sigma, np.concatenate([x, y[:, n:] - w @ x], axis=1), factored
+
+
+def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
+    """_k_frame_eigensolve for a tridiagonal spec, from the diagonals ``w`` of W.
+
+    -Q(shift) = U^2 - W^2 is tridiagonal, and LAPACK's dpttrf factors
+    it as L D L^T in O(n), so M = L D^(1/2) is lower bidiagonal.  With
+    the unknowns ordered (y_2[0], y_1[0], y_2[1], y_1[1], ...), T is
+    the tridiagonal matrix with diagonal (2 w_0, 0, 2 w_1, 0, ...) and
+    off-diagonal (M_00, M_10, M_11, M_21, ...).  Its eigenvalues come
+    from dstebz (core._tridiagonal_eigenvalues, on T scaled as
+    core._unit_scaled scales a matrix), its eigenpairs from dstevd
+    (divide and conquer, the tridiagonal stage of dsyevd), and
+    x = M^(-T) y_1 from one banded triangular solve (dtbtrs).  A row
+    whose dpttrf fails is left out of sigma and Z, as a failing dpotrf
+    row is.
+    """
+    u2_diagonal, u2_off = spec.u2_bands
+    n = spec.order
+    factored = np.ones(len(w), dtype=bool)
+    sigmas, zs = [], []
+    for row, wk in enumerate(w):
+        d, multipliers, info = lapack.dpttrf(u2_diagonal - wk * wk, u2_off)
+        if info != 0:
+            factored[row] = False
+            continue
+        m_diagonal = np.sqrt(d)
+        m_off = multipliers * m_diagonal[:-1]
+        diagonal, off = np.zeros(2 * n), np.empty(2 * n - 1)
+        diagonal[::2] = 2.0 * wk
+        off[::2], off[1::2] = m_diagonal, m_off
+        if nearest is not None:
+            k = min(nearest, n)
+            middle = ((n - k + 1, n + k),)
+            sigmas.append(_tridiagonal_eigenvalues(diagonal, off, middle))
+            continue
+        sigma, y, info = lapack.dstevd(diagonal, off)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        band = np.stack([m_diagonal, np.append(m_off, 0.0)])
+        x = lapack.dtbtrs(band, y[1::2], uplo="L", trans="T")[0]   # M^(-T) y_1
+        sigmas.append(sigma)
+        zs.append(np.concatenate([x, y[::2] - wk[:, None] * x]))
+    width = 2 * n if nearest is None else 2 * min(nearest, n)
+    sigma = np.reshape(sigmas, (-1, width))
+    z = None if nearest is not None else np.reshape(zs, (-1, 2 * n, 2 * n))
+    return sigma, z, None if factored.all() else factored
 
 
 def _signatures(eigenvectors):
@@ -397,13 +448,10 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
     eigenvectors, with its unit L_g eigenvector.
 
     KGError when ||L_g|| is not below DIRECT_NORM_LIMIT = 2^510.  Below
-    it every term of eigenpair_residuals and of the residual gate is
-    finite: t V and g I are blocks of L_g and |lam| <= ||L_g|| to
-    rounding, so g^2 = ||U^2||, ||t V||^2 and |lam|^2 are each below
-    2^1020; with ||x|| <= 1, each term of Q(lam) x = t V (t V x) - U^2 x
-    - 2 lam t V x + lam^2 x, and each partial sum of its products
-    (Cauchy-Schwarz on a row), is below 2^1021, and Q(lam) x below
-    5 * 2^1020 < 2^1023, whose norm eigenpair_residuals takes scaled.
+    it the eigensolve itself stays in range: t V and g I are blocks of
+    L_g and |lam| <= ||L_g|| to rounding, so g^2 = ||U^2||, ||t V||^2
+    and |lam|^2 are each below 2^1020 (eigenpair_residuals and the
+    residual gate scale their terms on either path).
     """
     n, g = spec.order, spec.u_max
     t = np.asarray(couplings, dtype=float)
@@ -488,7 +536,7 @@ def eigen_spectra(
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
     rows = pencil.nonzero()[0]
     if rows.size:
-        theta, z, factored = _k_frame_eigensolve(spec, w[rows], nearest)
+        sigma, z, factored = _k_frame_eigensolve(spec, w[rows], nearest)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
@@ -496,7 +544,7 @@ def eigen_spectra(
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
             real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
-            solved.append((rows, shift + 1.0 / theta, z, theta, real, none))
+            solved.append((rows, shift + sigma, z, 1.0 / sigma, real, none))
     if rows.size < t.size:
         rows = (~pencil).nonzero()[0]
         lam, vecs, signatures, is_real, witnesses = _direct_eigensolve(spec, t[rows])
@@ -625,6 +673,15 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
     return SignOperator(report=report, norm_j1=norm_j1)
 
 
+def _overflow_exponent(largest) -> int:
+    """k with largest / 2^k below 1 when largest is beyond core._GRAM_RANGE, else 0.
+
+    Below 2^500 a number's square and a few sums of such squares stay
+    in the float range, so nothing there needs scaling.
+    """
+    return int(np.frexp(largest)[1]) if largest > _GRAM_RANGE[1] else 0
+
+
 def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=None):
     """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
 
@@ -636,17 +693,35 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     three n x n by n x 2n products in all, and the columns passed in
     are not written to.  Stacks (..., 2n) of eigenvalues and
     (..., 2n, 2n) of eigenvectors take a stack (..., n, n) of
-    ``potentials`` in place of spec.v, one per row.  A column of
-    Q(lam_k) x_k whose squares leave the float range is scaled by a
-    power of two, exactly, before its norm is taken.
+    ``potentials`` in place of spec.v, one per row.
+
+    When the largest of ||U||, the entries of V and |lam| is 2^k beyond
+    2^500 (_overflow_exponent), where lam^2 or a sum of Q(lam) x could
+    overflow, each pair is scaled by powers of two before Q(lam) x is
+    formed: x_k by 2^-e_k to a largest entry in [1/2, 1), and the model
+    to lam / 2^k, V / 2^k and U^2 / 2^(2k).  Q(lam) x then comes out
+    divided by 2^(2k + e_k), exactly wherever nothing underflows, and
+    the backward errors are scaled back (inf only where one is beyond
+    the float range).  A column of Q(lam_k) x_k whose squares leave the
+    float range is scaled by a power of two, exactly, before its norm
+    is taken.
     """
     lam = np.asarray(eigenvalues)[..., None, :]
     v = spec.v if potentials is None else potentials
-    x = eigenvectors[..., : spec.order, :].astype(np.result_type(eigenvectors, lam))
+    u_squared = spec.u_squared
+    x = eigenvectors[..., : spec.order, :]
+    k = _overflow_exponent(
+        max(spec.u_max, np.abs(v).max(initial=0.0), np.abs(lam).max(initial=0.0))
+    )
+    if k:
+        x = x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=-2))[1])[..., None, :]
+        lam, v = lam * np.ldexp(1.0, -k), np.ldexp(v, -k)
+        u_squared = np.ldexp(u_squared, -2 * k)
+    x = x.astype(np.result_type(x, lam))
     x_norm = np.linalg.norm(x, axis=-2)
     vx = v @ x
     q = v @ vx
-    q -= spec.u_squared @ x
+    q -= u_squared @ x
     vx *= 2.0 * lam
     q -= vx
     x *= lam * lam
@@ -657,7 +732,8 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
             exponent = np.frexp(np.abs(q).max(axis=-2))[1]
             scaled = q * np.ldexp(1.0, -exponent)[..., None, :]
             q_norm = np.ldexp(np.linalg.norm(scaled, axis=-2), exponent)
-    return q_norm / x_norm
+        residuals = q_norm / x_norm
+        return np.ldexp(residuals, 2 * k) if k else residuals
 
 
 def pencil_residual(spec: ModelSpec, lam) -> float:

@@ -116,6 +116,79 @@ class TestModelSpec:
             spec.with_potential(np.zeros((3, 3)), "")
 
 
+    def test_tridiagonal_structure_is_recorded(self):
+        # U^2's diagonals are kept when it is tridiagonal and shared by
+        # derived specs; whether V is diagonal is checked for each potential
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=40))
+        d, e = spec.u2_bands
+        np.testing.assert_array_equal(d, spec.u_squared.diagonal())
+        np.testing.assert_array_equal(e, spec.u_squared.diagonal(-1))
+        with pytest.raises(ValueError):
+            d[0] = 5.0
+        assert spec.v_diagonal and spec.tridiagonal
+        dense = spec.perturbed(1e-3 * np.ones((40, 40)))
+        assert dense.u2_bands is spec.u2_bands
+        assert not dense.v_diagonal and not dense.tridiagonal
+        assert spec.with_potential(2.0 * spec.v, "").tridiagonal
+        rng = np.random.Generator(np.random.PCG64(7))
+        assert ModelSpec(random_spd(rng, 5), np.eye(5)).u2_bands is None
+        # a tridiagonal U^2 with zeros on its off-diagonal is still one
+        off = np.diag([1.0, 0.0], 1)
+        u2 = np.diag([2.0, 3.0, 4.0]) + off + off.T
+        assert ModelSpec(u2, np.zeros((3, 3))).tridiagonal
+
+    @pytest.mark.parametrize("grid_points", [16, 80, 150, 160, 1000])
+    def test_tridiagonal_ends_are_the_dense_ones_bit_for_bit(self, grid_points):
+        # from order 32 up the ends of the spectrum of a tridiagonal U^2
+        # are bisected on its own diagonals: the dsytrd that the dense
+        # path runs first returns the same diagonals
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
+        lowest, highest = core._extreme_eigenvalues(spec.u_squared, 1, 1)
+        assert (spec.u_min, spec.u_max) == (np.sqrt(lowest), np.sqrt(highest))
+        if grid_points < core._SUBSET_MIN_ORDER:
+            return
+        for scale in (2.0**-600, 2.0**600):
+            s = spec.u_squared * scale
+            d, e = s.diagonal(), s.diagonal(-1)
+            ranges = ((1, 2), (grid_points, grid_points))
+            np.testing.assert_array_equal(
+                core._tridiagonal_eigenvalues(d, e, ranges),
+                core._extreme_eigenvalues(s, 2, 1),
+            )
+
+    @pytest.mark.parametrize(
+        "u2, b",
+        [
+            (np.diag([1e-300, 2e-300]), np.diag([1e300, 0.0])),
+            ([[1.5e-300, 0.5e-300], [0.5e-300, 1.5e-300]], np.full((2, 2), 1e300)),
+        ],
+        ids=["diagonal", "mixed-signs"],
+    )
+    def test_overflowing_l_solve_is_inf(self, u2, b):
+        # L^(-1) b is beyond the float range: its entries come out inf
+        # (or finite), never the nan of 0 * inf or inf - inf, with no warning
+        spec = ModelSpec(u2, np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = spec.l_solve(b)
+        assert not np.isnan(x).any() and np.isinf(x).any()
+        assert spectral_norm(x) == np.inf
+        scaled = np.ldexp(b, -600)
+        expected = scipy.linalg.solve_triangular(spec.cholesky, scaled, lower=True)
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(expected, 600)
+        np.testing.assert_allclose(x, expected, rtol=1e-15)
+
+    def test_l_solve_in_range_is_one_triangular_solve(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        spec, _ = random_model(rng, n=6)
+        b = rng.normal(size=(3, 6, 4))
+        expected = [
+            scipy.linalg.lapack.dtrtrs(spec.cholesky, m, lower=1)[0] for m in b
+        ]
+        np.testing.assert_array_equal(spec.l_solve(b), expected)
+
+
 class TestAssemble:
     def test_free_hamiltonian(self):
         spec = ModelSpec(u_squared=np.eye(3), v=np.zeros((3, 3)))

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -426,6 +428,25 @@ class TestEigenpairResiduals:
             assert r >= pencil_residual(spec, lam) - 4.0 * EPS * gate_scale(spec, lam)
 
 
+    @pytest.mark.parametrize("k", [300, 506])
+    def test_scaled_pairs_are_exact(self, k):
+        # the model (2^(2k) U^2, 2^k V) has the pairs (2^k lam, x) and
+        # backward errors 2^(2k) times those of (U^2, V): bit for bit,
+        # computed as they are below 2^500 and scaled beyond it, up to
+        # ||2^(2k) U^2|| = 2^1019
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=12))
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        large = ModelSpec(np.ldexp(spec.u_squared, 2 * k), np.ldexp(spec.v, k))
+        lam = np.ldexp(report.eigenvalues, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = eigenpair_residuals(large, lam, report.eigenvectors)
+        residuals = eigenpair_residuals(spec, report.eigenvalues, report.eigenvectors)
+        expected = np.ldexp(residuals, 2 * k)
+        np.testing.assert_array_equal(scaled, expected)
+        assert np.isfinite(scaled).all() and (scaled > 0.0).all()
+
+
 class TestDefectCheck:
     def test_defective_at_critical_coupling(self):
         system = assemble_system(square_well_model(2.0), -1.0)
@@ -692,9 +713,12 @@ class TestEigenvaluesOnly:
         )
 
     def test_no_eigenvectors_are_formed(self, monkeypatch):
-        # from order 32 up a stack of one takes one tridiagonalization
-        # (dsytrd) and one bisection per end (dstebz); the contraction's
-        # Gram matrix, of order 20, takes dsyevd without vectors
+        # the contraction takes one triangular solve (dtrtrs, L^(-1) W)
+        # and its Gram matrix, of order 20, dsyevd without vectors.  The
+        # oscillator's T, of order 40, is tridiagonal: one bisection over
+        # its middle indices (dstebz) and no reduction.
+        # With a dense potential T is dense: one tridiagonalization
+        # (dsytrd) and one bisection.  Neither solves for a vector
         calls = []
 
         def spy(name):
@@ -708,9 +732,131 @@ class TestEigenvaluesOnly:
 
         # built first: its validation takes the ends of the spectrum of U^2
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=20))
-        for name in ("dsyevd", "dsyevr", "dsytrd", "dstebz"):
+        dense = spec.with_potential(spec.v + 1e-3 * np.ones((20, 20)), "dense")
+        names = ("dsyevd", "dsyevr", "dsytrd", "dstebz", "dstevd", "dtrtrs", "dtbtrs")
+        for name in names:
             spy(name)
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
-        assert calls == [
-            ("dsyevd", 0), ("dsytrd", None), ("dstebz", None), ("dstebz", None)
-        ]
+        contraction = [("dtrtrs", None), ("dsyevd", 0)]
+        assert calls == contraction + [("dstebz", None)]
+        calls.clear()
+        spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
+        assert calls == contraction + [("dsytrd", None), ("dstebz", None)]
+
+
+class TestTridiagonalPencil:
+    """The tridiagonal T of the oscillator against the dense T and the oracle.
+
+    U^2 is tridiagonal and V diagonal, so from order 2n = 32 up the
+    pencil rows take the tridiagonal T; raising the order the spectral
+    module routes by sends them to the dense T instead.
+    """
+
+    @staticmethod
+    def solve(spec, alpha, shift, nearest=None, dense=False):
+        with pytest.MonkeyPatch.context() as patch:
+            if dense:
+                patch.setattr(spectral, "_SUBSET_MIN_ORDER", 10**9)
+            return spectral.eigen_spectra(spec, (alpha,), shift, nearest=nearest)
+
+    @staticmethod
+    def k_frame_identity_error(spec, alpha, shift, z):
+        """max |Z^T (K - mu*J) Z - I|, K - mu*J = [[U^2, W], [W, I]], W = t V - mu."""
+        n = spec.order
+        w = alpha * spec.v - shift * np.eye(n)
+        k = np.block([[spec.u_squared, w], [w, np.eye(n)]])
+        return np.abs(z.T @ k @ z - np.eye(2 * n)).max()
+
+    @pytest.mark.parametrize("grid_points", [16, 40])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_matches_the_dense_route(self, grid_points, beta):
+        params = HarmonicParams(alpha=1.0, beta=beta, grid_points=grid_points)
+        spec = harmonic_model(params)
+        assert spec.tridiagonal
+        for alpha in (0.3, 0.9, 0.985):
+            optimized = core.optimize_shift(spec.with_potential(alpha * spec.v, ""))
+            for shift in (0.0, 0.3, -0.3, optimized):
+                tri = self.solve(spec, alpha, shift)
+                dense = self.solve(spec, alpha, shift, dense=True)
+                assert tri.pencil.tolist() == dense.pencil.tolist()
+                lam, lam_dense = tri.eigenvalues[0], dense.eigenvalues[0]
+                scale = np.abs(lam_dense).max()
+                assert np.abs(lam - lam_dense).max() <= 1e-13 * scale
+                signs = np.sign(tri.signatures[0])
+                np.testing.assert_array_equal(signs, np.sign(dense.signatures[0]))
+                if not tri.pencil[0]:
+                    np.testing.assert_array_equal(lam, lam_dense)
+                    continue
+                for z in (tri.eigenvectors[0], dense.eigenvectors[0]):
+                    assert self.k_frame_identity_error(spec, alpha, shift, z) <= 1e-13
+                for nearest in (1, 3):
+                    bare = self.solve(spec, alpha, shift, nearest)
+                    bare_dense = self.solve(spec, alpha, shift, nearest, dense=True)
+                    n = spec.order
+                    middle = lam[n - nearest : n + nearest]
+                    assert np.abs(bare.eigenvalues[0] - middle).max() <= 1e-13 * scale
+                    moved = np.abs(bare.eigenvalues[0] - bare_dense.eigenvalues[0])
+                    assert moved.max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid_points", [150, 400])
+    def test_large_order_matches_the_dense_route(self, grid_points):
+        params = HarmonicParams(alpha=1.0, beta=1.0, grid_points=grid_points)
+        spec = harmonic_model(params)
+        tri = self.solve(spec, 0.985, 0.0)
+        dense = self.solve(spec, 0.985, 0.0, dense=True)
+        assert tri.pencil[0] and dense.pencil[0]
+        lam, lam_dense = tri.eigenvalues[0], dense.eigenvalues[0]
+        scale = np.abs(lam_dense).max()
+        assert np.abs(lam - lam_dense).max() <= 1e-13 * scale
+        z = tri.eigenvectors[0]
+        assert self.k_frame_identity_error(spec, 0.985, 0.0, z) <= 1e-13
+        bare = self.solve(spec, 0.985, 0.0, nearest=3)
+        n = spec.order
+        assert np.abs(bare.eigenvalues[0] - lam[n - 3 : n + 3]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_matches_the_h_frame_oracle(self, beta):
+        spec = harmonic_model(HarmonicParams(alpha=1.0, beta=beta, grid_points=40))
+        for alpha in (0.3, 0.985):
+            model = spec.with_potential(alpha * spec.v, "")
+            for shift in (0.0, 0.3, -0.3):
+                report = eigen_spectrum(assemble_system(model, shift))
+                if report.solver_path != "similarity":
+                    continue
+                lam, _ = similarity_eigensolve(gram(model), shift)
+                scale = np.abs(lam).max()
+                assert np.abs(report.eigenvalues - lam).max() <= 1e-13 * scale
+                signs = ["positive" if x > shift else "negative" for x in lam]
+                assert list(report.sign_types) == signs
+
+    def test_failed_factorization_sends_its_row_direct(self, monkeypatch):
+        # a row whose dpttrf fails takes the direct path, as a row whose
+        # dense Cholesky factorization fails does: the same rows, bit for bit
+        spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=20))
+        couplings = np.array([0.3, 0.6, 0.9])
+        w = core.shifted_potential(spec, 0.0, couplings[1:2])[0]
+        failing = spec.u_squared - w @ w.T
+        dpttrf, cholesky = spectral.lapack.dpttrf, np.linalg.cholesky
+
+        def fail_pttrf(d, e, *args, **kwargs):
+            factors = dpttrf(d, e, *args, **kwargs)
+            hit = np.array_equal(d, failing.diagonal())
+            return (*factors[:2], 1) if hit else factors
+
+        def fail_cholesky(a, *args, **kwargs):
+            hit = np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-14
+            if np.any(hit):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.lapack, "dpttrf", fail_pttrf)
+        tri = spectral.eigen_spectra(spec, couplings, 0.0)
+        monkeypatch.setattr(spectral, "_SUBSET_MIN_ORDER", 10**9)
+        monkeypatch.setattr(np.linalg, "cholesky", fail_cholesky)
+        dense = spectral.eigen_spectra(spec, couplings, 0.0)
+        assert tri.pencil.tolist() == dense.pencil.tolist() == [True, False, True]
+        assert tri.is_real.tolist() == dense.is_real.tolist()
+        assert tri.defective.tolist() == dense.defective.tolist()
+        for field in ("eigenvalues", "eigenvectors", "signatures"):
+            direct_row = getattr(tri, field)[1]
+            np.testing.assert_array_equal(direct_row, getattr(dense, field)[1])
