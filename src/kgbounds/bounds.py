@@ -58,9 +58,11 @@ from scipy.linalg import lapack
 from .core import (
     KleinGordonSystem,
     _extreme_eigenvalues,
+    _symmetric_norm,
     ModelSpec,
     assemble_system,
     check_symmetric,
+    operator_a,
     spectral_norm,
     symmetrize,
 )
@@ -514,10 +516,11 @@ def perturbation_constants(
     ContractionNotLessThanOne when b >= 1 (gap_bound), and
     ValidationError when c = ||dV U^(-1)|| is beyond the float range.
     c = ||L^(-1) dV|| comes from a triangular solve, nu from a
-    Bunch-Kaufman solve with V, and the disjoint and sign classification
-    from the extreme eigenvalues of the mixed product
-    L^(-1) (W dV + dV W) L^(-T), W = V - mu, congruent to the U frame's
-    through the orthogonal U L^(-T).  The
+    Bunch-Kaufman solve with V, ||dV|| from the ends of its spectrum, and
+    the disjoint and sign classification from the extreme eigenvalues of
+    the mixed product L^(-1) (W dV + dV W) L^(-T), W = V - mu, congruent
+    to the U frame's through the orthogonal U L^(-T) (A from
+    core.operator_a, here its one reader).  The
     validity flag of each kappa records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
     invalid entries keep their value for tabulation.  The exact pair
@@ -549,11 +552,12 @@ def perturbation_constants(
             "the perturbation is out of range: c = ||dV U^(-1)|| = inf is not finite"
         )
     nu = _relative_factor(dv, system.spec.v)
-    signed, disjoint = _mixed_product_sign(system.a_matrix, delta_a, b, c)
+    a = operator_a(system.spec, system.shift)
+    signed, disjoint = _mixed_product_sign(a, delta_a, b, c)
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
-    c_loose = spectral_norm(dv) / system.spec.u_min   # ||U^(-1)|| = 1/u_min
+    c_loose = _symmetric_norm(dv) / system.spec.u_min   # ||U^(-1)|| = 1/u_min
     k_prod = kappa_general(c_loose, b)
     k_rel = kappa_relative(nu, b) if nu is not None else None
 

@@ -12,14 +12,15 @@ The residual columns (``pencil_residual`` of spectrum, ``residual_max``
 of sweep) hold eigenpair backward errors ||Q(lam) x|| / ||x|| of
 Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE.
 CSV output is UTF-8 with LF line endings and full-precision reals, so a
-fixed configuration and seed reproduce byte-identical files.
+fixed configuration and seed reproduce byte-identical files; each row
+is one %-format of plain values, the bytes csv.writer writes for cells
+that need no quoting, which none does.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import harness
 from .bounds import PerturbationSpec, bounds_report, verify_bounds
-from .core import ModelSpec, assemble_system, optimize_shift, spectral_norm
+from .core import ModelSpec, _symmetric_norm, assemble_system, optimize_shift
 from .exceptions import KGError, ParseError, ValidationError
 from .models import (
     HarmonicParams,
@@ -188,20 +189,19 @@ def _write_text(out, text: str):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _write_csv(out, header, rows):
-    """Stream header and rows as CSV to the file ``out``, or to stdout.
+def _write_csv(out, header, lines):
+    """Stream the header and the rows ``lines`` as CSV to ``out``, or to stdout.
 
-    Every row goes straight through one csv.writer (UTF-8, LF endings);
-    the text is never assembled in memory.
+    ``lines`` yields each row as its text, LF-terminated (UTF-8); the
+    table is never assembled in memory.
     """
     if out is None or out == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
         target = open(out, "w", encoding="utf-8", newline="")
     with target as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _gate_exit(
@@ -215,13 +215,14 @@ def _gate_exit(
     against them.  The gate of each is
     RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2), and the first
     failing entry in row-major order is named, with its cause appended
-    when non-empty.  A NaN residual fails.  When the largest of ||U||,
-    ||t V|| and |lam| is 2^k beyond 2^500, where a square could
+    when non-empty.  A NaN residual fails.  ||V|| is
+    core._symmetric_norm's, with no Gram matrix.  When the largest of
+    ||U||, ||t V|| and |lam| is 2^k beyond 2^500, where a square could
     overflow, residuals and gates are compared divided by 2^(2k), as
     eigenpair_residuals forms them: exactly the same comparisons.
     """
     u_max, lam_abs = spec.u_max, np.abs(lams)
-    tv_norm = np.abs(couplings) * spectral_norm(spec.v)
+    tv_norm = np.abs(couplings) * _symmetric_norm(spec.v)
     k = _overflow_exponent(max(u_max, tv_norm.max(), lam_abs.max()))
     scaled = resids
     if k:
@@ -252,14 +253,17 @@ def cmd_spectrum(args) -> int:
     report = eigen_spectrum(assemble_system(spec, shift))
     lams = report.eigenvalues
     resids = eigenpair_residuals(spec, lams, report.eigenvectors)
-    rows = (
-        [k, _fmt(np.real(lam)), _fmt(np.imag(lam)), report.sign_types[k], _fmt(r)]
-        for k, (lam, r) in enumerate(zip(lams, resids))
+    rows = zip(
+        range(lams.size),
+        np.real(lams).tolist(),
+        np.imag(lams).tolist(),
+        report.sign_types,
+        resids.tolist(),
     )
     _write_csv(
         args.out,
         ["index", "eigenvalue_re", "eigenvalue_im", "sign_type", "pencil_residual"],
-        rows,
+        ("%d,%.17g,%.17g,%s,%.17g\n" % row for row in rows),
     )
     return _gate_exit(spec, "index", np.arange(lams.size), lams, resids)
 
@@ -285,7 +289,10 @@ def cmd_bounds(args) -> int:
         _write_csv(
             args.out,
             ["key", "value", "extra"],
-            ([key, _csv_cell(value), _csv_cell(extra)] for key, value, extra in rows),
+            (
+                f"{key},{_csv_cell(value)},{_csv_cell(extra)}\n"
+                for key, value, extra in rows
+            ),
         )
     else:
         lines = [
@@ -310,33 +317,27 @@ def cmd_verify(args) -> int:
     cause_p = (
         "" if report.real_spectrum_perturbed else "the perturbed spectrum is not real"
     )
-    rows = [
-        ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
-        for k, (lam, lam_p, dev) in enumerate(
-            zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
+
+    def rows():
+        pairs = zip(
+            range(report.eigenvalues.size),
+            report.eigenvalues.tolist(),
+            report.eigenvalues_perturbed.tolist(),
+            report.deviations.tolist(),
         )
-    ]
-    rows.append(
-        [
-            "summary",
-            "max_relative_deviation",
-            "",
-            "",
-            _fmt(report.max_deviation),
-            "",
-            "",
-            "",
-        ]
-    )
-    for check in report.checks:
-        value = (
-            f"{_fmt(check.value[0])};{_fmt(check.value[1])}"
-            if isinstance(check.value, tuple)
-            else _fmt(check.value)
-        )
-        rows.append(
-            ["bound", check.name, "", "", "", value, check.applicable, check.passed]
-        )
+        for row in pairs:
+            yield "eigenpair,%d,%.17g,%.17g,%.17g,,,\n" % row
+        yield "summary,max_relative_deviation,,,%.17g,,,\n" % report.max_deviation
+        for check in report.checks:
+            value = (
+                "%.17g;%.17g" % check.value
+                if isinstance(check.value, tuple)
+                else _fmt(check.value)
+            )
+            yield "bound,%s,,,,%s,%s,%s\n" % (
+                check.name, value, check.applicable, check.passed
+            )
+
     _write_csv(
         args.out,
         [
@@ -349,7 +350,7 @@ def cmd_verify(args) -> int:
             "applicable",
             "passed",
         ],
-        rows,
+        rows(),
     )
     # each eigenvalue is gated on the larger of its two residuals
     worse = resids_p > resids
@@ -383,20 +384,16 @@ def cmd_sweep(args) -> int:
         header += [f"eig{k}_re", f"eig{k}_im"]
 
     def rows():
-        # yielded straight into the CSV writer, never held as one list
-        for i, t in enumerate(result.parameters):
-            row = [
-                "point",
-                _fmt(t),
-                result.is_real[i],
-                result.defect_flags[i],
-                _fmt(result.residual_max[i]),
-            ]
-            for lam in result.eigenvalues[i]:
-                row += [_fmt(lam.real), _fmt(lam.imag)]
-            yield row
+        # yielded straight into the file, never held as one list; a
+        # complex row viewed as floats is (re0, im0, re1, im1, ...)
+        point = "point,%.17g,%s,%s,%.17g" + ",%.17g,%.17g" * two_n + "\n"
+        heads = zip(
+            result.parameters, result.is_real, result.defect_flags, result.residual_max
+        )
+        for head, lams in zip(heads, result.eigenvalues):
+            yield point % (*head, *lams.view(float).tolist())
         critical = "" if result.critical_value is None else _fmt(result.critical_value)
-        yield ["critical", critical, "", "", ""] + [""] * (2 * two_n)
+        yield f"critical,{critical},,," + "," * (2 * two_n) + "\n"
 
     _write_csv(args.out, header, rows())
     # every eigenvalue against its own gate, for the potential t * V
@@ -415,9 +412,11 @@ def cmd_reproduce(args) -> int:
         for i, tau in enumerate(result.taus):
             for j, eta in enumerate(result.etas):
                 rows_true.append(
-                    [_fmt(tau), _fmt(eta), _fmt(result.true_distances[i, j])]
+                    "%.17g,%.17g,%.17g\n" % (tau, eta, result.true_distances[i, j])
                 )
-                rows_bound.append([_fmt(tau), _fmt(eta), _fmt(result.bounds[i, j])])
+                rows_bound.append(
+                    "%.17g,%.17g,%.17g\n" % (tau, eta, result.bounds[i, j])
+                )
         _write_csv(
             out_dir / "example2_true_distances.csv",
             ["tau", "eta", "max_relative_distance"],
@@ -433,17 +432,18 @@ def cmd_reproduce(args) -> int:
         grid_points=args.grid_points, half_width=args.half_width
     )
     rows = [
-        [
-            _fmt(r.alpha),
-            _fmt(r.beta),
+        "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        % (
+            r.alpha,
+            r.beta,
             r.mode,
-            _fmt(r.mu_plus),
-            _fmt(r.exact_plus),
-            _fmt(r.error_plus),
-            _fmt(r.mu_minus),
-            _fmt(r.exact_minus),
-            _fmt(r.error_minus),
-        ]
+            r.mu_plus,
+            r.exact_plus,
+            r.error_plus,
+            r.mu_minus,
+            r.exact_minus,
+            r.error_minus,
+        )
         for r in result.rows
     ]
     _write_csv(

@@ -41,11 +41,12 @@ example 1 nearest the shift).  _extreme_eigenvalues computes the
 requested ends alone, from order 32 up by one tridiagonalization and a
 bisection per end, _middle_eigenvalues the middle by one bisection,
 and a matrix that is tridiagonal already is bisected on its own
-diagonals (_tridiagonal_eigenvalues).  optimize_shift minimizes b by
-the subspace method from that order up, with one full top eigenpair
-per step.  Everything here is dense and desk-scale; all outputs are
-plain numpy arrays inside frozen dataclasses and all functions are
-pure.
+diagonals (_tridiagonal_eigenvalues), as is b^2 of a tridiagonal spec,
+on O(n) factorizations (_banded_contractions).  optimize_shift
+minimizes b by the subspace method from that order up, with one full
+top eigenpair per step.  Everything here is desk-scale; all outputs
+are plain numpy arrays inside frozen dataclasses and all functions
+are pure.
 """
 
 from __future__ import annotations
@@ -282,6 +283,20 @@ def spectral_norm(a):
     return norm if stack else float(norm)
 
 
+def _symmetric_norm(a) -> float:
+    """||a|| of a finite symmetric matrix, without a Gram matrix.
+
+    max |a_ii| exactly when a is diagonal, else the larger modulus of the
+    two ends of its spectrum (_extreme_eigenvalues); inf beyond the
+    float range, with no warning.
+    """
+    if _is_diagonal(a):
+        return float(np.abs(a.diagonal()).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        lowest, highest = _extreme_eigenvalues(a, 1, 1)[[0, -1]]
+    return float(max(-lowest, highest))
+
+
 def symmetrize(a):
     """Average a matrix with its transpose to suppress rounding drift."""
     a = np.asarray(a, dtype=float)
@@ -495,14 +510,12 @@ class KleinGordonSystem:
     ------
     n : block order (H and G are 2n x 2n)
     shift : the real spectral shift mu
-    a_matrix : A = (V - mu) L^(-T), L L^T = U^2
-    contraction : b = ||A||
+    contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a)
     spec : the source model
     """
 
     n: int
     shift: float
-    a_matrix: np.ndarray
     contraction: float
     spec: ModelSpec = field(repr=False)
 
@@ -536,21 +549,85 @@ def operator_a(spec: ModelSpec, shift: float = 0.0):
     return spec.l_solve(shifted_potential(spec, shift)).T
 
 
-def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """The contraction data of one model and shift: A and b = ||A||.
+def _bisected(spec: ModelSpec) -> bool:
+    """Whether spec's contractions come from _banded_contractions.
 
+    So they do for a tridiagonal spec (U^2 tridiagonal, V diagonal) from
+    order _SUBSET_MIN_ORDER up; below it the dense route is faster.
+    """
+    return spec.tridiagonal and spec.order >= _SUBSET_MIN_ORDER
+
+
+def _banded_contractions(spec: ModelSpec, w):
+    """b = ||L^(-1) W|| for each row of diagonals w (k, n) of a diagonal W.
+
+    U^2 is tridiagonal (spec.u2_bands), and b^2 is the largest eigenvalue
+    of the definite banded pencil (W^2, U^2): U^2 - W^2 / s is positive
+    definite exactly when s > b^2 (Peters & Wilkinson, Comput. J. 12,
+    1969).  LAPACK's dpttrf factors a tridiagonal matrix as L D L^T in
+    O(n) and succeeds exactly when every pivot is positive, so b^2 is
+    bisected on its success for U^2 - W^2 / s, from the bracket
+    [0, 2 max w^2 / u_min^2] (twice the bound b <= max |w| / u_min, so
+    that dpttrf passes at its top however u_min is rounded) down to two
+    adjacent floats; b = sqrt(top of the final bracket).
+    U^2 is scaled by 4^-j, ||U^2|| near 1, and each W by 2^-k, its
+    largest |w| in [1/2, 1), so nothing in the search overflows, and b
+    is the scaled result times 2^(k - j), exactly: inf beyond the float
+    range, never nan, with no warning.  W = 0 gives b = 0.0, and a
+    non-finite W its largest |w|.
+
+    Only the diagonal is formed, so U^2's off-diagonal enters exactly
+    (s U^2 - W^2, with s U^2 rounded, loses up to ten times more on the
+    oscillator).  The computed pivots of dpttrf are exact for the formed
+    matrix with off-diagonals changed by at most 0.75 eps relative, and
+    forming the diagonal changes it by at most eps/2 (u_ii + 3 w_i^2 / s),
+    so each test is exact for U^2 - W^2 / s + E, ||E|| <= 0.75 eps
+    (r + 2 max w^2 / s), r = max_i sum_j |U^2_ij|; E moves b^2 by at most
+    ||E|| b^2 / u_min^2 relative, and max w^2 <= ||U^2|| b^2.  With the
+    final bracket's width and the square root, to first order in eps:
+
+        |b^2 - b_exact^2| <= 3 eps (1 + r / u_min^2) b^2.
+    """
+    d, e = spec.u2_bands
+    j = math.frexp(spec.u_max)[1]
+    d, e = np.ldexp(d, -2 * j), np.ldexp(e, -2 * j)
+    u_min2 = math.ldexp(spec.u_min, -j) ** 2
+    roots, exponents = np.zeros(len(w)), np.zeros(len(w), dtype=int)
+    for row, wk in enumerate(w):
+        largest = np.abs(wk).max(initial=0.0)
+        if largest == 0.0 or not math.isfinite(largest):
+            roots[row] = largest   # 0, inf or nan
+            continue
+        k = math.frexp(largest)[1]
+        w2 = np.square(np.ldexp(wk, -k))
+        lo, hi = 0.0, 2.0 * float(w2.max()) / u_min2
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if lapack.dpttrf(d - w2 / mid, e, overwrite_d=1)[2] == 0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        roots[row], exponents[row] = math.sqrt(hi), k - j
+    with np.errstate(over="ignore"):
+        return np.ldexp(roots, exponents)
+
+
+def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
+    """The contraction data of one model and shift: b = ||A|| (operator_a).
+
+    b is bisected on U^2's two diagonals when _bisected(spec)
+    (_banded_contractions), and otherwise the norm of the dense A.
     Neither G nor H is formed: the definite pencil is solved from
     (U^2, V - shift*I) alone, and the direct path from the root-free
     companion form of the spectral module.
     """
-    a = operator_a(spec, shift)
-    return KleinGordonSystem(
-        n=spec.order,
-        shift=float(shift),
-        a_matrix=a,
-        contraction=spectral_norm(a),
-        spec=spec,
-    )
+    if _bisected(spec):
+        w = spec.v.diagonal() - shift
+        b = float(_banded_contractions(spec, w[None])[0])
+    else:
+        b = spectral_norm(operator_a(spec, shift))
+    return KleinGordonSystem(n=spec.order, shift=float(shift), contraction=b, spec=spec)
 
 
 #: (3 - sqrt(5)) / 2, the golden-section fraction of Brent's fallback step

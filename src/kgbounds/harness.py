@@ -22,8 +22,11 @@ The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
 eigenvalues collide and leave the real axis.  It solves its steps in
 blocks of couplings, one stacked spectral.eigen_spectra call and one
-stacked eigenpair_residuals call per block, sized by BLOCK_BUDGET so
-that a block's temporaries stay near those of a single step.
+stacked eigenpair_residuals call per block, sized by BLOCK_BUDGET: on
+the dense route a block's temporaries stay near those of a single
+step, and on the tridiagonal route, whose rows are solved one at a time
+with O(n) work beside their eigenvectors, a block holds the rows whose
+eigenvalues fill BLOCK_BUDGET.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .models import (
     square_well_model,
     square_well_perturbation,
 )
-from .spectral import eigen_spectra, eigenpair_residuals
+from .spectral import _tridiagonal_rows, eigen_spectra, eigenpair_residuals
 
 __all__ = [
     "EXAMPLE2_TAUS",
@@ -72,9 +75,11 @@ EXAMPLE1_MODES = (0, 1, 2)
 SENSITIVITY_ALPHA = 0.5
 SENSITIVITY_EPS = 1e-4
 
-#: matrix entries per block of a sweep: a block solves
-#: max(1, BLOCK_BUDGET // (2n)^2) couplings in one stacked call, which
-#: keeps its temporaries near those of one step (one row from n = 16 up)
+#: entries per block of a sweep: a block solves max(1, BLOCK_BUDGET // (2n)^2)
+#: couplings in one stacked call on the dense route, which keeps its
+#: temporaries near those of one step (one row from n = 16 up), and
+#: max(1, BLOCK_BUDGET // 2n) on the tridiagonal route, which solves its
+#: rows one by one and whose stacked residuals need no n x n product
 BLOCK_BUDGET = 1024
 
 
@@ -368,13 +373,14 @@ def sweep_potential(
     """Scan t in [lo, hi]: spectrum of the model with potential t * V.
 
     The steps are solved in blocks of max(1, BLOCK_BUDGET // (2n)^2)
-    couplings, one stacked eigen_spectra call and one stacked
-    eigenpair_residuals call per block.  Every t V is exactly symmetric,
-    and |t| is largest at an end of the range, so the two end
-    potentials are validated (ValidationError when t V leaves the float
-    range) before anything is solved.  The critical coupling is located
-    by bisection (to 1e-6), one stack of one per step, on the reality of
-    the spectrum within the first bracket where it flips.
+    couplings, or of max(1, BLOCK_BUDGET // 2n) when the spectral module
+    solves the rows by the tridiagonal T, one stacked eigen_spectra call
+    and one stacked eigenpair_residuals call per block.  Every t V is
+    exactly symmetric, and |t| is largest at an end of the range, so the
+    two end potentials are validated (ValidationError when t V leaves
+    the float range) before anything is solved.  The critical coupling
+    is located by bisection (to 1e-6), one stack of one per step, on the
+    reality of the spectrum within the first bracket where it flips.
     """
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
@@ -388,7 +394,7 @@ def sweep_potential(
 
     params = np.linspace(lo, hi, steps)
     two_n = 2 * base.order
-    block = max(1, BLOCK_BUDGET // two_n**2)
+    block = max(1, BLOCK_BUDGET // (two_n if _tridiagonal_rows(base) else two_n**2))
     eigenvalues = np.empty((steps, two_n), dtype=complex)
     residuals = np.empty((steps, two_n))
     real_flags = np.empty(steps, dtype=bool)
@@ -400,10 +406,7 @@ def sweep_potential(
         # both solver paths order by real part, then imaginary part
         eigenvalues[rows] = solved.eigenvalues
         residuals[rows] = eigenpair_residuals(
-            base,
-            solved.eigenvalues,
-            solved.eigenvectors,
-            np.multiply.outer(t, base.v),
+            base, solved.eigenvalues, solved.eigenvectors, t
         )
         real_flags[rows] = solved.is_real
         defect_flags[rows] = solved.defective

@@ -96,6 +96,8 @@ from .core import (
     PD_RTOL,
     _GRAM_RANGE,
     _SUBSET_MIN_ORDER,
+    _banded_contractions,
+    _bisected,
     _middle_eigenvalues,
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
@@ -295,11 +297,21 @@ def _eigh(c):
     return np.linalg.eigh(c)
 
 
+def _tridiagonal_rows(spec: ModelSpec) -> bool:
+    """Whether spec's pencil rows take the tridiagonal T (_tridiagonal_eigensolve).
+
+    So they do for a tridiagonal spec (U^2 tridiagonal, V diagonal) from
+    order 2n = _SUBSET_MIN_ORDER up.
+    """
+    return spec.tridiagonal and 2 * spec.order >= _SUBSET_MIN_ORDER
+
+
 def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
 
-    ``w`` holds W = V_k - shift*I, shape (k, n, n).  Factors each
-    -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
+    ``w`` holds W = V_k - shift*I, shape (k, n, n), or for
+    _tridiagonal_rows(spec) the diagonals (k, n) of those diagonal W.
+    Factors each -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
     T y = sigma y, T = [[0, M^T], [M, 2W]] (see the module docstring),
     and returns (sigma, Z = [x; y_2 - W x], factored): ``factored``
     marks the rows whose Cholesky factorization succeeded (None when
@@ -307,14 +319,13 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     ascending sigma = lam - shift = 1/theta, with x = M^(-T) y_1 and
     Z^T (K - shift*J) Z = I.  With ``nearest`` = k, T is solved for its
     eigenvalues n-k+1 .. n+k alone, the k nearest the shift on each
-    side, and Z is None.  When the spec is tridiagonal (U^2 tridiagonal,
-    V diagonal) from order 2n = _SUBSET_MIN_ORDER up, so is T, and
-    _tridiagonal_eigensolve solves it; otherwise only the lower
+    side, and Z is None.  For _tridiagonal_rows(spec) T is tridiagonal,
+    and _tridiagonal_eigensolve solves it; otherwise only the lower
     triangles of -Q(shift) and T are read.
     """
     n = spec.order
-    if spec.tridiagonal and 2 * n >= _SUBSET_MIN_ORDER:
-        return _tridiagonal_eigensolve(spec, w.diagonal(axis1=-2, axis2=-1), nearest)
+    if _tridiagonal_rows(spec):
+        return _tridiagonal_eigensolve(spec, w, nearest)
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
     if factored is not None:
         w, m = w[factored], m[factored]
@@ -524,13 +535,23 @@ def eigen_spectra(
     eigenvalues on each side of the shift, they are the k nearest it on
     each side, solved for alone (their signatures theta need no
     vectors); the direct rows still compute every eigenpair, with the
-    vectors that classify them.
+    vectors that classify them.  The contractions measured here are
+    bisected on U^2's diagonals when core._bisected(spec), as in
+    assemble_system, and otherwise the norms of the dense L^(-1) W.
     """
     t = np.asarray(couplings, dtype=float)
-    w = shifted_potential(spec, shift, t)
-    if contractions is None:
-        # as operator_a: ||L^(-1) W|| = ||W L^(-T)||, inf or nan on overflow
-        contractions = spectral_norm(spec.l_solve(w))
+    tridiagonal = _tridiagonal_rows(spec)
+    if tridiagonal:
+        w = np.multiply.outer(t, spec.v.diagonal()) - shift   # the diagonals of W
+    else:
+        w = shifted_potential(spec, shift, t)
+    if contractions is None and _bisected(spec):
+        diagonals = w if tridiagonal else w.diagonal(axis1=-2, axis2=-1)
+        contractions = _banded_contractions(spec, diagonals)
+    elif contractions is None:
+        # as operator_a: ||L^(-1) W|| = ||W L^(-T)||, inf on overflow
+        dense = shifted_potential(spec, shift, t) if tridiagonal else w
+        contractions = spectral_norm(spec.l_solve(dense))
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
@@ -682,7 +703,7 @@ def _overflow_exponent(largest) -> int:
     return int(np.frexp(largest)[1]) if largest > _GRAM_RANGE[1] else 0
 
 
-def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=None):
+def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=None):
     """Backward errors ||Q(lam_k) x_k|| / ||x_k|| of Q(lam) = (lam - V)^2 - U^2.
 
     ``eigenvectors`` holds K-frame columns [x_k; (lam_k - V) x_k] (as in
@@ -690,10 +711,12 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     Each value is the normwise backward error of the pair (lam_k, x_k)
     (Tisseur, LAA 309, 2000) and, as sigma_min(Q) = min_x ||Q x|| / ||x||,
     never below pencil_residual(spec, lam_k).  Real and complex pairs;
-    three n x n by n x 2n products in all, and the columns passed in
-    are not written to.  Stacks (..., 2n) of eigenvalues and
-    (..., 2n, 2n) of eigenvectors take a stack (..., n, n) of
-    ``potentials`` in place of spec.v, one per row.
+    the columns passed in are not written to.  Stacks (..., 2n) of
+    eigenvalues and (..., 2n, 2n) of eigenvectors take the ``couplings``
+    t (...,) of their rows, whose potential t V replaces spec.v.  For
+    _tridiagonal_rows(spec) Q(lam) x is (lam - V)^2 x - U^2 x from V's
+    diagonal and U^2's two diagonals, with two n x 2n temporaries and no
+    matrix product; otherwise it takes three n x n by n x 2n products.
 
     When the largest of ||U||, the entries of V and |lam| is 2^k beyond
     2^500 (_overflow_exponent), where lam^2 or a sum of Q(lam) x could
@@ -707,8 +730,11 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     is taken.
     """
     lam = np.asarray(eigenvalues)[..., None, :]
-    v = spec.v if potentials is None else potentials
-    u_squared = spec.u_squared
+    banded = _tridiagonal_rows(spec)
+    v = spec.v.diagonal() if banded else spec.v
+    if couplings is not None:
+        v = np.multiply.outer(couplings, v)
+    u_squared = spec.u2_bands if banded else [spec.u_squared]
     x = eigenvectors[..., : spec.order, :]
     k = _overflow_exponent(
         max(spec.u_max, np.abs(v).max(initial=0.0), np.abs(lam).max(initial=0.0))
@@ -716,16 +742,29 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, potentials=N
     if k:
         x = x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=-2))[1])[..., None, :]
         lam, v = lam * np.ldexp(1.0, -k), np.ldexp(v, -k)
-        u_squared = np.ldexp(u_squared, -2 * k)
-    x = x.astype(np.result_type(x, lam))
+        u_squared = [np.ldexp(a, -2 * k) for a in u_squared]
     x_norm = np.linalg.norm(x, axis=-2)
-    vx = v @ x
-    q = v @ vx
-    q -= u_squared @ x
-    vx *= 2.0 * lam
-    q -= vx
-    x *= lam * lam
-    q += x
+    if banded:
+        d, e = u_squared
+        r = np.subtract(lam, v[..., None], dtype=np.result_type(x, lam))   # lam - v_i
+        q = r * x
+        q *= r
+        # U^2 x row by row, each band into r
+        np.multiply(d[:, None], x, out=r)
+        q -= r
+        np.multiply(e[:, None], x[..., 1:, :], out=r[..., 1:, :])
+        q[..., :-1, :] -= r[..., 1:, :]
+        np.multiply(e[:, None], x[..., :-1, :], out=r[..., 1:, :])
+        q[..., 1:, :] -= r[..., 1:, :]
+    else:
+        x = x.astype(np.result_type(x, lam))
+        vx = v @ x
+        q = v @ vx
+        q -= u_squared[0] @ x
+        vx *= 2.0 * lam
+        q -= vx
+        x *= lam * lam
+        q += x
     with np.errstate(over="ignore"):
         q_norm = np.linalg.norm(q, axis=-2)
         if not np.isfinite(q_norm).all():

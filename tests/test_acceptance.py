@@ -27,7 +27,7 @@ from kgbounds import (
     sweep_potential,
     verify_bounds,
 )
-from kgbounds.core import ModelSpec
+from kgbounds.core import ModelSpec, operator_a
 from oracles import (
     block_structure_analysis,
     contraction_bound,
@@ -300,7 +300,7 @@ def test_criterion_8_structured_bound_soundness():
             da = l_frame(spec, dv)
             b = system.contraction
             c = spectral_norm(da)
-            bs = block_structure_analysis(system.a_matrix, da)
+            bs = block_structure_analysis(operator_a(spec, 0.0), da)
             t = bs.t_bound(2.0 * b * c / (1.0 - b * b))
             assert t >= c / (1.0 - b) - 1e-12
     print(

@@ -29,6 +29,7 @@ from kgbounds import (
     kappa_signed_pair,
     kappa_sum,
     norm_bound_interval,
+    operator_a,
     optimize_shift,
     rescale_kappa,
     sign_operator,
@@ -358,7 +359,7 @@ class TestBlockStructure:
         rng = np.random.Generator(np.random.PCG64(19))
         spec, dv = random_model_and_perturbation(rng, n=5)
         system = assemble_system(spec, 0.0)
-        a, da = system.a_matrix, l_frame(spec, dv)
+        a, da = operator_a(spec, 0.0), l_frame(spec, dv)
         n = 5
         s_inv_root = np.linalg.inv(sqrt_spd(np.eye(n) - a.T @ a))
         upper = np.block([[s_inv_root, np.zeros((n, n))], [-a @ s_inv_root, np.eye(n)]])

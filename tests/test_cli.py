@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import os
 import re
@@ -25,6 +27,11 @@ from kgbounds import (
     verify_bounds,
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
+
+
+def _fmt(x) -> str:
+    """A real cell as the CLI writes it: 17 significant digits."""
+    return format(float(x), ".17g")
 
 
 def read_csv(path):
@@ -177,17 +184,25 @@ class TestVerifyCommand:
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
         # the oscillator's U^2 is tridiagonal and V diagonal: the order-40
-        # U^2 is validated by its Cholesky factorization, and the one
-        # pencil solve factors the tridiagonal -Q(mu) by dpttrf, solves
-        # the tridiagonal T of order 80 by dstevd and forms x by one
-        # banded solve; nothing of order 80 is reduced to tridiagonal form
-        # there (the one order-80 dsytrd is the exact kappa pair's)
-        lapack_calls, pencil_calls = [], []
+        # U^2 is validated by its Cholesky factorization, the contraction
+        # is bisected on dpttrf alone, and the one pencil solve factors
+        # the tridiagonal -Q(mu) by dpttrf, solves the tridiagonal T of
+        # order 80 by dstevd and forms x by one banded solve; nothing of
+        # order 80 is reduced to tridiagonal form there (the one order-80
+        # dsytrd is the exact kappa pair's)
+        lapack_calls, pencil_calls, bisections = [], [], []
 
         def count_pencil(*args, **kwargs):
             start = len(lapack_calls)
             result = k_frame(*args, **kwargs)
             pencil_calls.append(lapack_calls[start:])
+            return result
+
+        def count_bisection(*args, **kwargs):
+            start = len(lapack_calls)
+            result = banded(*args, **kwargs)
+            bisections.append(lapack_calls[start:])
+            del lapack_calls[start:]
             return result
 
         def spy(name):
@@ -199,14 +214,18 @@ class TestBoundsCommand:
 
             monkeypatch.setattr(scipy.linalg.lapack, name, record)
 
-        k_frame = spectral._k_frame_eigensolve
+        k_frame, banded = spectral._k_frame_eigensolve, core._banded_contractions
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
+        monkeypatch.setattr(core, "_banded_contractions", count_bisection)
         names = ("dpotrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
         for name in names + ("dtrtrs", "dtbtrs"):
             spy(name)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert pencil_calls == [[("dpttrf", 40), ("dstevd", 80), ("dtbtrs", 40)]]
+        # one bisection, about 53 + log2 cond(U^2) steps
+        assert len(bisections) == 1 and 50 <= len(bisections[0]) <= 70
+        assert set(bisections[0]) == {("dpttrf", 40)}
         factored = [call for call in lapack_calls if call[0] in ("dpotrf", "dpttrf")]
         assert factored == [("dpotrf", 40), ("dpttrf", 40)]
         assert [c for c in lapack_calls if c[1] == 80] == [
@@ -216,13 +235,13 @@ class TestBoundsCommand:
     def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
         # every dense symmetric eigen-reduction kg bounds --optimize-shift
         # runs at N = 160, by routine and order: the bracket's extremes of
-        # V, the one full solve of the shift search (dsyevr), the
-        # contraction, c, nu, the mixed product, ||dV||, the exact pair at
-        # order 2n, ||dG|| and ||Gamma||; the one eigh of U^2 forms the
-        # U^(+-1/2) of the ||dG|| and ||J1|| rows.  The ends of the
-        # spectrum of the tridiagonal U^2 that validate it are bisected on
-        # its own diagonals, and the spectrum is the tridiagonal T's
-        # (dstevd, with vectors): no dsyevd and no other order-2n dsytrd
+        # V, the one full solve of the shift search (dsyevr), c, nu, the
+        # mixed product, ||dV||, the exact pair at order 2n, ||dG|| and
+        # ||Gamma||; the one eigh of U^2 forms the U^(+-1/2) of the ||dG||
+        # and ||J1|| rows.  The ends of the spectrum of the tridiagonal U^2
+        # that validate it and the contraction are bisected on its own
+        # diagonals, and the spectrum is the tridiagonal T's (dstevd, with
+        # vectors): no dsyevd and no other order-2n dsytrd
         calls = []
 
         def spy(module, name):
@@ -243,7 +262,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert sorted(calls) == sorted(
             [("eigh", 160), ("dsyevr", 160), ("dstevd", 320), ("dsytrd", 320)]
-            + [("dsytrd", 160)] * 8
+            + [("dsytrd", 160)] * 7
         )
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
@@ -256,9 +275,18 @@ class TestBoundsCommand:
         # kappa pair is read off the same solve's eigenvectors, and no
         # generalized eigensolve runs.  The first factorization is that
         # of U^2, which validates the model and is shared by the
-        # perturbed model
-        generalized, shapes = [], []
+        # perturbed model.  The oscillator's contraction is one bisection
+        # on dpttrf's success for s U^2 - W^2, every test of order 40
+        generalized, shapes, bisections = [], [], []
         eigh = scipy.linalg.eigh
+        banded = core._banded_contractions
+
+        def count_bisection(*args, **kwargs):
+            start = len(shapes)
+            result = banded(*args, **kwargs)
+            bisections.append(shapes[start:])
+            del shapes[start:]
+            return result
 
         def spy_eigh(a, b=None, *args, **kwargs):
             if b is not None:
@@ -275,6 +303,7 @@ class TestBoundsCommand:
             return record
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(core, "_banded_contractions", count_bisection)
         for module, name in [
             (scipy.linalg.lapack, "dpotrf"),
             (scipy.linalg.lapack, "dpttrf"),
@@ -287,6 +316,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert generalized == []
         assert shapes == [(40, 40), (40,)] + [(40, 40)] * (solves - 1)
+        assert len(bisections) == 1 and set(bisections[0]) == {(40,)}
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_contraction_rejected_before_any_solve(
@@ -535,18 +565,27 @@ class TestEachQuantityOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "command, pairs", [("verify", 0), ("bounds", 1)], ids=["verify", "bounds"]
+        "command, pairs, gram_norms",
+        [("verify", 0, 3), ("bounds", 1, 4)],
+        ids=["verify", "bounds"],
     )
-    def test_three_powers_and_six_norms(self, command, pairs, monkeypatch, capsys):
+    def test_three_powers_and_six_norms(
+        self, command, pairs, gram_norms, monkeypatch, capsys
+    ):
         # verify reads U only through L; kg bounds forms U^(1/2) and
-        # U^(-1/2) once, from one order-n eigh, for ||dG|| and ||J1||
+        # U^(-1/2) once, from one order-n eigh, for ||dG|| and ||J1||.
+        # Of the six norms both once took through a Gram matrix, the
+        # oscillator's contraction is bisected on U^2's diagonals, and
+        # ||dV|| and the gate's ||V|| are ends of symmetric spectra: verify
+        # keeps c, nu and the perturbed contraction, bounds c, nu,
+        # ||dG|| and ||Gamma||
         formed, decompositions = self.u_roots(monkeypatch, 40)
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert len(formed) == pairs
         assert decompositions == ["eigh"] * pairs
-        assert len(norms) == 6
+        assert len(norms) == gram_norms
 
     @pytest.mark.parametrize(
         "args",
@@ -565,6 +604,41 @@ class TestEachQuantityOnce:
         formed, decompositions = self.u_roots(monkeypatch, order)
         assert main(args) == EXIT_OK
         assert formed == [] and decompositions == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--alpha", "0.3", "--grid-points", "80"],
+            ["sweep", "--alpha", "0.3", "--grid-points", "80", "--sweep-range",
+             "0:1", "--steps", "5"],
+        ],
+        ids=["spectrum", "sweep"],
+    )
+    def test_oscillator_takes_no_dense_order_n_step(
+        self, args, monkeypatch, tmp_path, capsys
+    ):
+        # after validation (the Cholesky factor of U^2, whose ends are
+        # bisected on its diagonals) the N = 80 oscillator runs no dense
+        # order-n solve or reduction: the contraction is bisected on
+        # dpttrf, the pencil is the tridiagonal T, the residuals are
+        # banded and the gate's ||V|| is max |v_ii|
+        calls = []
+
+        def spy(module, name):
+            routine = getattr(module, name)
+
+            def record(a, *args, **kwargs):
+                calls.append((name, np.shape(a)[-1]))
+                return routine(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        for name in ("dpotrf", "dtrtrs", "dsytrd", "dsyevd", "dsyevr"):
+            spy(scipy.linalg.lapack, name)
+        for name in ("cholesky", "eigh", "eigvalsh", "solve"):
+            spy(np.linalg, name)
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert calls == [("dpotrf", 80)]
 
     @pytest.mark.parametrize(
         "args, order",
@@ -656,9 +730,9 @@ class TestResidualGate:
         # names it, not the largest-modulus eigenvalue of its row
         residuals = harness.eigenpair_residuals
 
-        def fail_smallest(spec, lams, vecs, *potentials):
+        def fail_smallest(spec, lams, vecs, *couplings):
             # per row of a stacked block
-            r = residuals(spec, lams, vecs, *potentials)
+            r = residuals(spec, lams, vecs, *couplings)
             smallest = np.argmin(np.abs(lams), axis=-1)[..., None]
             np.put_along_axis(r, smallest, 1.0, axis=-1)
             return r
@@ -698,9 +772,8 @@ class TestStackedGate:
         # the first in row-major order is named, as by the loop
         residuals = harness.eigenpair_residuals
 
-        def plant(spec, lams, vecs, potentials):
-            r = residuals(spec, lams, vecs, potentials)
-            t = potentials[:, 0, 0] / spec.v[0, 0]
+        def plant(spec, lams, vecs, t):
+            r = residuals(spec, lams, vecs, t)
             r[(t[:, None] >= 1.1) & (np.real(lams) > 1.0)] = fill
             return r
 
@@ -1095,6 +1168,165 @@ class TestCsvOutput:
         written = out.read_bytes()
         assert written == printed
         assert written.endswith(b"\n") and b"\r" not in written
+
+    @staticmethod
+    def csv_writer_bytes(header, rows):
+        """The table as csv.writer writes it, one formatted cell at a time."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue().encode("utf-8")
+
+    @staticmethod
+    def capture(monkeypatch, module, name, plant=lambda result: result):
+        """Replace module.name by a wrapper keeping what it returns, planted."""
+        kept, original = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            kept.append(plant(original(*args, **kwargs)))
+            return kept[-1]
+
+        monkeypatch.setattr(module, name, wrapper)
+        return kept
+
+    @pytest.mark.parametrize("tau", ["1", "2.2"], ids=["real", "complex"])
+    def test_spectrum_rows_are_the_csv_writer_bytes(self, tau, monkeypatch, tmp_path):
+        special = [-0.0, np.inf, np.nan, 5e-324]
+        planted = special if tau == "1" else [complex(x, -y) for x, y in
+                                              zip(special, special[::-1])]
+
+        def plant(report):
+            return dataclasses.replace(report, eigenvalues=np.array(planted))
+
+        reports = self.capture(monkeypatch, cli, "eigen_spectrum", plant)
+        resids = np.array([np.nan, -0.0, np.inf, 1e-300])
+        monkeypatch.setattr(cli, "eigenpair_residuals", lambda *args: resids)
+        out = tmp_path / "o.csv"
+        assert main(["spectrum", "--tau", tau, "--out", str(out)]) == EXIT_SOLVER
+        report = reports[0]
+        rows = [
+            [k, _fmt(np.real(lam)), _fmt(np.imag(lam)), report.sign_types[k], _fmt(r)]
+            for k, (lam, r) in enumerate(zip(report.eigenvalues, resids))
+        ]
+        header = ["index", "eigenvalue_re", "eigenvalue_im", "sign_type",
+                  "pencil_residual"]
+        assert out.read_bytes() == self.csv_writer_bytes(header, rows)
+
+    def test_verify_rows_are_the_csv_writer_bytes(self, monkeypatch, tmp_path):
+        def plant(report):
+            lam = report.eigenvalues.copy()
+            lam[:3] = [-0.0, np.inf, np.nan]
+            return dataclasses.replace(
+                report, eigenvalues=lam, deviations=-report.deviations,
+                max_deviation=-0.0,
+            )
+
+        reports = self.capture(monkeypatch, cli, "verify_bounds", plant)
+        out = tmp_path / "o.csv"
+        args = ["verify", "--alpha", "0.3", "--grid-points", "12", "--eta", "0.01"]
+        assert main(args + ["--out", str(out)]) in (EXIT_OK, EXIT_SOLVER)
+        report = reports[0]
+        rows = [
+            ["eigenpair", k, _fmt(lam), _fmt(lam_p), _fmt(dev), "", "", ""]
+            for k, (lam, lam_p, dev) in enumerate(
+                zip(report.eigenvalues, report.eigenvalues_perturbed, report.deviations)
+            )
+        ]
+        rows.append(["summary", "max_relative_deviation", "", "", "-0", "", "", ""])
+        assert {type(c.value) for c in report.checks} == {tuple, float}
+        for check in report.checks:
+            value = (
+                f"{_fmt(check.value[0])};{_fmt(check.value[1])}"
+                if isinstance(check.value, tuple)
+                else _fmt(check.value)
+            )
+            rows.append(
+                ["bound", check.name, "", "", "", value, check.applicable, check.passed]
+            )
+        header = ["row_type", "key", "eigenvalue", "eigenvalue_perturbed",
+                  "deviation", "bound", "applicable", "passed"]
+        assert out.read_bytes() == self.csv_writer_bytes(header, rows)
+
+    @pytest.mark.parametrize("hi", ["1", "2.2"], ids=["real", "critical"])
+    def test_sweep_rows_are_the_csv_writer_bytes(self, hi, monkeypatch, tmp_path):
+        def plant(result):
+            lam = result.eigenvalues.copy()
+            lam[0, :3] = [complex(-0.0, np.inf), complex(np.nan, -0.0), 5e-324]
+            residual_max = result.residual_max.copy()
+            residual_max[:3] = [-0.0, np.inf, np.nan]
+            return dataclasses.replace(
+                result, eigenvalues=lam, residual_max=residual_max
+            )
+
+        results = self.capture(monkeypatch, cli.harness, "sweep_potential", plant)
+        out = tmp_path / "o.csv"
+        args = ["sweep", "--tau", "1", "--sweep-range", f"0:{hi}", "--steps", "11"]
+        assert main(args + ["--out", str(out)]) == EXIT_SOLVER
+        result = results[0]
+        assert (result.critical_value is None) == (hi == "1")
+        assert not result.is_real.all() or hi == "1"
+        two_n = result.eigenvalues.shape[1]
+        header = ["row_type", "parameter", "is_real", "defective", "residual_max"]
+        for k in range(two_n):
+            header += [f"eig{k}_re", f"eig{k}_im"]
+        rows = []
+        for i, t in enumerate(result.parameters):
+            row = ["point", _fmt(t), result.is_real[i], result.defect_flags[i],
+                   _fmt(result.residual_max[i])]
+            for lam in result.eigenvalues[i]:
+                row += [_fmt(lam.real), _fmt(lam.imag)]
+            rows.append(row)
+        critical = "" if result.critical_value is None else _fmt(result.critical_value)
+        rows.append(["critical", critical, "", "", ""] + [""] * (2 * two_n))
+        assert out.read_bytes() == self.csv_writer_bytes(header, rows)
+
+    def test_bounds_and_reproduce_rows_are_the_csv_writer_bytes(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        reports = self.capture(monkeypatch, cli, "bounds_report")
+        out = tmp_path / "bounds.csv"
+        args = ["bounds", "--tau", "1", "--eta", "0.1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        cells = [
+            [key, cli._csv_cell(value), cli._csv_cell(extra)]
+            for key, value, extra in reports[0].rows()
+        ]
+        assert {"", "True"} <= {c[2] for c in cells}
+        expected = self.csv_writer_bytes(["key", "value", "extra"], cells)
+        assert out.read_bytes() == expected
+
+        tables = self.capture(monkeypatch, cli.harness, "example2_tables")
+        assert main(["reproduce", "example2", "--out", str(tmp_path)]) == EXIT_OK
+        result = tables[0]
+        for name, table in (
+            ("example2_true_distances.csv", result.true_distances),
+            ("example2_bounds.csv", result.bounds),
+        ):
+            rows = [
+                [_fmt(tau), _fmt(eta), _fmt(table[i, j])]
+                for i, tau in enumerate(result.taus)
+                for j, eta in enumerate(result.etas)
+            ]
+            header = ["tau", "eta"] + (
+                ["max_relative_distance"] if "true" in name else ["bound"]
+            )
+            data = (tmp_path / name).read_bytes()
+            assert data == self.csv_writer_bytes(header, rows)
+
+        tables = self.capture(monkeypatch, cli.harness, "example1_table")
+        args = ["reproduce", "example1", "--grid-points", "40", "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        rows = [
+            [_fmt(r.alpha), _fmt(r.beta), r.mode, _fmt(r.mu_plus), _fmt(r.exact_plus),
+             _fmt(r.error_plus), _fmt(r.mu_minus), _fmt(r.exact_minus),
+             _fmt(r.error_minus)]
+            for r in tables[0].rows
+        ]
+        header = ["alpha", "beta", "mode", "mu_plus_discrete", "mu_plus_exact",
+                  "error_plus", "mu_minus_discrete", "mu_minus_exact", "error_minus"]
+        data = (tmp_path / "example1_table.csv").read_bytes()
+        assert data == self.csv_writer_bytes(header, rows)
 
     def test_reproduce_tables_have_lf_endings(self, tmp_path, capsys):
         assert main(["reproduce", "example2", "--out", str(tmp_path)]) == EXIT_OK

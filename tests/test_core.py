@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +16,7 @@ from kgbounds import (
     harmonic_model,
     operator_a,
     optimize_shift,
+    spectral,
     spectral_norm,
     square_well_model,
 )
@@ -234,7 +236,7 @@ class TestAssemble:
             n = system.n
             zero, eye = np.zeros((n, n)), np.eye(n)
             l_block = np.block([[spec.cholesky, zero], [zero, eye]])
-            a = system.a_matrix
+            a = operator_a(spec, mu)
             middle = np.block([[eye, a.T], [a, eye]])
             rebuilt = l_block @ middle @ l_block.T
             w = spec.v - mu * eye
@@ -263,7 +265,7 @@ class TestAssemble:
         for _ in range(5):
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
-            n, a, b = system.n, system.a_matrix, system.contraction
+            n, a, b = system.n, operator_a(spec, 0.0), system.contraction
             middle = np.block([[np.eye(n), a.T], [a, np.eye(n)]])
             eigs = np.linalg.eigvalsh(middle)
             assert eigs[0] >= 1.0 - b - 1e-12
@@ -283,6 +285,139 @@ class TestOperatorA:
     def test_square_well_no_shift(self):
         a = operator_a(square_well_model(1.0), 0.0)
         assert abs(spectral_norm(a) - np.sqrt(2.0 / 3.0)) <= 1e-12
+
+
+def unit_oscillator(grid_points, beta):
+    """The oscillator of field strength 1: V = diag(x), U^2 tridiagonal."""
+    return harmonic_model(HarmonicParams(alpha=1.0, beta=beta, grid_points=grid_points))
+
+
+def contraction_error_bound(spec, b):
+    """_banded_contractions' first-order bound on |b^2 - b_exact^2|."""
+    d, e = spec.u2_bands
+    r = (np.abs(d) + np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))).max()
+    return 3.0 * np.finfo(float).eps * (1.0 + r / spec.u_min**2) * b * b
+
+
+def definite_in_40_digits(spec, w, s):
+    """Whether s U^2 - W^2 is positive definite: its L D L^T pivots, to 40 digits."""
+    d, e = spec.u2_bands
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        diagonal = [s * mpmath.mpf(di) - mpmath.mpf(wi) ** 2 for di, wi in zip(d, w)]
+        off_squared = [(s * mpmath.mpf(ei)) ** 2 for ei in e]
+        pivot = diagonal[0]
+        for a, b2 in zip(diagonal[1:], off_squared):
+            if pivot <= 0:
+                return False
+            pivot = a - b2 / pivot
+        return pivot > 0
+
+
+class TestBandedContraction:
+    """b bisected on U^2's two diagonals against the dense ||L^(-1) W||.
+
+    A tridiagonal spec of order n >= 32 takes the bisection
+    (core._banded_contractions) in assemble_system and eigen_spectra.
+    """
+
+    @pytest.mark.parametrize("grid_points", [32, 33, 81, 150, 400, 1000])
+    def test_matches_the_dense_route(self, grid_points):
+        for beta in (0.0, 1.0):
+            unit = unit_oscillator(grid_points, beta)
+            # b(mu) of alpha V is alpha b(mu / alpha) of V: one search
+            optimized = optimize_shift(unit)
+            for alpha in (0.3, 0.985):
+                spec = unit.with_potential(alpha * unit.v, "")
+                assert core._bisected(spec)
+                for shift in (0.0, 0.3, -0.3, alpha * optimized):
+                    w = spec.v.diagonal() - shift
+                    if grid_points % 2 and shift == 0.0:
+                        assert (w == 0.0).any()   # W's exact zero at x = 0
+                    b = assemble_system(spec, shift).contraction
+                    dense = spectral_norm(operator_a(spec, shift))
+                    bound = contraction_error_bound(spec, b)
+                    assert abs(b * b - dense * dense) <= bound
+                    # the docstring's bound, against 40-digit pivots
+                    assert not definite_in_40_digits(spec, w, b * b - bound)
+                    assert definite_in_40_digits(spec, w, b * b + bound)
+                    # the same route for every row as the dense b
+                    certified = spectral._certified_definite(spec, b)
+                    assert certified == spectral._certified_definite(spec, dense)
+                    # the rows of eigen_spectra (example 1's coupling alpha)
+                    row = (alpha * unit.v.diagonal() - shift)[None]
+                    assert core._banded_contractions(unit, row)[0] == b
+                    if certified or grid_points <= 150:
+                        stack = spectral.eigen_spectra(unit, (alpha,), shift, nearest=1)
+                        assert stack.contractions[0] == b
+                        assert stack.pencil[0] == certified
+
+    def test_zero_potential_is_exactly_zero(self):
+        unit = unit_oscillator(40, 0.0)
+        spec = unit.with_potential(np.zeros((40, 40)), "")
+        assert assemble_system(spec, 0.0).contraction == 0.0
+        assert spectral.eigen_spectra(unit, (0.0,), 0.0).contractions[0] == 0.0
+
+    def test_scalar_potential_meets_the_bracket_bound(self):
+        # W = c I attains b = |c| / u_min, the bound the bracket starts from
+        unit = unit_oscillator(40, 1.0)
+        spec = unit.with_potential(0.7 * np.eye(40), "")
+        for shift in (0.0, 0.3, 1.2):
+            w = spec.v.diagonal() - shift
+            b = assemble_system(spec, shift).contraction
+            bound = contraction_error_bound(spec, b)
+            assert abs(b * b - (0.7 - shift) ** 2 / spec.u_min**2) <= bound
+            assert not definite_in_40_digits(spec, w, b * b - bound)
+            assert definite_in_40_digits(spec, w, b * b + bound)
+
+    @pytest.mark.parametrize("m", [-300, 300])
+    def test_power_of_two_scaling_is_exact(self, m):
+        # V by 2^(2m) scales b by 2^(2m); (U^2, V) by (4^m, 2^m) keeps it
+        unit = unit_oscillator(81, 1.0)
+        spec = unit.with_potential(0.985 * unit.v, "")
+        for shift in (0.0, 0.3):
+            b = assemble_system(spec, shift).contraction
+            v_scaled = spec.with_potential(np.ldexp(spec.v, 2 * m), "")
+            scaled = assemble_system(v_scaled, np.ldexp(shift, 2 * m)).contraction
+            assert scaled == np.ldexp(b, 2 * m)
+            both = ModelSpec(np.ldexp(spec.u_squared, 2 * m), np.ldexp(spec.v, m))
+            assert assemble_system(both, np.ldexp(shift, m)).contraction == b
+
+    @pytest.mark.parametrize("u_scale, v_scale", [(1e-300, 1e300), (1e-10, 1e307)])
+    def test_overflowing_potential_is_inf(self, u_scale, v_scale):
+        e = np.eye(40, k=1)
+        spec = ModelSpec(
+            u_squared=u_scale * (3.0 * np.eye(40) - e - e.T),
+            v=np.diag(np.linspace(-v_scale, v_scale, 40)),
+        )
+        assert core._bisected(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assemble_system(spec, 0.0).contraction == np.inf
+            w = np.stack([spec.v.diagonal(), np.zeros(40), 1e-300 * spec.v.diagonal()])
+            b = core._banded_contractions(spec, w)
+        assert b[0] == np.inf and b[1] == 0.0 and np.isfinite(b[2])
+
+
+class TestSymmetricNorm:
+    def test_diagonal_is_exact(self):
+        v = np.diag([0.5, -3.0, 1e-300, 2.0])
+        assert core._symmetric_norm(v) == 3.0
+        assert core._symmetric_norm(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 8, 31, 32, 80])
+    def test_matches_the_gram_norm(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        for scale in (1e-200, 1.0, 1e200):
+            a = rng.normal(size=(n, n))
+            a = scale * (a + a.T)
+            norm = core._symmetric_norm(a)
+            assert abs(norm - spectral_norm(a)) <= 1e-13 * norm
+
+    def test_beyond_the_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._symmetric_norm(np.full((40, 40), 1e307)) == np.inf
 
 
 class TestSpectralNorm:

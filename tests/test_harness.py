@@ -146,7 +146,7 @@ class TestSweep:
         monkeypatch.setattr(
             harness,
             "eigenpair_residuals",
-            lambda spec, lams, vecs, *potentials: np.real(lams),
+            lambda spec, lams, vecs, *couplings: np.real(lams),
         )
         result = sweep_potential(square_well_model(1.0), 0.0, 2.2, 12)
         assert not result.is_real.all()  # complex rows are covered
@@ -267,6 +267,17 @@ class TestStackedSweep:
         assert sum(calls[:blocks]) == steps and max(calls) <= block
         assert len(calls) <= blocks + bisection
         assert calls[blocks:] == [1] * (len(calls) - blocks)
+
+    def test_tridiagonal_rows_in_blocks_of_budget_over_2n(self, monkeypatch):
+        # the tridiagonal T's rows are solved one by one, so a block holds
+        # BLOCK_BUDGET // 2n of them: 21 at N = 24, where the dense route
+        # would take one per call
+        calls = self.count_rows(monkeypatch)
+        base = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        result, paths = self.assert_rows_match(base, 0.0, 1.0, 30, shift=0.05)
+        assert calls == [21, 9] and set(paths) == {"similarity"}
+        assert harness.BLOCK_BUDGET // (2 * base.order) ** 2 == 0
+        assert result.critical_value is None
 
     def test_block_of_one_row_from_order_sixteen(self, monkeypatch):
         calls = self.count_rows(monkeypatch)

@@ -361,7 +361,8 @@ def residual_cases(corpus):
         spec = square_well_model(tau)
         for mu in (0.0, -tau / 2.0):
             yield spec, eigen_spectrum(assemble_system(spec, mu))
-    for alpha in (0.3, 0.985):
+    # Q(lam) x from the diagonals; at alpha = 1.2 from a direct, non-real row
+    for alpha in (0.3, 0.985, 1.2):
         spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=40))
         yield spec, eigen_spectrum(assemble_system(spec, 0.0))
     base = corpus[0][0]
@@ -433,18 +434,23 @@ class TestEigenpairResiduals:
         # the model (2^(2k) U^2, 2^k V) has the pairs (2^k lam, x) and
         # backward errors 2^(2k) times those of (U^2, V): bit for bit,
         # computed as they are below 2^500 and scaled beyond it, up to
-        # ||2^(2k) U^2|| = 2^1019
-        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=12))
-        report = eigen_spectrum(assemble_system(spec, 0.0))
-        large = ModelSpec(np.ldexp(spec.u_squared, 2 * k), np.ldexp(spec.v, k))
-        lam = np.ldexp(report.eigenvalues, k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scaled = eigenpair_residuals(large, lam, report.eigenvectors)
-        residuals = eigenpair_residuals(spec, report.eigenvalues, report.eigenvectors)
-        expected = np.ldexp(residuals, 2 * k)
-        np.testing.assert_array_equal(scaled, expected)
-        assert np.isfinite(scaled).all() and (scaled > 0.0).all()
+        # ||2^(2k) U^2|| = 2^1019; from the dense products (N = 12) and
+        # from the diagonals (N = 40, the tridiagonal route)
+        for grid_points in (12, 40):
+            spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
+            report = eigen_spectrum(assemble_system(spec, 0.0))
+            large = ModelSpec(np.ldexp(spec.u_squared, 2 * k), np.ldexp(spec.v, k))
+            assert spectral._tridiagonal_rows(large) == (grid_points == 40)
+            lam = np.ldexp(report.eigenvalues, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = eigenpair_residuals(large, lam, report.eigenvectors)
+            residuals = eigenpair_residuals(
+                spec, report.eigenvalues, report.eigenvectors
+            )
+            expected = np.ldexp(residuals, 2 * k)
+            np.testing.assert_array_equal(scaled, expected)
+            assert np.isfinite(scaled).all() and (scaled > 0.0).all()
 
 
 class TestDefectCheck:
@@ -638,9 +644,8 @@ class TestStackedSolve:
         spec = square_well_model(1.0)
         couplings = np.array([0.3, 1.5, 2.2])
         stack = spectral.eigen_spectra(spec, couplings, 0.0)
-        potentials = np.multiply.outer(couplings, spec.v)
         stacked = eigenpair_residuals(
-            spec, stack.eigenvalues, stack.eigenvectors, potentials
+            spec, stack.eigenvalues, stack.eigenvectors, couplings
         )
         for k, t in enumerate(couplings):
             row_spec = spec.with_potential(t * spec.v, "")
@@ -718,7 +723,10 @@ class TestEigenvaluesOnly:
         # oscillator's T, of order 40, is tridiagonal: one bisection over
         # its middle indices (dstebz) and no reduction.
         # With a dense potential T is dense: one tridiagonalization
-        # (dsytrd) and one bisection.  Neither solves for a vector
+        # (dsytrd) and one bisection.  Neither solves for a vector.
+        # From order n = 32 up the oscillator's contraction is bisected
+        # on dpttrf alone, and a dense one's Gram matrix is reduced
+        # (dsytrd) and bisected at its top (dstebz)
         calls = []
 
         def spy(name):
@@ -742,6 +750,15 @@ class TestEigenvaluesOnly:
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
         assert calls == contraction + [("dsytrd", None), ("dstebz", None)]
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=40))
+        dense = spec.with_potential(spec.v + 1e-3 * np.ones((40, 40)), "dense")
+        calls.clear()
+        spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
+        assert calls == [("dstebz", None)]
+        calls.clear()
+        spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
+        reduction = [("dsytrd", None), ("dstebz", None)]
+        assert calls == [("dtrtrs", None)] + reduction * 2
 
 
 class TestTridiagonalPencil:
