@@ -36,15 +36,15 @@ the gap inclusion intervals and the uniform norm-bound interval through
 angular operator of the positive spectral subspace
 (spectral.sign_operator), the H-frame rows and the only ones to read a
 root of U (ModelSpec.half_roots).  Every spectral quantity here is an
-end of a spectrum, and only the ends are computed (core._extreme_eigenvalues): the exact pair, the sign of
-the mixed product and each norm.  nu comes from a Bunch-Kaufman solve
-with V.  One record holds everything known about one (model, dV,
-shift): perturbation_constants measures dV (c, nu and the sign of the
-mixed product) and evaluates every kappa into a BoundsReport, and
-bounds_report assembles and solves for it.  Only two of the record's
-methods walk the kappa names: rows(), the table of ``kg bounds``, and
-checks(), which verify_bounds uses to compare every predicted constant
-against exactly computed spectra.
+end of a spectrum, and only the ends are computed (core._spectrum_ends):
+the exact pair, the sign of the mixed product and each norm.  nu comes
+from a Bunch-Kaufman solve with V.  One record holds everything known
+about one (model, dV, shift): perturbation_constants measures dV (c, nu
+and the sign of the mixed product) and evaluates every kappa into a
+BoundsReport, and bounds_report assembles and solves for it.  Only two
+of the record's methods walk the kappa names: rows(), the table of
+``kg bounds``, and checks(), which verify_bounds uses to compare every
+predicted constant against exactly computed spectra.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from scipy.linalg import lapack
 
 from .core import (
     KleinGordonSystem,
-    _extreme_eigenvalues,
+    _is_diagonal,
+    _spectrum_ends,
     _symmetric_norm,
     ModelSpec,
     assemble_system,
@@ -185,7 +186,7 @@ def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
     """
     mixed = symmetrize(delta_a.T @ a_matrix + a_matrix.T @ delta_a)
     tol = SIGN_TOL * max(b * c, 1e-300)
-    lowest, highest = _extreme_eigenvalues(mixed, 1, 1)[[0, -1]]
+    lowest, highest = _spectrum_ends(mixed)
     is_zero = bool(max(-lowest, highest) <= tol)
     if highest <= tol:
         return "negative", is_zero
@@ -557,7 +558,8 @@ def perturbation_constants(
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
-    c_loose = _symmetric_norm(dv) / system.spec.u_min   # ||U^(-1)|| = 1/u_min
+    # ||U^(-1)|| = 1/u_min
+    c_loose = _symmetric_norm(dv, _is_diagonal(dv)) / system.spec.u_min
     k_prod = kappa_general(c_loose, b)
     k_rel = kappa_relative(nu, b) if nu is not None else None
 
@@ -571,8 +573,7 @@ def perturbation_constants(
 
     n, z = system.n, report.eigenvectors
     m = z[n:].T @ (dv @ z[:n])
-    w = _extreme_eigenvalues(m + m.T, 1, 1)
-    k_exact = (float(w[0]), float(w[-1]))
+    k_exact = _spectrum_ends(m + m.T)
     if k_exact[0] > -1.0:
         k0_hat, kp_hat = rescale_kappa(*k_exact)
     else:

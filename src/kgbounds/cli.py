@@ -1,8 +1,9 @@
 """Command line front end: kg spectrum | bounds | verify | sweep | reproduce.
 
-Exit codes: 0 success, 2 parse failure (bad arguments or model file),
-3 validation failure (structurally bad matrix data), 4 solver failure
-(among them a valid model whose shifted pencil is not certified definite).
+Exit codes: 0 success, 2 parse failure (bad arguments, an unreadable
+model file or an unwritable output), 3 validation failure (structurally
+bad matrix data), 4 solver failure (a valid model whose shifted pencil
+is not certified definite among them, and running out of memory).
 Each command resolves its arguments into a model, a shift and, for
 bounds and verify, a perturbation, calls the library once and renders
 what it returns: ``kg bounds`` writes the rows of bounds.BoundsReport,
@@ -141,6 +142,8 @@ def _resolve(args) -> tuple:
         value = getattr(args, flag, None)
         if value is not None and not np.isfinite(value):
             raise ParseError(f"--{flag} must be a finite number, got {value}")
+    if getattr(args, "seed", 0) < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
     tau = args.tau
     if args.model is not None:
         spec = load_model(args.model)
@@ -222,7 +225,7 @@ def _gate_exit(
     eigenpair_residuals forms them: exactly the same comparisons.
     """
     u_max, lam_abs = spec.u_max, np.abs(lams)
-    tv_norm = np.abs(couplings) * _symmetric_norm(spec.v)
+    tv_norm = np.abs(couplings) * _symmetric_norm(spec.v, spec.v_diagonal)
     k = _overflow_exponent(max(u_max, tv_norm.max(), lam_abs.max()))
     scaled = resids
     if k:
@@ -489,6 +492,13 @@ def main(argv=None) -> int:
     except (KGError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:   # an unreadable --model is a ParseError already
+        path, reason = exc.filename or args.out or "stdout", exc.strerror or exc
+        print(f"parse error: cannot write {path}: {reason}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

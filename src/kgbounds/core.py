@@ -37,21 +37,24 @@ of one shift; shifted_potential and spectral_norm take stacks.
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
 and the values of the shift search) or the middle of one (the modes of
-example 1 nearest the shift).  _extreme_eigenvalues computes the
-requested ends alone, from order 32 up by one tridiagonalization and a
-bisection per end, _middle_eigenvalues the middle by one bisection,
-and a matrix that is tridiagonal already is bisected on its own
-diagonals (_tridiagonal_eigenvalues), as is b^2 of a tridiagonal spec,
-on O(n) factorizations (_banded_contractions).  optimize_shift
-minimizes b by the subspace method from that order up, with one full
-top eigenpair per step.  Everything here is desk-scale; all outputs
-are plain numpy arrays inside frozen dataclasses and all functions
-are pure.
+example 1 nearest the shift), and each has one route.  _eigenvalues
+computes eigenvalues by index range, from order 32 up by one
+tridiagonalization and a bisection per range; _extreme_eigenvalues
+asks it for the ends.  _spectrum_ends reads the structure ModelSpec
+records: a diagonal matrix's ends are its extreme entries, and those of
+a tridiagonal one are bisected on its own diagonals
+(_tridiagonal_eigenvalues).  contraction measures every b, bisecting
+b^2 of a tridiagonal spec on O(n) factorizations
+(_banded_contractions).  optimize_shift minimizes b by the subspace
+method from order 32 up, with one full top eigenpair per step.
+Everything here is desk-scale; all outputs are plain numpy arrays
+inside frozen dataclasses and all functions are pure.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,6 +72,7 @@ __all__ = [
     "ModelSpec",
     "KleinGordonSystem",
     "assemble_system",
+    "contraction",
     "operator_a",
     "optimize_shift",
     "apply_j",
@@ -90,8 +94,11 @@ _HALF_MAX = float(np.finfo(float).max) / 2
 #: scales a matrix outside this range by a power of two, which is exact
 _GRAM_RANGE = (2.0**-500, 2.0**500)
 
-#: from this order up, one tridiagonalization and bisection for the
-#: requested eigenvalues alone beat numpy's eigvalsh computing all of them
+#: the order from which partial or structured solves replace full dense
+#: ones: subset eigenvalues (in place of numpy's eigvalsh computing all),
+#: validation's bisection of a tridiagonal U^2, the banded b at n >= 32,
+#: the tridiagonal T of spectral at 2n >= 32 and the subspace shift
+#: search.  Only the first crossover was measured; the others reuse it
 _SUBSET_MIN_ORDER = 32
 
 #: dsyevr leaves a matrix unscaled when its largest entry lies in
@@ -117,43 +124,33 @@ def _unit_scaled(s):
     return (np.ldexp(s, -exponent), exponent) if exponent else (s, 0)
 
 
-def _ends(w, low: int, high: int):
-    """The low first and high last entries of ascending rows w, each once."""
-    n = w.shape[-1]
-    if low + high >= n:
-        return w
-    if not low:
-        return w[..., n - high :]
-    if not high:
-        return w[..., :low]
-    return np.concatenate([w[..., :low], w[..., n - high :]], axis=-1)
+def _eigenvalues(s, ranges):
+    """Eigenvalues of a symmetric matrix by 1-based index ranges.
 
-
-def _extreme_eigenvalues(s, low: int, high: int):
-    """The low smallest and high largest eigenvalues of a symmetric matrix.
-
-    Returns them ascending, as an array (..., m) for a matrix or a stack
-    (..., n, n), m = min(low + high, n): every eigenvalue once when the
-    two ends meet.  The eigenvalues are those of the lower triangles.
-    Below _SUBSET_MIN_ORDER, or when all eigenvalues are asked for, one
-    matrix (also a stack of one) goes straight to LAPACK's dsyevd, which
-    costs a third of numpy's eigvalsh call at n = 2, and a stack of
-    several through eigvalsh as one call.  From _SUBSET_MIN_ORDER up,
-    each matrix takes dsyevr's own partial-range path, step for step:
-    one blocked dsytrd with the workspace dsyevr hands it and one dstebz
-    bisection per end, so the results are those of dsyevr(range="I")
-    bit for bit whenever dsyevr leaves the matrix unscaled.  A matrix it
-    would scale is scaled by a power of two instead (_unit_scaled):
-    dsyevr scales to the edge of [_RMIN, _RMAX], where dstebz splits the
-    tridiagonal at off-diagonals whose squares underflow and loses
-    digits (7e-14 of ||s|| on a clustered matrix scaled by 1e-150).
-    There a non-finite entry raises KGError.
+    ``ranges`` holds disjoint ascending ranges (il, iu) of the indices
+    1..n, an empty one being (il, il - 1).  Returns the requested
+    eigenvalues ascending, as an array (..., m) for a matrix or a stack
+    (..., n, n), m their number; they are those of the lower triangles.
+    Below _SUBSET_MIN_ORDER, or when no eigenvalue or every one is asked
+    for, one matrix (also a stack of one) goes straight to LAPACK's
+    dsyevd, which costs a third of numpy's eigvalsh call at n = 2, and a
+    stack of several through eigvalsh as one call; the ranges are sliced
+    from that whole spectrum.  From _SUBSET_MIN_ORDER up, each matrix
+    takes dsyevr's own partial-range path, step for step: one blocked
+    dsytrd with the workspace dsyevr hands it and one dstebz bisection
+    per non-empty range (_bisect), so the results are those of
+    dsyevr(range="I") bit for bit whenever dsyevr leaves the matrix
+    unscaled.  A matrix it would scale is scaled by a power of two
+    instead (_unit_scaled): dsyevr scales to the edge of [_RMIN, _RMAX],
+    where dstebz splits the tridiagonal at off-diagonals whose squares
+    underflow and loses digits (7e-14 of ||s|| on a clustered matrix
+    scaled by 1e-150).  There a non-finite entry raises KGError.
     """
     n = s.shape[-1]
     if s.ndim > 2 and (s.size == n * n or n >= _SUBSET_MIN_ORDER):
-        rows = [_extreme_eigenvalues(a, low, high) for a in s.reshape(-1, n, n)]
-        return np.reshape(rows, s.shape[:-2] + (min(low + high, n),))
-    if n < _SUBSET_MIN_ORDER or not 0 < low + high < n:
+        rows = [_eigenvalues(a, ranges) for a in s.reshape(-1, n, n)]
+        return np.reshape(rows, s.shape[:-2] + rows[0].shape)
+    if n < _SUBSET_MIN_ORDER or sum(iu - il + 1 for il, iu in ranges) in (0, n):
         if n == 1:
             w = s[..., 0, :].copy()
         elif s.ndim > 2:
@@ -162,41 +159,9 @@ def _extreme_eigenvalues(s, low: int, high: int):
             w, _, info = lapack.dsyevd(s, compute_v=0, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return _ends(w, low, high)
-    d, e, exponent = _tridiagonal_form(s)
-    return np.ldexp(_bisect(d, e, ((1, low), (n - high + 1, n))), exponent)
-
-
-def _middle_eigenvalues(s, k: int):
-    """The 2k eigenvalues in the middle of a symmetric spectrum of order 2n.
-
-    Returns the eigenvalues n-k+1 .. n+k of the ascending order (every
-    one when k >= n) of a matrix or of each of a stack, from the lower
-    triangles: the k on each side of the middle.  Below
-    _SUBSET_MIN_ORDER they are sliced from the whole spectrum
-    (_extreme_eigenvalues); from that order up each matrix takes
-    _extreme_eigenvalues' tridiagonalization and one dstebz bisection
-    over the middle indices.
-    """
-    m = s.shape[-1]
-    n = m // 2
-    if m < _SUBSET_MIN_ORDER or k >= n:
-        return _extreme_eigenvalues(s, m, 0)[..., n - min(k, n) : n + min(k, n)]
-    rows = []
-    for a in s.reshape(-1, m, m):
-        d, e, exponent = _tridiagonal_form(a)
-        rows.append(np.ldexp(_bisect(d, e, ((n - k + 1, n + k),)), exponent))
-    return np.reshape(rows, s.shape[:-2] + (2 * k,))
-
-
-def _tridiagonal_form(s):
-    """(d, e, exponent): dsyevr's tridiagonal reduction of s / 2^exponent.
-
-    The diagonal d and off-diagonal e of one blocked dsytrd, with the
-    workspace dsyevr hands it, of the lower triangle of s scaled as
-    _unit_scaled scales it.  KGError on a non-finite entry.
-    """
-    n = s.shape[-1]
+        if len(ranges) == 1:
+            return w[..., ranges[0][0] - 1 : ranges[0][1]]
+        return np.concatenate([w[..., il - 1 : iu] for il, iu in ranges], axis=-1)
     if not np.isfinite(s).all():
         raise KGError(f"a symmetric matrix of order {n} has a non-finite entry")
     s, exponent = _unit_scaled(s)
@@ -204,7 +169,21 @@ def _tridiagonal_form(s):
     # less, dsytrd reduces unblocked and rounds differently
     lwork = int(lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
     _, d, e, _, _ = lapack.dsytrd(s, lower=1, lwork=lwork)
-    return d, e, exponent
+    return np.ldexp(_bisect(d, e, ranges), exponent)
+
+
+def _extreme_eigenvalues(s, low: int, high: int):
+    """The low smallest and high largest eigenvalues of a symmetric matrix.
+
+    _eigenvalues of the index ranges 1..low and n-high+1..n, or of every
+    index when the two ends meet, so each eigenvalue comes once: an
+    array (..., m), m = min(low + high, n), for a matrix or a stack.
+    """
+    n = s.shape[-1]
+    if low + high >= n:
+        return _eigenvalues(s, ((1, n),))
+    top = ((n - high + 1, n),)
+    return _eigenvalues(s, ((1, low),) + top if low else top)
 
 
 def _bisect(d, e, ranges):
@@ -230,8 +209,7 @@ def _tridiagonal_eigenvalues(d, e, ranges):
 
     A matrix that is tridiagonal already needs no dsytrd: the one
     dsytrd would return is the matrix itself (its Householder vectors
-    vanish), so this is _extreme_eigenvalues bit for bit from
-    _SUBSET_MIN_ORDER up.
+    vanish), so from _SUBSET_MIN_ORDER up this is _eigenvalues bit for bit.
     """
     largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
     exponent = _unit_exponent(largest)
@@ -283,18 +261,37 @@ def spectral_norm(a):
     return norm if stack else float(norm)
 
 
-def _symmetric_norm(a) -> float:
+def _spectrum_ends(a, bands=None, diagonal: bool = False) -> tuple:
+    """(lowest, highest) eigenvalue of a symmetric matrix, as floats.
+
+    Reads the structure a ModelSpec records and searches for none: with
+    ``diagonal`` the extreme diagonal entries, exactly; with ``bands``,
+    the two diagonals of a tridiagonal a, bisected alone from
+    _SUBSET_MIN_ORDER up (_tridiagonal_eigenvalues); else
+    _extreme_eigenvalues(a, 1, 1), the same floats where dsyevd does
+    not scale a.
+    """
+    if diagonal:
+        d = a.diagonal()
+        return float(d.min()), float(d.max())
+    n = a.shape[-1]
+    if bands is not None and n >= _SUBSET_MIN_ORDER:
+        ends = _tridiagonal_eigenvalues(*bands, ((1, 1), (n, n)))
+    else:
+        ends = _extreme_eigenvalues(a, 1, 1)
+    return float(ends[0]), float(ends[-1])
+
+
+def _symmetric_norm(a, diagonal: bool) -> float:
     """||a|| of a finite symmetric matrix, without a Gram matrix.
 
-    max |a_ii| exactly when a is diagonal, else the larger modulus of the
-    two ends of its spectrum (_extreme_eigenvalues); inf beyond the
-    float range, with no warning.
+    The larger modulus of the two ends of its spectrum (_spectrum_ends,
+    max |a_ii| exactly when ``diagonal``); inf beyond the float range,
+    with no warning.
     """
-    if _is_diagonal(a):
-        return float(np.abs(a.diagonal()).max(initial=0.0))
     with np.errstate(over="ignore"):
-        lowest, highest = _extreme_eigenvalues(a, 1, 1)[[0, -1]]
-    return float(max(-lowest, highest))
+        lowest, highest = _spectrum_ends(a, diagonal=diagonal)
+    return max(abs(lowest), abs(highest))
 
 
 def symmetrize(a):
@@ -380,13 +377,8 @@ class ModelSpec:
     def __post_init__(self):
         u2 = check_symmetric(self.u_squared, "u_squared")
         v = _symmetric_of_order(self.v, u2.shape[0], "v")
-        n = u2.shape[0]
         bands = _tridiagonal_bands(u2)
-        if bands is not None and n >= _SUBSET_MIN_ORDER:
-            ends = _tridiagonal_eigenvalues(*bands, ((1, 1), (n, n)))
-        else:
-            ends = _extreme_eigenvalues(u2, 1, 1)
-        lowest, highest = (float(w) for w in ends[[0, -1]])
+        lowest, highest = _spectrum_ends(u2, bands)
         norm = max(abs(lowest), abs(highest))
         factor, info = lapack.dpotrf(u2, lower=1, clean=1)
         if info != 0 or lowest <= PD_RTOL * norm or lowest <= 0.0:
@@ -510,7 +502,8 @@ class KleinGordonSystem:
     ------
     n : block order (H and G are 2n x 2n)
     shift : the real spectral shift mu
-    contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a)
+    contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a), from
+        ``contraction``: bisected on U^2's diagonals on the banded route
     spec : the source model
     """
 
@@ -537,25 +530,35 @@ def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
     return w
 
 
-def operator_a(spec: ModelSpec, shift: float = 0.0):
-    """A = (V - shift*I) L^(-T), L L^T = U^2: the transpose of L^(-1) W.
+def operator_a(spec: ModelSpec, shift: float = 0.0, couplings=None):
+    """A = (V - shift*I) L^(-T), L L^T = U^2, or a stack as shifted_potential's.
 
     A is the U-frame (V - shift*I) U^(-1) times the orthogonal U L^(-T),
-    so it has the same singular values.  An entry beyond the float
-    range is inf or nan (ModelSpec.l_solve), with no warning: b = ||A||
-    is then inf or nan, and every certified route rejects either, as
-    not b < 1.
+    so it has the same singular values.  An entry beyond the float range
+    is inf or nan (ModelSpec.l_solve), with no warning: b = ||A|| is then
+    inf or nan, and every certified route rejects either, as not b < 1.
     """
-    return spec.l_solve(shifted_potential(spec, shift)).T
+    return spec.l_solve(shifted_potential(spec, shift, couplings)).swapaxes(-1, -2)
 
 
-def _bisected(spec: ModelSpec) -> bool:
-    """Whether spec's contractions come from _banded_contractions.
+def contraction(spec: ModelSpec, shift: float = 0.0, couplings=None):
+    """b = ||(V - shift*I) U^(-1)||: the one route to the contraction.
 
-    So they do for a tridiagonal spec (U^2 tridiagonal, V diagonal) from
-    order _SUBSET_MIN_ORDER up; below it the dense route is faster.
+    A float for spec's own potential, or an array (k,) for the potentials
+    t V of k ``couplings`` (shifted_potential's convention).  Bisected on
+    U^2's two diagonals (_banded_contractions) for a tridiagonal spec
+    from order _SUBSET_MIN_ORDER up, else the norm of the dense A
+    (operator_a), whose Gram matrix is A^T A.  Spec's own W is never
+    stacked: on the 2 x 2 well a stack of one takes 23 us, not 16 (one
+    OpenBLAS thread, 2-core x86-64).
     """
-    return spec.tridiagonal and spec.order >= _SUBSET_MIN_ORDER
+    if spec.tridiagonal and spec.order >= _SUBSET_MIN_ORDER:
+        diagonal = spec.v.diagonal()
+        if couplings is None:
+            return float(_banded_contractions(spec, diagonal[None] - shift)[0])
+        w = np.multiply.outer(np.asarray(couplings, dtype=float), diagonal) - shift
+        return _banded_contractions(spec, w)
+    return spectral_norm(operator_a(spec, shift, couplings))
 
 
 def _banded_contractions(spec: ModelSpec, w):
@@ -614,19 +617,13 @@ def _banded_contractions(spec: ModelSpec, w):
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """The contraction data of one model and shift: b = ||A|| (operator_a).
+    """The contraction data of one model and shift: b = contraction(spec, shift).
 
-    b is bisected on U^2's two diagonals when _bisected(spec)
-    (_banded_contractions), and otherwise the norm of the dense A.
     Neither G nor H is formed: the definite pencil is solved from
     (U^2, V - shift*I) alone, and the direct path from the root-free
     companion form of the spectral module.
     """
-    if _bisected(spec):
-        w = spec.v.diagonal() - shift
-        b = float(_banded_contractions(spec, w[None])[0])
-    else:
-        b = spectral_norm(operator_a(spec, shift))
+    b = contraction(spec, shift)
     return KleinGordonSystem(n=spec.order, shift=float(shift), contraction=b, spec=spec)
 
 
@@ -712,6 +709,11 @@ def _brent_minimize(f, lo: float, hi: float, tol: float) -> float:
                 v, fv = u, fu
 
 
+def _quadratic_top(b2, b1, b0, mu: float) -> float:
+    """lambda_max(B2 - 2 mu B1 + mu^2 B0): b(mu)^2, or its projection."""
+    return float(_extreme_eigenvalues(b2 - (2.0 * mu) * b1 + (mu * mu) * b0, 0, 1)[0])
+
+
 def _top_eigenpair(s):
     """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
 
@@ -746,10 +748,6 @@ def _subspace_minimize(b2, b1, b0, lo: float, hi: float, tol: float) -> float:
     _SUBSPACE_MAX_SOLVES full solves.
     """
 
-    def projected(mu):
-        s = p2 - (2.0 * mu) * p1 + (mu * mu) * p0
-        return float(_extreme_eigenvalues(s, 0, 1)[0])
-
     mu = 0.5 * (lo + hi)
     best, best_mu = math.inf, mu
     vectors = []
@@ -760,6 +758,7 @@ def _subspace_minimize(b2, b1, b0, lo: float, hi: float, tol: float) -> float:
         vectors.append(vector)
         q = np.linalg.qr(np.column_stack(vectors))[0]
         p2, p1, p0 = (q.T @ b @ q for b in (b2, b1, b0))
+        projected = functools.partial(_quadratic_top, p2, p1, p0)
         if len(vectors) == 1:
             # a scalar quadratic in mu, with p0 = q^T B0 q > 0
             mu = min(max(float(p1[0, 0] / p0[0, 0]), lo), hi)
@@ -799,9 +798,8 @@ def optimize_shift(spec: ModelSpec):
     is ||U^(-1)||, and each Bk is the U-frame U^(-1) V^k U^(-1)
     conjugated by the orthogonal U L^(-T), so b(mu) is unchanged.
     """
-    v_min, v_max = _extreme_eigenvalues(spec.v, 1, 1)[[0, -1]]
-    lo = float(v_min) - spec.u_max
-    hi = float(v_max) + spec.u_max
+    v_min, v_max = _spectrum_ends(spec.v, diagonal=spec.v_diagonal)
+    lo, hi = v_min - spec.u_max, v_max + spec.u_max
     # r < 2^er and ||L^(-1)|| < 2^eu: the matrices stay below
     # 2^(2 (er + eu) + 2) in norm and Brent's products below 2^(4 er + 2 eu + 6)
     er = math.frexp(max(-lo, hi))[1]
@@ -819,9 +817,5 @@ def optimize_shift(spec: ModelSpec):
     tol = SHIFT_RTOL * min(hi - lo, 1.0)
     if spec.order >= _SUBSET_MIN_ORDER:
         return math.ldexp(_subspace_minimize(b2, b1, b0, lo, hi, tol), k)
-
-    def b_squared(mu):
-        s = b2 - (2.0 * mu) * b1 + (mu * mu) * b0
-        return float(_extreme_eigenvalues(s, 0, 1)[0])
-
+    b_squared = functools.partial(_quadratic_top, b2, b1, b0)
     return math.ldexp(_brent_minimize(b_squared, lo, hi, tol), k)

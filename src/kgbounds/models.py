@@ -151,9 +151,12 @@ def random_perturbation(order: int, scale: float, seed: int) -> PerturbationSpec
 
     Uses the PCG64 generator, so a fixed seed reproduces the same matrix
     on every platform.  The draw is symmetrized, which keeps every entry
-    within [-scale, scale].  Raises ValidationError for a scale that is
-    negative or NaN, or whose range 2*scale is beyond the float range.
+    within [-scale, scale].  Raises ValidationError for a negative seed
+    and for a scale that is negative or NaN, or whose range 2*scale is
+    beyond the float range.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not scale >= 0.0:
         raise ValidationError(f"scale must be >= 0, got {scale}")
     if not np.isfinite(2.0 * float(scale)):

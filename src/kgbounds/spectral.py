@@ -66,7 +66,7 @@ its steps in blocks.  A caller that reads a few eigenvalues alone (the
 oscillator table of example 1) asks for the k nearest the shift on each
 side: since sigma = lam - mu, they are the eigenvalues n-k+1 .. n+k of
 T, which the pencil rows then compute alone by one bisection
-(core._middle_eigenvalues, or dstebz on the tridiagonal T), and
+(core._eigenvalues, or dstebz on the tridiagonal T), and
 neither X nor Z is formed, since the signatures are 1/sigma.
 
 The same solve gives the sign operator, which alone here forms a root
@@ -96,13 +96,12 @@ from .core import (
     PD_RTOL,
     _GRAM_RANGE,
     _SUBSET_MIN_ORDER,
-    _banded_contractions,
-    _bisected,
-    _middle_eigenvalues,
+    _eigenvalues,
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
     apply_j,
+    contraction,
     shifted_potential,
     spectral_norm,
 )
@@ -298,11 +297,8 @@ def _eigh(c):
 
 
 def _tridiagonal_rows(spec: ModelSpec) -> bool:
-    """Whether spec's pencil rows take the tridiagonal T (_tridiagonal_eigensolve).
-
-    So they do for a tridiagonal spec (U^2 tridiagonal, V diagonal) from
-    order 2n = _SUBSET_MIN_ORDER up.
-    """
+    """Whether spec's pencil rows take the tridiagonal T (_tridiagonal_eigensolve):
+    those of a tridiagonal spec from order 2n = _SUBSET_MIN_ORDER up."""
     return spec.tridiagonal and 2 * spec.order >= _SUBSET_MIN_ORDER
 
 
@@ -333,7 +329,8 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     t[:, n:, :n] = m
     t[:, n:, n:] = 2.0 * w
     if nearest is not None:
-        return _middle_eigenvalues(t, nearest), None, factored
+        k = min(nearest, n)
+        return _eigenvalues(t, ((n - k + 1, n + k),)), None, factored
     sigma, y = _eigh(t)
     if len(m) == 1:
         x = lapack.dtrtrs(m[0], y[0, :n], lower=1, trans=1)[0][None]
@@ -528,30 +525,22 @@ def eigen_spectra(
     every uncertified row, goes to the general eigensolver on the
     root-free companion form L_g(t) (_direct_eigensolve).  Neither path
     forms H or a root of U.  ``contractions`` are the rows' b when
-    the caller has them; otherwise they are measured here, and either
-    way the stack keeps them.  With ``nearest`` = k each row holds the
-    2k eigenvalues in the middle of its ascending order alone, and the
-    stack's eigenvectors are None: on a pencil row, which has n
-    eigenvalues on each side of the shift, they are the k nearest it on
-    each side, solved for alone (their signatures theta need no
-    vectors); the direct rows still compute every eigenpair, with the
-    vectors that classify them.  The contractions measured here are
-    bisected on U^2's diagonals when core._bisected(spec), as in
-    assemble_system, and otherwise the norms of the dense L^(-1) W.
+    the caller has them, else core.contraction's; either way the stack
+    keeps them.  With ``nearest`` = k each row holds the 2k eigenvalues
+    in the middle of its ascending order alone, and the stack's
+    eigenvectors are None: on a pencil row, which has n eigenvalues on
+    each side of the shift, they are the k nearest it on each side,
+    solved for alone (their signatures theta need no vectors); the
+    direct rows still compute every eigenpair, with the vectors that
+    classify them.
     """
     t = np.asarray(couplings, dtype=float)
-    tridiagonal = _tridiagonal_rows(spec)
-    if tridiagonal:
+    if _tridiagonal_rows(spec):
         w = np.multiply.outer(t, spec.v.diagonal()) - shift   # the diagonals of W
     else:
         w = shifted_potential(spec, shift, t)
-    if contractions is None and _bisected(spec):
-        diagonals = w if tridiagonal else w.diagonal(axis1=-2, axis2=-1)
-        contractions = _banded_contractions(spec, diagonals)
-    elif contractions is None:
-        # as operator_a: ||L^(-1) W|| = ||W L^(-T)||, inf on overflow
-        dense = shifted_potential(spec, shift, t) if tridiagonal else w
-        contractions = spectral_norm(spec.l_solve(dense))
+    if contractions is None:
+        contractions = contraction(spec, shift, t)
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path

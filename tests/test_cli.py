@@ -234,14 +234,15 @@ class TestBoundsCommand:
 
     def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
         # every dense symmetric eigen-reduction kg bounds --optimize-shift
-        # runs at N = 160, by routine and order: the bracket's extremes of
-        # V, the one full solve of the shift search (dsyevr), c, nu, the
-        # mixed product, ||dV||, the exact pair at order 2n, ||dG|| and
-        # ||Gamma||; the one eigh of U^2 forms the U^(+-1/2) of the ||dG||
-        # and ||J1|| rows.  The ends of the spectrum of the tridiagonal U^2
-        # that validate it and the contraction are bisected on its own
-        # diagonals, and the spectrum is the tridiagonal T's (dstevd, with
-        # vectors): no dsyevd and no other order-2n dsytrd
+        # runs at N = 160, by routine and order: the one full solve of the
+        # shift search (dsyevr), c, nu, the mixed product, ||dV||, the
+        # exact pair at order 2n, ||dG|| and ||Gamma||; the one eigh of
+        # U^2 forms the U^(+-1/2) of the ||dG|| and ||J1|| rows.  The
+        # bracket's extremes of the diagonal V are its extreme entries,
+        # the ends of the spectrum of the tridiagonal U^2 that validate it
+        # and the contraction are bisected on its own diagonals, and the
+        # spectrum is the tridiagonal T's (dstevd, with vectors): no
+        # dsyevd and no other order-2n dsytrd
         calls = []
 
         def spy(module, name):
@@ -262,7 +263,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_OK
         assert sorted(calls) == sorted(
             [("eigh", 160), ("dsyevr", 160), ("dstevd", 320), ("dsytrd", 320)]
-            + [("dsytrd", 160)] * 7
+            + [("dsytrd", 160)] * 6
         )
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
@@ -1148,6 +1149,98 @@ class TestExitCodes:
             main(["spectrum", "--model", str(path), "--paper-shift"])
             == EXIT_VALIDATION
         )
+
+
+#: every known failure class of the CLI: (argv, the exception that
+#: spectral._k_frame_eigensolve is patched to raise, or None, and the exit
+#: code), with {tmp} the test's directory and {file} a regular file in it
+_FAILURES = {
+    "no-model-source": (["spectrum"], None, EXIT_PARSE),
+    "two-model-sources": (["spectrum", "--tau", "1", "--alpha", "0.3"], None, EXIT_PARSE),
+    "non-finite-shift": (["spectrum", "--tau", "1", "--shift", "nan"], None, EXIT_PARSE),
+    "non-finite-eta": (["bounds", "--tau", "1", "--eta", "inf"], None, EXIT_PARSE),
+    "non-finite-sweep-range": (
+        ["sweep", "--tau", "1", "--sweep-range", "0:inf"], None, EXIT_PARSE
+    ),
+    "missing-model": (["spectrum", "--model", "{tmp}/missing.json"], None, EXIT_PARSE),
+    "paper-shift-oscillator": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "10", "--paper-shift"],
+        None,
+        EXIT_VALIDATION,
+    ),
+    "negative-seed-well": (
+        ["verify", "--tau", "1", "--eta", "0.1", "--seed", "-1"], None, EXIT_PARSE
+    ),
+    "negative-seed-oscillator": (
+        ["bounds", "--alpha", "0.3", "--grid-points", "20", "--eta", "1e-3",
+         "--seed", "-1"],
+        None,
+        EXIT_PARSE,
+    ),
+    "unwritable-spectrum": (
+        ["spectrum", "--tau", "1", "--out", "{tmp}/missing/o.csv"], None, EXIT_PARSE
+    ),
+    "unwritable-bounds": (
+        ["bounds", "--tau", "1", "--eta", "0.1", "--out", "{file}/o.csv"],
+        None,
+        EXIT_PARSE,
+    ),
+    "unwritable-bounds-report": (
+        ["bounds", "--tau", "1", "--eta", "0.1", "--format", "report",
+         "--out", "{tmp}/missing/o.txt"],
+        None,
+        EXIT_PARSE,
+    ),
+    "unwritable-verify": (
+        ["verify", "--tau", "1", "--eta", "0.1", "--out", "{tmp}/missing/o.csv"],
+        None,
+        EXIT_PARSE,
+    ),
+    "unwritable-sweep": (
+        ["sweep", "--tau", "1", "--sweep-range", "0:1", "--steps", "3",
+         "--out", "{tmp}/missing/o.csv"],
+        None,
+        EXIT_PARSE,
+    ),
+    "unwritable-reproduce": (
+        ["reproduce", "example2", "--out", "{file}/x"], None, EXIT_PARSE
+    ),
+    "out-of-memory": (["spectrum", "--tau", "1"], MemoryError, EXIT_SOLVER),
+    "out-of-memory-sweep": (
+        ["sweep", "--tau", "1", "--sweep-range", "0:1", "--steps", "3"],
+        MemoryError("Unable to allocate 7.28 TiB for an array"),
+        EXIT_SOLVER,
+    ),
+    "lapack-failure": (
+        ["bounds", "--tau", "1", "--eta", "0.1"],
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        EXIT_SOLVER,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+def test_exit_contract(case, tmp_path, monkeypatch, capsys):
+    # every failure exits 2, 3 or 4 with one line on stderr, never a traceback
+    argv, error, code = _FAILURES[case]
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv = [a.format(tmp=tmp_path, file=regular) for a in argv]
+    if error is not None:
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(spectral, "_k_frame_eigensolve", fail)
+    exit_code = main(argv)
+    assert exit_code in (EXIT_PARSE, EXIT_VALIDATION, EXIT_SOLVER)
+    assert exit_code == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) > 1
+    assert "Traceback" not in err
+    if "unwritable" in case:
+        assert err.startswith(f"parse error: cannot write {argv[-1]}: ")
+    if error is not None:
+        assert err.startswith("solver error: ")
 
 
 class TestCsvOutput:

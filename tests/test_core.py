@@ -314,27 +314,44 @@ def definite_in_40_digits(spec, w, s):
         return pivot > 0
 
 
+@pytest.fixture
+def bisections(monkeypatch):
+    """The number of rows of each _banded_contractions call, as made by
+    core.contraction, its one caller."""
+    calls = []
+    banded = core._banded_contractions
+
+    def record(spec, w):
+        calls.append(len(w))
+        return banded(spec, w)
+
+    monkeypatch.setattr(core, "_banded_contractions", record)
+    return calls
+
+
 class TestBandedContraction:
     """b bisected on U^2's two diagonals against the dense ||L^(-1) W||.
 
     A tridiagonal spec of order n >= 32 takes the bisection
-    (core._banded_contractions) in assemble_system and eigen_spectra.
+    (core._banded_contractions) in core.contraction, for assemble_system
+    and eigen_spectra alike.
     """
 
     @pytest.mark.parametrize("grid_points", [32, 33, 81, 150, 400, 1000])
-    def test_matches_the_dense_route(self, grid_points):
+    def test_matches_the_dense_route(self, grid_points, bisections):
         for beta in (0.0, 1.0):
             unit = unit_oscillator(grid_points, beta)
             # b(mu) of alpha V is alpha b(mu / alpha) of V: one search
             optimized = optimize_shift(unit)
             for alpha in (0.3, 0.985):
                 spec = unit.with_potential(alpha * unit.v, "")
-                assert core._bisected(spec)
                 for shift in (0.0, 0.3, -0.3, alpha * optimized):
                     w = spec.v.diagonal() - shift
                     if grid_points % 2 and shift == 0.0:
                         assert (w == 0.0).any()   # W's exact zero at x = 0
+                    bisections.clear()
                     b = assemble_system(spec, shift).contraction
+                    assert bisections == [1]
                     dense = spectral_norm(operator_a(spec, shift))
                     bound = contraction_error_bound(spec, b)
                     assert abs(b * b - dense * dense) <= bound
@@ -348,7 +365,9 @@ class TestBandedContraction:
                     row = (alpha * unit.v.diagonal() - shift)[None]
                     assert core._banded_contractions(unit, row)[0] == b
                     if certified or grid_points <= 150:
+                        bisections.clear()
                         stack = spectral.eigen_spectra(unit, (alpha,), shift, nearest=1)
+                        assert bisections == [1]
                         assert stack.contractions[0] == b
                         assert stack.pencil[0] == certified
 
@@ -384,26 +403,49 @@ class TestBandedContraction:
             assert assemble_system(both, np.ldexp(shift, m)).contraction == b
 
     @pytest.mark.parametrize("u_scale, v_scale", [(1e-300, 1e300), (1e-10, 1e307)])
-    def test_overflowing_potential_is_inf(self, u_scale, v_scale):
+    def test_overflowing_potential_is_inf(self, u_scale, v_scale, bisections):
         e = np.eye(40, k=1)
         spec = ModelSpec(
             u_squared=u_scale * (3.0 * np.eye(40) - e - e.T),
             v=np.diag(np.linspace(-v_scale, v_scale, 40)),
         )
-        assert core._bisected(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert assemble_system(spec, 0.0).contraction == np.inf
+            assert bisections == [1]
             w = np.stack([spec.v.diagonal(), np.zeros(40), 1e-300 * spec.v.diagonal()])
             b = core._banded_contractions(spec, w)
         assert b[0] == np.inf and b[1] == 0.0 and np.isfinite(b[2])
 
 
+class TestOneContractionRoute:
+    """assemble_system and eigen_spectra read b from core.contraction alone,
+    so the b a spectrum is routed on is the b kg prints, bit for bit."""
+
+    def test_random_models(self, corpus200):
+        for spec, _ in corpus200:
+            for shift in (0.0, 0.3):
+                b = assemble_system(spec, shift).contraction
+                assert spectral.eigen_spectra(spec, (1.0,), shift).contractions[0] == b
+
+    @pytest.mark.parametrize("grid_points", [10, 24, 40, 160])
+    def test_oscillators(self, grid_points):
+        for alpha in (0.3, 0.985):
+            spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
+            for shift in (0.0, 0.3, -0.2):
+                b = assemble_system(spec, shift).contraction
+                stack = spectral.eigen_spectra(spec, (1.0,), shift, nearest=1)
+                assert stack.contractions[0] == b
+
+
 class TestSymmetricNorm:
     def test_diagonal_is_exact(self):
         v = np.diag([0.5, -3.0, 1e-300, 2.0])
-        assert core._symmetric_norm(v) == 3.0
-        assert core._symmetric_norm(np.zeros((3, 3))) == 0.0
+        assert core._symmetric_norm(v, True) == 3.0
+        assert core._symmetric_norm(v, False) == 3.0
+        for diagonal in (True, False):
+            norm = core._symmetric_norm(np.zeros((3, 3)), diagonal)
+            assert norm == 0.0 and np.copysign(1.0, norm) == 1.0
 
     @pytest.mark.parametrize("n", [2, 8, 31, 32, 80])
     def test_matches_the_gram_norm(self, n):
@@ -411,13 +453,28 @@ class TestSymmetricNorm:
         for scale in (1e-200, 1.0, 1e200):
             a = rng.normal(size=(n, n))
             a = scale * (a + a.T)
-            norm = core._symmetric_norm(a)
+            norm = core._symmetric_norm(a, False)
             assert abs(norm - spectral_norm(a)) <= 1e-13 * norm
 
     def test_beyond_the_float_range_is_inf(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert core._symmetric_norm(np.full((40, 40), 1e307)) == np.inf
+            assert core._symmetric_norm(np.full((40, 40), 1e307), False) == np.inf
+
+
+class TestSpectrumEnds:
+    @pytest.mark.parametrize("n", [1, 2, 8, 31, 32, 40, 160])
+    def test_diagonal_ends_are_the_dense_ones_bit_for_bit(self, n):
+        # the extreme entries of a diagonal matrix are what the dense
+        # route computes, which leaves a diagonal as it is: wherever
+        # dsyevd does not scale it below order 32, at every scale above
+        rng = np.random.Generator(np.random.PCG64(n))
+        scales = (1e-200, 1.0, 1e200) if n >= 32 else (1e-120, 1.0, 1e70)
+        for scale in scales:
+            v = np.diag(scale * rng.normal(size=n))
+            ends = core._extreme_eigenvalues(v, 1, 1)[[0, -1]]
+            assert core._spectrum_ends(v, diagonal=True) == tuple(ends.tolist())
+            assert core._spectrum_ends(v) == tuple(ends.tolist())
 
 
 class TestSpectralNorm:
@@ -545,13 +602,16 @@ class TestExtremeEigenvalues:
                         np.testing.assert_array_equal(end, evr)
 
     def test_stack_is_solved_per_matrix(self):
+        # the empty request too, which from order 32 up asks for no range
         rng = np.random.Generator(np.random.PCG64(5))
         for n in (3, 40):
             stack = np.stack(symmetric_matrices(rng, n)[:2])
-            w = core._extreme_eigenvalues(stack, 1, 2)
-            assert w.shape == (2, 3)
-            for row, s in zip(w, stack):
-                np.testing.assert_array_equal(row, core._extreme_eigenvalues(s, 1, 2))
+            for low, high in ((1, 2), (0, 0)):
+                w = core._extreme_eigenvalues(stack, low, high)
+                assert w.shape == (2, low + high)
+                for row, s in zip(w, stack):
+                    expected = core._extreme_eigenvalues(s, low, high)
+                    np.testing.assert_array_equal(row, expected)
 
 
 class TestContractionBound:

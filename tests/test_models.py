@@ -208,6 +208,11 @@ class TestRandomPerturbation:
         with pytest.raises(ValidationError, match="scale"):
             random_perturbation(3, scale, 1)
 
+    def test_negative_seed(self):
+        # PCG64 takes no negative seed; refused before it is asked
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            random_perturbation(3, 0.1, -1)
+
 
 class TestModelFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
