@@ -40,11 +40,12 @@ end of a spectrum, and only the ends are computed (core._spectrum_ends):
 the exact pair, the sign of the mixed product and each norm.  nu comes
 from a Bunch-Kaufman solve with V.  One record holds everything known
 about one (model, dV, shift): perturbation_constants measures dV (c, nu
-and the sign of the mixed product) and evaluates every kappa into a
-BoundsReport, and bounds_report assembles and solves for it.  Only two
-of the record's methods walk the kappa names: rows(), the table of
-``kg bounds``, and checks(), which verify_bounds uses to compare every
-predicted constant against exactly computed spectra.
+and the sign of the mixed product) and evaluates every kappa, once,
+into the BoundsReport's one table of named constants, and bounds_report
+assembles and solves for it.  Two methods walk that table: entries(),
+the constant rows of ``kg bounds`` (rows()), and checks(), which
+verify_bounds uses to compare every predicted constant against exactly
+computed spectra.
 """
 
 from __future__ import annotations
@@ -220,14 +221,14 @@ def _relative_factor(dv, v):
     return nu if math.isfinite(nu) else None
 
 
-def delta_block(system: KleinGordonSystem, pert) -> np.ndarray:
+def delta_block(spec: ModelSpec, pert) -> np.ndarray:
     """X = U^(1/2) dV U^(-1/2), the lower block of dG = [[0, X^T], [X, 0]].
 
     dG has exactly the singular values of X, so ||dG|| = ||X|| is an
     n x n norm.
     """
     dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
-    root, inverse_root = system.spec.half_roots()
+    root, inverse_root = spec.half_roots()
     return root @ dv @ inverse_root
 
 
@@ -237,7 +238,7 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
     dG = [[0, U^(-1/2) dV U^(1/2)], [U^(1/2) dV U^(-1/2), 0]]; equals the
     difference of the assembled grams and is independent of the shift.
     """
-    x = delta_block(system, pert)
+    x = delta_block(system.spec, pert)
     n = system.n
     dg = np.zeros((2 * n, 2 * n))
     dg[:n, n:] = x.T
@@ -357,16 +358,6 @@ def norm_bound_interval(gap, a: float, norm_j1: float):
 # the bounds record
 
 
-#: constants bounding |dg| <= kappa * g, then the two-sided pairs
-_SCALAR_KAPPAS = (
-    "kappa_general",
-    "kappa_sum",
-    "kappa_norm_product",
-    "kappa_relative",
-    "kappa_disjoint",
-)
-_PAIR_KAPPAS = ("kappa_signed", "kappa_exact")
-
 #: slack used only to keep pass/fail flags stable at exact equality
 _CHECK_SLACK = 1e-12
 
@@ -385,25 +376,26 @@ class KappaCheck:
 class BoundsReport:
     """Every statement for one (model, dV, shift): b, alpha, kappa, intervals.
 
-    ``system`` is the model assembled at the shift, ``spectrum`` its
-    spectrum, ``perturbation`` the validated potential change dV and
-    ``alpha`` the guaranteed half-width of the central gap (gap_bound).
+    ``spectrum`` is the model's spectrum at the shift (it holds both),
+    ``perturbation`` the validated potential change dV and ``alpha``
+    the guaranteed half-width of the central gap (gap_bound).
     ``c`` = ||dV U^(-1)||; ``nu`` the smallest factor with
     ||dV psi|| <= nu ||V psi||, absent when V is numerically singular or
     when V^(-1), dV V^(-1) or nu itself overflows; ``disjoint`` whether
     the mixed product dA^T A + A^T dA, A = (V - mu) L^(-T),
     dA = dV L^(-T), vanishes; ``signed`` 'negative' / 'positive' when it is
-    semidefinite of that sign.  Then every kappa: ``kappa_norm_product``
-    is kappa_general evaluated with the coarser measurement
-    c <= ||dV|| ||U^(-1)||, the variant of the worked-example tables, and
-    ``kappa_exact`` the extreme eigenvalues of dg relative to g, the
-    sharpest pair, always computed.  ``valid`` flags each kappa: its
-    hypothesis holds and the value is below one where the statement
-    needs it.  The gap inclusion intervals and the norms they need are
-    derived by rows() alone.
+    semidefinite of that sign.  ``kappas``, the one table of constants,
+    maps the name of each constant present, in table order, to
+    (value, valid), a pair's value being (minus, plus); ``valid`` says
+    that its hypothesis holds and the value is below one where the
+    statement needs it.  kappa_general, kappa_sum, kappa_norm_product
+    (kappa_general with the coarser c <= ||dV|| ||U^(-1)|| of the
+    worked-example tables) and kappa_exact, the extreme eigenvalues of
+    dg relative to g and the sharpest pair, are always present.  The
+    rescaled pair, the gap inclusion intervals and the norms they need
+    are derived by entries() and rows() alone.
     """
 
-    system: KleinGordonSystem = field(repr=False)
     spectrum: SpectrumReport = field(repr=False)
     perturbation: PerturbationSpec = field(repr=False)
     alpha: float
@@ -412,38 +404,26 @@ class BoundsReport:
     nu: float | None
     disjoint: bool
     signed: str | None
-    kappa_general: float
-    kappa_sum: float
-    kappa_norm_product: float
-    kappa_relative: float | None
-    kappa_disjoint: float | None
-    kappa_signed: tuple | None
-    kappa_exact: tuple
-    kappa0_hat: float | None
-    kappa_prime_hat: float | None
-    valid: dict
+    kappas: dict
 
     def entries(self):
         """Ordered (key, value, applicable) rows of every computed constant.
 
-        Absent constants are left out; each pair is split into
-        ``<name>_minus`` and ``<name>_plus`` rows.
+        Each pair is split into ``<name>_minus`` and ``<name>_plus`` rows,
+        and kappa0_hat and kappa_prime_hat (rescale_kappa) follow the
+        exact pair when its minus end is above -1.
         """
         rows = []
-        for name in _SCALAR_KAPPAS:
-            value = getattr(self, name)
-            if value is not None:
-                rows.append((name, value, self.valid[name]))
-        for name in _PAIR_KAPPAS:
-            pair = getattr(self, name)
-            if pair is not None:
-                rows.append((f"{name}_minus", pair[0], self.valid[name]))
-                rows.append((f"{name}_plus", pair[1], self.valid[name]))
-        if self.kappa0_hat is not None:
-            rows.append(("kappa0_hat", self.kappa0_hat, self.valid["kappa_hats"]))
-            rows.append(
-                ("kappa_prime_hat", self.kappa_prime_hat, self.valid["kappa_hats"])
-            )
+        for name, (value, valid) in self.kappas.items():
+            if isinstance(value, tuple):
+                rows.append((f"{name}_minus", value[0], valid))
+                rows.append((f"{name}_plus", value[1], valid))
+            else:
+                rows.append((name, value, valid))
+        pair, rescalable = self.kappas["kappa_exact"]
+        if rescalable:
+            k0_hat, kp_hat = rescale_kappa(*pair)
+            rows += [("kappa0_hat", k0_hat, True), ("kappa_prime_hat", kp_hat, True)]
         return rows
 
     def rows(self):
@@ -457,10 +437,10 @@ class BoundsReport:
         one moves both ends inward by ||dG|| ||J1||, dG the gram increment
         (perturbation_norm).
         """
-        mu = self.system.shift
+        mu = self.spectrum.shift
         gap = self.spectrum.central_gap
         shifted_gap = (gap[0] - mu, gap[1] - mu)
-        km, kp = self.kappa_exact
+        km, kp = self.kappas["kappa_exact"][0]
         kappa = max(abs(km), abs(kp))
         plain = improved = uniform = (None, None)
         if kappa < 1.0 and not np.isinf(shifted_gap).any():
@@ -469,7 +449,7 @@ class BoundsReport:
         if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
             lo, hi = improved_inclusion(shifted_gap, km, kp)
             improved = (lo + mu, hi + mu)
-        s_norm = spectral_norm(delta_block(self.system, self.perturbation))
+        s_norm = spectral_norm(delta_block(self.spectrum.spec, self.perturbation))
         norm_j1 = sign_operator(self.spectrum).norm_j1
         lo, hi = norm_bound_interval(gap, s_norm, norm_j1)
         if lo < hi:
@@ -494,16 +474,13 @@ class BoundsReport:
         deviation lies inside it, both up to _CHECK_SLACK.
         """
         checks = []
-        for name in _SCALAR_KAPPAS + _PAIR_KAPPAS:
-            value = getattr(self, name)
-            if value is None:
-                continue
+        for name, (value, valid) in self.kappas.items():
             lo, hi = value if isinstance(value, tuple) else (-value, value)
             passed = bool(
                 np.all(signed_deviations >= lo - _CHECK_SLACK)
                 and np.all(signed_deviations <= hi + _CHECK_SLACK)
             )
-            checks.append(KappaCheck(name, value, self.valid[name], passed))
+            checks.append(KappaCheck(name, value, valid, passed))
         return tuple(checks)
 
 
@@ -561,36 +538,26 @@ def perturbation_constants(
     # ||U^(-1)|| = 1/u_min
     c_loose = _symmetric_norm(dv, _is_diagonal(dv)) / system.spec.u_min
     k_prod = kappa_general(c_loose, b)
-    k_rel = kappa_relative(nu, b) if nu is not None else None
-
+    kappas = {
+        "kappa_general": (k_gen, k_gen < 1.0),
+        "kappa_sum": (k_sum, k_sum < 1.0),
+        "kappa_norm_product": (k_prod, k_prod < 1.0),
+    }
+    if nu is not None:
+        k_rel = kappa_relative(nu, b)
+        kappas["kappa_relative"] = (k_rel, system.shift == 0.0 and k_rel < 1.0)
     structural_ok = b * b + c * c < 1.0
-    k_dis = kappa_disjoint(c, b) if (disjoint and structural_ok) else None
-    k_sgn = (
-        kappa_signed_pair(c, b, signed)
-        if (signed is not None and structural_ok)
-        else None
-    )
+    if disjoint and structural_ok:
+        kappas["kappa_disjoint"] = (kappa_disjoint(c, b), True)
+    if signed is not None and structural_ok:
+        k_sgn = kappa_signed_pair(c, b, signed)
+        kappas["kappa_signed"] = (k_sgn, k_sgn[0] > -1.0)
 
     n, z = system.n, report.eigenvectors
     m = z[n:].T @ (dv @ z[:n])
     k_exact = _spectrum_ends(m + m.T)
-    if k_exact[0] > -1.0:
-        k0_hat, kp_hat = rescale_kappa(*k_exact)
-    else:
-        k0_hat, kp_hat = None, None
-
-    valid = {
-        "kappa_general": k_gen < 1.0,
-        "kappa_sum": k_sum < 1.0,
-        "kappa_norm_product": k_prod < 1.0,
-        "kappa_relative": k_rel is not None and system.shift == 0.0 and k_rel < 1.0,
-        "kappa_disjoint": k_dis is not None,
-        "kappa_signed": k_sgn is not None and k_sgn[0] > -1.0,
-        "kappa_exact": k_exact[0] > -1.0,
-        "kappa_hats": k0_hat is not None,
-    }
+    kappas["kappa_exact"] = (k_exact, k_exact[0] > -1.0)
     return BoundsReport(
-        system=system,
         spectrum=report,
         perturbation=pert,
         alpha=alpha,
@@ -599,16 +566,7 @@ def perturbation_constants(
         nu=nu,
         disjoint=disjoint,
         signed=signed,
-        kappa_general=k_gen,
-        kappa_sum=k_sum,
-        kappa_norm_product=k_prod,
-        kappa_relative=k_rel,
-        kappa_disjoint=k_dis,
-        kappa_signed=k_sgn,
-        kappa_exact=k_exact,
-        kappa0_hat=k0_hat,
-        kappa_prime_hat=kp_hat,
-        valid=valid,
+        kappas=kappas,
     )
 
 
@@ -636,16 +594,17 @@ class VerificationReport:
     |lam'_k - lam_k| / |lam_k - mu|, with eigenvalues of both systems
     paired in ascending order (identical to the order convention whenever
     both spectra put the same count on each side of the shift).
-    ``bounds`` is the BoundsReport of the unperturbed model and
-    ``checks`` its kappa constants against the signed deviations
-    (BoundsReport.checks).  ``residuals`` / ``residuals_perturbed`` are
-    the eigenpair backward errors (spectral.eigenpair_residuals) of
-    ``eigenvalues`` / ``eigenvalues_perturbed``, the real parts of the
-    two spectra, with their computed eigenvectors under the model and
-    the perturbed model.
+    ``bounds`` is the BoundsReport of the unperturbed model, whose
+    certified spectrum is real, and ``checks`` its kappa constants
+    against the signed deviations (BoundsReport.checks).  ``residuals``
+    / ``residuals_perturbed`` are the eigenpair backward errors
+    (spectral.eigenpair_residuals) of ``eigenvalues`` /
+    ``eigenvalues_perturbed``, the real parts of the two spectra, with
+    their computed eigenvectors under the model and the perturbed model;
+    ``real_spectrum_perturbed`` says whether the perturbed spectrum is
+    real.
     """
 
-    shift: float
     eigenvalues: np.ndarray
     eigenvalues_perturbed: np.ndarray
     deviations: np.ndarray
@@ -653,7 +612,6 @@ class VerificationReport:
     max_deviation: float
     bounds: BoundsReport
     checks: tuple
-    real_spectrum: bool
     real_spectrum_perturbed: bool
     residuals: np.ndarray = field(repr=False)
     residuals_perturbed: np.ndarray = field(repr=False)
@@ -689,7 +647,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     devs = np.abs(signed)
 
     return VerificationReport(
-        shift=float(shift),
         eigenvalues=lam,
         eigenvalues_perturbed=lam_p,
         deviations=devs,
@@ -697,7 +654,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         max_deviation=float(devs.max(initial=0.0)),
         bounds=bounds,
         checks=bounds.checks(signed),
-        real_spectrum=rep.is_real_spectrum,
         real_spectrum_perturbed=rep_p.is_real_spectrum,
         residuals=eigenpair_residuals(spec, lam, rep.eigenvectors),
         residuals_perturbed=eigenpair_residuals(spec_p, lam_p, rep_p.eigenvectors),

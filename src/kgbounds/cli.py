@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -185,6 +188,31 @@ def _perturbation(args, spec: ModelSpec, tau) -> PerturbationSpec:
     return random_perturbation(spec.order, args.eta, args.seed)
 
 
+def _check_writable(out):
+    """Raise the OSError that writing the file ``out`` would, creating nothing.
+
+    An existing target must be a writable file that is not a directory;
+    a new one needs a writable directory to hold it.  Run before any
+    model is built, so a bad ``--out`` fails at once; the open itself
+    stays the final check.
+    """
+    if out is None or out == "-":
+        return
+    try:
+        try:
+            if stat.S_ISDIR(os.stat(out).st_mode):   # ENOTDIR: a file on the way
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+            target = out
+        except FileNotFoundError:
+            target = os.path.dirname(out) or "."
+            if not stat.S_ISDIR(os.stat(target).st_mode):
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)) from None
+        if not os.access(target, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+
+
 def _write_text(out, text: str):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -314,9 +342,9 @@ def cmd_verify(args) -> int:
     spec, tau, shift = _resolve(args)
     report = verify_bounds(spec, _perturbation(args, spec, tau), shift)
     resids, resids_p = report.residuals, report.residuals_perturbed
-    # the emitted values are real parts; on a non-real spectrum their
-    # residuals fail the gate, and the message names that cause
-    cause = "" if report.real_spectrum else "the spectrum is not real"
+    # the emitted values are real parts; the certified spectrum is real,
+    # but on a non-real perturbed one their residuals fail the gate, and
+    # the message names that cause
     cause_p = (
         "" if report.real_spectrum_perturbed else "the perturbed spectrum is not real"
     )
@@ -363,7 +391,7 @@ def cmd_verify(args) -> int:
         np.arange(resids.size),
         report.eigenvalues,
         np.where(worse, resids_p, resids),
-        causes=[cause_p if w else cause for w in worse.tolist()],
+        causes=[cause_p if w else "" for w in worse.tolist()],
     )
 
 
@@ -482,6 +510,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command != "reproduce":   # its --out is a directory
+            _check_writable(args.out)
         return _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

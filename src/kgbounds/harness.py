@@ -119,7 +119,7 @@ def example2_tables() -> Example2Result:
                 spec, square_well_perturbation(-eta), shift=-tau / 2.0
             )
             true_table[i, j] = report.max_deviation
-            bound_table[i, j] = report.bounds.kappa_norm_product
+            bound_table[i, j] = report.bounds.kappas["kappa_norm_product"][0]
 
     base = square_well_model(1.0)
     norm_v_u_inv = assemble_system(base).contraction

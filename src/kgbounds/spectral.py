@@ -148,11 +148,9 @@ class SpectrumReport:
     the sign of (J z_k, z_k) and of the H-frame signature.
     ``sign_types`` is its class, 'positive' / 'negative' / 'neutral';
     only the direct path, which has no certificate, tests it against
-    NEUTRAL_TOL.  ``positive_ordered`` / ``negative_ordered`` list the
-    eigenvalues right/left of the shift, ordered away from it.
-    ``central_gap`` is (largest eigenvalue below the shift, smallest
-    above it), with -inf/+inf on an empty side; an eigenvalue exactly
-    at the shift belongs to neither side.  ``witness`` is the first
+    NEUTRAL_TOL.  ``central_gap`` is (largest eigenvalue below the
+    shift, smallest above it), with -inf/+inf on an empty side; an
+    eigenvalue exactly at the shift belongs to neither side.  ``witness`` is the first
     defective eigenvalue found, or None; ``defective`` says whether
     there is one.  ``spec`` is the model solved.
     """
@@ -161,8 +159,6 @@ class SpectrumReport:
     eigenvectors: np.ndarray = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     sign_types: tuple
-    positive_ordered: np.ndarray
-    negative_ordered: np.ndarray
     central_gap: tuple
     defective: bool
     is_real_spectrum: bool
@@ -615,17 +611,14 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
 
     # both paths order lam ascending by real part
     re = np.real(lam)
-    pos = re[re > mu]
-    neg = re[re < mu][::-1]
-    lo = float(neg[0]) if neg.size else -np.inf
-    hi = float(pos[0]) if pos.size else np.inf
+    below, above = re[re < mu], re[re > mu]
+    lo = float(below[-1]) if below.size else -np.inf
+    hi = float(above[0]) if above.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
         eigenvectors=stack.eigenvectors[0],
         signatures=signatures,
         sign_types=signs,
-        positive_ordered=pos,
-        negative_ordered=neg,
         central_gap=(lo, hi),
         defective=witness is not None,
         is_real_spectrum=bool(stack.is_real[0]),

@@ -287,11 +287,12 @@ def test_criterion_8_structured_bound_soundness():
             vr = verify_bounds(spec, dv, 0.0)
             bounds = vr.bounds
             if kind == "disjoint":
-                assert bounds.kappa_disjoint is not None
-                assert vr.max_deviation <= bounds.kappa_disjoint + 1e-9
+                assert "kappa_disjoint" in bounds.kappas
+                k_dis = bounds.kappas["kappa_disjoint"][0]
+                assert vr.max_deviation <= k_dis + 1e-9
             else:
-                assert bounds.kappa_signed is not None
-                km, kp = bounds.kappa_signed
+                assert "kappa_signed" in bounds.kappas
+                km, kp = bounds.kappas["kappa_signed"][0]
                 assert np.all(vr.signed_deviations >= km - 1e-9)
                 assert np.all(vr.signed_deviations <= kp + 1e-9)
             # the closed-form retrieval: t_bound at a = 2b||dA||/(1-b^2)

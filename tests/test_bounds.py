@@ -386,25 +386,28 @@ class TestPerturbationConstants:
     def test_zero_perturbation_collapses(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         bundle = constants_of(system, np.zeros((2, 2)))
-        assert bundle.kappa_general == 0.0
-        assert bundle.kappa_sum == system.contraction
-        assert bundle.kappa_exact == (0.0, 0.0)
-        assert bundle.kappa0_hat == 0.0 and bundle.kappa_prime_hat == 0.0
+        assert bundle.kappas["kappa_general"][0] == 0.0
+        assert bundle.kappas["kappa_sum"][0] == system.contraction
+        assert bundle.kappas["kappa_exact"][0] == (0.0, 0.0)
+        entries = {key: value for key, value, _ in bundle.entries()}
+        assert entries["kappa0_hat"] == 0.0 and entries["kappa_prime_hat"] == 0.0
 
     def test_square_well_table_constant(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         bundle = constants_of(system, square_well_perturbation(0.1))
         # the product-norm route is the table value eta / (1 - tau/2)
-        assert abs(bundle.kappa_norm_product - 0.2) <= 1e-12
+        k_prod = bundle.kappas["kappa_norm_product"][0]
+        assert abs(k_prod - 0.2) <= 1e-12
         # the direct measurement c = eta sqrt(2/3) is tighter
         assert abs(bundle.c - 0.1 * np.sqrt(2.0 / 3.0)) <= 1e-12
-        assert bundle.kappa_general < bundle.kappa_norm_product
+        assert bundle.kappas["kappa_general"][0] < k_prod
 
     def test_invalid_but_tabulated(self):
         system = assemble_system(square_well_model(1.7), -0.85)
         bundle = constants_of(system, square_well_perturbation(0.3))
-        assert abs(bundle.kappa_norm_product - 2.0) <= 1e-12
-        assert not bundle.valid["kappa_norm_product"]
+        k_prod, valid = bundle.kappas["kappa_norm_product"]
+        assert abs(k_prod - 2.0) <= 1e-12
+        assert not valid
 
     def test_disjoint_flag_and_value(self):
         # diagonal well with the potential and perturbation on disjoint
@@ -417,11 +420,10 @@ class TestPerturbationConstants:
         system = assemble_system(spec, 0.0)
         bounds = constants_of(system, np.diag([0.0, 0.3, 0.0]))
         assert bounds.disjoint
-        assert bounds.kappa_disjoint is not None
-        assert abs(
-            bounds.kappa_disjoint - bounds.c / np.sqrt(1 - bounds.b**2)
-        ) <= 1e-14
-        assert bounds.kappa_disjoint <= bounds.kappa_general + 1e-14
+        assert "kappa_disjoint" in bounds.kappas
+        k_dis = bounds.kappas["kappa_disjoint"][0]
+        assert abs(k_dis - bounds.c / np.sqrt(1 - bounds.b**2)) <= 1e-14
+        assert k_dis <= bounds.kappas["kappa_general"][0] + 1e-14
 
     def test_signed_flag(self):
         spec = ModelSpec(
@@ -430,7 +432,7 @@ class TestPerturbationConstants:
         system = assemble_system(spec, 0.0)
         bounds = constants_of(system, np.diag([-0.2, 0.1]))  # V dV <= 0
         assert bounds.signed == "negative"
-        km, kp = bounds.kappa_signed
+        km, kp = bounds.kappas["kappa_signed"][0]
         assert abs(km + bounds.c / np.sqrt(1 - bounds.b**2)) <= 1e-14
         assert abs(kp - bounds.c / (1 - bounds.b)) <= 1e-14
 
@@ -440,7 +442,7 @@ class TestPerturbationConstants:
         bounds = constants_of(system, np.diag([0.1, 0.15]))
         assert abs(bounds.nu - 0.25) <= 1e-12  # ||dV V^-1|| for diagonals
         assert abs(
-            bounds.kappa_relative - bounds.nu * bounds.b / (1 - bounds.b)
+            bounds.kappas["kappa_relative"][0] - bounds.nu * bounds.b / (1 - bounds.b)
         ) <= 1e-12
 
     def test_nu_matches_the_inverse_product(self, corpus200):
@@ -497,7 +499,7 @@ class TestPerturbationConstants:
         for spec, dv, reference in cases:
             system = assemble_system(spec, 0.0)
             km, kp = reference(system, dv)
-            pair = constants_of(system, dv).kappa_exact
+            pair = constants_of(system, dv).kappas["kappa_exact"][0]
             tol = 1e-12 * max(abs(km), abs(kp))
             assert abs(pair[0] - km) <= tol and abs(pair[1] - kp) <= tol
 
@@ -549,7 +551,7 @@ class TestPerturbationConstants:
         km, kp = exact_kappa_pm(
             shifted_gram(gram(system.spec), mu), delta_gram(system, dv)
         )
-        pair = constants_of(system, dv).kappa_exact
+        pair = constants_of(system, dv).kappas["kappa_exact"][0]
         scale = max(abs(km), abs(kp))
         assert abs(pair[0] - km) <= tol * scale and abs(pair[1] - kp) <= tol * scale
 
@@ -561,9 +563,9 @@ class TestPerturbationConstants:
         rng = np.random.Generator(np.random.PCG64(20261019))
         for _ in range(20):
             spec, dv = random_model_and_perturbation(rng)
-            near = constants_of(assemble_system(spec, 0.0), dv).kappa_exact
+            near = constants_of(assemble_system(spec, 0.0), dv).kappas["kappa_exact"][0]
             far_spec = spec.with_potential(spec.v + v0 * np.eye(spec.order), "far")
-            far = constants_of(assemble_system(far_spec, v0), dv).kappa_exact
+            far = constants_of(assemble_system(far_spec, v0), dv).kappas["kappa_exact"][0]
             tol = (1e-16 * v0 + 2e-13) * max(abs(near[0]), abs(near[1]))
             assert abs(far[0] - near[0]) <= tol and abs(far[1] - near[1]) <= tol
 
@@ -579,7 +581,7 @@ class TestPerturbationConstants:
         system = assemble_system(square_well_model(0.0), 0.0)
         bounds = constants_of(system, np.diag([0.1, 0.0]))
         assert bounds.nu is None
-        assert bounds.kappa_relative is None
+        assert "kappa_relative" not in bounds.kappas
 
 
 class TestBadlyScaledConstants:
@@ -658,7 +660,7 @@ class TestVerifyBounds:
     def test_exact_pair_brackets_signed_deviations(self, corpus200):
         for spec, dv in corpus200[:40]:
             vr = verify_bounds(spec, dv, 0.0)
-            km, kp = vr.bounds.kappa_exact
+            km, kp = vr.bounds.kappas["kappa_exact"][0]
             assert np.all(vr.signed_deviations >= km - 1e-9)
             assert np.all(vr.signed_deviations <= kp + 1e-9)
 

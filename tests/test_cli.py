@@ -452,6 +452,65 @@ class TestBoundsCommand:
         assert captured.err == "" and caught == []
 
 
+#: the constants of ``kg verify``'s bound rows, by model: the well's V is
+#: singular (no kappa_relative), and V * dV is semidefinite there
+_WELL_KAPPAS = [
+    "kappa_general", "kappa_sum", "kappa_norm_product", "kappa_signed", "kappa_exact"
+]
+_RELATIVE_KAPPAS = [
+    "kappa_general", "kappa_sum", "kappa_norm_product", "kappa_relative", "kappa_exact"
+]
+
+
+def _bounds_keys(kappas):
+    """The keys of ``kg bounds``: each pair split, the rescaled pair last."""
+    split = [
+        key
+        for name in kappas
+        for key in (
+            [f"{name}_minus", f"{name}_plus"]
+            if name in ("kappa_signed", "kappa_exact")
+            else [name]
+        )
+    ]
+    return [
+        "contraction_b", "c_norm", "gap_alpha", "central_gap",
+        *split, "kappa0_hat", "kappa_prime_hat",
+        "interval_plain", "interval_improved", "interval_uniform", "perturbation_norm",
+    ]
+
+
+class TestTableOrder:
+    @pytest.mark.parametrize(
+        "source, kappas",
+        [
+            (["--tau", "1", "--shift", "0", "--eta", "0.1"], _WELL_KAPPAS),
+            (["--tau", "1", "--paper-shift", "--eta", "0.1"], _WELL_KAPPAS),
+            (["--tau", "1", "--optimize-shift", "--eta", "0.1"], _WELL_KAPPAS),
+            (["--model", "{tmp}/random5.json", "--eta", "1e-3"], _RELATIVE_KAPPAS),
+            (["--alpha", "0.3", "--grid-points", "24", "--eta", "1e-3"],
+             _RELATIVE_KAPPAS),
+            (["--alpha", "0.985", "--grid-points", "24", "--eta", "1e-3"],
+             _RELATIVE_KAPPAS),
+        ],
+        ids=["well-zero", "well-paper", "well-optimized", "random5", "alpha0.3",
+             "alpha0.985"],
+    )
+    def test_bounds_and_verify_keys(self, source, kappas, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(5))
+        root = rng.standard_normal((5, 5))
+        v = rng.uniform(-1.0, 1.0, size=(5, 5))
+        spec = ModelSpec(root @ root.T + 5.0 * np.eye(5), 0.3 * (v + v.T))
+        save_model(spec, tmp_path / "random5.json")
+        source = [a.format(tmp=tmp_path) for a in source]
+        out = tmp_path / "out.csv"
+        assert main(["bounds", *source, "--out", str(out)]) == EXIT_OK
+        assert [row[0] for row in read_csv(out)[1:]] == _bounds_keys(kappas)
+        assert main(["verify", *source, "--out", str(out)]) == EXIT_OK
+        bound_keys = [row[1] for row in read_csv(out)[1:] if row[0] == "bound"]
+        assert bound_keys == kappas
+
+
 class TestSweepCommand:
     def test_critical_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -1216,6 +1275,38 @@ _FAILURES = {
         np.linalg.LinAlgError("Eigenvalues did not converge"),
         EXIT_SOLVER,
     ),
+    # oscillator grids beyond the float range: h^2 or x^2 overflows, h^2
+    # underflows, or alpha * x is not finite
+    "overflowing-half-width": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "5", "--half-width", "1e160"],
+        None,
+        EXIT_VALIDATION,
+    ),
+    "overflowing-half-width-file": (
+        ["spectrum", "--model", "{tmp}/huge_grid.json"], None, EXIT_VALIDATION
+    ),
+    "overflowing-half-width-reproduce": (
+        ["reproduce", "example1", "--grid-points", "10", "--half-width", "1e300",
+         "--out", "{tmp}/r"],
+        None,
+        EXIT_VALIDATION,
+    ),
+    "infinite-half-width": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "5", "--half-width", "inf"],
+        None,
+        EXIT_VALIDATION,
+    ),
+    "underflowing-half-width": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "5", "--half-width", "1e-300"],
+        None,
+        EXIT_VALIDATION,
+    ),
+    "infinite-alpha": (
+        ["spectrum", "--alpha", "inf", "--grid-points", "5"], None, EXIT_VALIDATION
+    ),
+    "overflowing-alpha": (
+        ["spectrum", "--alpha", "1e308", "--grid-points", "5"], None, EXIT_VALIDATION
+    ),
 }
 
 
@@ -1225,6 +1316,9 @@ def test_exit_contract(case, tmp_path, monkeypatch, capsys):
     argv, error, code = _FAILURES[case]
     regular = tmp_path / "regular"
     regular.write_text("")
+    (tmp_path / "huge_grid.json").write_text(
+        '{"model": "harmonic", "alpha": 0.3, "grid_points": 5, "half_width": 1e300}'
+    )
     argv = [a.format(tmp=tmp_path, file=regular) for a in argv]
     if error is not None:
         def fail(*args, **kwargs):
@@ -1241,6 +1335,43 @@ def test_exit_contract(case, tmp_path, monkeypatch, capsys):
         assert err.startswith(f"parse error: cannot write {argv[-1]}: ")
     if error is not None:
         assert err.startswith("solver error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum"],
+        ["bounds", "--eta", "1e-3"],
+        ["bounds", "--eta", "1e-3", "--format", "report"],
+        ["verify", "--eta", "1e-3"],
+        ["sweep", "--sweep-range", "0:1"],
+    ],
+    ids=["spectrum", "bounds", "bounds-report", "verify", "sweep"],
+)
+def test_unwritable_out_is_found_before_the_model(command, tmp_path, monkeypatch, capsys):
+    # the default N = 1000 oscillator is never built: the target is
+    # checked first, and nothing is created
+    def unreachable(args):
+        raise AssertionError("the model was resolved before --out was checked")
+
+    monkeypatch.setattr(cli, "_resolve", unreachable)
+    out = tmp_path / "missing" / "v.csv"
+    argv = [command[0], "--alpha", "0.3", *command[1:], "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"parse error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checked_out_is_not_truncated(tmp_path, capsys):
+    # a writable target passes the check untouched: a run failing after
+    # it leaves the file as it was
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    argv = ["spectrum", "--tau", "1", "--alpha", "0.3", "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err.startswith("parse error: exactly one model source")
 
 
 class TestCsvOutput:

@@ -98,11 +98,12 @@ class TestExactHarmonicEigs:
 
     def test_discretized_cross_check_with_field(self):
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=400, half_width=10.0))
-        report = eigen_spectrum(assemble_system(spec, 0.0))
+        lam = np.real(eigen_spectrum(assemble_system(spec, 0.0)).eigenvalues)
+        positive, negative = lam[lam > 0.0], lam[lam < 0.0][::-1]
         for mode in (0, 1):
             mu_p, mu_m = exact_harmonic_eigs(0.3, 0.0, mode)
-            assert abs(report.positive_ordered[mode] - mu_p) <= 5e-3
-            assert abs(report.negative_ordered[mode] - mu_m) <= 5e-3
+            assert abs(positive[mode] - mu_p) <= 5e-3
+            assert abs(negative[mode] - mu_m) <= 5e-3
 
     def test_alpha_range(self):
         with pytest.raises(AlphaOutOfRange):
@@ -168,8 +169,8 @@ class TestSquareWellPerturbation:
     def test_zero_strength_gives_zero_constants(self):
         system = assemble_system(square_well_model(1.0), -0.5)
         bundle = constants_of(system, square_well_perturbation(0.0))
-        assert bundle.kappa_general == 0.0
-        assert bundle.kappa_exact == (0.0, 0.0)
+        assert bundle.kappas["kappa_general"][0] == 0.0
+        assert bundle.kappas["kappa_exact"][0] == (0.0, 0.0)
 
     def test_contraction_measurement(self):
         # c = ||dV U^(-1)|| = |eta| sqrt(2/3): the first row of the well's
