@@ -38,7 +38,8 @@ angular operator of the positive spectral subspace
 root of U (ModelSpec.half_roots).  Every spectral quantity here is an
 end of a spectrum, and only the ends are computed (core._spectrum_ends):
 the exact pair, the sign of the mixed product and each norm.  nu comes
-from a Bunch-Kaufman solve with V.  One record holds everything known
+from V^(-1) dV, the rows of dV scaled when V is diagonal and a
+Bunch-Kaufman solve with V otherwise.  One record holds everything known
 about one (model, dV, shift): perturbation_constants measures dV (c, nu
 and the sign of the mixed product) and evaluates every kappa, once,
 into the BoundsReport's one table of named constants, and bounds_report
@@ -54,11 +55,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .core import (
     KleinGordonSystem,
     _is_diagonal,
+    _measured_contraction,
     _spectrum_ends,
     _symmetric_norm,
     ModelSpec,
@@ -196,25 +198,35 @@ def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
     return None, is_zero
 
 
-def _relative_factor(dv, v):
-    """nu = ||dV V^(-1)|| = ||V^(-1) dV||, from a Bunch-Kaufman solve with V.
+def _relative_factor(dv, v, diagonal: bool):
+    """nu = ||dV V^(-1)|| = ||V^(-1) dV||, from a solve with V.
 
-    None when V is numerically singular (LAPACK's estimate of
-    1/cond_1(V), from the same factorization, is at most INV_RTOL), when
-    ||V||_1 or V^(-1) overflows (its 1-norm by that estimate), or when
+    A ``diagonal`` V (ModelSpec.v_diagonal) divides the rows of dV by
+    its entries, with the exact 1/cond_1(V) = min |v_ii| / max |v_ii|;
+    any other takes a Bunch-Kaufman solve (dsysv) and LAPACK's estimate
+    of 1/cond_1(V) from the same factorization.  None when V is
+    numerically singular (1/cond_1(V) at most INV_RTOL), when ||V||_1 or
+    V^(-1) overflows (its 1-norm, 1 / (||V||_1 / cond_1(V))), or when
     the product or nu itself does.
     """
     with np.errstate(over="ignore"):
-        v_norm = float(np.abs(v).sum(axis=0).max(initial=0.0))   # ||V||_1
+        columns = np.abs(v.diagonal()) if diagonal else np.abs(v).sum(axis=0)
+        v_norm = float(columns.max(initial=0.0))   # ||V||_1
     if v_norm == 0.0 or not math.isfinite(v_norm):
         return None
-    factor, pivots, v_inv_dv, info = lapack.dsysv(v, dv, lower=1)
-    if info != 0:
-        return None
-    rcond, _ = lapack.dsycon(factor, pivots, v_norm, lower=1)
+    if diagonal:
+        rcond = float(columns.min()) / v_norm
+    else:
+        factor, pivots, v_inv_dv, info = lapack.dsysv(v, dv, lower=1)
+        if info != 0:
+            return None
+        rcond, _ = lapack.dsycon(factor, pivots, v_norm, lower=1)
     # ||V^(-1)||_1 = 1 / (rcond ||V||_1) beyond the float range
     if rcond <= INV_RTOL or rcond * v_norm < 1.0 / np.finfo(float).max:
         return None
+    if diagonal:
+        with np.errstate(over="ignore"):
+            v_inv_dv = dv / v.diagonal()[:, None]
     if not np.isfinite(v_inv_dv).all():
         return None
     nu = spectral_norm(v_inv_dv)
@@ -493,20 +505,23 @@ def perturbation_constants(
     ``report`` the spectrum of ``system``.  Raises
     ContractionNotLessThanOne when b >= 1 (gap_bound), and
     ValidationError when c = ||dV U^(-1)|| is beyond the float range.
-    c = ||L^(-1) dV|| comes from a triangular solve, nu from a
-    Bunch-Kaufman solve with V, ||dV|| from the ends of its spectrum, and
-    the disjoint and sign classification from the extreme eigenvalues of
+    c = ||L^(-1) dV|| comes from a triangular solve, nu from V^(-1) dV
+    (row scaling for the diagonal V that the spec records, else a
+    Bunch-Kaufman solve), ||dV|| from the ends of its spectrum, and the
+    disjoint and sign classification from the extreme eigenvalues of
     the mixed product L^(-1) (W dV + dV W) L^(-T), W = V - mu, congruent
-    to the U frame's through the orthogonal U L^(-T) (A from
-    core.operator_a, here its one reader).  The
-    validity flag of each kappa records whether its hypothesis holds
+    to the U frame's through the orthogonal U L^(-T) (A = W L^(-T) the
+    system's a_matrix when bounds_report kept it, else core.operator_a).
+    The validity flag of each kappa records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
     invalid entries keep their value for tabulation.  The exact pair
     comes from the report's K-frame pencil eigenvectors Z,
     Z^T (K - mu*J) Z = I: it is the extreme eigenvalues of
-    Z^T dK Z = M + M^T with M = Z_2^T dV Z_1, Z_1 and Z_2 the upper and
-    lower halves of Z, computed alone.  Neither K - mu*J nor dK is
-    formed.  NotCertified when the report took the direct path, that is when
+    Z^T dK Z = A^T B + B^T A with A = dV Z_1 and B = Z_2, Z_1 and Z_2
+    the upper and lower halves of Z, whose lower triangle alone is
+    formed, by one rank-2n update (BLAS dsyr2k), and read.  Neither
+    K - mu*J nor dK is formed.  NotCertified when the report took the
+    direct path, that is when
     G - mu*J was not certified positive definite or the Cholesky
     factorization of U^2 - (V - mu)^2 failed.
     """
@@ -529,8 +544,10 @@ def perturbation_constants(
         raise ValidationError(
             "the perturbation is out of range: c = ||dV U^(-1)|| = inf is not finite"
         )
-    nu = _relative_factor(dv, system.spec.v)
-    a = operator_a(system.spec, system.shift)
+    nu = _relative_factor(dv, system.spec.v, system.spec.v_diagonal)
+    a = system.a_matrix
+    if a is None:
+        a = operator_a(system.spec, system.shift)
     signed, disjoint = _mixed_product_sign(a, delta_a, b, c)
 
     k_gen = kappa_general(c, b)
@@ -554,8 +571,8 @@ def perturbation_constants(
         kappas["kappa_signed"] = (k_sgn, k_sgn[0] > -1.0)
 
     n, z = system.n, report.eigenvectors
-    m = z[n:].T @ (dv @ z[:n])
-    k_exact = _spectrum_ends(m + m.T)
+    # the lower triangle of (dV Z_1)^T Z_2 + Z_2^T (dV Z_1), all _spectrum_ends reads
+    k_exact = _spectrum_ends(blas.dsyr2k(1.0, (dv @ z[:n]).T, z[n:].T, lower=1))
     kappas["kappa_exact"] = (k_exact, k_exact[0] > -1.0)
     return BoundsReport(
         spectrum=report,
@@ -577,7 +594,9 @@ def bounds_report(spec: ModelSpec, pert, shift: float = 0.0) -> BoundsReport:
     solved; otherwise solves the spectrum once and reads every constant
     off it (perturbation_constants).
     """
-    system = assemble_system(spec, shift)
+    # the dense route's A is kept for the mixed product, formed once
+    b, a = _measured_contraction(spec, shift)
+    system = KleinGordonSystem(spec.order, float(shift), b, spec, a_matrix=a)
     gap_bound(system)
     return perturbation_constants(system, pert, eigen_spectrum(system))
 

@@ -236,17 +236,17 @@ def _write_csv(out, header, lines):
 
 
 def _gate_exit(
-    spec: ModelSpec, row_name: str, rows, lams, resids, couplings=1.0, causes=""
+    spec: ModelSpec, row_name: str, rows, lams, resids, couplings=1.0, cause=None
 ) -> int:
     """EXIT_SOLVER, naming the first failing eigenvalue, when a residual fails its gate.
 
     ``lams`` holds the emitted eigenvalues and ``resids`` their
     eigenpair backward errors (spectral.eigenpair_residuals); ``rows``
-    (the row label of each), ``couplings`` t and ``causes`` broadcast
-    against them.  The gate of each is
-    RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2), and the first
-    failing entry in row-major order is named, with its cause appended
-    when non-empty.  A NaN residual fails.  ||V|| is
+    (the row label of each) and ``couplings`` t broadcast against them.
+    The gate of each is RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2),
+    and the first failing entry in row-major order is named, with
+    ``cause(index)`` of its index appended when that is non-empty; only
+    the failing entry's cause is formed.  A NaN residual fails.  ||V|| is
     core._symmetric_norm's, with no Gram matrix.  When the largest of
     ||U||, ||t V|| and |lam| is 2^k beyond 2^500, where a square could
     overflow, residuals and gates are compared divided by 2^(2k), as
@@ -264,16 +264,16 @@ def _gate_exit(
     if not failing.any():
         return EXIT_OK
     first = np.unravel_index(np.argmax(failing), failing.shape)
-    row, lam, resid, limit, cause = (
-        np.broadcast_to(a, failing.shape)[first]
-        for a in (rows, lams, resids, limits, causes)
+    row, lam, resid, limit = (
+        np.broadcast_to(a, failing.shape)[first] for a in (rows, lams, resids, limits)
     )
     with np.errstate(over="ignore"):
         limit = np.ldexp(limit, 2 * k)
+    note = cause(first) if cause else ""
     print(
         f"solver failure: at {row_name} {row}, eigenvalue {lam:.17g}: "
         f"pencil residual {resid:.6e} exceeds the gate {limit:.6e}"
-        + (f" ({cause})" if cause else ""),
+        + (f" ({note})" if note else ""),
         file=sys.stderr,
     )
     return EXIT_SOLVER
@@ -342,12 +342,6 @@ def cmd_verify(args) -> int:
     spec, tau, shift = _resolve(args)
     report = verify_bounds(spec, _perturbation(args, spec, tau), shift)
     resids, resids_p = report.residuals, report.residuals_perturbed
-    # the emitted values are real parts; the certified spectrum is real,
-    # but on a non-real perturbed one their residuals fail the gate, and
-    # the message names that cause
-    cause_p = (
-        "" if report.real_spectrum_perturbed else "the perturbed spectrum is not real"
-    )
 
     def rows():
         pairs = zip(
@@ -385,13 +379,23 @@ def cmd_verify(args) -> int:
     )
     # each eigenvalue is gated on the larger of its two residuals
     worse = resids_p > resids
+
+    def cause(index):
+        # the emitted values are real parts: on a non-real perturbed
+        # spectrum their residuals fail the gate, and the message says so
+        if not worse[index]:
+            return ""
+        note = f"perturbed eigenvalue {report.eigenvalues_perturbed[index]:.17g}"
+        real = report.real_spectrum_perturbed
+        return note if real else note + "; the perturbed spectrum is not real"
+
     return _gate_exit(
         spec,
         "index",
         np.arange(resids.size),
         report.eigenvalues,
         np.where(worse, resids_p, resids),
-        causes=[cause_p if w else "" for w in worse.tolist()],
+        cause=cause,
     )
 
 

@@ -31,8 +31,10 @@ once whether U^2 is tridiagonal (keeping its two diagonals) and
 whether V is diagonal, as on the 1D oscillator; then T, with its
 unknowns interleaved, is tridiagonal too.  The only root of U ever
 formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two H-frame
-rows of ``kg bounds``.  KleinGordonSystem stores the contraction data
-of one shift; shifted_potential and spectral_norm take stacks.
+rows of ``kg bounds``, from U^2's eigenbasis (taken from its two
+diagonals when it is tridiagonal).  KleinGordonSystem stores the
+contraction data of one shift; shifted_potential and spectral_norm
+take stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -44,7 +46,7 @@ asks it for the ends.  _spectrum_ends reads the structure ModelSpec
 records: a diagonal matrix's ends are its extreme entries, and those of
 a tridiagonal one are bisected on its own diagonals
 (_tridiagonal_eigenvalues).  contraction measures every b, bisecting
-b^2 of a tridiagonal spec on O(n) factorizations
+b^2 of a tridiagonal spec on O(n) factorizations from order 56 up
 (_banded_contractions).  optimize_shift minimizes b by the subspace
 method from order 32 up, with one full top eigenpair per step.
 Everything here is desk-scale; all outputs are plain numpy arrays
@@ -96,10 +98,16 @@ _GRAM_RANGE = (2.0**-500, 2.0**500)
 
 #: the order from which partial or structured solves replace full dense
 #: ones: subset eigenvalues (in place of numpy's eigvalsh computing all),
-#: validation's bisection of a tridiagonal U^2, the banded b at n >= 32,
-#: the tridiagonal T of spectral at 2n >= 32 and the subspace shift
-#: search.  Only the first crossover was measured; the others reuse it
+#: validation's bisection of a tridiagonal U^2, the tridiagonal T of
+#: spectral at 2n >= 32 and the subspace shift search.  Only the first
+#: crossover was measured; the others reuse it
 _SUBSET_MIN_ORDER = 32
+
+#: the order from which a tridiagonal spec's contraction is bisected on
+#: its bands: on the alpha = 0.3 oscillator (one OpenBLAS thread, 2-core
+#: x86-64) one b takes 94 us banded against 95 us dense at n = 56, and a
+#: stack of 21 couplings 1.89 ms against 1.98 ms; at n = 48 dense wins both
+_BANDED_MIN_ORDER = 56
 
 #: dsyevr leaves a matrix unscaled when its largest entry lies in
 #: [_RMIN, _RMAX] (LAPACK's SMLNUM = safe minimum / precision)
@@ -437,9 +445,19 @@ class ModelSpec:
         The one root of U the library forms, for the H-frame rows of
         ``kg bounds``: both from one eigendecomposition of U^2, on the
         first request, and the same read-only pair on every later one.
+        A tridiagonal U^2 from order 2 up (SciPy's dstevd takes no empty
+        off-diagonal) is decomposed from its two diagonals, else
+        densely: with the two root products, dstevd takes 7 us against
+        eigh's 10 at n = 2, 18 against 22 at 16, 36 against 43 at 32
+        and 115 against 192 at 64 (one OpenBLAS thread, 2-core x86-64).
         """
         if not self._half_roots:
-            w, p = np.linalg.eigh(self.u_squared)
+            if self.u2_bands is not None and self.order > 1:
+                w, p, info = lapack.dstevd(*self.u2_bands)
+                if info != 0:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            else:
+                w, p = np.linalg.eigh(self.u_squared)
             d = np.sqrt(np.sqrt(w))
             for root in (p * d, p / d):
                 root = symmetrize(root @ p.T)
@@ -505,12 +523,16 @@ class KleinGordonSystem:
     contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a), from
         ``contraction``: bisected on U^2's diagonals on the banded route
     spec : the source model
+    a_matrix : the A that b was measured on, kept only by
+        bounds.bounds_report for its mixed product; None elsewhere and on
+        the banded route, which forms no A
     """
 
     n: int
     shift: float
     contraction: float
     spec: ModelSpec = field(repr=False)
+    a_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
@@ -547,18 +569,24 @@ def contraction(spec: ModelSpec, shift: float = 0.0, couplings=None):
     A float for spec's own potential, or an array (k,) for the potentials
     t V of k ``couplings`` (shifted_potential's convention).  Bisected on
     U^2's two diagonals (_banded_contractions) for a tridiagonal spec
-    from order _SUBSET_MIN_ORDER up, else the norm of the dense A
+    from order _BANDED_MIN_ORDER up, else the norm of the dense A
     (operator_a), whose Gram matrix is A^T A.  Spec's own W is never
     stacked: on the 2 x 2 well a stack of one takes 23 us, not 16 (one
     OpenBLAS thread, 2-core x86-64).
     """
-    if spec.tridiagonal and spec.order >= _SUBSET_MIN_ORDER:
+    return _measured_contraction(spec, shift, couplings)[0]
+
+
+def _measured_contraction(spec: ModelSpec, shift: float, couplings=None):
+    """(b, A): contraction's b and the dense A it took it from, None when banded."""
+    if spec.tridiagonal and spec.order >= _BANDED_MIN_ORDER:
         diagonal = spec.v.diagonal()
         if couplings is None:
-            return float(_banded_contractions(spec, diagonal[None] - shift)[0])
+            return float(_banded_contractions(spec, diagonal[None] - shift)[0]), None
         w = np.multiply.outer(np.asarray(couplings, dtype=float), diagonal) - shift
-        return _banded_contractions(spec, w)
-    return spectral_norm(operator_a(spec, shift, couplings))
+        return _banded_contractions(spec, w), None
+    a = operator_a(spec, shift, couplings)
+    return spectral_norm(a), a
 
 
 def _banded_contractions(spec: ModelSpec, w):

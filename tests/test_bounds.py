@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgbounds import bounds as bounds_module
+from kgbounds.core import _spectrum_ends
+from kgbounds.models import HarmonicParams, harmonic_model
 from kgbounds import (
     ContractionNotLessThanOne,
     KappaMinusNotAboveMinusOne,
@@ -31,6 +33,7 @@ from kgbounds import (
     norm_bound_interval,
     operator_a,
     optimize_shift,
+    perturbation_constants,
     rescale_kappa,
     sign_operator,
     spectral_norm,
@@ -582,6 +585,85 @@ class TestPerturbationConstants:
         bounds = constants_of(system, np.diag([0.1, 0.0]))
         assert bounds.nu is None
         assert "kappa_relative" not in bounds.kappas
+
+
+class TestStructuredRoutes:
+    """nu on a diagonal V and the exact pair's rank-2n update, each against
+    the dense route it replaced."""
+
+    @staticmethod
+    def both_routes(d, dv):
+        """nu by row scaling with the diagonal d, and by Bunch-Kaufman on diag(d)."""
+        v = np.diag(d)
+        return (
+            bounds_module._relative_factor(dv, v, True),
+            bounds_module._relative_factor(dv, v, False),
+        )
+
+    def test_diagonal_nu_matches_bunch_kaufman(self):
+        # random diagonals of order up to 400 with entries across 1e-8 ..
+        # 1e8, five decades at a time so that V stays invertible
+        rng = np.random.Generator(np.random.PCG64(20261019))
+        for _ in range(40):
+            n = int(rng.integers(1, 401))
+            centre = rng.uniform(-8.0, 8.0)
+            d = rng.choice([-1.0, 1.0], n) * 10.0 ** (centre + rng.uniform(-2.5, 2.5, n))
+            dv = rng.normal(size=(n, n))
+            nu, reference = self.both_routes(d, dv + dv.T)
+            assert abs(nu - reference) <= 4 * EPS * reference
+
+    @pytest.mark.parametrize(
+        "d, dv_scale, present",
+        [
+            ([1.0, 0.0, 2.0], 1.0, False),   # a zero entry
+            ([1.0, -bounds_module.INV_RTOL * (1 + 1e-6)], 1.0, True),
+            ([1.0, -bounds_module.INV_RTOL * (1 - 1e-6)], 1.0, False),
+            ([1e308, -1e308, 1e308], 1e300, True),
+            ([1e308, -1.0, 1e308], 1.0, False),   # 1/cond(V) = 1e-308
+            ([1e-308, -1e-308, 1e-308], 10.0, False),   # V^(-1) dV overflows
+            ([3e-309, 3e-309, 3e-309], 1.0, False),   # V^(-1) overflows
+        ],
+        ids=["zero", "above-rtol", "below-rtol", "1e308", "1e308-and-1",
+             "product-overflows", "inverse-overflows"],
+    )
+    def test_diagonal_nu_absent_where_bunch_kaufman_is(self, d, dv_scale, present):
+        dv = dv_scale * (np.ones((3, 3)) + np.eye(3))[: len(d), : len(d)]
+        nu, reference = self.both_routes(np.array(d), dv)
+        assert (nu is not None) == (reference is not None) == present
+        if present:
+            assert abs(nu - reference) <= 4 * EPS * reference
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 160])
+    def test_exact_pair_is_that_of_m_plus_mt(self, n, monkeypatch):
+        # perturbation_constants takes the pair from the lower triangle of
+        # one rank-2n update; that triangle agrees with M + M^T, M =
+        # Z_2^T dV Z_1 formed in full on the same pencil eigenvectors Z
+        rng = np.random.Generator(np.random.PCG64(n))
+        spec = (
+            harmonic_model(HarmonicParams(alpha=0.3, grid_points=n))
+            if n > 8
+            else random_model(rng, n=n)[0]
+        )
+        system = assemble_system(spec, 0.0)
+        report = eigen_spectrum(system)
+        dv = rng.normal(size=(n, n))
+        dv = 1e-3 * (dv + dv.T)
+        formed = []
+
+        def spy(a, *args, **kwargs):
+            if a.shape == (2 * n, 2 * n):
+                formed.append(a.copy())
+            return _spectrum_ends(a, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "_spectrum_ends", spy)
+        pair = perturbation_constants(system, dv, report).kappas["kappa_exact"][0]
+        (update,) = formed
+        assert pair == _spectrum_ends(update)
+        z = report.eigenvectors
+        m = z[n:].T @ (dv @ z[:n])
+        lower = np.tril_indices(2 * n)
+        gap = np.abs(update[lower] - (m + m.T)[lower]).max()
+        assert gap <= 2 * EPS * spectral_norm(m)
 
 
 class TestBadlyScaledConstants:

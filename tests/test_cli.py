@@ -27,6 +27,7 @@ from kgbounds import (
     verify_bounds,
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
+from conftest import random_model
 
 
 def _fmt(x) -> str:
@@ -134,13 +135,14 @@ class TestVerifyCommand:
         out = tmp_path / "verify.csv"
         args = ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"]
         assert main(args + ["--out", str(out)]) == EXIT_SOLVER
-        err = capsys.readouterr().err
-        assert re.search(
-            r"at index \d+, eigenvalue \S+: pencil residual \S+ exceeds "
-            r"the gate \S+",
-            err,
-        ), err
-        assert err.rstrip().endswith("(the perturbed spectrum is not real)"), err
+        # the failing residual is the perturbed pair's, and the message
+        # names its eigenvalue, the real part of a complex pair of V + dV
+        assert capsys.readouterr().err == (
+            "solver failure: at index 1, eigenvalue -1.1944657990885197: "
+            "pencil residual 2.608755e-01 exceeds the gate 7.316749e-06 "
+            "(perturbed eigenvalue -1.0250000000000004; "
+            "the perturbed spectrum is not real)\n"
+        )
 
     def test_perturbed_model_built_once(self, monkeypatch, capsys):
         # verify_bounds builds the perturbed spec once and the residual
@@ -183,13 +185,13 @@ class TestVerifyCommand:
 
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
-        # the oscillator's U^2 is tridiagonal and V diagonal: the order-40
+        # the oscillator's U^2 is tridiagonal and V diagonal: the order-64
         # U^2 is validated by its Cholesky factorization, the contraction
         # is bisected on dpttrf alone, and the one pencil solve factors
         # the tridiagonal -Q(mu) by dpttrf, solves the tridiagonal T of
-        # order 80 by dstevd and forms x by one banded solve; nothing of
-        # order 80 is reduced to tridiagonal form there (the one order-80
-        # dsytrd is the exact kappa pair's)
+        # order 128 by dstevd and forms x by one banded solve; nothing of
+        # order 128 is reduced to tridiagonal form there (the one
+        # order-128 dsytrd is the exact kappa pair's)
         lapack_calls, pencil_calls, bisections = [], [], []
 
         def count_pencil(*args, **kwargs):
@@ -220,30 +222,33 @@ class TestBoundsCommand:
         names = ("dpotrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
         for name in names + ("dtrtrs", "dtbtrs"):
             spy(name)
-        args = ["bounds", "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        args = ["bounds", "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert pencil_calls == [[("dpttrf", 40), ("dstevd", 80), ("dtbtrs", 40)]]
+        assert pencil_calls == [[("dpttrf", 64), ("dstevd", 128), ("dtbtrs", 64)]]
         # one bisection, about 53 + log2 cond(U^2) steps
         assert len(bisections) == 1 and 50 <= len(bisections[0]) <= 70
-        assert set(bisections[0]) == {("dpttrf", 40)}
+        assert set(bisections[0]) == {("dpttrf", 64)}
         factored = [call for call in lapack_calls if call[0] in ("dpotrf", "dpttrf")]
-        assert factored == [("dpotrf", 40), ("dpttrf", 40)]
-        assert [c for c in lapack_calls if c[1] == 80] == [
-            ("dstevd", 80), ("dsytrd", 80), ("dstebz", 80), ("dstebz", 80)
+        assert factored == [("dpotrf", 64), ("dpttrf", 64)]
+        assert [c for c in lapack_calls if c[1] == 128] == [
+            ("dstevd", 128), ("dsytrd", 128), ("dstebz", 128), ("dstebz", 128)
         ]
 
     def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
         # every dense symmetric eigen-reduction kg bounds --optimize-shift
         # runs at N = 160, by routine and order: the one full solve of the
         # shift search (dsyevr), c, nu, the mixed product, ||dV||, the
-        # exact pair at order 2n, ||dG|| and ||Gamma||; the one eigh of
-        # U^2 forms the U^(+-1/2) of the ||dG|| and ||J1|| rows.  The
-        # bracket's extremes of the diagonal V are its extreme entries,
-        # the ends of the spectrum of the tridiagonal U^2 that validate it
-        # and the contraction are bisected on its own diagonals, and the
-        # spectrum is the tridiagonal T's (dstevd, with vectors): no
-        # dsyevd and no other order-2n dsytrd
-        calls = []
+        # exact pair at order 2n, ||dG|| and ||Gamma||.  U^2's eigenbasis,
+        # for the U^(+-1/2) of the ||dG|| and ||J1|| rows, comes from its
+        # two diagonals (dstevd of order 160), and nu from the rows of dV
+        # divided by the diagonal V (no dsysv).  The bracket's extremes of
+        # the diagonal V are its extreme entries, the ends of the spectrum
+        # of the tridiagonal U^2 that validate it and the contraction are
+        # bisected on its own diagonals, and the spectrum is the
+        # tridiagonal T's (dstevd, with vectors): no eigh, no dsyevd and
+        # no other order-2n dsytrd.  The exact pair's matrix is the one
+        # rank-2n update (dsyr2k) of order 2n
+        calls, updates = [], []
 
         def spy(module, name):
             routine = getattr(module, name)
@@ -254,30 +259,38 @@ class TestBoundsCommand:
 
             monkeypatch.setattr(module, name, record)
 
-        for name in ("dsytrd", "dsyevd", "dsyevr", "dstevd"):
+        def spy_update(*args, **kwargs):
+            c = syr2k(*args, **kwargs)
+            updates.append(c.shape)
+            return c
+
+        for name in ("dsytrd", "dsyevd", "dsyevr", "dstevd", "dsysv"):
             spy(scipy.linalg.lapack, name)
         for name in ("eigh", "eigvalsh"):
             spy(np.linalg, name)
+        syr2k = scipy.linalg.blas.dsyr2k
+        monkeypatch.setattr(scipy.linalg.blas, "dsyr2k", spy_update)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "160", "--optimize-shift"]
         args += ["--eta", "1e-3", "--out", str(tmp_path / "bounds.csv")]
         assert main(args) == EXIT_OK
         assert sorted(calls) == sorted(
-            [("eigh", 160), ("dsyevr", 160), ("dstevd", 320), ("dsytrd", 320)]
+            [("dstevd", 160), ("dsyevr", 160), ("dstevd", 320), ("dsytrd", 320)]
             + [("dsytrd", 160)] * 6
         )
+        assert updates == [(320, 320)]
 
     @pytest.mark.parametrize("command, solves", [("bounds", 1), ("verify", 2)])
     def test_one_cholesky_per_system(self, command, solves, monkeypatch, capsys):
         # one n x n Cholesky factorization of U^2 - (V - mu)^2 certifies
         # and reduces the pencil of each (model, shift): for the
         # oscillator, whose -Q(mu) is tridiagonal, dpttrf's O(n) one
-        # (recorded by its diagonal, of shape (40,)); for the perturbed
+        # (recorded by its diagonal, of shape (64,)); for the perturbed
         # model of verify, whose random dV is dense, dpotrf's.  The exact
         # kappa pair is read off the same solve's eigenvectors, and no
         # generalized eigensolve runs.  The first factorization is that
         # of U^2, which validates the model and is shared by the
         # perturbed model.  The oscillator's contraction is one bisection
-        # on dpttrf's success for s U^2 - W^2, every test of order 40
+        # on dpttrf's success for s U^2 - W^2, every test of order 64
         generalized, shapes, bisections = [], [], []
         eigh = scipy.linalg.eigh
         banded = core._banded_contractions
@@ -313,11 +326,11 @@ class TestBoundsCommand:
             (np.linalg, "cholesky"),
         ]:
             monkeypatch.setattr(module, name, spy_cholesky(getattr(module, name)))
-        args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert generalized == []
-        assert shapes == [(40, 40), (40,)] + [(40, 40)] * (solves - 1)
-        assert len(bisections) == 1 and set(bisections[0]) == {(40,)}
+        assert shapes == [(64, 64), (64,)] + [(64, 64)] * (solves - 1)
+        assert len(bisections) == 1 and set(bisections[0]) == {(64,)}
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_contraction_rejected_before_any_solve(
@@ -325,10 +338,10 @@ class TestBoundsCommand:
     ):
         # b >= 1 is caught on the model's own system: the perturbed model
         # is never assembled and no spectrum is solved
-        calls = {"eigen_spectrum": [], "assemble_system": []}
+        calls = {"eigen_spectrum": [], "_measured_contraction": []}
         for attr, fn in [
             ("eigen_spectrum", spectral.eigen_spectrum),
-            ("assemble_system", core.assemble_system),
+            ("_measured_contraction", core._measured_contraction),
         ]:
 
             def count(*args, attr=attr, fn=fn, **kwargs):
@@ -342,7 +355,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert re.fullmatch(r"solver error: contraction b = \S+ is not < 1\n", err), err
-        assert calls == {"eigen_spectrum": [], "assemble_system": [1]}
+        assert calls == {"eigen_spectrum": [], "_measured_contraction": [1]}
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     @pytest.mark.parametrize("shift", [[], ["--optimize-shift"]])
@@ -575,8 +588,9 @@ class TestEachQuantityOnce:
     @staticmethod
     def u_roots(monkeypatch, order):
         """(pairs, decompositions): every U^(+-1/2) pair formed, and the
-        order-``order`` symmetric eigendecompositions with vectors, the
-        only kind of solve a root of U^2 could come from."""
+        order-``order`` symmetric eigendecompositions with vectors, dense
+        or tridiagonal, the only kind of solve a root of U^2 could come
+        from."""
         pairs, decompositions = [], []
         half_roots = ModelSpec.half_roots
 
@@ -589,7 +603,8 @@ class TestEachQuantityOnce:
         def spy(routine, with_vectors):
             def record(a, *args, **kwargs):
                 if np.shape(a)[-1] == order and with_vectors(kwargs):
-                    decompositions.append(routine.__name__)
+                    # a LAPACK wrapper's __name__ is "function <name>"
+                    decompositions.append(routine.__name__.split()[-1])
                 return routine(a, *args, **kwargs)
 
             return record
@@ -601,7 +616,7 @@ class TestEachQuantityOnce:
             "eigh",
             spy(scipy.linalg.eigh, lambda kw: not kw.get("eigvals_only")),
         )
-        for name in ("dsyevd", "dsyevr"):
+        for name in ("dsyevd", "dsyevr", "dstevd"):
             routine = getattr(scipy.linalg.lapack, name)
             monkeypatch.setattr(
                 scipy.linalg.lapack, name, spy(routine, lambda kw: kw.get("compute_v", 1))
@@ -633,18 +648,20 @@ class TestEachQuantityOnce:
         self, command, pairs, gram_norms, monkeypatch, capsys
     ):
         # verify reads U only through L; kg bounds forms U^(1/2) and
-        # U^(-1/2) once, from one order-n eigh, for ||dG|| and ||J1||.
-        # Of the six norms both once took through a Gram matrix, the
-        # oscillator's contraction is bisected on U^2's diagonals, and
+        # U^(-1/2) once, for ||dG|| and ||J1||, from one order-n
+        # decomposition of the tridiagonal U^2 on its two diagonals
+        # (dstevd).  Of the six norms both once took through a Gram
+        # matrix, the oscillator's contraction is bisected on U^2's
+        # diagonals (order 64 is above core._BANDED_MIN_ORDER), and
         # ||dV|| and the gate's ||V|| are ends of symmetric spectra: verify
         # keeps c, nu and the perturbed contraction, bounds c, nu,
         # ||dG|| and ||Gamma||
-        formed, decompositions = self.u_roots(monkeypatch, 40)
+        formed, decompositions = self.u_roots(monkeypatch, 64)
         norms = self.norm_calls(monkeypatch)
-        args = [command, "--alpha", "0.3", "--grid-points", "40", "--eta", "1e-3"]
+        args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert len(formed) == pairs
-        assert decompositions == ["eigh"] * pairs
+        assert decompositions == ["dstevd"] * pairs
         assert len(norms) == gram_norms
 
     @pytest.mark.parametrize(
@@ -718,6 +735,25 @@ class TestEachQuantityOnce:
         out = ["--out", str(tmp_path / ("o" if args[0] == "reproduce" else "o.csv"))]
         assert main(args + out) == EXIT_OK
         assert formed == [] and decompositions == []
+
+    def test_dense_bounds_solves_with_w_once(self, monkeypatch, tmp_path, capsys):
+        # on a dense model the contraction's A = W L^(-T) stays on the
+        # system, and the mixed product reads it there: one triangular
+        # solve with W = V (shift 0), and one with dV for c
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(6)), n=6)
+        path = tmp_path / "model.json"
+        save_model(spec, path)
+        solved = []
+        l_solve = ModelSpec.l_solve
+
+        def spy(self, b):
+            solved.append(np.array(b))
+            return l_solve(self, b)
+
+        monkeypatch.setattr(ModelSpec, "l_solve", spy)
+        assert main(["bounds", "--model", str(path), "--eta", "1e-3"]) == EXIT_OK
+        assert len(solved) == 2
+        assert sum(np.array_equal(b, spec.v) for b in solved) == 1
 
     def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
         # pencil and direct rows alike: no root of U at all
@@ -862,11 +898,22 @@ class TestStackedGate:
         spec = square_well_model(1.7)
         report = verify_bounds(spec, square_well_perturbation(-0.35), -0.85)
         checks = (
-            (k, lam, rp, 1.0, "the perturbed spectrum is not real")
+            (
+                k,
+                lam,
+                rp,
+                1.0,
+                f"perturbed eigenvalue {lam_p:.17g}; the perturbed spectrum is not real",
+            )
             if rp > r
             else (k, lam, r, 1.0, "")
-            for k, (lam, r, rp) in enumerate(
-                zip(report.eigenvalues, report.residuals, report.residuals_perturbed)
+            for k, (lam, lam_p, r, rp) in enumerate(
+                zip(
+                    report.eigenvalues,
+                    report.eigenvalues_perturbed,
+                    report.residuals,
+                    report.residuals_perturbed,
+                )
             )
         )
         assert err == reference_gate_message(spec, "index", checks)

@@ -99,6 +99,28 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             spec.half_roots()[1][0, 0] = 5.0
 
+    @pytest.mark.parametrize("grid_points", [3, 8, 32, 160, 400])
+    def test_banded_half_roots_match_a_dense_eigh(self, grid_points, monkeypatch):
+        # a tridiagonal U^2 of any order from 2 up is decomposed on its
+        # two diagonals (dstevd): U^(1/2) squares to the U of a dense eigh,
+        # and U^(1/2) U^(-1/2) is the identity
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
+        dense_eigh = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            dense_eigh.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        root, inverse_root = spec.half_roots()
+        assert dense_eigh == []
+        w, p = eigh(spec.u_squared)
+        u = (p * np.sqrt(w)) @ p.T
+        tol = 1e-13 * spectral_norm(u)
+        assert np.abs(root @ root - u).max() <= tol
+        assert np.abs(root @ inverse_root - np.eye(grid_points)).max() <= 1e-13
+
     def test_with_potential_shares_u_squared_data(self):
         spec = square_well_model(1.0)
         new = spec.with_potential(2.0 * spec.v, "doubled")
@@ -332,13 +354,15 @@ def bisections(monkeypatch):
 class TestBandedContraction:
     """b bisected on U^2's two diagonals against the dense ||L^(-1) W||.
 
-    A tridiagonal spec of order n >= 32 takes the bisection
-    (core._banded_contractions) in core.contraction, for assemble_system
-    and eigen_spectra alike.
+    A tridiagonal spec of order n >= core._BANDED_MIN_ORDER (56) takes the
+    bisection (core._banded_contractions) in core.contraction, for
+    assemble_system and eigen_spectra alike; below it both take the dense
+    route, and the bisection is checked on its own.
     """
 
-    @pytest.mark.parametrize("grid_points", [32, 33, 81, 150, 400, 1000])
+    @pytest.mark.parametrize("grid_points", [32, 33, 56, 57, 81, 150, 400, 1000])
     def test_matches_the_dense_route(self, grid_points, bisections):
+        banded = grid_points >= core._BANDED_MIN_ORDER
         for beta in (0.0, 1.0):
             unit = unit_oscillator(grid_points, beta)
             # b(mu) of alpha V is alpha b(mu / alpha) of V: one search
@@ -351,8 +375,12 @@ class TestBandedContraction:
                         assert (w == 0.0).any()   # W's exact zero at x = 0
                     bisections.clear()
                     b = assemble_system(spec, shift).contraction
-                    assert bisections == [1]
                     dense = spectral_norm(operator_a(spec, shift))
+                    if banded:
+                        assert bisections == [1]
+                    else:
+                        assert bisections == [] and b == dense
+                        b = core._banded_contractions(spec, w[None])[0]
                     bound = contraction_error_bound(spec, b)
                     assert abs(b * b - dense * dense) <= bound
                     # the docstring's bound, against 40-digit pivots
@@ -367,23 +395,26 @@ class TestBandedContraction:
                     if certified or grid_points <= 150:
                         bisections.clear()
                         stack = spectral.eigen_spectra(unit, (alpha,), shift, nearest=1)
-                        assert bisections == [1]
-                        assert stack.contractions[0] == b
+                        assert bisections == ([1] if banded else [])
+                        assert stack.contractions[0] == (b if banded else dense)
                         assert stack.pencil[0] == certified
 
-    def test_zero_potential_is_exactly_zero(self):
-        unit = unit_oscillator(40, 0.0)
-        spec = unit.with_potential(np.zeros((40, 40)), "")
+    def test_zero_potential_is_exactly_zero(self, bisections):
+        unit = unit_oscillator(64, 0.0)
+        spec = unit.with_potential(np.zeros((64, 64)), "")
         assert assemble_system(spec, 0.0).contraction == 0.0
         assert spectral.eigen_spectra(unit, (0.0,), 0.0).contractions[0] == 0.0
+        assert bisections == [1, 1]
 
-    def test_scalar_potential_meets_the_bracket_bound(self):
+    def test_scalar_potential_meets_the_bracket_bound(self, bisections):
         # W = c I attains b = |c| / u_min, the bound the bracket starts from
-        unit = unit_oscillator(40, 1.0)
-        spec = unit.with_potential(0.7 * np.eye(40), "")
+        unit = unit_oscillator(64, 1.0)
+        spec = unit.with_potential(0.7 * np.eye(64), "")
         for shift in (0.0, 0.3, 1.2):
             w = spec.v.diagonal() - shift
+            bisections.clear()
             b = assemble_system(spec, shift).contraction
+            assert bisections == [1]
             bound = contraction_error_bound(spec, b)
             assert abs(b * b - (0.7 - shift) ** 2 / spec.u_min**2) <= bound
             assert not definite_in_40_digits(spec, w, b * b - bound)
@@ -404,16 +435,16 @@ class TestBandedContraction:
 
     @pytest.mark.parametrize("u_scale, v_scale", [(1e-300, 1e300), (1e-10, 1e307)])
     def test_overflowing_potential_is_inf(self, u_scale, v_scale, bisections):
-        e = np.eye(40, k=1)
+        e = np.eye(64, k=1)
         spec = ModelSpec(
-            u_squared=u_scale * (3.0 * np.eye(40) - e - e.T),
-            v=np.diag(np.linspace(-v_scale, v_scale, 40)),
+            u_squared=u_scale * (3.0 * np.eye(64) - e - e.T),
+            v=np.diag(np.linspace(-v_scale, v_scale, 64)),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert assemble_system(spec, 0.0).contraction == np.inf
             assert bisections == [1]
-            w = np.stack([spec.v.diagonal(), np.zeros(40), 1e-300 * spec.v.diagonal()])
+            w = np.stack([spec.v.diagonal(), np.zeros(64), 1e-300 * spec.v.diagonal()])
             b = core._banded_contractions(spec, w)
         assert b[0] == np.inf and b[1] == 0.0 and np.isfinite(b[2])
 

@@ -724,9 +724,9 @@ class TestEigenvaluesOnly:
         # its middle indices (dstebz) and no reduction.
         # With a dense potential T is dense: one tridiagonalization
         # (dsytrd) and one bisection.  Neither solves for a vector.
-        # From order n = 32 up the oscillator's contraction is bisected
-        # on dpttrf alone, and a dense one's Gram matrix is reduced
-        # (dsytrd) and bisected at its top (dstebz)
+        # From order n = 56 up the oscillator's contraction is bisected
+        # on dpttrf alone, and from order 32 up a dense one's Gram matrix
+        # is reduced (dsytrd) and bisected at its top (dstebz)
         calls = []
 
         def spy(name):
@@ -750,8 +750,8 @@ class TestEigenvaluesOnly:
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
         assert calls == contraction + [("dsytrd", None), ("dstebz", None)]
-        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=40))
-        dense = spec.with_potential(spec.v + 1e-3 * np.ones((40, 40)), "dense")
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=64))
+        dense = spec.with_potential(spec.v + 1e-3 * np.ones((64, 64)), "dense")
         calls.clear()
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
         assert calls == [("dstebz", None)]

@@ -17,6 +17,17 @@ check of a change that must keep every output:
     python tools/parity.py > change.txt
     diff parent.txt change.txt
 
+With ``--keep DIR`` every command's outputs are also written under DIR
+(one directory per command: ``argv``, ``exit``, ``stdout``, ``stderr``
+and ``files/``).  With ``--against DIR``, a directory an earlier run
+kept, each command whose outputs differ from the kept ones is followed,
+on stderr, by every numeric cell that moved (row key, column, old and
+new value, relative move), and the run ends with the largest move per
+cell name; the digest lines on stdout keep their format:
+
+    python tools/parity.py --src ../parent/src --keep parent-out > parent.txt
+    python tools/parity.py --against parent-out > change.txt
+
 The command list covers the 2 x 2 well under the three shift policies,
 three random model files (orders 2 to 8, from a fixed PCG64 seed), the
 oscillator at N = 24, 80 and 160 with alpha 0.3 and 0.985, the text
@@ -28,7 +39,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -119,8 +132,10 @@ def digest(parts) -> str:
     return h.hexdigest()
 
 
-def run(argv: list[str], src: Path, work: Path) -> str:
-    """One line: exit code, output digest, stderr digest, the command."""
+def run(argv: list[str], src: Path, work: Path):
+    """(line, outputs): the line holds the exit code, output digest, stderr
+    digest and the command; outputs maps ``exit``, ``stdout``, ``stderr``
+    and ``files/<name>`` to the bytes they hold."""
     out = work / "out"
     out.mkdir()
     tmp = str(work)
@@ -141,10 +156,111 @@ def run(argv: list[str], src: Path, work: Path) -> str:
     )
     stdout = proc.stdout.replace(tmp.encode(), b"{tmp}")
     stderr = proc.stderr.replace(tmp.encode(), b"{tmp}").replace(bytes(src), b"{src}")
-    files = sorted(p for p in out.rglob("*") if p.is_file())
-    parts = [stdout] + [p.name.encode() + b"\0" + p.read_bytes() for p in files]
+    files = {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    parts = [stdout] + [name.encode() + b"\0" + data for name, data in files.items()]
     shutil.rmtree(out)
-    return f"{proc.returncode} {digest(parts)} {digest([stderr])} {' '.join(argv)}"
+    line = f"{proc.returncode} {digest(parts)} {digest([stderr])} {' '.join(argv)}"
+    outputs = {"exit": str(proc.returncode).encode(), "stdout": stdout, "stderr": stderr}
+    outputs.update({f"files/{name}": data for name, data in files.items()})
+    return line, outputs
+
+
+def keep(directory: Path, index: int, argv: list[str], outputs: dict):
+    """Write one command's outputs to ``directory/<index>/``."""
+    target = directory / f"{index:03d}"
+    for name, data in {"argv": " ".join(argv).encode(), **outputs}.items():
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        (target / name).write_bytes(data)
+
+
+def kept_runs(directory: Path) -> dict:
+    """The outputs kept under ``directory``, by command line."""
+    runs = {}
+    for target in sorted(p for p in directory.iterdir() if p.is_dir()):
+        files = (p for p in target.rglob("*") if p.is_file())
+        outputs = {p.relative_to(target).as_posix(): p.read_bytes() for p in files}
+        runs[outputs.pop("argv").decode()] = outputs
+    return runs
+
+
+#: CSV columns that name a row rather than hold a value
+KEY_COLUMNS = ("row_type", "key", "index")
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _rows(text: str):
+    """(row key, {column: cell}) per line: CSV (two lines or more, each
+    with the header's number of commas) with its header's columns (key
+    columns joined into the row key), else whitespace-separated tokens
+    keyed by the first token."""
+    lines = text.splitlines()
+    commas = {line.count(",") for line in lines}
+    if len(lines) > 1 and len(commas) == 1 and commas != {0}:
+        header = lines[0].split(",")
+        for number, line in enumerate(lines[1:], start=2):
+            cells = dict(zip(header, line.split(",")))
+            key = ",".join(cells.pop(c) for c in KEY_COLUMNS if c in cells)
+            yield key or f"line {number}", cells
+    else:
+        for number, line in enumerate(lines, start=1):
+            tokens = line.split()
+            key = tokens[0] if tokens and _number(tokens[0]) is None else ""
+            cells = {str(k): t for k, t in enumerate(tokens[1:] if key else tokens)}
+            yield key or f"line {number}", cells
+
+
+def moved_cells(old: bytes, new: bytes):
+    """(row key, column, old, new, relative move) of each cell that differs.
+
+    A cell holding ``a;b`` is two cells; a numeric cell moves by
+    |new - old| / max(|old|, |new|), and any other change, or a change
+    in the row layout, is reported with a move of inf.
+    """
+    old_rows = list(_rows(old.decode("utf-8", "replace")))
+    new_rows = list(_rows(new.decode("utf-8", "replace")))
+    if [k for k, _ in old_rows] != [k for k, _ in new_rows]:
+        yield ("(rows)", "", len(old_rows), len(new_rows), math.inf)
+        return
+    for (key, before), (_, after) in zip(old_rows, new_rows):
+        for column in sorted(set(before) | set(after)):
+            a, b = before.get(column, ""), after.get(column, "")
+            if a == b:
+                continue
+            pairs = itertools.zip_longest(a.split(";"), b.split(";"), fillvalue="")
+            for part, (x, y) in enumerate(pairs):
+                if x == y:
+                    continue
+                name = column if ";" not in a else f"{column}[{part}]"
+                u, v = _number(x), _number(y)
+                if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+                    yield (key, name, x, y, math.inf)
+                else:
+                    yield (key, name, u, v, abs(v - u) / max(abs(u), abs(v)))
+
+
+def cell_name(key: str, column: str) -> str:
+    """A moved cell's name for the summary: its row key without row numbers."""
+    words = [w for w in key.split(",") if _number(w) is None]
+    return ",".join(words + [column])
+
+
+def report_moves(argv: list[str], kept: dict, outputs: dict, largest: dict):
+    """Print every cell of ``outputs`` that moved from ``kept``; update ``largest``."""
+    for part in sorted(set(kept) | set(outputs)):
+        before, after = kept.get(part, b""), outputs.get(part, b"")
+        if before == after:
+            continue
+        print(f"# {' '.join(argv)}: {part} differs", file=sys.stderr)
+        for key, column, old, new, move in moved_cells(before, after):
+            print(f"#   {key} {column}: {old!r} -> {new!r} ({move:.3e})", file=sys.stderr)
+            name = f"{part}:{cell_name(key, column)}"
+            largest[name] = max(largest.get(name, 0.0), move)
 
 
 def main(argv=None) -> int:
@@ -155,14 +271,33 @@ def main(argv=None) -> int:
         default=ROOT / "src",
         help="directory holding the kgbounds package (default: this checkout's src/)",
     )
+    parser.add_argument(
+        "--keep", type=Path, help="write every command's outputs under this directory"
+    )
+    parser.add_argument(
+        "--against",
+        type=Path,
+        help="report the cells that moved from the outputs a --keep run wrote here",
+    )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "kgbounds").is_dir():
         parser.error(f"no kgbounds package in {src}")
+    kept = kept_runs(args.against) if args.against else None
+    largest = {}
     with tempfile.TemporaryDirectory(prefix="kg-parity-") as tmp:
         work = Path(tmp)
-        for cmd in commands(random_models(work)):
-            print(run(cmd, src, work), flush=True)
+        for index, cmd in enumerate(commands(random_models(work))):
+            line, outputs = run(cmd, src, work)
+            print(line, flush=True)
+            if args.keep:
+                keep(args.keep, index, cmd, outputs)
+            if kept is not None:
+                report_moves(cmd, kept.get(" ".join(cmd), {}), outputs, largest)
+    if kept is not None:
+        print("# largest move per cell:", file=sys.stderr)
+        for name, move in sorted(largest.items()):
+            print(f"#   {name}: {move:.3e}", file=sys.stderr)
     return 0
 
 
