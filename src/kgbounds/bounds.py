@@ -19,12 +19,13 @@ module evaluates every such constant that the block structure offers,
 together with the exact extremes (kappa_minus, kappa_plus) of dg/g, the
 sharpest pair and the brute-force check on all the formulas above.  In
 the frame K = [[U^2, V], [V, I]], congruent to G, the potential change
-is dK = [[0, dV], [dV, 0]], and the spectrum's K-frame pencil
-eigenvectors Z, Z^T (K - mu*J) Z = I, diagonalize g, so the pair is the
-extreme eigenvalues of the congruence Z^T dK Z: no root of U is taken,
-and the one n x n Cholesky factorization of U^2 - (V - mu)^2 behind the
-spectrum is the only one per (model, shift); c, b and the mixed
-product read U^(-1) as L^(-1), L L^T = U^2 (core).  Then come the
+is dK = [[0, dV], [dV, 0]], and the spectrum's pencil factor F,
+K - mu*J = F F^T, F = [[M, W], [0, I]] (spectral), reduces g to the
+identity, so the pair is the two ends of the spectrum of
+S = F^(-1) dK F^(-T): no root of U is taken, no eigenvector is read,
+and the one n x n Cholesky factorization M M^T = U^2 - (V - mu)^2
+behind the spectrum is the only one per (model, shift); c, b and the
+mixed product read U^(-1) as L^(-1), L L^T = U^2 (core).  Then come the
 multiplicative rescaling that turns an asymmetric pair into the
 always-admissible constant
 
@@ -35,7 +36,8 @@ the gap inclusion intervals and the uniform norm-bound interval through
 ||dG|| and ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma the n x n
 angular operator of the positive spectral subspace
 (spectral.sign_operator), the H-frame rows and the only ones to read a
-root of U (ModelSpec.half_roots).  Every spectral quantity here is an
+root of U (ModelSpec.half_roots); ||J1|| is the only number here read
+off the spectrum's eigenvectors.  Every spectral quantity here is an
 end of a spectrum, and only the ends are computed (core._spectrum_ends):
 the exact pair, the sign of the mixed product and each norm.  nu comes
 from V^(-1) dV, the rows of dV scaled when V is diagonal and a
@@ -55,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .core import (
     KleinGordonSystem,
@@ -67,6 +69,7 @@ from .core import (
     assemble_system,
     check_symmetric,
     operator_a,
+    shifted_potential,
     spectral_norm,
     symmetrize,
 )
@@ -78,6 +81,7 @@ from .exceptions import (
     ValidationError,
 )
 from .spectral import (
+    _tridiagonal_rows,
     SpectrumReport,
     eigen_spectrum,
     eigenpair_residuals,
@@ -496,6 +500,46 @@ class BoundsReport:
         return tuple(checks)
 
 
+def _factor_congruence(report: SpectrumReport, dv, exponent: int):
+    """S = F^(-1) dK F^(-T) / 2^exponent, F = [[M, W], [0, I]] the pencil's factor.
+
+    With K - mu*J = F F^T and dK = [[0, dV], [dV, 0]],
+
+        S = [[-M^(-1) (W dV + dV W) M^(-T), M^(-1) dV], [dV M^(-T), 0]],
+
+    M the report's pencil_factor and W = V - mu.  Returned in Fortran
+    order with its lower triangle alone formed (the upper right block is
+    zero), for _spectrum_ends to reduce in place.  On the tridiagonal
+    route M is bidiagonal and W diagonal: W dV + dV W is
+    (w_i + w_j) dV_ij, and each solve with M a banded one (dtbtrs), so
+    S costs O(n^2); otherwise W dV is one product and each solve a
+    triangular one (dtrtrs).  S is formed from dV / 2^exponent, exactly,
+    and that copy of dV and X = W dV + dV W, both exactly symmetric, are
+    each solved as their transposes, in Fortran order, and overwritten.
+    """
+    spec, n, m = report.spec, report.spec.order, report.pencil_factor
+    dv = np.ldexp(dv, -exponent)
+    if _tridiagonal_rows(spec):
+        w = spec.v.diagonal() - report.shift
+        x = (w[:, None] + w) * dv
+
+        def solve(rhs):   # M^(-1) rhs, over rhs when it is in Fortran order
+            return lapack.dtbtrs(m, rhs, uplo="L", overwrite_b=1)[0]
+    else:
+        wdv = shifted_potential(spec, report.shift) @ dv
+        x = wdv + wdv.T
+        del wdv   # each n x n temporary goes before the next is made
+
+        def solve(rhs):
+            return lapack.dtrtrs(m, rhs, lower=1, overwrite_b=1)[0]
+    s = np.zeros((2 * n, 2 * n), order="F")
+    s[n:, :n] = solve(dv.T).T
+    del dv   # before the last solve copies M^(-1) X
+    x = solve(x.T)   # M^(-1) X
+    np.negative(solve(x.T), out=s[:n, :n])   # -M^(-1) X M^(-T)
+    return s
+
+
 def perturbation_constants(
     system: KleinGordonSystem, pert, report: SpectrumReport
 ) -> BoundsReport:
@@ -515,13 +559,16 @@ def perturbation_constants(
     The validity flag of each kappa records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
     invalid entries keep their value for tabulation.  The exact pair
-    comes from the report's K-frame pencil eigenvectors Z,
-    Z^T (K - mu*J) Z = I: it is the extreme eigenvalues of
-    Z^T dK Z = A^T B + B^T A with A = dV Z_1 and B = Z_2, Z_1 and Z_2
-    the upper and lower halves of Z, whose lower triangle alone is
-    formed, by one rank-2n update (BLAS dsyr2k), and read.  Neither
-    K - mu*J nor dK is formed.  NotCertified when the report took the
-    direct path, that is when
+    comes from the report's pencil factor M, M M^T = U^2 - (V - mu)^2,
+    and not from its eigenvectors: with K - mu*J = F F^T,
+    F = [[M, W], [0, I]], and the pencil's eigenvectors Z = F^(-T) Y,
+    Y orthogonal, Z^T dK Z = Y^T S Y is similar to
+    S = F^(-1) dK F^(-T) (_factor_congruence), so the pair is the two
+    ends of S's spectrum.  S is formed from dV / 2^k, its largest entry
+    in [1/2, 1), in Fortran order and lower triangle alone, A and dA are
+    released first, and _spectrum_ends reduces S in place; the ends are
+    scaled back by 2^k.  Neither K - mu*J nor dK is formed.
+    NotCertified when the report took the direct path, that is when
     G - mu*J was not certified positive definite or the Cholesky
     factorization of U^2 - (V - mu)^2 failed.
     """
@@ -549,6 +596,7 @@ def perturbation_constants(
     if a is None:
         a = operator_a(system.spec, system.shift)
     signed, disjoint = _mixed_product_sign(a, delta_a, b, c)
+    del a, delta_a
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
@@ -570,9 +618,13 @@ def perturbation_constants(
         k_sgn = kappa_signed_pair(c, b, signed)
         kappas["kappa_signed"] = (k_sgn, k_sgn[0] > -1.0)
 
-    n, z = system.n, report.eigenvectors
-    # the lower triangle of (dV Z_1)^T Z_2 + Z_2^T (dV Z_1), all _spectrum_ends reads
-    k_exact = _spectrum_ends(blas.dsyr2k(1.0, (dv @ z[:n]).T, z[n:].T, lower=1))
+    # S is linear in dV: it is formed from dV / 2^k, whose largest entry
+    # lies in [1/2, 1), and its ends are scaled back, so that a dV near
+    # the top of the float range overflows neither W dV nor S
+    k = math.frexp(np.abs(dv).max(initial=0.0))[1]
+    ends = _spectrum_ends(_factor_congruence(report, dv, k), overwrite=True)
+    with np.errstate(over="ignore"):
+        k_exact = tuple(np.ldexp(ends, k).tolist())
     kappas["kappa_exact"] = (k_exact, k_exact[0] > -1.0)
     return BoundsReport(
         spectrum=report,

@@ -99,8 +99,16 @@ _GRAM_RANGE = (2.0**-500, 2.0**500)
 #: the order from which partial or structured solves replace full dense
 #: ones: subset eigenvalues (in place of numpy's eigvalsh computing all),
 #: validation's bisection of a tridiagonal U^2, the tridiagonal T of
-#: spectral at 2n >= 32 and the subspace shift search.  Only the first
-#: crossover was measured; the others reuse it
+#: spectral at 2n >= 32 and the subspace shift search.  Timed on the
+#: alpha = 0.3 oscillator (one OpenBLAS thread, 2-core x86-64, best of
+#: 7), structured/dense in ms: U^2's two ends 0.016/0.013 at n = 24 and
+#: 0.021/0.026 at 32; the pencil rows of 21 couplings 0.53/0.53 at
+#: N = 8, 0.94/1.12 at 12 and 1.21/1.61 at 16 (one row 0.069/0.072,
+#: 0.088/0.098 and 0.101/0.119), so the tridiagonal T would pay from
+#: N = 12; the shift search 0.030/0.093 at n = 8 and 0.051/1.10 at 32,
+#: but on random dense models (b in [0.05, 0.65]) 0.78/0.64 at 32 and
+#: 1.22/1.59 at 48, Brent's method winning up to 32.  One order for all
+#: four keeps the outputs of the orders in between as they are
 _SUBSET_MIN_ORDER = 32
 
 #: the order from which a tridiagonal spec's contraction is bisected on
@@ -132,7 +140,7 @@ def _unit_scaled(s):
     return (np.ldexp(s, -exponent), exponent) if exponent else (s, 0)
 
 
-def _eigenvalues(s, ranges):
+def _eigenvalues(s, ranges, *, overwrite: bool = False):
     """Eigenvalues of a symmetric matrix by 1-based index ranges.
 
     ``ranges`` holds disjoint ascending ranges (il, iu) of the indices
@@ -152,11 +160,16 @@ def _eigenvalues(s, ranges):
     instead (_unit_scaled): dsyevr scales to the edge of [_RMIN, _RMAX],
     where dstebz splits the tridiagonal at off-diagonals whose squares
     underflow and loses digits (7e-14 of ||s|| on a clustered matrix
-    scaled by 1e-150).  There a non-finite entry raises KGError.
+    scaled by 1e-150).  There a non-finite entry raises KGError.  With
+    ``overwrite``, for a temporary the caller owns and never for a spec's
+    array, LAPACK reduces s (or its scaled copy) in place where it is in
+    Fortran order, so no other copy is made; the eigenvalues are the
+    same floats.
     """
     n = s.shape[-1]
     if s.ndim > 2 and (s.size == n * n or n >= _SUBSET_MIN_ORDER):
-        rows = [_eigenvalues(a, ranges) for a in s.reshape(-1, n, n)]
+        matrices = s.reshape(-1, n, n)
+        rows = [_eigenvalues(a, ranges, overwrite=overwrite) for a in matrices]
         return np.reshape(rows, s.shape[:-2] + rows[0].shape)
     if n < _SUBSET_MIN_ORDER or sum(iu - il + 1 for il, iu in ranges) in (0, n):
         if n == 1:
@@ -164,7 +177,7 @@ def _eigenvalues(s, ranges):
         elif s.ndim > 2:
             w = np.linalg.eigvalsh(s)
         else:
-            w, _, info = lapack.dsyevd(s, compute_v=0, lower=1)
+            w, _, info = lapack.dsyevd(s, compute_v=0, lower=1, overwrite_a=overwrite)
             if info != 0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
         if len(ranges) == 1:
@@ -176,22 +189,23 @@ def _eigenvalues(s, ranges):
     # dsyevr's optimal workspace less the 5n it keeps for itself: with
     # less, dsytrd reduces unblocked and rounds differently
     lwork = int(lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
-    _, d, e, _, _ = lapack.dsytrd(s, lower=1, lwork=lwork)
+    _, d, e, _, _ = lapack.dsytrd(s, lower=1, lwork=lwork, overwrite_a=overwrite)
     return np.ldexp(_bisect(d, e, ranges), exponent)
 
 
-def _extreme_eigenvalues(s, low: int, high: int):
+def _extreme_eigenvalues(s, low: int, high: int, *, overwrite: bool = False):
     """The low smallest and high largest eigenvalues of a symmetric matrix.
 
     _eigenvalues of the index ranges 1..low and n-high+1..n, or of every
     index when the two ends meet, so each eigenvalue comes once: an
     array (..., m), m = min(low + high, n), for a matrix or a stack.
+    ``overwrite`` as _eigenvalues'.
     """
     n = s.shape[-1]
     if low + high >= n:
-        return _eigenvalues(s, ((1, n),))
+        return _eigenvalues(s, ((1, n),), overwrite=overwrite)
     top = ((n - high + 1, n),)
-    return _eigenvalues(s, ((1, low),) + top if low else top)
+    return _eigenvalues(s, ((1, low),) + top if low else top, overwrite=overwrite)
 
 
 def _bisect(d, e, ranges):
@@ -269,7 +283,9 @@ def spectral_norm(a):
     return norm if stack else float(norm)
 
 
-def _spectrum_ends(a, bands=None, diagonal: bool = False) -> tuple:
+def _spectrum_ends(
+    a, bands=None, diagonal: bool = False, *, overwrite: bool = False
+) -> tuple:
     """(lowest, highest) eigenvalue of a symmetric matrix, as floats.
 
     Reads the structure a ModelSpec records and searches for none: with
@@ -277,7 +293,7 @@ def _spectrum_ends(a, bands=None, diagonal: bool = False) -> tuple:
     the two diagonals of a tridiagonal a, bisected alone from
     _SUBSET_MIN_ORDER up (_tridiagonal_eigenvalues); else
     _extreme_eigenvalues(a, 1, 1), the same floats where dsyevd does
-    not scale a.
+    not scale a, reducing a in place with ``overwrite`` (_eigenvalues).
     """
     if diagonal:
         d = a.diagonal()
@@ -286,7 +302,7 @@ def _spectrum_ends(a, bands=None, diagonal: bool = False) -> tuple:
     if bands is not None and n >= _SUBSET_MIN_ORDER:
         ends = _tridiagonal_eigenvalues(*bands, ((1, 1), (n, n)))
     else:
-        ends = _extreme_eigenvalues(a, 1, 1)
+        ends = _extreme_eigenvalues(a, 1, 1, overwrite=overwrite)
     return float(ends[0]), float(ends[-1])
 
 
@@ -459,8 +475,10 @@ class ModelSpec:
             else:
                 w, p = np.linalg.eigh(self.u_squared)
             d = np.sqrt(np.sqrt(w))
-            for root in (p * d, p / d):
-                root = symmetrize(root @ p.T)
+            for scale in (np.multiply, np.divide):   # p d p^T, then p d^(-1) p^T
+                root = scale(p, d) @ p.T
+                root += root.T   # symmetrize, in place
+                root *= 0.5
                 root.setflags(write=False)
                 self._half_roots.append(root)
         return tuple(self._half_roots)

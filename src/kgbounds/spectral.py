@@ -29,7 +29,12 @@ own
     Z = F^(-T) Y = [X; (Lam - V) X],    Z^T (K - mu*J) Z = Y^T Y = I,
 
 with the quadratic eigenvectors X = M^(-T) Y_1 from one triangular
-solve, (lam - V)^2 x = U^2 x, so no root of U is taken.  Each column
+solve, (lam - V)^2 x = U^2 x, so no root of U is taken.  Z is written
+where Y lies: on a dense row T is built in Fortran order, dsyevd
+reduces it in place and writes Y over it, and Z overwrites Y; the
+tridiagonal rows write theirs into one stack.  The report keeps the
+factor M too (SpectrumReport.pencil_factor), from which the bounds
+module reads the exact kappa pair without Z.  Each column
 has the J-signature (J z, z) = theta = 1/sigma, whose sign is the side
 of the shift its eigenvalue lies on: the sign types are certified,
 with no tolerance.  When U^2 is tridiagonal and V diagonal (the
@@ -59,8 +64,8 @@ triangular solve (numpy's gufuncs), or row by row through the
 tridiagonal T, the other rows through one stacked eig, and the per-row
 work after the solve (ordering, signatures, witnesses) is stacked too;
 only a multiplicity cluster takes an SVD of its own.  A stack of one
-calls LAPACK's dpotrf, dsyevd and dtrtrs directly, which at small
-orders cost a fifth of numpy's stacked calls.  eigen_spectrum is the
+calls LAPACK's dpotrf, dsyevd (in place) and dtrtrs directly, which at
+small orders cost a fifth of numpy's stacked calls.  eigen_spectrum is the
 stack of one of a system's own potential, and the coupling sweep solves
 its steps in blocks.  A caller that reads a few eigenvalues alone (the
 oscillator table of example 1) asks for the k nearest the shift on each
@@ -152,7 +157,11 @@ class SpectrumReport:
     shift, smallest above it), with -inf/+inf on an empty side; an
     eigenvalue exactly at the shift belongs to neither side.  ``witness`` is the first
     defective eigenvalue found, or None; ``defective`` says whether
-    there is one.  ``spec`` is the model solved.
+    there is one.  ``spec`` is the model solved.  ``pencil_factor`` is
+    the factor M, M M^T = U^2 - (V - mu)^2, that certified the pencil:
+    on the tridiagonal route (_tridiagonal_rows) the lower bidiagonal M
+    in LAPACK's lower band storage, shape (2, n), else the dense lower
+    triangular M; None on the direct path.
     """
 
     eigenvalues: np.ndarray
@@ -166,6 +175,7 @@ class SpectrumReport:
     solver_path: str  # 'similarity' (the definite pencil) or 'direct'
     spec: ModelSpec = field(repr=False, compare=False)
     witness: DefectWitness | None = field(default=None, repr=False)
+    pencil_factor: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -234,7 +244,8 @@ class SpectrumStack:
     (J z_k, z_k), whether the row took the definite ``pencil``,
     ``is_real`` and the first defective eigenvalue of the row, or None,
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
-    routed on.
+    routed on, and ``pencil_factors`` each pencil row's factor M, as
+    SpectrumReport.pencil_factor holds it, and None for a direct row.
     """
 
     eigenvalues: np.ndarray
@@ -244,6 +255,7 @@ class SpectrumStack:
     is_real: np.ndarray
     witnesses: tuple = field(repr=False)
     contractions: np.ndarray
+    pencil_factors: tuple = field(repr=False)
 
     @property
     def defective(self) -> np.ndarray:
@@ -282,10 +294,12 @@ def _eigh(c):
 
     Only the lower triangles are read.  A stack of one goes to LAPACK's
     dsyevd directly: at small orders numpy's stacked call costs several
-    times the solve itself.
+    times the solve itself, and overwrites c, which the caller owns: a
+    matrix in Fortran order is reduced in place and its eigenvectors
+    are written over it.
     """
     if len(c) == 1:
-        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1)
+        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return theta[None], y[None]
@@ -305,15 +319,18 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     _tridiagonal_rows(spec) the diagonals (k, n) of those diagonal W.
     Factors each -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
     T y = sigma y, T = [[0, M^T], [M, 2W]] (see the module docstring),
-    and returns (sigma, Z = [x; y_2 - W x], factored): ``factored``
+    and returns (sigma, Z = [x; y_2 - W x], M, factored): ``factored``
     marks the rows whose Cholesky factorization succeeded (None when
-    all did), and sigma and Z hold those rows alone, each ordered by
-    ascending sigma = lam - shift = 1/theta, with x = M^(-T) y_1 and
-    Z^T (K - shift*J) Z = I.  With ``nearest`` = k, T is solved for its
-    eigenvalues n-k+1 .. n+k alone, the k nearest the shift on each
-    side, and Z is None.  For _tridiagonal_rows(spec) T is tridiagonal,
-    and _tridiagonal_eigensolve solves it; otherwise only the lower
-    triangles of -Q(shift) and T are read.
+    all did), and sigma, Z and the factors M hold those rows alone, each
+    ordered by ascending sigma = lam - shift = 1/theta, with
+    x = M^(-T) y_1 and Z^T (K - shift*J) Z = I.  With ``nearest`` = k,
+    T is solved for its eigenvalues n-k+1 .. n+k alone, the k nearest
+    the shift on each side, and Z is None.  For _tridiagonal_rows(spec)
+    T is tridiagonal, and _tridiagonal_eigensolve solves it; otherwise
+    only the lower triangles of -Q(shift) and T are read, and T is
+    built in Fortran order, so that a stack of one is reduced in place
+    and its eigenvectors Y are turned into Z where they lie, with no
+    order-2n copy.
     """
     n = spec.order
     if _tridiagonal_rows(spec):
@@ -321,18 +338,21 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
     if factored is not None:
         w, m = w[factored], m[factored]
-    t = np.zeros((len(w), 2 * n, 2 * n))
+    t = np.zeros((len(w), 2 * n, 2 * n)).swapaxes(-1, -2)   # Fortran order
     t[:, n:, :n] = m
     t[:, n:, n:] = 2.0 * w
     if nearest is not None:
         k = min(nearest, n)
-        return _eigenvalues(t, ((n - k + 1, n + k),)), None, factored
+        sigma = _eigenvalues(t, ((n - k + 1, n + k),), overwrite=True)
+        return sigma, None, m, factored
     sigma, y = _eigh(t)
     if len(m) == 1:
         x = lapack.dtrtrs(m[0], y[0, :n], lower=1, trans=1)[0][None]
     else:
         x = np.linalg.solve(m.swapaxes(-1, -2), y[:, :n])   # M^(-T) y_1
-    return sigma, np.concatenate([x, y[:, n:] - w @ x], axis=1), factored
+    y[:, n:] -= w @ x
+    y[:, :n] = x
+    return sigma, y, m, factored
 
 
 def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
@@ -346,40 +366,47 @@ def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
     from dstebz (core._tridiagonal_eigenvalues, on T scaled as
     core._unit_scaled scales a matrix), its eigenpairs from dstevd
     (divide and conquer, the tridiagonal stage of dsyevd), and
-    x = M^(-T) y_1 from one banded triangular solve (dtbtrs).  A row
-    whose dpttrf fails is left out of sigma and Z, as a failing dpotrf
-    row is.
+    x = M^(-T) y_1 from one banded triangular solve (dtbtrs).  Each
+    row's Z is written into one stack, allocated once the first dstevd
+    has returned (and freed its order-2n workspace), and M is returned
+    in LAPACK's lower band storage, (2, n) per row.  A row whose dpttrf
+    fails is left out of sigma, Z and M, as a failing dpotrf row is.
     """
     u2_diagonal, u2_off = spec.u2_bands
     n = spec.order
+    width = 2 * n if nearest is None else 2 * min(nearest, n)
     factored = np.ones(len(w), dtype=bool)
-    sigmas, zs = [], []
+    sigma, z, bands = np.empty((len(w), width)), None, []
     for row, wk in enumerate(w):
         d, multipliers, info = lapack.dpttrf(u2_diagonal - wk * wk, u2_off)
         if info != 0:
             factored[row] = False
             continue
-        m_diagonal = np.sqrt(d)
-        m_off = multipliers * m_diagonal[:-1]
+        slot = len(bands)   # this row's place in sigma and Z
+        band = np.zeros((2, n))   # M: its diagonal, then its subdiagonal
+        band[0] = np.sqrt(d)
+        band[1, :-1] = multipliers * band[0, :-1]
+        bands.append(band)
         diagonal, off = np.zeros(2 * n), np.empty(2 * n - 1)
         diagonal[::2] = 2.0 * wk
-        off[::2], off[1::2] = m_diagonal, m_off
+        off[::2], off[1::2] = band[0], band[1, :-1]
         if nearest is not None:
-            k = min(nearest, n)
-            middle = ((n - k + 1, n + k),)
-            sigmas.append(_tridiagonal_eigenvalues(diagonal, off, middle))
+            middle = ((n - width // 2 + 1, n + width // 2),)
+            sigma[slot] = _tridiagonal_eigenvalues(diagonal, off, middle)
             continue
-        sigma, y, info = lapack.dstevd(diagonal, off)
+        sigma[slot], y, info = lapack.dstevd(diagonal, off)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        band = np.stack([m_diagonal, np.append(m_off, 0.0)])
+        if z is None:
+            z = np.empty((len(w), 2 * n, 2 * n))
         x = lapack.dtbtrs(band, y[1::2], uplo="L", trans="T")[0]   # M^(-T) y_1
-        sigmas.append(sigma)
-        zs.append(np.concatenate([x, y[::2] - wk[:, None] * x]))
-    width = 2 * n if nearest is None else 2 * min(nearest, n)
-    sigma = np.reshape(sigmas, (-1, width))
-    z = None if nearest is not None else np.reshape(zs, (-1, 2 * n, 2 * n))
-    return sigma, z, None if factored.all() else factored
+        z[slot, :n] = x
+        bottom = np.multiply(wk[:, None], x, out=z[slot, n:])
+        np.subtract(y[::2], bottom, out=bottom)   # y_2 - W x
+    count = len(bands)
+    if z is not None:
+        z = z[:count]
+    return sigma[:count], z, bands, None if factored.all() else factored
 
 
 def _signatures(eigenvectors):
@@ -540,12 +567,15 @@ def eigen_spectra(
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
     solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
+    factors = [None] * t.size
     rows = pencil.nonzero()[0]
     if rows.size:
-        sigma, z, factored = _k_frame_eigensolve(spec, w[rows], nearest)
+        sigma, z, m, factored = _k_frame_eigensolve(spec, w[rows], nearest)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
+        for row, factor in zip(rows.tolist(), m):
+            factors[row] = factor
         if rows.size:
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
@@ -586,6 +616,7 @@ def eigen_spectra(
         is_real=is_real,
         witnesses=tuple(witnesses),
         contractions=contractions,
+        pencil_factors=tuple(factors),
     )
 
 
@@ -626,6 +657,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         solver_path="similarity" if pencil else "direct",
         spec=spec,
         witness=witness,
+        pencil_factor=stack.pencil_factors[0],
     )
 
 
@@ -651,7 +683,9 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
         ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||),
 
     one n x n solve and one n x n norm, and the column scales and the
-    1/sqrt(2) cancel in Gamma.  Y itself is formed only when the
+    1/sqrt(2) cancel in Gamma.  P and Q are formed from the two root
+    products a = U^(1/2) Z_1 and b = U^(-1/2) Z_2 of the positive
+    columns, and the solve (dgesv) overwrites them.  Y itself is formed only when the
     operator's ``y`` or ``j1`` is read.  Raises NotCertified when the
     report came from the direct path, that is when G - mu*J was not
     certified positive definite or the Cholesky factorization of
@@ -665,10 +699,16 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
     n = report.spec.order
     # the pencil orders lam ascending, with n eigenvalues on each side of
     # the shift: the last n columns are the positive ones
-    dz = _h_frame(report.spec, report.eigenvectors[:, n:])
-    a, b = dz[:n], dz[n:]
-    # Gamma^T = P^(-T) Q^T has the norm of Gamma
-    _, _, gamma_t, info = lapack.dgesv((a + b).T, (a - b).T)
+    z = report.eigenvectors[:, n:]
+    root, inverse_root = report.spec.half_roots()
+    # [P; Q] = [a + b; a - b] from the two root products a and b
+    p, b = root @ z[:n], inverse_root @ z[n:]
+    q = p - b
+    p += b
+    del b
+    # Gamma^T = P^(-T) Q^T has the norm of Gamma; dgesv overwrites P and Q
+    _, _, gamma_t, info = lapack.dgesv(p.T, q.T, overwrite_a=1, overwrite_b=1)
+    del p
     # a singular P, like ||Gamma|| >= 1, can only come of rounding, and
     # then no finite norm is certified
     g = spectral_norm(gamma_t) if info == 0 else math.inf
@@ -718,6 +758,10 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=No
         v = np.multiply.outer(couplings, v)
     u_squared = spec.u2_bands if banded else [spec.u_squared]
     x = eigenvectors[..., : spec.order, :]
+    if not banded:
+        # the copy Q(lam) x is formed in, in C order whatever the columns'
+        # order, so that every norm below sums as on C-ordered columns
+        x = x.astype(np.result_type(x, lam), order="C")
     k = _overflow_exponent(
         max(spec.u_max, np.abs(v).max(initial=0.0), np.abs(lam).max(initial=0.0))
     )
@@ -739,7 +783,6 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=No
         np.multiply(e[:, None], x[..., :-1, :], out=r[..., 1:, :])
         q[..., 1:, :] -= r[..., 1:, :]
     else:
-        x = x.astype(np.result_type(x, lam))
         vx = v @ x
         q = v @ vx
         q -= u_squared[0] @ x

@@ -156,6 +156,20 @@ def similarity_eigensolve(gram, shift: float = 0.0):
     return shift + 1.0 / theta[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
+def factor_congruence(spec, shift: float, m, dv):
+    """F^(-1) dK F^(-T) formed densely, F = [[M, W], [0, I]], W = V - shift*I.
+
+    ``m`` is a dense lower triangular M with M M^T = U^2 - W W, so that
+    K - shift*J = F F^T; dK = [[0, dV], [dV, 0]] is the potential change
+    in the K frame.  F is inverted by two general dense solves.
+    """
+    n = spec.order
+    w = spec.v - shift * np.eye(n)
+    f = np.block([[m, w], [np.zeros((n, n)), np.eye(n)]])
+    dk = np.block([[np.zeros((n, n)), dv], [dv, np.zeros((n, n))]])
+    return np.linalg.solve(f, np.linalg.solve(f, dk).T)
+
+
 def exact_kappa_pm(g, delta_g):
     """Extreme eigenvalues of the pencil dG x = lam G x (G positive definite).
 

@@ -44,6 +44,7 @@ from kgbounds import (
 from oracles import (
     block_structure_analysis,
     exact_kappa_pm,
+    factor_congruence,
     gram,
     l_frame,
     shifted_gram,
@@ -588,8 +589,8 @@ class TestPerturbationConstants:
 
 
 class TestStructuredRoutes:
-    """nu on a diagonal V and the exact pair's rank-2n update, each against
-    the dense route it replaced."""
+    """nu on a diagonal V against the dense route it replaced, and the exact
+    pair from the pencil factor against a dense oracle."""
 
     @staticmethod
     def both_routes(d, dv):
@@ -633,11 +634,10 @@ class TestStructuredRoutes:
         if present:
             assert abs(nu - reference) <= 4 * EPS * reference
 
-    @pytest.mark.parametrize("n", [2, 7, 40, 160])
-    def test_exact_pair_is_that_of_m_plus_mt(self, n, monkeypatch):
-        # perturbation_constants takes the pair from the lower triangle of
-        # one rank-2n update; that triangle agrees with M + M^T, M =
-        # Z_2^T dV Z_1 formed in full on the same pencil eigenvectors Z
+    @staticmethod
+    def solved(n):
+        """(system, report, dV) on a random model of order n <= 8, else the
+        alpha = 0.3 oscillator of n grid points, at shift 0."""
         rng = np.random.Generator(np.random.PCG64(n))
         spec = (
             harmonic_model(HarmonicParams(alpha=0.3, grid_points=n))
@@ -645,9 +645,25 @@ class TestStructuredRoutes:
             else random_model(rng, n=n)[0]
         )
         system = assemble_system(spec, 0.0)
-        report = eigen_spectrum(system)
         dv = rng.normal(size=(n, n))
-        dv = 1e-3 * (dv + dv.T)
+        return system, eigen_spectrum(system), 1e-3 * (dv + dv.T)
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 160])
+    def test_exact_pair_is_that_of_the_factor_congruence(self, n, monkeypatch):
+        # perturbation_constants takes the pair from the ends of
+        # S = F^(-1) dK F^(-T), formed from dV / 2^k (its largest entry in
+        # [1/2, 1)) with the pencil factor M the report keeps: the dense
+        # lower factor at n <= 8, the banded one of the tridiagonal route
+        # at 40 and 160.  That M factors -Q(0) = U^2 - V^2, and the lower
+        # triangle of S is the oracle's dense F^(-1) dK F^(-T) on the same
+        # M to first order in the rounding of the solves with M
+        system, report, dv = self.solved(n)
+        spec, m = system.spec, report.pencil_factor
+        if spec.tridiagonal and n >= 16:
+            assert m.shape == (2, n)
+            m = np.diag(m[0]) + np.diag(m[1, :-1], -1)
+        q = spec.u_squared - spec.v @ spec.v
+        assert np.abs(m @ m.T - q).max() <= 8 * n * EPS * np.abs(q).max()
         formed = []
 
         def spy(a, *args, **kwargs):
@@ -657,13 +673,24 @@ class TestStructuredRoutes:
 
         monkeypatch.setattr(bounds_module, "_spectrum_ends", spy)
         pair = perturbation_constants(system, dv, report).kappas["kappa_exact"][0]
-        (update,) = formed
-        assert pair == _spectrum_ends(update)
-        z = report.eigenvectors
-        m = z[n:].T @ (dv @ z[:n])
+        (s,) = formed
+        assert not s[:n, n:].any()   # the lower triangle alone
+        k = math.frexp(np.abs(dv).max())[1]
+        assert pair == tuple(math.ldexp(end, k) for end in _spectrum_ends(s))
+        oracle = factor_congruence(spec, 0.0, m, dv)
+        cond = spectral_norm(m) * spectral_norm(np.linalg.inv(m))
+        tol = 8 * n * EPS * cond * spectral_norm(oracle)
         lower = np.tril_indices(2 * n)
-        gap = np.abs(update[lower] - (m + m.T)[lower]).max()
-        assert gap <= 2 * EPS * spectral_norm(m)
+        assert np.abs(np.ldexp(s, k)[lower] - oracle[lower]).max() <= tol
+
+    @pytest.mark.parametrize("n", [7, 160])
+    def test_exact_pair_reads_no_eigenvector(self, n):
+        # the pair comes from the pencil factor alone: a report without
+        # its eigenvectors gives it bit for bit
+        system, report, dv = self.solved(n)
+        pair = perturbation_constants(system, dv, report).kappas["kappa_exact"][0]
+        bare = dataclasses.replace(report, eigenvectors=None)
+        assert perturbation_constants(system, dv, bare).kappas["kappa_exact"][0] == pair
 
 
 class TestBadlyScaledConstants:

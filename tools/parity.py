@@ -29,8 +29,10 @@ cell name; the digest lines on stdout keep their format:
     python tools/parity.py --against parent-out > change.txt
 
 The command list covers the 2 x 2 well under the three shift policies,
-three random model files (orders 2 to 8, from a fixed PCG64 seed), the
-oscillator at N = 24, 80 and 160 with alpha 0.3 and 0.985, the text
+three random model files (orders 2 to 8, from a fixed PCG64 seed), one
+random model file of order 40 with contraction 0.5 (the dense pencil
+route from core._SUBSET_MIN_ORDER up, where the tridiagonal form is
+not), the oscillator at N = 24, 80 and 160 with alpha 0.3 and 0.985, the text
 report of ``kg bounds``, both ``reproduce`` commands at N = 150, and
 failures of each exit code.
 """
@@ -58,23 +60,41 @@ ROOT = Path(__file__).resolve().parents[1]
 RANDOM_SCALES = (0.3, 0.9, 2.0)
 RANDOM_SEED = 20261019
 
+#: the order and contraction b = ||V U^(-1)|| of the larger random model
+DENSE_ORDER, DENSE_CONTRACTION = 40, 0.5
+
 SHIFTS = (["--shift", "0"], ["--paper-shift"], ["--optimize-shift"])
 
 
 def random_models(directory: Path) -> list[str]:
-    """Write the random model files; their paths, relative to ``directory``."""
+    """Write the random model files; their paths, relative to ``directory``.
+
+    The small models come first, then the one of order DENSE_ORDER,
+    whose potential is scaled to the contraction DENSE_CONTRACTION.
+    """
     rng = np.random.Generator(np.random.PCG64(RANDOM_SEED))
     names = []
+
+    def write(label, u_squared, v):
+        doc = {"label": label, "u_squared": u_squared.tolist(), "v": v.tolist()}
+        (directory / f"{label}.json").write_text(json.dumps(doc), encoding="utf-8")
+        names.append(f"{label}.json")
+
     for k, scale in enumerate(RANDOM_SCALES):
         n = int(rng.integers(2, 9))
         root = rng.standard_normal((n, n)) + n * np.eye(n)
         u_squared = root @ root.T
         v = rng.uniform(-1.0, 1.0, size=(n, n))
         v = (v + v.T) * (0.5 * scale * np.sqrt(np.linalg.eigvalsh(u_squared)[0]))
-        name = f"random{k}.json"
-        doc = {"label": f"random{k}", "u_squared": u_squared.tolist(), "v": v.tolist()}
-        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
-        names.append(name)
+        write(f"random{k}", u_squared, v)
+    n = DENSE_ORDER
+    root = rng.standard_normal((n, n)) + n * np.eye(n)
+    u_squared = root @ root.T
+    w, p = np.linalg.eigh(u_squared)
+    v = rng.uniform(-1.0, 1.0, size=(n, n))
+    v = v + v.T
+    b = np.linalg.norm(v @ (p / np.sqrt(w)) @ p.T, 2)   # ||V U^(-1)||
+    write(f"random{len(RANDOM_SCALES)}", u_squared, v * (DENSE_CONTRACTION / b))
     return names
 
 
@@ -94,7 +114,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"],
         ["bounds", "--tau", "2.5", "--shift", "-1.25", "--eta", "0.1"],
     ]
-    for name in models:
+    for name in models[: len(RANDOM_SCALES)]:
         model = ["--model", "{tmp}/" + name]
         for shift in (["--shift", "0"], ["--optimize-shift"]):
             cmds += [
@@ -103,6 +123,14 @@ def commands(models: list[str]) -> list[list[str]]:
                 ["verify", *model, *shift, "--eta", "1e-3", "--seed", "1"],
             ]
         cmds.append(["sweep", *model, "--sweep-range", "0:1.5", "--steps", "7"])
+    model = ["--model", "{tmp}/" + models[-1]]
+    perturbation = ["--eta", "1e-3", "--seed", "1"]
+    cmds += [
+        ["spectrum", *model, "--shift", "0"],
+        ["bounds", *model, "--shift", "0", *perturbation],
+        ["bounds", *model, "--optimize-shift", *perturbation],
+        ["verify", *model, "--shift", "0", *perturbation],
+    ]
     for alpha, sizes in (("0.3", (24, 80, 160)), ("0.985", (24, 80))):
         for n in sizes:
             model = ["--alpha", alpha, "--grid-points", str(n)]
