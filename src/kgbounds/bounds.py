@@ -24,8 +24,9 @@ K - mu*J = F F^T, F = [[M, W], [0, I]] (spectral), reduces g to the
 identity, so the pair is the two ends of the spectrum of
 S = F^(-1) dK F^(-T): no root of U is taken, no eigenvector is read,
 and the one n x n Cholesky factorization M M^T = U^2 - (V - mu)^2
-behind the spectrum is the only one per (model, shift); c, b and the
-mixed product read U^(-1) as L^(-1), L L^T = U^2 (core).  Then come the
+behind the spectrum is the only one per (model, shift).  S's upper
+left block is congruent to the mixed product, whose sign it gives, and
+c and b read U^(-1) as L^(-1), L L^T = U^2 (core).  Then come the
 multiplicative rescaling that turns an asymmetric pair into the
 always-admissible constant
 
@@ -62,13 +63,11 @@ from scipy.linalg import lapack
 from .core import (
     KleinGordonSystem,
     _is_diagonal,
-    _measured_contraction,
     _spectrum_ends,
     _symmetric_norm,
     ModelSpec,
     assemble_system,
     check_symmetric,
-    operator_a,
     shifted_potential,
     spectral_norm,
     symmetrize,
@@ -186,14 +185,13 @@ class PerturbationSpec:
         object.__setattr__(self, "delta_v", dv)
 
 
-def _mixed_product_sign(a_matrix, delta_a, b: float, c: float):
-    """Classify dA^T A + A^T dA: ('negative'|'positive'|None, is_zero).
+def _mixed_product_sign(lowest: float, highest: float, b: float, c: float):
+    """Classify dA^T A + A^T dA, or a congruent copy no smaller in modulus,
+    by its spectrum's ends: ('negative'|'positive'|None, is_zero).
 
     b = ||A|| and c = ||dA|| scale the semidefiniteness slack.
     """
-    mixed = symmetrize(delta_a.T @ a_matrix + a_matrix.T @ delta_a)
     tol = SIGN_TOL * max(b * c, 1e-300)
-    lowest, highest = _spectrum_ends(mixed)
     is_zero = bool(max(-lowest, highest) <= tol)
     if highest <= tol:
         return "negative", is_zero
@@ -400,8 +398,9 @@ class BoundsReport:
     when V^(-1), dV V^(-1) or nu itself overflows; ``disjoint`` whether
     the mixed product dA^T A + A^T dA, A = (V - mu) L^(-T),
     dA = dV L^(-T), vanishes; ``signed`` 'negative' / 'positive' when it is
-    semidefinite of that sign.  ``kappas``, the one table of constants,
-    maps the name of each constant present, in table order, to
+    semidefinite of that sign, both read off a congruent copy, S's upper
+    left block (perturbation_constants).  ``kappas``, the one table of
+    constants, maps the name of each constant present, in table order, to
     (value, valid), a pair's value being (minus, plus); ``valid`` says
     that its hypothesis holds and the value is below one where the
     statement needs it.  kappa_general, kappa_sum, kappa_norm_product
@@ -551,23 +550,31 @@ def perturbation_constants(
     ValidationError when c = ||dV U^(-1)|| is beyond the float range.
     c = ||L^(-1) dV|| comes from a triangular solve, nu from V^(-1) dV
     (row scaling for the diagonal V that the spec records, else a
-    Bunch-Kaufman solve), ||dV|| from the ends of its spectrum, and the
-    disjoint and sign classification from the extreme eigenvalues of
-    the mixed product L^(-1) (W dV + dV W) L^(-T), W = V - mu, congruent
-    to the U frame's through the orthogonal U L^(-T) (A = W L^(-T) the
-    system's a_matrix when bounds_report kept it, else core.operator_a).
-    The validity flag of each kappa records whether its hypothesis holds
+    Bunch-Kaufman solve) and ||dV|| from the ends of its spectrum.  The
+    validity flag of each kappa records whether its hypothesis holds
     and, where the statement needs it, whether the value is below one;
-    invalid entries keep their value for tabulation.  The exact pair
-    comes from the report's pencil factor M, M M^T = U^2 - (V - mu)^2,
-    and not from its eigenvectors: with K - mu*J = F F^T,
-    F = [[M, W], [0, I]], and the pencil's eigenvectors Z = F^(-T) Y,
-    Y orthogonal, Z^T dK Z = Y^T S Y is similar to
-    S = F^(-1) dK F^(-T) (_factor_congruence), so the pair is the two
-    ends of S's spectrum.  S is formed from dV / 2^k, its largest entry
-    in [1/2, 1), in Fortran order and lower triangle alone, A and dA are
-    released first, and _spectrum_ends reduces S in place; the ends are
-    scaled back by 2^k.  Neither K - mu*J nor dK is formed.
+    invalid entries keep their value for tabulation.
+
+    The exact pair comes from the report's pencil factor M,
+    M M^T = U^2 - W^2, W = V - mu, and not from its eigenvectors: with
+    K - mu*J = F F^T, F = [[M, W], [0, I]], and the pencil's
+    eigenvectors Z = F^(-T) Y, Y orthogonal, Z^T dK Z = Y^T S Y is
+    similar to S = F^(-1) dK F^(-T) (_factor_congruence), so the pair is
+    the two ends of S's spectrum.  S is formed from dV / 2^k, its
+    largest entry in [1/2, 1), in Fortran order and lower triangle
+    alone, and _spectrum_ends reduces S in place; the ends are scaled
+    back by 2^k.  Neither K - mu*J nor dK is formed.
+
+    The disjoint and sign classification come from the ends of S's upper
+    left block -M^(-1) (W dV + dV W) M^(-T), read before S is reduced,
+    negated and scaled back as the pair's are; no A = W L^(-T) is formed.
+    Through L the mixed product is P = L^(-1) (W dV + dV W) L^(-T), the
+    U frame's times the orthogonal U L^(-T), and M = L R with
+    R R^T = I - A^T A, so the negated block is R^(-1) P R^(-T).  By
+    Ostrowski's theorem its k-th eigenvalue is theta_k lambda_k(P),
+    theta_k in [1, 1/(1 - b^2)], the spectrum's range of (R R^T)^(-1):
+    signs are kept and no modulus shrinks, so each 'negative',
+    'positive' or zero verdict (_mixed_product_sign) is one for P too.
     NotCertified when the report took the direct path, that is when
     G - mu*J was not certified positive definite or the Cholesky
     factorization of U^2 - (V - mu)^2 failed.
@@ -585,18 +592,25 @@ def perturbation_constants(
             f"g = gram - shift*J is not certified positive definite: b = {b:.17g}"
         )
 
-    delta_a = system.spec.l_solve(dv).T   # an entry beyond the float range: c = inf
-    c = spectral_norm(delta_a)
+    # dA = dV L^(-T): an entry beyond the float range gives c = inf
+    c = spectral_norm(system.spec.l_solve(dv).T)
     if not math.isfinite(c):   # a nan too: dV and L are finite
         raise ValidationError(
             "the perturbation is out of range: c = ||dV U^(-1)|| = inf is not finite"
         )
     nu = _relative_factor(dv, system.spec.v, system.spec.v_diagonal)
-    a = system.a_matrix
-    if a is None:
-        a = operator_a(system.spec, system.shift)
-    signed, disjoint = _mixed_product_sign(a, delta_a, b, c)
-    del a, delta_a
+
+    # S is linear in dV: it is formed from dV / 2^k, whose largest entry
+    # lies in [1/2, 1), and its ends are scaled back, so that a dV near
+    # the top of the float range overflows neither W dV nor S
+    k = math.frexp(np.abs(dv).max(initial=0.0))[1]
+    s = _factor_congruence(report, dv, k)
+    block = _spectrum_ends(s[: system.n, : system.n])
+    ends = _spectrum_ends(s, overwrite=True)
+    with np.errstate(over="ignore"):
+        lowest, highest = np.ldexp(block, k).tolist()
+        k_exact = tuple(np.ldexp(ends, k).tolist())
+    signed, disjoint = _mixed_product_sign(-highest, -lowest, b, c)
 
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
@@ -617,14 +631,6 @@ def perturbation_constants(
     if signed is not None and structural_ok:
         k_sgn = kappa_signed_pair(c, b, signed)
         kappas["kappa_signed"] = (k_sgn, k_sgn[0] > -1.0)
-
-    # S is linear in dV: it is formed from dV / 2^k, whose largest entry
-    # lies in [1/2, 1), and its ends are scaled back, so that a dV near
-    # the top of the float range overflows neither W dV nor S
-    k = math.frexp(np.abs(dv).max(initial=0.0))[1]
-    ends = _spectrum_ends(_factor_congruence(report, dv, k), overwrite=True)
-    with np.errstate(over="ignore"):
-        k_exact = tuple(np.ldexp(ends, k).tolist())
     kappas["kappa_exact"] = (k_exact, k_exact[0] > -1.0)
     return BoundsReport(
         spectrum=report,
@@ -646,9 +652,7 @@ def bounds_report(spec: ModelSpec, pert, shift: float = 0.0) -> BoundsReport:
     solved; otherwise solves the spectrum once and reads every constant
     off it (perturbation_constants).
     """
-    # the dense route's A is kept for the mixed product, formed once
-    b, a = _measured_contraction(spec, shift)
-    system = KleinGordonSystem(spec.order, float(shift), b, spec, a_matrix=a)
+    system = assemble_system(spec, shift)
     gap_bound(system)
     return perturbation_constants(system, pert, eigen_spectrum(system))
 

@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate the worked-example reports")
     p.add_argument("which", choices=["example1", "example2"])
-    p.add_argument("--grid-points", type=int, default=1000)
-    p.add_argument("--half-width", type=float, default=12.0)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--half-width", type=float)
     p.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -439,6 +439,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    grid = {"grid_points": args.grid_points, "half_width": args.half_width}
+    grid = {key: value for key, value in grid.items() if value is not None}
+    if args.which == "example2" and grid:
+        flag = "--" + next(iter(grid)).replace("_", "-")
+        raise ParseError(f"{flag} sets example1's grid; example2 takes none")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "example2":
@@ -463,9 +468,7 @@ def cmd_reproduce(args) -> int:
         sys.stdout.write(text)
         return EXIT_OK
 
-    result = harness.example1_table(
-        grid_points=args.grid_points, half_width=args.half_width
-    )
+    result = harness.example1_table(**grid)
     rows = [
         "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
         % (

@@ -22,7 +22,8 @@ F = [[M, W], [0, I]], and H - mu is similar to the symmetric
 T = F^T J F = [[0, M^T], [M, 2W]] (the spectral module solves it):
 the eigenvalues of T are the lam - mu themselves.  A is the U-frame
 (V - mu) U^(-1) times the orthogonal U L^(-T), so b and every norm
-read through L are those of the U frame.
+read through L are those of the U frame; only contraction's dense
+route forms A (operator_a).
 
 ModelSpec validates U^2 by its Cholesky factorization and the ends of
 its spectrum, and keeps L, u_min = 1/||U^(-1)|| and u_max = ||U||,
@@ -33,8 +34,8 @@ unknowns interleaved, is tridiagonal too.  The only root of U ever
 formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two H-frame
 rows of ``kg bounds``, from U^2's eigenbasis (taken from its two
 diagonals when it is tridiagonal).  KleinGordonSystem stores the
-contraction data of one shift; shifted_potential and spectral_norm
-take stacks.
+contraction data of one shift, and no A; shifted_potential and
+spectral_norm take stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -541,16 +542,12 @@ class KleinGordonSystem:
     contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a), from
         ``contraction``: bisected on U^2's diagonals on the banded route
     spec : the source model
-    a_matrix : the A that b was measured on, kept only by
-        bounds.bounds_report for its mixed product; None elsewhere and on
-        the banded route, which forms no A
     """
 
     n: int
     shift: float
     contraction: float
     spec: ModelSpec = field(repr=False)
-    a_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
@@ -592,19 +589,13 @@ def contraction(spec: ModelSpec, shift: float = 0.0, couplings=None):
     stacked: on the 2 x 2 well a stack of one takes 23 us, not 16 (one
     OpenBLAS thread, 2-core x86-64).
     """
-    return _measured_contraction(spec, shift, couplings)[0]
-
-
-def _measured_contraction(spec: ModelSpec, shift: float, couplings=None):
-    """(b, A): contraction's b and the dense A it took it from, None when banded."""
     if spec.tridiagonal and spec.order >= _BANDED_MIN_ORDER:
         diagonal = spec.v.diagonal()
         if couplings is None:
-            return float(_banded_contractions(spec, diagonal[None] - shift)[0]), None
+            return float(_banded_contractions(spec, diagonal[None] - shift)[0])
         w = np.multiply.outer(np.asarray(couplings, dtype=float), diagonal) - shift
-        return _banded_contractions(spec, w), None
-    a = operator_a(spec, shift, couplings)
-    return spectral_norm(a), a
+        return _banded_contractions(spec, w)
+    return spectral_norm(operator_a(spec, shift, couplings))
 
 
 def _banded_contractions(spec: ModelSpec, w):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgbounds import bounds as bounds_module
-from kgbounds.core import _spectrum_ends
+from kgbounds.core import _spectrum_ends, symmetrize
 from kgbounds.models import HarmonicParams, harmonic_model
 from kgbounds import (
     ContractionNotLessThanOne,
@@ -693,9 +693,15 @@ class TestStructuredRoutes:
         assert perturbation_constants(system, dv, bare).kappas["kappa_exact"][0] == pair
 
 
+def a_form_sign(a, da, b, c):
+    """The sign verdict on dA^T A + A^T dA formed from A and dA themselves."""
+    lowest, highest = _spectrum_ends(symmetrize(da.T @ a + a.T @ da))
+    return bounds_module._mixed_product_sign(lowest, highest, b, c)
+
+
 class TestBadlyScaledConstants:
-    """b, c, the mixed product and the optimized b read through L, against
-    the U frame's (V - mu) U^(-1) from a matrix square root."""
+    """b, c, the mixed product and the optimized b read through L and M,
+    against the U frame's (V - mu) U^(-1) from a matrix square root."""
 
     @staticmethod
     def cases(corpus):
@@ -723,7 +729,7 @@ class TestBadlyScaledConstants:
                 assert abs(report.b - b) <= 1e-13 * b
                 assert abs(report.c - c) <= 1e-13 * c
                 classified = (report.signed, report.disjoint)
-                assert classified == bounds_module._mixed_product_sign(a, da, b, c)
+                assert classified == a_form_sign(a, da, b, c)
                 signs.add(classified)
 
                 optimized = optimize_shift(spec)
@@ -732,6 +738,26 @@ class TestBadlyScaledConstants:
                 assert abs(assemble_system(spec, optimized).contraction - b_opt) <= (
                     1e-13 * b_opt
                 )
+        assert {(None, False), ("positive", False), ("negative", True)} <= signs
+
+    def test_s_block_verdict_is_the_a_form_one(self, corpus200):
+        # the sign read off S's upper left block, congruent to the mixed
+        # product, against the one of dA^T A + A^T dA formed in the L frame
+        cases = [(spec, dv, mu) for spec, dv in corpus200 for mu in (0.0, 0.1, -0.2)]
+        for tau in (0.0, 1.0, 1.7):
+            spec = square_well_model(tau)
+            cases += [(spec, np.diag([-0.1, 0.0]), mu) for mu in (0.0, -tau / 2.0)]
+        signs = set()
+        for spec, dv, mu in cases:
+            if not assemble_system(spec, mu).contraction < 1.0:   # tau 1.7 at 0
+                with pytest.raises(ContractionNotLessThanOne):
+                    bounds_module.bounds_report(spec, dv, mu)
+                continue
+            report = bounds_module.bounds_report(spec, dv, mu)
+            a, da = operator_a(spec, mu), l_frame(spec, dv)
+            classified = (report.signed, report.disjoint)
+            assert classified == a_form_sign(a, da, report.b, report.c)
+            signs.add(classified)
         assert {(None, False), ("positive", False), ("negative", True)} <= signs
 
 

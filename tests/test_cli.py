@@ -357,10 +357,10 @@ class TestBoundsCommand:
     ):
         # b >= 1 is caught on the model's own system: the perturbed model
         # is never assembled and no spectrum is solved
-        calls = {"eigen_spectrum": [], "_measured_contraction": []}
+        calls = {"eigen_spectrum": [], "assemble_system": []}
         for attr, fn in [
             ("eigen_spectrum", spectral.eigen_spectrum),
-            ("_measured_contraction", core._measured_contraction),
+            ("assemble_system", core.assemble_system),
         ]:
 
             def count(*args, attr=attr, fn=fn, **kwargs):
@@ -374,7 +374,7 @@ class TestBoundsCommand:
         assert main(args) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert re.fullmatch(r"solver error: contraction b = \S+ is not < 1\n", err), err
-        assert calls == {"eigen_spectrum": [], "_measured_contraction": [1]}
+        assert calls == {"eigen_spectrum": [], "assemble_system": [1]}
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     @pytest.mark.parametrize("shift", [[], ["--optimize-shift"]])
@@ -756,8 +756,8 @@ class TestEachQuantityOnce:
         assert formed == [] and decompositions == []
 
     def test_dense_bounds_solves_with_w_once(self, monkeypatch, tmp_path, capsys):
-        # on a dense model the contraction's A = W L^(-T) stays on the
-        # system, and the mixed product reads it there: one triangular
+        # on a dense model the contraction alone forms A = W L^(-T), and
+        # the mixed product is read off the pencil factor: one triangular
         # solve with W = V (shift 0), and one with dV for c
         spec, _ = random_model(np.random.Generator(np.random.PCG64(6)), n=6)
         path = tmp_path / "model.json"
@@ -773,6 +773,30 @@ class TestEachQuantityOnce:
         assert main(["bounds", "--model", str(path), "--eta", "1e-3"]) == EXIT_OK
         assert len(solved) == 2
         assert sum(np.array_equal(b, spec.v) for b in solved) == 1
+
+    def test_bounds_forms_a_only_in_the_contraction(self, monkeypatch, tmp_path, capsys):
+        # A = W L^(-T) is formed by the dense route of core.contraction
+        # alone, and no system keeps one: the banded oscillator forms
+        # none, a dense order-6 model one
+        formed = []
+        operator_a = core.operator_a
+
+        def spy(*args, **kwargs):
+            formed.append(1)
+            return operator_a(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(module, "operator_a", None):
+                monkeypatch.setattr(module, "operator_a", spy)
+        args = ["bounds", "--alpha", "0.3", "--grid-points", "160", "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert formed == []
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(6)), n=6)
+        save_model(spec, tmp_path / "model.json")
+        args = ["bounds", "--model", str(tmp_path / "model.json"), "--eta", "1e-3"]
+        assert main(args) == EXIT_OK
+        assert formed == [1]
+        assert "a_matrix" not in {f.name for f in dataclasses.fields(KleinGordonSystem)}
 
     def test_sweep_forms_each_power_once(self, monkeypatch, capsys):
         # pencil and direct rows alike: no root of U at all
@@ -1357,6 +1381,17 @@ _FAILURES = {
         None,
         EXIT_VALIDATION,
     ),
+    # example 2 is the square well: it has no grid to set
+    "example2-grid-points": (
+        ["reproduce", "example2", "--grid-points", "150", "--out", "{tmp}/r"],
+        None,
+        EXIT_PARSE,
+    ),
+    "example2-half-width": (
+        ["reproduce", "example2", "--half-width", "9", "--out", "{tmp}/r"],
+        None,
+        EXIT_PARSE,
+    ),
     "infinite-half-width": (
         ["spectrum", "--alpha", "0.3", "--grid-points", "5", "--half-width", "inf"],
         None,
@@ -1399,6 +1434,9 @@ def test_exit_contract(case, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     if "unwritable" in case:
         assert err.startswith(f"parse error: cannot write {argv[-1]}: ")
+    if case.startswith("example2-"):
+        flag = "--" + case.removeprefix("example2-")
+        assert err.startswith(f"parse error: {flag} ") and not (tmp_path / "r").exists()
     if error is not None:
         assert err.startswith("solver error: ")
 

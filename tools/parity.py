@@ -29,12 +29,13 @@ cell name; the digest lines on stdout keep their format:
     python tools/parity.py --against parent-out > change.txt
 
 The command list covers the 2 x 2 well under the three shift policies,
-three random model files (orders 2 to 8, from a fixed PCG64 seed), one
-random model file of order 40 with contraction 0.5 (the dense pencil
-route from core._SUBSET_MIN_ORDER up, where the tridiagonal form is
-not), the oscillator at N = 24, 80 and 160 with alpha 0.3 and 0.985, the text
-report of ``kg bounds``, both ``reproduce`` commands at N = 150, and
-failures of each exit code.
+the well at tau = 0 (V = 0: the mixed product vanishes and
+kappa_disjoint is printed), three random model files (orders 2 to 8,
+from a fixed PCG64 seed), one random model file of order 40 with
+contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
+up, where the tridiagonal form is not), the oscillator at N = 24, 80
+and 160 with alpha 0.3 and 0.985, the text report of ``kg bounds``,
+example 1 at N = 150, example 2, and failures of each exit code.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ["sweep", *well, "--sweep-range", "0:2.2", "--steps", "23"],
         ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"],
         ["bounds", "--tau", "2.5", "--shift", "-1.25", "--eta", "0.1"],
+        ["bounds", "--tau", "0", "--eta", "0.1"],
     ]
     for name in models[: len(RANDOM_SCALES)]:
         model = ["--model", "{tmp}/" + name]
@@ -144,7 +146,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ["bounds", *oscillator, "--optimize-shift", "--eta", "1e-3"],
         ["bounds", *oscillator, "--eta", "1e-3", "--format", "report"],
         ["reproduce", "example1", "--grid-points", "150", "--out", "{tmp}/out"],
-        ["reproduce", "example2", "--grid-points", "150", "--out", "{tmp}/out"],
+        ["reproduce", "example2", "--out", "{tmp}/out"],
         ["spectrum", "--model", "{tmp}/missing.json"],
         ["bounds", "--tau", "1", "--eta", "0.1", "--out", "{tmp}/missing/o.csv"],
         ["spectrum", "--alpha", "0.3", "--grid-points", "10", "--paper-shift"],
