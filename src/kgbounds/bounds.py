@@ -200,19 +200,21 @@ def _mixed_product_sign(lowest: float, highest: float, b: float, c: float):
     return None, is_zero
 
 
-def _relative_factor(dv, v, diagonal: bool):
+def _relative_factor(dv, v):
     """nu = ||dV V^(-1)|| = ||V^(-1) dV||, from a solve with V.
 
-    A ``diagonal`` V (ModelSpec.v_diagonal) divides the rows of dV by
-    its entries, with the exact 1/cond_1(V) = min |v_ii| / max |v_ii|;
-    any other takes a Bunch-Kaufman solve (dsysv) and LAPACK's estimate
-    of 1/cond_1(V) from the same factorization.  None when V is
-    numerically singular (1/cond_1(V) at most INV_RTOL), when ||V||_1 or
-    V^(-1) overflows (its 1-norm, 1 / (||V||_1 / cond_1(V))), or when
-    the product or nu itself does.
+    A 1-D ``v``, the diagonal of a diagonal V (ModelSpec.v_stored),
+    divides the rows of dV by its entries, with the exact
+    1/cond_1(V) = min |v_ii| / max |v_ii|; a dense V takes a
+    Bunch-Kaufman solve (dsysv) and LAPACK's estimate of 1/cond_1(V)
+    from the same factorization.  None when V is numerically singular
+    (1/cond_1(V) at most INV_RTOL), when ||V||_1 or V^(-1) overflows
+    (its 1-norm, 1 / (||V||_1 / cond_1(V))), or when the product or nu
+    itself does.
     """
+    diagonal = v.ndim == 1
     with np.errstate(over="ignore"):
-        columns = np.abs(v.diagonal()) if diagonal else np.abs(v).sum(axis=0)
+        columns = np.abs(v) if diagonal else np.abs(v).sum(axis=0)
         v_norm = float(columns.max(initial=0.0))   # ||V||_1
     if v_norm == 0.0 or not math.isfinite(v_norm):
         return None
@@ -228,7 +230,7 @@ def _relative_factor(dv, v, diagonal: bool):
         return None
     if diagonal:
         with np.errstate(over="ignore"):
-            v_inv_dv = dv / v.diagonal()[:, None]
+            v_inv_dv = dv / v[:, None]
     if not np.isfinite(v_inv_dv).all():
         return None
     nu = spectral_norm(v_inv_dv)
@@ -519,7 +521,7 @@ def _factor_congruence(report: SpectrumReport, dv, exponent: int):
     spec, n, m = report.spec, report.spec.order, report.pencil_factor
     dv = np.ldexp(dv, -exponent)
     if _tridiagonal_rows(spec):
-        w = spec.v.diagonal() - report.shift
+        w = spec.v_band - report.shift
         x = (w[:, None] + w) * dv
 
         def solve(rhs):   # M^(-1) rhs, over rhs when it is in Fortran order
@@ -598,7 +600,7 @@ def perturbation_constants(
         raise ValidationError(
             "the perturbation is out of range: c = ||dV U^(-1)|| = inf is not finite"
         )
-    nu = _relative_factor(dv, system.spec.v, system.spec.v_diagonal)
+    nu = _relative_factor(dv, system.spec.v_stored)
 
     # S is linear in dV: it is formed from dV / 2^k, whose largest entry
     # lies in [1/2, 1), and its ends are scaled back, so that a dV near
@@ -615,7 +617,8 @@ def perturbation_constants(
     k_gen = kappa_general(c, b)
     k_sum = kappa_sum(c, b)
     # ||U^(-1)|| = 1/u_min
-    c_loose = _symmetric_norm(dv, _is_diagonal(dv)) / system.spec.u_min
+    c_loose = _symmetric_norm(dv.diagonal() if _is_diagonal(dv) else dv)
+    c_loose /= system.spec.u_min
     k_prod = kappa_general(c_loose, b)
     kappas = {
         "kappa_general": (k_gen, k_gen < 1.0),

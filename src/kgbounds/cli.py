@@ -253,7 +253,7 @@ def _gate_exit(
     eigenpair_residuals forms them: exactly the same comparisons.
     """
     u_max, lam_abs = spec.u_max, np.abs(lams)
-    tv_norm = np.abs(couplings) * _symmetric_norm(spec.v, spec.v_diagonal)
+    tv_norm = np.abs(couplings) * _symmetric_norm(spec.v_stored)
     k = _overflow_exponent(max(u_max, tv_norm.max(), lam_abs.max()))
     scaled = resids
     if k:

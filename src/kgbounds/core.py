@@ -27,15 +27,19 @@ route forms A (operator_a).
 
 ModelSpec validates U^2 by its Cholesky factorization and the ends of
 its spectrum, and keeps L, u_min = 1/||U^(-1)|| and u_max = ||U||,
-shared with every spec derived with another potential.  It records
-once whether U^2 is tridiagonal (keeping its two diagonals) and
-whether V is diagonal, as on the 1D oscillator; then T, with its
-unknowns interleaved, is tridiagonal too.  The only root of U ever
-formed is the pair U^(+-1/2) of ModelSpec.half_roots, for two H-frame
-rows of ``kg bounds``, from U^2's eigenbasis (taken from its two
-diagonals when it is tridiagonal).  KleinGordonSystem stores the
-contraction data of one shift, and no A; shifted_potential and
-spectral_norm take stacks.
+shared with every spec derived with another potential.  It keeps each
+matrix in the structure it has: a tridiagonal U^2 as its two
+diagonals and L as a bidiagonal band (LAPACK's dpbtrf), so that
+ModelSpec.l_solve is one banded solve (dtbtrs), and a diagonal V as
+its diagonal, as on the 1D oscillator, whose harmonic_model builds
+those bands alone; then T, with its unknowns interleaved, is
+tridiagonal too, and no n x n array of the model is formed unless a
+dense route reads one.  The only root of U ever formed is the pair
+U^(+-1/2) of ModelSpec.half_roots, for two H-frame rows of
+``kg bounds``, from U^2's eigenbasis (taken from its two diagonals
+when it is tridiagonal).  KleinGordonSystem stores the contraction
+data of one shift, and no A; shifted_potential and spectral_norm take
+stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -99,17 +103,14 @@ _GRAM_RANGE = (2.0**-500, 2.0**500)
 
 #: the order from which partial or structured solves replace full dense
 #: ones: subset eigenvalues (in place of numpy's eigvalsh computing all),
-#: validation's bisection of a tridiagonal U^2, the tridiagonal T of
-#: spectral at 2n >= 32 and the subspace shift search.  Timed on the
-#: alpha = 0.3 oscillator (one OpenBLAS thread, 2-core x86-64, best of
-#: 7), structured/dense in ms: U^2's two ends 0.016/0.013 at n = 24 and
-#: 0.021/0.026 at 32; the pencil rows of 21 couplings 0.53/0.53 at
-#: N = 8, 0.94/1.12 at 12 and 1.21/1.61 at 16 (one row 0.069/0.072,
-#: 0.088/0.098 and 0.101/0.119), so the tridiagonal T would pay from
-#: N = 12; the shift search 0.030/0.093 at n = 8 and 0.051/1.10 at 32,
-#: but on random dense models (b in [0.05, 0.65]) 0.78/0.64 at 32 and
-#: 1.22/1.59 at 48, Brent's method winning up to 32.  One order for all
-#: four keeps the outputs of the orders in between as they are
+#: validation's bisection of a tridiagonal U^2 and the subspace shift
+#: search.  Timed on the alpha = 0.3 oscillator (one OpenBLAS thread,
+#: 2-core x86-64, best of 7), structured/dense in ms: U^2's two ends
+#: 0.016/0.013 at n = 24 and 0.021/0.026 at 32; the shift search
+#: 0.030/0.093 at n = 8 and 0.051/1.10 at 32, but on random dense models
+#: (b in [0.05, 0.65]) 0.78/0.64 at 32 and 1.22/1.59 at 48, Brent's
+#: method winning up to 32.  One order for all three keeps the outputs
+#: of the orders in between as they are
 _SUBSET_MIN_ORDER = 32
 
 #: the order from which a tridiagonal spec's contraction is bisected on
@@ -284,38 +285,39 @@ def spectral_norm(a):
     return norm if stack else float(norm)
 
 
-def _spectrum_ends(
-    a, bands=None, diagonal: bool = False, *, overwrite: bool = False
-) -> tuple:
+def _spectrum_ends(a, bands=None, *, overwrite: bool = False) -> tuple:
     """(lowest, highest) eigenvalue of a symmetric matrix, as floats.
 
-    Reads the structure a ModelSpec records and searches for none: with
-    ``diagonal`` the extreme diagonal entries, exactly; with ``bands``,
-    the two diagonals of a tridiagonal a, bisected alone from
-    _SUBSET_MIN_ORDER up (_tridiagonal_eigenvalues); else
-    _extreme_eigenvalues(a, 1, 1), the same floats where dsyevd does
-    not scale a, reducing a in place with ``overwrite`` (_eigenvalues).
+    Reads the structure a ModelSpec records and searches for none: a
+    1-D ``a`` is the diagonal of a diagonal matrix, whose ends are its
+    extreme entries, exactly; with ``bands``, the two diagonals of a
+    tridiagonal matrix (``a`` itself, or None), they are bisected alone
+    from _SUBSET_MIN_ORDER up (_tridiagonal_eigenvalues); else
+    _extreme_eigenvalues(a, 1, 1), on a formed from ``bands`` when it is
+    None, the same floats where dsyevd does not scale a, reducing a in
+    place with ``overwrite`` (_eigenvalues).
     """
-    if diagonal:
-        d = a.diagonal()
-        return float(d.min()), float(d.max())
-    n = a.shape[-1]
+    if a is not None and a.ndim == 1:
+        return float(a.min()), float(a.max())
+    n = a.shape[-1] if a is not None else len(bands[0])
     if bands is not None and n >= _SUBSET_MIN_ORDER:
         ends = _tridiagonal_eigenvalues(*bands, ((1, 1), (n, n)))
     else:
+        if a is None:
+            a, overwrite = _tridiagonal_matrix(*bands), True
         ends = _extreme_eigenvalues(a, 1, 1, overwrite=overwrite)
     return float(ends[0]), float(ends[-1])
 
 
-def _symmetric_norm(a, diagonal: bool) -> float:
+def _symmetric_norm(a) -> float:
     """||a|| of a finite symmetric matrix, without a Gram matrix.
 
-    The larger modulus of the two ends of its spectrum (_spectrum_ends,
-    max |a_ii| exactly when ``diagonal``); inf beyond the float range,
-    with no warning.
+    The larger modulus of the two ends of its spectrum (_spectrum_ends;
+    max |a_ii| exactly for a 1-D a, the diagonal of a diagonal matrix);
+    inf beyond the float range, with no warning.
     """
     with np.errstate(over="ignore"):
-        lowest, highest = _spectrum_ends(a, diagonal=diagonal)
+        lowest, highest = _spectrum_ends(a)
     return max(abs(lowest), abs(highest))
 
 
@@ -372,70 +374,158 @@ def apply_j(x):
     return np.concatenate([x[n:], x[:n]], axis=0)
 
 
-@dataclass(frozen=True)
 class ModelSpec:
-    """The model pair (U^2, V) as dense symmetric matrices.
+    """The model pair (U^2, V), kept in the structure it has.
 
     ``u_squared`` must be positive definite and of the same order as the
-    symmetric potential ``v``.  Instances are immutable; the stored arrays
-    are defensive read-only copies.  Validation keeps the lower Cholesky
-    factor L L^T = U^2 as ``cholesky`` and the ends of the spectrum of U
-    as ``u_min`` and ``u_max`` = ||U||.  It also records the structure
-    the spectral module's tridiagonal path needs: ``u2_bands``, the
-    diagonal and off-diagonal of U^2 when U^2 is tridiagonal (else
-    None), whose ends are then bisected on those diagonals alone from
-    _SUBSET_MIN_ORDER up, and ``v_diagonal``.  Specs derived by
-    ``with_potential`` or ``perturbed`` share the U^2 data and
-    half_roots; ``v_diagonal`` is checked again for their potential.
+    symmetric potential ``v``; both are validated, and the spec is
+    immutable, its arrays read-only copies.  Validation keeps the lower
+    Cholesky factor L L^T = U^2 and the ends of the spectrum of U as
+    ``u_min`` and ``u_max`` = ||U||.  A tridiagonal U^2 (the 1D
+    oscillator's) is kept as ``u2_bands``, its diagonal and
+    off-diagonal, and L as LAPACK's lower band of its two diagonals
+    (dpbtrf); the ends are then bisected on those diagonals alone from
+    _SUBSET_MIN_ORDER up.  Any other U^2 is kept dense, with its dense L
+    (dpotrf), and ``u2_bands`` is None.  A diagonal V is kept as
+    ``v_band``, its diagonal, any other dense, with ``v_band`` None;
+    ``v_stored`` is V as kept.  ModelSpec.from_bands takes those bands
+    directly, as harmonic_model does, and no n x n array is made.
+
+    The dense ``u_squared`` and ``v`` given to the constructor are kept
+    as given; the dense ``u_squared``, ``v`` and ``cholesky`` of a spec
+    that keeps bands are formed when a dense route first reads them,
+    and kept.  Specs derived by ``with_potential`` or ``perturbed``
+    share the U^2 data: the bands, L, u_min, u_max, half_roots and the
+    dense U^2 and L; V is validated and its structure recorded for each.
     """
 
-    u_squared: np.ndarray
-    v: np.ndarray
-    label: str = ""
-    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
-    u_min: float = field(init=False, repr=False, compare=False)
-    u_max: float = field(init=False, repr=False, compare=False)
-    u2_bands: tuple | None = field(init=False, repr=False, compare=False)
-    v_diagonal: bool = field(init=False, repr=False, compare=False)
-    _half_roots: list = field(init=False, repr=False, compare=False)
+    def __init__(self, u_squared, v, label: str = ""):
+        u2 = check_symmetric(u_squared, "u_squared")
+        v = _symmetric_of_order(v, u2.shape[0], "v")
+        self._keep_u_squared(u2, _tridiagonal_bands(u2))
+        self._keep_potential(v)
+        self.__dict__["label"] = label
 
-    def __post_init__(self):
-        u2 = check_symmetric(self.u_squared, "u_squared")
-        v = _symmetric_of_order(self.v, u2.shape[0], "v")
-        bands = _tridiagonal_bands(u2)
-        lowest, highest = _spectrum_ends(u2, bands)
+    @classmethod
+    def from_bands(cls, u2_diagonal, u2_off_diagonal, v_diagonal, label: str = ""):
+        """The spec of a tridiagonal U^2 and a diagonal V, given by their bands.
+
+        U^2 has the diagonal u2_diagonal and the off-diagonal
+        u2_off_diagonal, and V = diag(v_diagonal).  They are validated
+        as the constructor validates the dense pair, with the
+        same errors, and no n x n array is formed from order
+        _SUBSET_MIN_ORDER up (below it the ends of U^2's spectrum are
+        those of a dense temporary).
+        """
+        bands = (
+            _checked_band(u2_diagonal, "u_squared"),
+            _checked_band(u2_off_diagonal, "u_squared"),
+        )
+        v = _checked_band(v_diagonal, "v")
+        n = len(bands[0])
+        if len(bands[1]) != n - 1 or len(v) != n:
+            raise DimensionMismatch(
+                f"bands of lengths {n}, {len(bands[1])} and {len(v)} "
+                "do not make a tridiagonal U^2 and a diagonal V of one order"
+            )
+        spec = cls.__new__(cls)
+        spec._keep_u_squared(None, bands)
+        spec._keep_potential(v)
+        spec.__dict__["label"] = label
+        return spec
+
+    def _keep_u_squared(self, dense, bands):
+        """Validate U^2 (dense, its bands or both) as positive definite and keep it."""
+        lowest, highest = _spectrum_ends(dense, bands)
         norm = max(abs(lowest), abs(highest))
-        factor, info = lapack.dpotrf(u2, lower=1, clean=1)
+        if bands is None:
+            factor, info = lapack.dpotrf(dense, lower=1, clean=1)
+        else:
+            factor, info = lapack.dpbtrf(_lower_band(*bands), lower=1, overwrite_ab=1)
         if info != 0 or lowest <= PD_RTOL * norm or lowest <= 0.0:
             raise NotPositiveDefinite(
                 f"u_squared is not positive definite: min eigenvalue {lowest:.3e} "
                 f"(tolerance {PD_RTOL * norm:.3e})"
             )
-        for name, a in {"u_squared": u2, "v": v, "cholesky": factor}.items():
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "u_min", math.sqrt(lowest))
-        object.__setattr__(self, "u_max", math.sqrt(highest))
-        object.__setattr__(self, "u2_bands", bands)
-        object.__setattr__(self, "v_diagonal", _is_diagonal(v))
-        # created here, not on first use, so that copies share it
-        object.__setattr__(self, "_half_roots", [])
+        _read_only(factor)
+        self.__dict__.update(
+            u2_bands=bands,
+            u_min=math.sqrt(lowest),
+            u_max=math.sqrt(highest),
+            _order=len(bands[0]) if bands else dense.shape[0],
+            _l_band=factor if bands else None,
+            # what is formed later from U^2, one dict for every derived spec
+            _shared={},
+        )
+        # a dense U^2 given, and a dense L, are kept as attributes
+        if dense is not None:
+            self.__dict__["u_squared"] = _read_only(dense)
+        if not bands:
+            self.__dict__["cholesky"] = factor
+
+    def _keep_potential(self, v):
+        """Keep a validated V (a 1-D v is the diagonal of a diagonal V)."""
+        self.__dict__.pop("v", None)   # a copy's, formed for another V
+        if v.ndim == 2:
+            self.__dict__["v"] = _read_only(v)
+            if _is_diagonal(v):
+                v = v.diagonal().copy()
+        self.__dict__["v_band"] = _read_only(v) if v.ndim == 1 else None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelSpec is immutable: cannot set {name}")
 
     @property
     def order(self) -> int:
-        return self.u_squared.shape[0]
+        return self._order
+
+    @property
+    def v_diagonal(self) -> bool:
+        """Whether V is diagonal (kept as v_band)."""
+        return self.v_band is not None
 
     @property
     def tridiagonal(self) -> bool:
         """Whether U^2 is tridiagonal and V diagonal, so every W = t V - mu is."""
-        return self.u2_bands is not None and self.v_diagonal
+        return self.u2_bands is not None and self.v_band is not None
+
+    @property
+    def v_stored(self):
+        """V as kept: v_band for a diagonal V, else the dense matrix."""
+        return self.v_band if self.v_band is not None else self.v
+
+    # the dense forms are read as plain attributes once kept: given to
+    # the constructor, or formed by these on first read
+
+    @functools.cached_property
+    def u_squared(self):
+        """U^2 as a dense matrix; one kept as bands is formed on first read and shared."""
+        return self._formed("u_squared", lambda: _tridiagonal_matrix(*self.u2_bands))
+
+    @functools.cached_property
+    def v(self):
+        """V as a dense matrix; one kept as its diagonal is formed on first read."""
+        return _read_only(np.diag(self.v_band))
+
+    @functools.cached_property
+    def cholesky(self):
+        """L as a dense lower triangular matrix; a band is formed on first read and shared."""
+        return self._formed("cholesky", lambda: _band_matrix(self._l_band))
+
+    def _formed(self, name: str, form):
+        """The read-only form() shared under ``name`` by every derived spec."""
+        a = self._shared.get(name)
+        if a is None:
+            a = self._shared[name] = _read_only(form())
+        return a
 
     def l_solve(self, b):
         """L^(-1) b for a matrix or a stack (..., n, m) of them, b finite.
 
-        One triangular solve (LAPACK's dtrtrs) for all columns at once.
-        An entry beyond the float range comes out inf, with no warning.
-        Every entry of L^(-1) b_j is at most ||L^(-1)|| ||b_j|| <=
+        One triangular solve for all columns at once: banded (LAPACK's
+        dtbtrs, O(n) per column) for a tridiagonal U^2, else dense
+        (dtrtrs).  An entry beyond the float range comes out inf, with no
+        warning.  Every entry of L^(-1) b_j is at most ||L^(-1)|| ||b_j|| <=
         r max|b|, r = sqrt(n) / u_min, and each partial sum of the
         substitution at most max|b| + ||L|| r max|b|, ||L|| = u_max.
         When the larger bound reaches 2^1020, b is solved scaled by a
@@ -450,7 +540,10 @@ class ModelSpec:
         scale = max(math.frexp(largest)[1] + math.frexp(growth)[1] - 1020, 0)
         if scale:
             rhs = np.ldexp(rhs, -scale)
-        x = lapack.dtrtrs(self.cholesky, rhs, lower=1)[0]
+        if self.u2_bands is not None:
+            x = lapack.dtbtrs(self._l_band, rhs, uplo="L")[0]
+        else:
+            x = lapack.dtrtrs(self.cholesky, rhs, lower=1)[0]
         if scale:
             with np.errstate(over="ignore"):
                 x = np.ldexp(x, scale)
@@ -468,7 +561,8 @@ class ModelSpec:
         eigh's 10 at n = 2, 18 against 22 at 16, 36 against 43 at 32
         and 115 against 192 at 64 (one OpenBLAS thread, 2-core x86-64).
         """
-        if not self._half_roots:
+        roots = self._shared.get("half_roots")
+        if roots is None:
             if self.u2_bands is not None and self.order > 1:
                 w, p, info = lapack.dstevd(*self.u2_bands)
                 if info != 0:
@@ -476,32 +570,84 @@ class ModelSpec:
             else:
                 w, p = np.linalg.eigh(self.u_squared)
             d = np.sqrt(np.sqrt(w))
+            roots = []
             for scale in (np.multiply, np.divide):   # p d p^T, then p d^(-1) p^T
                 root = scale(p, d) @ p.T
                 root += root.T   # symmetrize, in place
                 root *= 0.5
-                root.setflags(write=False)
-                self._half_roots.append(root)
-        return tuple(self._half_roots)
+                roots.append(_read_only(root))
+            roots = self._shared["half_roots"] = tuple(roots)
+        return roots
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""
         delta_v = _symmetric_of_order(delta_v, self.order, "delta_v")
         label = f"{self.label}+perturbation" if self.label else ""
-        return self.with_potential(self.v + delta_v, label)
+        # a diagonal V is added as a temporary, and no dense V is kept
+        v = self.__dict__.get("v")
+        if v is None:
+            v = np.diag(self.v_band)
+        return self.with_potential(v + delta_v, label)
 
     def with_potential(self, v, label: str) -> "ModelSpec":
         """A spec with potential v sharing this spec's validated U^2 data.
 
-        Only v is validated (symmetry and order).
+        Only v is validated (symmetry and order): a symmetric matrix, or
+        a 1-D array, the diagonal of a diagonal V, checked as
+        from_bands checks it.
         """
-        v = _symmetric_of_order(v, self.order, "v")
-        v.setflags(write=False)
+        if np.ndim(v) == 1:
+            v = _checked_band(v, "v")
+            if len(v) != self.order:
+                raise DimensionMismatch(f"v has order {len(v)}, expected {self.order}")
+        else:
+            v = _symmetric_of_order(v, self.order, "v")
         spec = copy.copy(self)
-        object.__setattr__(spec, "v", v)
-        object.__setattr__(spec, "v_diagonal", _is_diagonal(v))
-        object.__setattr__(spec, "label", label)
+        spec._keep_potential(v)
+        spec.__dict__["label"] = label
         return spec
+
+
+def _read_only(a):
+    """a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def _checked_band(a, name: str):
+    """A read-only copy of a band of a symmetric matrix ``name``, checked as
+    check_symmetric checks the matrix: non-finite entries, or entries so
+    large that a_ij + a_ji overflows, raise ValidationError."""
+    a = np.array(a, dtype=float)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(a + a).all():
+            raise ValidationError(f"{name} contains non-finite entries")
+    return _read_only(a)
+
+
+def _lower_band(d, e):
+    """The symmetric tridiagonal (d, e) in LAPACK's lower band storage, (2, n)."""
+    band = np.zeros((2, len(d)))
+    band[0] = d
+    band[1, :-1] = e
+    return band
+
+
+def _band_matrix(band):
+    """The dense lower bidiagonal matrix of a lower band (2, n)."""
+    n = band.shape[1]
+    m = np.diag(band[0])
+    m[np.arange(1, n), np.arange(n - 1)] = band[1, :-1]
+    return m
+
+
+def _tridiagonal_matrix(d, e):
+    """The dense symmetric tridiagonal matrix of the diagonals (d, e)."""
+    m = np.diag(d)
+    below = (np.arange(1, len(d)), np.arange(len(d) - 1))
+    m[below] = e
+    m[below[::-1]] = e
+    return m
 
 
 def _is_diagonal(a) -> bool:
@@ -518,9 +664,7 @@ def _tridiagonal_bands(a):
     d, e = a.diagonal().copy(), a.diagonal(-1).copy()
     if np.count_nonzero(a) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
         return None
-    d.setflags(write=False)
-    e.setflags(write=False)
-    return d, e
+    return _read_only(d), _read_only(e)
 
 
 def _symmetric_of_order(a, order: int, name: str):
@@ -551,12 +695,12 @@ class KleinGordonSystem:
 
 
 def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
-    """W = V - shift*I as a new array, or the stack of W = t V - shift*I.
+    """W = V - shift*I as a new dense array, or the stack of W = t V - shift*I.
 
     With ``couplings`` (k values of t) the result has shape (k, n, n).
     The shift comes off the diagonal of V itself, before any product,
     so a potential far from the origin loses no digits to a later
-    cancellation.
+    cancellation.  A dense route's reader: it reads the dense V.
     """
     n = spec.order
     if couplings is None:
@@ -590,7 +734,7 @@ def contraction(spec: ModelSpec, shift: float = 0.0, couplings=None):
     OpenBLAS thread, 2-core x86-64).
     """
     if spec.tridiagonal and spec.order >= _BANDED_MIN_ORDER:
-        diagonal = spec.v.diagonal()
+        diagonal = spec.v_band
         if couplings is None:
             return float(_banded_contractions(spec, diagonal[None] - shift)[0])
         w = np.multiply.outer(np.asarray(couplings, dtype=float), diagonal) - shift
@@ -835,16 +979,18 @@ def optimize_shift(spec: ModelSpec):
     is ||U^(-1)||, and each Bk is the U-frame U^(-1) V^k U^(-1)
     conjugated by the orthogonal U L^(-T), so b(mu) is unchanged.
     """
-    v_min, v_max = _spectrum_ends(spec.v, diagonal=spec.v_diagonal)
+    v = spec.v_stored
+    v_min, v_max = _spectrum_ends(v)
     lo, hi = v_min - spec.u_max, v_max + spec.u_max
     # r < 2^er and ||L^(-1)|| < 2^eu: the matrices stay below
     # 2^(2 (er + eu) + 2) in norm and Brent's products below 2^(4 er + 2 eu + 6)
     er = math.frexp(max(-lo, hi))[1]
     eu = math.frexp(1.0 / spec.u_min)[1]
     k = 0 if er + eu + max(er, 0) <= _UNSCALED_EXPONENT else er + max(eu, 0)
-    v = np.ldexp(spec.v, -k) if k else spec.v
-    l_inv_v = spec.l_solve(v)
+    v = np.ldexp(v, -k) if k else v
     l_inv = spec.l_solve(np.eye(spec.order))
+    # L^(-1) V: a diagonal V scales the columns of L^(-1)
+    l_inv_v = l_inv * v if v.ndim == 1 else spec.l_solve(v)
     b2 = l_inv_v @ l_inv_v.T
     b1 = symmetrize(spec.l_solve(l_inv_v.T))
     b0 = l_inv @ l_inv.T

@@ -390,7 +390,7 @@ def sweep_potential(
         raise ValidationError(f"sweep range ({lo}, {hi}) is empty")
     with np.errstate(over="ignore"):
         for t in (lo, hi):
-            base.with_potential(t * base.v, base.label)
+            base.with_potential(t * base.v_stored, base.label)
 
     params = np.linspace(lo, hi, steps)
     two_n = 2 * base.order

@@ -71,27 +71,26 @@ def harmonic_model(p: HarmonicParams) -> ModelSpec:
 
     Interior points x_i = -L + i*h, i = 1..N, h = 2L/(N+1); the second
     derivative uses the (-1, 2, -1)/h^2 stencil.  U^2 is positive
-    definite for every beta >= 0.  The grid is built in numpy floats
-    with no warning: parameters whose grid leaves the float range (h^2
-    or x^2 overflowing, h^2 underflowing, an infinite alpha or L) give
+    definite for every beta >= 0.  The spec is built from the bands of
+    the tridiagonal U^2 and the diagonal V (ModelSpec.from_bands), the
+    floats a dense (-1, 2, -1)/h^2 + diag(x^2 + beta) would hold, and
+    no n x n array is formed.  The grid is built in numpy floats with
+    no warning: parameters whose grid leaves the float range (h^2 or x^2
+    overflowing, h^2 underflowing, an infinite alpha or L) give
     non-finite entries, which ModelSpec rejects.
     """
     n, half = p.grid_points, p.half_width
     with np.errstate(all="ignore"):
         h = np.float64(2.0 * half / (n + 1))
         x = -half + h * np.arange(1, n + 1)
-        lap = (
-            np.diag(np.full(n, 2.0))
-            + np.diag(np.full(n - 1, -1.0), 1)
-            + np.diag(np.full(n - 1, -1.0), -1)
-        ) / h**2
-        u_squared = lap + np.diag(x * x + p.beta)
-        v = np.diag(p.alpha * x)
+        diagonal = np.full(n, 2.0) / h**2 + (x * x + p.beta)
+        off_diagonal = np.full(n - 1, -1.0) / h**2
+        v = p.alpha * x
     label = (
         f"harmonic(alpha={p.alpha:g}, beta={p.beta:g}, "
         f"N={n}, L={half:g})"
     )
-    return ModelSpec(u_squared=u_squared, v=v, label=label)
+    return ModelSpec.from_bands(diagonal, off_diagonal, v, label=label)
 
 
 def exact_harmonic_eigs(alpha: float, beta: float, n: int):

@@ -42,7 +42,7 @@ oscillator: a local potential on a 1D grid), -Q(mu) is tridiagonal, M
 lower bidiagonal, and with the unknowns ordered
 (y_2[0], y_1[0], y_2[1], y_1[1], ...) T is tridiagonal, with diagonal
 (2 w_0, 0, 2 w_1, 0, ...) and off-diagonal (M_00, M_10, M_11, M_21, ...):
-from order 2n = core._SUBSET_MIN_ORDER up such a row is factored in
+from order n = _TRIDIAGONAL_MIN_ORDER up such a row is factored in
 O(n) (dpttrf) and solved with no reduction to tridiagonal form.  The
 pencil is used exactly when a closed-form bound certifies G - mu*J
 positive definite and the Cholesky factorization succeeds; every other
@@ -100,7 +100,6 @@ from scipy.linalg import lapack
 from .core import (
     PD_RTOL,
     _GRAM_RANGE,
-    _SUBSET_MIN_ORDER,
     _eigenvalues,
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
@@ -137,6 +136,22 @@ NEUTRAL_TOL = 1e-6
 #: the direct path solves no L_g whose norm is not below this (see
 #: _direct_eigensolve)
 DIRECT_NORM_LIMIT = 2.0**510
+
+#: the order n from which a tridiagonal spec's pencil rows, with their
+#: residuals and the exact kappa pair, take the tridiagonal T (and its
+#: bidiagonal M) in place of the dense one.  Timed on the alpha = 0.3
+#: oscillator at shift 0 (one OpenBLAS thread, 2-core x86-64, best of
+#: 7 to 15), tridiagonal/dense in ms: eigen_spectra of 21 couplings
+#: with their residuals 0.35/0.25 at N = 4, 0.45/0.39 at 6, 0.59/0.57 at
+#: 8, 0.69/0.70 at 9, 0.79/0.87 at 10 and 1.03/1.23 at 12 (the solve
+#: alone 0.53/0.53 at 8); one row with its residuals 0.085/0.086 at 4,
+#: 0.096/0.101 at 8 and 0.119/0.131 at 12; a sweep of 101 couplings (in
+#: blocks of BLOCK_BUDGET entries) 1.26/0.96 at N = 3, 1.40/1.48 at 4
+#: and 2.70/5.00 at 8; whole ``kg spectrum``, ``bounds`` and ``verify``
+#: commands are faster from N = 3 up (0.250/0.270, 0.428/0.457 and
+#: 0.676/0.687 at 8).  From N = 8 up the tridiagonal T is as fast as
+#: the dense one on every solve timed, to 3 %
+_TRIDIAGONAL_MIN_ORDER = 8
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -308,8 +323,8 @@ def _eigh(c):
 
 def _tridiagonal_rows(spec: ModelSpec) -> bool:
     """Whether spec's pencil rows take the tridiagonal T (_tridiagonal_eigensolve):
-    those of a tridiagonal spec from order 2n = _SUBSET_MIN_ORDER up."""
-    return spec.tridiagonal and 2 * spec.order >= _SUBSET_MIN_ORDER
+    those of a tridiagonal spec from order n = _TRIDIAGONAL_MIN_ORDER up."""
+    return spec.tridiagonal and spec.order >= _TRIDIAGONAL_MIN_ORDER
 
 
 def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
@@ -559,7 +574,7 @@ def eigen_spectra(
     """
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
-        w = np.multiply.outer(t, spec.v.diagonal()) - shift   # the diagonals of W
+        w = np.multiply.outer(t, spec.v_band) - shift   # the diagonals of W
     else:
         w = shifted_potential(spec, shift, t)
     if contractions is None:
@@ -753,7 +768,7 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=No
     """
     lam = np.asarray(eigenvalues)[..., None, :]
     banded = _tridiagonal_rows(spec)
-    v = spec.v.diagonal() if banded else spec.v
+    v = spec.v_band if banded else spec.v
     if couplings is not None:
         v = np.multiply.outer(couplings, v)
     u_squared = spec.u2_bands if banded else [spec.u_squared]

@@ -595,10 +595,9 @@ class TestStructuredRoutes:
     @staticmethod
     def both_routes(d, dv):
         """nu by row scaling with the diagonal d, and by Bunch-Kaufman on diag(d)."""
-        v = np.diag(d)
         return (
-            bounds_module._relative_factor(dv, v, True),
-            bounds_module._relative_factor(dv, v, False),
+            bounds_module._relative_factor(dv, np.asarray(d, dtype=float)),
+            bounds_module._relative_factor(dv, np.diag(d)),
         )
 
     def test_diagonal_nu_matches_bunch_kaufman(self):

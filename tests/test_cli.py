@@ -187,7 +187,8 @@ class TestVerifyCommand:
 class TestBoundsCommand:
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
         # the oscillator's U^2 is tridiagonal and V diagonal: the order-64
-        # U^2 is validated by its Cholesky factorization, the contraction
+        # U^2 is validated by its banded Cholesky factorization (dpbtrf,
+        # of its two diagonals), the contraction
         # is bisected on dpttrf alone, and the one pencil solve factors
         # the tridiagonal -Q(mu) by dpttrf, solves the tridiagonal T of
         # order 128 by dstevd and forms x by one banded solve; nothing of
@@ -220,7 +221,7 @@ class TestBoundsCommand:
         k_frame, banded = spectral._k_frame_eigensolve, core._banded_contractions
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
         monkeypatch.setattr(core, "_banded_contractions", count_bisection)
-        names = ("dpotrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
+        names = ("dpotrf", "dpbtrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
         for name in names + ("dtrtrs", "dtbtrs"):
             spy(name)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
@@ -229,8 +230,8 @@ class TestBoundsCommand:
         # one bisection, about 53 + log2 cond(U^2) steps
         assert len(bisections) == 1 and 50 <= len(bisections[0]) <= 70
         assert set(bisections[0]) == {("dpttrf", 64)}
-        factored = [call for call in lapack_calls if call[0] in ("dpotrf", "dpttrf")]
-        assert factored == [("dpotrf", 64), ("dpttrf", 64)]
+        factored = [c for c in lapack_calls if c[0] in ("dpotrf", "dpbtrf", "dpttrf")]
+        assert factored == [("dpbtrf", 64), ("dpttrf", 64)]
         assert [c for c in lapack_calls if c[1] == 128] == [
             ("dstevd", 128), ("dsytrd", 128), ("dstebz", 128), ("dstebz", 128)
         ]
@@ -291,8 +292,10 @@ class TestBoundsCommand:
         # kappa pair is read off the same solve's factor M, and no
         # generalized eigensolve runs.  The first factorization is that
         # of U^2, which validates the model and is shared by the
-        # perturbed model.  The oscillator's contraction is one bisection
-        # on dpttrf's success for s U^2 - W^2, every test of order 64
+        # perturbed model: dpbtrf's banded one of the tridiagonal U^2
+        # (recorded by its band, of shape (2, 64)).  The oscillator's
+        # contraction is one bisection on dpttrf's success for
+        # s U^2 - W^2, every test of order 64
         generalized, shapes, bisections = [], [], []
         eigh = scipy.linalg.eigh
         banded = core._banded_contractions
@@ -322,6 +325,7 @@ class TestBoundsCommand:
         monkeypatch.setattr(core, "_banded_contractions", count_bisection)
         for module, name in [
             (scipy.linalg.lapack, "dpotrf"),
+            (scipy.linalg.lapack, "dpbtrf"),
             (scipy.linalg.lapack, "dpttrf"),
             (scipy.linalg, "cholesky"),
             (scipy.linalg, "cho_factor"),
@@ -331,14 +335,16 @@ class TestBoundsCommand:
         args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert generalized == []
-        assert shapes == [(64, 64), (64,)] + [(64, 64)] * (solves - 1)
+        assert shapes == [(2, 64), (64,)] + [(64, 64)] * (solves - 1)
         assert len(bisections) == 1 and set(bisections[0]) == {(64,)}
 
     def test_memory_budget(self, capsys):
-        # kg bounds at N = 160 holds at most four order-2n arrays' worth of
-        # traced allocations at once: the report's eigenvectors Z, the
-        # pair's S = F^(-1) dK F^(-T), reduced in place, and the spec's
-        # n x n arrays; each solve writes its order-2n result where it lies
+        # kg bounds at N = 160 holds at most three order-2n arrays' worth
+        # of traced allocations at once (2408003 bytes measured, 2.94 of
+        # them; 3018707 while the spec kept its dense U^2, V and L): the
+        # report's eigenvectors Z, the pair's S = F^(-1) dK F^(-T), reduced
+        # in place, and the n x n dV; the spec keeps bands alone and each
+        # solve writes its order-2n result where it lies
         n = 160
         args = ["bounds", "--alpha", "0.3", "--grid-points", str(n), "--eta", "1e-3"]
         assert main(args) == EXIT_OK   # imports and first-call set-up
@@ -349,7 +355,7 @@ class TestBoundsCommand:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * (2 * n) ** 2
+        assert peak <= 3 * 8 * (2 * n) ** 2
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_contraction_rejected_before_any_solve(
@@ -713,8 +719,8 @@ class TestEachQuantityOnce:
     def test_oscillator_takes_no_dense_order_n_step(
         self, args, monkeypatch, tmp_path, capsys
     ):
-        # after validation (the Cholesky factor of U^2, whose ends are
-        # bisected on its diagonals) the N = 80 oscillator runs no dense
+        # after validation (the banded Cholesky factor of U^2, whose ends
+        # are bisected on its diagonals) the N = 80 oscillator runs no dense
         # order-n solve or reduction: the contraction is bisected on
         # dpttrf, the pencil is the tridiagonal T, the residuals are
         # banded and the gate's ||V|| is max |v_ii|
@@ -729,12 +735,51 @@ class TestEachQuantityOnce:
 
             monkeypatch.setattr(module, name, record)
 
-        for name in ("dpotrf", "dtrtrs", "dsytrd", "dsyevd", "dsyevr"):
+        for name in ("dpotrf", "dpbtrf", "dtrtrs", "dsytrd", "dsyevd", "dsyevr"):
             spy(scipy.linalg.lapack, name)
         for name in ("cholesky", "eigh", "eigvalsh", "solve"):
             spy(np.linalg, name)
         assert main(args + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
-        assert calls == [("dpotrf", 80)]
+        assert calls == [("dpbtrf", 80)]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bounds", "--alpha", "0.3", "--grid-points", "160", "--eta", "1e-3"],
+            ["bounds", "--alpha", "0.3", "--grid-points", "160", "--eta", "1e-3",
+             "--optimize-shift"],
+            ["spectrum", "--alpha", "0.3", "--grid-points", "80"],
+            ["reproduce", "example1", "--grid-points", "150"],
+        ],
+        ids=["bounds", "bounds-optimize-shift", "spectrum", "example1"],
+    )
+    def test_banded_route_forms_no_dense_model_array(
+        self, args, monkeypatch, tmp_path, capsys
+    ):
+        # the oscillator's spec keeps U^2, V and L as bands: no command on
+        # the banded route reads (and so forms) its dense U^2, V or L, nor
+        # forms a dense tridiagonal or bidiagonal matrix from bands
+        reads = []
+
+        def spy(name):
+            form = getattr(ModelSpec, name).func
+
+            def read(spec):
+                reads.append((name, spec.order))
+                return form(spec)
+
+            monkeypatch.setattr(ModelSpec, name, property(read))
+
+        for name in ("u_squared", "v", "cholesky"):
+            spy(name)
+        for name in ("_tridiagonal_matrix", "_band_matrix"):
+            form = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda *a, name=name, form=form: reads.append(name) or form(*a)
+            )
+        out = tmp_path / ("out" if args[0] == "reproduce" else "o.csv")
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert reads == []
 
     @pytest.mark.parametrize(
         "args, order",

@@ -472,10 +472,11 @@ class TestOneContractionRoute:
 class TestSymmetricNorm:
     def test_diagonal_is_exact(self):
         v = np.diag([0.5, -3.0, 1e-300, 2.0])
-        assert core._symmetric_norm(v, True) == 3.0
-        assert core._symmetric_norm(v, False) == 3.0
-        for diagonal in (True, False):
-            norm = core._symmetric_norm(np.zeros((3, 3)), diagonal)
+        # a 1-D argument is the diagonal of a diagonal matrix
+        assert core._symmetric_norm(v.diagonal()) == 3.0
+        assert core._symmetric_norm(v) == 3.0
+        for zero in (np.zeros(3), np.zeros((3, 3))):
+            norm = core._symmetric_norm(zero)
             assert norm == 0.0 and np.copysign(1.0, norm) == 1.0
 
     @pytest.mark.parametrize("n", [2, 8, 31, 32, 80])
@@ -484,13 +485,13 @@ class TestSymmetricNorm:
         for scale in (1e-200, 1.0, 1e200):
             a = rng.normal(size=(n, n))
             a = scale * (a + a.T)
-            norm = core._symmetric_norm(a, False)
+            norm = core._symmetric_norm(a)
             assert abs(norm - spectral_norm(a)) <= 1e-13 * norm
 
     def test_beyond_the_float_range_is_inf(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert core._symmetric_norm(np.full((40, 40), 1e307), False) == np.inf
+            assert core._symmetric_norm(np.full((40, 40), 1e307)) == np.inf
 
 
 class TestSpectrumEnds:
@@ -504,7 +505,7 @@ class TestSpectrumEnds:
         for scale in scales:
             v = np.diag(scale * rng.normal(size=n))
             ends = core._extreme_eigenvalues(v, 1, 1)[[0, -1]]
-            assert core._spectrum_ends(v, diagonal=True) == tuple(ends.tolist())
+            assert core._spectrum_ends(v.diagonal()) == tuple(ends.tolist())
             assert core._spectrum_ends(v) == tuple(ends.tolist())
 
 

@@ -64,21 +64,38 @@ class TestExample1Table:
         # one validation of U^2, by its Cholesky factorization and the ends
         # of its spectrum, per mass offset, and no eigendecomposition of it
         calls, decompositions = [], []
-        validate, eigh = core.ModelSpec.__post_init__, np.linalg.eigh
+        validate, eigh = core.ModelSpec._keep_u_squared, np.linalg.eigh
 
-        def count(spec):
+        def count(spec, *args):
             calls.append(1)
-            validate(spec)
+            validate(spec, *args)
 
         def record(a, *args, **kwargs):
             decompositions.append(np.shape(a)[-1])
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(core.ModelSpec, "__post_init__", count)
+        monkeypatch.setattr(core.ModelSpec, "_keep_u_squared", count)
         monkeypatch.setattr(np.linalg, "eigh", record)
         example1_table(self.GRID)
         assert len(calls) == len(harness.EXAMPLE1_BETAS) == 2
         assert self.GRID not in decompositions
+
+    def test_large_grid_forms_no_n_by_n_array(self):
+        # the oscillator exists as bands alone: at N = 2000, where one
+        # n x n array is 32 MB, the table's traced peak stays O(n), at most
+        # 64 vectors of order n (measured: 568458 bytes, 35.5 of them)
+        n = 2000
+        example1_table(40)   # warm imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = example1_table(n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 18
+        assert peak <= 64 * 8 * n
 
     def test_rows_and_contractions_match_per_model_solves(self):
         result = example1_table(self.GRID)

@@ -72,6 +72,70 @@ class TestHarmonicModel:
         assert bs[-1] > 0.9
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
 
+    @staticmethod
+    def dense_stencil(p):
+        """The dense pair (U^2, V) of the oscillator, stencil by stencil."""
+        n, half = p.grid_points, p.half_width
+        h = np.float64(2.0 * half / (n + 1))
+        x = -half + h * np.arange(1, n + 1)
+        lap = (
+            np.diag(np.full(n, 2.0))
+            + np.diag(np.full(n - 1, -1.0), 1)
+            + np.diag(np.full(n - 1, -1.0), -1)
+        ) / h**2
+        return lap + np.diag(x * x + p.beta), np.diag(p.alpha * x)
+
+    @pytest.mark.parametrize("grid_points", [3, 12, 31, 32, 160])
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0])
+    def test_bands_are_the_dense_stencils_bit_for_bit(self, grid_points, beta, tmp_path):
+        # harmonic_model builds the bands alone; they, the dense forms read
+        # from them, u_min, u_max and the saved file are bit for bit those
+        # of the spec built from the dense stencil matrices
+        for alpha in (0.0, 0.3, 0.985):
+            p = HarmonicParams(alpha=alpha, beta=beta, grid_points=grid_points)
+            spec = harmonic_model(p)
+            u2, v = self.dense_stencil(p)
+            dense = ModelSpec(u_squared=u2, v=v, label=spec.label)
+            for a, b in zip(spec.u2_bands, dense.u2_bands):
+                assert a.tobytes() == b.tobytes()
+            assert spec.v_band.tobytes() == dense.v_band.tobytes()
+            assert (spec.u_min, spec.u_max) == (dense.u_min, dense.u_max)
+            assert spec.u_squared.tobytes() == u2.tobytes()
+            assert spec.v.tobytes() == v.tobytes()
+            save_model(spec, tmp_path / "bands.json")
+            save_model(dense, tmp_path / "dense.json")
+            text = (tmp_path / "bands.json").read_bytes()
+            assert text == (tmp_path / "dense.json").read_bytes()
+            # the file keeps every value (JSON reads -0 as 0)
+            loaded = load_model(tmp_path / "bands.json")
+            np.testing.assert_array_equal(loaded.u_squared, u2)
+            np.testing.assert_array_equal(loaded.v, v)
+
+    @pytest.mark.parametrize(
+        "d, e, v",
+        [
+            ([2.0, np.inf, 2.0], [-1.0, -1.0], [0.0, 1.0, 2.0]),
+            ([2.0, 2.0, 2.0], [-1.0, np.nan], [0.0, 1.0, 2.0]),
+            ([1e308, 2.0, 2.0], [-1.0, -1.0], [0.0, 1.0, 2.0]),
+            ([2.0, 2.0, 2.0], [-1.0, -1.0], [0.0, -1e308, 2.0]),
+            ([2.0, 2.0, 2.0], [-1.0, -1.0], [0.0, np.inf, 2.0]),
+            ([1.0, 1.0, 1.0], [-1.0, -1.0], [0.0, 1.0, 2.0]),
+            ([1.0, 1.0, 1.0], [-1.0, -1.0], [0.0, np.inf, 2.0]),
+        ],
+        ids=["inf", "nan", "doubling-overflows", "v-overflows", "v-inf",
+             "indefinite", "indefinite-and-v-inf"],
+    )
+    def test_bands_are_validated_as_the_dense_pair(self, d, e, v):
+        # from_bands raises what the constructor raises for the same pair
+        u2 = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError) as dense:
+                ModelSpec(u_squared=u2, v=np.diag(v))
+        with pytest.raises(ValidationError) as bands:
+            ModelSpec.from_bands(d, e, v)
+        assert type(bands.value) is type(dense.value)
+        assert str(bands.value) == str(dense.value)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             HarmonicParams(alpha=-0.1)

@@ -434,9 +434,10 @@ class TestEigenpairResiduals:
         # the model (2^(2k) U^2, 2^k V) has the pairs (2^k lam, x) and
         # backward errors 2^(2k) times those of (U^2, V): bit for bit,
         # computed as they are below 2^500 and scaled beyond it, up to
-        # ||2^(2k) U^2|| = 2^1019; from the dense products (N = 12) and
-        # from the diagonals (N = 40, the tridiagonal route)
-        for grid_points in (12, 40):
+        # ||2^(2k) U^2|| = 2^1019; from the dense products (N = 6, below
+        # spectral._TRIDIAGONAL_MIN_ORDER) and from the diagonals (N = 40,
+        # the tridiagonal route)
+        for grid_points in (6, 40):
             spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
             report = eigen_spectrum(assemble_system(spec, 0.0))
             large = ModelSpec(np.ldexp(spec.u_squared, 2 * k), np.ldexp(spec.v, k))
@@ -718,8 +719,9 @@ class TestEigenvaluesOnly:
         )
 
     def test_no_eigenvectors_are_formed(self, monkeypatch):
-        # the contraction takes one triangular solve (dtrtrs, L^(-1) W)
-        # and its Gram matrix, of order 20, dsyevd without vectors.  The
+        # the contraction takes one triangular solve (dtbtrs, L^(-1) W
+        # with the bidiagonal L of the tridiagonal U^2) and its Gram
+        # matrix, of order 20, dsyevd without vectors.  The
         # oscillator's T, of order 40, is tridiagonal: one bisection over
         # its middle indices (dstebz) and no reduction.
         # With a dense potential T is dense: one tridiagonalization
@@ -745,7 +747,7 @@ class TestEigenvaluesOnly:
         for name in names:
             spy(name)
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
-        contraction = [("dtrtrs", None), ("dsyevd", 0)]
+        contraction = [("dtbtrs", None), ("dsyevd", 0)]
         assert calls == contraction + [("dstebz", None)]
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
@@ -758,22 +760,22 @@ class TestEigenvaluesOnly:
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
         reduction = [("dsytrd", None), ("dstebz", None)]
-        assert calls == [("dtrtrs", None)] + reduction * 2
+        assert calls == [("dtbtrs", None)] + reduction * 2
 
 
 class TestTridiagonalPencil:
     """The tridiagonal T of the oscillator against the dense T and the oracle.
 
-    U^2 is tridiagonal and V diagonal, so from order 2n = 32 up the
-    pencil rows take the tridiagonal T; raising the order the spectral
-    module routes by sends them to the dense T instead.
+    U^2 is tridiagonal and V diagonal, so from order
+    n = spectral._TRIDIAGONAL_MIN_ORDER up the pencil rows take the
+    tridiagonal T; raising that order sends them to the dense T instead.
     """
 
     @staticmethod
     def solve(spec, alpha, shift, nearest=None, dense=False):
         with pytest.MonkeyPatch.context() as patch:
             if dense:
-                patch.setattr(spectral, "_SUBSET_MIN_ORDER", 10**9)
+                patch.setattr(spectral, "_TRIDIAGONAL_MIN_ORDER", 10**9)
             return spectral.eigen_spectra(spec, (alpha,), shift, nearest=nearest)
 
     @staticmethod
@@ -868,7 +870,7 @@ class TestTridiagonalPencil:
 
         monkeypatch.setattr(spectral.lapack, "dpttrf", fail_pttrf)
         tri = spectral.eigen_spectra(spec, couplings, 0.0)
-        monkeypatch.setattr(spectral, "_SUBSET_MIN_ORDER", 10**9)
+        monkeypatch.setattr(spectral, "_TRIDIAGONAL_MIN_ORDER", 10**9)
         monkeypatch.setattr(np.linalg, "cholesky", fail_cholesky)
         dense = spectral.eigen_spectra(spec, couplings, 0.0)
         assert tri.pencil.tolist() == dense.pencil.tolist() == [True, False, True]

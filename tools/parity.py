@@ -34,8 +34,11 @@ kappa_disjoint is printed), three random model files (orders 2 to 8,
 from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
 up, where the tridiagonal form is not), the oscillator at N = 24, 80
-and 160 with alpha 0.3 and 0.985, the text report of ``kg bounds``,
-example 1 at N = 150, example 2, and failures of each exit code.
+and 160 with alpha 0.3 and 0.985, ``spectrum`` and ``bounds`` on the
+oscillator at N = 12 (the tridiagonal T from spectral's
+_TRIDIAGONAL_MIN_ORDER = 8 up), the text report of ``kg bounds``,
+example 1 at N = 150 and at N = 2000 (where the model exists as bands
+alone), example 2, and failures of each exit code.
 """
 
 from __future__ import annotations
@@ -141,11 +144,14 @@ def commands(models: list[str]) -> list[list[str]]:
                 ["bounds", *model, "--eta", "1e-3"],
                 ["verify", *model, "--eta", "1e-3"],
             ]
+    small = ["--alpha", "0.3", "--grid-points", "12"]
+    cmds += [["spectrum", *small], ["bounds", *small, "--eta", "1e-3"]]
     oscillator = ["--alpha", "0.985", "--grid-points", "24"]
     cmds += [
         ["bounds", *oscillator, "--optimize-shift", "--eta", "1e-3"],
         ["bounds", *oscillator, "--eta", "1e-3", "--format", "report"],
         ["reproduce", "example1", "--grid-points", "150", "--out", "{tmp}/out"],
+        ["reproduce", "example1", "--grid-points", "2000", "--out", "{tmp}/out"],
         ["reproduce", "example2", "--out", "{tmp}/out"],
         ["spectrum", "--model", "{tmp}/missing.json"],
         ["bounds", "--tau", "1", "--eta", "0.1", "--out", "{tmp}/missing/o.csv"],
