@@ -36,9 +36,10 @@ always-admissible constant
 the gap inclusion intervals and the uniform norm-bound interval through
 ||dG|| and ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma the n x n
 angular operator of the positive spectral subspace
-(spectral.sign_operator), the H-frame rows and the only ones to read a
-root of U (ModelSpec.half_roots); ||J1|| is the only number here read
-off the spectrum's eigenvectors.  Every spectral quantity here is an
+(spectral.sign_operator), the H-frame rows.  Both are taken in U^2's
+eigenbasis E (ModelSpec.u2_eigenbasis), where U^(+-1/2) are diagonal,
+so no root of U is formed; ||J1|| is the only number here read off the
+spectrum's eigenvectors.  Every spectral quantity here is an
 end of a spectrum, and only the ends are computed (core._spectrum_ends):
 the exact pair, the sign of the mixed product and each norm.  nu comes
 from V^(-1) dV, the rows of dV scaled when V is diagonal and a
@@ -238,14 +239,16 @@ def _relative_factor(dv, v):
 
 
 def delta_block(spec: ModelSpec, pert) -> np.ndarray:
-    """X = U^(1/2) dV U^(-1/2), the lower block of dG = [[0, X^T], [X, 0]].
+    """E^T X E = diag(d) (E^T dV E) diag(d)^(-1), X = U^(1/2) dV U^(-1/2).
 
-    dG has exactly the singular values of X, so ||dG|| = ||X|| is an
-    n x n norm.
+    U^2 = E diag(d^4) E^T (ModelSpec.u2_eigenbasis), and X is the lower
+    block of dG = [[0, X^T], [X, 0]].  dG has exactly the singular values
+    of X, and the orthogonal E changes none, so ||dG|| is the n x n norm
+    of this block.
     """
     dv = pert.delta_v if isinstance(pert, PerturbationSpec) else np.asarray(pert)
-    root, inverse_root = spec.half_roots()
-    return root @ dv @ inverse_root
+    d, e = spec.u2_eigenbasis
+    return (e.T @ dv @ e) * np.divide.outer(d, d)
 
 
 def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
@@ -253,8 +256,10 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
 
     dG = [[0, U^(-1/2) dV U^(1/2)], [U^(1/2) dV U^(-1/2), 0]]; equals the
     difference of the assembled grams and is independent of the shift.
+    X is delta_block rotated back by E.
     """
-    x = delta_block(system.spec, pert)
+    e = system.spec.u2_eigenbasis[1]
+    x = e @ delta_block(system.spec, pert) @ e.T
     n = system.n
     dg = np.zeros((2 * n, 2 * n))
     dg[:n, n:] = x.T

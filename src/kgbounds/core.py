@@ -34,12 +34,11 @@ ModelSpec.l_solve is one banded solve (dtbtrs), and a diagonal V as
 its diagonal, as on the 1D oscillator, whose harmonic_model builds
 those bands alone; then T, with its unknowns interleaved, is
 tridiagonal too, and no n x n array of the model is formed unless a
-dense route reads one.  The only root of U ever formed is the pair
-U^(+-1/2) of ModelSpec.half_roots, for two H-frame rows of
-``kg bounds``, from U^2's eigenbasis (taken from its two diagonals
-when it is tridiagonal).  KleinGordonSystem stores the contraction
-data of one shift, and no A; shifted_potential and spectral_norm take
-stacks.
+dense route reads one.  No power of U is formed: the two H-frame rows
+of ``kg bounds`` read U^2's eigenbasis, ModelSpec.u2_eigenbasis (taken
+from its two diagonals when it is tridiagonal), in which U^(+-1/2) are
+diagonal.  KleinGordonSystem stores the contraction data of one shift,
+and no A; shifted_potential and spectral_norm take stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -393,10 +392,11 @@ class ModelSpec:
 
     The dense ``u_squared`` and ``v`` given to the constructor are kept
     as given; the dense ``u_squared``, ``v`` and ``cholesky`` of a spec
-    that keeps bands are formed when a dense route first reads them,
+    that keeps bands, and ``u2_eigenbasis``, are formed when first read,
     and kept.  Specs derived by ``with_potential`` or ``perturbed``
-    share the U^2 data: the bands, L, u_min, u_max, half_roots and the
-    dense U^2 and L; V is validated and its structure recorded for each.
+    share the U^2 data: the bands, L, u_min, u_max, and whatever of it
+    was formed before the copy; V is validated and its structure
+    recorded for each.
     """
 
     def __init__(self, u_squared, v, label: str = ""):
@@ -454,8 +454,6 @@ class ModelSpec:
             u_max=math.sqrt(highest),
             _order=len(bands[0]) if bands else dense.shape[0],
             _l_band=factor if bands else None,
-            # what is formed later from U^2, one dict for every derived spec
-            _shared={},
         )
         # a dense U^2 given, and a dense L, are kept as attributes
         if dense is not None:
@@ -480,11 +478,6 @@ class ModelSpec:
         return self._order
 
     @property
-    def v_diagonal(self) -> bool:
-        """Whether V is diagonal (kept as v_band)."""
-        return self.v_band is not None
-
-    @property
     def tridiagonal(self) -> bool:
         """Whether U^2 is tridiagonal and V diagonal, so every W = t V - mu is."""
         return self.u2_bands is not None and self.v_band is not None
@@ -499,8 +492,8 @@ class ModelSpec:
 
     @functools.cached_property
     def u_squared(self):
-        """U^2 as a dense matrix; one kept as bands is formed on first read and shared."""
-        return self._formed("u_squared", lambda: _tridiagonal_matrix(*self.u2_bands))
+        """U^2 as a dense matrix; one kept as bands is formed on first read."""
+        return _read_only(_tridiagonal_matrix(*self.u2_bands))
 
     @functools.cached_property
     def v(self):
@@ -509,15 +502,8 @@ class ModelSpec:
 
     @functools.cached_property
     def cholesky(self):
-        """L as a dense lower triangular matrix; a band is formed on first read and shared."""
-        return self._formed("cholesky", lambda: _band_matrix(self._l_band))
-
-    def _formed(self, name: str, form):
-        """The read-only form() shared under ``name`` by every derived spec."""
-        a = self._shared.get(name)
-        if a is None:
-            a = self._shared[name] = _read_only(form())
-        return a
+        """L as a dense lower triangular matrix; a band is formed on first read."""
+        return _read_only(_band_matrix(self._l_band))
 
     def l_solve(self, b):
         """L^(-1) b for a matrix or a stack (..., n, m) of them, b finite.
@@ -549,35 +535,25 @@ class ModelSpec:
                 x = np.ldexp(x, scale)
         return np.moveaxis(x.reshape(columns.shape), 0, -2)
 
-    def half_roots(self):
-        """(U^(1/2), U^(-1/2)), U the principal root of u_squared.
+    @functools.cached_property
+    def u2_eigenbasis(self):
+        """(d, E): U^2 = E diag(d^4) E^T, E orthogonal, read-only.
 
-        The one root of U the library forms, for the H-frame rows of
-        ``kg bounds``: both from one eigendecomposition of U^2, on the
-        first request, and the same read-only pair on every later one.
+        U^(+-1/2) = E diag(d^(+-1)) E^T, so a product with either is a
+        diagonal scaling in the basis E, and no power of U is formed.
         A tridiagonal U^2 from order 2 up (SciPy's dstevd takes no empty
-        off-diagonal) is decomposed from its two diagonals, else
-        densely: with the two root products, dstevd takes 7 us against
-        eigh's 10 at n = 2, 18 against 22 at 16, 36 against 43 at 32
-        and 115 against 192 at 64 (one OpenBLAS thread, 2-core x86-64).
+        off-diagonal) is decomposed from its two diagonals, else densely:
+        dstevd takes 0.7 us against eigh's 3.8 at n = 2, 24 against 30
+        at 32, 82 against 156 at 64 and 508 against 1049 at 160 (one
+        OpenBLAS thread, 2-core x86-64).
         """
-        roots = self._shared.get("half_roots")
-        if roots is None:
-            if self.u2_bands is not None and self.order > 1:
-                w, p, info = lapack.dstevd(*self.u2_bands)
-                if info != 0:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            else:
-                w, p = np.linalg.eigh(self.u_squared)
-            d = np.sqrt(np.sqrt(w))
-            roots = []
-            for scale in (np.multiply, np.divide):   # p d p^T, then p d^(-1) p^T
-                root = scale(p, d) @ p.T
-                root += root.T   # symmetrize, in place
-                root *= 0.5
-                roots.append(_read_only(root))
-            roots = self._shared["half_roots"] = tuple(roots)
-        return roots
+        if self.u2_bands is not None and self.order > 1:
+            w, e, info = lapack.dstevd(*self.u2_bands)
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        else:
+            w, e = np.linalg.eigh(self.u_squared)
+        return _read_only(np.sqrt(np.sqrt(w))), _read_only(e)
 
     def perturbed(self, delta_v) -> "ModelSpec":
         """A new spec with the potential replaced by v + delta_v."""

@@ -176,8 +176,12 @@ def random_perturbation(order: int, scale: float, seed: int) -> PerturbationSpec
 
 
 def _fmt(x: float) -> str:
-    """One real with 17 significant digits (round-trips the double exactly)."""
-    return format(float(x), ".17g")
+    """One real with 17 significant digits (round-trips the double exactly).
+
+    A negative zero is written -0.0: JSON reads -0 as the integer 0.
+    """
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _fmt_matrix(m) -> str:

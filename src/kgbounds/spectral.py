@@ -74,9 +74,9 @@ T, which the pencil rows then compute alone by one bisection
 (core._eigenvalues, or dstebz on the tridiagonal T), and
 neither X nor Z is formed, since the signatures are 1/sigma.
 
-The same solve gives the sign operator, which alone here forms a root
-of U (ModelSpec.half_roots): the H-frame pencil eigenvectors are D Z,
-D = diag(U^(1/2), U^(-1/2)), so with Y = D Z |Theta|^(-1/2)
+The same solve gives the sign operator: the H-frame pencil
+eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
+Y = D Z |Theta|^(-1/2)
 
     J1 = sign(H - mu*I) = Y (J Y)^T,    ||J1|| = ||Y||^2,
 
@@ -87,6 +87,10 @@ eigenbasis of J the positive columns [a; b] of D Z become
 angular operator Gamma = Q P^(-1), ||Gamma|| < 1, and
 
     ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||).
+
+No root of U is formed for it: with U^2 = E diag(d^4) E^T
+(ModelSpec.u2_eigenbasis), E^T a = d E^T z_1 and E^T b = E^T z_2 / d,
+and the orthogonal E changes no norm (_rotated_h_frame).
 """
 
 from __future__ import annotations
@@ -209,7 +213,9 @@ class SignOperator:
     @property
     def y(self):
         """Y = D Z |Theta|^(-1/2), D = diag(U^(1/2), U^(-1/2)); ||Y||^2 = ||J1||."""
-        y = _h_frame(self.report.spec, self.report.eigenvectors)
+        spec = self.report.spec
+        rotated = _rotated_h_frame(spec, self.report.eigenvectors)
+        y = np.concatenate([spec.u2_eigenbasis[1] @ r for r in rotated])
         y /= np.sqrt(np.abs(self.report.signatures))
         return y
 
@@ -676,11 +682,16 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     )
 
 
-def _h_frame(spec: ModelSpec, z):
-    """D z = [U^(1/2) z_1; U^(-1/2) z_2] of K-frame columns z = [z_1; z_2]."""
+def _rotated_h_frame(spec: ModelSpec, z):
+    """(d E^T z_1, E^T z_2 / d): D z, D = diag(U^(1/2), U^(-1/2)), in the basis E.
+
+    U^2 = E diag(d^4) E^T (ModelSpec.u2_eigenbasis), so
+    E^T U^(+-1/2) = diag(d^(+-1)) E^T for K-frame columns z = [z_1; z_2];
+    two new n-row arrays.
+    """
+    d, e = spec.u2_eigenbasis
     n = spec.order
-    root, inverse_root = spec.half_roots()
-    return np.concatenate([root @ z[:n], inverse_root @ z[n:]])
+    return d[:, None] * (e.T @ z[:n]), (e.T @ z[n:]) / d[:, None]
 
 
 def sign_operator(report: SpectrumReport) -> SignOperator:
@@ -698,13 +709,13 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
         ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||),
 
     one n x n solve and one n x n norm, and the column scales and the
-    1/sqrt(2) cancel in Gamma.  P and Q are formed from the two root
-    products a = U^(1/2) Z_1 and b = U^(-1/2) Z_2 of the positive
-    columns, and the solve (dgesv) overwrites them.  Y itself is formed only when the
-    operator's ``y`` or ``j1`` is read.  Raises NotCertified when the
-    report came from the direct path, that is when G - mu*J was not
-    certified positive definite or the Cholesky factorization of
-    U^2 - (V - mu)^2 failed.
+    1/sqrt(2) cancel in Gamma.  P and Q are taken in U^2's eigenbasis E,
+    from E^T a and E^T b of the positive columns (_rotated_h_frame),
+    which leaves ||Gamma|| as it is, and the solve (dgesv) overwrites
+    them.  Y itself is formed only when the operator's ``y`` or ``j1``
+    is read.  Raises NotCertified when the report came from the direct
+    path, that is when G - mu*J was not certified positive definite or
+    the Cholesky factorization of U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotCertified(
@@ -713,11 +724,9 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
         )
     n = report.spec.order
     # the pencil orders lam ascending, with n eigenvalues on each side of
-    # the shift: the last n columns are the positive ones
-    z = report.eigenvectors[:, n:]
-    root, inverse_root = report.spec.half_roots()
-    # [P; Q] = [a + b; a - b] from the two root products a and b
-    p, b = root @ z[:n], inverse_root @ z[n:]
+    # the shift: the last n columns are the positive ones; in the basis
+    # E, [P; Q] = [a + b; a - b]
+    p, b = _rotated_h_frame(report.spec, report.eigenvectors[:, n:])
     q = p - b
     p += b
     del b

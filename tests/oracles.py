@@ -3,7 +3,7 @@
 The library works with the Cholesky factor L L^T = U^2: it solves the
 definite pencil in the frame K = [[U^2, V], [V, I]], the direct path on
 the root-free companion form L_g, and never forms G, H or a power of U
-outside two H-frame rows of ``kg bounds``.  These routines work in the
+(two H-frame rows of ``kg bounds`` read U^2's eigenbasis).  These routines work in the
 frame of G = J H instead, with powers of U from the eigendecomposition
 of U^2, generalized eigensolves and matrix square roots, so the tests
 can hold the library's numbers against a second, independent route.

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -17,9 +18,14 @@ import scipy.linalg
 from kgbounds import (
     KleinGordonSystem,
     ModelSpec,
+    apply_j,
+    assemble_system,
     cli,
     core,
+    eigen_spectrum,
     harness,
+    norm_bound_interval,
+    random_perturbation,
     save_model,
     spectral,
     spectral_norm,
@@ -29,6 +35,7 @@ from kgbounds import (
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 from conftest import random_model
+from oracles import h_frame
 
 
 def _fmt(x) -> str:
@@ -185,6 +192,27 @@ class TestVerifyCommand:
 
 
 class TestBoundsCommand:
+    def test_order_one_model(self, tmp_path):
+        # an order-1 U^2 is decomposed by a dense eigh (dstevd takes no
+        # empty off-diagonal); X = U^(1/2) dV U^(-1/2) is dV itself, and
+        # ||J1|| is that of the H-frame eigenvectors of oracles.h_frame
+        spec = ModelSpec([[2.5]], [[0.7]])
+        path, out = tmp_path / "one.json", tmp_path / "bounds.csv"
+        save_model(spec, path)
+        args = ["bounds", "--model", str(path), "--shift", "0", "--eta", "1e-3",
+                "--seed", "1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        rows = {r[0]: r[1:] for r in read_csv(out)[1:]}
+        dv = abs(random_perturbation(1, 1e-3, 1).delta_v[0, 0])
+        assert abs(float(rows["perturbation_norm"][0]) - dv) <= 2 * np.spacing(dv)
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        y = h_frame(report) / np.sqrt(np.abs(report.signatures))
+        norm_j1 = spectral_norm(y @ apply_j(y).T)
+        assert norm_j1 > 1.0
+        expected = norm_bound_interval(report.central_gap, dv, norm_j1)
+        uniform = [float(x) for x in rows["interval_uniform"]]
+        np.testing.assert_allclose(uniform, expected, rtol=1e-15)
+
     def test_one_pencil_solve_and_no_2n_validation(self, monkeypatch, capsys):
         # the oscillator's U^2 is tridiagonal and V diagonal: the order-64
         # U^2 is validated by its banded Cholesky factorization (dpbtrf,
@@ -241,7 +269,7 @@ class TestBoundsCommand:
         # runs at N = 160, by routine and order: the one full solve of the
         # shift search (dsyevr), c, nu, the mixed product, ||dV||, the
         # exact pair at order 2n, ||dG|| and ||Gamma||.  U^2's eigenbasis,
-        # for the U^(+-1/2) of the ||dG|| and ||J1|| rows, comes from its
+        # in which the ||dG|| and ||J1|| rows are taken, comes from its
         # two diagonals (dstevd of order 160), and nu from the rows of dV
         # divided by the diagonal V (no dsysv).  The bracket's extremes of
         # the diagonal V are its extreme entries, the ends of the spectrum
@@ -608,22 +636,23 @@ class TestSweepCommand:
 
 
 class TestEachQuantityOnce:
-    """No root of U outside kg bounds' H-frame rows, each norm taken once."""
+    """No eigenbasis of U^2 outside kg bounds' H-frame rows, each norm taken once."""
 
     @staticmethod
     def u_roots(monkeypatch, order):
-        """(pairs, decompositions): every U^(+-1/2) pair formed, and the
-        order-``order`` symmetric eigendecompositions with vectors, dense
-        or tridiagonal, the only kind of solve a root of U^2 could come
-        from."""
-        pairs, decompositions = [], []
-        half_roots = ModelSpec.half_roots
+        """(bases, decompositions): every U^2 eigenbasis formed
+        (ModelSpec.u2_eigenbasis), and the order-``order`` symmetric
+        eigendecompositions with vectors, dense or tridiagonal, the only
+        kind of solve a root of U^2 could come from."""
+        bases, decompositions = [], []
+        eigenbasis = ModelSpec.u2_eigenbasis.func
 
-        def spy_roots(self):
-            pair = half_roots(self)
-            if not any(pair[0] is seen[0] for seen in pairs):
-                pairs.append(pair)
-            return pair
+        def spy_basis(self):
+            bases.append(eigenbasis(self))
+            return bases[-1]
+
+        spy_basis = functools.cached_property(spy_basis)
+        spy_basis.__set_name__(ModelSpec, "u2_eigenbasis")
 
         def spy(routine, with_vectors):
             def record(a, *args, **kwargs):
@@ -634,7 +663,7 @@ class TestEachQuantityOnce:
 
             return record
 
-        monkeypatch.setattr(ModelSpec, "half_roots", spy_roots)
+        monkeypatch.setattr(ModelSpec, "u2_eigenbasis", spy_basis)
         monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, lambda kw: True))
         monkeypatch.setattr(
             scipy.linalg,
@@ -646,7 +675,7 @@ class TestEachQuantityOnce:
             monkeypatch.setattr(
                 scipy.linalg.lapack, name, spy(routine, lambda kw: kw.get("compute_v", 1))
             )
-        return pairs, decompositions
+        return bases, decompositions
 
     @staticmethod
     def norm_calls(monkeypatch):
@@ -665,18 +694,18 @@ class TestEachQuantityOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "command, pairs, gram_norms",
+        "command, bases, gram_norms",
         [("verify", 0, 3), ("bounds", 1, 4)],
         ids=["verify", "bounds"],
     )
     def test_three_powers_and_six_norms(
-        self, command, pairs, gram_norms, monkeypatch, capsys
+        self, command, bases, gram_norms, monkeypatch, capsys
     ):
-        # verify reads U only through L; kg bounds forms U^(1/2) and
-        # U^(-1/2) once, for ||dG|| and ||J1||, from one order-n
+        # verify reads U only through L; kg bounds forms U^2's
+        # eigenbasis once, for ||dG|| and ||J1||, from one order-n
         # decomposition of the tridiagonal U^2 on its two diagonals
-        # (dstevd).  Of the six norms both once took through a Gram
-        # matrix, the oscillator's contraction is bisected on U^2's
+        # (dstevd), and no root of U.  Of the six norms both once took
+        # through a Gram matrix, the oscillator's contraction is bisected on U^2's
         # diagonals (order 64 is above core._BANDED_MIN_ORDER), and
         # ||dV|| and the gate's ||V|| are ends of symmetric spectra: verify
         # keeps c, nu and the perturbed contraction, bounds c, nu,
@@ -685,8 +714,8 @@ class TestEachQuantityOnce:
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert len(formed) == pairs
-        assert decompositions == ["dstevd"] * pairs
+        assert len(formed) == bases
+        assert decompositions == ["dstevd"] * bases
         assert len(norms) == gram_norms
 
     @pytest.mark.parametrize(

@@ -96,13 +96,17 @@ class TestModelSpec:
             spec.v[0, 0] = 5.0
         with pytest.raises(ValueError):
             spec.cholesky[0, 0] = 5.0
+        d, e = spec.u2_eigenbasis
         with pytest.raises(ValueError):
-            spec.half_roots()[1][0, 0] = 5.0
+            d[0] = 5.0
+        with pytest.raises(ValueError):
+            e[0, 0] = 5.0
 
     @pytest.mark.parametrize("grid_points", [3, 8, 32, 160, 400])
     def test_banded_half_roots_match_a_dense_eigh(self, grid_points, monkeypatch):
         # a tridiagonal U^2 of any order from 2 up is decomposed on its
-        # two diagonals (dstevd): U^(1/2) squares to the U of a dense eigh,
+        # two diagonals (dstevd): E diag(d^4) E^T is U^2, E is orthogonal,
+        # the half root E diag(d) E^T squares to the U of a dense eigh,
         # and U^(1/2) U^(-1/2) is the identity
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
         dense_eigh = []
@@ -113,9 +117,13 @@ class TestModelSpec:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        root, inverse_root = spec.half_roots()
+        d, e = spec.u2_eigenbasis
         assert dense_eigh == []
-        w, p = eigh(spec.u_squared)
+        u2 = spec.u_squared
+        assert np.abs((e * d**4) @ e.T - u2).max() <= 1e-13 * spectral_norm(u2)
+        assert np.abs(e.T @ e - np.eye(grid_points)).max() <= 1e-13
+        root, inverse_root = (e * d) @ e.T, (e / d) @ e.T
+        w, p = eigh(u2)
         u = (p * np.sqrt(w)) @ p.T
         tol = 1e-13 * spectral_norm(u)
         assert np.abs(root @ root - u).max() <= tol
@@ -125,11 +133,12 @@ class TestModelSpec:
         spec = square_well_model(1.0)
         new = spec.with_potential(2.0 * spec.v, "doubled")
         assert new.u_squared is spec.u_squared
-        assert new.cholesky is spec.cholesky
         assert (new.u_min, new.u_max) == (spec.u_min, spec.u_max)
-        # the pair U^(+-1/2) is formed once and shared with every copy
-        assert new.half_roots()[1] is spec.half_roots()[1]
-        assert spec.perturbed(spec.v).half_roots()[0] is new.half_roots()[0]
+        # the well's U^2 is tridiagonal: its dense L and its eigenbasis
+        # are formed on first read, and shared with every copy made after
+        cholesky, basis = spec.cholesky, spec.u2_eigenbasis
+        later = spec.perturbed(spec.v)
+        assert later.cholesky is cholesky and later.u2_eigenbasis is basis
         np.testing.assert_array_equal(new.v, 2.0 * spec.v)
         assert new.label == "doubled" and spec.label != "doubled"
         with pytest.raises(ValueError):
@@ -149,10 +158,10 @@ class TestModelSpec:
         np.testing.assert_array_equal(e, spec.u_squared.diagonal(-1))
         with pytest.raises(ValueError):
             d[0] = 5.0
-        assert spec.v_diagonal and spec.tridiagonal
+        assert spec.v_band is not None and spec.tridiagonal
         dense = spec.perturbed(1e-3 * np.ones((40, 40)))
         assert dense.u2_bands is spec.u2_bands
-        assert not dense.v_diagonal and not dense.tridiagonal
+        assert dense.v_band is None and not dense.tridiagonal
         assert spec.with_potential(2.0 * spec.v, "").tridiagonal
         rng = np.random.Generator(np.random.PCG64(7))
         assert ModelSpec(random_spd(rng, 5), np.eye(5)).u2_bands is None

@@ -21,6 +21,7 @@ from kgbounds import (
     square_well_model,
     square_well_perturbation,
 )
+from kgbounds import models
 from oracles import contraction_bound
 from conftest import constants_of
 
@@ -106,10 +107,10 @@ class TestHarmonicModel:
             save_model(dense, tmp_path / "dense.json")
             text = (tmp_path / "bands.json").read_bytes()
             assert text == (tmp_path / "dense.json").read_bytes()
-            # the file keeps every value (JSON reads -0 as 0)
+            # the file keeps every value bit for bit, negative zeros too
             loaded = load_model(tmp_path / "bands.json")
-            np.testing.assert_array_equal(loaded.u_squared, u2)
-            np.testing.assert_array_equal(loaded.v, v)
+            assert loaded.u_squared.tobytes() == u2.tobytes()
+            assert loaded.v.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize(
         "d, e, v",
@@ -288,6 +289,21 @@ class TestModelFiles:
         np.testing.assert_array_equal(loaded.u_squared, spec.u_squared)
         np.testing.assert_array_equal(loaded.v, spec.v)
         assert loaded.label == spec.label
+
+    def test_round_trip_keeps_negative_zeros(self, tmp_path):
+        # the alpha = 0 oscillator's V is 0.0 * x, -0.0 left of the centre:
+        # the file writes -0.0, where -0 would load as the integer 0
+        spec = harmonic_model(HarmonicParams(alpha=0.0, grid_points=5))
+        assert np.signbit(spec.v_band).any()
+        path = tmp_path / "zeros.json"
+        save_model(spec, path)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(np.signbit(loaded.v), np.signbit(spec.v))
+        assert loaded.v.tobytes() == spec.v.tobytes()
+        # every other value is written as before
+        for x in (0.0, 1.0, -2.0, 0.1, -5e-324, 1e308, -1.0 / 3.0):
+            assert models._fmt(x) == format(x, ".17g")
+        assert models._fmt(-0.0) == "-0.0"
 
     def test_round_trip_irrational_entries(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(33))

@@ -33,7 +33,9 @@ the well at tau = 0 (V = 0: the mixed product vanishes and
 kappa_disjoint is printed), three random model files (orders 2 to 8,
 from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
-up, where the tridiagonal form is not), the oscillator at N = 24, 80
+up, where the tridiagonal form is not), one model file of order 1
+(whose U^2 is decomposed by a dense eigh: LAPACK's dstevd takes no
+empty off-diagonal), the oscillator at N = 24, 80
 and 160 with alpha 0.3 and 0.985, ``spectrum`` and ``bounds`` on the
 oscillator at N = 12 (the tridiagonal T from spectral's
 _TRIDIAGONAL_MIN_ORDER = 8 up), the text report of ``kg bounds``,
@@ -74,7 +76,8 @@ def random_models(directory: Path) -> list[str]:
     """Write the random model files; their paths, relative to ``directory``.
 
     The small models come first, then the one of order DENSE_ORDER,
-    whose potential is scaled to the contraction DENSE_CONTRACTION.
+    whose potential is scaled to the contraction DENSE_CONTRACTION,
+    then one of order 1, which draws nothing.
     """
     rng = np.random.Generator(np.random.PCG64(RANDOM_SEED))
     names = []
@@ -99,6 +102,7 @@ def random_models(directory: Path) -> list[str]:
     v = v + v.T
     b = np.linalg.norm(v @ (p / np.sqrt(w)) @ p.T, 2)   # ||V U^(-1)||
     write(f"random{len(RANDOM_SCALES)}", u_squared, v * (DENSE_CONTRACTION / b))
+    write("order1", np.array([[2.5]]), np.array([[0.7]]))   # b = 0.44
     return names
 
 
@@ -128,12 +132,18 @@ def commands(models: list[str]) -> list[list[str]]:
                 ["verify", *model, *shift, "--eta", "1e-3", "--seed", "1"],
             ]
         cmds.append(["sweep", *model, "--sweep-range", "0:1.5", "--steps", "7"])
-    model = ["--model", "{tmp}/" + models[-1]]
+    model = ["--model", "{tmp}/" + models[len(RANDOM_SCALES)]]
     perturbation = ["--eta", "1e-3", "--seed", "1"]
     cmds += [
         ["spectrum", *model, "--shift", "0"],
         ["bounds", *model, "--shift", "0", *perturbation],
         ["bounds", *model, "--optimize-shift", *perturbation],
+        ["verify", *model, "--shift", "0", *perturbation],
+    ]
+    model = ["--model", "{tmp}/" + models[-1]]
+    cmds += [
+        ["spectrum", *model, "--shift", "0"],
+        ["bounds", *model, "--shift", "0", *perturbation],
         ["verify", *model, "--shift", "0", *perturbation],
     ]
     for alpha, sizes in (("0.3", (24, 80, 160)), ("0.985", (24, 80))):
