@@ -3,7 +3,6 @@ block Hamiltonians H = JG built from matrix data (U^2, V)."""
 
 from .bounds import (
     BoundsReport,
-    GapInclusion,
     KappaCheck,
     PerturbationSpec,
     VerificationReport,
@@ -26,7 +25,6 @@ from .bounds import (
 from .core import (
     KleinGordonSystem,
     ModelSpec,
-    apply_j,
     assemble_system,
     operator_a,
     optimize_shift,
@@ -68,7 +66,6 @@ from .models import (
 )
 from .spectral import (
     DefectWitness,
-    SignOperator,
     SpectrumReport,
     eigen_spectrum,
     eigenpair_residuals,

@@ -91,7 +91,6 @@ from .spectral import (
 __all__ = [
     "PerturbationSpec",
     "KappaCheck",
-    "GapInclusion",
     "BoundsReport",
     "VerificationReport",
     "delta_block",
@@ -260,7 +259,7 @@ def delta_gram(system: KleinGordonSystem, pert) -> np.ndarray:
     """
     e = system.spec.u2_eigenbasis[1]
     x = e @ delta_block(system.spec, pert) @ e.T
-    n = system.n
+    n = system.spec.order
     dg = np.zeros((2 * n, 2 * n))
     dg[:n, n:] = x.T
     dg[n:, :n] = x
@@ -310,17 +309,8 @@ def rescale_kappa(kappa_minus: float, kappa_plus: float):
 # gap inclusions
 
 
-@dataclass(frozen=True)
-class GapInclusion:
-    """A spectral gap of H and the interval certified to stay inside rho(H')."""
-
-    original: tuple
-    predicted: tuple
-    case_tag: str  # 'positive-gap' | 'straddling' | 'negative-gap'
-
-
-def gap_inclusion(gap, kappa: float) -> GapInclusion:
-    """Shrink a spectral gap of H to the part certified free for H'.
+def gap_inclusion(gap, kappa: float):
+    """Shrink a spectral gap (lo, hi) of H to the part certified free for H'.
 
     Cases by the gap position: (lo > 0) -> ((1+k) lo, (1-k) hi);
     straddling -> ((1-k) lo, (1-k) hi); (hi < 0) -> ((1-k) lo, (1+k) hi).
@@ -332,15 +322,10 @@ def gap_inclusion(gap, kappa: float) -> GapInclusion:
     if not lo < hi:
         raise ValidationError(f"gap ({lo}, {hi}) is empty")
     if lo >= 0.0:
-        tag = "positive-gap"
-        predicted = ((1.0 + kappa) * lo, (1.0 - kappa) * hi)
-    elif hi <= 0.0:
-        tag = "negative-gap"
-        predicted = ((1.0 - kappa) * lo, (1.0 + kappa) * hi)
-    else:
-        tag = "straddling"
-        predicted = ((1.0 - kappa) * lo, (1.0 - kappa) * hi)
-    return GapInclusion(original=(lo, hi), predicted=predicted, case_tag=tag)
+        return (1.0 + kappa) * lo, (1.0 - kappa) * hi
+    if hi <= 0.0:
+        return (1.0 - kappa) * lo, (1.0 + kappa) * hi
+    return (1.0 - kappa) * lo, (1.0 - kappa) * hi
 
 
 def improved_inclusion(gap, kappa_minus: float, kappa_plus: float):
@@ -466,14 +451,13 @@ class BoundsReport:
         kappa = max(abs(km), abs(kp))
         plain = improved = uniform = (None, None)
         if kappa < 1.0 and not np.isinf(shifted_gap).any():
-            lo, hi = gap_inclusion(shifted_gap, kappa).predicted
+            lo, hi = gap_inclusion(shifted_gap, kappa)
             plain = (lo + mu, hi + mu)
         if km > -1.0 and shifted_gap[0] < 0.0 < shifted_gap[1]:
             lo, hi = improved_inclusion(shifted_gap, km, kp)
             improved = (lo + mu, hi + mu)
         s_norm = spectral_norm(delta_block(self.spectrum.spec, self.perturbation))
-        norm_j1 = sign_operator(self.spectrum).norm_j1
-        lo, hi = norm_bound_interval(gap, s_norm, norm_j1)
+        lo, hi = norm_bound_interval(gap, s_norm, sign_operator(self.spectrum))
         if lo < hi:
             uniform = (lo, hi)
         return [
@@ -590,9 +574,10 @@ def perturbation_constants(
     if not isinstance(pert, PerturbationSpec):
         pert = PerturbationSpec(delta_v=pert)
     dv, b = pert.delta_v, system.contraction
-    if dv.shape[0] != system.n:
+    n = system.spec.order
+    if dv.shape[0] != n:
         raise ValidationError(
-            f"delta_v has order {dv.shape[0]}, system has order {system.n}"
+            f"delta_v has order {dv.shape[0]}, system has order {n}"
         )
     if report.solver_path != "similarity":
         raise NotCertified(
@@ -612,7 +597,7 @@ def perturbation_constants(
     # the top of the float range overflows neither W dV nor S
     k = math.frexp(np.abs(dv).max(initial=0.0))[1]
     s = _factor_congruence(report, dv, k)
-    block = _spectrum_ends(s[: system.n, : system.n])
+    block = _spectrum_ends(s[:n, :n])
     ends = _spectrum_ends(s, overwrite=True)
     with np.errstate(over="ignore"):
         lowest, highest = np.ldexp(block, k).tolist()

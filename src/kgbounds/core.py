@@ -81,7 +81,6 @@ __all__ = [
     "contraction",
     "operator_a",
     "optimize_shift",
-    "apply_j",
     "shifted_potential",
     "spectral_norm",
     "symmetrize",
@@ -361,16 +360,6 @@ def _check_drift(a, largest, name: str):
             f"{name} is not symmetric: max |a_ij - a_ji| = {drift:.3e} "
             f"exceeds {SYMMETRY_RTOL * scale:.3e}"
         )
-
-
-def apply_j(x):
-    """Apply the block swap to a vector or to the rows of a matrix.
-
-    Equivalent to [[0, I], [I, 0]] @ x without forming the product.
-    """
-    x = np.asarray(x)
-    n = x.shape[0] // 2
-    return np.concatenate([x[n:], x[:n]], axis=0)
 
 
 class ModelSpec:
@@ -657,14 +646,12 @@ class KleinGordonSystem:
 
     Fields
     ------
-    n : block order (H and G are 2n x 2n)
     shift : the real spectral shift mu
     contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a), from
         ``contraction``: bisected on U^2's diagonals on the banded route
     spec : the source model
     """
 
-    n: int
     shift: float
     contraction: float
     spec: ModelSpec = field(repr=False)
@@ -781,7 +768,7 @@ def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
     companion form of the spectral module.
     """
     b = contraction(spec, shift)
-    return KleinGordonSystem(n=spec.order, shift=float(shift), contraction=b, spec=spec)
+    return KleinGordonSystem(shift=float(shift), contraction=b, spec=spec)
 
 
 #: (3 - sqrt(5)) / 2, the golden-section fraction of Brent's fallback step

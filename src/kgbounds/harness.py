@@ -378,9 +378,11 @@ def sweep_potential(
     and one stacked eigenpair_residuals call per block.  Every t V is
     exactly symmetric, and |t| is largest at an end of the range, so the
     two end potentials are validated (ValidationError when t V leaves
-    the float range) before anything is solved.  The critical coupling
-    is located by bisection (to 1e-6), one stack of one per step, on the
-    reality of the spectrum within the first bracket where it flips.
+    the float range) before anything is solved, and a steps count whose
+    (steps, 2n) eigenvalue array numpy would refuse raises MemoryError
+    before any array is made.  The critical coupling is located by
+    bisection (to 1e-6), one stack of one per step, on the reality of
+    the spectrum within the first bracket where it flips.
     """
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
@@ -388,12 +390,19 @@ def sweep_potential(
         raise ValidationError(f"sweep range ({lo}, {hi}) is not finite")
     if not lo < hi:
         raise ValidationError(f"sweep range ({lo}, {hi}) is empty")
+    two_n = 2 * base.order
+    # numpy refuses an array of more bytes than an intp holds with a
+    # ValueError, not a MemoryError: it is an allocation failure all the same
+    if steps * two_n * 16 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"steps = {steps}: its {two_n} complex eigenvalues a step are more "
+            "than numpy can allocate"
+        )
     with np.errstate(over="ignore"):
         for t in (lo, hi):
             base.with_potential(t * base.v_stored, base.label)
 
     params = np.linspace(lo, hi, steps)
-    two_n = 2 * base.order
     block = max(1, BLOCK_BUDGET // (two_n if _tridiagonal_rows(base) else two_n**2))
     eigenvalues = np.empty((steps, two_n), dtype=complex)
     residuals = np.empty((steps, two_n))

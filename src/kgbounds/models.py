@@ -62,6 +62,13 @@ class HarmonicParams:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
         if self.grid_points < 3:
             raise ValidationError(f"grid_points must be >= 3, got {self.grid_points}")
+        # numpy refuses an array of more bytes than an intp holds with a
+        # ValueError, not a MemoryError: it is an allocation failure all the same
+        if self.grid_points * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(
+                f"grid_points = {self.grid_points}: its grid of floats is larger "
+                "than numpy can allocate"
+            )
         if self.half_width <= 0.0:
             raise ValidationError(f"half_width must be > 0, got {self.half_width}")
 

@@ -88,9 +88,9 @@ angular operator Gamma = Q P^(-1), ||Gamma|| < 1, and
 
     ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||).
 
-No root of U is formed for it: with U^2 = E diag(d^4) E^T
-(ModelSpec.u2_eigenbasis), E^T a = d E^T z_1 and E^T b = E^T z_2 / d,
-and the orthogonal E changes no norm (_rotated_h_frame).
+Neither Y, J1 nor a root of U is formed for it: with
+U^2 = E diag(d^4) E^T (ModelSpec.u2_eigenbasis), E^T a = d E^T z_1 and
+E^T b = E^T z_2 / d, and the orthogonal E changes no norm.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ from .core import (
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
-    apply_j,
     contraction,
     shifted_potential,
     spectral_norm,
@@ -118,7 +117,6 @@ from .exceptions import KGError, NotCertified
 __all__ = [
     "SpectrumReport",
     "SpectrumStack",
-    "SignOperator",
     "DefectWitness",
     "eigen_spectrum",
     "eigen_spectra",
@@ -195,35 +193,6 @@ class SpectrumReport:
     spec: ModelSpec = field(repr=False, compare=False)
     witness: DefectWitness | None = field(default=None, repr=False)
     pencil_factor: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class SignOperator:
-    """J1 = sign(H - mu*I) of a pencil-route spectrum, and its norm.
-
-    ``norm_j1`` = ||J1|| = (1 + g) / (1 - g), g = ||Gamma|| the norm of
-    the angular operator (see sign_operator).  ``y`` forms the factor Y,
-    the H-frame pencil eigenvectors scaled to J-signature +-1, and
-    ``j1`` the product J1 = Y (J Y)^T, both anew on every access.
-    """
-
-    report: SpectrumReport = field(repr=False)
-    norm_j1: float
-
-    @property
-    def y(self):
-        """Y = D Z |Theta|^(-1/2), D = diag(U^(1/2), U^(-1/2)); ||Y||^2 = ||J1||."""
-        spec = self.report.spec
-        rotated = _rotated_h_frame(spec, self.report.eigenvectors)
-        y = np.concatenate([spec.u2_eigenbasis[1] @ r for r in rotated])
-        y /= np.sqrt(np.abs(self.report.signatures))
-        return y
-
-    @property
-    def j1(self):
-        """J1 = Y (J Y)^T."""
-        y = self.y
-        return y @ apply_j(y).T
 
 
 @dataclass(frozen=True)
@@ -682,40 +651,18 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     )
 
 
-def _rotated_h_frame(spec: ModelSpec, z):
-    """(d E^T z_1, E^T z_2 / d): D z, D = diag(U^(1/2), U^(-1/2)), in the basis E.
+def sign_operator(report: SpectrumReport) -> float:
+    """||J1||, J1 = sign(H - mu*I), of a pencil-route report.
 
-    U^2 = E diag(d^4) E^T (ModelSpec.u2_eigenbasis), so
-    E^T U^(+-1/2) = diag(d^(+-1)) E^T for K-frame columns z = [z_1; z_2];
-    two new n-row arrays.
-    """
-    d, e = spec.u2_eigenbasis
-    n = spec.order
-    return d[:, None] * (e.T @ z[:n]), (e.T @ z[n:]) / d[:, None]
-
-
-def sign_operator(report: SpectrumReport) -> SignOperator:
-    """J1 = sign(H - mu*I) and its norm from a pencil-route report.
-
-    The report's K-frame eigenvectors Z have (J z_k, z_k) = theta_k, and
-    D Z, D = diag(U^(1/2), U^(-1/2)), are the H-frame ones, so
-    J1 = Y (J Y)^T and ||J1|| = ||Y||^2 with Y = D Z |Theta|^(-1/2): no
-    second solve is needed.  The norm is taken at order n: in J's
-    eigenbasis the n positive columns [a; b] of D Z become
-    [P; Q] = [a + b; a - b] / sqrt(2), whose span, the positive
-    spectral subspace, is the graph of the angular operator
-    Gamma = Q P^(-1), a strict contraction; then
-
-        ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||),
-
-    one n x n solve and one n x n norm, and the column scales and the
-    1/sqrt(2) cancel in Gamma.  P and Q are taken in U^2's eigenbasis E,
-    from E^T a and E^T b of the positive columns (_rotated_h_frame),
-    which leaves ||Gamma|| as it is, and the solve (dgesv) overwrites
-    them.  Y itself is formed only when the operator's ``y`` or ``j1``
-    is read.  Raises NotCertified when the report came from the direct
-    path, that is when G - mu*J was not certified positive definite or
-    the Cholesky factorization of U^2 - (V - mu)^2 failed.
+    ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma = Q P^(-1) the
+    angular operator of the positive columns of the report's Z (see the
+    module docstring): one n x n solve and one n x n norm, in which the
+    column scales and the 1/sqrt(2) cancel.  P and Q are taken in U^2's
+    eigenbasis E, which leaves ||Gamma|| as it is, and the solve (dgesv)
+    overwrites them; neither Y nor J1 is formed.  Raises NotCertified
+    when the report came from the direct path, that is when G - mu*J was
+    not certified positive definite or the Cholesky factorization of
+    U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotCertified(
@@ -723,10 +670,13 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
             f"the spectrum at shift {report.shift:.17g} took the direct path"
         )
     n = report.spec.order
+    d, e = report.spec.u2_eigenbasis
     # the pencil orders lam ascending, with n eigenvalues on each side of
     # the shift: the last n columns are the positive ones; in the basis
     # E, [P; Q] = [a + b; a - b]
-    p, b = _rotated_h_frame(report.spec, report.eigenvectors[:, n:])
+    z = report.eigenvectors[:, n:]
+    p = d[:, None] * (e.T @ z[:n])
+    b = (e.T @ z[n:]) / d[:, None]
     q = p - b
     p += b
     del b
@@ -736,8 +686,7 @@ def sign_operator(report: SpectrumReport) -> SignOperator:
     # a singular P, like ||Gamma|| >= 1, can only come of rounding, and
     # then no finite norm is certified
     g = spectral_norm(gamma_t) if info == 0 else math.inf
-    norm_j1 = (1.0 + g) / (1.0 - g) if g < 1.0 else math.inf
-    return SignOperator(report=report, norm_j1=norm_j1)
+    return (1.0 + g) / (1.0 - g) if g < 1.0 else math.inf
 
 
 def _overflow_exponent(largest) -> int:

@@ -195,7 +195,7 @@ def test_criterion_6_property_suite(solved200):
         b = system.contraction
 
         # (a) sign-operator norm window
-        nj = sign_operator(item["report"]).norm_j1
+        nj = sign_operator(item["report"])
         assert 1.0 - 1e-12 <= nj <= 1.0 / (1.0 - b) + 1e-10
 
         # (b) guaranteed central gap
@@ -218,14 +218,14 @@ def test_criterion_6_property_suite(solved200):
 
         # (e) no perturbed eigenvalue inside the certified intervals
         gap = (lam[lam < 0].max(), lam[lam > 0].min())
-        predicted = gap_inclusion(gap, kappa).predicted
+        predicted = gap_inclusion(gap, kappa)
         improved = improved_inclusion(gap, km, kp)
         for interval in (predicted, improved):
             lo, hi = interval
             assert not np.any((lam_p > lo + 1e-12) & (lam_p < hi - 1e-12))
 
         # (f) positive semidefinite form growth never shrinks the gap
-        r = rng.normal(size=(2 * system.n, 2))
+        r = rng.normal(size=(2 * system.spec.order, 2))
         dg = r @ r.T
         dg *= 0.25 * spectral_norm(gram(system.spec)) / spectral_norm(dg)
         lam_grown = np.sort(similarity_eigensolve(gram(system.spec) + dg, 0.0)[0])

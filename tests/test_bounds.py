@@ -217,19 +217,13 @@ class TestRescaleKappa:
 
 class TestGapInclusion:
     def test_straddling(self):
-        inc = gap_inclusion((-1.0, 1.0), 0.2)
-        assert inc.case_tag == "straddling"
-        np.testing.assert_allclose(inc.predicted, (-0.8, 0.8))
+        np.testing.assert_allclose(gap_inclusion((-1.0, 1.0), 0.2), (-0.8, 0.8))
 
     def test_positive_gap(self):
-        inc = gap_inclusion((2.0, 4.0), 0.25)
-        assert inc.case_tag == "positive-gap"
-        np.testing.assert_allclose(inc.predicted, (2.5, 3.0))
+        np.testing.assert_allclose(gap_inclusion((2.0, 4.0), 0.25), (2.5, 3.0))
 
     def test_negative_gap(self):
-        inc = gap_inclusion((-4.0, -2.0), 0.25)
-        assert inc.case_tag == "negative-gap"
-        np.testing.assert_allclose(inc.predicted, (-3.0, -2.5))
+        np.testing.assert_allclose(gap_inclusion((-4.0, -2.0), 0.25), (-3.0, -2.5))
 
     def test_kappa_range(self):
         with pytest.raises(KappaOutOfRange):
@@ -238,18 +232,18 @@ class TestGapInclusion:
             gap_inclusion((-1.0, 1.0), -0.1)
 
     def test_empty_result_when_endpoints_cross(self):
-        inc = gap_inclusion((2.0, 2.2), 0.5)
-        assert not inc.predicted[0] < inc.predicted[1]
+        lo, hi = gap_inclusion((2.0, 2.2), 0.5)
+        assert not lo < hi
 
     def test_predicted_inside_original_for_straddling(self):
-        inc = gap_inclusion((-2.0, 3.0), 0.4)
-        assert inc.original[0] <= inc.predicted[0] <= inc.predicted[1] <= inc.original[1]
+        lo, hi = gap_inclusion((-2.0, 3.0), 0.4)
+        assert -2.0 <= lo <= hi <= 3.0
 
 
 class TestImprovedInclusion:
     def test_symmetric_pair_reduces_to_plain(self):
         improved = improved_inclusion((-1.0, 1.0), -0.3, 0.3)
-        plain = gap_inclusion((-1.0, 1.0), 0.3).predicted
+        plain = gap_inclusion((-1.0, 1.0), 0.3)
         np.testing.assert_allclose(improved, plain)
         np.testing.assert_allclose(improved, (-0.7, 0.7))
 
@@ -274,7 +268,7 @@ class TestImprovedInclusion:
             kappa = max(abs(km), abs(kp))
             if kappa >= 1.0:
                 continue
-            plain = gap_inclusion(gap, kappa).predicted
+            plain = gap_inclusion(gap, kappa)
             improved = improved_inclusion(gap, km, kp)
             assert improved[0] <= plain[0] + 1e-12
             assert plain[1] <= improved[1] + 1e-12
@@ -298,7 +292,7 @@ class TestNormBoundInterval:
         system = assemble_system(spec, -0.5)
         report = eigen_spectrum(system)
         gap = report.central_gap
-        nj1 = sign_operator(report).norm_j1
+        nj1 = sign_operator(report)
         lo, hi = norm_bound_interval(gap, 0.1, nj1)
         report_p = eigen_spectrum(
             assemble_system(spec.perturbed(np.diag([0.1, 0.0])), -0.5)
@@ -315,7 +309,7 @@ class TestNormBoundInterval:
             report = eigen_spectrum(system)
             gap = report.central_gap
             a = spectral_norm(delta_gram(system, PerturbationSpec(delta_v=dv)))
-            lo, hi = norm_bound_interval(gap, a, sign_operator(report).norm_j1)
+            lo, hi = norm_bound_interval(gap, a, sign_operator(report))
             if lo >= hi:
                 continue
             report_p = eigen_spectrum(assemble_system(spec.perturbed(dv), 0.0))
@@ -814,7 +808,7 @@ class TestMonotoneDomination:
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
             lam, _ = similarity_eigensolve(gram(system.spec), 0.0)
-            r = rng.normal(size=(2 * system.n, 2))
+            r = rng.normal(size=(2 * system.spec.order, 2))
             dg = r @ r.T
             dg *= 0.3 * spectral_norm(gram(system.spec)) / spectral_norm(dg)
             lam_p, _ = similarity_eigensolve(gram(system.spec) + dg, 0.0)

@@ -18,7 +18,6 @@ import scipy.linalg
 from kgbounds import (
     KleinGordonSystem,
     ModelSpec,
-    apply_j,
     assemble_system,
     cli,
     core,
@@ -35,7 +34,7 @@ from kgbounds import (
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 from conftest import random_model
-from oracles import h_frame
+from oracles import h_frame, j_matrix
 
 
 def _fmt(x) -> str:
@@ -207,7 +206,7 @@ class TestBoundsCommand:
         assert abs(float(rows["perturbation_norm"][0]) - dv) <= 2 * np.spacing(dv)
         report = eigen_spectrum(assemble_system(spec, 0.0))
         y = h_frame(report) / np.sqrt(np.abs(report.signatures))
-        norm_j1 = spectral_norm(y @ apply_j(y).T)
+        norm_j1 = spectral_norm(y @ (j_matrix(spec.order) @ y).T)
         assert norm_j1 > 1.0
         expected = norm_bound_interval(report.central_gap, dv, norm_j1)
         uniform = [float(x) for x in rows["interval_uniform"]]
@@ -1434,6 +1433,33 @@ _FAILURES = {
         MemoryError("Unable to allocate 7.28 TiB for an array"),
         EXIT_SOLVER,
     ),
+    # sizes numpy refuses outright (more bytes than an intp holds) are
+    # the allocation failures they stand for; nothing is allocated
+    "refused-grid-points": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "99999999999999999999"],
+        None,
+        EXIT_SOLVER,
+    ),
+    "refused-grid-bytes": (
+        ["spectrum", "--alpha", "0.3", "--grid-points", "4611686018427387904"],
+        None,
+        EXIT_SOLVER,
+    ),
+    "refused-grid-points-file": (
+        ["spectrum", "--model", "{tmp}/refused_grid.json"], None, EXIT_SOLVER
+    ),
+    "refused-steps": (
+        ["sweep", "--tau", "1", "--sweep-range", "0:2", "--steps",
+         "99999999999999999999"],
+        None,
+        EXIT_SOLVER,
+    ),
+    "refused-steps-bytes": (
+        ["sweep", "--tau", "1", "--sweep-range", "0:2", "--steps",
+         "4611686018427387904"],
+        None,
+        EXIT_SOLVER,
+    ),
     "lapack-failure": (
         ["bounds", "--tau", "1", "--eta", "0.1"],
         np.linalg.LinAlgError("Eigenvalues did not converge"),
@@ -1494,6 +1520,9 @@ def test_exit_contract(case, tmp_path, monkeypatch, capsys):
     (tmp_path / "huge_grid.json").write_text(
         '{"model": "harmonic", "alpha": 0.3, "grid_points": 5, "half_width": 1e300}'
     )
+    (tmp_path / "refused_grid.json").write_text(
+        '{"model": "harmonic", "alpha": 0.3, "grid_points": 1e300}'
+    )
     argv = [a.format(tmp=tmp_path, file=regular) for a in argv]
     if error is not None:
         def fail(*args, **kwargs):
@@ -1511,7 +1540,7 @@ def test_exit_contract(case, tmp_path, monkeypatch, capsys):
     if case.startswith("example2-"):
         flag = "--" + case.removeprefix("example2-")
         assert err.startswith(f"parse error: {flag} ") and not (tmp_path / "r").exists()
-    if error is not None:
+    if error is not None or case.startswith("refused-"):
         assert err.startswith("solver error: ")
 
 

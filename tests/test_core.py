@@ -249,7 +249,7 @@ class TestAssemble:
         for _ in range(5):
             spec, _ = random_model(rng)
             system = assemble_system(spec, float(rng.normal()))
-            j = j_matrix(system.n)
+            j = j_matrix(system.spec.order)
             assert np.abs(j @ hamiltonian(system.spec) - gram(system.spec)).max() <= 1e-10
             assert np.abs(j @ gram(system.spec) - hamiltonian(system.spec)).max() <= 1e-10
             np.testing.assert_array_equal(gram(system.spec), gram(system.spec).T)
@@ -264,7 +264,7 @@ class TestAssemble:
             spec, _ = random_model(rng)
             mu = float(rng.normal())
             system = assemble_system(spec, mu)
-            n = system.n
+            n = system.spec.order
             zero, eye = np.zeros((n, n)), np.eye(n)
             l_block = np.block([[spec.cholesky, zero], [zero, eye]])
             a = operator_a(spec, mu)
@@ -296,7 +296,7 @@ class TestAssemble:
         for _ in range(5):
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
-            n, a, b = system.n, operator_a(spec, 0.0), system.contraction
+            n, a, b = system.spec.order, operator_a(spec, 0.0), system.contraction
             middle = np.block([[np.eye(n), a.T], [a, np.eye(n)]])
             eigs = np.linalg.eigvalsh(middle)
             assert eigs[0] >= 1.0 - b - 1e-12

@@ -10,7 +10,6 @@ from kgbounds import (
     HarmonicParams,
     ModelSpec,
     NotCertified,
-    apply_j,
     assemble_system,
     core,
     eigen_spectrum,
@@ -188,7 +187,7 @@ def column_loop_signatures(eigenvectors):
     """The per-column reference: (J x, x) / (x, x) by vdot."""
     return np.array(
         [
-            np.real(np.vdot(x, apply_j(x))) / np.real(np.vdot(x, x))
+            np.real(np.vdot(x, j_matrix(x.size // 2) @ x)) / np.real(np.vdot(x, x))
             for x in eigenvectors.T
         ]
     )
@@ -220,48 +219,57 @@ class TestClassify:
             )
 
 
+def sign_factor(report):
+    """(Y, J1) of a pencil-route report from the oracle H frame.
+
+    Y = D Z |Theta|^(-1/2), the H-frame eigenvectors scaled to
+    J-signature +-1, and J1 = sign(H - mu*I) = Y (J Y)^T.
+    """
+    y = h_frame(report) / np.sqrt(np.abs(report.signatures))
+    return y, y @ (j_matrix(report.spec.order) @ y).T
+
+
 class TestSignOperator:
     def test_free_case_returns_j(self):
-        system = assemble_system(free_spec([1.0, 3.0]), 0.0)
-        so = sign_operator(eigen_spectrum(system))
-        np.testing.assert_allclose(so.j1, j_matrix(2), atol=1e-12)
-        assert abs(so.norm_j1 - 1.0) <= 1e-12
+        report = eigen_spectrum(assemble_system(free_spec([1.0, 3.0]), 0.0))
+        np.testing.assert_allclose(sign_factor(report)[1], j_matrix(2), atol=1e-12)
+        assert abs(sign_operator(report) - 1.0) <= 1e-12
 
     def test_j1_is_derived_from_the_factor(self):
         rng = np.random.Generator(np.random.PCG64(12))
         spec, _ = random_model(rng)
         report = eigen_spectrum(assemble_system(spec, 0.0))
-        so = sign_operator(report)
-        np.testing.assert_array_equal(so.j1, so.y @ apply_j(so.y).T)
-        assert abs(so.norm_j1 - spectral_norm(so.y) ** 2) <= 1e-13 * so.norm_j1
+        norm_j1 = sign_operator(report)
+        y, _ = sign_factor(report)
+        assert abs(norm_j1 - spectral_norm(y) ** 2) <= 1e-13 * norm_j1
         # the angular identity: in J's eigenbasis the positive columns of Y
         # are [P; Q] with P^T P - Q^T Q = I, and Gamma = Q P^(-1) has
         # ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||)
         n = spec.order
-        y = so.y[:, report.signatures > 0.0]
+        y = y[:, report.signatures > 0.0]
         p = (y[:n] + y[n:]) / np.sqrt(2.0)
         q = (y[:n] - y[n:]) / np.sqrt(2.0)
         np.testing.assert_allclose(p.T @ p - q.T @ q, np.eye(n), atol=1e-12)
         g = np.linalg.norm(q @ np.linalg.inv(p), 2)
         assert g < 1.0
-        assert abs(so.norm_j1 - (1.0 + g) / (1.0 - g)) <= 1e-13 * so.norm_j1
+        assert abs(norm_j1 - (1.0 + g) / (1.0 - g)) <= 1e-13 * norm_j1
 
     def test_square_well_norm_window(self):
         system = assemble_system(square_well_model(1.0), -0.5)
-        so = sign_operator(eigen_spectrum(system))
-        assert 1.0 - 1e-12 <= so.norm_j1 <= 2.0 + 1e-10  # 1/(1-b) = 2
+        norm_j1 = sign_operator(eigen_spectrum(system))
+        assert 1.0 - 1e-12 <= norm_j1 <= 2.0 + 1e-10  # 1/(1-b) = 2
 
     def test_involution_and_product_definiteness(self):
         rng = np.random.Generator(np.random.PCG64(11))
         spec, _ = random_model(rng)
-        system = assemble_system(spec, 0.0)
-        so = sign_operator(eigen_spectrum(system))
-        two_n = 2 * system.n
-        assert spectral_norm(so.j1 @ so.j1 - np.eye(two_n)) <= 1e-8
-        product = j_matrix(system.n) @ so.j1
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        _, j1 = sign_factor(report)
+        two_n = 2 * spec.order
+        assert spectral_norm(j1 @ j1 - np.eye(two_n)) <= 1e-8
+        product = j_matrix(spec.order) @ j1
         assert np.abs(product - product.T).max() <= 1e-10
         eigs = np.linalg.eigvalsh(0.5 * (product + product.T))
-        assert eigs[0] >= 1.0 / so.norm_j1 - 1e-9
+        assert eigs[0] >= 1.0 / sign_operator(report) - 1e-9
 
     def test_matches_eigendecomposition_of_h(self):
         # J1 is the matrix function sign(. - mu) of H: X sign(Lambda - mu) X^-1
@@ -272,7 +280,7 @@ class TestSignOperator:
             system = assemble_system(spec, mu)
             lam, x = np.linalg.eig(hamiltonian(system.spec))
             oracle = np.real((x * np.sign(lam.real - mu)) @ np.linalg.inv(x))
-            j1 = sign_operator(eigen_spectrum(system)).j1
+            _, j1 = sign_factor(eigen_spectrum(system))
             assert np.abs(j1 - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
     def test_norm_bounded_by_contraction(self):
@@ -280,9 +288,9 @@ class TestSignOperator:
         for _ in range(20):
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
-            so = sign_operator(eigen_spectrum(system))
-            assert 1.0 - 1e-12 <= so.norm_j1
-            assert so.norm_j1 <= 1.0 / (1.0 - system.contraction) + 1e-10
+            norm_j1 = sign_operator(eigen_spectrum(system))
+            assert 1.0 - 1e-12 <= norm_j1
+            assert norm_j1 <= 1.0 / (1.0 - system.contraction) + 1e-10
 
     def test_direct_path_report_rejected(self):
         # b = 1 at the paper shift: the report is not certified
@@ -295,14 +303,14 @@ class TestSignOperator:
         # (psi, psi)/||J1|| <= (J J1 psi, psi) <= (psi, psi) ||J1||
         rng = np.random.Generator(np.random.PCG64(14))
         spec, _ = random_model(rng, n=4)
-        system = assemble_system(spec, 0.0)
-        so = sign_operator(eigen_spectrum(system))
-        product = 0.5 * (lambda m: m + m.T)(j_matrix(4) @ so.j1)
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        norm_j1 = sign_operator(report)
+        product = 0.5 * (lambda m: m + m.T)(j_matrix(4) @ sign_factor(report)[1])
         for _ in range(20):
             psi = rng.normal(size=8)
             val = psi @ product @ psi
             norm2 = psi @ psi
-            assert norm2 / so.norm_j1 - 1e-9 <= val <= norm2 * so.norm_j1 + 1e-9
+            assert norm2 / norm_j1 - 1e-9 <= val <= norm2 * norm_j1 + 1e-9
 
 
 class TestCentralGap:
@@ -461,7 +469,7 @@ class TestDefectCheck:
         assert report.defective
         assert abs(complex(report.witness.eigenvalue).real + 1.0) < 1e-6
         x = report.witness.vector
-        neutrality = abs(np.vdot(x, apply_j(x))) / np.vdot(x, x).real
+        neutrality = abs(np.vdot(x, j_matrix(x.size // 2) @ x)) / np.vdot(x, x).real
         assert neutrality < 1e-6
 
     def test_one_svd_per_cluster(self, svd_calls):

@@ -35,7 +35,9 @@ from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
 up, where the tridiagonal form is not), one model file of order 1
 (whose U^2 is decomposed by a dense eigh: LAPACK's dstevd takes no
-empty off-diagonal), the oscillator at N = 24, 80
+empty off-diagonal), ``spectrum`` on U^2 = I_2, V = 1.5 I_2 (b = 1.5:
+the direct path, whose double eigenvalues 0.5 and 2.5 enter its
+multiplicity test, spectral._cluster_defects), the oscillator at N = 24, 80
 and 160 with alpha 0.3 and 0.985, ``spectrum`` and ``bounds`` on the
 oscillator at N = 12 (the tridiagonal T from spectral's
 _TRIDIAGONAL_MIN_ORDER = 8 up), the text report of ``kg bounds``,
@@ -77,7 +79,8 @@ def random_models(directory: Path) -> list[str]:
 
     The small models come first, then the one of order DENSE_ORDER,
     whose potential is scaled to the contraction DENSE_CONTRACTION,
-    then one of order 1, which draws nothing.
+    then one of order 1 and one of order 2 with U^2 = I, V = 1.5 I,
+    which draw nothing.
     """
     rng = np.random.Generator(np.random.PCG64(RANDOM_SEED))
     names = []
@@ -103,6 +106,7 @@ def random_models(directory: Path) -> list[str]:
     b = np.linalg.norm(v @ (p / np.sqrt(w)) @ p.T, 2)   # ||V U^(-1)||
     write(f"random{len(RANDOM_SCALES)}", u_squared, v * (DENSE_CONTRACTION / b))
     write("order1", np.array([[2.5]]), np.array([[0.7]]))   # b = 0.44
+    write("double", np.eye(2), 1.5 * np.eye(2))   # b = 1.5
     return names
 
 
@@ -140,11 +144,12 @@ def commands(models: list[str]) -> list[list[str]]:
         ["bounds", *model, "--optimize-shift", *perturbation],
         ["verify", *model, "--shift", "0", *perturbation],
     ]
-    model = ["--model", "{tmp}/" + models[-1]]
+    model = ["--model", "{tmp}/" + models[-2]]
     cmds += [
         ["spectrum", *model, "--shift", "0"],
         ["bounds", *model, "--shift", "0", *perturbation],
         ["verify", *model, "--shift", "0", *perturbation],
+        ["spectrum", "--model", "{tmp}/" + models[-1], "--shift", "0"],
     ]
     for alpha, sizes in (("0.3", (24, 80, 160)), ("0.985", (24, 80))):
         for n in sizes:
