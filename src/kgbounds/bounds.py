@@ -665,12 +665,14 @@ class VerificationReport:
     ``bounds`` is the BoundsReport of the unperturbed model, whose
     certified spectrum is real, and ``checks`` its kappa constants
     against the signed deviations (BoundsReport.checks).  ``residuals``
-    / ``residuals_perturbed`` are the eigenpair backward errors
-    (spectral.eigenpair_residuals) of ``eigenvalues`` /
-    ``eigenvalues_perturbed``, the real parts of the two spectra, with
-    their computed eigenvectors under the model and the perturbed model;
-    ``real_spectrum_perturbed`` says whether the perturbed spectrum is
-    real.
+    / ``residuals_perturbed`` bound sigma_min(Q(lam)) for ``eigenvalues``
+    / ``eigenvalues_perturbed``, the real parts of the two spectra, under
+    the model and the perturbed model: the certified bounds B(lam) of a
+    spectrum that counts certified (spectral.eigen_spectrum with
+    certify=True), else the eigenpair backward errors
+    (spectral.eigenpair_residuals) of the real parts with the computed
+    eigenvectors.  ``real_spectrum_perturbed`` says whether the perturbed
+    spectrum is real.
     """
 
     eigenvalues: np.ndarray
@@ -685,23 +687,40 @@ class VerificationReport:
     residuals_perturbed: np.ndarray = field(repr=False)
 
 
+def _gated_residuals(spec: ModelSpec, report, lam):
+    """The residuals the gate reads for the real parts ``lam`` of a report's spectrum.
+
+    The certified bounds B(lam) when counts certified them (the report
+    has no eigenvectors), else the eigenpair backward errors of ``lam``
+    with the report's eigenvectors.
+    """
+    if report.eigenvectors is None:
+        return report.residual_bounds
+    return eigenpair_residuals(spec, lam, report.eigenvectors)
+
+
 def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationReport:
     """Compare predicted bounds against the exactly computed spectra.
 
-    Starts from bounds_report, so ContractionNotLessThanOne is raised
+    Starts as bounds_report does, so ContractionNotLessThanOne is raised
     when b >= 1 before the perturbed model is built or anything is
     solved.  Then solves the perturbed spectrum at the same shift
     (general eigensolver with real parts when its contraction passes
     one), pairs eigenvalues in ascending order and checks each kappa
-    constant against the deviations.
+    constant against the deviations.  Both spectra are solved with
+    certify=True: on the tridiagonal T (an oscillator, and its
+    perturbation by a diagonal dV) no eigenvector is formed where
+    counts certify the eigenvalues.
     """
-    bounds = bounds_report(spec, pert, shift)
-    rep = bounds.spectrum
+    system = assemble_system(spec, shift)
+    gap_bound(system)
+    rep = eigen_spectrum(system, certify=True)
+    bounds = perturbation_constants(system, pert, rep)
     spec_p = spec.perturbed(bounds.perturbation.delta_v)
-    rep_p = eigen_spectrum(assemble_system(spec_p, shift))
+    rep_p = eigen_spectrum(assemble_system(spec_p, shift), certify=True)
 
     # both solver paths order by real part, so lam and lam_p line up
-    # with each other and with the eigenvector columns kept in the report
+    # with each other and with the eigenvector columns kept in the reports
     lam, lam_p = np.real(rep.eigenvalues), np.real(rep_p.eigenvalues)
     assert np.all(np.diff(lam) >= 0.0) and np.all(np.diff(lam_p) >= 0.0)
 
@@ -723,6 +742,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         bounds=bounds,
         checks=bounds.checks(signed),
         real_spectrum_perturbed=rep_p.is_real_spectrum,
-        residuals=eigenpair_residuals(spec, lam, rep.eigenvectors),
-        residuals_perturbed=eigenpair_residuals(spec_p, lam_p, rep_p.eigenvectors),
+        residuals=_gated_residuals(spec, rep, lam),
+        residuals_perturbed=_gated_residuals(spec_p, rep_p, lam_p),
     )

@@ -10,8 +10,13 @@ what it returns: ``kg bounds`` writes the rows of bounds.BoundsReport,
 as CSV or, with ``--format report``, as one aligned text line per row
 under a model/shift header.
 The residual columns (``pencil_residual`` of spectrum, ``residual_max``
-of sweep) hold eigenpair backward errors ||Q(lam) x|| / ||x|| of
-Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE.
+of sweep) hold, for each eigenvalue lam, an upper bound on
+sigma_min(Q(lam)), Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE:
+on a pencil row of the tridiagonal T (the oscillator from order 8 up)
+whose eigenvalues counts certified, the bound B(lam) that their
+enclosure gives (spectral.eigen_spectra with certify=True), and on
+every other row the eigenpair backward error ||Q(lam) x|| / ||x||.
+``kg verify`` gates the eigenvalues of both of its spectra the same way.
 CSV output is UTF-8 with LF line endings and full-precision reals, so a
 fixed configuration and seed reproduce byte-identical files; each row
 is one %-format of plain values, the bytes csv.writer writes for cells
@@ -50,9 +55,11 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
-#: an emitted eigenvalue fails the run when the backward error
-#: ||Q(lam) x|| / ||x|| of its eigenpair, Q(lam) = (lam - V)^2 - U^2,
-#: exceeds RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2)
+#: an emitted eigenvalue fails the run when its residual, the backward
+#: error ||Q(lam) x|| / ||x|| of its eigenpair or the bound B(lam) that
+#: counts certify, both at least sigma_min(Q(lam)) for
+#: Q(lam) = (lam - V)^2 - U^2, exceeds
+#: RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2)
 RESIDUAL_GATE = 1e-6
 
 
@@ -241,7 +248,7 @@ def _gate_exit(
     """EXIT_SOLVER, naming the first failing eigenvalue, when a residual fails its gate.
 
     ``lams`` holds the emitted eigenvalues and ``resids`` their
-    eigenpair backward errors (spectral.eigenpair_residuals); ``rows``
+    residuals (eigenpair backward errors or certified bounds); ``rows``
     (the row label of each) and ``couplings`` t broadcast against them.
     The gate of each is RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2),
     and the first failing entry in row-major order is named, with
@@ -281,9 +288,12 @@ def _gate_exit(
 
 def cmd_spectrum(args) -> int:
     spec, _, shift = _resolve(args)
-    report = eigen_spectrum(assemble_system(spec, shift))
+    report = eigen_spectrum(assemble_system(spec, shift), certify=True)
     lams = report.eigenvalues
-    resids = eigenpair_residuals(spec, lams, report.eigenvectors)
+    if report.eigenvectors is None:   # certified by counts
+        resids = report.residual_bounds
+    else:
+        resids = eigenpair_residuals(spec, lams, report.eigenvectors)
     rows = zip(
         range(lams.size),
         np.real(lams).tolist(),
@@ -377,13 +387,14 @@ def cmd_verify(args) -> int:
         ],
         rows(),
     )
-    # each eigenvalue is gated on the larger of its two residuals
-    worse = resids_p > resids
+    # each eigenvalue is gated on the larger of its two residuals, and
+    # on a nan of either: the note names the perturbed side when it failed
+    perturbed = np.isnan(resids_p) | (resids_p > resids)
 
     def cause(index):
         # the emitted values are real parts: on a non-real perturbed
         # spectrum their residuals fail the gate, and the message says so
-        if not worse[index]:
+        if not perturbed[index]:
             return ""
         note = f"perturbed eigenvalue {report.eigenvalues_perturbed[index]:.17g}"
         real = report.real_spectrum_perturbed
@@ -394,7 +405,7 @@ def cmd_verify(args) -> int:
         "index",
         np.arange(resids.size),
         report.eigenvalues,
-        np.where(worse, resids_p, resids),
+        np.maximum(resids, resids_p),
         cause=cause,
     )
 

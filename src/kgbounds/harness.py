@@ -21,12 +21,13 @@ The two reproductions are desk-scale experiments:
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
 eigenvalues collide and leave the real axis.  It solves its steps in
-blocks of couplings, one stacked spectral.eigen_spectra call and one
-stacked eigenpair_residuals call per block, sized by BLOCK_BUDGET: on
+blocks of couplings, one stacked spectral.eigen_spectra call per block
+with certify=True and one stacked eigenpair_residuals call for the
+block's rows that kept their eigenvectors, sized by BLOCK_BUDGET: on
 the dense route a block's temporaries stay near those of a single
 step, and on the tridiagonal route, whose rows are solved one at a time
-with O(n) work beside their eigenvectors, a block holds the rows whose
-eigenvalues fill BLOCK_BUDGET.
+for their eigenvalues alone and certified by counts in O(n) memory per
+eigenvalue, a block holds the rows whose eigenvalues fill BLOCK_BUDGET.
 """
 
 from __future__ import annotations
@@ -350,10 +351,12 @@ class SweepResult:
     """Eigenvalue trajectories as the potential is scaled.
 
     ``eigenvalues[k]`` holds the spectrum (complex, sorted) at
-    ``parameters[k]``; ``residuals[k, j]`` is the eigenpair backward error
-    ||Q(lam) x|| / ||x|| of ``eigenvalues[k, j]`` under the potential
-    ``parameters[k] * V`` (spectral.eigenpair_residuals), and
-    ``residual_max[k]`` its row maximum.  ``critical_value`` is the
+    ``parameters[k]``; ``residuals[k, j]`` bounds sigma_min(Q(lam)) for
+    lam = ``eigenvalues[k, j]`` under the potential ``parameters[k] * V``:
+    the certified bound B(lam) on a row that counts certified
+    (spectral.eigen_spectra with certify=True), else the eigenpair
+    backward error ||Q(lam) x|| / ||x|| (spectral.eigenpair_residuals);
+    ``residual_max[k]`` is its row maximum.  ``critical_value`` is the
     bisected coupling where the spectrum stops being real, or None when
     it stays real over the whole range.
     """
@@ -375,7 +378,8 @@ def sweep_potential(
     The steps are solved in blocks of max(1, BLOCK_BUDGET // (2n)^2)
     couplings, or of max(1, BLOCK_BUDGET // 2n) when the spectral module
     solves the rows by the tridiagonal T, one stacked eigen_spectra call
-    and one stacked eigenpair_residuals call per block.  Every t V is
+    per block, with certify=True, and one stacked eigenpair_residuals
+    call for the block's rows that kept their eigenvectors.  Every t V is
     exactly symmetric, and |t| is largest at an end of the range, so the
     two end potentials are validated (ValidationError when t V leaves
     the float range) before anything is solved, and a steps count whose
@@ -411,12 +415,16 @@ def sweep_potential(
     for start in range(0, steps, block):
         rows = slice(start, start + block)
         t = params[rows]
-        solved = eigen_spectra(base, t, shift)
+        solved = eigen_spectra(base, t, shift, certify=True)
         # both solver paths order by real part, then imaginary part
         eigenvalues[rows] = solved.eigenvalues
-        residuals[rows] = eigenpair_residuals(
-            base, solved.eigenvalues, solved.eigenvectors, t
-        )
+        if solved.residual_bounds is not None:
+            residuals[rows] = solved.residual_bounds
+        if solved.eigenvectors is not None:
+            kept = ~solved.certified
+            residuals[rows][kept] = eigenpair_residuals(
+                base, solved.eigenvalues[kept], solved.eigenvectors, t[kept]
+            )
         real_flags[rows] = solved.is_real
         defect_flags[rows] = solved.defective
 

@@ -74,6 +74,63 @@ T, which the pencil rows then compute alone by one bisection
 (core._eigenvalues, or dstebz on the tridiagonal T), and
 neither X nor Z is formed, since the signatures are 1/sigma.
 
+Counts certify the tridiagonal rows without eigenvectors.  For real s,
+K - s*J = [[U^2, V - s], [V - s, I]] has the Schur complement
+U^2 - (V - s)^2 = -Q(s) of its identity block, so by Sylvester's law of
+inertia it has n + p positive eigenvalues, p the number of negative
+ones of Q(s).  And K - s*J = F (I - (s - mu) T^(-1)) F^T, since
+F^(-1) J F^(-T) = T^(-1), so it has as many positive eigenvalues as
+I - (s - mu) T^(-1), whose eigenvalues are 1 - (s - mu)/sigma_k: for
+s > mu the n with sigma_k < 0 are positive, and so are those with
+lam_k > s; for s < mu the n with sigma_k > 0, and those with lam_k < s.
+Hence, wherever K - mu*J is positive definite (the hyperbolic quadratic;
+Guo, Higham & Tisseur, SIMAX 30, 2009),
+
+    #{negative eigenvalues of Q(s)} = #{k : lam_k > s}   (s >= mu),
+                                      #{k : lam_k < s}   (s <= mu),
+
+and two counts prove where the k-th exact eigenvalue lies: with j its
+place counted from the far end of its side of the shift (2n - k above
+it, k + 1 below it, k = 0 .. 2n-1 ascending), at least j negative
+eigenvalues of Q at the end of an interval nearer the shift and at most
+j - 1 at the farther end put it in the interval, whatever the other
+eigenvalues.  For a tridiagonal spec Q(s) is tridiagonal, with diagonal
+a_i = (s - v_i)^2 - u_ii and off-diagonal e_i = -u_i,i+1, and its
+negative count is that of the pivots of its L D L^T recurrence
+p_i = a_i - e_i-1^2 / p_i-1 (_sturm_counts).  In floating point the
+signs of the computed pivots are exactly those of a matrix with the
+computed diagonal and each off-diagonal changed by at most 0.75 eps
+relative (Kahan; Demmel, Dhillon & Ren, ETNA 3, 1995), and forming the
+diagonal, shifted by g, moves a_i by at most
+eps (2.6 (s - v_i)^2 + 0.5 u_ii + 1.01 |g|).  By Gershgorin's theorem the
+count is then exact for Q(s) + g I + E with
+
+    ||E|| <= beta(s) = 4 eps ((|s| + ||V||)^2 + max u_ii + max |u_i,i+1|)
+
+when |g| <= beta(s), plus 2^-500 times the scale of the data for
+underflow (the data are first scaled by a power of two to entries below
+one).  So g = +beta(s) where a count must be at least j, and -beta(s)
+where it must be at most j - 1: Q(s) + beta I + E >= Q(s) has no more
+negative eigenvalues than Q(s), and Q(s) - beta I + E <= Q(s) no fewer,
+so each count can only under-certify.  The bound holds while no pivot
+overflows: a count whose pivots overflow or turn nan, after a zero or
+nearly zero pivot, is uncertain.
+
+With certify=True the pencil rows that _tridiagonal_rows routes to the
+tridiagonal T are solved for their eigenvalues alone (dsterf), and each
+lam_k is certified by the first half-width r = delta |lam_k - mu| of
+_ENCLOSURE_LADDER whose two counts, at lam_k -+ r, prove it, which also
+proves its index.  Then the exact eigenvalue lam* and a unit
+eigenvector x* of it give Q(lam) x* = (lam - lam*) (lam + lam* - 2V) x*,
+so
+
+    sigma_min(Q(lam)) <= B(lam) = r (2 |lam| + r + 2 ||V||),
+
+rounded up, which is the residual reported for lam (residual_bounds).
+A row with an eigenvalue that no rung certifies, its counts uncertain
+or short, is solved again with its eigenvectors, as every other row
+is, and its residuals are the eigenpair backward errors.
+
 The same solve gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
 Y = D Z |Theta|^(-1/2)
@@ -155,6 +212,29 @@ DIRECT_NORM_LIMIT = 2.0**510
 #: the dense one on every solve timed, to 3 %
 _TRIDIAGONAL_MIN_ORDER = 8
 
+#: the relative half-widths delta, tried in turn, of the enclosures
+#: lam -+ delta |lam - mu| that two counts certify (64 eps up to about
+#: 4e-9).  On the oscillator at shift 0 the first rung certifies 151 of
+#: the 160 eigenvalues at N = 80 and 1816 of 2000 at N = 1000 at
+#: alpha 0.3 (117 and 1791 at alpha 0.985), the second all but 2 (18)
+#: of 2000 at N = 1000, and the third the rest
+_ENCLOSURE_LADDER = (2.0**-46, 2.0**-40, 2.0**-34, 2.0**-28)
+
+#: entries of one block of _sturm_counts' pivots (a block holds the
+#: diagonals of a few positions for every shift)
+_COUNT_BLOCK = 4096
+
+#: the absolute part of _sturm_counts' slack beta, after its scaling:
+#: underflow in forming the diagonal, e^2 and e^2 / p moves Q(s) by far less
+_UNDERFLOW_SLACK = 2.0**-500
+
+#: the half-width r and B(lam) are each multiplied by 1 + _ROUND_UP,
+#: which more than covers their roundings (at most 2 and 4 of relative
+#: size eps/2).  An r or a B below _BOUND_FLOOR, where rounding is no
+#: longer relative, certifies nothing
+_ROUND_UP = 8.0 * np.finfo(float).eps
+_BOUND_FLOOR = 2.0**-900
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Classified spectrum of one assembled system.
@@ -178,11 +258,16 @@ class SpectrumReport:
     the factor M, M M^T = U^2 - (V - mu)^2, that certified the pencil:
     on the tridiagonal route (_tridiagonal_rows) the lower bidiagonal M
     in LAPACK's lower band storage, shape (2, n), else the dense lower
-    triangular M; None on the direct path.
+    triangular M; None on the direct path.  A report asked for with
+    certify=True whose eigenvalues counts certified (see the module
+    docstring) has no ``eigenvectors`` (None) and holds each
+    eigenvalue's residual bound B(lam) >= sigma_min(Q(lam)) in
+    ``residual_bounds``; any other report has its eigenvectors, and
+    ``residual_bounds`` None.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray | None = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     sign_types: tuple
     central_gap: tuple
@@ -193,6 +278,7 @@ class SpectrumReport:
     spec: ModelSpec = field(repr=False, compare=False)
     witness: DefectWitness | None = field(default=None, repr=False)
     pencil_factor: np.ndarray | None = field(default=None, repr=False)
+    residual_bounds: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -236,6 +322,12 @@ class SpectrumStack:
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
     routed on, and ``pencil_factors`` each pencil row's factor M, as
     SpectrumReport.pencil_factor holds it, and None for a direct row.
+    ``certified`` marks the rows whose eigenvalues counts certified
+    (certify=True; see the module docstring): those rows have no
+    eigenvectors, and ``eigenvectors`` stacks the other rows' alone, in
+    row order (None when there are none).  ``residual_bounds`` holds,
+    with certify=True, each certified row's bounds B(lam) on
+    sigma_min(Q(lam)), and nan on the other rows; else None.
     """
 
     eigenvalues: np.ndarray
@@ -246,6 +338,8 @@ class SpectrumStack:
     witnesses: tuple = field(repr=False)
     contractions: np.ndarray
     pencil_factors: tuple = field(repr=False)
+    certified: np.ndarray
+    residual_bounds: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def defective(self) -> np.ndarray:
@@ -302,7 +396,9 @@ def _tridiagonal_rows(spec: ModelSpec) -> bool:
     return spec.tridiagonal and spec.order >= _TRIDIAGONAL_MIN_ORDER
 
 
-def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
+def _k_frame_eigensolve(
+    spec: ModelSpec, w, nearest: int | None, vectors: bool = True
+):
     """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
 
     ``w`` holds W = V_k - shift*I, shape (k, n, n), or for
@@ -316,7 +412,8 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     x = M^(-T) y_1 and Z^T (K - shift*J) Z = I.  With ``nearest`` = k,
     T is solved for its eigenvalues n-k+1 .. n+k alone, the k nearest
     the shift on each side, and Z is None.  For _tridiagonal_rows(spec)
-    T is tridiagonal, and _tridiagonal_eigensolve solves it; otherwise
+    T is tridiagonal, and _tridiagonal_eigensolve solves it, for its
+    eigenvalues alone (Z None) when ``vectors`` is False; otherwise
     only the lower triangles of -Q(shift) and T are read, and T is
     built in Fortran order, so that a stack of one is reduced in place
     and its eigenvectors Y are turned into Z where they lie, with no
@@ -324,7 +421,7 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     """
     n = spec.order
     if _tridiagonal_rows(spec):
-        return _tridiagonal_eigensolve(spec, w, nearest)
+        return _tridiagonal_eigensolve(spec, w, nearest, vectors)
     m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
     if factored is not None:
         w, m = w[factored], m[factored]
@@ -345,7 +442,9 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     return sigma, y, m, factored
 
 
-def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
+def _tridiagonal_eigensolve(
+    spec: ModelSpec, w, nearest: int | None, vectors: bool = True
+):
     """_k_frame_eigensolve for a tridiagonal spec, from the diagonals ``w`` of W.
 
     -Q(shift) = U^2 - W^2 is tridiagonal, and LAPACK's dpttrf factors
@@ -354,9 +453,11 @@ def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
     the tridiagonal matrix with diagonal (2 w_0, 0, 2 w_1, 0, ...) and
     off-diagonal (M_00, M_10, M_11, M_21, ...).  Its eigenvalues come
     from dstebz (core._tridiagonal_eigenvalues, on T scaled as
-    core._unit_scaled scales a matrix), its eigenpairs from dstevd
-    (divide and conquer, the tridiagonal stage of dsyevd), and
-    x = M^(-T) y_1 from one banded triangular solve (dtbtrs).  Each
+    core._unit_scaled scales a matrix), all of them alone, when
+    ``vectors`` is False, from dsterf (the root-free QR iteration), its
+    eigenpairs from dstevd (divide and conquer, the tridiagonal stage of
+    dsyevd), and x = M^(-T) y_1 from one banded triangular solve
+    (dtbtrs).  Each
     row's Z is written into one stack, allocated once the first dstevd
     has returned (and freed its order-2n workspace), and M is returned
     in LAPACK's lower band storage, (2, n) per row.  A row whose dpttrf
@@ -384,6 +485,11 @@ def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
             middle = ((n - width // 2 + 1, n + width // 2),)
             sigma[slot] = _tridiagonal_eigenvalues(diagonal, off, middle)
             continue
+        if not vectors:
+            sigma[slot], info = lapack.dsterf(diagonal, off, overwrite_d=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            continue
         sigma[slot], y, info = lapack.dstevd(diagonal, off)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -397,6 +503,116 @@ def _tridiagonal_eigensolve(spec: ModelSpec, w, nearest: int | None):
     if z is not None:
         z = z[:count]
     return sigma[:count], z, bands, None if factored.all() else factored
+
+
+def _sturm_counts(spec: ModelSpec, shifts, couplings, signs):
+    """Negative counts of Q(s) + sign beta(s) I, per shift s, for a tridiagonal spec.
+
+    Q(s) = (s - t V)^2 - U^2 for the potential t V of the shift's
+    coupling t, formed with t V as eigen_spectra forms it, and beta(s)
+    the recurrence's backward error bound (see the module docstring):
+    a count with sign +1 is at most, and one with sign -1 at least, the
+    number of negative eigenvalues of Q(s) itself.  Returns (counts,
+    certain, beta): ``certain`` is False for a count whose pivots
+    overflowed or turned nan (after a zero or nearly zero pivot), the
+    one case the error bound does not cover.  s and t V are first
+    scaled by 2^-k and U^2 by 4^-k, the largest of |s|, ||t V|| and
+    ||U|| then below one, which changes no count; beta is returned
+    scaled back.  The recurrence runs over the positions, each step one
+    division and one subtraction on every shift at once, its diagonals
+    formed a block of positions at a time (_COUNT_BLOCK entries, so at
+    most _COUNT_BLOCK positions, and a block's count fits an int16).
+    """
+    s, t = np.asarray(shifts, dtype=float), np.asarray(couplings, dtype=float)
+    v = spec.v_band
+    # rounding is monotone: max_i |fl(t v_i)| = fl(|t| max_i |v_i|)
+    tv_norm = np.abs(t) * np.abs(v).max()
+    k = math.frexp(max(spec.u_max, np.abs(s).max(), tv_norm.max()))[1]
+    s, tv_norm, v = np.ldexp(s, -k), np.ldexp(tv_norm, -k), np.ldexp(v, -k)
+    d, e = (np.ldexp(band, -2 * k) for band in spec.u2_bands)
+    beta = (np.abs(s) + tv_norm) ** 2 + (d.max() + np.abs(e).max())
+    beta = 4.0 * np.finfo(float).eps * beta + _UNDERFLOW_SLACK
+    diagonal_shift = signs * beta
+    e2 = np.square(e).tolist()
+    n, width = spec.order, max(1, _COUNT_BLOCK // s.size)
+    block = np.empty((min(width, n), s.size))
+    negative = np.empty(block.shape, dtype=bool)
+    counts, total = np.zeros(s.size, dtype=np.intp), np.zeros(s.size)
+    carried, quotient = np.empty(s.size), np.empty(s.size)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, width):
+            a = block[: min(width, n - start)]
+            np.multiply(v[start : start + len(a), None], t, out=a)   # t v_i
+            np.subtract(s, a, out=a)
+            a *= a
+            a += diagonal_shift
+            a -= d[start : start + len(a), None]   # the diagonal of Q(s) + shift
+            for i, pivot in enumerate(a, start):
+                if i:
+                    np.divide(e2[i - 1], previous, out=quotient)
+                    pivot -= quotient
+                previous = pivot
+            np.less(a, 0.0, out=negative[: len(a)])
+            counts += negative[: len(a)].sum(axis=0, dtype=np.int16)
+            total += a.sum(axis=0)   # inf or nan once a pivot is
+            np.copyto(carried, previous)   # the block is written over next
+            previous = carried
+        return counts, np.isfinite(total), np.ldexp(beta, 2 * k)
+
+
+def _count_enclosures(spec: ModelSpec, lam, couplings, shift: float):
+    """Half-widths r of the enclosures [lam - r, lam + r] that counts certify.
+
+    One per eigenvalue: ``lam`` holds rows (k, 2n) of the ascending
+    eigenvalues of pencil rows at ``shift``, row i of the potential
+    t_i V, t_i = couplings[i].  Each lam_j is tried on the rungs delta of
+    _ENCLOSURE_LADDER in turn: the ends lam_j -+ delta |lam_j - shift|
+    are counted (_sturm_counts, the end nearer the shift with sign +1,
+    the farther with -1), and the first rung whose counts prove the
+    exact j-th eigenvalue between them (see the module docstring) gives
+    r, the larger distance of an end from lam_j, rounded up; nan where
+    no rung proves it.
+    """
+    n = lam.shape[-1] // 2
+    index = np.arange(2 * n)
+    side = np.where(index >= n, 1.0, -1.0)   # of the shift
+    place = np.where(index >= n, 2 * n - index, index + 1)   # from the far end
+    radius = np.full(lam.shape, np.nan)
+    for delta in _ENCLOSURE_LADDER:
+        rows, cols = np.isnan(radius).nonzero()
+        if not rows.size:
+            break
+        x, toward, m = lam[rows, cols], side[cols], rows.size
+        r = delta * np.abs(x - shift)
+        near, far = x - toward * r, x + toward * r
+        counts, certain, _ = _sturm_counts(
+            spec,
+            np.concatenate((near, far)),
+            np.tile(couplings[rows], 2),
+            np.repeat((1.0, -1.0), m),
+        )
+        j = place[cols]
+        proven = certain[:m] & certain[m:] & (toward * (near - shift) >= 0.0)
+        proven &= (counts[:m] >= j) & (counts[m:] < j)
+        r = np.maximum(np.abs(x - near), np.abs(far - x)) * (1.0 + _ROUND_UP)
+        radius[rows[proven], cols[proven]] = r[proven]
+    return radius
+
+
+def _residual_bounds(spec: ModelSpec, lam, couplings, shift: float):
+    """B(lam) = r (2 |lam| + r + 2 ||t V||) >= sigma_min(Q(lam)), rounded up.
+
+    One per eigenvalue, r its _count_enclosures half-width (see the
+    module docstring); nan where no rung certifies lam, and where r or
+    B lies outside [_BOUND_FLOOR, inf), where their roundings are not
+    relative.
+    """
+    r = _count_enclosures(spec, lam, couplings, shift)
+    tv_norm = (np.abs(couplings) * np.abs(spec.v_band).max())[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = r * (2.0 * np.abs(lam) + r + 2.0 * tv_norm) * (1.0 + _ROUND_UP)
+        valid = (_BOUND_FLOOR <= r) & (_BOUND_FLOOR <= bound) & (bound < np.inf)
+    return np.where(valid, bound, np.nan)
 
 
 def _signatures(eigenvectors):
@@ -527,6 +743,7 @@ def eigen_spectra(
     shift: float = 0.0,
     contractions=None,
     nearest: int | None = None,
+    certify: bool = False,
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
@@ -545,7 +762,11 @@ def eigen_spectra(
     each side of the shift, they are the k nearest it on each side,
     solved for alone (their signatures theta need no vectors); the
     direct rows still compute every eigenpair, with the vectors that
-    classify them.
+    classify them.  With ``certify`` (and no ``nearest``) the pencil
+    rows that take the tridiagonal T are solved for their eigenvalues
+    alone and certified by counts, with their residual_bounds (see the
+    module docstring); a row that the counts do not certify is solved
+    again with its eigenvectors, and every other row keeps them.
     """
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
@@ -556,17 +777,32 @@ def eigen_spectra(
         contractions = contraction(spec, shift, t)
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
-    solved = []   # (rows, lam, Z, signatures, is_real, witnesses) per path
+    counted = certify and nearest is None and _tridiagonal_rows(spec)
+    certified = np.zeros(t.size, dtype=bool)
+    bounds = np.full((t.size, 2 * spec.order), np.nan) if counted else None
+    # (rows, lam, Z of the rows not certified, signatures, is_real,
+    # witnesses) per path
+    solved = []
     factors = [None] * t.size
     rows = pencil.nonzero()[0]
     if rows.size:
-        sigma, z, m, factored = _k_frame_eigensolve(spec, w[rows], nearest)
+        sigma, z, m, factored = _k_frame_eigensolve(
+            spec, w[rows], nearest, vectors=not counted
+        )
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
         for row, factor in zip(rows.tolist(), m):
             factors[row] = factor
         if rows.size:
+            if counted:
+                row_bounds = _residual_bounds(spec, shift + sigma, t[rows], shift)
+                proven = ~np.isnan(row_bounds).any(axis=1)
+                certified[rows], bounds[rows[proven]] = proven, row_bounds[proven]
+                if not proven.all():
+                    # solved again, with the eigenvectors the gate then reads
+                    again = _tridiagonal_eigensolve(spec, w[rows[~proven]], None)
+                    sigma[~proven], z = again[:2]
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
             real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
@@ -586,18 +822,23 @@ def eigen_spectra(
         # rows of both paths: scatter them into one stack
         width = solved[0][1].shape[-1]
         lam = np.empty((k, width), np.result_type(*(p[1] for p in solved)))
-        if nearest is None:
-            vecs = np.empty(
-                (k, width, width), np.result_type(*(p[2] for p in solved))
-            )
         signatures, is_real = np.empty((k, width)), np.empty(k, dtype=bool)
         witnesses = [None] * k
-        for rows, lam_p, vecs_p, signatures_p, real_p, witnesses_p in solved:
+        for rows, lam_p, _, signatures_p, real_p, witnesses_p in solved:
             lam[rows], signatures[rows], is_real[rows] = lam_p, signatures_p, real_p
-            if nearest is None:
-                vecs[rows] = vecs_p
             for row, witness in zip(rows, witnesses_p):
                 witnesses[row] = witness
+        vecs = None
+        if nearest is None and not certified.all():
+            # the rows with eigenvectors, in row order
+            place = np.cumsum(~certified) - 1
+            vecs = np.empty(
+                (place[-1] + 1, width, width),
+                np.result_type(*(p[2] for p in solved if p[2] is not None)),
+            )
+            for rows, _, vecs_p, *_ in solved:
+                if vecs_p is not None:
+                    vecs[place[rows[~certified[rows]]]] = vecs_p
     return SpectrumStack(
         eigenvalues=lam,
         eigenvectors=vecs if nearest is None else None,
@@ -607,10 +848,12 @@ def eigen_spectra(
         witnesses=tuple(witnesses),
         contractions=contractions,
         pencil_factors=tuple(factors),
+        certified=certified,
+        residual_bounds=bounds,
     )
 
 
-def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
+def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
     The one row of eigen_spectra for the system's own potential at its
@@ -621,14 +864,17 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver
     on the companion form L_g, similar to H, and flags non-real pairs
     and defective eigenvalues.  Neither path forms H or a root of U.
+    With ``certify``, a tridiagonal pencil row that counts certify has
+    residual_bounds and no eigenvectors (see eigen_spectra).
     """
     mu, spec = system.shift, system.spec
-    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,))
+    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), certify=certify)
     lam, signatures = stack.eigenvalues[0], stack.signatures[0]
     pencil = bool(stack.pencil[0])
     # the pencil's signatures theta are never zero: its sign types need no tolerance
     signs = _sign_types(signatures, 0.0 if pencil else NEUTRAL_TOL)
     witness = stack.witnesses[0]
+    certified = bool(stack.certified[0])
 
     # both paths order lam ascending by real part
     re = np.real(lam)
@@ -637,7 +883,7 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
     hi = float(above[0]) if above.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
-        eigenvectors=stack.eigenvectors[0],
+        eigenvectors=None if certified else stack.eigenvectors[0],
         signatures=signatures,
         sign_types=signs,
         central_gap=(lo, hi),
@@ -648,21 +894,23 @@ def eigen_spectrum(system: KleinGordonSystem) -> SpectrumReport:
         spec=spec,
         witness=witness,
         pencil_factor=stack.pencil_factors[0],
+        residual_bounds=stack.residual_bounds[0] if certified else None,
     )
 
 
 def sign_operator(report: SpectrumReport) -> float:
-    """||J1||, J1 = sign(H - mu*I), of a pencil-route report.
+    """||J1||, J1 = sign(H - mu*I), of a pencil-route report with eigenvectors.
 
-    ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), Gamma = Q P^(-1) the
-    angular operator of the positive columns of the report's Z (see the
-    module docstring): one n x n solve and one n x n norm, in which the
-    column scales and the 1/sqrt(2) cancel.  P and Q are taken in U^2's
-    eigenbasis E, which leaves ||Gamma|| as it is, and the solve (dgesv)
-    overwrites them; neither Y nor J1 is formed.  Raises NotCertified
-    when the report came from the direct path, that is when G - mu*J was
-    not certified positive definite or the Cholesky factorization of
-    U^2 - (V - mu)^2 failed.
+    The report is one that eigen_spectrum solved without certify, so
+    that it keeps Z.  ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), with
+    Gamma = Q P^(-1) the angular operator of the positive columns of Z
+    (see the module docstring): one n x n solve and one n x n norm, in
+    which the column scales and the 1/sqrt(2) cancel.  P and Q are taken
+    in U^2's eigenbasis E, which leaves ||Gamma|| as it is, and the solve
+    (dgesv) overwrites them; neither Y nor J1 is formed.  Raises
+    NotCertified when the report came from the direct path, that is
+    when G - mu*J was not certified positive definite or the Cholesky
+    factorization of U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotCertified(

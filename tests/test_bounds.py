@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -784,6 +785,42 @@ class TestVerifyBounds:
         by_name = {c.name: c for c in vr.checks}
         assert abs(by_name["kappa_norm_product"].value - 2.0) <= 1e-12
         assert not by_name["kappa_norm_product"].applicable
+
+    def test_tridiagonal_sides_form_no_eigenvectors(self, monkeypatch):
+        # the N = 80 oscillator and its perturbation by a diagonal dV both
+        # take the tridiagonal T, whose eigenvalues counts certify: no
+        # dstevd, so no order-2n Z.  The traced peak is the kept results
+        # and at most 5/2 order-2n arrays' worth (421,792 bytes measured,
+        # 2.06 of them: the exact pair's S, reduced in place, and a few
+        # n x n arrays of dV's; 971,255 with both Z formed)
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("dstevd forms an eigenvector matrix")
+
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=80))
+        dv = np.diag(1e-3 * spec.v_band)
+        verify_bounds(spec, dv, 0.0)   # warm imports and caches
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_eigenvectors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = verify_bounds(spec, dv, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(check.passed for check in report.checks if check.applicable)
+        kept = sum(
+            a.nbytes
+            for a in (
+                report.eigenvalues,
+                report.eigenvalues_perturbed,
+                report.deviations,
+                report.signed_deviations,
+                report.residuals,
+                report.residuals_perturbed,
+            )
+        )
+        assert peak <= kept + 5 * 8 * 160**2 // 2
 
     def test_exact_pair_brackets_signed_deviations(self, corpus200):
         for spec, dv in corpus200[:40]:

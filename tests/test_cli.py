@@ -1035,6 +1035,110 @@ class TestStackedGate:
         assert err == reference_gate_message(spec, "index", checks)
 
 
+class TestCountedGate:
+    """The tridiagonal pencil rows of spectrum, sweep and verify: counts, not Z."""
+
+    @staticmethod
+    def oscillator_args(command, tmp_path, grid_points=64):
+        args = [command, "--alpha", "0.3", "--grid-points", str(grid_points)]
+        args += {"spectrum": [], "sweep": ["--sweep-range", "0:1", "--steps", "3"],
+                 "verify": ["--eta", "1e-3"]}[command]
+        return args + ["--out", str(tmp_path / "o.csv")]
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "verify"])
+    def test_pencil_solved_for_eigenvalues_alone(self, command, monkeypatch, tmp_path):
+        # each tridiagonal pencil row takes one dpttrf and one dsterf of
+        # the order-128 T: no dstevd, no banded solve for x (dtbtrs) and
+        # so no Z; verify's perturbed model, whose random dV is dense,
+        # keeps the dense T with its eigenvectors
+        lapack_calls, pencil_calls = [], []
+
+        def count_pencil(*args, **kwargs):
+            start = len(lapack_calls)
+            result = k_frame(*args, **kwargs)
+            pencil_calls.append(lapack_calls[start:])
+            return result
+
+        def spy(name):
+            routine = getattr(scipy.linalg.lapack, name)
+
+            def record(a, *args, **kwargs):
+                lapack_calls.append((name, np.shape(a)[-1]))
+                return routine(a, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg.lapack, name, record)
+
+        k_frame = spectral._k_frame_eigensolve
+        monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
+        for name in ("dpotrf", "dpttrf", "dsyevd", "dstevd", "dsterf", "dstebz",
+                     "dtrtrs", "dtbtrs"):
+            spy(name)
+        assert main(self.oscillator_args(command, tmp_path)) == EXIT_OK
+        rows = 3 if command == "sweep" else 1
+        assert pencil_calls[0] == [("dpttrf", 64), ("dsterf", 128)] * rows
+        if command == "verify":
+            dense = [("dpotrf", 64), ("dsyevd", 128), ("dtrtrs", 64)]
+            assert pencil_calls[1:] == [dense]
+        else:
+            assert len(pencil_calls) == 1
+        assert "dstevd" not in {name for name, _ in lapack_calls}
+
+    @pytest.mark.parametrize(
+        "gate, expected", [(cli.RESIDUAL_GATE, EXIT_OK), (1e-30, EXIT_SOLVER)],
+        ids=["pass", "fail"],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "verify"])
+    def test_uncertain_counts_take_the_eigenvector_gate(
+        self, command, gate, expected, monkeypatch, tmp_path, capsys
+    ):
+        # with every count uncertain each row is solved again with its
+        # eigenvectors and gated on its eigenpair residuals: the output,
+        # exit code and gate message of the solve without counts, byte for
+        # byte, whether the gate passes or (at a gate of 1e-30) fails
+        monkeypatch.setattr(cli, "RESIDUAL_GATE", gate)
+        args = self.oscillator_args(command, tmp_path, grid_points=24)
+        counts, spectra = spectral._sturm_counts, spectral.eigen_spectra
+
+        def uncertain(*args):
+            found, certain, beta = counts(*args)
+            return found, np.zeros_like(certain), beta
+
+        def without_counts(*args, certify=False, **kwargs):
+            return spectra(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_sturm_counts", uncertain)
+            code = main(args)
+            output, err = (tmp_path / "o.csv").read_bytes(), capsys.readouterr().err
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "eigen_spectra", without_counts)
+            patch.setattr(harness, "eigen_spectra", without_counts)
+            assert main(args) == code
+            assert (tmp_path / "o.csv").read_bytes() == output
+            assert capsys.readouterr().err == err
+        assert code == expected
+        assert ("pencil residual" in err) == (code == EXIT_SOLVER)
+
+    @pytest.mark.parametrize("side", ["residuals", "residuals_perturbed"])
+    def test_verify_nan_residual_fails_on_either_side(self, side, monkeypatch, capsys):
+        # a nan residual fails the gate on either side of each pair, and
+        # the message's note names the perturbed side when it failed
+        verify = cli.verify_bounds
+
+        def plant(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            planted = getattr(report, side).copy()
+            planted[1] = np.nan
+            return dataclasses.replace(report, **{side: planted})
+
+        monkeypatch.setattr(cli, "verify_bounds", plant)
+        assert main(["verify", "--tau", "1", "--eta", "0.1"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: at index 1, eigenvalue ")
+        assert "pencil residual nan exceeds the gate" in err
+        assert ("(perturbed eigenvalue " in err) == (side == "residuals_perturbed")
+
+
 class TestReproduceCommand:
     def test_example2_files(self, tmp_path, capsys):
         code = main(["reproduce", "example2", "--out", str(tmp_path)])

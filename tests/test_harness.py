@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kgbounds import (
     HarmonicParams,
@@ -185,7 +186,7 @@ def per_step_reports(base, params, shift):
     """eigen_spectrum of each step, one assembled system per coupling t."""
     for t in params:
         spec = base.with_potential(t * base.v, base.label)
-        yield spec, eigen_spectrum(assemble_system(spec, shift))
+        yield spec, eigen_spectrum(assemble_system(spec, shift), certify=True)
 
 
 class TestStackedSweep:
@@ -203,7 +204,10 @@ class TestStackedSweep:
             assert np.abs(result.eigenvalues[k] - lam).max() <= 1e-12 * scale.max(), k
             assert result.is_real[k] == report.is_real_spectrum, k
             assert result.defect_flags[k] == report.defective, k
-            resid = eigenpair_residuals(spec, lam, report.eigenvectors)
+            if report.eigenvectors is None:   # certified by counts
+                resid = report.residual_bounds
+            else:
+                resid = eigenpair_residuals(spec, lam, report.eigenvectors)
             assert np.abs(result.residuals[k] - resid).max() <= 1e-12 * scale.max(), k
             paths.append(report.solver_path)
         return result, paths
@@ -258,6 +262,51 @@ class TestStackedSweep:
             )
         )
         assert peak <= kept + 256 * 1024
+
+    def test_oscillator_sweep_forms_no_eigenvectors(self, monkeypatch):
+        # the N = 24 oscillator's rows take the tridiagonal T, certified by
+        # counts: no dstevd, so no stack of Z, whose 21 rows of a block
+        # alone take 387,072 bytes.  The traced peak is the result arrays
+        # and at most 448 KiB more (384,348 bytes measured, the counts'
+        # vectors of the block's 2 x 21 x 48 enclosure ends and the dense
+        # contraction of its rows; 1,051,412 with Z and its residuals)
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("dstevd forms an eigenvector matrix")
+
+        base = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        sweep_potential(base, 0.0, 1.0, 21)   # warm imports and caches
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_eigenvectors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = sweep_potential(base, 0.0, 1.0, 21)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(
+            a.nbytes
+            for a in (
+                result.parameters,
+                result.eigenvalues,
+                result.is_real,
+                result.defect_flags,
+                result.residuals,
+                result.residual_max,
+            )
+        )
+        assert peak <= kept + 448 * 1024
+
+    def test_oscillator_sweep_past_the_certificate(self):
+        # alpha = 0.985 at N = 24 has b(1) = 0.985: the couplings 1.1 and
+        # 1.2 take the direct path, with their eigenvectors and eigenpair
+        # residuals, and every other row the tridiagonal T's counts
+        base = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
+        result, paths = self.assert_rows_match(base, 0.0, 1.2, 13)
+        assert paths == ["similarity"] * 11 + ["direct"] * 2
+        solved = harness.eigen_spectra(base, result.parameters, 0.0, certify=True)
+        assert solved.certified.tolist() == [True] * 11 + [False] * 2
+        assert solved.eigenvectors.shape == (2, 48, 48)
 
     @staticmethod
     def count_rows(monkeypatch):

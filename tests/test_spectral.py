@@ -1,8 +1,10 @@
+import itertools
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -887,3 +889,194 @@ class TestTridiagonalPencil:
         for field in ("eigenvalues", "eigenvectors", "signatures"):
             direct_row = getattr(tri, field)[1]
             np.testing.assert_array_equal(direct_row, getattr(dense, field)[1])
+
+
+def dense_pencil_eigenvalues(spec, t, shift):
+    """lam = shift + eigvalsh(T) of the dense T = [[0, M^T], [M, 2W]], from
+    numpy's Cholesky M M^T = U^2 - W^2, W = t V - shift, and the first-order
+    error bound 32 n eps (||T|| + ||A|| / sqrt(lambda_min(A))), A = M M^T,
+    of those eigenvalues: eigvalsh's, and that of A's rounding, which moves
+    a hyperbolic eigenvalue by at most ||dA|| / (2 sqrt(lambda_min(A)))."""
+    n = spec.order
+    w = np.diag(t * spec.v_band - shift)
+    a = spec.u_squared - w @ w
+    t_matrix = np.block([[np.zeros((n, n)), np.linalg.cholesky(a).T],
+                         [np.linalg.cholesky(a), 2.0 * w]])
+    ends = np.linalg.eigvalsh(a)[[0, -1]]
+    t_norm = np.abs(t_matrix).sum(axis=1).max()
+    tol = 32 * n * EPS * (t_norm + ends[1] / np.sqrt(ends[0]))
+    return shift + np.linalg.eigvalsh(t_matrix), tol
+
+
+def assert_counts_match_inertia(spec, shifts, t=1.0):
+    """_sturm_counts at each shift with signs +1 and -1 against the inertia of
+    the dense Q(s) from eigvalsh: rigorous bounds on it everywhere, and equal
+    to it wherever no eigenvalue of Q(s) lies within 2 beta(s) plus
+    eigvalsh's error of zero."""
+    shifts = np.asarray(shifts, dtype=float)
+    ones = np.full(shifts.size, t)
+    signs = np.ones(shifts.size)
+    up, up_certain, beta = spectral._sturm_counts(spec, shifts, ones, signs)
+    down, down_certain, _ = spectral._sturm_counts(spec, shifts, ones, -signs)
+    assert up_certain.all() and down_certain.all()
+    n, decided = spec.order, 0
+    for s, c_up, c_down, b in zip(shifts, up, down, beta):
+        shifted = np.diag(s - t * spec.v_band)
+        eigs = np.linalg.eigvalsh(shifted @ shifted - spec.u_squared)
+        tol = 8 * n * EPS * np.abs(eigs).max()
+        assert c_up <= np.sum(eigs < tol) and c_down >= np.sum(eigs < -tol)
+        if np.abs(eigs).min() > 2.0 * b + tol:
+            assert c_up == c_down == np.sum(eigs < 0.0)
+            decided += 1
+    return decided
+
+
+class TestSturmCounts:
+    """Counts of Q(s) certify the tridiagonal pencil rows' eigenvalues.
+
+    Checked against independent oracles: the dense T's eigvalsh, the
+    inertia of the dense Q(s), the tridiagonal T's MRRR eigenvalues
+    (dstemr) and 50-digit mpmath eigenvalues.
+    """
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(8, 64),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(0.0, 1.0 - 1e-6),
+        log_scale=st.floats(-8.0, 8.0),
+        mu_frac=st.floats(-1.0, 1.0),
+        clustered=st.booleans(),
+    )
+    def test_property_enclosures_and_counts(
+        self, n, seed, b, log_scale, mu_frac, clustered
+    ):
+        # a diagonally dominant tridiagonal U^2 and a diagonal V with
+        # ||(V - mu) U^(-1)|| = b, entries scaled by 10^log_scale (U^2)
+        # and its root (V); clustered: U^2 near 3 I and V near two values,
+        # so the quadratic's eigenvalues come in tight clusters
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s = 10.0**log_scale
+        off = rng.uniform(-1.0, 1.0, n - 1) * (1e-9 if clustered else 1.0)
+        rows = np.abs(np.append(0.0, off)) + np.abs(np.append(off, 0.0))
+        diagonal = rows + (3.0 + 1e-9 * rng.uniform(size=n) if clustered
+                           else rng.uniform(0.4, 4.0, n))
+        w = np.sign(rng.normal(size=n)) + 1e-9 * rng.normal(size=n) if clustered \
+            else rng.normal(size=n)
+        u2 = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        u_inv = u_power(ModelSpec(u2, np.zeros((n, n))), -1)
+        w *= b / max(spectral_norm(w[:, None] * u_inv), 1e-300)
+        mu = mu_frac * np.sqrt(s)
+        spec = ModelSpec.from_bands(s * diagonal, s * off, np.sqrt(s) * w + mu)
+        stack = spectral.eigen_spectra(spec, (1.0,), mu, certify=True)
+        if not stack.pencil[0]:
+            return   # b too near one for the closed-form certificate
+        lam = stack.eigenvalues[0]
+        radius = spectral._count_enclosures(spec, lam[None], np.ones(1), mu)[0]
+        if stack.certified[0]:
+            assert np.isfinite(radius).all() and stack.eigenvectors is None
+            bounds = stack.residual_bounds[0]
+            for k in rng.choice(2 * n, 4, replace=False):
+                assert bounds[k] >= pencil_residual(spec, lam[k]) * (1.0 - 1e-8)
+        else:
+            assert np.isnan(stack.residual_bounds[0]).all()
+        reference, tol = dense_pencil_eigenvalues(spec, 1.0, mu)
+        proven = np.isfinite(radius)
+        assert (np.abs(reference - lam)[proven] <= radius[proven] + tol).all()
+        picked = rng.choice(2 * n - 1, 3, replace=False)
+        shifts = np.concatenate((lam[picked] - radius[picked],
+                                 lam[picked] + radius[picked],
+                                 0.5 * (lam[picked] + lam[picked + 1])))
+        assert_counts_match_inertia(spec, shifts[np.isfinite(shifts)])
+
+    @pytest.mark.parametrize("grid_points", [8, 40, 160, 400])
+    def test_oscillators(self, grid_points):
+        # every eigenvalue certified wherever the pencil is, within its
+        # enclosure of the tridiagonal T's MRRR eigenvalues (from numpy's
+        # dense Cholesky below 160, so the dense T's) to their error
+        decided = 0
+        for alpha, shift in itertools.product((0.3, 0.985), (0.0, 0.2, -0.2)):
+            spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
+            b = core.contraction(spec, shift)
+            if not spectral._certified_definite(spec, b):
+                assert alpha == 0.985 and shift != 0.0
+                continue
+            stack = spectral.eigen_spectra(spec, (1.0,), shift, (b,), certify=True)
+            lam = stack.eigenvalues[0]
+            assert stack.certified.all() and stack.eigenvectors is None
+            radius = spectral._count_enclosures(spec, lam[None], np.ones(1), shift)[0]
+            assert (radius <= 2.0**-27 * np.abs(lam - shift)).all()
+            # B(lam) = r (2 |lam| + r + 2 ||V||), rounded up by a few eps
+            v_norm = np.abs(spec.v_band).max()
+            bound = radius * (2.0 * np.abs(lam) + radius + 2.0 * v_norm)
+            assert (bound <= stack.residual_bounds[0]).all()
+            assert (stack.residual_bounds[0] <= bound * (1.0 + 32 * EPS)).all()
+            if grid_points < 160:
+                reference, tol = dense_pencil_eigenvalues(spec, 1.0, shift)
+            else:
+                d, e = spec.u2_bands
+                w = spec.v_band - shift
+                m_diag, m_ratio, _ = scipy.linalg.lapack.dpttrf(d - w * w, e)
+                m_diag = np.sqrt(m_diag)
+                t_diag = np.zeros(2 * grid_points)
+                t_diag[::2] = 2.0 * w
+                t_off = np.empty(2 * grid_points - 1)
+                t_off[::2], t_off[1::2] = m_diag, m_ratio * m_diag[:-1]
+                sigma = scipy.linalg.eigvalsh_tridiagonal(
+                    t_diag, t_off, lapack_driver="stemr"
+                )
+                reference = shift + sigma
+                tol = 64 * grid_points * EPS * np.abs(sigma).max()
+            assert (np.abs(reference - lam) <= radius + tol).all()
+            if grid_points <= 40:
+                # the ends of the outermost and innermost enclosures, and
+                # the midpoints between neighbouring eigenvalues
+                picked = [0, grid_points - 1, grid_points, 2 * grid_points - 1]
+                shifts = np.concatenate((lam[picked] - radius[picked],
+                                         lam[picked] + radius[picked],
+                                         0.5 * (lam[1:] + lam[:-1])))
+                decided += assert_counts_match_inertia(spec, shifts)
+        assert grid_points > 40 or decided >= 2 * grid_points - 1
+
+    @pytest.mark.parametrize("grid_points, alpha", [(8, 0.985), (12, 0.3)])
+    def test_enclosures_hold_50_digit_eigenvalues(self, grid_points, alpha):
+        # the eigenvalues of T from mpmath's Cholesky and symmetric
+        # eigensolver at 50 digits, from the float data exactly
+        spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
+        stack = spectral.eigen_spectra(spec, (1.0,), 0.0, certify=True)
+        lam = stack.eigenvalues[0]
+        radius = spectral._count_enclosures(spec, lam[None], np.ones(1), 0.0)[0]
+        n = grid_points
+        with mpmath.workdps(50):
+            u2 = mpmath.matrix(spec.u_squared.tolist())
+            v = mpmath.matrix(spec.v.tolist())
+            m = mpmath.cholesky(u2 - v * v)
+            t = mpmath.zeros(2 * n, 2 * n)
+            for i in range(n):
+                for j in range(n):
+                    t[n + i, j] = t[j, n + i] = m[i, j]
+                    t[n + i, n + j] = 2 * v[i, j]
+            exact = sorted(mpmath.eigsy(t, eigvals_only=True))
+            for k in range(2 * n):
+                assert abs(exact[k] - mpmath.mpf(lam[k])) <= mpmath.mpf(radius[k])
+
+    def test_fallback_rows_keep_their_eigenvectors(self, monkeypatch):
+        # a row with an uncertain count is solved again with eigenvectors,
+        # exactly as without certify, and has no residual bounds
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        t = np.linspace(0.0, 1.0, 5)
+        counts = spectral._sturm_counts
+
+        def uncertain_third_row(spec, shifts, couplings, signs):
+            found, certain, beta = counts(spec, shifts, couplings, signs)
+            return found, certain & (couplings != t[2]), beta
+
+        monkeypatch.setattr(spectral, "_sturm_counts", uncertain_third_row)
+        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        plain = spectral.eigen_spectra(spec, t, 0.0)
+        assert stack.certified.tolist() == [True, True, False, True, True]
+        assert np.isnan(stack.residual_bounds[2]).all()
+        assert np.isfinite(stack.residual_bounds[[0, 1, 3, 4]]).all()
+        np.testing.assert_array_equal(stack.eigenvalues[2], plain.eigenvalues[2])
+        np.testing.assert_array_equal(stack.eigenvectors, plain.eigenvectors[2:3])
+        np.testing.assert_array_equal(stack.signatures[2], plain.signatures[2])
