@@ -667,10 +667,9 @@ class VerificationReport:
     against the signed deviations (BoundsReport.checks).  ``residuals``
     / ``residuals_perturbed`` bound sigma_min(Q(lam)) for ``eigenvalues``
     / ``eigenvalues_perturbed``, the real parts of the two spectra, under
-    the model and the perturbed model: the certified bounds B(lam) of a
-    spectrum that counts certified (spectral.eigen_spectrum with
-    certify=True), else the eigenpair backward errors
-    (spectral.eigenpair_residuals) of the real parts with the computed
+    the model and the perturbed model: the residuals of each spectrum
+    (see spectral.SpectrumStack), and on a non-real perturbed spectrum
+    the eigenpair backward errors of the real parts with its
     eigenvectors.  ``real_spectrum_perturbed`` says whether the perturbed
     spectrum is real.
     """
@@ -690,12 +689,12 @@ class VerificationReport:
 def _gated_residuals(spec: ModelSpec, report, lam):
     """The residuals the gate reads for the real parts ``lam`` of a report's spectrum.
 
-    The certified bounds B(lam) when counts certified them (the report
-    has no eigenvectors), else the eigenpair backward errors of ``lam``
-    with the report's eigenvectors.
+    The report's own residuals when its spectrum is real (``lam`` is
+    then its spectrum); on a non-real spectrum, which keeps its
+    eigenvectors, the eigenpair backward errors of ``lam`` with them.
     """
-    if report.eigenvectors is None:
-        return report.residual_bounds
+    if report.is_real_spectrum:
+        return report.residuals
     return eigenpair_residuals(spec, lam, report.eigenvectors)
 
 
@@ -708,9 +707,7 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     (general eigensolver with real parts when its contraction passes
     one), pairs eigenvalues in ascending order and checks each kappa
     constant against the deviations.  Both spectra are solved with
-    certify=True: on the tridiagonal T (an oscillator, and its
-    perturbation by a diagonal dV) no eigenvector is formed where
-    counts certify the eigenvalues.
+    certify=True, for their residuals (see spectral.SpectrumStack).
     """
     system = assemble_system(spec, shift)
     gap_bound(system)

@@ -10,12 +10,9 @@ what it returns: ``kg bounds`` writes the rows of bounds.BoundsReport,
 as CSV or, with ``--format report``, as one aligned text line per row
 under a model/shift header.
 The residual columns (``pencil_residual`` of spectrum, ``residual_max``
-of sweep) hold, for each eigenvalue lam, an upper bound on
-sigma_min(Q(lam)), Q(lam) = (lam - V)^2 - U^2, gated by RESIDUAL_GATE:
-on a pencil row of the tridiagonal T (the oscillator from order 8 up)
-whose eigenvalues counts certified, the bound B(lam) that their
-enclosure gives (spectral.eigen_spectra with certify=True), and on
-every other row the eigenpair backward error ||Q(lam) x|| / ||x||.
+of sweep) hold, for each eigenvalue lam, the residual its spectrum
+carries, an upper bound on sigma_min(Q(lam)), Q(lam) = (lam - V)^2 - U^2
+(spectral.SpectrumStack says which), gated by RESIDUAL_GATE.
 ``kg verify`` gates the eigenvalues of both of its spectra the same way.
 CSV output is UTF-8 with LF line endings and full-precision reals, so a
 fixed configuration and seed reproduce byte-identical files; each row
@@ -48,17 +45,16 @@ from .models import (
     square_well_model,
     square_well_perturbation,
 )
-from .spectral import _overflow_exponent, eigen_spectrum, eigenpair_residuals
+from .spectral import _overflow_exponent, eigen_spectrum
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
-#: an emitted eigenvalue fails the run when its residual, the backward
-#: error ||Q(lam) x|| / ||x|| of its eigenpair or the bound B(lam) that
-#: counts certify, both at least sigma_min(Q(lam)) for
-#: Q(lam) = (lam - V)^2 - U^2, exceeds
+#: an emitted eigenvalue fails the run when its residual, at least
+#: sigma_min(Q(lam)) for Q(lam) = (lam - V)^2 - U^2 (see
+#: spectral.SpectrumStack), exceeds
 #: RESIDUAL_GATE * (||U^2|| + ||V||^2 + |lam|^2)
 RESIDUAL_GATE = 1e-6
 
@@ -248,7 +244,7 @@ def _gate_exit(
     """EXIT_SOLVER, naming the first failing eigenvalue, when a residual fails its gate.
 
     ``lams`` holds the emitted eigenvalues and ``resids`` their
-    residuals (eigenpair backward errors or certified bounds); ``rows``
+    residuals (see spectral.SpectrumStack); ``rows``
     (the row label of each) and ``couplings`` t broadcast against them.
     The gate of each is RESIDUAL_GATE * (||U^2|| + ||t V||^2 + |lam|^2),
     and the first failing entry in row-major order is named, with
@@ -289,11 +285,7 @@ def _gate_exit(
 def cmd_spectrum(args) -> int:
     spec, _, shift = _resolve(args)
     report = eigen_spectrum(assemble_system(spec, shift), certify=True)
-    lams = report.eigenvalues
-    if report.eigenvectors is None:   # certified by counts
-        resids = report.residual_bounds
-    else:
-        resids = eigenpair_residuals(spec, lams, report.eigenvectors)
+    lams, resids = report.eigenvalues, report.residuals
     rows = zip(
         range(lams.size),
         np.real(lams).tolist(),

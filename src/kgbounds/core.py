@@ -114,7 +114,9 @@ _SUBSET_MIN_ORDER = 32
 #: the order from which a tridiagonal spec's contraction is bisected on
 #: its bands: on the alpha = 0.3 oscillator (one OpenBLAS thread, 2-core
 #: x86-64) one b takes 94 us banded against 95 us dense at n = 56, and a
-#: stack of 21 couplings 1.89 ms against 1.98 ms; at n = 48 dense wins both
+#: stack of 21 couplings 1.89 ms against 1.98 ms; at n = 48 dense wins
+#: both, and at n = 24 (a sweep block of 21 couplings) the bisection
+#: takes 2.74 ms against 0.82 ms dense (2-core Xeon, best of 7)
 _BANDED_MIN_ORDER = 56
 
 #: dsyevr leaves a matrix unscaled when its largest entry lies in

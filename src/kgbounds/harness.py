@@ -22,12 +22,12 @@ The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
 eigenvalues collide and leave the real axis.  It solves its steps in
 blocks of couplings, one stacked spectral.eigen_spectra call per block
-with certify=True and one stacked eigenpair_residuals call for the
-block's rows that kept their eigenvectors, sized by BLOCK_BUDGET: on
-the dense route a block's temporaries stay near those of a single
-step, and on the tridiagonal route, whose rows are solved one at a time
-for their eigenvalues alone and certified by counts in O(n) memory per
-eigenvalue, a block holds the rows whose eigenvalues fill BLOCK_BUDGET.
+with certify=True, which returns the rows' residuals too, sized by
+BLOCK_BUDGET: on the dense route a block's temporaries stay near those
+of a single step, and on the tridiagonal route, whose rows are solved
+one at a time and certified by counts in O(n) memory per eigenvalue
+(see spectral.SpectrumStack), a block holds the rows whose eigenvalues
+fill BLOCK_BUDGET.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .models import (
     square_well_model,
     square_well_perturbation,
 )
-from .spectral import _tridiagonal_rows, eigen_spectra, eigenpair_residuals
+from .spectral import _tridiagonal_rows, eigen_spectra
 
 __all__ = [
     "EXAMPLE2_TAUS",
@@ -352,13 +352,11 @@ class SweepResult:
 
     ``eigenvalues[k]`` holds the spectrum (complex, sorted) at
     ``parameters[k]``; ``residuals[k, j]`` bounds sigma_min(Q(lam)) for
-    lam = ``eigenvalues[k, j]`` under the potential ``parameters[k] * V``:
-    the certified bound B(lam) on a row that counts certified
-    (spectral.eigen_spectra with certify=True), else the eigenpair
-    backward error ||Q(lam) x|| / ||x|| (spectral.eigenpair_residuals);
-    ``residual_max[k]`` is its row maximum.  ``critical_value`` is the
-    bisected coupling where the spectrum stops being real, or None when
-    it stays real over the whole range.
+    lam = ``eigenvalues[k, j]`` under the potential ``parameters[k] * V``
+    (the residuals of spectral.SpectrumStack), and ``residual_max[k]`` is
+    its row maximum.  ``critical_value`` is the bisected coupling where
+    the spectrum stops being real, or None when it stays real over the
+    whole range.
     """
 
     parameters: np.ndarray
@@ -378,13 +376,12 @@ def sweep_potential(
     The steps are solved in blocks of max(1, BLOCK_BUDGET // (2n)^2)
     couplings, or of max(1, BLOCK_BUDGET // 2n) when the spectral module
     solves the rows by the tridiagonal T, one stacked eigen_spectra call
-    per block, with certify=True, and one stacked eigenpair_residuals
-    call for the block's rows that kept their eigenvectors.  Every t V is
-    exactly symmetric, and |t| is largest at an end of the range, so the
-    two end potentials are validated (ValidationError when t V leaves
-    the float range) before anything is solved, and a steps count whose
-    (steps, 2n) eigenvalue array numpy would refuse raises MemoryError
-    before any array is made.  The critical coupling is located by
+    per block, with certify=True, whose residuals the result keeps.
+    Every t V is exactly symmetric, and |t| is largest at an end of the
+    range, so the two end potentials are validated (ValidationError when
+    t V leaves the float range) before anything is solved, and a steps
+    count whose (steps, 2n) eigenvalue array numpy would refuse raises
+    MemoryError before any array is made.  The critical coupling is located by
     bisection (to 1e-6), one stack of one per step, on the reality of
     the spectrum within the first bracket where it flips.
     """
@@ -418,13 +415,7 @@ def sweep_potential(
         solved = eigen_spectra(base, t, shift, certify=True)
         # both solver paths order by real part, then imaginary part
         eigenvalues[rows] = solved.eigenvalues
-        if solved.residual_bounds is not None:
-            residuals[rows] = solved.residual_bounds
-        if solved.eigenvectors is not None:
-            kept = ~solved.certified
-            residuals[rows][kept] = eigenpair_residuals(
-                base, solved.eigenvalues[kept], solved.eigenvectors, t[kept]
-            )
+        residuals[rows] = solved.residuals
         real_flags[rows] = solved.is_real
         defect_flags[rows] = solved.defective
 

@@ -140,7 +140,7 @@ def square_well_model(tau: float) -> ModelSpec:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     return ModelSpec(
         u_squared=SQUARE_WELL_U_SQUARED.copy(),
-        v=tau * np.diag([-1.0, 0.0]),
+        v=np.diag([-tau, 0.0]),   # no tau * 0.0, which is nan at tau = inf
         label=f"square_well(tau={tau:g})",
     )
 

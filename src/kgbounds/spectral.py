@@ -126,7 +126,7 @@ so
 
     sigma_min(Q(lam)) <= B(lam) = r (2 |lam| + r + 2 ||V||),
 
-rounded up, which is the residual reported for lam (residual_bounds).
+rounded up, which is the residual reported for lam (see SpectrumStack).
 A row with an eigenvalue that no rung certifies, its counts uncertain
 or short, is solved again with its eigenvectors, as every other row
 is, and its residuals are the eigenpair backward errors.
@@ -258,12 +258,11 @@ class SpectrumReport:
     the factor M, M M^T = U^2 - (V - mu)^2, that certified the pencil:
     on the tridiagonal route (_tridiagonal_rows) the lower bidiagonal M
     in LAPACK's lower band storage, shape (2, n), else the dense lower
-    triangular M; None on the direct path.  A report asked for with
-    certify=True whose eigenvalues counts certified (see the module
-    docstring) has no ``eigenvectors`` (None) and holds each
-    eigenvalue's residual bound B(lam) >= sigma_min(Q(lam)) in
-    ``residual_bounds``; any other report has its eigenvectors, and
-    ``residual_bounds`` None.
+    triangular M; None on the direct path.  ``residuals`` holds, for a
+    report asked for with certify=True, each eigenvalue's bound on
+    sigma_min(Q(lam)), and ``eigenvectors`` is None where counts
+    certified the eigenvalues (see SpectrumStack); without certify
+    ``residuals`` is None.
     """
 
     eigenvalues: np.ndarray
@@ -278,7 +277,7 @@ class SpectrumReport:
     spec: ModelSpec = field(repr=False, compare=False)
     witness: DefectWitness | None = field(default=None, repr=False)
     pencil_factor: np.ndarray | None = field(default=None, repr=False)
-    residual_bounds: np.ndarray | None = field(default=None, repr=False)
+    residuals: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,21 @@ class SpectrumStack:
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
     routed on, and ``pencil_factors`` each pencil row's factor M, as
     SpectrumReport.pencil_factor holds it, and None for a direct row.
-    ``certified`` marks the rows whose eigenvalues counts certified
-    (certify=True; see the module docstring): those rows have no
-    eigenvectors, and ``eigenvectors`` stacks the other rows' alone, in
-    row order (None when there are none).  ``residual_bounds`` holds,
-    with certify=True, each certified row's bounds B(lam) on
-    sigma_min(Q(lam)), and nan on the other rows; else None.
+
+    ``residuals`` (certify=True, with no ``nearest``; else None) holds
+    the residual of every eigenvalue, an upper bound on sigma_min(Q(lam)),
+    Q(lam) = (lam - t V)^2 - U^2, which is what the residual gate of
+    ``kg spectrum``, ``kg sweep`` and ``kg verify`` reads.  This is the
+    one place that chooses it.  On a pencil row of the tridiagonal T
+    (_tridiagonal_rows) whose eigenvalues counts certify, it is the bound
+    B(lam) = r (2 |lam| + r + 2 ||t V||) of their enclosures (see the
+    module docstring), and the row is solved for its eigenvalues alone.
+    On every other row (a dense pencil row, a direct row, or a
+    tridiagonal row that no rung certifies, solved again with Z), it is
+    the eigenpair backward error ||Q(lam) x|| / ||x|| of the row's
+    eigenvalues with its Z (eigenpair_residuals, Tisseur, LAA 309, 2000).
+    ``eigenvectors`` stacks every row's Z, or is None when some row has
+    none: a row that counts certified, or a nearest-k request.
     """
 
     eigenvalues: np.ndarray
@@ -338,8 +346,7 @@ class SpectrumStack:
     witnesses: tuple = field(repr=False)
     contractions: np.ndarray
     pencil_factors: tuple = field(repr=False)
-    certified: np.ndarray
-    residual_bounds: np.ndarray | None = field(default=None, repr=False)
+    residuals: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def defective(self) -> np.ndarray:
@@ -762,11 +769,10 @@ def eigen_spectra(
     each side of the shift, they are the k nearest it on each side,
     solved for alone (their signatures theta need no vectors); the
     direct rows still compute every eigenpair, with the vectors that
-    classify them.  With ``certify`` (and no ``nearest``) the pencil
-    rows that take the tridiagonal T are solved for their eigenvalues
-    alone and certified by counts, with their residual_bounds (see the
-    module docstring); a row that the counts do not certify is solved
-    again with its eigenvectors, and every other row keeps them.
+    classify them.  With ``certify`` (and no ``nearest``) every row has
+    its residuals, and the pencil rows that take the tridiagonal T are
+    solved for their eigenvalues alone where counts certify them (see
+    SpectrumStack).
     """
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
@@ -777,11 +783,9 @@ def eigen_spectra(
         contractions = contraction(spec, shift, t)
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
-    counted = certify and nearest is None and _tridiagonal_rows(spec)
-    certified = np.zeros(t.size, dtype=bool)
-    bounds = np.full((t.size, 2 * spec.order), np.nan) if counted else None
-    # (rows, lam, Z of the rows not certified, signatures, is_real,
-    # witnesses) per path
+    gated = certify and nearest is None
+    counted = gated and _tridiagonal_rows(spec)
+    # (rows, lam, Z, signatures, is_real, witnesses, residuals) per path
     solved = []
     factors = [None] * t.size
     rows = pencil.nonzero()[0]
@@ -795,18 +799,24 @@ def eigen_spectra(
         for row, factor in zip(rows.tolist(), m):
             factors[row] = factor
         if rows.size:
+            lam, residuals = shift + sigma, None
             if counted:
-                row_bounds = _residual_bounds(spec, shift + sigma, t[rows], shift)
-                proven = ~np.isnan(row_bounds).any(axis=1)
-                certified[rows], bounds[rows[proven]] = proven, row_bounds[proven]
-                if not proven.all():
+                residuals = _residual_bounds(spec, lam, t[rows], shift)
+                again = np.isnan(residuals).any(axis=1)
+                if again.any():
                     # solved again, with the eigenvectors the gate then reads
-                    again = _tridiagonal_eigensolve(spec, w[rows[~proven]], None)
-                    sigma[~proven], z = again[:2]
+                    redo = rows[again]
+                    sigma[again], z = _tridiagonal_eigensolve(spec, w[redo], None)[:2]
+                    lam[again] = shift + sigma[again]
+                    residuals[again] = eigenpair_residuals(spec, lam[again], z, t[redo])
+                    # a stack keeps its Z only when no row of it was counted
+                    z = z if again.all() else None
+            elif gated:
+                residuals = eigenpair_residuals(spec, lam, z, t[rows])
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
             real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
-            solved.append((rows, shift + sigma, z, 1.0 / sigma, real, none))
+            solved.append((rows, lam, z, 1.0 / sigma, real, none, residuals))
     if rows.size < t.size:
         rows = (~pencil).nonzero()[0]
         lam, vecs, signatures, is_real, witnesses = _direct_eigensolve(spec, t[rows])
@@ -814,42 +824,38 @@ def eigen_spectra(
             n = spec.order
             middle = slice(n - min(nearest, n), n + min(nearest, n))
             lam, vecs, signatures = lam[:, middle], None, signatures[:, middle]
-        solved.append((rows, lam, vecs, signatures, is_real, witnesses))
-    k = t.size
+        residuals = eigenpair_residuals(spec, lam, vecs, t[rows]) if gated else None
+        solved.append((rows, lam, vecs, signatures, is_real, witnesses, residuals))
     if len(solved) == 1:
-        _, lam, vecs, signatures, is_real, witnesses = solved[0]
+        _, lam, vecs, signatures, is_real, witnesses, residuals = solved[0]
     else:
         # rows of both paths: scatter them into one stack
-        width = solved[0][1].shape[-1]
+        k, width = t.size, solved[0][1].shape[-1]
         lam = np.empty((k, width), np.result_type(*(p[1] for p in solved)))
         signatures, is_real = np.empty((k, width)), np.empty(k, dtype=bool)
+        residuals = np.empty((k, width)) if gated else None
         witnesses = [None] * k
-        for rows, lam_p, _, signatures_p, real_p, witnesses_p in solved:
+        vecs = None
+        if all(p[2] is not None for p in solved):
+            vecs = np.empty((k, width, width), np.result_type(*(p[2] for p in solved)))
+        for rows, lam_p, vecs_p, signatures_p, real_p, witnesses_p, res_p in solved:
             lam[rows], signatures[rows], is_real[rows] = lam_p, signatures_p, real_p
             for row, witness in zip(rows, witnesses_p):
                 witnesses[row] = witness
-        vecs = None
-        if nearest is None and not certified.all():
-            # the rows with eigenvectors, in row order
-            place = np.cumsum(~certified) - 1
-            vecs = np.empty(
-                (place[-1] + 1, width, width),
-                np.result_type(*(p[2] for p in solved if p[2] is not None)),
-            )
-            for rows, _, vecs_p, *_ in solved:
-                if vecs_p is not None:
-                    vecs[place[rows[~certified[rows]]]] = vecs_p
+            if vecs is not None:
+                vecs[rows] = vecs_p
+            if gated:
+                residuals[rows] = res_p
     return SpectrumStack(
         eigenvalues=lam,
-        eigenvectors=vecs if nearest is None else None,
+        eigenvectors=vecs,
         signatures=signatures,
         pencil=pencil,
         is_real=is_real,
         witnesses=tuple(witnesses),
         contractions=contractions,
         pencil_factors=tuple(factors),
-        certified=certified,
-        residual_bounds=bounds,
+        residuals=residuals,
     )
 
 
@@ -864,8 +870,8 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver
     on the companion form L_g, similar to H, and flags non-real pairs
     and defective eigenvalues.  Neither path forms H or a root of U.
-    With ``certify``, a tridiagonal pencil row that counts certify has
-    residual_bounds and no eigenvectors (see eigen_spectra).
+    With ``certify`` the report has its residuals, and no eigenvectors
+    where counts certified the eigenvalues (see SpectrumStack).
     """
     mu, spec = system.shift, system.spec
     stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), certify=certify)
@@ -874,7 +880,6 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     # the pencil's signatures theta are never zero: its sign types need no tolerance
     signs = _sign_types(signatures, 0.0 if pencil else NEUTRAL_TOL)
     witness = stack.witnesses[0]
-    certified = bool(stack.certified[0])
 
     # both paths order lam ascending by real part
     re = np.real(lam)
@@ -883,7 +888,7 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     hi = float(above[0]) if above.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
-        eigenvectors=None if certified else stack.eigenvectors[0],
+        eigenvectors=None if stack.eigenvectors is None else stack.eigenvectors[0],
         signatures=signatures,
         sign_types=signs,
         central_gap=(lo, hi),
@@ -894,7 +899,7 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
         spec=spec,
         witness=witness,
         pencil_factor=stack.pencil_factors[0],
-        residual_bounds=stack.residual_bounds[0] if certified else None,
+        residuals=None if stack.residuals is None else stack.residuals[0],
     )
 
 
@@ -960,6 +965,8 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=No
     _tridiagonal_rows(spec) Q(lam) x is (lam - V)^2 x - U^2 x from V's
     diagonal and U^2's two diagonals, with two n x 2n temporaries and no
     matrix product; otherwise it takes three n x n by n x 2n products.
+    Either way x is first copied in C order, so that a residual does not
+    depend on the memory order of the columns passed in.
 
     When the largest of ||U||, the entries of V and |lam| is 2^k beyond
     2^500 (_overflow_exponent), where lam^2 or a sum of Q(lam) x could
@@ -978,11 +985,10 @@ def eigenpair_residuals(spec: ModelSpec, eigenvalues, eigenvectors, couplings=No
     if couplings is not None:
         v = np.multiply.outer(couplings, v)
     u_squared = spec.u2_bands if banded else [spec.u_squared]
+    # a copy in C order whatever the columns' order, so that every norm
+    # below sums as on C-ordered columns (the dense route forms Q(lam) x in it)
     x = eigenvectors[..., : spec.order, :]
-    if not banded:
-        # the copy Q(lam) x is formed in, in C order whatever the columns'
-        # order, so that every norm below sums as on C-ordered columns
-        x = x.astype(np.result_type(x, lam), order="C")
+    x = x.astype(np.result_type(x, lam), order="C")
     k = _overflow_exponent(
         max(spec.u_max, np.abs(v).max(initial=0.0), np.abs(lam).max(initial=0.0))
     )

@@ -930,17 +930,17 @@ class TestResidualGate:
         assert calls == []
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
-        def nan(spec, lams, vecs):
-            return np.full(len(lams), np.nan)
+        def nan(spec, lams, vecs, *couplings):
+            return np.full(np.shape(lams), np.nan)
 
-        monkeypatch.setattr(cli, "eigenpair_residuals", nan)
+        monkeypatch.setattr(spectral, "eigenpair_residuals", nan)
         assert main(["spectrum", "--tau", "1"]) == EXIT_SOLVER
         assert "pencil residual nan exceeds the gate" in capsys.readouterr().err
 
     def test_sweep_names_the_failing_eigenvalue(self, monkeypatch, capsys):
         # a residual failing at a smallest-modulus eigenvalue: the message
         # names it, not the largest-modulus eigenvalue of its row
-        residuals = harness.eigenpair_residuals
+        residuals = spectral.eigenpair_residuals
 
         def fail_smallest(spec, lams, vecs, *couplings):
             # per row of a stacked block
@@ -949,7 +949,7 @@ class TestResidualGate:
             np.put_along_axis(r, smallest, 1.0, axis=-1)
             return r
 
-        monkeypatch.setattr(harness, "eigenpair_residuals", fail_smallest)
+        monkeypatch.setattr(spectral, "eigenpair_residuals", fail_smallest)
         args = ["sweep", "--tau", "1", "--sweep-range", "0:1", "--steps", "3"]
         assert main(args) == EXIT_SOLVER
         err = capsys.readouterr().err
@@ -982,14 +982,14 @@ class TestStackedGate:
     ):
         # failures planted at every eigenvalue right of 1 from t = 1.1 on:
         # the first in row-major order is named, as by the loop
-        residuals = harness.eigenpair_residuals
+        residuals = spectral.eigenpair_residuals
 
         def plant(spec, lams, vecs, t):
             r = residuals(spec, lams, vecs, t)
             r[(t[:, None] >= 1.1) & (np.real(lams) > 1.0)] = fill
             return r
 
-        monkeypatch.setattr(harness, "eigenpair_residuals", plant)
+        monkeypatch.setattr(spectral, "eigenpair_residuals", plant)
         spec = square_well_model(1.0)
         result = harness.sweep_potential(spec, 0.0, 2.2, 201)
         checks = (
@@ -1093,8 +1093,10 @@ class TestCountedGate:
     ):
         # with every count uncertain each row is solved again with its
         # eigenvectors and gated on its eigenpair residuals: the output,
-        # exit code and gate message of the solve without counts, byte for
-        # byte, whether the gate passes or (at a gate of 1e-30) fails
+        # exit code and gate message of a solve without counts whose
+        # residuals are the eigenpair residuals of its eigenvalues and
+        # eigenvectors, byte for byte, whether the gate passes or (at a
+        # gate of 1e-30) fails
         monkeypatch.setattr(cli, "RESIDUAL_GATE", gate)
         args = self.oscillator_args(command, tmp_path, grid_points=24)
         counts, spectra = spectral._sturm_counts, spectral.eigen_spectra
@@ -1103,8 +1105,13 @@ class TestCountedGate:
             found, certain, beta = counts(*args)
             return found, np.zeros_like(certain), beta
 
-        def without_counts(*args, certify=False, **kwargs):
-            return spectra(*args, **kwargs)
+        def without_counts(spec, couplings, *args, certify=False, **kwargs):
+            stack = spectra(spec, couplings, *args, **kwargs)
+            residuals = spectral.eigenpair_residuals(
+                spec, stack.eigenvalues, stack.eigenvectors,
+                np.asarray(couplings, dtype=float),
+            )
+            return dataclasses.replace(stack, residuals=residuals)
 
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_sturm_counts", uncertain)
@@ -1609,6 +1616,7 @@ _FAILURES = {
     "infinite-alpha": (
         ["spectrum", "--alpha", "inf", "--grid-points", "5"], None, EXIT_VALIDATION
     ),
+    "infinite-tau": (["spectrum", "--tau", "inf"], None, EXIT_VALIDATION),
     "overflowing-alpha": (
         ["spectrum", "--alpha", "1e308", "--grid-points", "5"], None, EXIT_VALIDATION
     ),
@@ -1731,12 +1739,14 @@ class TestCsvOutput:
         planted = special if tau == "1" else [complex(x, -y) for x, y in
                                               zip(special, special[::-1])]
 
+        resids = np.array([np.nan, -0.0, np.inf, 1e-300])
+
         def plant(report):
-            return dataclasses.replace(report, eigenvalues=np.array(planted))
+            return dataclasses.replace(
+                report, eigenvalues=np.array(planted), residuals=resids
+            )
 
         reports = self.capture(monkeypatch, cli, "eigen_spectrum", plant)
-        resids = np.array([np.nan, -0.0, np.inf, 1e-300])
-        monkeypatch.setattr(cli, "eigenpair_residuals", lambda *args: resids)
         out = tmp_path / "o.csv"
         assert main(["spectrum", "--tau", tau, "--out", str(out)]) == EXIT_SOLVER
         report = reports[0]

@@ -11,6 +11,7 @@ from kgbounds import (
     ModelSpec,
     core,
     harness,
+    spectral,
     ValidationError,
     assemble_system,
     eigen_spectrum,
@@ -162,7 +163,7 @@ class TestSweep:
         # a stand-in residual equal to the real part of its eigenvalue
         # shows which eigenvalue each stored residual belongs to
         monkeypatch.setattr(
-            harness,
+            spectral,
             "eigenpair_residuals",
             lambda spec, lams, vecs, *couplings: np.real(lams),
         )
@@ -205,7 +206,7 @@ class TestStackedSweep:
             assert result.is_real[k] == report.is_real_spectrum, k
             assert result.defect_flags[k] == report.defective, k
             if report.eigenvectors is None:   # certified by counts
-                resid = report.residual_bounds
+                resid = report.residuals
             else:
                 resid = eigenpair_residuals(spec, lam, report.eigenvectors)
             assert np.abs(result.residuals[k] - resid).max() <= 1e-12 * scale.max(), k
@@ -300,13 +301,16 @@ class TestStackedSweep:
     def test_oscillator_sweep_past_the_certificate(self):
         # alpha = 0.985 at N = 24 has b(1) = 0.985: the couplings 1.1 and
         # 1.2 take the direct path, with their eigenvectors and eigenpair
-        # residuals, and every other row the tridiagonal T's counts
+        # residuals, and every other row the tridiagonal T's counts; the
+        # sweep keeps the residuals of its one block's solve, and the
+        # block, with counted rows, no eigenvectors
         base = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
         result, paths = self.assert_rows_match(base, 0.0, 1.2, 13)
         assert paths == ["similarity"] * 11 + ["direct"] * 2
         solved = harness.eigen_spectra(base, result.parameters, 0.0, certify=True)
-        assert solved.certified.tolist() == [True] * 11 + [False] * 2
-        assert solved.eigenvectors.shape == (2, 48, 48)
+        assert solved.pencil.tolist() == [True] * 11 + [False] * 2
+        assert solved.eigenvectors is None
+        np.testing.assert_array_equal(result.residuals, solved.residuals)
 
     @staticmethod
     def count_rows(monkeypatch):

@@ -973,13 +973,16 @@ class TestSturmCounts:
             return   # b too near one for the closed-form certificate
         lam = stack.eigenvalues[0]
         radius = spectral._count_enclosures(spec, lam[None], np.ones(1), mu)[0]
-        if stack.certified[0]:
-            assert np.isfinite(radius).all() and stack.eigenvectors is None
-            bounds = stack.residual_bounds[0]
+        residuals = stack.residuals[0]
+        if stack.eigenvectors is None:   # certified by counts
+            assert np.isfinite(radius).all()
             for k in rng.choice(2 * n, 4, replace=False):
-                assert bounds[k] >= pencil_residual(spec, lam[k]) * (1.0 - 1e-8)
-        else:
-            assert np.isnan(stack.residual_bounds[0]).all()
+                assert residuals[k] >= pencil_residual(spec, lam[k]) * (1.0 - 1e-8)
+        else:   # solved again, and gated on its eigenpairs
+            np.testing.assert_array_equal(
+                residuals,
+                eigenpair_residuals(spec, lam[None], stack.eigenvectors, np.ones(1))[0],
+            )
         reference, tol = dense_pencil_eigenvalues(spec, 1.0, mu)
         proven = np.isfinite(radius)
         assert (np.abs(reference - lam)[proven] <= radius[proven] + tol).all()
@@ -1003,14 +1006,14 @@ class TestSturmCounts:
                 continue
             stack = spectral.eigen_spectra(spec, (1.0,), shift, (b,), certify=True)
             lam = stack.eigenvalues[0]
-            assert stack.certified.all() and stack.eigenvectors is None
+            assert stack.eigenvectors is None   # certified by counts
             radius = spectral._count_enclosures(spec, lam[None], np.ones(1), shift)[0]
             assert (radius <= 2.0**-27 * np.abs(lam - shift)).all()
             # B(lam) = r (2 |lam| + r + 2 ||V||), rounded up by a few eps
             v_norm = np.abs(spec.v_band).max()
             bound = radius * (2.0 * np.abs(lam) + radius + 2.0 * v_norm)
-            assert (bound <= stack.residual_bounds[0]).all()
-            assert (stack.residual_bounds[0] <= bound * (1.0 + 32 * EPS)).all()
+            assert (bound <= stack.residuals[0]).all()
+            assert (stack.residuals[0] <= bound * (1.0 + 32 * EPS)).all()
             if grid_points < 160:
                 reference, tol = dense_pencil_eigenvalues(spec, 1.0, shift)
             else:
@@ -1062,21 +1065,74 @@ class TestSturmCounts:
 
     def test_fallback_rows_keep_their_eigenvectors(self, monkeypatch):
         # a row with an uncertain count is solved again with eigenvectors,
-        # exactly as without certify, and has no residual bounds
+        # exactly as without certify, and its residuals are its eigenpair
+        # residuals; the stack keeps the eigenvectors only when no row of
+        # it was counted
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
         t = np.linspace(0.0, 1.0, 5)
         counts = spectral._sturm_counts
+        uncertain = [t[2]]
 
-        def uncertain_third_row(spec, shifts, couplings, signs):
+        def uncertain_rows(spec, shifts, couplings, signs):
             found, certain, beta = counts(spec, shifts, couplings, signs)
-            return found, certain & (couplings != t[2]), beta
+            return found, certain & ~np.isin(couplings, uncertain), beta
 
-        monkeypatch.setattr(spectral, "_sturm_counts", uncertain_third_row)
+        monkeypatch.setattr(spectral, "_sturm_counts", uncertain_rows)
         stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
         plain = spectral.eigen_spectra(spec, t, 0.0)
-        assert stack.certified.tolist() == [True, True, False, True, True]
-        assert np.isnan(stack.residual_bounds[2]).all()
-        assert np.isfinite(stack.residual_bounds[[0, 1, 3, 4]]).all()
+        assert stack.eigenvectors is None
         np.testing.assert_array_equal(stack.eigenvalues[2], plain.eigenvalues[2])
-        np.testing.assert_array_equal(stack.eigenvectors, plain.eigenvectors[2:3])
         np.testing.assert_array_equal(stack.signatures[2], plain.signatures[2])
+        np.testing.assert_array_equal(
+            stack.residuals[2:3],
+            eigenpair_residuals(spec, plain.eigenvalues[2:3], plain.eigenvectors[2:3],
+                                t[2:3]),
+        )
+        counted = [0, 1, 3, 4]
+        lam = stack.eigenvalues[counted]
+        np.testing.assert_array_equal(
+            stack.residuals[counted],
+            spectral._residual_bounds(spec, lam, t[counted], 0.0),
+        )
+        assert np.isfinite(stack.residuals[counted]).all()
+
+        uncertain[:] = t
+        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        np.testing.assert_array_equal(stack.eigenvalues, plain.eigenvalues)
+        np.testing.assert_array_equal(stack.eigenvectors, plain.eigenvectors)
+        np.testing.assert_array_equal(
+            stack.residuals,
+            eigenpair_residuals(spec, plain.eigenvalues, plain.eigenvectors, t),
+        )
+
+    def test_mixed_block_residuals(self):
+        # the alpha = 0.985 oscillator at N = 24 over couplings 0 .. 1.2:
+        # eleven tridiagonal pencil rows that counts certify and, past
+        # b = 1, two direct rows, the first of them non-real.  Each row's
+        # residuals are its own route's, bit for bit: B(lam) on the
+        # counted rows, the eigenpair residuals with Z on the direct rows
+        spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
+        t = np.linspace(0.0, 1.2, 13)
+        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        assert stack.pencil.tolist() == [True] * 11 + [False] * 2
+        assert stack.is_real.tolist() == [True] * 11 + [False, True]
+        assert stack.eigenvectors is None
+        counted, direct = slice(0, 11), slice(11, 13)
+        lam = stack.eigenvalues[counted].real
+        np.testing.assert_array_equal(
+            stack.residuals[counted],
+            spectral._residual_bounds(spec, lam, t[counted], 0.0),
+        )
+        lam, z = spectral._direct_eigensolve(spec, t[direct])[:2]
+        np.testing.assert_array_equal(stack.eigenvalues[direct], lam)
+        np.testing.assert_array_equal(
+            stack.residuals[direct], eigenpair_residuals(spec, lam, z, t[direct])
+        )
+        assert (stack.residuals < 1e-9).all()
+
+    def test_residuals_only_with_certify(self):
+        # without certify, or with nearest, a stack carries no residuals
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        assert spectral.eigen_spectra(spec, (1.0,)).residuals is None
+        stack = spectral.eigen_spectra(spec, (1.0,), nearest=2, certify=True)
+        assert stack.residuals is None and stack.eigenvectors is None

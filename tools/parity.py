@@ -30,7 +30,8 @@ cell name; the digest lines on stdout keep their format:
 
 The command list covers the 2 x 2 well under the three shift policies,
 the well at tau = 0 (V = 0: the mixed product vanishes and
-kappa_disjoint is printed), three random model files (orders 2 to 8,
+kappa_disjoint is printed), ``spectrum`` on the well at tau = 2.1 (a
+non-real spectrum, gated at its complex eigenvalues), three random model files (orders 2 to 8,
 from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
 up, where the tridiagonal form is not), one model file of order 1
@@ -44,7 +45,8 @@ _TRIDIAGONAL_MIN_ORDER = 8 up), two oscillator sweeps at N = 24 (alpha
 0.3 over couplings 0..1, and alpha 0.985 over 0..1.2, whose last two
 rows, past b = 1, take the direct path), the text report of ``kg bounds``,
 example 1 at N = 150 and at N = 2000 (where the model exists as bands
-alone), example 2, and failures of each exit code.
+alone), example 2, and failures of each exit code (``--tau inf`` among
+them, whose stderr is the one line of its validation error).
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ]
     cmds += [
         ["bounds", *well, "--paper-shift", "--eta", "0.1", "--format", "report"],
+        ["spectrum", "--tau", "2.1"],
         ["sweep", *well, "--sweep-range", "0:2.2", "--steps", "23"],
         ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"],
         ["bounds", "--tau", "2.5", "--shift", "-1.25", "--eta", "0.1"],
@@ -177,6 +180,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ["reproduce", "example1", "--grid-points", "2000", "--out", "{tmp}/out"],
         ["reproduce", "example2", "--out", "{tmp}/out"],
         ["spectrum", "--model", "{tmp}/missing.json"],
+        ["spectrum", "--tau", "inf"],
         ["bounds", "--tau", "1", "--eta", "0.1", "--out", "{tmp}/missing/o.csv"],
         ["spectrum", "--alpha", "0.3", "--grid-points", "10", "--paper-shift"],
     ]
