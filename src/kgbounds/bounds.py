@@ -81,10 +81,10 @@ from .exceptions import (
     ValidationError,
 )
 from .spectral import (
+    _real_part_residuals,
     _tridiagonal_rows,
     SpectrumReport,
     eigen_spectrum,
-    eigenpair_residuals,
     sign_operator,
 )
 
@@ -667,11 +667,8 @@ class VerificationReport:
     against the signed deviations (BoundsReport.checks).  ``residuals``
     / ``residuals_perturbed`` bound sigma_min(Q(lam)) for ``eigenvalues``
     / ``eigenvalues_perturbed``, the real parts of the two spectra, under
-    the model and the perturbed model: the residuals of each spectrum
-    (see spectral.SpectrumStack), and on a non-real perturbed spectrum
-    the eigenpair backward errors of the real parts with its
-    eigenvectors.  ``real_spectrum_perturbed`` says whether the perturbed
-    spectrum is real.
+    the model and the perturbed model (spectral._real_part_residuals).
+    ``real_spectrum_perturbed`` says whether the perturbed spectrum is real.
     """
 
     eigenvalues: np.ndarray
@@ -686,18 +683,6 @@ class VerificationReport:
     residuals_perturbed: np.ndarray = field(repr=False)
 
 
-def _gated_residuals(spec: ModelSpec, report, lam):
-    """The residuals the gate reads for the real parts ``lam`` of a report's spectrum.
-
-    The report's own residuals when its spectrum is real (``lam`` is
-    then its spectrum); on a non-real spectrum, which keeps its
-    eigenvectors, the eigenpair backward errors of ``lam`` with them.
-    """
-    if report.is_real_spectrum:
-        return report.residuals
-    return eigenpair_residuals(spec, lam, report.eigenvectors)
-
-
 def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationReport:
     """Compare predicted bounds against the exactly computed spectra.
 
@@ -706,8 +691,8 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     solved.  Then solves the perturbed spectrum at the same shift
     (general eigensolver with real parts when its contraction passes
     one), pairs eigenvalues in ascending order and checks each kappa
-    constant against the deviations.  Both spectra are solved with
-    certify=True, for their residuals (see spectral.SpectrumStack).
+    constant against the deviations; both spectra are certified, for
+    their residuals at the real parts (spectral._real_part_residuals).
     """
     system = assemble_system(spec, shift)
     gap_bound(system)
@@ -717,7 +702,7 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     rep_p = eigen_spectrum(assemble_system(spec_p, shift), certify=True)
 
     # both solver paths order by real part, so lam and lam_p line up
-    # with each other and with the eigenvector columns kept in the reports
+    # with each other and with the reports' residuals
     lam, lam_p = np.real(rep.eigenvalues), np.real(rep_p.eigenvalues)
     assert np.all(np.diff(lam) >= 0.0) and np.all(np.diff(lam_p) >= 0.0)
 
@@ -739,6 +724,6 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
         bounds=bounds,
         checks=bounds.checks(signed),
         real_spectrum_perturbed=rep_p.is_real_spectrum,
-        residuals=_gated_residuals(spec, rep, lam),
-        residuals_perturbed=_gated_residuals(spec_p, rep_p, lam_p),
+        residuals=_real_part_residuals(rep),
+        residuals_perturbed=_real_part_residuals(rep_p),
     )

@@ -354,9 +354,9 @@ class SweepResult:
     ``parameters[k]``; ``residuals[k, j]`` bounds sigma_min(Q(lam)) for
     lam = ``eigenvalues[k, j]`` under the potential ``parameters[k] * V``
     (the residuals of spectral.SpectrumStack), and ``residual_max[k]`` is
-    its row maximum.  ``critical_value`` is the bisected coupling where
-    the spectrum stops being real, or None when it stays real over the
-    whole range.
+    its row maximum.  ``critical_value`` is the coupling, bisected in the
+    first pair of steps that turns from real to non-real, where the
+    spectrum stops being real; None when no pair of steps turns so.
     """
 
     parameters: np.ndarray

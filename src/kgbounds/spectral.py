@@ -120,16 +120,18 @@ With certify=True the pencil rows that _tridiagonal_rows routes to the
 tridiagonal T are solved for their eigenvalues alone (dsterf), and each
 lam_k is certified by the first half-width r = delta |lam_k - mu| of
 _ENCLOSURE_LADDER whose two counts, at lam_k -+ r, prove it, which also
-proves its index.  Then the exact eigenvalue lam* and a unit
-eigenvector x* of it give Q(lam) x* = (lam - lam*) (lam + lam* - 2V) x*,
-so
+proves its index.  If ||Q(lam) x|| <= rho ||x|| and s is real with
+|s - lam| <= r, then Q(s) - Q(lam) = (s - lam)(s + lam - 2V) gives
 
-    sigma_min(Q(lam)) <= B(lam) = r (2 |lam| + r + 2 ||V||),
+    sigma_min(Q(s)) <= rho + r (2 |s| + r + 2 ||V||),
 
-rounded up, which is the residual reported for lam (see SpectrumStack).
-A row with an eigenvalue that no rung certifies, its counts uncertain
-or short, is solved again with its eigenvectors, as every other row
-is, and its residuals are the eigenpair backward errors.
+rounded up (_moved_residuals).  The exact pair (rho = 0) gives
+B(lam) = r (2 |lam| + r + 2 ||V||), the residual reported for a counted
+lam (see SpectrumStack); a non-real lam's residual, moved to s = Re lam
+by r = |Im lam|, bounds Q at the real part ``kg verify`` emits
+(_real_part_residuals).  A row with an eigenvalue that no rung
+certifies, its counts uncertain or short, is solved again with its
+eigenvectors, as every other row is, for its eigenpair backward errors.
 
 The same solve gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
@@ -162,6 +164,7 @@ from .core import (
     PD_RTOL,
     _GRAM_RANGE,
     _eigenvalues,
+    _symmetric_norm,
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
@@ -228,10 +231,10 @@ _COUNT_BLOCK = 4096
 #: underflow in forming the diagonal, e^2 and e^2 / p moves Q(s) by far less
 _UNDERFLOW_SLACK = 2.0**-500
 
-#: the half-width r and B(lam) are each multiplied by 1 + _ROUND_UP,
-#: which more than covers their roundings (at most 2 and 4 of relative
-#: size eps/2).  An r or a B below _BOUND_FLOOR, where rounding is no
-#: longer relative, certifies nothing
+#: the half-width r and a bound of _moved_residuals are each multiplied
+#: by 1 + _ROUND_UP, which more than covers their roundings (at most 2
+#: and 5 of relative size eps/2).  An r or a bound below _BOUND_FLOOR,
+#: where rounding is no longer relative, certifies nothing
 _ROUND_UP = 8.0 * np.finfo(float).eps
 _BOUND_FLOOR = 2.0**-900
 
@@ -254,15 +257,14 @@ class SpectrumReport:
     shift, smallest above it), with -inf/+inf on an empty side; an
     eigenvalue exactly at the shift belongs to neither side.  ``witness`` is the first
     defective eigenvalue found, or None; ``defective`` says whether
-    there is one.  ``spec`` is the model solved.  ``pencil_factor`` is
+    there is one; it is True on every non-real spectrum, simple or not
+    (see DefectWitness).  ``spec`` is the model solved.  ``pencil_factor`` is
     the factor M, M M^T = U^2 - (V - mu)^2, that certified the pencil:
     on the tridiagonal route (_tridiagonal_rows) the lower bidiagonal M
     in LAPACK's lower band storage, shape (2, n), else the dense lower
-    triangular M; None on the direct path.  ``residuals`` holds, for a
-    report asked for with certify=True, each eigenvalue's bound on
-    sigma_min(Q(lam)), and ``eigenvectors`` is None where counts
-    certified the eigenvalues (see SpectrumStack); without certify
-    ``residuals`` is None.
+    triangular M; None on the direct path.  With certify=True
+    ``residuals`` holds each eigenvalue's bound on sigma_min(Q(lam)) and
+    ``eigenvectors`` is None (see SpectrumStack); else ``residuals`` is.
     """
 
     eigenvalues: np.ndarray
@@ -286,6 +288,9 @@ class DefectWitness:
 
     The direct path alone flags defects (_direct_eigensolve); the vector
     is J-neutral exactly when the corresponding eigenvector of H is.
+    Every eigenvector of a non-real eigenvalue of the J-selfadjoint H is
+    J-neutral, so each non-real spectrum has a 'neutral-eigenvector'
+    witness, simple or not, as a defective pair split past REAL_RTOL has.
     """
 
     eigenvalue: complex
@@ -315,27 +320,24 @@ class SpectrumStack:
     SpectrumReport holds: ``eigenvalues`` sorted ascending by real part
     (a complex array when some row is non-real, the imaginary parts of
     real rows being zero), the K-frame ``eigenvectors`` z_k as columns
-    (None for a nearest-k request), their ``signatures``
+    (None with certify or nearest), their ``signatures``
     (J z_k, z_k), whether the row took the definite ``pencil``,
     ``is_real`` and the first defective eigenvalue of the row, or None,
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
     routed on, and ``pencil_factors`` each pencil row's factor M, as
     SpectrumReport.pencil_factor holds it, and None for a direct row.
 
-    ``residuals`` (certify=True, with no ``nearest``; else None) holds
-    the residual of every eigenvalue, an upper bound on sigma_min(Q(lam)),
-    Q(lam) = (lam - t V)^2 - U^2, which is what the residual gate of
-    ``kg spectrum``, ``kg sweep`` and ``kg verify`` reads.  This is the
-    one place that chooses it.  On a pencil row of the tridiagonal T
-    (_tridiagonal_rows) whose eigenvalues counts certify, it is the bound
-    B(lam) = r (2 |lam| + r + 2 ||t V||) of their enclosures (see the
-    module docstring), and the row is solved for its eigenvalues alone.
-    On every other row (a dense pencil row, a direct row, or a
-    tridiagonal row that no rung certifies, solved again with Z), it is
-    the eigenpair backward error ||Q(lam) x|| / ||x|| of the row's
-    eigenvalues with its Z (eigenpair_residuals, Tisseur, LAA 309, 2000).
-    ``eigenvectors`` stacks every row's Z, or is None when some row has
-    none: a row that counts certified, or a nearest-k request.
+    ``residuals`` (certify=True; else None) holds every eigenvalue's
+    upper bound on sigma_min(Q(lam)), Q(lam) = (lam - t V)^2 - U^2, which
+    the residual gate of ``kg spectrum``, ``kg sweep`` and ``kg verify``
+    reads; this is the one place that computes it.  On a pencil row of
+    the tridiagonal T (_tridiagonal_rows) whose eigenvalues counts
+    certify, solved for its eigenvalues alone, it is their enclosures'
+    B(lam) = r (2 |lam| + r + 2 ||t V||) (see the module docstring).
+    Every other row (dense pencil, direct, or tridiagonal with a rung
+    short, solved again) forms Z for the eigenpair backward errors
+    ||Q(lam) x|| / ||x|| (eigenpair_residuals, Tisseur, LAA 309, 2000)
+    and drops it.
     """
 
     eigenvalues: np.ndarray
@@ -606,20 +608,34 @@ def _count_enclosures(spec: ModelSpec, lam, couplings, shift: float):
     return radius
 
 
-def _residual_bounds(spec: ModelSpec, lam, couplings, shift: float):
-    """B(lam) = r (2 |lam| + r + 2 ||t V||) >= sigma_min(Q(lam)), rounded up.
-
-    One per eigenvalue, r its _count_enclosures half-width (see the
-    module docstring); nan where no rung certifies lam, and where r or
-    B lies outside [_BOUND_FLOOR, inf), where their roundings are not
-    relative.
-    """
-    r = _count_enclosures(spec, lam, couplings, shift)
-    tv_norm = (np.abs(couplings) * np.abs(spec.v_band).max())[:, None]
+def _moved_residuals(rho, s, r, tv_norm):
+    """rho + r (2 |s| + r + 2 ||t V||) >= sigma_min(Q(s)), rounded up (see the
+    module docstring); nan where r or the bound lies outside
+    [_BOUND_FLOOR, inf), where their roundings are not relative."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = r * (2.0 * np.abs(lam) + r + 2.0 * tv_norm) * (1.0 + _ROUND_UP)
+        bound = (rho + r * (2.0 * np.abs(s) + r + 2.0 * tv_norm)) * (1.0 + _ROUND_UP)
         valid = (_BOUND_FLOOR <= r) & (_BOUND_FLOOR <= bound) & (bound < np.inf)
     return np.where(valid, bound, np.nan)
+
+
+def _residual_bounds(spec: ModelSpec, lam, couplings, shift: float):
+    """B(lam) = _moved_residuals(0, lam, r, ||t V||) per eigenvalue, r its
+    _count_enclosures half-width; nan where no rung certifies lam."""
+    r = _count_enclosures(spec, lam, couplings, shift)
+    tv_norm = (np.abs(couplings) * np.abs(spec.v_band).max())[:, None]
+    return _moved_residuals(0.0, lam, r, tv_norm)
+
+
+def _real_part_residuals(report: SpectrumReport):
+    """Bounds on sigma_min(Q(Re lam)) for a certified report's eigenvalues lam:
+    a non-real lam's residual moved to Re lam by |Im lam| (_moved_residuals,
+    ||V|| the gate's core._symmetric_norm), a real one's as it is."""
+    lam, rho = report.eigenvalues, report.residuals
+    if report.is_real_spectrum:
+        return rho
+    r = np.abs(lam.imag)
+    moved = _moved_residuals(rho, lam.real, r, _symmetric_norm(report.spec.v_stored))
+    return np.where(r == 0.0, rho, moved)
 
 
 def _signatures(eigenvectors):
@@ -689,7 +705,8 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
     their signatures (J [x; y], [x; y]); and the first eigenvalue of
     each row with a neutral eigenvector (against NEUTRAL_TOL) or, on a
     real row without one, with a multiplicity cluster short of
-    eigenvectors, with its unit L_g eigenvector.
+    eigenvectors, with its unit L_g eigenvector (so every non-real row
+    has one: see DefectWitness).
 
     KGError when ||L_g|| is not below DIRECT_NORM_LIMIT = 2^510.  Below
     it the eigensolve itself stays in range: t V and g I are blocks of
@@ -769,11 +786,12 @@ def eigen_spectra(
     each side of the shift, they are the k nearest it on each side,
     solved for alone (their signatures theta need no vectors); the
     direct rows still compute every eigenpair, with the vectors that
-    classify them.  With ``certify`` (and no ``nearest``) every row has
-    its residuals, and the pencil rows that take the tridiagonal T are
-    solved for their eigenvalues alone where counts certify them (see
-    SpectrumStack).
+    classify them.  With ``certify`` every row has its residuals and the
+    stack no eigenvectors (see SpectrumStack); ValueError for ``certify``
+    with ``nearest``, whose rows are not a whole spectrum.
     """
+    if certify and nearest is not None:
+        raise ValueError("a nearest-k stack is not a whole spectrum: no certify")
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
         w = np.multiply.outer(t, spec.v_band) - shift   # the diagonals of W
@@ -783,8 +801,7 @@ def eigen_spectra(
         contractions = contraction(spec, shift, t)
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
-    gated = certify and nearest is None
-    counted = gated and _tridiagonal_rows(spec)
+    counted = certify and _tridiagonal_rows(spec)
     # (rows, lam, Z, signatures, is_real, witnesses, residuals) per path
     solved = []
     factors = [None] * t.size
@@ -804,18 +821,17 @@ def eigen_spectra(
                 residuals = _residual_bounds(spec, lam, t[rows], shift)
                 again = np.isnan(residuals).any(axis=1)
                 if again.any():
-                    # solved again, with the eigenvectors the gate then reads
+                    # solved again, with the eigenvectors its residuals need
                     redo = rows[again]
                     sigma[again], z = _tridiagonal_eigensolve(spec, w[redo], None)[:2]
                     lam[again] = shift + sigma[again]
                     residuals[again] = eigenpair_residuals(spec, lam[again], z, t[redo])
-                    # a stack keeps its Z only when no row of it was counted
-                    z = z if again.all() else None
-            elif gated:
+            elif certify:
                 residuals = eigenpair_residuals(spec, lam, z, t[rows])
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
             real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
+            z = None if certify else z
             solved.append((rows, lam, z, 1.0 / sigma, real, none, residuals))
     if rows.size < t.size:
         rows = (~pencil).nonzero()[0]
@@ -824,7 +840,8 @@ def eigen_spectra(
             n = spec.order
             middle = slice(n - min(nearest, n), n + min(nearest, n))
             lam, vecs, signatures = lam[:, middle], None, signatures[:, middle]
-        residuals = eigenpair_residuals(spec, lam, vecs, t[rows]) if gated else None
+        residuals = eigenpair_residuals(spec, lam, vecs, t[rows]) if certify else None
+        vecs = None if certify else vecs
         solved.append((rows, lam, vecs, signatures, is_real, witnesses, residuals))
     if len(solved) == 1:
         _, lam, vecs, signatures, is_real, witnesses, residuals = solved[0]
@@ -833,7 +850,7 @@ def eigen_spectra(
         k, width = t.size, solved[0][1].shape[-1]
         lam = np.empty((k, width), np.result_type(*(p[1] for p in solved)))
         signatures, is_real = np.empty((k, width)), np.empty(k, dtype=bool)
-        residuals = np.empty((k, width)) if gated else None
+        residuals = np.empty((k, width)) if certify else None
         witnesses = [None] * k
         vecs = None
         if all(p[2] is not None for p in solved):
@@ -844,7 +861,7 @@ def eigen_spectra(
                 witnesses[row] = witness
             if vecs is not None:
                 vecs[rows] = vecs_p
-            if gated:
+            if certify:
                 residuals[rows] = res_p
     return SpectrumStack(
         eigenvalues=lam,
@@ -863,15 +880,12 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
     The one row of eigen_spectra for the system's own potential at its
-    shift and contraction: solves the definite pencil in the K frame
-    when G - mu*J is certified positive definite (so the spectrum is
-    certified real and semisimple, and so are the sign types);
-    otherwise, or when the n x n Cholesky factorization of
-    U^2 - (V - mu)^2 fails, falls back to a dense general eigensolver
-    on the companion form L_g, similar to H, and flags non-real pairs
-    and defective eigenvalues.  Neither path forms H or a root of U.
-    With ``certify`` the report has its residuals, and no eigenvectors
-    where counts certified the eigenvalues (see SpectrumStack).
+    shift and contraction: the definite pencil in the K frame when
+    G - mu*J is certified positive definite and U^2 - (V - mu)^2 factors
+    (a certified real, semisimple spectrum and sign types), else the
+    general eigensolver on L_g, which flags non-real pairs and defective
+    eigenvalues.  With ``certify`` the report has its residuals and no
+    eigenvectors (see SpectrumStack); sign_operator reads one without.
     """
     mu, spec = system.shift, system.spec
     stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), certify=certify)

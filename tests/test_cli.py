@@ -146,7 +146,7 @@ class TestVerifyCommand:
         # names its eigenvalue, the real part of a complex pair of V + dV
         assert capsys.readouterr().err == (
             "solver failure: at index 1, eigenvalue -1.1944657990885197: "
-            "pencil residual 2.608755e-01 exceeds the gate 7.316749e-06 "
+            "pencil residual 7.972608e-01 exceeds the gate 7.316749e-06 "
             "(perturbed eigenvalue -1.0250000000000004; "
             "the perturbed spectrum is not real)\n"
         )
@@ -928,6 +928,33 @@ class TestResidualGate:
         assert main(["verify", *src, "--eta", "1e-3"]) == EXIT_OK
         assert main(["sweep", *src, "--sweep-range", "0:1", "--steps", "3"]) == EXIT_OK
         assert calls == []
+
+    def test_verify_forms_residuals_only_in_the_spectrum(self, monkeypatch):
+        # a non-real perturbed spectrum is gated at its real parts from the
+        # residuals eigen_spectra returned: every eigenpair_residuals call
+        # is made inside eigen_spectra, one per spectrum
+        depth, calls = [0], []
+        spectra, residuals = spectral.eigen_spectra, spectral.eigenpair_residuals
+
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return spectra(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def count(*args, **kwargs):
+            calls.append(depth[0])
+            return residuals(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            for original, spy in ((spectra, inside), (residuals, count)):
+                attr = original.__name__
+                if name.startswith("kgbounds") and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, spy)
+        args = ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"]
+        assert main(args) == EXIT_SOLVER
+        assert calls == [1, 1]
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
         def nan(spec, lams, vecs, *couplings):

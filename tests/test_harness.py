@@ -184,10 +184,12 @@ class TestSweep:
 
 
 def per_step_reports(base, params, shift):
-    """eigen_spectrum of each step, one assembled system per coupling t."""
+    """(spec, certified report, report without certify) of each step, one
+    assembled system per coupling t."""
     for t in params:
         spec = base.with_potential(t * base.v, base.label)
-        yield spec, eigen_spectrum(assemble_system(spec, shift), certify=True)
+        system = assemble_system(spec, shift)
+        yield spec, eigen_spectrum(system, certify=True), eigen_spectrum(system)
 
 
 class TestStackedSweep:
@@ -197,7 +199,7 @@ class TestStackedSweep:
     def assert_rows_match(base, lo, hi, steps, shift=0.0):
         result = sweep_potential(base, lo, hi, steps, shift)
         paths = []
-        for k, (spec, report) in enumerate(
+        for k, (spec, report, plain) in enumerate(
             per_step_reports(base, result.parameters, shift)
         ):
             lam = report.eigenvalues
@@ -205,10 +207,16 @@ class TestStackedSweep:
             assert np.abs(result.eigenvalues[k] - lam).max() <= 1e-12 * scale.max(), k
             assert result.is_real[k] == report.is_real_spectrum, k
             assert result.defect_flags[k] == report.defective, k
-            if report.eigenvectors is None:   # certified by counts
-                resid = report.residuals
+            # the certified residuals: B(lam) on a counted step, else the
+            # eigenpair residuals with the Z of the solve without certify
+            if report.solver_path == "similarity" and spectral._tridiagonal_rows(spec):
+                expected = spectral._residual_bounds(spec, lam[None], np.ones(1), shift)
             else:
-                resid = eigenpair_residuals(spec, lam, report.eigenvectors)
+                expected = eigenpair_residuals(
+                    spec, plain.eigenvalues[None], plain.eigenvectors[None], np.ones(1)
+                )
+            np.testing.assert_array_equal(report.residuals, expected[0])
+            resid = report.residuals
             assert np.abs(result.residuals[k] - resid).max() <= 1e-12 * scale.max(), k
             paths.append(report.solver_path)
         return result, paths

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgbounds import (
@@ -462,6 +462,69 @@ class TestEigenpairResiduals:
             expected = np.ldexp(residuals, 2 * k)
             np.testing.assert_array_equal(scaled, expected)
             assert np.isfinite(scaled).all() and (scaled > 0.0).all()
+
+
+def assert_real_parts_no_looser(spec, mu):
+    """Check _real_part_residuals of spec's certified spectrum at mu against
+    the gate it replaces; False (nothing checked) on a real spectrum.
+
+    On each non-real eigenvalue the value is never below the eigenpair
+    backward error of (Re lam, x), x from a solve without certify, nor
+    below sigma_min(Q(Re lam)), up to rounding; each real one keeps its
+    residual.
+    """
+    system = assemble_system(spec, mu)
+    report = eigen_spectrum(system, certify=True)
+    if report.is_real_spectrum:
+        return False
+    plain = eigen_spectrum(system)
+    np.testing.assert_array_equal(report.eigenvalues, plain.eigenvalues)
+    moved = spectral._real_part_residuals(report)
+    lam = report.eigenvalues
+    nonreal = lam.imag != 0.0
+    np.testing.assert_array_equal(moved[~nonreal], report.residuals[~nonreal])
+    z_based = eigenpair_residuals(spec, lam.real, plain.eigenvectors)
+    assert (moved[nonreal] >= z_based[nonreal]).all()
+    for k in nonreal.nonzero()[0]:
+        s = lam[k].real
+        assert moved[k] >= pencil_residual(spec, s) - 4.0 * EPS * gate_scale(spec, s)
+    return True
+
+
+class TestRealPartResiduals:
+    """The residuals verify gates at the real parts of a non-real spectrum,
+    rho + |Im lam| (2 |Re lam| + |Im lam| + 2 ||V||) from the residual rho
+    of each complex eigenvalue: no looser than the eigenpair gate at Re lam."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(1.2, 4.0),
+        log_scale=st.floats(-6.0, 6.0),
+        mu_frac=st.floats(-1.0, 1.0),
+    )
+    def test_property_random_models(self, n, seed, b, log_scale, mu_frac):
+        # U^2 with entries scaled by 10^log_scale and V U^(-1) of norm b
+        # beyond one, where the spectrum is mostly non-real
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s = 10.0**log_scale
+        u2 = s * random_spd(rng, n)
+        u_inv = u_power(ModelSpec(u2, np.zeros((n, n))), -1)
+        raw = rng.normal(size=(n, n))
+        raw = raw + raw.T
+        v = raw * (b / spectral_norm(raw @ u_inv))
+        assume(assert_real_parts_no_looser(ModelSpec(u2, v), mu_frac * np.sqrt(s)))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(tau=st.floats(2.0001, 2.6), mu=st.sampled_from([0.0, -1.0, 0.5]))
+    def test_property_square_well(self, tau, mu):
+        # the well's spectrum is non-real past tau = 2, at any shift
+        assert assert_real_parts_no_looser(square_well_model(tau), mu)
+
+    def test_real_spectrum_keeps_its_residuals(self):
+        report = eigen_spectrum(assemble_system(square_well_model(1.7), 0.0), certify=True)
+        assert spectral._real_part_residuals(report) is report.residuals
 
 
 class TestDefectCheck:
@@ -971,17 +1034,23 @@ class TestSturmCounts:
         stack = spectral.eigen_spectra(spec, (1.0,), mu, certify=True)
         if not stack.pencil[0]:
             return   # b too near one for the closed-form certificate
+        assert stack.eigenvectors is None
         lam = stack.eigenvalues[0]
         radius = spectral._count_enclosures(spec, lam[None], np.ones(1), mu)[0]
         residuals = stack.residuals[0]
-        if stack.eigenvectors is None:   # certified by counts
+        if np.array_equal(
+            residuals, spectral._residual_bounds(spec, lam[None], np.ones(1), mu)[0]
+        ):   # certified by counts
             assert np.isfinite(radius).all()
             for k in rng.choice(2 * n, 4, replace=False):
                 assert residuals[k] >= pencil_residual(spec, lam[k]) * (1.0 - 1e-8)
-        else:   # solved again, and gated on its eigenpairs
+        else:   # solved again, and gated on its eigenpairs, as without certify
+            plain = spectral.eigen_spectra(spec, (1.0,), mu)
+            np.testing.assert_array_equal(lam, plain.eigenvalues[0])
             np.testing.assert_array_equal(
                 residuals,
-                eigenpair_residuals(spec, lam[None], stack.eigenvectors, np.ones(1))[0],
+                eigenpair_residuals(spec, plain.eigenvalues, plain.eigenvectors,
+                                    np.ones(1))[0],
             )
         reference, tol = dense_pencil_eigenvalues(spec, 1.0, mu)
         proven = np.isfinite(radius)
@@ -1063,11 +1132,11 @@ class TestSturmCounts:
             for k in range(2 * n):
                 assert abs(exact[k] - mpmath.mpf(lam[k])) <= mpmath.mpf(radius[k])
 
-    def test_fallback_rows_keep_their_eigenvectors(self, monkeypatch):
+    def test_fallback_rows_take_their_eigenpair_residuals(self, monkeypatch):
         # a row with an uncertain count is solved again with eigenvectors,
         # exactly as without certify, and its residuals are its eigenpair
-        # residuals; the stack keeps the eigenvectors only when no row of
-        # it was counted
+        # residuals; the stack keeps no eigenvectors, however many rows
+        # were counted
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
         t = np.linspace(0.0, 1.0, 5)
         counts = spectral._sturm_counts
@@ -1098,8 +1167,8 @@ class TestSturmCounts:
 
         uncertain[:] = t
         stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        assert stack.eigenvectors is None
         np.testing.assert_array_equal(stack.eigenvalues, plain.eigenvalues)
-        np.testing.assert_array_equal(stack.eigenvectors, plain.eigenvectors)
         np.testing.assert_array_equal(
             stack.residuals,
             eigenpair_residuals(spec, plain.eigenvalues, plain.eigenvectors, t),
@@ -1130,9 +1199,41 @@ class TestSturmCounts:
         )
         assert (stack.residuals < 1e-9).all()
 
+    @pytest.mark.parametrize("route", ["dense pencil", "direct", "fallback", "mixed"])
+    def test_certified_stacks_keep_no_eigenvectors(self, route, monkeypatch):
+        # whichever route its rows take, and wherever they form Z for their
+        # residuals, a certified stack (and report) carries no eigenvectors
+        t = np.linspace(0.0, 1.0, 4)
+        if route == "dense pencil":
+            spec, _ = random_model(np.random.Generator(np.random.PCG64(7)), n=8)
+        elif route == "direct":
+            spec, t = square_well_model(2.1), np.array([1.0, 1.5])
+        elif route == "fallback":
+            counts = spectral._sturm_counts
+
+            def uncertain(*args):
+                found, certain, beta = counts(*args)
+                return found, np.zeros_like(certain), beta
+
+            monkeypatch.setattr(spectral, "_sturm_counts", uncertain)
+            spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        else:
+            spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
+            t = np.linspace(0.0, 1.2, 13)
+        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        pencil = {"dense pencil": [True] * 4, "direct": [False] * 2,
+                  "fallback": [True] * 4, "mixed": [True] * 11 + [False] * 2}[route]
+        assert stack.pencil.tolist() == pencil
+        assert spectral._tridiagonal_rows(spec) == (route in ("fallback", "mixed"))
+        assert stack.eigenvectors is None
+        assert np.isfinite(stack.residuals).all()
+        report = eigen_spectrum(assemble_system(spec, 0.0), certify=True)
+        assert report.eigenvectors is None and report.residuals is not None
+
     def test_residuals_only_with_certify(self):
-        # without certify, or with nearest, a stack carries no residuals
+        # without certify a stack carries no residuals, and a nearest-k
+        # request, not a whole spectrum, cannot be certified
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
         assert spectral.eigen_spectra(spec, (1.0,)).residuals is None
-        stack = spectral.eigen_spectra(spec, (1.0,), nearest=2, certify=True)
-        assert stack.residuals is None and stack.eigenvectors is None
+        with pytest.raises(ValueError, match="nearest"):
+            spectral.eigen_spectra(spec, (1.0,), nearest=2, certify=True)

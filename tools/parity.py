@@ -41,7 +41,10 @@ the direct path, whose double eigenvalues 0.5 and 2.5 enter its
 multiplicity test, spectral._cluster_defects), the oscillator at N = 24, 80
 and 160 with alpha 0.3 and 0.985, ``spectrum`` and ``bounds`` on the
 oscillator at N = 12 (the tridiagonal T from spectral's
-_TRIDIAGONAL_MIN_ORDER = 8 up), two oscillator sweeps at N = 24 (alpha
+_TRIDIAGONAL_MIN_ORDER = 8 up), ``verify`` on the alpha 0.9 oscillator
+at N = 20 with eta 0.3 (a dense random dV whose perturbed spectrum is
+non-real: exit 4, the gate failing at the real parts it emits), two
+oscillator sweeps at N = 24 (alpha
 0.3 over couplings 0..1, and alpha 0.985 over 0..1.2, whose last two
 rows, past b = 1, take the direct path), the text report of ``kg bounds``,
 example 1 at N = 150 and at N = 2000 (where the model exists as bands
@@ -166,6 +169,7 @@ def commands(models: list[str]) -> list[list[str]]:
             ]
     small = ["--alpha", "0.3", "--grid-points", "12"]
     cmds += [["spectrum", *small], ["bounds", *small, "--eta", "1e-3"]]
+    cmds.append(["verify", "--alpha", "0.9", "--grid-points", "20", "--eta", "0.3"])
     cmds += [
         ["sweep", "--alpha", "0.3", "--grid-points", "24", "--sweep-range", "0:1",
          "--steps", "21"],
