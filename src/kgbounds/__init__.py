@@ -68,7 +68,6 @@ from .spectral import (
     DefectWitness,
     SpectrumReport,
     eigen_spectrum,
-    eigenpair_residuals,
     pencil_residual,
     sign_operator,
 )

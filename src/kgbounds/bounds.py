@@ -38,10 +38,11 @@ the gap inclusion intervals and the uniform norm-bound interval through
 angular operator of the positive spectral subspace
 (spectral.sign_operator), the H-frame rows.  Both are taken in U^2's
 eigenbasis E (ModelSpec.u2_eigenbasis), where U^(+-1/2) are diagonal,
-so no root of U is formed; ||J1|| is the only number here read off the
-spectrum's eigenvectors.  Every spectral quantity here is an
-end of a spectrum, and only the ends are computed (core._spectrum_ends):
-the exact pair, the sign of the mixed product and each norm.  nu comes
+so no root of U is formed; ||J1|| is the only number read off
+eigenvectors, which sign_operator solves for from M.  Every spectral
+quantity here is an end of a spectrum, and only the ends are computed
+(core._spectrum_ends): the exact pair, the mixed product's sign and
+each norm.  nu comes
 from V^(-1) dV, the rows of dV scaled when V is diagonal and a
 Bunch-Kaufman solve with V otherwise.  One record holds everything known
 about one (model, dV, shift): perturbation_constants measures dV (c, nu
@@ -382,9 +383,11 @@ class KappaCheck:
 class BoundsReport:
     """Every statement for one (model, dV, shift): b, alpha, kappa, intervals.
 
-    ``spectrum`` is the model's spectrum at the shift (it holds both),
-    ``perturbation`` the validated potential change dV and ``alpha``
-    the guaranteed half-width of the central gap (gap_bound).
+    ``spectrum`` is the model's spectrum at the shift, whose factor M
+    and central gap the rows read: from bounds_report the eigenvalue
+    nearest the shift on each side alone, from verify_bounds the whole
+    spectrum.  ``perturbation`` is the validated potential change dV and
+    ``alpha`` the guaranteed half-width of the central gap (gap_bound).
     ``c`` = ||dV U^(-1)||; ``nu`` the smallest factor with
     ||dV psi|| <= nu ||V psi||, absent when V is numerically singular or
     when V^(-1), dV V^(-1) or nu itself overflows; ``disjoint`` whether
@@ -642,12 +645,13 @@ def bounds_report(spec: ModelSpec, pert, shift: float = 0.0) -> BoundsReport:
     """Assemble, solve and evaluate every constant for one (model, dV, shift).
 
     Raises ContractionNotLessThanOne when b >= 1, before any spectrum is
-    solved; otherwise solves the spectrum once and reads every constant
-    off it (perturbation_constants).
+    solved; otherwise solves for the pencil factor M and the eigenvalue
+    nearest the shift on each side (eigen_spectrum's nearest=1), all
+    that perturbation_constants and rows() read.
     """
     system = assemble_system(spec, shift)
     gap_bound(system)
-    return perturbation_constants(system, pert, eigen_spectrum(system))
+    return perturbation_constants(system, pert, eigen_spectrum(system, nearest=1))
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +700,10 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     """
     system = assemble_system(spec, shift)
     gap_bound(system)
-    rep = eigen_spectrum(system, certify=True)
+    rep = eigen_spectrum(system)
     bounds = perturbation_constants(system, pert, rep)
     spec_p = spec.perturbed(bounds.perturbation.delta_v)
-    rep_p = eigen_spectrum(assemble_system(spec_p, shift), certify=True)
+    rep_p = eigen_spectrum(assemble_system(spec_p, shift))
 
     # both solver paths order by real part, so lam and lam_p line up
     # with each other and with the reports' residuals

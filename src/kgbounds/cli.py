@@ -284,7 +284,7 @@ def _gate_exit(
 
 def cmd_spectrum(args) -> int:
     spec, _, shift = _resolve(args)
-    report = eigen_spectrum(assemble_system(spec, shift), certify=True)
+    report = eigen_spectrum(assemble_system(spec, shift))
     lams, resids = report.eigenvalues, report.residuals
     rows = zip(
         range(lams.size),

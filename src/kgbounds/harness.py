@@ -21,13 +21,12 @@ The two reproductions are desk-scale experiments:
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
 eigenvalues collide and leave the real axis.  It solves its steps in
-blocks of couplings, one stacked spectral.eigen_spectra call per block
-with certify=True, which returns the rows' residuals too, sized by
-BLOCK_BUDGET: on the dense route a block's temporaries stay near those
+blocks of couplings, one stacked spectral.eigen_spectra call per block,
+whose whole spectra carry the rows' residuals, sized by BLOCK_BUDGET: on the dense route a block's temporaries stay near those
 of a single step, and on the tridiagonal route, whose rows are solved
 one at a time and certified by counts in O(n) memory per eigenvalue
 (see spectral.SpectrumStack), a block holds the rows whose eigenvalues
-fill BLOCK_BUDGET.
+fill BLOCK_BUDGET.  The bisection reads each step's reality alone.
 """
 
 from __future__ import annotations
@@ -376,14 +375,15 @@ def sweep_potential(
     The steps are solved in blocks of max(1, BLOCK_BUDGET // (2n)^2)
     couplings, or of max(1, BLOCK_BUDGET // 2n) when the spectral module
     solves the rows by the tridiagonal T, one stacked eigen_spectra call
-    per block, with certify=True, whose residuals the result keeps.
+    per block, whose residuals the result keeps.
     Every t V is exactly symmetric, and |t| is largest at an end of the
     range, so the two end potentials are validated (ValidationError when
     t V leaves the float range) before anything is solved, and a steps
     count whose (steps, 2n) eigenvalue array numpy would refuse raises
     MemoryError before any array is made.  The critical coupling is located by
     bisection (to 1e-6), one stack of one per step, on the reality of
-    the spectrum within the first bracket where it flips.
+    the spectrum within the first bracket where it flips, from a row of
+    the eigenvalues nearest the shift.
     """
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
@@ -412,7 +412,7 @@ def sweep_potential(
     for start in range(0, steps, block):
         rows = slice(start, start + block)
         t = params[rows]
-        solved = eigen_spectra(base, t, shift, certify=True)
+        solved = eigen_spectra(base, t, shift)
         # both solver paths order by real part, then imaginary part
         eigenvalues[rows] = solved.eigenvalues
         residuals[rows] = solved.residuals
@@ -425,7 +425,7 @@ def sweep_potential(
         t_lo, t_hi = float(params[flips[0]]), float(params[flips[0] + 1])
         while t_hi - t_lo > 1e-6:
             mid = 0.5 * (t_lo + t_hi)
-            if eigen_spectra(base, (mid,), shift).is_real[0]:
+            if eigen_spectra(base, (mid,), shift, nearest=1).is_real[0]:
                 t_lo = mid
             else:
                 t_hi = mid

@@ -23,18 +23,18 @@ Tisseur & Meerbergen; Guo, Higham & Tisseur, SIMAX 30, 2009).  T is
 similar to H - mu: with z = F^(-T) y, J z = theta (K - mu*J) z reads
 F^(-1) J F^(-T) y = theta y, the inverse of T y = (1/theta) y, so
 sigma = 1/theta = lam - mu itself, ascending in the report's order,
-and M is never inverted.  The reported eigenvectors are the pencil's
-own
+and M is never inverted.  The pencil's own eigenvectors are
 
     Z = F^(-T) Y = [X; (Lam - V) X],    Z^T (K - mu*J) Z = Y^T Y = I,
 
 with the quadratic eigenvectors X = M^(-T) Y_1 from one triangular
-solve, (lam - V)^2 x = U^2 x, so no root of U is taken.  Z is written
-where Y lies: on a dense row T is built in Fortran order, dsyevd
-reduces it in place and writes Y over it, and Z overwrites Y; the
-tridiagonal rows write theirs into one stack.  The report keeps the
-factor M too (SpectrumReport.pencil_factor), from which the bounds
-module reads the exact kappa pair without Z.  Each column
+solve, (lam - V)^2 x = U^2 x, so no root of U is taken.  No spectrum
+carries Z: _pencil_eigenvectors forms it from a row's factor M where a
+number is read off it (a whole spectrum's eigenpair residuals on its
+dense rows, and sign_operator's ||J1||), and writes it where Y lies:
+dsyevd reduces the Fortran-ordered dense T in place, and Z overwrites
+Y.  The report keeps M (SpectrumReport.pencil_factor), from which the
+bounds module reads the exact kappa pair.  Each column
 has the J-signature (J z, z) = theta = 1/sigma, whose sign is the side
 of the shift its eigenvalue lies on: the sign types are certified,
 with no tolerance.  When U^2 is tridiagonal and V diagonal (the
@@ -74,8 +74,8 @@ T, which the pencil rows then compute alone by one bisection
 (core._eigenvalues, or dstebz on the tridiagonal T), and
 neither X nor Z is formed, since the signatures are 1/sigma.
 
-Counts certify the tridiagonal rows without eigenvectors.  For real s,
-K - s*J = [[U^2, V - s], [V - s, I]] has the Schur complement
+Counts prove the tridiagonal rows' eigenvalues, with no eigenvector.
+For real s, K - s*J = [[U^2, V - s], [V - s, I]] has the Schur complement
 U^2 - (V - s)^2 = -Q(s) of its identity block, so by Sylvester's law of
 inertia it has n + p positive eigenvalues, p the number of negative
 ones of Q(s).  And K - s*J = F (I - (s - mu) T^(-1)) F^T, since
@@ -112,11 +112,11 @@ underflow (the data are first scaled by a power of two to entries below
 one).  So g = +beta(s) where a count must be at least j, and -beta(s)
 where it must be at most j - 1: Q(s) + beta I + E >= Q(s) has no more
 negative eigenvalues than Q(s), and Q(s) - beta I + E <= Q(s) no fewer,
-so each count can only under-certify.  The bound holds while no pivot
+so each count can only under-count.  The bound holds while no pivot
 overflows: a count whose pivots overflow or turn nan, after a zero or
 nearly zero pivot, is uncertain.
 
-With certify=True the pencil rows that _tridiagonal_rows routes to the
+In a whole spectrum the pencil rows that _tridiagonal_rows routes to the
 tridiagonal T are solved for their eigenvalues alone (dsterf), and each
 lam_k is certified by the first half-width r = delta |lam_k - mu| of
 _ENCLOSURE_LADDER whose two counts, at lam_k -+ r, prove it, which also
@@ -131,9 +131,10 @@ lam (see SpectrumStack); a non-real lam's residual, moved to s = Re lam
 by r = |Im lam|, bounds Q at the real part ``kg verify`` emits
 (_real_part_residuals).  A row with an eigenvalue that no rung
 certifies, its counts uncertain or short, is solved again with its
-eigenvectors, as every other row is, for its eigenpair backward errors.
+eigenvectors, as every dense pencil row and direct row is, for its
+eigenpair backward errors.
 
-The same solve gives the sign operator: the H-frame pencil
+The pencil's positive half gives the sign operator: the H-frame pencil
 eigenvectors are D Z, D = diag(U^(1/2), U^(-1/2)), so with
 Y = D Z |Theta|^(-1/2)
 
@@ -149,7 +150,11 @@ angular operator Gamma = Q P^(-1), ||Gamma|| < 1, and
 
 Neither Y, J1 nor a root of U is formed for it: with
 U^2 = E diag(d^4) E^T (ModelSpec.u2_eigenbasis), E^T a = d E^T z_1 and
-E^T b = E^T z_2 / d, and the orthogonal E changes no norm.
+E^T b = E^T z_2 / d, and the orthogonal E changes no norm.  Only the
+last n columns of Z, the positive ones, are read: sign_operator reduces
+T, built from a pencil report's M and W = V - mu, once with its
+eigenvectors and forms those columns alone, so a report of the
+eigenvalues nearest the shift serves as well as a whole spectrum.
 """
 
 from __future__ import annotations
@@ -181,7 +186,6 @@ __all__ = [
     "eigen_spectrum",
     "eigen_spectra",
     "sign_operator",
-    "eigenpair_residuals",
     "pencil_residual",
 ]
 
@@ -200,7 +204,7 @@ NEUTRAL_TOL = 1e-6
 DIRECT_NORM_LIMIT = 2.0**510
 
 #: the order n from which a tridiagonal spec's pencil rows, with their
-#: residuals and the exact kappa pair, take the tridiagonal T (and its
+#: residuals, the exact kappa pair and ||J1||, take the tridiagonal T (and its
 #: bidiagonal M) in place of the dense one.  Timed on the alpha = 0.3
 #: oscillator at shift 0 (one OpenBLAS thread, 2-core x86-64, best of
 #: 7 to 15), tridiagonal/dense in ms: eigen_spectra of 21 couplings
@@ -216,7 +220,7 @@ DIRECT_NORM_LIMIT = 2.0**510
 _TRIDIAGONAL_MIN_ORDER = 8
 
 #: the relative half-widths delta, tried in turn, of the enclosures
-#: lam -+ delta |lam - mu| that two counts certify (64 eps up to about
+#: lam -+ delta |lam - mu| that two counts prove (64 eps up to about
 #: 4e-9).  On the oscillator at shift 0 the first rung certifies 151 of
 #: the 160 eigenvalues at N = 80 and 1816 of 2000 at N = 1000 at
 #: alpha 0.3 (117 and 1791 at alpha 0.985), the second all but 2 (18)
@@ -242,8 +246,9 @@ _BOUND_FLOOR = 2.0**-900
 class SpectrumReport:
     """Classified spectrum of one assembled system.
 
-    ``eigenvalues`` is sorted ascending (by real part when non-real) and
-    aligned column-wise with ``eigenvectors``, the K-frame eigenvectors
+    ``eigenvalues`` is sorted ascending (by real part when non-real):
+    the whole spectrum, or with ``nearest`` = k its 2k middle ones.  No
+    eigenvector is kept; lam_k has the K-frame eigenvector
     z_k = [x_k; (lam_k - V) x_k] of the pencil (J, K - mu*J), x_k the
     quadratic eigenvector: on the pencil path normalized by
     Z^T (K - mu*J) Z = I, on the direct path [x_k; g y_k] from the unit
@@ -257,18 +262,16 @@ class SpectrumReport:
     shift, smallest above it), with -inf/+inf on an empty side; an
     eigenvalue exactly at the shift belongs to neither side.  ``witness`` is the first
     defective eigenvalue found, or None; ``defective`` says whether
-    there is one; it is True on every non-real spectrum, simple or not
-    (see DefectWitness).  ``spec`` is the model solved.  ``pencil_factor`` is
-    the factor M, M M^T = U^2 - (V - mu)^2, that certified the pencil:
-    on the tridiagonal route (_tridiagonal_rows) the lower bidiagonal M
-    in LAPACK's lower band storage, shape (2, n), else the dense lower
-    triangular M; None on the direct path.  With certify=True
-    ``residuals`` holds each eigenvalue's bound on sigma_min(Q(lam)) and
-    ``eigenvectors`` is None (see SpectrumStack); else ``residuals`` is.
+    there is one (see DefectWitness).  ``spec`` is the model solved.
+    ``pencil_factor`` is the factor M, M M^T = U^2 - (V - mu)^2, that
+    certified the pencil: on the tridiagonal route (_tridiagonal_rows)
+    the lower bidiagonal M in LAPACK's lower band storage, shape (2, n),
+    else the dense lower triangular M; None on the direct path.
+    ``residuals`` holds each eigenvalue's bound on sigma_min(Q(lam)) on a
+    whole spectrum (see SpectrumStack), and is None with ``nearest``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     sign_types: tuple
     central_gap: tuple
@@ -289,8 +292,8 @@ class DefectWitness:
     The direct path alone flags defects (_direct_eigensolve); the vector
     is J-neutral exactly when the corresponding eigenvector of H is.
     Every eigenvector of a non-real eigenvalue of the J-selfadjoint H is
-    J-neutral, so each non-real spectrum has a 'neutral-eigenvector'
-    witness, simple or not, as a defective pair split past REAL_RTOL has.
+    J-neutral, so only the eigenvalues real to REAL_RTOL are tested: a
+    defective pair split by rounding within that threshold is found.
     """
 
     eigenvalue: complex
@@ -319,29 +322,27 @@ class SpectrumStack:
     Row k holds, for the potential t_k V of the k-th coupling, what a
     SpectrumReport holds: ``eigenvalues`` sorted ascending by real part
     (a complex array when some row is non-real, the imaginary parts of
-    real rows being zero), the K-frame ``eigenvectors`` z_k as columns
-    (None with certify or nearest), their ``signatures``
-    (J z_k, z_k), whether the row took the definite ``pencil``,
+    real rows being zero), the ``signatures`` (J z_k, z_k) of their
+    K-frame eigenvectors z_k, whether the row took the definite ``pencil``,
     ``is_real`` and the first defective eigenvalue of the row, or None,
     in ``witnesses``.  ``contractions`` holds the b(t) each row was
     routed on, and ``pencil_factors`` each pencil row's factor M, as
     SpectrumReport.pencil_factor holds it, and None for a direct row.
 
-    ``residuals`` (certify=True; else None) holds every eigenvalue's
-    upper bound on sigma_min(Q(lam)), Q(lam) = (lam - t V)^2 - U^2, which
-    the residual gate of ``kg spectrum``, ``kg sweep`` and ``kg verify``
+    ``residuals`` (None with ``nearest``) holds every eigenvalue's upper
+    bound on sigma_min(Q(lam)), Q(lam) = (lam - t V)^2 - U^2, which the
+    residual gate of ``kg spectrum``, ``kg sweep`` and ``kg verify``
     reads; this is the one place that computes it.  On a pencil row of
     the tridiagonal T (_tridiagonal_rows) whose eigenvalues counts
-    certify, solved for its eigenvalues alone, it is their enclosures'
+    prove, solved for its eigenvalues alone, it is their enclosures'
     B(lam) = r (2 |lam| + r + 2 ||t V||) (see the module docstring).
     Every other row (dense pencil, direct, or tridiagonal with a rung
     short, solved again) forms Z for the eigenpair backward errors
     ||Q(lam) x|| / ||x|| (eigenpair_residuals, Tisseur, LAA 309, 2000)
-    and drops it.
+    and drops it: no stack keeps eigenvectors.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     pencil: np.ndarray
     is_real: np.ndarray
@@ -363,7 +364,8 @@ def _cholesky(a):
     fails, as it does for the whole stack when one matrix is not
     positive definite, the matrices are factored again one at a time,
     so only the failing ones are marked.  A stack of one goes to LAPACK's
-    dpotrf directly (see _eigh).
+    dpotrf directly: at small orders numpy's stacked calls cost several
+    times the solve itself.
     """
     if len(a) == 1:
         m, info = lapack.dpotrf(a[0], lower=1, clean=1)
@@ -382,136 +384,122 @@ def _cholesky(a):
     return factors, factored
 
 
-def _eigh(c):
-    """Ascending eigenvalues and eigenvectors of each symmetric matrix of a stack.
-
-    Only the lower triangles are read.  A stack of one goes to LAPACK's
-    dsyevd directly: at small orders numpy's stacked call costs several
-    times the solve itself, and overwrites c, which the caller owns: a
-    matrix in Fortran order is reduced in place and its eigenvectors
-    are written over it.
-    """
-    if len(c) == 1:
-        theta, y, info = lapack.dsyevd(c[0], compute_v=1, lower=1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return theta[None], y[None]
-    return np.linalg.eigh(c)
-
-
 def _tridiagonal_rows(spec: ModelSpec) -> bool:
-    """Whether spec's pencil rows take the tridiagonal T (_tridiagonal_eigensolve):
+    """Whether spec's pencil rows take the tridiagonal T (_k_frame_eigensolve):
     those of a tridiagonal spec from order n = _TRIDIAGONAL_MIN_ORDER up."""
     return spec.tridiagonal and spec.order >= _TRIDIAGONAL_MIN_ORDER
 
 
-def _k_frame_eigensolve(
-    spec: ModelSpec, w, nearest: int | None, vectors: bool = True
-):
-    """Eigenpairs of the K-frame pencils (J, K - shift*J) of a stack of W.
-
-    ``w`` holds W = V_k - shift*I, shape (k, n, n), or for
-    _tridiagonal_rows(spec) the diagonals (k, n) of those diagonal W.
-    Factors each -Q(shift) = U^2 - W W = M M^T, solves the standard symmetric
-    T y = sigma y, T = [[0, M^T], [M, 2W]] (see the module docstring),
-    and returns (sigma, Z = [x; y_2 - W x], M, factored): ``factored``
-    marks the rows whose Cholesky factorization succeeded (None when
-    all did), and sigma, Z and the factors M hold those rows alone, each
-    ordered by ascending sigma = lam - shift = 1/theta, with
-    x = M^(-T) y_1 and Z^T (K - shift*J) Z = I.  With ``nearest`` = k,
-    T is solved for its eigenvalues n-k+1 .. n+k alone, the k nearest
-    the shift on each side, and Z is None.  For _tridiagonal_rows(spec)
-    T is tridiagonal, and _tridiagonal_eigensolve solves it, for its
-    eigenvalues alone (Z None) when ``vectors`` is False; otherwise
-    only the lower triangles of -Q(shift) and T are read, and T is
-    built in Fortran order, so that a stack of one is reduced in place
-    and its eigenvectors Y are turned into Z where they lie, with no
-    order-2n copy.
-    """
-    n = spec.order
-    if _tridiagonal_rows(spec):
-        return _tridiagonal_eigensolve(spec, w, nearest, vectors)
-    m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
-    if factored is not None:
-        w, m = w[factored], m[factored]
+def _pencil_matrix(m, w):
+    """T = [[0, M^T], [M, 2W]] per row, in Fortran order and its lower
+    triangle alone, from dense factors M and W; or, for one row's band M
+    and the diagonal w of its W, the diagonal (2 w_0, 0, 2 w_1, 0, ...)
+    and off-diagonal (M_00, M_10, M_11, M_21, ...) of the tridiagonal T
+    of the unknowns ordered (y_2[0], y_1[0], y_2[1], y_1[1], ...)."""
+    if w.ndim == 1:
+        diagonal, off = np.zeros(2 * len(w)), np.empty(2 * len(w) - 1)
+        diagonal[::2] = 2.0 * w
+        off[::2], off[1::2] = m[0], m[1, :-1]
+        return diagonal, off
+    n = w.shape[-1]
     t = np.zeros((len(w), 2 * n, 2 * n)).swapaxes(-1, -2)   # Fortran order
     t[:, n:, :n] = m
     t[:, n:, n:] = 2.0 * w
-    if nearest is not None:
-        k = min(nearest, n)
-        sigma = _eigenvalues(t, ((n - k + 1, n + k),), overwrite=True)
-        return sigma, None, m, factored
-    sigma, y = _eigh(t)
-    if len(m) == 1:
-        x = lapack.dtrtrs(m[0], y[0, :n], lower=1, trans=1)[0][None]
-    else:
-        x = np.linalg.solve(m.swapaxes(-1, -2), y[:, :n])   # M^(-T) y_1
-    y[:, n:] -= w @ x
-    y[:, :n] = x
-    return sigma, y, m, factored
+    return t
 
 
-def _tridiagonal_eigensolve(
-    spec: ModelSpec, w, nearest: int | None, vectors: bool = True
-):
-    """_k_frame_eigensolve for a tridiagonal spec, from the diagonals ``w`` of W.
+def _pencil_eigenvectors(spec: ModelSpec, m, w, columns=slice(None)):
+    """sigma and the columns Z[..., columns] of the eigenvectors of pencil rows.
 
-    -Q(shift) = U^2 - W^2 is tridiagonal, and LAPACK's dpttrf factors
-    it as L D L^T in O(n), so M = L D^(1/2) is lower bidiagonal.  With
-    the unknowns ordered (y_2[0], y_1[0], y_2[1], y_1[1], ...), T is
-    the tridiagonal matrix with diagonal (2 w_0, 0, 2 w_1, 0, ...) and
-    off-diagonal (M_00, M_10, M_11, M_21, ...).  Its eigenvalues come
-    from dstebz (core._tridiagonal_eigenvalues, on T scaled as
-    core._unit_scaled scales a matrix), all of them alone, when
-    ``vectors`` is False, from dsterf (the root-free QR iteration), its
-    eigenpairs from dstevd (divide and conquer, the tridiagonal stage of
-    dsyevd), and x = M^(-T) y_1 from one banded triangular solve
-    (dtbtrs).  Each
-    row's Z is written into one stack, allocated once the first dstevd
-    has returned (and freed its order-2n workspace), and M is returned
-    in LAPACK's lower band storage, (2, n) per row.  A row whose dpttrf
-    fails is left out of sigma, Z and M, as a failing dpotrf row is.
+    ``m`` and ``w`` are _k_frame_eigensolve's factors M and W.  Each T
+    (_pencil_matrix) is solved with its orthogonal Y, and the columns
+    asked for are turned into Z = [x; y_2 - W x], x = M^(-T) y_1 (see the
+    module docstring).  A dense T is reduced (dsyevd, in place for a
+    stack of one) and Z written over those columns of Y (a view of Y is
+    returned), with x from one triangular solve; a tridiagonal T takes
+    dstevd and one banded solve per row, into one stack allocated once
+    the first dstevd has returned (and freed its workspace).
     """
-    u2_diagonal, u2_off = spec.u2_bands
     n = spec.order
-    width = 2 * n if nearest is None else 2 * min(nearest, n)
+    if not _tridiagonal_rows(spec):
+        t = _pencil_matrix(m, w)
+        if len(t) == 1:   # LAPACK itself, in place (see _cholesky)
+            sigma, y, info = lapack.dsyevd(t[0], compute_v=1, lower=1, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            sigma, z = sigma[None], y[None, :, columns]
+            x = lapack.dtrtrs(m[0], z[0, :n], lower=1, trans=1)[0][None]
+        else:
+            sigma, y = np.linalg.eigh(t)
+            z = y[..., columns]
+            x = np.linalg.solve(m.swapaxes(-1, -2), z[:, :n])   # M^(-T) y_1
+        z[:, n:] -= w @ x
+        z[:, :n] = x
+        return sigma, z
+    sigma, z = np.empty((len(w), 2 * n)), None
+    for row, (band, wk) in enumerate(zip(m, w)):
+        sigma[row], y, info = lapack.dstevd(*_pencil_matrix(band, wk))
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        y = y[:, columns]
+        if z is None:
+            z = np.empty((len(w), 2 * n, y.shape[1]))
+        x = lapack.dtbtrs(band, y[1::2], uplo="L", trans="T")[0]   # M^(-T) y_1
+        z[row, :n] = x
+        bottom = np.multiply(wk[:, None], x, out=z[row, n:])
+        np.subtract(y[::2], bottom, out=bottom)   # y_2 - W x
+    return sigma, z
+
+
+def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
+    """Factors M and eigenvalues sigma = lam - shift of the K-frame pencil rows.
+
+    ``w`` holds W = V_k - shift*I, (k, n, n), or for _tridiagonal_rows(spec)
+    the diagonals (k, n) of those diagonal W.  Factors each -Q(shift) =
+    U^2 - W W = M M^T and solves T y = sigma y (see the module docstring),
+    sigma ascending; returns (sigma, Z, M, factored) for the rows whose
+    factorization succeeded (``factored``, None when all did).  With
+    ``nearest`` = k only T's eigenvalues n-k+1 .. n+k, the k nearest the
+    shift on each side, are solved for, by bisection (core._eigenvalues,
+    or dstebz on the tridiagonal T); without, a dense T with its Z
+    (_pencil_eigenvectors) for the eigenpair residuals, a tridiagonal one
+    for its eigenvalues alone (dsterf), which counts prove.  On the
+    tridiagonal route dpttrf factors -Q(shift) = L D L^T in O(n), M =
+    L D^(1/2) is kept in LAPACK's lower band storage, (2, n), and each
+    row is solved as it is factored; Z is None there.
+    """
+    n = spec.order
+    k = n if nearest is None else min(nearest, n)
+    middle = ((n - k + 1, n + k),)
+    if not _tridiagonal_rows(spec):
+        m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
+        if factored is not None:
+            w, m = w[factored], m[factored]
+        if nearest is None:
+            return (*_pencil_eigenvectors(spec, m, w), m, factored)
+        sigma = _eigenvalues(_pencil_matrix(m, w), middle, overwrite=True)
+        return sigma, None, m, factored
+    u2_diagonal, u2_off = spec.u2_bands
     factored = np.ones(len(w), dtype=bool)
-    sigma, z, bands = np.empty((len(w), width)), None, []
+    sigma, bands = np.empty((len(w), 2 * k)), []
     for row, wk in enumerate(w):
         d, multipliers, info = lapack.dpttrf(u2_diagonal - wk * wk, u2_off)
         if info != 0:
             factored[row] = False
             continue
-        slot = len(bands)   # this row's place in sigma and Z
         band = np.zeros((2, n))   # M: its diagonal, then its subdiagonal
         band[0] = np.sqrt(d)
         band[1, :-1] = multipliers * band[0, :-1]
+        diagonal, off = _pencil_matrix(band, wk)
+        slot = len(bands)   # this row's place in sigma and M
         bands.append(band)
-        diagonal, off = np.zeros(2 * n), np.empty(2 * n - 1)
-        diagonal[::2] = 2.0 * wk
-        off[::2], off[1::2] = band[0], band[1, :-1]
         if nearest is not None:
-            middle = ((n - width // 2 + 1, n + width // 2),)
             sigma[slot] = _tridiagonal_eigenvalues(diagonal, off, middle)
             continue
-        if not vectors:
-            sigma[slot], info = lapack.dsterf(diagonal, off, overwrite_d=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            continue
-        sigma[slot], y, info = lapack.dstevd(diagonal, off)
+        sigma[slot], info = lapack.dsterf(diagonal, off, overwrite_d=1)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        if z is None:
-            z = np.empty((len(w), 2 * n, 2 * n))
-        x = lapack.dtbtrs(band, y[1::2], uplo="L", trans="T")[0]   # M^(-T) y_1
-        z[slot, :n] = x
-        bottom = np.multiply(wk[:, None], x, out=z[slot, n:])
-        np.subtract(y[::2], bottom, out=bottom)   # y_2 - W x
-    count = len(bands)
-    if z is not None:
-        z = z[:count]
-    return sigma[:count], z, bands, None if factored.all() else factored
+    return sigma[: len(bands)], None, bands, None if factored.all() else factored
 
 
 def _sturm_counts(spec: ModelSpec, shifts, couplings, signs):
@@ -570,7 +558,7 @@ def _sturm_counts(spec: ModelSpec, shifts, couplings, signs):
 
 
 def _count_enclosures(spec: ModelSpec, lam, couplings, shift: float):
-    """Half-widths r of the enclosures [lam - r, lam + r] that counts certify.
+    """Half-widths r of the enclosures [lam - r, lam + r] that counts prove.
 
     One per eigenvalue: ``lam`` holds rows (k, 2n) of the ascending
     eigenvalues of pencil rows at ``shift``, row i of the potential
@@ -703,10 +691,10 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
     parts stay within REAL_RTOL * ||L_g||; Z = [x; g y] from the unit
     eigenvectors [x; y] that eig returns (real parts on a real row);
     their signatures (J [x; y], [x; y]); and the first eigenvalue of
-    each row with a neutral eigenvector (against NEUTRAL_TOL) or, on a
-    real row without one, with a multiplicity cluster short of
-    eigenvectors, with its unit L_g eigenvector (so every non-real row
-    has one: see DefectWitness).
+    each row, of those real to REAL_RTOL * ||L_g||, with a neutral
+    eigenvector (against NEUTRAL_TOL) or, on a real row without one,
+    with a multiplicity cluster short of eigenvectors, with its unit L_g
+    eigenvector (see DefectWitness).
 
     KGError when ||L_g|| is not below DIRECT_NORM_LIMIT = 2^510.  Below
     it the eigensolve itself stays in range: t V and g I are blocks of
@@ -742,6 +730,9 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
             vecs = np.where(is_real[:, None, None], vecs.real, vecs)
     signatures = _signatures(vecs)
     neutral = ~((signatures > NEUTRAL_TOL) | (signatures < -NEUTRAL_TOL))
+    # a non-real eigenvalue's eigenvectors are J-neutral whether or not it
+    # is defective: only the eigenvalues real to is_real's threshold count
+    neutral &= np.abs(lam.imag) <= REAL_RTOL * scale[:, None]
     has_neutral = neutral.any(axis=-1)
     witnesses = [None] * len(lam)
     for k in has_neutral.nonzero()[0]:
@@ -767,7 +758,6 @@ def eigen_spectra(
     shift: float = 0.0,
     contractions=None,
     nearest: int | None = None,
-    certify: bool = False,
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
@@ -780,18 +770,15 @@ def eigen_spectra(
     root-free companion form L_g(t) (_direct_eigensolve).  Neither path
     forms H or a root of U.  ``contractions`` are the rows' b when
     the caller has them, else core.contraction's; either way the stack
-    keeps them.  With ``nearest`` = k each row holds the 2k eigenvalues
-    in the middle of its ascending order alone, and the stack's
-    eigenvectors are None: on a pencil row, which has n eigenvalues on
-    each side of the shift, they are the k nearest it on each side,
+    keeps them.  Without ``nearest`` every row is a whole spectrum with
+    its residuals (see SpectrumStack).  With ``nearest`` = k each row
+    holds the 2k eigenvalues in the middle of its ascending order alone,
+    and the stack no residuals: on a pencil row, which has n eigenvalues
+    on each side of the shift, they are the k nearest it on each side,
     solved for alone (their signatures theta need no vectors); the
     direct rows still compute every eigenpair, with the vectors that
-    classify them.  With ``certify`` every row has its residuals and the
-    stack no eigenvectors (see SpectrumStack); ValueError for ``certify``
-    with ``nearest``, whose rows are not a whole spectrum.
+    classify them.
     """
-    if certify and nearest is not None:
-        raise ValueError("a nearest-k stack is not a whole spectrum: no certify")
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
         w = np.multiply.outer(t, spec.v_band) - shift   # the diagonals of W
@@ -801,15 +788,13 @@ def eigen_spectra(
         contractions = contraction(spec, shift, t)
     contractions = np.asarray(contractions, dtype=float)
     pencil = _certified_definite(spec, contractions)
-    counted = certify and _tridiagonal_rows(spec)
-    # (rows, lam, Z, signatures, is_real, witnesses, residuals) per path
+    whole = nearest is None
+    # (rows, lam, signatures, is_real, witnesses, residuals) per path
     solved = []
     factors = [None] * t.size
     rows = pencil.nonzero()[0]
     if rows.size:
-        sigma, z, m, factored = _k_frame_eigensolve(
-            spec, w[rows], nearest, vectors=not counted
-        )
+        sigma, z, m, factored = _k_frame_eigensolve(spec, w[rows], nearest)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
@@ -817,55 +802,50 @@ def eigen_spectra(
             factors[row] = factor
         if rows.size:
             lam, residuals = shift + sigma, None
-            if counted:
+            if whole and z is None:   # the tridiagonal T's eigenvalues: counted
                 residuals = _residual_bounds(spec, lam, t[rows], shift)
-                again = np.isnan(residuals).any(axis=1)
-                if again.any():
+                again = np.isnan(residuals).any(axis=1).nonzero()[0]
+                if again.size:
                     # solved again, with the eigenvectors its residuals need
                     redo = rows[again]
-                    sigma[again], z = _tridiagonal_eigensolve(spec, w[redo], None)[:2]
+                    sigma[again], z = _pencil_eigenvectors(
+                        spec, [m[k] for k in again], w[redo]
+                    )
                     lam[again] = shift + sigma[again]
                     residuals[again] = eigenpair_residuals(spec, lam[again], z, t[redo])
-            elif certify:
+            elif whole:
                 residuals = eigenpair_residuals(spec, lam, z, t[rows])
             # (J z, z) = theta = 1/(lam - mu) for the pencil eigenvectors;
             # certified real and semisimple
             real, none = np.ones(rows.size, dtype=bool), (None,) * rows.size
-            z = None if certify else z
-            solved.append((rows, lam, z, 1.0 / sigma, real, none, residuals))
+            solved.append((rows, lam, 1.0 / sigma, real, none, residuals))
     if rows.size < t.size:
         rows = (~pencil).nonzero()[0]
         lam, vecs, signatures, is_real, witnesses = _direct_eigensolve(spec, t[rows])
-        if nearest is not None:
+        if whole:
+            residuals = eigenpair_residuals(spec, lam, vecs, t[rows])
+        else:
             n = spec.order
             middle = slice(n - min(nearest, n), n + min(nearest, n))
-            lam, vecs, signatures = lam[:, middle], None, signatures[:, middle]
-        residuals = eigenpair_residuals(spec, lam, vecs, t[rows]) if certify else None
-        vecs = None if certify else vecs
-        solved.append((rows, lam, vecs, signatures, is_real, witnesses, residuals))
+            lam, signatures, residuals = lam[:, middle], signatures[:, middle], None
+        solved.append((rows, lam, signatures, is_real, witnesses, residuals))
     if len(solved) == 1:
-        _, lam, vecs, signatures, is_real, witnesses, residuals = solved[0]
+        _, lam, signatures, is_real, witnesses, residuals = solved[0]
     else:
         # rows of both paths: scatter them into one stack
         k, width = t.size, solved[0][1].shape[-1]
         lam = np.empty((k, width), np.result_type(*(p[1] for p in solved)))
         signatures, is_real = np.empty((k, width)), np.empty(k, dtype=bool)
-        residuals = np.empty((k, width)) if certify else None
+        residuals = np.empty((k, width)) if whole else None
         witnesses = [None] * k
-        vecs = None
-        if all(p[2] is not None for p in solved):
-            vecs = np.empty((k, width, width), np.result_type(*(p[2] for p in solved)))
-        for rows, lam_p, vecs_p, signatures_p, real_p, witnesses_p, res_p in solved:
+        for rows, lam_p, signatures_p, real_p, witnesses_p, res_p in solved:
             lam[rows], signatures[rows], is_real[rows] = lam_p, signatures_p, real_p
             for row, witness in zip(rows, witnesses_p):
                 witnesses[row] = witness
-            if vecs is not None:
-                vecs[rows] = vecs_p
-            if certify:
+            if whole:
                 residuals[rows] = res_p
     return SpectrumStack(
         eigenvalues=lam,
-        eigenvectors=vecs,
         signatures=signatures,
         pencil=pencil,
         is_real=is_real,
@@ -876,7 +856,9 @@ def eigen_spectra(
     )
 
 
-def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> SpectrumReport:
+def eigen_spectrum(
+    system: KleinGordonSystem, nearest: int | None = None
+) -> SpectrumReport:
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
     The one row of eigen_spectra for the system's own potential at its
@@ -884,11 +866,13 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     G - mu*J is certified positive definite and U^2 - (V - mu)^2 factors
     (a certified real, semisimple spectrum and sign types), else the
     general eigensolver on L_g, which flags non-real pairs and defective
-    eigenvalues.  With ``certify`` the report has its residuals and no
-    eigenvectors (see SpectrumStack); sign_operator reads one without.
+    eigenvalues.  With ``nearest`` = k the report holds the 2k middle
+    eigenvalues alone, on the pencil path the k nearest the shift on
+    each side, which give the same central gap, and no residuals (see
+    eigen_spectra).
     """
     mu, spec = system.shift, system.spec
-    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), certify=certify)
+    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), nearest)
     lam, signatures = stack.eigenvalues[0], stack.signatures[0]
     pencil = bool(stack.pencil[0])
     # the pencil's signatures theta are never zero: its sign types need no tolerance
@@ -902,7 +886,6 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
     hi = float(above[0]) if above.size else np.inf
     return SpectrumReport(
         eigenvalues=lam,
-        eigenvectors=None if stack.eigenvectors is None else stack.eigenvectors[0],
         signatures=signatures,
         sign_types=signs,
         central_gap=(lo, hi),
@@ -918,32 +901,35 @@ def eigen_spectrum(system: KleinGordonSystem, certify: bool = False) -> Spectrum
 
 
 def sign_operator(report: SpectrumReport) -> float:
-    """||J1||, J1 = sign(H - mu*I), of a pencil-route report with eigenvectors.
+    """||J1||, J1 = sign(H - mu*I), of a pencil-route report, whole or nearest-k.
 
-    The report is one that eigen_spectrum solved without certify, so
-    that it keeps Z.  ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), with
-    Gamma = Q P^(-1) the angular operator of the positive columns of Z
-    (see the module docstring): one n x n solve and one n x n norm, in
-    which the column scales and the 1/sqrt(2) cancel.  P and Q are taken
-    in U^2's eigenbasis E, which leaves ||Gamma|| as it is, and the solve
-    (dgesv) overwrites them; neither Y nor J1 is formed.  Raises
-    NotCertified when the report came from the direct path, that is
-    when G - mu*J was not certified positive definite or the Cholesky
-    factorization of U^2 - (V - mu)^2 failed.
+    ||J1|| = (1 + ||Gamma||) / (1 - ||Gamma||), with Gamma = Q P^(-1)
+    the angular operator of the positive columns of Z (see the module
+    docstring), which are solved for here from the report's factor M
+    (_pencil_eigenvectors), with no second factorization of -Q(mu).
+    Then one n x n solve and one n x n norm, in which the column scales
+    and the 1/sqrt(2) cancel.  P and Q are taken in U^2's eigenbasis E,
+    which leaves ||Gamma|| as it is, Y is freed once they are formed,
+    and the solve (dgesv) overwrites them.  NotCertified for a report of
+    the direct path: G - mu*J was not certified positive definite, or
+    the Cholesky factorization of U^2 - (V - mu)^2 failed.
     """
     if report.solver_path != "similarity":
         raise NotCertified(
             "gram - shift*J is not certified positive definite: "
             f"the spectrum at shift {report.shift:.17g} took the direct path"
         )
-    n = report.spec.order
-    d, e = report.spec.u2_eigenbasis
-    # the pencil orders lam ascending, with n eigenvalues on each side of
-    # the shift: the last n columns are the positive ones; in the basis
-    # E, [P; Q] = [a + b; a - b]
-    z = report.eigenvectors[:, n:]
+    spec, mu = report.spec, report.shift
+    n = spec.order
+    w = spec.v_band - mu if _tridiagonal_rows(spec) else shifted_potential(spec, mu)
+    # T has n eigenvalues on each side of the shift, ascending: the last
+    # n columns are the positive ones; in the basis E, [P; Q] = [a + b; a - b]
+    m = report.pencil_factor[None]
+    z = _pencil_eigenvectors(spec, m, w[None], slice(n, None))[1][0]
+    d, e = spec.u2_eigenbasis
     p = d[:, None] * (e.T @ z[:n])
     b = (e.T @ z[n:]) / d[:, None]
+    del z   # and with it Y
     q = p - b
     p += b
     del b

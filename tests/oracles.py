@@ -16,14 +16,22 @@ import numpy as np
 import scipy.linalg
 
 from kgbounds import ContractionNotLessThanOne, NotPositiveDefinite, ValidationError
+from kgbounds import spectral
 from kgbounds.core import (
     PD_RTOL,
     check_symmetric,
     operator_a,
+    shifted_potential,
     spectral_norm,
     symmetrize,
 )
-from kgbounds.spectral import NEUTRAL_TOL, REAL_RTOL, _signatures, _sign_types
+from kgbounds.spectral import (
+    NEUTRAL_TOL,
+    REAL_RTOL,
+    _signatures,
+    _sign_types,
+    eigen_spectra,
+)
 
 
 def j_matrix(n: int):
@@ -116,14 +124,43 @@ def contraction_bound(spec, shift: float = 0.0) -> float:
     return spectral_norm(operator_a(spec, shift))
 
 
-def h_frame(report):
-    """The report's K-frame eigenvectors Z mapped to the H frame.
+def eigenpairs(spec, shift: float = 0.0, couplings=None):
+    """(lam, Z) of the rows eigen_spectra(spec, couplings, shift) solves.
+
+    The library's spectra carry no eigenvectors; these come from its own
+    solvers on each row's route: the pencil rows' Z = [x; y_2 - W x]
+    from spectral._pencil_eigenvectors and the rows' own factors M, the
+    direct rows' [x; g y] from spectral._direct_eigensolve, each with
+    the eigenvalues of that solve.  Without ``couplings`` the pair of
+    spec's own potential, shapes (2n,) and (2n, 2n); with them a stack
+    (k, 2n) and (k, 2n, 2n).
+    """
+    t = np.atleast_1d(np.asarray(1.0 if couplings is None else couplings, dtype=float))
+    stack = eigen_spectra(spec, t, shift)
+    lam = np.empty(stack.eigenvalues.shape, stack.eigenvalues.dtype)
+    z = np.empty(lam.shape + lam.shape[-1:], lam.dtype)
+    rows = stack.pencil.nonzero()[0]
+    if rows.size:
+        m = [stack.pencil_factors[k] for k in rows]
+        if spectral._tridiagonal_rows(spec):
+            w = np.multiply.outer(t[rows], spec.v_band) - shift
+        else:
+            w, m = shifted_potential(spec, shift, t[rows]), np.array(m)
+        sigma, z[rows] = spectral._pencil_eigenvectors(spec, m, w)
+        lam[rows] = shift + sigma
+    rows = (~stack.pencil).nonzero()[0]
+    if rows.size:
+        lam[rows], z[rows] = spectral._direct_eigensolve(spec, t[rows])[:2]
+    return (lam, z) if couplings is not None else (lam[0], z[0])
+
+
+def h_frame(spec, z):
+    """K-frame eigenvectors Z (eigenpairs) mapped to the H frame.
 
     D Z with D = diag(U^(1/2), U^(-1/2)): H-frame pencil eigenvectors on
     the pencil path, the unit eigenvectors of H (to rounding) on the
     direct path.
     """
-    spec, z = report.spec, report.eigenvectors
     n = spec.order
     return np.concatenate([u_power(spec, 0.5) @ z[:n], u_power(spec, -0.5) @ z[n:]])
 

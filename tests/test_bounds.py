@@ -21,6 +21,7 @@ from kgbounds import (
     NotPositiveDefinite,
     PerturbationSpec,
     assemble_system,
+    bounds_report,
     delta_gram,
     eigen_spectrum,
     gap_bound,
@@ -35,6 +36,7 @@ from kgbounds import (
     operator_a,
     optimize_shift,
     perturbation_constants,
+    random_perturbation,
     rescale_kappa,
     sign_operator,
     spectral_norm,
@@ -44,6 +46,7 @@ from kgbounds import (
 )
 from oracles import (
     block_structure_analysis,
+    eigenpairs,
     exact_kappa_pm,
     factor_congruence,
     gram,
@@ -467,8 +470,8 @@ class TestPerturbationConstants:
             assert abs(nu - reference) <= 1e-13 * reference
 
     def test_exact_pair_matches_oracle(self, corpus200):
-        # the congruence Z^T dG Z on the spectrum's pencil eigenvectors
-        # agrees to rounding with the generalized eigensolve of
+        # the ends of S = F^(-1) dK F^(-T) from the spectrum's pencil factor
+        # agree to rounding with the generalized eigensolve of
         # (dG, G - mu*J) over the corpus and on models scaled by 1e-8 and
         # 1e8; near the critical contraction that oracle itself drifts
         # (up to 7e-12), so there the pair is held to a 60-digit solve
@@ -523,9 +526,10 @@ class TestPerturbationConstants:
     ):
         # U^2 scaled by 10^log_scale, (V - mu) U^-1 of norm b and
         # dV U^-1 of norm c_frac (1 - b), solved at the shift mu.  The
-        # report's eigenvectors satisfy Z^T (K - mu*J) Z = I and give the
-        # exact pair of the H-frame oracle, both to first-order rounding
-        # in the condition 1/(1 - b) of the pencil
+        # pencil's eigenvectors Z from the report's own solve satisfy
+        # Z^T (K - mu*J) Z = I, and the report gives the exact pair of the
+        # H-frame oracle, both to first-order rounding in the condition
+        # 1/(1 - b) of the pencil
         rng = np.random.Generator(np.random.PCG64(seed))
         s = 10.0**log_scale
         q = random_orthogonal(rng, n)
@@ -544,7 +548,7 @@ class TestPerturbationConstants:
         system = assemble_system(spec, mu)
         report = eigen_spectrum(system)
         assert report.solver_path == "similarity"
-        z, tol = report.eigenvectors, 16 * n * EPS / (1.0 - b)
+        z, tol = eigenpairs(spec, mu)[1], 16 * n * EPS / (1.0 - b)
         k_shifted = np.block([[u2, w], [w, np.eye(n)]])
         assert np.abs(z.T @ k_shifted @ z - np.eye(2 * n)).max() <= tol
         km, kp = exact_kappa_pm(
@@ -679,11 +683,13 @@ class TestStructuredRoutes:
 
     @pytest.mark.parametrize("n", [7, 160])
     def test_exact_pair_reads_no_eigenvector(self, n):
-        # the pair comes from the pencil factor alone: a report without
-        # its eigenvectors gives it bit for bit
+        # the pair comes from the pencil factor alone: a report of the two
+        # eigenvalues nearest the shift, with the same factor, gives it bit
+        # for bit
         system, report, dv = self.solved(n)
         pair = perturbation_constants(system, dv, report).kappas["kappa_exact"][0]
-        bare = dataclasses.replace(report, eigenvectors=None)
+        bare = eigen_spectrum(system, nearest=1)
+        assert bare.eigenvalues.shape == (2,)
         assert perturbation_constants(system, dv, bare).kappas["kappa_exact"][0] == pair
 
 
@@ -821,6 +827,59 @@ class TestVerifyBounds:
             )
         )
         assert peak <= kept + 5 * 8 * 160**2 // 2
+
+    @pytest.mark.parametrize("case", ["well", "dense", "oscillator"])
+    def test_verified_rows_are_those_of_bounds_report(self, case):
+        # the rows of verify_bounds' BoundsReport, whose spectrum is whole,
+        # are those of bounds_report's, whose spectrum is the two
+        # eigenvalues nearest the shift: the same factor M, so the same
+        # constants and ||J1||, and the central gap from another solve of T
+        mu = 0.0
+        if case == "well":
+            spec, dv, mu = square_well_model(1.0), np.diag([-0.1, 0.0]), -0.5
+        elif case == "dense":
+            spec, dv = random_model_and_perturbation(np.random.Generator(np.random.PCG64(30)))
+        else:
+            spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=80))
+            dv = random_perturbation(80, 1e-3, 1).delta_v
+        verified = verify_bounds(spec, dv, mu).bounds.rows()
+        expected = bounds_report(spec, dv, mu).rows()
+        assert [row[0] for row in verified] == [row[0] for row in expected]
+        for (_, *cells), (_, *cells_expected) in zip(verified, expected):
+            for cell, want in zip(cells, cells_expected):
+                if want is None or isinstance(want, bool):
+                    assert cell == want
+                else:
+                    assert abs(cell - want) <= 1e-13 * abs(want)
+
+    def test_bounds_rows_form_one_eigenvector_matrix(self, monkeypatch):
+        # the rows of kg bounds on the N = 160 oscillator: the spectrum is
+        # the two eigenvalues nearest the shift, bisected (dstebz), and
+        # sign_operator alone forms eigenvectors, once, of the order-2n T
+        # (dstevd), freed before its order-n products.  The traced peak is
+        # at most 5/2 order-2n arrays' worth (1,880,004 bytes measured,
+        # 2.29 of them; 2,339,016 while the spectrum kept its eigenvectors)
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=160))
+        dv = random_perturbation(160, 1e-3, 1).delta_v
+        bounds_report(spec, dv, 0.0).rows()   # warm imports and caches
+        solves, dstevd = [], scipy.linalg.lapack.dstevd
+
+        def spy(d, *args, **kwargs):
+            solves.append(len(d))
+            return dstevd(d, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = bounds_report(spec, dv, 0.0).rows()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert solves == [320]
+        assert dict((key, value) for key, value, _ in rows)["interval_uniform"] is not None
+        assert peak <= 5 * 8 * 320**2 // 2
 
     def test_exact_pair_brackets_signed_deviations(self, corpus200):
         for spec, dv in corpus200[:40]:

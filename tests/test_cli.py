@@ -17,6 +17,7 @@ import scipy.linalg
 
 from kgbounds import (
     KleinGordonSystem,
+    bounds as bounds_module,
     ModelSpec,
     assemble_system,
     cli,
@@ -34,7 +35,7 @@ from kgbounds import (
 )
 from kgbounds.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VALIDATION, main
 from conftest import random_model
-from oracles import h_frame, j_matrix
+from oracles import eigenpairs, h_frame, j_matrix
 
 
 def _fmt(x) -> str:
@@ -205,7 +206,7 @@ class TestBoundsCommand:
         dv = abs(random_perturbation(1, 1e-3, 1).delta_v[0, 0])
         assert abs(float(rows["perturbation_norm"][0]) - dv) <= 2 * np.spacing(dv)
         report = eigen_spectrum(assemble_system(spec, 0.0))
-        y = h_frame(report) / np.sqrt(np.abs(report.signatures))
+        y = h_frame(spec, eigenpairs(spec)[1]) / np.sqrt(np.abs(report.signatures))
         norm_j1 = spectral_norm(y @ (j_matrix(spec.order) @ y).T)
         assert norm_j1 > 1.0
         expected = norm_bound_interval(report.central_gap, dv, norm_j1)
@@ -217,16 +218,25 @@ class TestBoundsCommand:
         # U^2 is validated by its banded Cholesky factorization (dpbtrf,
         # of its two diagonals), the contraction
         # is bisected on dpttrf alone, and the one pencil solve factors
-        # the tridiagonal -Q(mu) by dpttrf, solves the tridiagonal T of
-        # order 128 by dstevd and forms x by one banded solve; nothing of
-        # order 128 is reduced to tridiagonal form there (the one
-        # order-128 dsytrd is the exact kappa pair's)
-        lapack_calls, pencil_calls, bisections = [], [], []
+        # the tridiagonal -Q(mu) by dpttrf and bisects the tridiagonal T
+        # of order 128 for its two eigenvalues nearest the shift (dstebz).
+        # sign_operator solves the same T, from the same factor (no second
+        # dpttrf), by dstevd, forms x of its positive half by one banded
+        # solve and takes ||Gamma|| at order 64; nothing of order 128 is
+        # reduced to tridiagonal form (the one order-128 dsytrd is the
+        # exact kappa pair's)
+        lapack_calls, pencil_calls, sign_calls, bisections = [], [], [], []
 
         def count_pencil(*args, **kwargs):
             start = len(lapack_calls)
             result = k_frame(*args, **kwargs)
             pencil_calls.append(lapack_calls[start:])
+            return result
+
+        def count_sign(*args, **kwargs):
+            start = len(lapack_calls)
+            result = sign(*args, **kwargs)
+            sign_calls.append(lapack_calls[start:])
             return result
 
         def count_bisection(*args, **kwargs):
@@ -246,21 +256,27 @@ class TestBoundsCommand:
             monkeypatch.setattr(scipy.linalg.lapack, name, record)
 
         k_frame, banded = spectral._k_frame_eigensolve, core._banded_contractions
+        sign = bounds_module.sign_operator
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
+        monkeypatch.setattr(bounds_module, "sign_operator", count_sign)
         monkeypatch.setattr(core, "_banded_contractions", count_bisection)
         names = ("dpotrf", "dpbtrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
         for name in names + ("dtrtrs", "dtbtrs"):
             spy(name)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
-        assert pencil_calls == [[("dpttrf", 64), ("dstevd", 128), ("dtbtrs", 64)]]
+        assert pencil_calls == [[("dpttrf", 64), ("dstebz", 128)]]
+        assert sign_calls == [
+            [("dstevd", 128), ("dtbtrs", 64), ("dsytrd", 64), ("dstebz", 64)]
+        ]
         # one bisection, about 53 + log2 cond(U^2) steps
         assert len(bisections) == 1 and 50 <= len(bisections[0]) <= 70
         assert set(bisections[0]) == {("dpttrf", 64)}
         factored = [c for c in lapack_calls if c[0] in ("dpotrf", "dpbtrf", "dpttrf")]
         assert factored == [("dpbtrf", 64), ("dpttrf", 64)]
         assert [c for c in lapack_calls if c[1] == 128] == [
-            ("dstevd", 128), ("dsytrd", 128), ("dstebz", 128), ("dstebz", 128)
+            ("dstebz", 128), ("dsytrd", 128), ("dstebz", 128), ("dstebz", 128),
+            ("dstevd", 128),
         ]
 
     def test_reductions_of_the_optimized_bounds(self, monkeypatch, tmp_path):
@@ -273,9 +289,10 @@ class TestBoundsCommand:
         # divided by the diagonal V (no dsysv).  The bracket's extremes of
         # the diagonal V are its extreme entries, the ends of the spectrum
         # of the tridiagonal U^2 that validate it and the contraction are
-        # bisected on its own diagonals, and the spectrum is the
-        # tridiagonal T's (dstevd, with vectors): no eigh, no dsyevd and
-        # no other order-2n dsytrd.  The exact pair's order-2n matrix is
+        # bisected on its own diagonals, the spectrum's two eigenvalues
+        # nearest the shift are bisected on the tridiagonal T (dstebz),
+        # and sign_operator solves that T with vectors (dstevd): no eigh,
+        # no dsyevd and no other order-2n dsytrd.  The exact pair's order-2n matrix is
         # F^(-1) dK F^(-T), formed from the pencil factor by banded solves:
         # no rank-2n update (dsyr2k) of the eigenvectors
         calls, updates = [], []
@@ -368,10 +385,11 @@ class TestBoundsCommand:
     def test_memory_budget(self, capsys):
         # kg bounds at N = 160 holds at most three order-2n arrays' worth
         # of traced allocations at once (2408003 bytes measured, 2.94 of
-        # them; 3018707 while the spec kept its dense U^2, V and L): the
-        # report's eigenvectors Z, the pair's S = F^(-1) dK F^(-T), reduced
-        # in place, and the n x n dV; the spec keeps bands alone and each
-        # solve writes its order-2n result where it lies
+        # them, while the spectrum kept its eigenvectors Z; 3018707 while
+        # the spec kept its dense U^2, V and L): the pair's
+        # S = F^(-1) dK F^(-T), reduced in place, sign_operator's Y and the
+        # n x n dV; the spec keeps bands alone and each solve writes its
+        # order-2n result where it lies
         n = 160
         args = ["bounds", "--alpha", "0.3", "--grid-points", str(n), "--eta", "1e-3"]
         assert main(args) == EXIT_OK   # imports and first-call set-up
@@ -596,6 +614,15 @@ class TestSweepCommand:
         rows = read_csv(out)
         critical = [r for r in rows if r[0] == "critical"][0]
         assert abs(float(critical[1]) - 2.0) <= 1e-6
+
+    def test_non_real_rows_are_not_defective(self, tmp_path):
+        # the well past tau = 2 has simple eigenvalues, a non-real pair
+        # among them: no row is defective
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--tau", "1", "--sweep-range", "2.1:2.3", "--steps", "3"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        points = [row for row in read_csv(out) if row[0] == "point"]
+        assert [row[2:4] for row in points] == [["False", "False"]] * 3
 
     @pytest.mark.parametrize("sweep_range", ["0:inf", "nan:1", "1:nan", "0:1e309"])
     def test_non_finite_range_end(self, sweep_range, capsys):
@@ -1132,13 +1159,14 @@ class TestCountedGate:
             found, certain, beta = counts(*args)
             return found, np.zeros_like(certain), beta
 
-        def without_counts(spec, couplings, *args, certify=False, **kwargs):
-            stack = spectra(spec, couplings, *args, **kwargs)
-            residuals = spectral.eigenpair_residuals(
-                spec, stack.eigenvalues, stack.eigenvectors,
-                np.asarray(couplings, dtype=float),
-            )
-            return dataclasses.replace(stack, residuals=residuals)
+        def without_counts(spec, couplings, shift=0.0, *args, **kwargs):
+            stack = spectra(spec, couplings, shift, *args, **kwargs)
+            if stack.residuals is None:   # nearest-k: no gate reads it
+                return stack
+            t = np.asarray(couplings, dtype=float)
+            lam, z = eigenpairs(spec, shift, t)   # the solve with vectors
+            residuals = spectral.eigenpair_residuals(spec, lam, z, t)
+            return dataclasses.replace(stack, eigenvalues=lam, residuals=residuals)
 
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_sturm_counts", uncertain)

@@ -15,7 +15,6 @@ from kgbounds import (
     ValidationError,
     assemble_system,
     eigen_spectrum,
-    eigenpair_residuals,
     example1_table,
     example2_tables,
     harmonic_model,
@@ -24,6 +23,7 @@ from kgbounds import (
     sweep_potential,
 )
 from conftest import random_model
+from oracles import eigenpairs
 
 
 class TestExample2Tables:
@@ -172,6 +172,14 @@ class TestSweep:
         np.testing.assert_array_equal(result.residuals, result.eigenvalues.real)
         np.testing.assert_array_equal(result.residual_max, result.residuals.max(axis=1))
 
+    def test_only_the_defective_coupling_is_flagged(self):
+        # the couplings past 2 have simple, non-real spectra: of the 23
+        # steps over 0 .. 2.2 only t = 2, the defective coupling, is flagged
+        result = sweep_potential(square_well_model(1.0), 0.0, 2.2, 23)
+        assert (~result.is_real).nonzero()[0].tolist() == [21, 22]
+        assert result.defect_flags.nonzero()[0].tolist() == [20]
+        assert result.parameters[20] == 2.0
+
     def test_rows_sorted_by_parameter(self):
         result = sweep_potential(square_well_model(1.0), 0.0, 1.0, 6)
         assert np.all(np.diff(result.parameters) > 0)
@@ -184,12 +192,12 @@ class TestSweep:
 
 
 def per_step_reports(base, params, shift):
-    """(spec, certified report, report without certify) of each step, one
+    """(spec, report, (lam, Z) of oracles.eigenpairs) of each step, one
     assembled system per coupling t."""
     for t in params:
         spec = base.with_potential(t * base.v, base.label)
         system = assemble_system(spec, shift)
-        yield spec, eigen_spectrum(system, certify=True), eigen_spectrum(system)
+        yield spec, eigen_spectrum(system), eigenpairs(spec, shift)
 
 
 class TestStackedSweep:
@@ -207,13 +215,14 @@ class TestStackedSweep:
             assert np.abs(result.eigenvalues[k] - lam).max() <= 1e-12 * scale.max(), k
             assert result.is_real[k] == report.is_real_spectrum, k
             assert result.defect_flags[k] == report.defective, k
-            # the certified residuals: B(lam) on a counted step, else the
-            # eigenpair residuals with the Z of the solve without certify
+            # the residuals: B(lam) on a counted step, else the eigenpair
+            # residuals with the Z of the solve with vectors
             if report.solver_path == "similarity" and spectral._tridiagonal_rows(spec):
                 expected = spectral._residual_bounds(spec, lam[None], np.ones(1), shift)
             else:
-                expected = eigenpair_residuals(
-                    spec, plain.eigenvalues[None], plain.eigenvectors[None], np.ones(1)
+                lam_plain, z = plain
+                expected = spectral.eigenpair_residuals(
+                    spec, lam_plain[None], z[None], np.ones(1)
                 )
             np.testing.assert_array_equal(report.residuals, expected[0])
             resid = report.residuals
@@ -310,14 +319,12 @@ class TestStackedSweep:
         # alpha = 0.985 at N = 24 has b(1) = 0.985: the couplings 1.1 and
         # 1.2 take the direct path, with their eigenvectors and eigenpair
         # residuals, and every other row the tridiagonal T's counts; the
-        # sweep keeps the residuals of its one block's solve, and the
-        # block, with counted rows, no eigenvectors
+        # sweep keeps the residuals of its one block's solve
         base = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
         result, paths = self.assert_rows_match(base, 0.0, 1.2, 13)
         assert paths == ["similarity"] * 11 + ["direct"] * 2
-        solved = harness.eigen_spectra(base, result.parameters, 0.0, certify=True)
+        solved = harness.eigen_spectra(base, result.parameters, 0.0)
         assert solved.pencil.tolist() == [True] * 11 + [False] * 2
-        assert solved.eigenvectors is None
         np.testing.assert_array_equal(result.residuals, solved.residuals)
 
     @staticmethod
@@ -332,6 +339,24 @@ class TestStackedSweep:
 
         monkeypatch.setattr(harness, "eigen_spectra", count)
         return calls
+
+    def test_bisection_solves_for_the_middle_alone(self, monkeypatch):
+        # each bisection step reads whether its spectrum is real: a row of
+        # the two eigenvalues nearest the shift, with no residuals
+        nearest, spectra = [], harness.eigen_spectra
+
+        def spy(*args, **kwargs):
+            stack = spectra(*args, **kwargs)
+            nearest.append((kwargs.get("nearest"), stack.residuals is None))
+            return stack
+
+        monkeypatch.setattr(harness, "eigen_spectra", spy)
+        result = sweep_potential(square_well_model(1.0), 0.0, 2.2, 12)
+        assert result.critical_value is not None
+        blocks = math.ceil(12 / (harness.BLOCK_BUDGET // 16))
+        assert nearest[:blocks] == [(None, False)] * blocks
+        assert len(nearest) > blocks
+        assert nearest[blocks:] == [(1, True)] * (len(nearest) - blocks)
 
     def test_one_solve_per_block(self, monkeypatch):
         calls = self.count_rows(monkeypatch)

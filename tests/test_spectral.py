@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -15,7 +16,6 @@ from kgbounds import (
     assemble_system,
     core,
     eigen_spectrum,
-    eigenpair_residuals,
     gap_bound,
     harmonic_model,
     pencil_residual,
@@ -26,6 +26,7 @@ from kgbounds import (
 )
 from oracles import (
     direct_h_frame,
+    eigenpairs,
     gram,
     h_frame,
     hamiltonian,
@@ -35,6 +36,8 @@ from oracles import (
 )
 from conftest import random_model, random_orthogonal, random_spd
 from test_core import square_well_pencil_roots
+
+eigenpair_residuals = spectral.eigenpair_residuals
 
 
 def free_spec(diag):
@@ -80,7 +83,7 @@ class TestEigenSpectrum:
             spec, _ = random_model(rng)
             system = assemble_system(spec, 0.0)
             report = eigen_spectrum(system)
-            h, vecs = hamiltonian(system.spec), h_frame(report)
+            h, vecs = hamiltonian(spec), h_frame(spec, eigenpairs(spec)[1])
             residual = np.linalg.norm(h @ vecs - vecs * report.eigenvalues, axis=0)
             assert residual.max() <= 1e-8 * spectral_norm(h)
 
@@ -113,7 +116,7 @@ class TestEigenSpectrum:
                 lam, vecs = similarity_eigensolve(gram(system.spec), mu)
                 scale = np.abs(lam).max()
                 assert np.abs(report.eigenvalues - lam).max() <= 1e-13 * scale
-                mapped = h_frame(report)
+                mapped = h_frame(spec, eigenpairs(spec, mu)[1])
                 mapped /= np.linalg.norm(mapped, axis=0)
                 cosines = np.abs(np.einsum("ij,ij->j", mapped, vecs))
                 assert np.abs(cosines - 1.0).max() <= 1e-10
@@ -201,14 +204,11 @@ class TestClassify:
         # H-frame eigenvectors: the sums run in another order, so the
         # signatures agree to a few ulps of their unit scale and every
         # sign type is the same
-        reports = [eigen_spectrum(assemble_system(s, 0.0)) for s, _ in corpus200[:50]]
-        reports += [
-            eigen_spectrum(assemble_system(square_well_model(tau), 0.0))
-            for tau in (2.0, 2.2, 3.0)   # direct path: neutral, complex
-        ]
-        assert any(np.iscomplexobj(r.eigenvectors) for r in reports)
-        for report in reports:
-            vecs = h_frame(report)
+        specs = [s for s, _ in corpus200[:50]]
+        specs += [square_well_model(tau) for tau in (2.0, 2.2, 3.0)]   # direct path
+        frames = [h_frame(spec, eigenpairs(spec)[1]) for spec in specs]
+        assert any(np.iscomplexobj(vecs) for vecs in frames)
+        for vecs in frames:
             loop = column_loop_signatures(vecs)
             signatures = spectral._signatures(vecs)
             signs = spectral._sign_types(signatures, spectral.NEUTRAL_TOL)
@@ -227,7 +227,9 @@ def sign_factor(report):
     Y = D Z |Theta|^(-1/2), the H-frame eigenvectors scaled to
     J-signature +-1, and J1 = sign(H - mu*I) = Y (J Y)^T.
     """
-    y = h_frame(report) / np.sqrt(np.abs(report.signatures))
+    spec = report.spec
+    y = h_frame(spec, eigenpairs(spec, report.shift)[1])
+    y /= np.sqrt(np.abs(report.signatures))
     return y, y @ (j_matrix(report.spec.order) @ y).T
 
 
@@ -293,6 +295,29 @@ class TestSignOperator:
             norm_j1 = sign_operator(eigen_spectrum(system))
             assert 1.0 - 1e-12 <= norm_j1
             assert norm_j1 <= 1.0 / (1.0 - system.contraction) + 1e-10
+
+    @pytest.mark.parametrize("case", ["well", "dense", "oscillator", "small oscillator"])
+    def test_every_pencil_report(self, case):
+        # sign_operator solves the positive half of T from the report's own
+        # factor M: a whole spectrum and one of the two eigenvalues nearest
+        # the shift give the same ||J1|| bit for bit, ||Y||^2 of the oracle
+        # H frame's Y; on the tridiagonal T (N = 40) and on the dense T
+        # with U^2's banded eigenbasis (N = 5)
+        mu = 0.0
+        if case == "well":
+            spec, mu = square_well_model(1.0), -0.5
+        elif case == "dense":
+            spec, _ = random_model(np.random.Generator(np.random.PCG64(31)), n=6)
+        else:
+            grid_points = 40 if case == "oscillator" else 5
+            spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=grid_points))
+        system = assemble_system(spec, mu)
+        whole, bare = eigen_spectrum(system), eigen_spectrum(system, nearest=1)
+        assert whole.solver_path == bare.solver_path == "similarity"
+        norm_j1 = sign_operator(whole)
+        assert sign_operator(bare) == norm_j1
+        y, _ = sign_factor(whole)
+        assert abs(norm_j1 - spectral_norm(y) ** 2) <= 1e-12 * norm_j1
 
     def test_direct_path_report_rejected(self):
         # b = 1 at the paper shift: the report is not certified
@@ -364,39 +389,39 @@ def gate_scale(spec, lam):
 
 
 def residual_cases(corpus):
-    """(spec, report) over the corpus, the well, the oscillator, bad scaling."""
+    """(spec, lam, Z) of eigenpairs over the corpus, the well, the
+    oscillator, bad scaling."""
     for spec, _ in corpus:
-        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+        yield spec, *eigenpairs(spec)
     for tau in (0.0, 1.0, 1.7, 1.99, 2.0, 2.1):
         spec = square_well_model(tau)
         for mu in (0.0, -tau / 2.0):
-            yield spec, eigen_spectrum(assemble_system(spec, mu))
+            yield spec, *eigenpairs(spec, mu)
     # Q(lam) x from the diagonals; at alpha = 1.2 from a direct, non-real row
     for alpha in (0.3, 0.985, 1.2):
         spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=40))
-        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+        yield spec, *eigenpairs(spec)
     base = corpus[0][0]
     for s in (1e-8, 1e8):
         spec = ModelSpec(s * base.u_squared, np.sqrt(s) * base.v)
-        yield spec, eigen_spectrum(assemble_system(spec, 0.0))
+        yield spec, *eigenpairs(spec)
 
 
 class TestEigenpairResiduals:
     def test_never_below_pencil_residual_and_far_below_the_gate(self, corpus200):
         # sigma_min(Q) = min_x ||Q x|| / ||x||, so the backward error is
         # never below the pencil residual, up to rounding in both
-        for spec, report in residual_cases(corpus200):
-            lams = report.eigenvalues
-            new = eigenpair_residuals(spec, lams, report.eigenvectors)
+        for spec, lams, z in residual_cases(corpus200):
+            new = eigenpair_residuals(spec, lams, z)
             for lam, r in zip(lams, new):
                 scale = gate_scale(spec, lam)
                 assert r >= pencil_residual(spec, lam) - 4.0 * EPS * scale
                 assert r < 1e-10 * scale
 
     def test_never_below_pencil_residual_away_from_the_spectrum(self, corpus200):
-        for spec, report in residual_cases(corpus200):
-            moved = report.eigenvalues + 1e-3 * (1.0 + np.abs(report.eigenvalues))
-            new = eigenpair_residuals(spec, moved, report.eigenvectors)
+        for spec, lams, z in residual_cases(corpus200):
+            moved = lams + 1e-3 * (1.0 + np.abs(lams))
+            new = eigenpair_residuals(spec, moved, z)
             for lam, r in zip(moved, new):
                 assert r >= pencil_residual(spec, lam) * (1.0 - 1e-8)
 
@@ -432,9 +457,8 @@ class TestEigenpairResiduals:
         mu = mu_frac * np.sqrt(s)
         dv = raw * (b / max(spectral_norm(raw @ u_inv), 1e-300))
         spec = ModelSpec(u2, dv + mu * np.eye(n))
-        report = eigen_spectrum(assemble_system(spec, mu))
-        lams = report.eigenvalues
-        new = eigenpair_residuals(spec, lams, report.eigenvectors)
+        lams, z = eigenpairs(spec, mu)
+        new = eigenpair_residuals(spec, lams, z)
         for lam, r in zip(lams, new):
             assert r >= pencil_residual(spec, lam) - 4.0 * EPS * gate_scale(spec, lam)
 
@@ -449,16 +473,13 @@ class TestEigenpairResiduals:
         # the tridiagonal route)
         for grid_points in (6, 40):
             spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
-            report = eigen_spectrum(assemble_system(spec, 0.0))
+            lam, z = eigenpairs(spec)
             large = ModelSpec(np.ldexp(spec.u_squared, 2 * k), np.ldexp(spec.v, k))
             assert spectral._tridiagonal_rows(large) == (grid_points == 40)
-            lam = np.ldexp(report.eigenvalues, k)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                scaled = eigenpair_residuals(large, lam, report.eigenvectors)
-            residuals = eigenpair_residuals(
-                spec, report.eigenvalues, report.eigenvectors
-            )
+                scaled = eigenpair_residuals(large, np.ldexp(lam, k), z)
+            residuals = eigenpair_residuals(spec, lam, z)
             expected = np.ldexp(residuals, 2 * k)
             np.testing.assert_array_equal(scaled, expected)
             assert np.isfinite(scaled).all() and (scaled > 0.0).all()
@@ -469,21 +490,20 @@ def assert_real_parts_no_looser(spec, mu):
     the gate it replaces; False (nothing checked) on a real spectrum.
 
     On each non-real eigenvalue the value is never below the eigenpair
-    backward error of (Re lam, x), x from a solve without certify, nor
-    below sigma_min(Q(Re lam)), up to rounding; each real one keeps its
+    backward error of (Re lam, x), x from eigenpairs, nor below
+    sigma_min(Q(Re lam)), up to rounding; each real one keeps its
     residual.
     """
-    system = assemble_system(spec, mu)
-    report = eigen_spectrum(system, certify=True)
+    report = eigen_spectrum(assemble_system(spec, mu))
     if report.is_real_spectrum:
         return False
-    plain = eigen_spectrum(system)
-    np.testing.assert_array_equal(report.eigenvalues, plain.eigenvalues)
+    lam_plain, z = eigenpairs(spec, mu)
+    np.testing.assert_array_equal(report.eigenvalues, lam_plain)
     moved = spectral._real_part_residuals(report)
     lam = report.eigenvalues
     nonreal = lam.imag != 0.0
     np.testing.assert_array_equal(moved[~nonreal], report.residuals[~nonreal])
-    z_based = eigenpair_residuals(spec, lam.real, plain.eigenvectors)
+    z_based = eigenpair_residuals(spec, lam.real, z)
     assert (moved[nonreal] >= z_based[nonreal]).all()
     for k in nonreal.nonzero()[0]:
         s = lam[k].real
@@ -523,7 +543,7 @@ class TestRealPartResiduals:
         assert assert_real_parts_no_looser(square_well_model(tau), mu)
 
     def test_real_spectrum_keeps_its_residuals(self):
-        report = eigen_spectrum(assemble_system(square_well_model(1.7), 0.0), certify=True)
+        report = eigen_spectrum(assemble_system(square_well_model(1.7), 0.0))
         assert spectral._real_part_residuals(report) is report.residuals
 
 
@@ -536,6 +556,26 @@ class TestDefectCheck:
         x = report.witness.vector
         neutrality = abs(np.vdot(x, j_matrix(x.size // 2) @ x)) / np.vdot(x, x).real
         assert neutrality < 1e-6
+
+    @pytest.mark.parametrize("tau", [2.1, 2.2, 3.0])
+    def test_simple_non_real_spectrum_is_not_defective(self, tau):
+        # past tau = 2 the well's four eigenvalues are simple; the
+        # eigenvectors of its non-real pair are J-neutral, as those of any
+        # non-real eigenvalue of the J-selfadjoint H are, which is no defect
+        for mu in (0.0, -tau / 2.0):
+            report = eigen_spectrum(assemble_system(square_well_model(tau), mu))
+            assert report.solver_path == "direct" and not report.is_real_spectrum
+            assert not report.defective and report.witness is None
+
+    @pytest.mark.parametrize("tau", [2.0, 2.0 - 1e-13])
+    def test_split_double_eigenvalue_stays_defective(self, tau):
+        # the defective double eigenvalue near -1, split by rounding within
+        # REAL_RTOL * ||L_g||, is still tested, and still neutral
+        for mu in (0.0, -1.0):
+            report = eigen_spectrum(assemble_system(square_well_model(tau), mu))
+            assert report.is_real_spectrum and report.defective
+            assert report.witness.reason == "neutral-eigenvector"
+            assert abs(report.witness.eigenvalue.real + 1.0) < 1e-6
 
     def test_one_svd_per_cluster(self, svd_calls):
         # a Jordan block: one cluster, and one SVD gives both its
@@ -620,7 +660,8 @@ class TestDirectPath:
         specs += [square_well_model(tau) for tau in (1.5, 2.0, 2.2)]
         for spec in specs:
             report = eigen_spectrum(assemble_system(spec, 0.0))
-            n, z, lam = spec.order, report.eigenvectors, report.eigenvalues
+            n, (lam, z) = spec.order, eigenpairs(spec)
+            np.testing.assert_array_equal(lam, report.eigenvalues)
             lower = z[:n] * lam - spec.v @ z[:n]
             scale = spectral_norm(spec.v) + spec.u_max
             assert np.abs(z[n:] - lower).max() <= 1e-13 * scale
@@ -688,16 +729,17 @@ class TestStackedSolve:
         assert calls == [(4, 2, 2)] + [(2, 2)] * 4
         assert stack.pencil.tolist() == [True, True, False, True]
         assert stack.is_real.all() and not stack.defective.any()
+        _, z = eigenpairs(spec, 0.0, couplings)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         # the other rows are those of the stack that factors at once, bit
         # for bit, and every row matches its stack of one
         whole = spectral.eigen_spectra(spec, couplings, 0.0)
+        _, z_whole = eigenpairs(spec, 0.0, couplings)
         for k, report in enumerate(self.per_row(spec, couplings, 0.0)):
             assert np.abs(stack.eigenvalues[k] - report.eigenvalues).max() <= 1e-12
             if k != 2:
-                np.testing.assert_array_equal(
-                    stack.eigenvectors[k], whole.eigenvectors[k]
-                )
+                np.testing.assert_array_equal(z[k], z_whole[k])
+                np.testing.assert_array_equal(stack.residuals[k], whole.residuals[k])
 
     def test_failed_factorization_of_a_stack_of_one(self, monkeypatch):
         # a stack of one is factored by LAPACK's dpotrf; when it fails,
@@ -718,14 +760,13 @@ class TestStackedSolve:
         spec = square_well_model(1.0)
         couplings = np.array([0.3, 1.5, 2.2])
         stack = spectral.eigen_spectra(spec, couplings, 0.0)
-        stacked = eigenpair_residuals(
-            spec, stack.eigenvalues, stack.eigenvectors, couplings
-        )
+        lam, z = eigenpairs(spec, 0.0, couplings)
+        np.testing.assert_array_equal(lam, stack.eigenvalues)
+        stacked = eigenpair_residuals(spec, lam, z, couplings)
+        np.testing.assert_array_equal(stacked, stack.residuals)
         for k, t in enumerate(couplings):
             row_spec = spec.with_potential(t * spec.v, "")
-            row = eigenpair_residuals(
-                row_spec, stack.eigenvalues[k], stack.eigenvectors[k]
-            )
+            row = eigenpair_residuals(row_spec, lam[k], z[k])
             np.testing.assert_allclose(stacked[k], row, rtol=1e-12, atol=1e-15)
 
 
@@ -738,7 +779,7 @@ class TestEigenvaluesOnly:
         bare = spectral.eigen_spectra(spec, couplings, shift, nearest=nearest)
         n = spec.order
         middle = slice(n - min(nearest, n), n + min(nearest, n))
-        assert bare.eigenvectors is None
+        assert bare.residuals is None and full.residuals is not None
         assert bare.pencil.tolist() == full.pencil.tolist()
         assert bare.is_real.tolist() == full.is_real.tolist()
         assert bare.defective.tolist() == full.defective.tolist()
@@ -852,6 +893,14 @@ class TestTridiagonalPencil:
             return spectral.eigen_spectra(spec, (alpha,), shift, nearest=nearest)
 
     @staticmethod
+    def vectors(spec, alpha, shift, dense=False):
+        """The row's Z (oracles.eigenpairs), on the route solve takes."""
+        with pytest.MonkeyPatch.context() as patch:
+            if dense:
+                patch.setattr(spectral, "_TRIDIAGONAL_MIN_ORDER", 10**9)
+            return eigenpairs(spec, shift, (alpha,))[1][0]
+
+    @staticmethod
     def k_frame_identity_error(spec, alpha, shift, z):
         """max |Z^T (K - mu*J) Z - I|, K - mu*J = [[U^2, W], [W, I]], W = t V - mu."""
         n = spec.order
@@ -879,7 +928,8 @@ class TestTridiagonalPencil:
                 if not tri.pencil[0]:
                     np.testing.assert_array_equal(lam, lam_dense)
                     continue
-                for z in (tri.eigenvectors[0], dense.eigenvectors[0]):
+                for dense_t in (False, True):
+                    z = self.vectors(spec, alpha, shift, dense_t)
                     assert self.k_frame_identity_error(spec, alpha, shift, z) <= 1e-13
                 for nearest in (1, 3):
                     bare = self.solve(spec, alpha, shift, nearest)
@@ -900,7 +950,7 @@ class TestTridiagonalPencil:
         lam, lam_dense = tri.eigenvalues[0], dense.eigenvalues[0]
         scale = np.abs(lam_dense).max()
         assert np.abs(lam - lam_dense).max() <= 1e-13 * scale
-        z = tri.eigenvectors[0]
+        z = self.vectors(spec, 0.985, 0.0)
         assert self.k_frame_identity_error(spec, 0.985, 0.0, z) <= 1e-13
         bare = self.solve(spec, 0.985, 0.0, nearest=3)
         n = spec.order
@@ -943,15 +993,21 @@ class TestTridiagonalPencil:
 
         monkeypatch.setattr(spectral.lapack, "dpttrf", fail_pttrf)
         tri = spectral.eigen_spectra(spec, couplings, 0.0)
+        tri_z = eigenpairs(spec, 0.0, couplings)[1]
         monkeypatch.setattr(spectral, "_TRIDIAGONAL_MIN_ORDER", 10**9)
         monkeypatch.setattr(np.linalg, "cholesky", fail_cholesky)
         dense = spectral.eigen_spectra(spec, couplings, 0.0)
+        np.testing.assert_array_equal(tri_z[1], eigenpairs(spec, 0.0, couplings)[1][1])
         assert tri.pencil.tolist() == dense.pencil.tolist() == [True, False, True]
         assert tri.is_real.tolist() == dense.is_real.tolist()
         assert tri.defective.tolist() == dense.defective.tolist()
-        for field in ("eigenvalues", "eigenvectors", "signatures"):
+        for field in ("eigenvalues", "signatures"):
             direct_row = getattr(tri, field)[1]
             np.testing.assert_array_equal(direct_row, getattr(dense, field)[1])
+
+
+def forbidden_dstevd(*args, **kwargs):
+    raise AssertionError("dstevd forms an eigenvector matrix")
 
 
 def dense_pencil_eigenvalues(spec, t, shift):
@@ -1031,10 +1087,9 @@ class TestSturmCounts:
         w *= b / max(spectral_norm(w[:, None] * u_inv), 1e-300)
         mu = mu_frac * np.sqrt(s)
         spec = ModelSpec.from_bands(s * diagonal, s * off, np.sqrt(s) * w + mu)
-        stack = spectral.eigen_spectra(spec, (1.0,), mu, certify=True)
+        stack = spectral.eigen_spectra(spec, (1.0,), mu)
         if not stack.pencil[0]:
             return   # b too near one for the closed-form certificate
-        assert stack.eigenvectors is None
         lam = stack.eigenvalues[0]
         radius = spectral._count_enclosures(spec, lam[None], np.ones(1), mu)[0]
         residuals = stack.residuals[0]
@@ -1044,13 +1099,11 @@ class TestSturmCounts:
             assert np.isfinite(radius).all()
             for k in rng.choice(2 * n, 4, replace=False):
                 assert residuals[k] >= pencil_residual(spec, lam[k]) * (1.0 - 1e-8)
-        else:   # solved again, and gated on its eigenpairs, as without certify
-            plain = spectral.eigen_spectra(spec, (1.0,), mu)
-            np.testing.assert_array_equal(lam, plain.eigenvalues[0])
+        else:   # solved again, and gated on its eigenpairs
+            lam_plain, z = eigenpairs(spec, mu, (1.0,))
+            np.testing.assert_array_equal(lam, lam_plain[0])
             np.testing.assert_array_equal(
-                residuals,
-                eigenpair_residuals(spec, plain.eigenvalues, plain.eigenvectors,
-                                    np.ones(1))[0],
+                residuals, eigenpair_residuals(spec, lam_plain, z, np.ones(1))[0]
             )
         reference, tol = dense_pencil_eigenvalues(spec, 1.0, mu)
         proven = np.isfinite(radius)
@@ -1062,7 +1115,7 @@ class TestSturmCounts:
         assert_counts_match_inertia(spec, shifts[np.isfinite(shifts)])
 
     @pytest.mark.parametrize("grid_points", [8, 40, 160, 400])
-    def test_oscillators(self, grid_points):
+    def test_oscillators(self, grid_points, monkeypatch):
         # every eigenvalue certified wherever the pencil is, within its
         # enclosure of the tridiagonal T's MRRR eigenvalues (from numpy's
         # dense Cholesky below 160, so the dense T's) to their error
@@ -1073,9 +1126,10 @@ class TestSturmCounts:
             if not spectral._certified_definite(spec, b):
                 assert alpha == 0.985 and shift != 0.0
                 continue
-            stack = spectral.eigen_spectra(spec, (1.0,), shift, (b,), certify=True)
+            with monkeypatch.context() as patch:   # certified by counts: no Z
+                patch.setattr(spectral.lapack, "dstevd", forbidden_dstevd)
+                stack = spectral.eigen_spectra(spec, (1.0,), shift, (b,))
             lam = stack.eigenvalues[0]
-            assert stack.eigenvectors is None   # certified by counts
             radius = spectral._count_enclosures(spec, lam[None], np.ones(1), shift)[0]
             assert (radius <= 2.0**-27 * np.abs(lam - shift)).all()
             # B(lam) = r (2 |lam| + r + 2 ||V||), rounded up by a few eps
@@ -1115,7 +1169,7 @@ class TestSturmCounts:
         # the eigenvalues of T from mpmath's Cholesky and symmetric
         # eigensolver at 50 digits, from the float data exactly
         spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
-        stack = spectral.eigen_spectra(spec, (1.0,), 0.0, certify=True)
+        stack = spectral.eigen_spectra(spec, (1.0,), 0.0)
         lam = stack.eigenvalues[0]
         radius = spectral._count_enclosures(spec, lam[None], np.ones(1), 0.0)[0]
         n = grid_points
@@ -1134,9 +1188,8 @@ class TestSturmCounts:
 
     def test_fallback_rows_take_their_eigenpair_residuals(self, monkeypatch):
         # a row with an uncertain count is solved again with eigenvectors,
-        # exactly as without certify, and its residuals are its eigenpair
-        # residuals; the stack keeps no eigenvectors, however many rows
-        # were counted
+        # exactly as eigenpairs solves it, and its residuals are its
+        # eigenpair residuals, however many rows were counted
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
         t = np.linspace(0.0, 1.0, 5)
         counts = spectral._sturm_counts
@@ -1147,15 +1200,13 @@ class TestSturmCounts:
             return found, certain & ~np.isin(couplings, uncertain), beta
 
         monkeypatch.setattr(spectral, "_sturm_counts", uncertain_rows)
-        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
-        plain = spectral.eigen_spectra(spec, t, 0.0)
-        assert stack.eigenvectors is None
-        np.testing.assert_array_equal(stack.eigenvalues[2], plain.eigenvalues[2])
-        np.testing.assert_array_equal(stack.signatures[2], plain.signatures[2])
+        stack = spectral.eigen_spectra(spec, t, 0.0)
+        lam_plain, z = eigenpairs(spec, 0.0, t)
+        np.testing.assert_array_equal(stack.eigenvalues[2], lam_plain[2])
+        np.testing.assert_array_equal(stack.signatures[2], 1.0 / lam_plain[2])
         np.testing.assert_array_equal(
             stack.residuals[2:3],
-            eigenpair_residuals(spec, plain.eigenvalues[2:3], plain.eigenvectors[2:3],
-                                t[2:3]),
+            eigenpair_residuals(spec, lam_plain[2:3], z[2:3], t[2:3]),
         )
         counted = [0, 1, 3, 4]
         lam = stack.eigenvalues[counted]
@@ -1166,12 +1217,10 @@ class TestSturmCounts:
         assert np.isfinite(stack.residuals[counted]).all()
 
         uncertain[:] = t
-        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
-        assert stack.eigenvectors is None
-        np.testing.assert_array_equal(stack.eigenvalues, plain.eigenvalues)
+        stack = spectral.eigen_spectra(spec, t, 0.0)
+        np.testing.assert_array_equal(stack.eigenvalues, lam_plain)
         np.testing.assert_array_equal(
-            stack.residuals,
-            eigenpair_residuals(spec, plain.eigenvalues, plain.eigenvectors, t),
+            stack.residuals, eigenpair_residuals(spec, lam_plain, z, t)
         )
 
     def test_mixed_block_residuals(self):
@@ -1182,10 +1231,9 @@ class TestSturmCounts:
         # counted rows, the eigenpair residuals with Z on the direct rows
         spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
         t = np.linspace(0.0, 1.2, 13)
-        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        stack = spectral.eigen_spectra(spec, t, 0.0)
         assert stack.pencil.tolist() == [True] * 11 + [False] * 2
         assert stack.is_real.tolist() == [True] * 11 + [False, True]
-        assert stack.eigenvectors is None
         counted, direct = slice(0, 11), slice(11, 13)
         lam = stack.eigenvalues[counted].real
         np.testing.assert_array_equal(
@@ -1202,7 +1250,8 @@ class TestSturmCounts:
     @pytest.mark.parametrize("route", ["dense pencil", "direct", "fallback", "mixed"])
     def test_certified_stacks_keep_no_eigenvectors(self, route, monkeypatch):
         # whichever route its rows take, and wherever they form Z for their
-        # residuals, a certified stack (and report) carries no eigenvectors
+        # residuals, a whole stack (and report) carries its residuals and no
+        # eigenvectors
         t = np.linspace(0.0, 1.0, 4)
         if route == "dense pencil":
             spec, _ = random_model(np.random.Generator(np.random.PCG64(7)), n=8)
@@ -1220,20 +1269,23 @@ class TestSturmCounts:
         else:
             spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
             t = np.linspace(0.0, 1.2, 13)
-        stack = spectral.eigen_spectra(spec, t, 0.0, certify=True)
+        stack = spectral.eigen_spectra(spec, t, 0.0)
         pencil = {"dense pencil": [True] * 4, "direct": [False] * 2,
                   "fallback": [True] * 4, "mixed": [True] * 11 + [False] * 2}[route]
         assert stack.pencil.tolist() == pencil
         assert spectral._tridiagonal_rows(spec) == (route in ("fallback", "mixed"))
-        assert stack.eigenvectors is None
+        assert stack.residuals.shape == stack.eigenvalues.shape
         assert np.isfinite(stack.residuals).all()
-        report = eigen_spectrum(assemble_system(spec, 0.0), certify=True)
-        assert report.eigenvectors is None and report.residuals is not None
+        report = eigen_spectrum(assemble_system(spec, 0.0))
+        assert report.residuals is not None
+        for record in (stack, report):
+            assert "eigenvectors" not in {f.name for f in dataclasses.fields(record)}
 
     def test_residuals_only_with_certify(self):
-        # without certify a stack carries no residuals, and a nearest-k
-        # request, not a whole spectrum, cannot be certified
+        # residuals certify a whole spectrum: a nearest-k stack or report,
+        # not a whole spectrum, carries none
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
-        assert spectral.eigen_spectra(spec, (1.0,)).residuals is None
-        with pytest.raises(ValueError, match="nearest"):
-            spectral.eigen_spectra(spec, (1.0,), nearest=2, certify=True)
+        assert spectral.eigen_spectra(spec, (1.0,)).residuals is not None
+        assert spectral.eigen_spectra(spec, (1.0,), nearest=2).residuals is None
+        system = assemble_system(spec, 0.0)
+        assert eigen_spectrum(system, nearest=2).residuals is None

@@ -31,7 +31,9 @@ cell name; the digest lines on stdout keep their format:
 The command list covers the 2 x 2 well under the three shift policies,
 the well at tau = 0 (V = 0: the mixed product vanishes and
 kappa_disjoint is printed), ``spectrum`` on the well at tau = 2.1 (a
-non-real spectrum, gated at its complex eigenvalues), three random model files (orders 2 to 8,
+non-real spectrum, gated at its complex eigenvalues), ``sweep`` on the
+well over tau = 2.1 .. 2.3 (non-real, simple spectra, not defective),
+three random model files (orders 2 to 8,
 from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
 up, where the tridiagonal form is not), one model file of order 1
@@ -41,7 +43,8 @@ the direct path, whose double eigenvalues 0.5 and 2.5 enter its
 multiplicity test, spectral._cluster_defects), the oscillator at N = 24, 80
 and 160 with alpha 0.3 and 0.985, ``spectrum`` and ``bounds`` on the
 oscillator at N = 12 (the tridiagonal T from spectral's
-_TRIDIAGONAL_MIN_ORDER = 8 up), ``verify`` on the alpha 0.9 oscillator
+_TRIDIAGONAL_MIN_ORDER = 8 up), ``bounds`` on it at N = 5 (below that
+order: the dense T, with U^2's banded eigenbasis), ``verify`` on the alpha 0.9 oscillator
 at N = 20 with eta 0.3 (a dense random dV whose perturbed spectrum is
 non-real: exit 4, the gate failing at the real parts it emits), two
 oscillator sweeps at N = 24 (alpha
@@ -131,6 +134,7 @@ def commands(models: list[str]) -> list[list[str]]:
         ["bounds", *well, "--paper-shift", "--eta", "0.1", "--format", "report"],
         ["spectrum", "--tau", "2.1"],
         ["sweep", *well, "--sweep-range", "0:2.2", "--steps", "23"],
+        ["sweep", *well, "--sweep-range", "2.1:2.3", "--steps", "3"],
         ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"],
         ["bounds", "--tau", "2.5", "--shift", "-1.25", "--eta", "0.1"],
         ["bounds", "--tau", "0", "--eta", "0.1"],
@@ -169,6 +173,7 @@ def commands(models: list[str]) -> list[list[str]]:
             ]
     small = ["--alpha", "0.3", "--grid-points", "12"]
     cmds += [["spectrum", *small], ["bounds", *small, "--eta", "1e-3"]]
+    cmds.append(["bounds", "--alpha", "0.3", "--grid-points", "5", "--eta", "1e-3"])
     cmds.append(["verify", "--alpha", "0.9", "--grid-points", "20", "--eta", "0.3"])
     cmds += [
         ["sweep", "--alpha", "0.3", "--grid-points", "24", "--sweep-range", "0:1",
