@@ -37,8 +37,8 @@ tridiagonal too, and no n x n array of the model is formed unless a
 dense route reads one.  No power of U is formed: the two H-frame rows
 of ``kg bounds`` read U^2's eigenbasis, ModelSpec.u2_eigenbasis (taken
 from its two diagonals when it is tridiagonal), in which U^(+-1/2) are
-diagonal.  KleinGordonSystem stores the contraction data of one shift,
-and no A; shifted_potential and spectral_norm take stacks.
+diagonal.  KleinGordonSystem holds one shift, its b computed when first
+read, and no A; shifted_potential and spectral_norm take stacks.
 
 Every number the bounds rest on is an end of a symmetric spectrum (a
 norm, the exact kappa pair, the sign of a mixed product, the bracket
@@ -649,14 +649,21 @@ class KleinGordonSystem:
     Fields
     ------
     shift : the real spectral shift mu
-    contraction : b = ||A||, A = (V - mu) L^(-T) (operator_a), from
-        ``contraction``: bisected on U^2's diagonals on the banded route
     spec : the source model
+
+    ``contraction`` is b = ||A||, A = (V - mu) L^(-T) (operator_a), from
+    core.contraction (bisected on U^2's diagonals on the banded route),
+    computed on first read and kept: a tridiagonal spec's spectrum is
+    routed without it (spectral._proven_definite), so ``kg spectrum``
+    and ``kg sweep`` on the oscillator compute no b.
     """
 
     shift: float
-    contraction: float
     spec: ModelSpec = field(repr=False)
+
+    @functools.cached_property
+    def contraction(self) -> float:
+        return contraction(self.spec, self.shift)
 
 
 def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
@@ -763,14 +770,14 @@ def _banded_contractions(spec: ModelSpec, w):
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:
-    """The contraction data of one model and shift: b = contraction(spec, shift).
+    """The contraction data of one model and shift; its b = contraction(spec,
+    shift) is computed when first read (KleinGordonSystem.contraction).
 
     Neither G nor H is formed: the definite pencil is solved from
     (U^2, V - shift*I) alone, and the direct path from the root-free
     companion form of the spectral module.
     """
-    b = contraction(spec, shift)
-    return KleinGordonSystem(shift=float(shift), contraction=b, spec=spec)
+    return KleinGordonSystem(shift=float(shift), spec=spec)
 
 
 #: (3 - sqrt(5)) / 2, the golden-section fraction of Brent's fallback step

@@ -16,7 +16,7 @@ The two reproductions are desk-scale experiments:
   U^2 validated and factored once, and solves each alpha as a coupling
   of it: one row of spectral.eigen_spectra that asks only for the
   tabulated modes, the few eigenvalues nearest the shift on each side,
-  and whose stack also keeps the contraction b the row was routed on.
+  and the printed contraction b of that coupling from core.contraction.
 
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .bounds import verify_bounds
-from .core import ModelSpec, assemble_system, spectral_norm
+from .core import ModelSpec, assemble_system, contraction, spectral_norm
 from .exceptions import ValidationError
 from .models import (
     exact_harmonic_eigs,
@@ -221,7 +221,7 @@ class Example1Result:
 
 
 def _discrete_extremes(spec, alpha, modes):
-    """b and the (mu_n^+, mu_n^-) of modes of the oscillator at field strength alpha.
+    """The (mu_n^+, mu_n^-) of modes of the oscillator at field strength alpha.
 
     ``spec`` is the oscillator of one mass offset with V = diag(x), the
     field strength 1, so the potential of field strength alpha is its
@@ -233,8 +233,7 @@ def _discrete_extremes(spec, alpha, modes):
     # both solver paths order the row ascending by real part
     re = np.real(stack.eigenvalues[0])
     pos, neg = re[re > 0.0], re[re < 0.0][::-1]
-    pairs = [(float(pos[m]), float(neg[m])) for m in modes]
-    return float(stack.contractions[0]), pairs
+    return [(float(pos[m]), float(neg[m])) for m in modes]
 
 
 def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
@@ -262,11 +261,13 @@ def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
         for beta in EXAMPLE1_BETAS
     }
     rows = []
-    contraction = {}
+    contractions = {}
     for alpha in EXAMPLE1_ALPHAS:
         for beta in EXAMPLE1_BETAS:
-            b, pairs = _discrete_extremes(specs[beta], alpha, EXAMPLE1_MODES)
-            contraction[(alpha, beta)] = b
+            pairs = _discrete_extremes(specs[beta], alpha, EXAMPLE1_MODES)
+            # the printed b: the tridiagonal row is routed without it
+            b = contraction(specs[beta], 0.0, (alpha,))[0]
+            contractions[(alpha, beta)] = float(b)
             for mode, (mu_p, mu_m) in zip(EXAMPLE1_MODES, pairs):
                 ex_p, ex_m = exact_harmonic_eigs(alpha, beta, mode)
                 rows.append(
@@ -287,15 +288,15 @@ def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
     mu0 = exact_harmonic_eigs(a0, 0.0, 0)[0]
     mu1 = exact_harmonic_eigs(a0 + eps, 0.0, 0)[0]
     fd_exact = (mu1 - mu0) / (mu0 * eps)
-    _, pairs0 = _discrete_extremes(specs[0.0], a0, (0,))
-    _, pairs1 = _discrete_extremes(specs[0.0], a0 + eps, (0,))
+    pairs0 = _discrete_extremes(specs[0.0], a0, (0,))
+    pairs1 = _discrete_extremes(specs[0.0], a0 + eps, (0,))
     fd_disc = (pairs1[0][0] - pairs0[0][0]) / (pairs0[0][0] * eps)
 
     return Example1Result(
         rows=tuple(rows),
         grid_points=grid_points,
         half_width=half_width,
-        contraction=contraction,
+        contraction=contractions,
         sensitivity_alpha=a0,
         sensitivity_eps=eps,
         fd_ratio_exact=fd_exact,

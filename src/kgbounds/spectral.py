@@ -44,10 +44,15 @@ lower bidiagonal, and with the unknowns ordered
 (2 w_0, 0, 2 w_1, 0, ...) and off-diagonal (M_00, M_10, M_11, M_21, ...):
 from order n = _TRIDIAGONAL_MIN_ORDER up such a row is factored in
 O(n) (dpttrf) and solved with no reduction to tridiagonal form.  The
-pencil is used exactly when a closed-form bound certifies G - mu*J
-positive definite and the Cholesky factorization succeeds; every other
-system goes to a general dense eigensolver on the root-free companion
-form
+pencil is used exactly when G - mu*J is certified positive definite and
+the Cholesky factorization succeeds.  Such a row is certified by the
+factorization itself: one dpttrf of -Q(mu) - beta I, beta = 4 eps (max
+w_i^2 + max u_ii + max |u_i,i+1|) + 2^-500 after scaling, with every
+pivot finite and positive proves -Q(mu) > 0 (_proven_definite), and no
+contraction is computed.  A dense row is certified by the closed-form
+bound (1 - b) u_min > PD_RTOL (1 + b) u_max on its contraction b
+(_certified_definite).  Every other system goes to a general dense
+eigensolver on the root-free companion form
 
     L_g = [[V, g I], [U^2 / g, V]],    g = ||U||,
 
@@ -231,8 +236,9 @@ _ENCLOSURE_LADDER = (2.0**-46, 2.0**-40, 2.0**-34, 2.0**-28)
 #: diagonals of a few positions for every shift)
 _COUNT_BLOCK = 4096
 
-#: the absolute part of _sturm_counts' slack beta, after its scaling:
-#: underflow in forming the diagonal, e^2 and e^2 / p moves Q(s) by far less
+#: the absolute part of the slack beta of _sturm_counts and _proven_definite,
+#: after their scaling: underflow in forming the diagonal, e^2 and e^2 / p
+#: moves Q(s) by far less
 _UNDERFLOW_SLACK = 2.0**-500
 
 #: the half-width r and a bound of _moved_residuals are each multiplied
@@ -302,7 +308,8 @@ class DefectWitness:
 
 
 def _certified_definite(spec: ModelSpec, contractions):
-    """Closed-form certificate that G - mu*J is safely positive definite, per b.
+    """Closed-form certificate that G - mu*J is safely positive definite, per b:
+    the route of the dense rows (tridiagonal ones take _proven_definite).
 
     The congruence G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]]
     diag(U,U)^(1/2), A = (V - mu) U^(-1) with the singular values of
@@ -315,6 +322,49 @@ def _certified_definite(spec: ModelSpec, contractions):
     return (1.0 - b) * spec.u_min > PD_RTOL * (1.0 + b) * spec.u_max
 
 
+def _proven_definite(spec: ModelSpec, w):
+    """Per row of diagonals w (k, n) of W = t V - mu: whether -Q(mu) > 0 is proven.
+
+    For a tridiagonal spec -Q(mu) = U^2 - (p - mu)^2, p_i = fl(t v_i) the
+    potential as eigen_spectra forms it and w_i = fl(p_i - mu), is
+    tridiagonal, with diagonal d_i - (p_i - mu)^2 and U^2's off-diagonal
+    e_i.  With w scaled by 2^-k and U^2 by 4^-k, the larger of ||U|| and
+    max |w_i| then below one (which changes no sign), one dpttrf factors
+    tridiag(a, e), a_i = fl(fl(d_i - fl(w_i^2)) - beta),
+
+        beta = 4 eps (max_i w_i^2 + max_i d_i + max_i |e_i|) + 2^-500,
+
+    and the row is proven when every pivot is finite and positive: info
+    is 0 also after a nan pivot.  Proof: the computed pivots of the L D
+    L^T recurrence are, to positive factors, the exact ones of
+    tridiag(a, e'), each |e'_i - e_i| <= 0.75 eps |e_i| (see the module
+    docstring), so that matrix is positive definite.  Forming a_i errs by
+    at most eps (d_i + 2.5 w_i^2 + beta / 2) from d_i - (p_i - mu)^2 -
+    beta, to first order (w_i^2 covering fl(p_i - mu)'s rounding too),
+    and underflow, in forming a or in the recurrence, by far less than
+    2^-500.  So -Q(mu) - tridiag(a, e') has every diagonal entry at least
+    beta less those errors and off-diagonal row sums at most
+    1.5 eps max |e_i|: beta is over 1.6 times their sum, which covers
+    the second-order terms, so by Gershgorin's theorem the difference is
+    positive semidefinite, and -Q(mu) >= tridiag(a, e') > 0.
+    Then K - mu*J is positive definite (its Schur complement), and the
+    pencil is definite.
+    """
+    d, e = spec.u2_bands
+    k = math.frexp(max(spec.u_max, np.abs(w).max(initial=0.0)))[1]
+    w2 = np.square(np.ldexp(w, -k))
+    d, e = np.ldexp(d, -2 * k), np.ldexp(e, -2 * k)
+    beta = w2.max(axis=1, initial=0.0) + (d.max() + np.abs(e).max(initial=0.0))
+    beta = 4.0 * np.finfo(float).eps * beta + _UNDERFLOW_SLACK
+    diagonals = d - w2
+    diagonals -= beta[:, None]
+    proven = np.empty(len(w), dtype=bool)
+    for row, a in enumerate(diagonals):
+        pivots = lapack.dpttrf(a, e, overwrite_d=1)[0]
+        proven[row] = ((pivots > 0.0) & (pivots < np.inf)).all()
+    return proven
+
+
 @dataclass(frozen=True)
 class SpectrumStack:
     """Spectra of the potentials t V of one model at one shift, one row per t.
@@ -325,9 +375,10 @@ class SpectrumStack:
     real rows being zero), the ``signatures`` (J z_k, z_k) of their
     K-frame eigenvectors z_k, whether the row took the definite ``pencil``,
     ``is_real`` and the first defective eigenvalue of the row, or None,
-    in ``witnesses``.  ``contractions`` holds the b(t) each row was
-    routed on, and ``pencil_factors`` each pencil row's factor M, as
-    SpectrumReport.pencil_factor holds it, and None for a direct row.
+    in ``witnesses``, and ``pencil_factors`` each pencil row's factor M,
+    as SpectrumReport.pencil_factor holds it, and None for a direct row.
+    No contraction is kept: a tridiagonal row is routed on a proven
+    -Q(mu) > 0, not on b (see eigen_spectra).
 
     ``residuals`` (None with ``nearest``) holds every eigenvalue's upper
     bound on sigma_min(Q(lam)), Q(lam) = (lam - t V)^2 - U^2, which the
@@ -347,7 +398,6 @@ class SpectrumStack:
     pencil: np.ndarray
     is_real: np.ndarray
     witnesses: tuple = field(repr=False)
-    contractions: np.ndarray
     pencil_factors: tuple = field(repr=False)
     residuals: np.ndarray | None = field(default=None, repr=False)
 
@@ -761,17 +811,19 @@ def eigen_spectra(
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
-    The stacked solver behind every spectrum: each row with contraction
-    b(t) = ||L^(-1) (t V - shift)|| = ||(t V - shift) U^(-1)|| certified
-    by the closed-form bound (see _certified_definite) takes the
-    definite pencil in the K frame, all such rows in one stacked solve
-    (_k_frame_eigensolve); a row whose Cholesky factorization fails, and
-    every uncertified row, goes to the general eigensolver on the
-    root-free companion form L_g(t) (_direct_eigensolve).  Neither path
-    forms H or a root of U.  ``contractions`` are the rows' b when
-    the caller has them, else core.contraction's; either way the stack
-    keeps them.  Without ``nearest`` every row is a whole spectrum with
-    its residuals (see SpectrumStack).  With ``nearest`` = k each row
+    The stacked solver behind every spectrum: each row certified
+    definite takes the definite pencil in the K frame, all such rows in
+    one stacked solve (_k_frame_eigensolve); a row whose Cholesky
+    factorization fails, and every uncertified row, goes to the general
+    eigensolver on the root-free companion form L_g(t)
+    (_direct_eigensolve).  Neither path forms H or a root of U.  A
+    _tridiagonal_rows spec's rows are certified by one dpttrf each that
+    proves -Q(shift) > 0 (_proven_definite), and no contraction is
+    computed; a dense row by the closed-form bound on its contraction
+    b(t) = ||(t V - shift) U^(-1)|| (_certified_definite), from
+    ``contractions`` when the caller has them, else core.contraction's
+    (dense rows alone read them).  Without ``nearest`` every row is a
+    whole spectrum with its residuals (see SpectrumStack).  With ``nearest`` = k each row
     holds the 2k eigenvalues in the middle of its ascending order alone,
     and the stack no residuals: on a pencil row, which has n eigenvalues
     on each side of the shift, they are the k nearest it on each side,
@@ -782,12 +834,12 @@ def eigen_spectra(
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
         w = np.multiply.outer(t, spec.v_band) - shift   # the diagonals of W
+        pencil = _proven_definite(spec, w)
     else:
         w = shifted_potential(spec, shift, t)
-    if contractions is None:
-        contractions = contraction(spec, shift, t)
-    contractions = np.asarray(contractions, dtype=float)
-    pencil = _certified_definite(spec, contractions)
+        if contractions is None:
+            contractions = contraction(spec, shift, t)
+        pencil = _certified_definite(spec, np.asarray(contractions, dtype=float))
     whole = nearest is None
     # (rows, lam, signatures, is_real, witnesses, residuals) per path
     solved = []
@@ -850,7 +902,6 @@ def eigen_spectra(
         pencil=pencil,
         is_real=is_real,
         witnesses=tuple(witnesses),
-        contractions=contractions,
         pencil_factors=tuple(factors),
         residuals=residuals,
     )
@@ -862,7 +913,8 @@ def eigen_spectrum(
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
     The one row of eigen_spectra for the system's own potential at its
-    shift and contraction: the definite pencil in the K frame when
+    shift (a dense row routed on the system's contraction, which a
+    tridiagonal row does not read): the definite pencil in the K frame when
     G - mu*J is certified positive definite and U^2 - (V - mu)^2 factors
     (a certified real, semisimple spectrum and sign types), else the
     general eigensolver on L_g, which flags non-real pairs and defective
@@ -872,7 +924,8 @@ def eigen_spectrum(
     eigen_spectra).
     """
     mu, spec = system.shift, system.spec
-    stack = eigen_spectra(spec, (1.0,), mu, (system.contraction,), nearest)
+    contractions = None if _tridiagonal_rows(spec) else (system.contraction,)
+    stack = eigen_spectra(spec, (1.0,), mu, contractions, nearest)
     lam, signatures = stack.eigenvalues[0], stack.signatures[0]
     pencil = bool(stack.pencil[0])
     # the pencil's signatures theta are never zero: its sign types need no tolerance

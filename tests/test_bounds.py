@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgbounds import bounds as bounds_module
+from kgbounds import bounds as bounds_module, core
 from kgbounds.core import _spectrum_ends, symmetrize
 from kgbounds.models import HarmonicParams, harmonic_model
 from kgbounds import (
@@ -111,12 +110,13 @@ class TestGapBound:
         with pytest.raises(ContractionNotLessThanOne):
             gap_bound(assemble_system(square_well_model(2.5), -1.25))
 
-    def test_nan_contraction_is_rejected(self):
+    def test_nan_contraction_is_rejected(self, monkeypatch):
         # b = nan, as an overflowing A with entries inf - inf gives, is no
-        # contraction: neither the gap nor any kappa may be formed from it
-        system = dataclasses.replace(
-            assemble_system(square_well_model(1.0), 0.0), contraction=math.nan
-        )
+        # contraction: neither the gap nor any kappa may be formed from it.
+        # A system computes its b when first read, from core.contraction
+        monkeypatch.setattr(core, "contraction", lambda spec, shift: math.nan)
+        system = assemble_system(square_well_model(1.0), 0.0)
+        assert math.isnan(system.contraction)
         with pytest.raises(ContractionNotLessThanOne, match="b = nan"):
             gap_bound(system)
         for kappa in (kappa_general, kappa_relative, kappa_disjoint, kappa_signed_pair):

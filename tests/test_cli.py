@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from kgbounds import (
+    HarmonicParams,
     KleinGordonSystem,
     bounds as bounds_module,
     ModelSpec,
@@ -23,6 +24,7 @@ from kgbounds import (
     cli,
     core,
     eigen_spectrum,
+    harmonic_model,
     harness,
     norm_bound_interval,
     random_perturbation,
@@ -217,7 +219,9 @@ class TestBoundsCommand:
         # the oscillator's U^2 is tridiagonal and V diagonal: the order-64
         # U^2 is validated by its banded Cholesky factorization (dpbtrf,
         # of its two diagonals), the contraction
-        # is bisected on dpttrf alone, and the one pencil solve factors
+        # is bisected on dpttrf alone, one dpttrf of -Q(mu) - beta I
+        # proves the pencil definite (spectral._proven_definite), and the
+        # one pencil solve factors
         # the tridiagonal -Q(mu) by dpttrf and bisects the tridiagonal T
         # of order 128 for its two eigenvalues nearest the shift (dstebz).
         # sign_operator solves the same T, from the same factor (no second
@@ -226,11 +230,18 @@ class TestBoundsCommand:
         # reduced to tridiagonal form (the one order-128 dsytrd is the
         # exact kappa pair's)
         lapack_calls, pencil_calls, sign_calls, bisections = [], [], [], []
+        proofs = []
 
         def count_pencil(*args, **kwargs):
             start = len(lapack_calls)
             result = k_frame(*args, **kwargs)
             pencil_calls.append(lapack_calls[start:])
+            return result
+
+        def count_proof(*args, **kwargs):
+            start = len(lapack_calls)
+            result = proven(*args, **kwargs)
+            proofs.append(lapack_calls[start:])
             return result
 
         def count_sign(*args, **kwargs):
@@ -256,8 +267,9 @@ class TestBoundsCommand:
             monkeypatch.setattr(scipy.linalg.lapack, name, record)
 
         k_frame, banded = spectral._k_frame_eigensolve, core._banded_contractions
-        sign = bounds_module.sign_operator
+        sign, proven = bounds_module.sign_operator, spectral._proven_definite
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
+        monkeypatch.setattr(spectral, "_proven_definite", count_proof)
         monkeypatch.setattr(bounds_module, "sign_operator", count_sign)
         monkeypatch.setattr(core, "_banded_contractions", count_bisection)
         names = ("dpotrf", "dpbtrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
@@ -265,6 +277,7 @@ class TestBoundsCommand:
             spy(name)
         args = ["bounds", "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
+        assert proofs == [[("dpttrf", 64)]]
         assert pencil_calls == [[("dpttrf", 64), ("dstebz", 128)]]
         assert sign_calls == [
             [("dstevd", 128), ("dtbtrs", 64), ("dsytrd", 64), ("dstebz", 64)]
@@ -273,7 +286,7 @@ class TestBoundsCommand:
         assert len(bisections) == 1 and 50 <= len(bisections[0]) <= 70
         assert set(bisections[0]) == {("dpttrf", 64)}
         factored = [c for c in lapack_calls if c[0] in ("dpotrf", "dpbtrf", "dpttrf")]
-        assert factored == [("dpbtrf", 64), ("dpttrf", 64)]
+        assert factored == [("dpbtrf", 64), ("dpttrf", 64), ("dpttrf", 64)]
         assert [c for c in lapack_calls if c[1] == 128] == [
             ("dstebz", 128), ("dsytrd", 128), ("dstebz", 128), ("dstebz", 128),
             ("dstevd", 128),
@@ -331,7 +344,9 @@ class TestBoundsCommand:
         # one n x n Cholesky factorization of U^2 - (V - mu)^2 certifies
         # and reduces the pencil of each (model, shift): for the
         # oscillator, whose -Q(mu) is tridiagonal, dpttrf's O(n) one
-        # (recorded by its diagonal, of shape (64,)); for the perturbed
+        # (recorded by its diagonal, of shape (64,)), after the one
+        # dpttrf of -Q(mu) - beta I that proves it definite
+        # (spectral._proven_definite); for the perturbed
         # model of verify, whose random dV is dense, dpotrf's.  The exact
         # kappa pair is read off the same solve's factor M, and no
         # generalized eigensolve runs.  The first factorization is that
@@ -379,7 +394,7 @@ class TestBoundsCommand:
         args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert generalized == []
-        assert shapes == [(2, 64), (64,)] + [(64, 64)] * (solves - 1)
+        assert shapes == [(2, 64), (64,), (64,)] + [(64, 64)] * (solves - 1)
         assert len(bisections) == 1 and set(bisections[0]) == {(64,)}
 
     def test_memory_budget(self, capsys):
@@ -659,6 +674,64 @@ class TestSweepCommand:
             main(["sweep", "--tau", "1", "--sweep-range", "oops", "--steps", "5"])
             == EXIT_PARSE
         )
+
+    def test_contraction_just_below_one_is_not_defective(self, tmp_path):
+        # b = 1 - 1e-13 on both rows: a real, semisimple spectrum that the
+        # pencil certifies (a proven -Q(mu) > 0), with no witness
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--alpha", "1.0", "--grid-points", "24", "--sweep-range",
+                "1.000386940043096:1.000386940043097", "--steps", "2"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        points = [row for row in read_csv(out) if row[0] == "point"]
+        assert [row[2:4] for row in points] == [["True", "False"]] * 2
+        out = tmp_path / "spectrum.csv"
+        args = ["spectrum", "--alpha", "1.000386940043097", "--grid-points", "24"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        signs = [row[3] for row in read_csv(out)[1:]]
+        assert signs == ["negative"] * 24 + ["positive"] * 24
+
+
+class TestContractionOnlyWhereRead:
+    """kg spectrum and kg sweep route tridiagonal rows on a proven
+    -Q(mu) > 0 and compute no b; kg bounds computes it once and prints
+    core.contraction's, bit for bit."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        entered, contraction = [], core.contraction
+
+        def record(*args, **kwargs):
+            entered.append(1)
+            return contraction(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kgbounds") and getattr(module, "contraction", None) is contraction:
+                monkeypatch.setattr(module, "contraction", record)
+        return entered
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--alpha", "0.3", "--grid-points", "24", "--sweep-range", "0:1",
+         "--steps", "21"],
+        ["sweep", "--alpha", "0.985", "--grid-points", "24", "--sweep-range", "0:1.2",
+         "--steps", "13"],
+        ["spectrum", "--alpha", "0.3", "--grid-points", "80"],
+    ])
+    def test_banded_spectra_never_compute_b(self, args, monkeypatch, tmp_path):
+        entered = self.spy(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert entered == []
+
+    @pytest.mark.parametrize("grid_points", [24, 80])
+    def test_bounds_prints_the_one_b(self, grid_points, monkeypatch, tmp_path):
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=grid_points))
+        b = core.contraction(spec, 0.0)
+        entered = self.spy(monkeypatch)
+        out = tmp_path / "bounds.csv"
+        args = ["bounds", "--alpha", "0.3", "--grid-points", str(grid_points)]
+        assert main(args + ["--eta", "1e-3", "--out", str(out)]) == EXIT_OK
+        assert entered == [1]
+        rows = {row[0]: row[1] for row in read_csv(out)[1:]}
+        assert float(rows["contraction_b"]) == b
 
 
 class TestEachQuantityOnce:

@@ -6,12 +6,14 @@ import pytest
 import scipy.linalg
 
 from kgbounds import (
+    ContractionNotLessThanOne,
     DimensionMismatch,
     HarmonicParams,
     ModelSpec,
     NotPositiveDefinite,
     ValidationError,
     assemble_system,
+    bounds_report,
     core,
     harmonic_model,
     operator_a,
@@ -398,21 +400,26 @@ class TestBandedContraction:
                     # the same route for every row as the dense b
                     certified = spectral._certified_definite(spec, b)
                     assert certified == spectral._certified_definite(spec, dense)
-                    # the rows of eigen_spectra (example 1's coupling alpha)
+                    # example 1's b, of the coupling alpha, by the same route
                     row = (alpha * unit.v.diagonal() - shift)[None]
                     assert core._banded_contractions(unit, row)[0] == b
+                    bisections.clear()
+                    example = core.contraction(unit, shift, (alpha,))[0]
+                    assert bisections == ([1] if banded else [])
+                    assert example == (b if banded else dense)
                     if certified or grid_points <= 150:
+                        # the tridiagonal rows are routed on the proven
+                        # -Q(mu) > 0 (spectral._proven_definite), with no b
                         bisections.clear()
                         stack = spectral.eigen_spectra(unit, (alpha,), shift, nearest=1)
-                        assert bisections == ([1] if banded else [])
-                        assert stack.contractions[0] == (b if banded else dense)
+                        assert bisections == []
                         assert stack.pencil[0] == certified
 
     def test_zero_potential_is_exactly_zero(self, bisections):
         unit = unit_oscillator(64, 0.0)
         spec = unit.with_potential(np.zeros((64, 64)), "")
         assert assemble_system(spec, 0.0).contraction == 0.0
-        assert spectral.eigen_spectra(unit, (0.0,), 0.0).contractions[0] == 0.0
+        assert core.contraction(unit, 0.0, (0.0,))[0] == 0.0
         assert bisections == [1, 1]
 
     def test_scalar_potential_meets_the_bracket_bound(self, bisections):
@@ -460,22 +467,45 @@ class TestBandedContraction:
 
 class TestOneContractionRoute:
     """assemble_system and eigen_spectra read b from core.contraction alone,
-    so the b a spectrum is routed on is the b kg prints, bit for bit."""
+    so the b a dense spectrum is routed on, and the b kg bounds prints, is
+    core.contraction's, bit for bit; tridiagonal rows are routed on a
+    proven -Q(mu) > 0 and read no b."""
 
-    def test_random_models(self, corpus200):
+    def test_random_models(self, corpus200, monkeypatch):
+        routed = []
+        certified = spectral._certified_definite
+
+        def spy(spec, b):
+            routed.append(b.tolist())
+            return certified(spec, b)
+
+        monkeypatch.setattr(spectral, "_certified_definite", spy)
         for spec, _ in corpus200:
             for shift in (0.0, 0.3):
-                b = assemble_system(spec, shift).contraction
-                assert spectral.eigen_spectra(spec, (1.0,), shift).contractions[0] == b
+                system = assemble_system(spec, shift)
+                b = core.contraction(spec, shift)
+                routed.clear()
+                spectral.eigen_spectra(spec, (1.0,), shift)
+                spectral.eigen_spectrum(system)
+                assert routed == [[b], [b]] and system.contraction == b
 
     @pytest.mark.parametrize("grid_points", [10, 24, 40, 160])
     def test_oscillators(self, grid_points):
         for alpha in (0.3, 0.985):
             spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
+            dv = 1e-3 * np.eye(grid_points)
             for shift in (0.0, 0.3, -0.2):
-                b = assemble_system(spec, shift).contraction
+                b = core.contraction(spec, shift)
+                assert assemble_system(spec, shift).contraction == b
                 stack = spectral.eigen_spectra(spec, (1.0,), shift, nearest=1)
-                assert stack.contractions[0] == b
+                assert stack.pencil[0] == (b < 1.0)
+                if b < 1.0:
+                    rows = {key: value for key, value, _ in
+                            bounds_report(spec, dv, shift).rows()}
+                    assert rows["contraction_b"] == b
+                else:
+                    with pytest.raises(ContractionNotLessThanOne):
+                        bounds_report(spec, dv, shift)
 
 
 class TestSymmetricNorm:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import warnings
 
 import mpmath
@@ -783,7 +784,6 @@ class TestEigenvaluesOnly:
         assert bare.pencil.tolist() == full.pencil.tolist()
         assert bare.is_real.tolist() == full.is_real.tolist()
         assert bare.defective.tolist() == full.defective.tolist()
-        np.testing.assert_array_equal(bare.contractions, full.contractions)
         scale = np.abs(full.eigenvalues).max(axis=-1, keepdims=True)
         lam = full.eigenvalues[:, middle]
         assert (np.abs(bare.eigenvalues - lam) <= 1e-13 * scale).all()
@@ -833,16 +833,17 @@ class TestEigenvaluesOnly:
         )
 
     def test_no_eigenvectors_are_formed(self, monkeypatch):
-        # the contraction takes one triangular solve (dtbtrs, L^(-1) W
-        # with the bidiagonal L of the tridiagonal U^2) and its Gram
-        # matrix, of order 20, dsyevd without vectors.  The
-        # oscillator's T, of order 40, is tridiagonal: one bisection over
-        # its middle indices (dstebz) and no reduction.
-        # With a dense potential T is dense: one tridiagonalization
+        # the oscillator's row is routed on a proven -Q(mu) > 0 (one
+        # dpttrf, spectral._proven_definite) and reads no contraction.
+        # Its T, of order 40, is tridiagonal: one bisection over its
+        # middle indices (dstebz) and no reduction.  With a dense
+        # potential the row is routed on the contraction, one triangular
+        # solve (dtbtrs, L^(-1) W with the bidiagonal L of the
+        # tridiagonal U^2) and its Gram matrix, of order 20, dsyevd
+        # without vectors, and T is dense: one tridiagonalization
         # (dsytrd) and one bisection.  Neither solves for a vector.
-        # From order n = 56 up the oscillator's contraction is bisected
-        # on dpttrf alone, and from order 32 up a dense one's Gram matrix
-        # is reduced (dsytrd) and bisected at its top (dstebz)
+        # From order 32 up the dense one's Gram matrix is reduced
+        # (dsytrd) and bisected at its top (dstebz)
         calls = []
 
         def spy(name):
@@ -862,7 +863,7 @@ class TestEigenvaluesOnly:
             spy(name)
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
         contraction = [("dtbtrs", None), ("dsyevd", 0)]
-        assert calls == contraction + [("dstebz", None)]
+        assert calls == [("dstebz", None)]
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
         assert calls == contraction + [("dsytrd", None), ("dstebz", None)]
@@ -1089,7 +1090,7 @@ class TestSturmCounts:
         spec = ModelSpec.from_bands(s * diagonal, s * off, np.sqrt(s) * w + mu)
         stack = spectral.eigen_spectra(spec, (1.0,), mu)
         if not stack.pencil[0]:
-            return   # b too near one for the closed-form certificate
+            return   # b too near one for a proven -Q(mu) > 0
         lam = stack.eigenvalues[0]
         radius = spectral._count_enclosures(spec, lam[None], np.ones(1), mu)[0]
         residuals = stack.residuals[0]
@@ -1289,3 +1290,146 @@ class TestSturmCounts:
         assert spectral.eigen_spectra(spec, (1.0,), nearest=2).residuals is None
         system = assemble_system(spec, 0.0)
         assert eigen_spectrum(system, nearest=2).residuals is None
+
+
+def lowest_eigenvalue_40(d, e, c, guess):
+    """lambda_min of tridiag(d - c^2, e) to 40 digits: bisection on the
+    signs of its L D L^T pivots, from a bracket 1e-9 around ``guess``."""
+    with mpmath.workdps(40):
+        d, e = [mpmath.mpf(x) for x in d], [mpmath.mpf(x) ** 2 for x in e]
+        c2 = mpmath.mpf(c) ** 2
+
+        def definite(s):   # whether tridiag(d - c^2 - s, e) > 0
+            pivot = d[0] - c2 - s
+            for di, e2 in zip(d[1:], e):
+                if pivot <= 0:
+                    return False
+                pivot = di - c2 - s - e2 / pivot
+            return pivot > 0
+
+        lo, hi = mpmath.mpf(guess) - 1e-9, mpmath.mpf(guess) + 1e-9
+        assert definite(lo) and not definite(hi)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if definite(mid) else (lo, mid)
+        return lo
+
+
+def unit_coupling_at_one(spec, shift):
+    """The coupling t > 0 with b(t) = ||(t V - shift) U^(-1)|| = 1, bisected on
+    core.contraction to 1e-13 relative."""
+    lo, hi = 0.0, 1.0
+    while core.contraction(spec, shift, (hi,))[0] < 1.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if core.contraction(spec, shift, (mid,))[0] < 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestProvenDefinite:
+    """spectral._proven_definite: one dpttrf of -Q(mu) - beta I routes a
+    tridiagonal pencil row, with no contraction."""
+
+    @staticmethod
+    def beta(spec, c):
+        d, e = spec.u2_bands
+        return 4.0 * EPS * (c * c + d.max() + np.abs(e).max())
+
+    @pytest.mark.parametrize("ratio, proven", [(2.0, True), (0.75, False), (0.5, False)])
+    def test_margin_is_beta(self, ratio, proven):
+        # W = c I: -Q(mu) = U^2 - c^2 I, lambda_min = lambda_min(U^2) - c^2,
+        # set to ratio * beta from a 40-digit lambda_min(U^2); the order-80
+        # oscillator's U^2, whose entries dominate c^2, so that rounding c
+        # moves the ratio by under 1 %
+        spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=80))
+        d, e = spec.u2_bands
+        lowest = lowest_eigenvalue_40(d, e, 0.0, spec.u_min**2)
+        c = math.sqrt(float(lowest) - ratio * self.beta(spec, 0.9))
+        c = math.sqrt(float(lowest) - ratio * self.beta(spec, c))
+        margin = lowest_eigenvalue_40(d, e, c, float(lowest) - c * c)
+        assert abs(float(margin) / self.beta(spec, c) - ratio) <= 0.01 * ratio
+        w = np.full((1, spec.order), c)
+        assert spectral._proven_definite(spec, w).tolist() == [proven]
+        constant = spec.with_potential(np.full(spec.order, c), "")
+        assert spectral.eigen_spectra(constant, (1.0,), 0.0, nearest=1).pencil[0] == proven
+
+    def test_a_nan_pivot_is_not_proven(self):
+        spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=24))
+        w = np.stack([spec.v_band, spec.v_band])
+        w[1, 5] = np.nan
+        # LAPACK's trap: dpttrf reports success (info 0) past a nan pivot
+        d, e = spec.u2_bands
+        pivots, _, info = scipy.linalg.lapack.dpttrf(d - w[1] ** 2, e)
+        assert info == 0 and np.isnan(pivots).any()
+        assert spectral._proven_definite(spec, w).tolist() == [True, False]
+
+    @pytest.mark.parametrize("grid_points", [8, 24, 80, 160, 1000])
+    def test_every_contraction_below_one_is_proven(self, grid_points):
+        # couplings on either side of b = 1, at least 1e-9 from it: a row
+        # with b below one is proven and factored, so it takes the pencil
+        # (every row the closed-form certificate accepts among them), and
+        # none above one is
+        spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=grid_points))
+        offsets = np.array([1e-8, 1e-6, 1e-3, 0.1, 0.5])
+        for shift in (0.0, 0.3, -0.2):
+            one = unit_coupling_at_one(spec, shift)
+            t = one * np.concatenate([1.0 - offsets, 1.0 + offsets, [0.0]])
+            b = core.contraction(spec, shift, t)
+            below = b <= 1.0 - 1e-9
+            assert (below | (b >= 1.0 + 1e-9)).all() and below.sum() == 6
+            w = np.multiply.outer(t, spec.v_band) - shift
+            proven = spectral._proven_definite(spec, w)
+            assert proven.tolist() == below.tolist()
+            assert spectral._k_frame_eigensolve(spec, w[below], 1)[3] is None
+            if grid_points <= 80:
+                stack = spectral.eigen_spectra(spec, t, shift, nearest=1)
+                assert stack.pencil.tolist() == below.tolist()
+            certified = spectral._certified_definite(spec, b)
+            assert not (certified & ~proven).any()
+
+    def test_contraction_just_below_one_takes_the_pencil(self):
+        # b = 1 - 1e-13, refused by the closed-form certificate's margin:
+        # the spectrum is real and semisimple, and the pencil certifies it
+        spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=24))
+        t = 1.000386940043097
+        b = core.contraction(spec, 0.0, (t,))[0]
+        assert 0.0 < 1.0 - b < 1e-12 and not spectral._certified_definite(spec, b)
+        stack = spectral.eigen_spectra(spec, (t,), 0.0)
+        assert stack.pencil.tolist() == [True] and stack.witnesses == (None,)
+        assert stack.is_real.tolist() == [True] and np.isfinite(stack.residuals).all()
+        report = eigen_spectrum(
+            assemble_system(harmonic_model(HarmonicParams(alpha=t, grid_points=24)))
+        )
+        assert report.solver_path == "similarity" and not report.defective
+        assert report.sign_types == ("negative",) * 24 + ("positive",) * 24
+
+    def test_one_more_dpttrf_per_row(self, monkeypatch):
+        # every row of a tridiagonal stack takes one dpttrf to be routed,
+        # and a pencil row one more, its factor M: no contraction is
+        # computed (at order 24 it would take a triangular solve and a
+        # Gram matrix, from order 56 up a bisection on dpttrf)
+        spec = harmonic_model(HarmonicParams(alpha=0.985, grid_points=24))
+        t = np.linspace(0.0, 1.2, 13)   # the last two past b = 1
+        calls, factors = [], []
+        dpttrf, k_frame = spectral.lapack.dpttrf, spectral._k_frame_eigensolve
+
+        def spy_dpttrf(*args, **kwargs):
+            calls.append(len(args[0]))
+            return dpttrf(*args, **kwargs)
+
+        def spy_k_frame(*args, **kwargs):
+            start = len(calls)
+            result = k_frame(*args, **kwargs)
+            factors.append(len(calls) - start)
+            return result
+
+        monkeypatch.setattr(spectral.lapack, "dpttrf", spy_dpttrf)
+        monkeypatch.setattr(spectral, "_k_frame_eigensolve", spy_k_frame)
+        monkeypatch.setattr(spectral, "contraction", None)   # never called
+        for nearest in (None, 1):
+            calls.clear()
+            factors.clear()
+            stack = spectral.eigen_spectra(spec, t, 0.0, nearest=nearest)
+            assert stack.pencil.tolist() == [True] * 11 + [False] * 2
+            assert calls == [24] * (13 + 11) and factors == [11]

@@ -49,7 +49,10 @@ at N = 20 with eta 0.3 (a dense random dV whose perturbed spectrum is
 non-real: exit 4, the gate failing at the real parts it emits), two
 oscillator sweeps at N = 24 (alpha
 0.3 over couplings 0..1, and alpha 0.985 over 0..1.2, whose last two
-rows, past b = 1, take the direct path), the text report of ``kg bounds``,
+rows, past b = 1, take the direct path), a sweep of two couplings at
+N = 24 and alpha 1 where b = 1 - 1e-13 and ``spectrum`` on its second
+row (the tridiagonal pencil rows nearest b = 1 that a proven -Q(mu) > 0
+admits), the text report of ``kg bounds``,
 example 1 at N = 150 and at N = 2000 (where the model exists as bands
 alone), example 2, and failures of each exit code (``--tau inf`` among
 them, whose stderr is the one line of its validation error).
@@ -180,6 +183,9 @@ def commands(models: list[str]) -> list[list[str]]:
          "--steps", "21"],
         ["sweep", "--alpha", "0.985", "--grid-points", "24", "--sweep-range", "0:1.2",
          "--steps", "13"],
+        ["sweep", "--alpha", "1.0", "--grid-points", "24", "--sweep-range",
+         "1.000386940043096:1.000386940043097", "--steps", "2"],
+        ["spectrum", "--alpha", "1.000386940043097", "--grid-points", "24"],
     ]
     oscillator = ["--alpha", "0.985", "--grid-points", "24"]
     cmds += [
