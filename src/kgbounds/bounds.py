@@ -693,8 +693,8 @@ def verify_bounds(spec: ModelSpec, pert, shift: float = 0.0) -> VerificationRepo
     Starts as bounds_report does, so ContractionNotLessThanOne is raised
     when b >= 1 before the perturbed model is built or anything is
     solved.  Then solves the perturbed spectrum at the same shift
-    (general eigensolver with real parts when its contraction passes
-    one), pairs eigenvalues in ascending order and checks each kappa
+    (general eigensolver with real parts where no -Q(mu) > 0 is proven
+    for it), pairs eigenvalues in ascending order and checks each kappa
     constant against the deviations; both spectra are certified, for
     their residuals at the real parts (spectral._real_part_residuals).
     """

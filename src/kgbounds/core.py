@@ -51,7 +51,7 @@ records: a diagonal matrix's ends are its extreme entries, and those of
 a tridiagonal one are bisected on its own diagonals
 (_tridiagonal_eigenvalues).  contraction measures every b, bisecting
 b^2 of a tridiagonal spec on O(n) factorizations from order 56 up
-(_banded_contractions).  optimize_shift minimizes b by the subspace
+(_banded_contraction).  optimize_shift minimizes b by the subspace
 method from order 32 up, with one full top eigenpair per step.
 Everything here is desk-scale; all outputs are plain numpy arrays
 inside frozen dataclasses and all functions are pure.
@@ -113,10 +113,8 @@ _SUBSET_MIN_ORDER = 32
 
 #: the order from which a tridiagonal spec's contraction is bisected on
 #: its bands: on the alpha = 0.3 oscillator (one OpenBLAS thread, 2-core
-#: x86-64) one b takes 94 us banded against 95 us dense at n = 56, and a
-#: stack of 21 couplings 1.89 ms against 1.98 ms; at n = 48 dense wins
-#: both, and at n = 24 (a sweep block of 21 couplings) the bisection
-#: takes 2.74 ms against 0.82 ms dense (2-core Xeon, best of 7)
+#: x86-64) one b takes 94 us banded against 95 us dense at n = 56, and
+#: at n = 48 dense wins
 _BANDED_MIN_ORDER = 56
 
 #: dsyevr leaves a matrix unscaled when its largest entry lies in
@@ -527,6 +525,13 @@ class ModelSpec:
         return np.moveaxis(x.reshape(columns.shape), 0, -2)
 
     @functools.cached_property
+    def u2_band_maxima(self) -> tuple:
+        """(max_i u_ii, max_i |u_i,i+1|) of a tridiagonal U^2, read once: the
+        slack of the spectral module's banded certificate (_proven_definite)."""
+        d, e = self.u2_bands
+        return float(d.max()), float(np.abs(e).max(initial=0.0))
+
+    @functools.cached_property
     def u2_eigenbasis(self):
         """(d, E): U^2 = E diag(d^4) E^T, E orthogonal, read-only.
 
@@ -653,9 +658,9 @@ class KleinGordonSystem:
 
     ``contraction`` is b = ||A||, A = (V - mu) L^(-T) (operator_a), from
     core.contraction (bisected on U^2's diagonals on the banded route),
-    computed on first read and kept: a tridiagonal spec's spectrum is
-    routed without it (spectral._proven_definite), so ``kg spectrum``
-    and ``kg sweep`` on the oscillator compute no b.
+    computed on first read and kept.  No spectrum is routed on it
+    (spectral._proven_definite proves -Q(mu) > 0 instead): ``kg spectrum``
+    and ``kg sweep`` compute no b, ``kg bounds`` and ``kg verify`` one.
     """
 
     shift: float
@@ -683,39 +688,34 @@ def shifted_potential(spec: ModelSpec, shift: float = 0.0, couplings=None):
     return w
 
 
-def operator_a(spec: ModelSpec, shift: float = 0.0, couplings=None):
-    """A = (V - shift*I) L^(-T), L L^T = U^2, or a stack as shifted_potential's.
+def operator_a(spec: ModelSpec, shift: float = 0.0):
+    """A = (V - shift*I) L^(-T), L L^T = U^2.
 
     A is the U-frame (V - shift*I) U^(-1) times the orthogonal U L^(-T),
     so it has the same singular values.  An entry beyond the float range
     is inf or nan (ModelSpec.l_solve), with no warning: b = ||A|| is then
-    inf or nan, and every certified route rejects either, as not b < 1.
+    inf or nan, and kg bounds rejects either, as not b < 1.
     """
-    return spec.l_solve(shifted_potential(spec, shift, couplings)).swapaxes(-1, -2)
+    return spec.l_solve(shifted_potential(spec, shift)).T
 
 
-def contraction(spec: ModelSpec, shift: float = 0.0, couplings=None):
+def contraction(spec: ModelSpec, shift: float = 0.0) -> float:
     """b = ||(V - shift*I) U^(-1)||: the one route to the contraction.
 
-    A float for spec's own potential, or an array (k,) for the potentials
-    t V of k ``couplings`` (shifted_potential's convention).  Bisected on
-    U^2's two diagonals (_banded_contractions) for a tridiagonal spec
-    from order _BANDED_MIN_ORDER up, else the norm of the dense A
-    (operator_a), whose Gram matrix is A^T A.  Spec's own W is never
-    stacked: on the 2 x 2 well a stack of one takes 23 us, not 16 (one
-    OpenBLAS thread, 2-core x86-64).
+    Of spec's own potential (a coupling t's is spec.with_potential(t V)'s):
+    bisected on U^2's two diagonals (_banded_contraction) for a
+    tridiagonal spec from order _BANDED_MIN_ORDER up, else the norm of
+    the dense A (operator_a), whose Gram matrix is A^T A.  No spectrum is
+    routed on b: ``kg bounds``, ``kg verify``'s unperturbed model and
+    examples 1 and 2 read it, where it is printed or enters a constant.
     """
     if spec.tridiagonal and spec.order >= _BANDED_MIN_ORDER:
-        diagonal = spec.v_band
-        if couplings is None:
-            return float(_banded_contractions(spec, diagonal[None] - shift)[0])
-        w = np.multiply.outer(np.asarray(couplings, dtype=float), diagonal) - shift
-        return _banded_contractions(spec, w)
-    return spectral_norm(operator_a(spec, shift, couplings))
+        return _banded_contraction(spec, spec.v_band - shift)
+    return spectral_norm(operator_a(spec, shift))
 
 
-def _banded_contractions(spec: ModelSpec, w):
-    """b = ||L^(-1) W|| for each row of diagonals w (k, n) of a diagonal W.
+def _banded_contraction(spec: ModelSpec, w) -> float:
+    """b = ||L^(-1) W|| for the diagonal w (n,) of a diagonal W.
 
     U^2 is tridiagonal (spec.u2_bands), and b^2 is the largest eigenvalue
     of the definite banded pencil (W^2, U^2): U^2 - W^2 / s is positive
@@ -744,29 +744,25 @@ def _banded_contractions(spec: ModelSpec, w):
 
         |b^2 - b_exact^2| <= 3 eps (1 + r / u_min^2) b^2.
     """
+    largest = float(np.abs(w).max(initial=0.0))
+    if largest == 0.0 or not math.isfinite(largest):
+        return largest   # 0, inf or nan
     d, e = spec.u2_bands
     j = math.frexp(spec.u_max)[1]
     d, e = np.ldexp(d, -2 * j), np.ldexp(e, -2 * j)
     u_min2 = math.ldexp(spec.u_min, -j) ** 2
-    roots, exponents = np.zeros(len(w)), np.zeros(len(w), dtype=int)
-    for row, wk in enumerate(w):
-        largest = np.abs(wk).max(initial=0.0)
-        if largest == 0.0 or not math.isfinite(largest):
-            roots[row] = largest   # 0, inf or nan
-            continue
-        k = math.frexp(largest)[1]
-        w2 = np.square(np.ldexp(wk, -k))
-        lo, hi = 0.0, 2.0 * float(w2.max()) / u_min2
+    k = math.frexp(largest)[1]
+    w2 = np.square(np.ldexp(w, -k))
+    lo, hi = 0.0, 2.0 * float(w2.max()) / u_min2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if lapack.dpttrf(d - w2 / mid, e, overwrite_d=1)[2] == 0:
+            hi = mid
+        else:
+            lo = mid
         mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if lapack.dpttrf(d - w2 / mid, e, overwrite_d=1)[2] == 0:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        roots[row], exponents[row] = math.sqrt(hi), k - j
     with np.errstate(over="ignore"):
-        return np.ldexp(roots, exponents)
+        return float(np.ldexp(math.sqrt(hi), k - j))
 
 
 def assemble_system(spec: ModelSpec, shift: float = 0.0) -> KleinGordonSystem:

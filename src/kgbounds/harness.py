@@ -16,7 +16,8 @@ The two reproductions are desk-scale experiments:
   U^2 validated and factored once, and solves each alpha as a coupling
   of it: one row of spectral.eigen_spectra that asks only for the
   tabulated modes, the few eigenvalues nearest the shift on each side,
-  and the printed contraction b of that coupling from core.contraction.
+  and the printed contraction b of that potential, core.contraction of
+  the model with_potential(alpha V), which routes no row.
 
 The sweep utility tracks eigenvalue trajectories as the potential is
 scaled and bisects for the critical coupling where the two inner
@@ -265,9 +266,9 @@ def example1_table(grid_points=1000, half_width=12.0) -> Example1Result:
     for alpha in EXAMPLE1_ALPHAS:
         for beta in EXAMPLE1_BETAS:
             pairs = _discrete_extremes(specs[beta], alpha, EXAMPLE1_MODES)
-            # the printed b: the tridiagonal row is routed without it
-            b = contraction(specs[beta], 0.0, (alpha,))[0]
-            contractions[(alpha, beta)] = float(b)
+            # the printed b, of the potential alpha V; no row is routed on it
+            potential = specs[beta].with_potential(alpha * specs[beta].v_band, "")
+            contractions[(alpha, beta)] = contraction(potential, 0.0)
             for mode, (mu_p, mu_m) in zip(EXAMPLE1_MODES, pairs):
                 ex_p, ex_m = exact_harmonic_eigs(alpha, beta, mode)
                 rows.append(

@@ -44,14 +44,14 @@ lower bidiagonal, and with the unknowns ordered
 (2 w_0, 0, 2 w_1, 0, ...) and off-diagonal (M_00, M_10, M_11, M_21, ...):
 from order n = _TRIDIAGONAL_MIN_ORDER up such a row is factored in
 O(n) (dpttrf) and solved with no reduction to tridiagonal form.  The
-pencil is used exactly when G - mu*J is certified positive definite and
-the Cholesky factorization succeeds.  Such a row is certified by the
-factorization itself: one dpttrf of -Q(mu) - beta I, beta = 4 eps (max
-w_i^2 + max u_ii + max |u_i,i+1|) + 2^-500 after scaling, with every
-pivot finite and positive proves -Q(mu) > 0 (_proven_definite), and no
-contraction is computed.  A dense row is certified by the closed-form
-bound (1 - b) u_min > PD_RTOL (1 + b) u_max on its contraction b
-(_certified_definite).  Every other system goes to a general dense
+pencil is used exactly when -Q(mu) > 0 is proven, on every route by a
+factorization of -Q(mu) - cI that succeeds in floating point, c a stated
+bound on the rounding of forming -Q(mu) and of the factorization
+(_proven_definite): one dpttrf of a tridiagonal row, every pivot finite
+and positive, or one Cholesky factorization of a dense row's -Q(mu),
+every diagonal entry of the factor positive, with c about
+(n + 4) u tr U^2 (after Rump, BIT 46, 2006).  No contraction is
+computed.  Every other row goes to a general dense
 eigensolver on the root-free companion form
 
     L_g = [[V, g I], [U^2 / g, V]],    g = ||U||,
@@ -63,7 +63,7 @@ give z = [x; g y] = [x; (lam - V) x], and their signatures
 against NEUTRAL_TOL.
 
 Every solve is stacked.  eigen_spectra takes the potentials t V of one
-model, one per coupling t, at one shift: the certified rows go through
+model, one per coupling t, at one shift: the proven rows go through
 one stacked Cholesky factorization, eigh of T and one stacked
 triangular solve (numpy's gufuncs), or row by row through the
 tridiagonal T, the other rows through one stacked eig, and the per-row
@@ -171,14 +171,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import (
-    PD_RTOL,
     _GRAM_RANGE,
     _eigenvalues,
     _symmetric_norm,
     _tridiagonal_eigenvalues,
     KleinGordonSystem,
     ModelSpec,
-    contraction,
     shifted_potential,
     spectral_norm,
 )
@@ -307,38 +305,29 @@ class DefectWitness:
     reason: str
 
 
-def _certified_definite(spec: ModelSpec, contractions):
-    """Closed-form certificate that G - mu*J is safely positive definite, per b:
-    the route of the dense rows (tridiagonal ones take _proven_definite).
+def _proven_definite(spec: ModelSpec, a):
+    """Per row: whether -Q(mu) = U^2 - (t V - mu)^2 > 0 is proven, the one
+    route test of eigen_spectra: a row takes the pencil exactly when it is.
 
-    The congruence G - mu*J = diag(U,U)^(1/2) [[I, A^T], [A, I]]
-    diag(U,U)^(1/2), A = (V - mu) U^(-1) with the singular values of
-    core's A, gives lambda_min(G - mu*J) >= (1 - b) u_min and
-    ||G - mu*J|| <= (1 + b) u_max, so a True entry implies
-    lambda_min(G - mu*J) > PD_RTOL * ||G - mu*J|| for that contraction
-    b without factorizing.
-    """
-    b = contractions
-    return (1.0 - b) * spec.u_min > PD_RTOL * (1.0 + b) * spec.u_max
-
-
-def _proven_definite(spec: ModelSpec, w):
-    """Per row of diagonals w (k, n) of W = t V - mu: whether -Q(mu) > 0 is proven.
-
-    For a tridiagonal spec -Q(mu) = U^2 - (p - mu)^2, p_i = fl(t v_i) the
-    potential as eigen_spectra forms it and w_i = fl(p_i - mu), is
-    tridiagonal, with diagonal d_i - (p_i - mu)^2 and U^2's off-diagonal
-    e_i.  With w scaled by 2^-k and U^2 by 4^-k, the larger of ||U|| and
-    max |w_i| then below one (which changes no sign), one dpttrf factors
-    tridiag(a, e), a_i = fl(fl(d_i - fl(w_i^2)) - beta),
+    ``a`` holds the diagonals w (k, n) of W = t V - mu for
+    _tridiagonal_rows(spec), the banded back end here, else the dense
+    -Q(mu) that the rows are solved from, (k, n, n), the dense back end
+    (_proven_dense).  For a tridiagonal spec -Q(mu) = U^2 - (p - mu)^2,
+    p_i = fl(t v_i) the potential as eigen_spectra forms it and
+    w_i = fl(p_i - mu), is tridiagonal, with diagonal d_i - (p_i - mu)^2
+    and U^2's off-diagonal e_i.  With w scaled by 2^-k and U^2 by 4^-k,
+    the larger of ||U|| and max |w_i| then below one (which changes no
+    sign), one dpttrf factors tridiag(a, e), a_i = fl(fl(d_i - fl(w_i^2)) - beta),
 
         beta = 4 eps (max_i w_i^2 + max_i d_i + max_i |e_i|) + 2^-500,
 
     and the row is proven when every pivot is finite and positive: info
-    is 0 also after a nan pivot.  Proof: the computed pivots of the L D
-    L^T recurrence are, to positive factors, the exact ones of
-    tridiag(a, e'), each |e'_i - e_i| <= 0.75 eps |e_i| (see the module
-    docstring), so that matrix is positive definite.  Forming a_i errs by
+    is 0 also after a nan pivot (a positive pivot is at most its finite
+    a_i, so the smallest pivot decides, and a nan fails it).
+    Proof: the computed pivots of the L D L^T recurrence are, to positive
+    factors, the exact ones of tridiag(a, e'), each
+    |e'_i - e_i| <= 0.75 eps |e_i| (see the module docstring), so that
+    matrix is positive definite.  Forming a_i errs by
     at most eps (d_i + 2.5 w_i^2 + beta / 2) from d_i - (p_i - mu)^2 -
     beta, to first order (w_i^2 covering fl(p_i - mu)'s rounding too),
     and underflow, in forming a or in the recurrence, by far less than
@@ -348,21 +337,85 @@ def _proven_definite(spec: ModelSpec, w):
     the second-order terms, so by Gershgorin's theorem the difference is
     positive semidefinite, and -Q(mu) >= tridiag(a, e') > 0.
     Then K - mu*J is positive definite (its Schur complement), and the
-    pencil is definite.
+    pencil is definite.  U^2's band maxima are read once per spec.
     """
-    d, e = spec.u2_bands
-    k = math.frexp(max(spec.u_max, np.abs(w).max(initial=0.0)))[1]
-    w2 = np.square(np.ldexp(w, -k))
-    d, e = np.ldexp(d, -2 * k), np.ldexp(e, -2 * k)
-    beta = w2.max(axis=1, initial=0.0) + (d.max() + np.abs(e).max(initial=0.0))
+    if a.ndim == 3:
+        return _proven_dense(spec, a)
+    d_max, e_max = spec.u2_band_maxima
+    k = math.frexp(max(spec.u_max, np.abs(a).max(initial=0.0)))[1]
+    w2 = np.square(np.ldexp(a, -k))
+    beta = w2.max(axis=1, initial=0.0) + (math.ldexp(d_max, -2 * k) + math.ldexp(e_max, -2 * k))
     beta = 4.0 * np.finfo(float).eps * beta + _UNDERFLOW_SLACK
-    diagonals = d - w2
+    d, e = (np.ldexp(band, -2 * k) for band in spec.u2_bands)
+    diagonals = np.subtract(d, w2, out=w2)
     diagonals -= beta[:, None]
-    proven = np.empty(len(w), dtype=bool)
-    for row, a in enumerate(diagonals):
-        pivots = lapack.dpttrf(a, e, overwrite_d=1)[0]
-        proven[row] = ((pivots > 0.0) & (pivots < np.inf)).all()
-    return proven
+    return np.array([lapack.dpttrf(x, e, overwrite_d=1)[0].min() > 0.0 for x in diagonals])
+
+
+def _proven_dense(spec: ModelSpec, neg_q):
+    """Per matrix A of a stack (k, n, n): whether -Q(mu) > 0 is proven from A.
+
+    A = fl(U^2 - fl(W W^T)) is -Q(mu) as eigen_spectra forms it, from
+    W = fl(P - mu I) and P = fl(t V), the potential as formed; what is
+    proven is -Q(mu) = U^2 - (P - mu I)^2 > 0, mu exact.  The row is
+    proven when the floating-point Cholesky factorization of
+    B = fl(A - cI) succeeds, every diagonal entry of its factor positive
+    (_cholesky), with u = eps / 2, eta = 2^-1074 the smallest subnormal and
+
+        c = kappa tr(A) + kappa (tr U^2 - (1 - u) tr(A)) + 4 n (n + 1) eta,
+        kappa = (n + 4) u / (1 - 2 (n + 4) u):
+
+    the Cholesky term, the forming term and the underflow term
+    (Rump, BIT 46, 2006; Demmel, LAPACK Working Note 14, 1989).
+
+    Proof.  Each product or quotient rounds to (x o y)(1 + d) + e, with
+    |d| <= u and |e| <= eta / 2, each sum or difference to
+    (x +- y)(1 + d), exact when subnormal, and gamma_m = m u / (1 - m u);
+    norms are spectral, |X| and <= entrywise, and each matrix is the
+    symmetric one of its lower triangle, which the factorization reads
+    (a fl(W W^T) need not be symmetric).  (1) The factorization:
+    its computed factor R^T satisfies R^T R = B + D1 with
+    |D1| <= gamma_{n+1} |R^T| |R| + (n + max r_ii) eta, for any order of
+    the inner products, blocked or not (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm 10.3), and
+    (|R^T| |R|)_ij <= r_i r_j, r_j = ||R e_j||, by Cauchy-Schwarz.
+    r_j^2 = b_jj + (D1)_jj gives sum r_j^2 <= tr(B) / (1 - gamma_{n+1}),
+    to the underflow term, and tr(B) <= tr(A), since fl(a_jj - c) <= a_jj;
+    so ||D1|| <= gamma_{n+1} tr(A) / (1 - gamma_{n+1}).  (2) The shift:
+    B = A - cI + D2, D2 diagonal, |D2| <= u |B|, so ||D2|| <= u tr(A).
+    (3) The subtraction: A = U^2 - G + D3, G = fl(W W^T),
+    |D3| <= u |A| <= u (|R^T| |R| + |D1| + (c + u max b_jj) I), so
+    ||D3|| <= u ((1 + gamma_{n+1}) tr(A) / (1 - gamma_{n+1}) + c + u tr(A)).
+    (4) The product: |G - W W^T| <= gamma_n |W| |W|^T + n eta, so
+    ||G - W W^T|| <= gamma_n ||W||_F^2 + n^2 eta, and the diagonal of G
+    gives ||W||_F^2 <= (tr G + n^2 eta) / (1 - gamma_n).  (5) The
+    potential's shift: W = P - mu I + D, D diagonal,
+    |D| <= u |W|, so ||W W^T - (P - mu I)^2|| <= (2u + u^2) ||W||_F^2.
+    Then -Q(mu) = R^T R + cI - X, X the sum of the five errors, and
+    R^T R > 0 (R is triangular with a positive diagonal), so -Q(mu) > 0
+    when c >= ||X||.  Collected, with c's own term moved to the left,
+    ||X|| <= (n + 3) u (tr(A) + tr G) / ((1 - u) (1 - 2 (n + 1) u))
+    + 2 u^2 tr(A) + 2 n (n + 2) eta.  Last, tr G <= tr U^2 - (1 - u) tr(A),
+    since g_jj = u_jj - a_jj (1 + d_j) and every a_jj > c > 0 where the
+    factorization succeeds (a non-positive b_jj stops it); so the
+    forming term bounds kappa tr G, and tr U^2 <= (1 + u) (tr(A) + tr G).
+    kappa exceeds the coefficient (n + 3) u / ((1 - u) (1 - 2 (n + 1) u))
+    by u (1 + (7n + 23) u) to second order, which covers the 2 u^2 tr(A)
+    and the roundings of c's own sums and products (at most
+    3 kappa gamma_{n+2} (tr(A) + tr G) in all) for every order n < 2^24;
+    and 4 n (n + 1) eta exceeds the underflow terms, c's own included.
+    Overflow, in A or along the factorization, leaves an inf or nan
+    that reaches the square root of a diagonal entry of the factor,
+    which is then nan: not proven.
+    """
+    n = spec.order
+    u = 0.5 * np.finfo(float).eps
+    kappa = (n + 4) * u / (1.0 - 2 * (n + 4) * u)
+    # kappa tr(A) + kappa (tr U^2 - (1 - u) tr(A)) + 4 n (n + 1) eta, regrouped
+    trace = neg_q.trace(axis1=1, axis2=2)
+    c = (kappa * u) * trace + (kappa * spec.u_squared.trace() + 4 * n * (n + 1) * 2.0**-1074)
+    factored = _cholesky(neg_q - c[:, None, None] * np.eye(n))[1]
+    return np.ones(len(neg_q), dtype=bool) if factored is None else factored
 
 
 @dataclass(frozen=True)
@@ -377,8 +430,8 @@ class SpectrumStack:
     ``is_real`` and the first defective eigenvalue of the row, or None,
     in ``witnesses``, and ``pencil_factors`` each pencil row's factor M,
     as SpectrumReport.pencil_factor holds it, and None for a direct row.
-    No contraction is kept: a tridiagonal row is routed on a proven
-    -Q(mu) > 0, not on b (see eigen_spectra).
+    No contraction is kept: every row is routed on a proven -Q(mu) > 0,
+    not on b (see eigen_spectra).
 
     ``residuals`` (None with ``nearest``) holds every eigenvalue's upper
     bound on sigma_min(Q(lam)), Q(lam) = (lam - t V)^2 - U^2, which the
@@ -410,28 +463,32 @@ class SpectrumStack:
 def _cholesky(a):
     """Lower Cholesky factors of a stack, and which of its matrices have one.
 
-    One stacked factorization, with None for "all of them"; when it
-    fails, as it does for the whole stack when one matrix is not
-    positive definite, the matrices are factored again one at a time,
-    so only the failing ones are marked.  A stack of one goes to LAPACK's
+    A matrix has one when its factorization runs to the end with every
+    diagonal entry of the factor positive, which a nan fails (none is
+    +inf: no matrix factored here has a diagonal entry above U^2's).  One
+    stacked factorization (numpy's), with None for "all of them"; when it
+    raises, as it does for the whole stack when one matrix is not
+    positive definite, the matrices are factored again one at a time by
+    LAPACK's dpotrf, which raises no exception.  A stack of one goes to
     dpotrf directly: at small orders numpy's stacked calls cost several
     times the solve itself.
     """
     if len(a) == 1:
         m, info = lapack.dpotrf(a[0], lower=1, clean=1)
-        return m[None], None if info == 0 else np.zeros(1, dtype=bool)
+        factored = info == 0 and m.diagonal().min() > 0.0
+        return m[None], None if factored else np.zeros(1, dtype=bool)
     try:
-        return np.linalg.cholesky(a), None
+        factors = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    factors, factored = np.zeros_like(a), np.zeros(len(a), dtype=bool)
+    else:
+        factored = np.diagonal(factors, axis1=-2, axis2=-1).min(axis=-1) > 0.0
+        return factors, None if factored.all() else factored
+    factors, info = np.empty_like(a), np.empty(len(a), dtype=np.intc)
     for k, m in enumerate(a):
-        try:
-            factors[k] = np.linalg.cholesky(m)
-            factored[k] = True
-        except np.linalg.LinAlgError:
-            pass
-    return factors, factored
+        factors[k], info[k] = lapack.dpotrf(m, lower=1, clean=1)
+    factored = (info == 0) & (np.diagonal(factors, axis1=-2, axis2=-1).min(axis=-1) > 0.0)
+    return factors, None if factored.all() else factored
 
 
 def _tridiagonal_rows(spec: ModelSpec) -> bool:
@@ -501,13 +558,14 @@ def _pencil_eigenvectors(spec: ModelSpec, m, w, columns=slice(None)):
     return sigma, z
 
 
-def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
+def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None, dense=None):
     """Factors M and eigenvalues sigma = lam - shift of the K-frame pencil rows.
 
-    ``w`` holds W = V_k - shift*I, (k, n, n), or for _tridiagonal_rows(spec)
-    the diagonals (k, n) of those diagonal W.  Factors each -Q(shift) =
-    U^2 - W W = M M^T and solves T y = sigma y (see the module docstring),
-    sigma ascending; returns (sigma, Z, M, factored) for the rows whose
+    ``w`` holds W = V_k - shift*I, (k, n, n), with ``dense`` _cholesky's
+    factors of their -Q(shift) = U^2 - W W = M M^T, or for
+    _tridiagonal_rows(spec) the diagonals (k, n) of those diagonal W,
+    factored here.  Solves T y = sigma y (see the module docstring), sigma
+    ascending, and returns (sigma, Z, M, factored) for the rows whose
     factorization succeeded (``factored``, None when all did).  With
     ``nearest`` = k only T's eigenvalues n-k+1 .. n+k, the k nearest the
     shift on each side, are solved for, by bisection (core._eigenvalues,
@@ -522,7 +580,7 @@ def _k_frame_eigensolve(spec: ModelSpec, w, nearest: int | None):
     k = n if nearest is None else min(nearest, n)
     middle = ((n - k + 1, n + k),)
     if not _tridiagonal_rows(spec):
-        m, factored = _cholesky(spec.u_squared - w @ w.swapaxes(-1, -2))
+        m, factored = dense
         if factored is not None:
             w, m = w[factored], m[factored]
         if nearest is None:
@@ -792,12 +850,11 @@ def _direct_eigensolve(spec: ModelSpec, couplings):
         )
     # the pencil route certifies a symmetric-similar, hence semisimple,
     # operator; multiplicity defects can only arise here, on real rows
-    # with no neutral eigenvector
-    for k in (is_real & ~has_neutral).nonzero()[0]:
-        re = lam[k].real
-        if np.any(np.diff(re) <= MULT_RTOL * scale[k]):
-            found = _cluster_defects(re, lg[k], scale[k])
-            witnesses[k] = found[0] if found else None
+    # with no neutral eigenvector and a close pair, one comparison for all
+    close = (np.diff(lam.real, axis=-1) <= MULT_RTOL * scale[:, None]).any(axis=-1)
+    for k in (is_real & ~has_neutral & close).nonzero()[0]:
+        found = _cluster_defects(lam[k].real, lg[k], scale[k])
+        witnesses[k] = found[0] if found else None
     z = np.concatenate([vecs[:, :n], g * vecs[:, n:]], axis=1)
     return lam, z, signatures, is_real, witnesses
 
@@ -806,23 +863,20 @@ def eigen_spectra(
     spec: ModelSpec,
     couplings,
     shift: float = 0.0,
-    contractions=None,
     nearest: int | None = None,
 ) -> SpectrumStack:
     """The spectra of the potentials t V of spec, one per coupling t.
 
-    The stacked solver behind every spectrum: each row certified
-    definite takes the definite pencil in the K frame, all such rows in
-    one stacked solve (_k_frame_eigensolve); a row whose Cholesky
-    factorization fails, and every uncertified row, goes to the general
-    eigensolver on the root-free companion form L_g(t)
-    (_direct_eigensolve).  Neither path forms H or a root of U.  A
-    _tridiagonal_rows spec's rows are certified by one dpttrf each that
-    proves -Q(shift) > 0 (_proven_definite), and no contraction is
-    computed; a dense row by the closed-form bound on its contraction
-    b(t) = ||(t V - shift) U^(-1)|| (_certified_definite), from
-    ``contractions`` when the caller has them, else core.contraction's
-    (dense rows alone read them).  Without ``nearest`` every row is a
+    The stacked solver behind every spectrum: each row for which
+    -Q(shift) > 0 is proven (_proven_definite) takes the definite pencil
+    in the K frame, all such rows in one stacked solve
+    (_k_frame_eigensolve); a row whose Cholesky factorization fails, and
+    every unproven row, goes to the general eigensolver on the root-free
+    companion form L_g(t) (_direct_eigensolve).  Neither path forms H or
+    a root of U, and no contraction b is computed.  A _tridiagonal_rows
+    spec's rows are proven by one dpttrf each; a dense row forms its
+    -Q(shift) = U^2 - W W once, proves it by one shifted Cholesky
+    factorization and factors it for M.  Without ``nearest`` every row is a
     whole spectrum with its residuals (see SpectrumStack).  With ``nearest`` = k each row
     holds the 2k eigenvalues in the middle of its ascending order alone,
     and the stack no residuals: on a pencil row, which has n eigenvalues
@@ -834,19 +888,23 @@ def eigen_spectra(
     t = np.asarray(couplings, dtype=float)
     if _tridiagonal_rows(spec):
         w = np.multiply.outer(t, spec.v_band) - shift   # the diagonals of W
-        pencil = _proven_definite(spec, w)
+        pencil, dense = _proven_definite(spec, w), None
     else:
         w = shifted_potential(spec, shift, t)
-        if contractions is None:
-            contractions = contraction(spec, shift, t)
-        pencil = _certified_definite(spec, np.asarray(contractions, dtype=float))
+        # -Q(shift), formed once; an entry beyond the float range is proven nowhere
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg_q = spec.u_squared - w @ w.swapaxes(-1, -2)
+            pencil = _proven_definite(spec, neg_q)
+        # M factors a proven -Q(shift), freed before T or L_g is formed
+        dense = _cholesky(neg_q[pencil]) if pencil.any() else None
+        del neg_q
     whole = nearest is None
     # (rows, lam, signatures, is_real, witnesses, residuals) per path
     solved = []
     factors = [None] * t.size
     rows = pencil.nonzero()[0]
     if rows.size:
-        sigma, z, m, factored = _k_frame_eigensolve(spec, w[rows], nearest)
+        sigma, z, m, factored = _k_frame_eigensolve(spec, w[rows], nearest, dense)
         if factored is not None:
             pencil[rows] = factored
             rows = rows[factored]
@@ -913,10 +971,10 @@ def eigen_spectrum(
     """Compute and classify the spectrum of the assembled Hamiltonian.
 
     The one row of eigen_spectra for the system's own potential at its
-    shift (a dense row routed on the system's contraction, which a
-    tridiagonal row does not read): the definite pencil in the K frame when
-    G - mu*J is certified positive definite and U^2 - (V - mu)^2 factors
-    (a certified real, semisimple spectrum and sign types), else the
+    shift, which reads no contraction: the definite pencil in the K frame
+    when -Q(mu) = U^2 - (V - mu)^2 > 0 is proven and factors, so that
+    G - mu*J is positive definite (a certified real, semisimple spectrum
+    and sign types), else the
     general eigensolver on L_g, which flags non-real pairs and defective
     eigenvalues.  With ``nearest`` = k the report holds the 2k middle
     eigenvalues alone, on the pencil path the k nearest the shift on
@@ -924,8 +982,7 @@ def eigen_spectrum(
     eigen_spectra).
     """
     mu, spec = system.shift, system.spec
-    contractions = None if _tridiagonal_rows(spec) else (system.contraction,)
-    stack = eigen_spectra(spec, (1.0,), mu, contractions, nearest)
+    stack = eigen_spectra(spec, (1.0,), mu, nearest)
     lam, signatures = stack.eigenvalues[0], stack.signatures[0]
     pencil = bool(stack.pencil[0])
     # the pencil's signatures theta are never zero: its sign types need no tolerance

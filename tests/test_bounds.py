@@ -573,8 +573,8 @@ class TestPerturbationConstants:
             assert abs(far[0] - near[0]) <= tol and abs(far[1] - near[1]) <= tol
 
     def test_uncertified_system_rejected(self):
-        # b = 1 - 5e-14 < 1, but too close to one for the certificate
-        tau = 2.0 - 1e-13
+        # b = 1 - 4e-16 < 1, but too close to one for a proven -Q(mu) > 0
+        tau = 2.0 - 1e-15
         system = assemble_system(square_well_model(tau), -tau / 2.0)
         assert system.contraction < 1.0
         with pytest.raises(NotCertified):

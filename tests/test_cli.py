@@ -266,12 +266,12 @@ class TestBoundsCommand:
 
             monkeypatch.setattr(scipy.linalg.lapack, name, record)
 
-        k_frame, banded = spectral._k_frame_eigensolve, core._banded_contractions
+        k_frame, banded = spectral._k_frame_eigensolve, core._banded_contraction
         sign, proven = bounds_module.sign_operator, spectral._proven_definite
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", count_pencil)
         monkeypatch.setattr(spectral, "_proven_definite", count_proof)
         monkeypatch.setattr(bounds_module, "sign_operator", count_sign)
-        monkeypatch.setattr(core, "_banded_contractions", count_bisection)
+        monkeypatch.setattr(core, "_banded_contraction", count_bisection)
         names = ("dpotrf", "dpbtrf", "dpttrf", "dsytrd", "dsyevd", "dstevd", "dstebz")
         for name in names + ("dtrtrs", "dtbtrs"):
             spy(name)
@@ -347,7 +347,8 @@ class TestBoundsCommand:
         # (recorded by its diagonal, of shape (64,)), after the one
         # dpttrf of -Q(mu) - beta I that proves it definite
         # (spectral._proven_definite); for the perturbed
-        # model of verify, whose random dV is dense, dpotrf's.  The exact
+        # model of verify, whose random dV is dense, dpotrf's, after the
+        # dpotrf of -Q(mu) - cI that proves it definite.  The exact
         # kappa pair is read off the same solve's factor M, and no
         # generalized eigensolve runs.  The first factorization is that
         # of U^2, which validates the model and is shared by the
@@ -357,7 +358,7 @@ class TestBoundsCommand:
         # s U^2 - W^2, every test of order 64
         generalized, shapes, bisections = [], [], []
         eigh = scipy.linalg.eigh
-        banded = core._banded_contractions
+        banded = core._banded_contraction
 
         def count_bisection(*args, **kwargs):
             start = len(shapes)
@@ -381,7 +382,7 @@ class TestBoundsCommand:
             return record
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
-        monkeypatch.setattr(core, "_banded_contractions", count_bisection)
+        monkeypatch.setattr(core, "_banded_contraction", count_bisection)
         for module, name in [
             (scipy.linalg.lapack, "dpotrf"),
             (scipy.linalg.lapack, "dpbtrf"),
@@ -394,7 +395,7 @@ class TestBoundsCommand:
         args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
         assert main(args) == EXIT_OK
         assert generalized == []
-        assert shapes == [(2, 64), (64,), (64,)] + [(64, 64)] * (solves - 1)
+        assert shapes == [(2, 64), (64,), (64,)] + [(64, 64)] * 2 * (solves - 1)
         assert len(bisections) == 1 and set(bisections[0]) == {(64,)}
 
     def test_memory_budget(self, capsys):
@@ -692,9 +693,9 @@ class TestSweepCommand:
 
 
 class TestContractionOnlyWhereRead:
-    """kg spectrum and kg sweep route tridiagonal rows on a proven
-    -Q(mu) > 0 and compute no b; kg bounds computes it once and prints
-    core.contraction's, bit for bit."""
+    """kg spectrum and kg sweep route every row on a proven -Q(mu) > 0 and
+    compute no b; kg bounds and kg verify compute it once, and kg bounds
+    prints core.contraction's, bit for bit."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -720,6 +721,45 @@ class TestContractionOnlyWhereRead:
         entered = self.spy(monkeypatch)
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
         assert entered == []
+
+    @staticmethod
+    def dense_model(tmp_path):
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(6)), n=6)
+        save_model(spec, tmp_path / "model.json")
+        return ["--model", str(tmp_path / "model.json")]
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["sweep", "--sweep-range", "0:1.5", "--steps", "7"],
+    ], ids=["spectrum", "sweep"])
+    @pytest.mark.parametrize("model", ["well", "dense"])
+    def test_dense_spectra_never_compute_b(self, command, model, monkeypatch, tmp_path):
+        # the 2 x 2 well over couplings past b = 1, and a dense model of
+        # order 6: dense pencil and direct rows alike read no contraction
+        args = ["--tau", "1"] if model == "well" else self.dense_model(tmp_path)
+        if model == "well" and command[0] == "sweep":
+            command = ["sweep", "--sweep-range", "0:2.2", "--steps", "23"]
+        entered = self.spy(monkeypatch)
+        assert main(command + args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert entered == []
+
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize("model", ["well", "dense"])
+    def test_bounds_and_verify_compute_b_once(self, command, model, monkeypatch, tmp_path):
+        # the unperturbed model's b, printed or in the constants; verify's
+        # perturbed spectrum is routed on its proof alone
+        args = ["--tau", "1", "--eta", "0.1"] if model == "well" else (
+            self.dense_model(tmp_path) + ["--eta", "1e-3"])
+        entered = self.spy(monkeypatch)
+        assert main([command] + args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert entered == [1]
+
+    def test_near_critical_well_takes_the_pencil(self, tmp_path):
+        # b = 1 - 5e-14 at the paper shift: proven, so the spectrum is
+        # certified real and semisimple, with no neutral sign type
+        out = tmp_path / "spectrum.csv"
+        args = ["spectrum", "--tau", "1.9999999999999", "--paper-shift", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert [row[3] for row in read_csv(out)[1:]] == ["negative"] * 2 + ["positive"] * 2
 
     @pytest.mark.parametrize("grid_points", [24, 80])
     def test_bounds_prints_the_one_b(self, grid_points, monkeypatch, tmp_path):
@@ -794,7 +834,7 @@ class TestEachQuantityOnce:
 
     @pytest.mark.parametrize(
         "command, bases, gram_norms",
-        [("verify", 0, 3), ("bounds", 1, 4)],
+        [("verify", 0, 2), ("bounds", 1, 4)],
         ids=["verify", "bounds"],
     )
     def test_three_powers_and_six_norms(
@@ -806,9 +846,10 @@ class TestEachQuantityOnce:
         # (dstevd), and no root of U.  Of the six norms both once took
         # through a Gram matrix, the oscillator's contraction is bisected on U^2's
         # diagonals (order 64 is above core._BANDED_MIN_ORDER), and
-        # ||dV|| and the gate's ||V|| are ends of symmetric spectra: verify
-        # keeps c, nu and the perturbed contraction, bounds c, nu,
-        # ||dG|| and ||Gamma||
+        # ||dV|| and the gate's ||V|| are ends of symmetric spectra, and
+        # the perturbed spectrum is routed on a proven -Q(mu) > 0, not on
+        # its contraction: verify keeps c and nu, bounds c, nu, ||dG||
+        # and ||Gamma||
         formed, decompositions = self.u_roots(monkeypatch, 64)
         norms = self.norm_calls(monkeypatch)
         args = [command, "--alpha", "0.3", "--grid-points", "64", "--eta", "1e-3"]
@@ -1177,7 +1218,8 @@ class TestCountedGate:
         # each tridiagonal pencil row takes one dpttrf and one dsterf of
         # the order-128 T: no dstevd, no banded solve for x (dtbtrs) and
         # so no Z; verify's perturbed model, whose random dV is dense,
-        # keeps the dense T with its eigenvectors
+        # keeps the dense T with its eigenvectors, its -Q(mu) proven (one
+        # dpotrf of -Q(mu) - cI) and factored for M (one more) before it
         lapack_calls, pencil_calls = [], []
 
         def count_pencil(*args, **kwargs):
@@ -1204,8 +1246,9 @@ class TestCountedGate:
         rows = 3 if command == "sweep" else 1
         assert pencil_calls[0] == [("dpttrf", 64), ("dsterf", 128)] * rows
         if command == "verify":
-            dense = [("dpotrf", 64), ("dsyevd", 128), ("dtrtrs", 64)]
+            dense = [("dsyevd", 128), ("dtrtrs", 64)]
             assert pencil_calls[1:] == [dense]
+            assert [c for c in lapack_calls if c[0] == "dpotrf"] == [("dpotrf", 64)] * 2
         else:
             assert len(pencil_calls) == 1
         assert "dstevd" not in {name for name, _ in lapack_calls}
@@ -1474,10 +1517,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     def test_uncertified_valid_model_is_a_solver_failure(self, command, capsys):
-        # b = 1 - 5e-14 < 1 at the paper shift: valid data, but too close
-        # to the critical coupling for the certificate, so the exact pair
-        # does not exist; b is printed to 17 digits, not rounded to 1
-        args = [command, "--tau", "1.9999999999999", "--paper-shift", "--eta", "0.1"]
+        # b = 1 - 4e-16 < 1 at the paper shift: valid data, but too close
+        # to the critical coupling for a proven -Q(mu) > 0, so the exact
+        # pair does not exist; b is printed to 17 digits, not rounded to 1
+        args = [command, "--tau", "1.999999999999999", "--paper-shift", "--eta", "0.1"]
         assert main(args) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("solver error:")

@@ -326,7 +326,7 @@ def unit_oscillator(grid_points, beta):
 
 
 def contraction_error_bound(spec, b):
-    """_banded_contractions' first-order bound on |b^2 - b_exact^2|."""
+    """_banded_contraction's first-order bound on |b^2 - b_exact^2|."""
     d, e = spec.u2_bands
     r = (np.abs(d) + np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))).max()
     return 3.0 * np.finfo(float).eps * (1.0 + r / spec.u_min**2) * b * b
@@ -349,16 +349,16 @@ def definite_in_40_digits(spec, w, s):
 
 @pytest.fixture
 def bisections(monkeypatch):
-    """The number of rows of each _banded_contractions call, as made by
+    """One entry per _banded_contraction call, each of one row, as made by
     core.contraction, its one caller."""
     calls = []
-    banded = core._banded_contractions
+    banded = core._banded_contraction
 
     def record(spec, w):
-        calls.append(len(w))
+        calls.append(np.ndim(w))
         return banded(spec, w)
 
-    monkeypatch.setattr(core, "_banded_contractions", record)
+    monkeypatch.setattr(core, "_banded_contraction", record)
     return calls
 
 
@@ -366,9 +366,9 @@ class TestBandedContraction:
     """b bisected on U^2's two diagonals against the dense ||L^(-1) W||.
 
     A tridiagonal spec of order n >= core._BANDED_MIN_ORDER (56) takes the
-    bisection (core._banded_contractions) in core.contraction, for
-    assemble_system and eigen_spectra alike; below it both take the dense
-    route, and the bisection is checked on its own.
+    bisection (core._banded_contraction) in core.contraction; below it
+    the dense route, and the bisection is checked on its own.  No
+    spectrum reads b.
     """
 
     @pytest.mark.parametrize("grid_points", [32, 33, 56, 57, 81, 150, 400, 1000])
@@ -391,35 +391,34 @@ class TestBandedContraction:
                         assert bisections == [1]
                     else:
                         assert bisections == [] and b == dense
-                        b = core._banded_contractions(spec, w[None])[0]
+                        b = core._banded_contraction(spec, w)
                     bound = contraction_error_bound(spec, b)
                     assert abs(b * b - dense * dense) <= bound
                     # the docstring's bound, against 40-digit pivots
                     assert not definite_in_40_digits(spec, w, b * b - bound)
                     assert definite_in_40_digits(spec, w, b * b + bound)
-                    # the same route for every row as the dense b
-                    certified = spectral._certified_definite(spec, b)
-                    assert certified == spectral._certified_definite(spec, dense)
-                    # example 1's b, of the coupling alpha, by the same route
-                    row = (alpha * unit.v.diagonal() - shift)[None]
-                    assert core._banded_contractions(unit, row)[0] == b
+                    # example 1's b, of the potential alpha V, by the same route
+                    row = alpha * unit.v.diagonal() - shift
+                    assert core._banded_contraction(unit, row) == b
                     bisections.clear()
-                    example = core.contraction(unit, shift, (alpha,))[0]
+                    potential = unit.with_potential(alpha * unit.v_band, "")
+                    example = core.contraction(potential, shift)
                     assert bisections == ([1] if banded else [])
                     assert example == (b if banded else dense)
-                    if certified or grid_points <= 150:
+                    if b < 1.0 or grid_points <= 150:
                         # the tridiagonal rows are routed on the proven
                         # -Q(mu) > 0 (spectral._proven_definite), with no b
                         bisections.clear()
                         stack = spectral.eigen_spectra(unit, (alpha,), shift, nearest=1)
                         assert bisections == []
-                        assert stack.pencil[0] == certified
+                        if abs(1.0 - b) > 1e-6:
+                            assert stack.pencil[0] == (b < 1.0)
 
     def test_zero_potential_is_exactly_zero(self, bisections):
         unit = unit_oscillator(64, 0.0)
         spec = unit.with_potential(np.zeros((64, 64)), "")
         assert assemble_system(spec, 0.0).contraction == 0.0
-        assert core.contraction(unit, 0.0, (0.0,))[0] == 0.0
+        assert core.contraction(unit.with_potential(np.zeros(64), ""), 0.0) == 0.0
         assert bisections == [1, 1]
 
     def test_scalar_potential_meets_the_bracket_bound(self, bisections):
@@ -461,33 +460,37 @@ class TestBandedContraction:
             assert assemble_system(spec, 0.0).contraction == np.inf
             assert bisections == [1]
             w = np.stack([spec.v.diagonal(), np.zeros(64), 1e-300 * spec.v.diagonal()])
-            b = core._banded_contractions(spec, w)
+            b = [core._banded_contraction(spec, row) for row in w]
         assert b[0] == np.inf and b[1] == 0.0 and np.isfinite(b[2])
 
 
 class TestOneContractionRoute:
-    """assemble_system and eigen_spectra read b from core.contraction alone,
-    so the b a dense spectrum is routed on, and the b kg bounds prints, is
-    core.contraction's, bit for bit; tridiagonal rows are routed on a
-    proven -Q(mu) > 0 and read no b."""
+    """assemble_system reads b from core.contraction alone, so the b that
+    kg bounds prints is core.contraction's, bit for bit; no spectrum reads
+    b: every row is routed on a proven -Q(mu) > 0."""
 
     def test_random_models(self, corpus200, monkeypatch):
-        routed = []
-        certified = spectral._certified_definite
+        entered, contraction = [], core.contraction
 
-        def spy(spec, b):
-            routed.append(b.tolist())
-            return certified(spec, b)
+        def spy(*args):
+            entered.append(1)
+            return contraction(*args)
 
-        monkeypatch.setattr(spectral, "_certified_definite", spy)
+        monkeypatch.setattr(core, "contraction", spy)
         for spec, _ in corpus200:
             for shift in (0.0, 0.3):
                 system = assemble_system(spec, shift)
-                b = core.contraction(spec, shift)
-                routed.clear()
-                spectral.eigen_spectra(spec, (1.0,), shift)
-                spectral.eigen_spectrum(system)
-                assert routed == [[b], [b]] and system.contraction == b
+                b = contraction(spec, shift)
+                stack = spectral.eigen_spectra(spec, (1.0,), shift)
+                report = spectral.eigen_spectrum(system)
+                assert entered == []
+                assert system.contraction == b and entered == [1]
+                entered.clear()
+                # the row takes the pencil wherever b is clear of one
+                if b <= 1.0 - 1e-6:
+                    assert stack.pencil[0] and report.solver_path == "similarity"
+                elif b >= 1.0 + 1e-9:
+                    assert not stack.pencil[0] and report.solver_path == "direct"
 
     @pytest.mark.parametrize("grid_points", [10, 24, 40, 160])
     def test_oscillators(self, grid_points):

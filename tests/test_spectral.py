@@ -570,13 +570,37 @@ class TestDefectCheck:
 
     @pytest.mark.parametrize("tau", [2.0, 2.0 - 1e-13])
     def test_split_double_eigenvalue_stays_defective(self, tau):
-        # the defective double eigenvalue near -1, split by rounding within
-        # REAL_RTOL * ||L_g||, is still tested, and still neutral
-        for mu in (0.0, -1.0):
+        # on the direct path the defective double eigenvalue near -1, split
+        # by rounding within REAL_RTOL * ||L_g||, is still tested, and still
+        # neutral; below tau = 2 the paper shift -tau/2 proves -Q(mu) > 0
+        # and takes the pencil (test_near_critical_well_takes_the_pencil)
+        for mu in (0.0, -1.0) if tau == 2.0 else (0.0,):
             report = eigen_spectrum(assemble_system(square_well_model(tau), mu))
             assert report.is_real_spectrum and report.defective
             assert report.witness.reason == "neutral-eigenvector"
             assert abs(report.witness.eigenvalue.real + 1.0) < 1e-6
+
+    def test_near_critical_well_takes_the_pencil(self):
+        # tau = 2 - 1e-13 at the paper shift: b = 1 - 5e-14 and
+        # lambda_min(-Q(mu)) = 1.0e-13 at 40 digits, which the dense
+        # certificate proves; the direct path called two of its
+        # eigenvectors neutral (NEUTRAL_TOL) and the spectrum defective
+        tau = 2.0 - 1e-13
+        spec = square_well_model(tau)
+        system = assemble_system(spec, -tau / 2.0)
+        assert 4e-14 < 1.0 - system.contraction < 6e-14
+        with mpmath.workdps(40):
+            u2 = mpmath.matrix(spec.u_squared.tolist())
+            w = mpmath.matrix(spec.v.tolist()) + mpmath.mpf(tau) / 2 * mpmath.eye(2)
+            lowest = min(mpmath.eigsy(u2 - w * w, eigvals_only=True))
+        assert abs(lowest / mpmath.mpf("1e-13") - 1) < 0.01
+        report = eigen_spectrum(system)
+        assert report.solver_path == "similarity"
+        assert report.is_real_spectrum and not report.defective and report.witness is None
+        assert report.sign_types == ("negative",) * 2 + ("positive",) * 2
+        # the pair near -1, 3.7e-7 apart, against a 40-digit companion solve
+        exact = (-1.0000001825011575394, -0.99999981749874254052)
+        np.testing.assert_allclose(report.eigenvalues[1:3], exact, rtol=1e-15)
 
     def test_one_svd_per_cluster(self, svd_calls):
         # a Jordan block: one cluster, and one SVD gives both its
@@ -710,28 +734,39 @@ class TestStackedSolve:
 
     def test_failed_factorization_sends_only_its_row_direct(self, monkeypatch):
         # the stacked Cholesky raises for the whole stack when one matrix
-        # fails: the stack is factored again row by row, and only the
-        # failing row takes the direct path
+        # fails: the stack is factored again row by row (dpotrf), and only
+        # the failing row takes the direct path.  Every row's -Q(mu) is
+        # proven, by its shifted copy, which differs from it by c > 1e-15
+        # on the diagonal; the third row's own factorization, for M, fails
         spec = square_well_model(1.0)
         couplings = np.array([0.1, 0.2, 0.3, 0.4])
         w = core.shifted_potential(spec, 0.0, couplings[2:3])[0]
         failing = spec.u_squared - w @ w.T
-        cholesky, calls = np.linalg.cholesky, []
+        cholesky, dpotrf, calls = np.linalg.cholesky, spectral.lapack.dpotrf, []
+
+        def hit(a):
+            return np.any(np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-15)
 
         def fail_one(a, *args, **kwargs):
             calls.append(np.shape(a))
-            hit = np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-14
-            if np.any(hit):
+            if hit(a):
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return cholesky(a, *args, **kwargs)
 
+        def fail_row(a, **kwargs):
+            calls.append(("dpotrf", np.shape(a)))
+            m, info = dpotrf(a, **kwargs)
+            return m, 1 if hit(a) else info
+
         monkeypatch.setattr(np.linalg, "cholesky", fail_one)
+        monkeypatch.setattr(spectral.lapack, "dpotrf", fail_row)
         stack = spectral.eigen_spectra(spec, couplings, 0.0)
-        assert calls == [(4, 2, 2)] + [(2, 2)] * 4
+        assert calls == [(4, 2, 2)] * 2 + [("dpotrf", (2, 2))] * 4
         assert stack.pencil.tolist() == [True, True, False, True]
         assert stack.is_real.all() and not stack.defective.any()
         _, z = eigenpairs(spec, 0.0, couplings)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(spectral.lapack, "dpotrf", dpotrf)
         # the other rows are those of the stack that factors at once, bit
         # for bit, and every row matches its stack of one
         whole = spectral.eigen_spectra(spec, couplings, 0.0)
@@ -741,6 +776,30 @@ class TestStackedSolve:
             if k != 2:
                 np.testing.assert_array_equal(z[k], z_whole[k])
                 np.testing.assert_array_equal(stack.residuals[k], whole.residuals[k])
+
+    def test_stack_straddling_the_certificate(self, monkeypatch):
+        # the well at shift 0 has b = sqrt(2/3) t, one at t = 1.2247: the
+        # stacked proof fails for the whole stack and is taken again row
+        # by row (dpotrf), and each row's route, eigenvalues and residuals
+        # are those of its stack of one, bit for bit
+        spec = square_well_model(1.0)
+        couplings = np.linspace(1.2, 1.25, 9)
+        proofs, proven = [], spectral._proven_definite
+
+        def count(spec, a):
+            result = proven(spec, a)
+            proofs.append(result.tolist())
+            return result
+
+        monkeypatch.setattr(spectral, "_proven_definite", count)
+        stack = spectral.eigen_spectra(spec, couplings, 0.0)
+        assert stack.pencil.tolist() == [True] * 4 + [False] * 5
+        assert proofs == [stack.pencil.tolist()]
+        for k, t in enumerate(couplings):
+            row = spectral.eigen_spectra(spec, (t,), 0.0)
+            assert row.pencil[0] == stack.pencil[k]
+            np.testing.assert_array_equal(row.eigenvalues[0], stack.eigenvalues[k])
+            np.testing.assert_array_equal(row.residuals[0], stack.residuals[k])
 
     def test_failed_factorization_of_a_stack_of_one(self, monkeypatch):
         # a stack of one is factored by LAPACK's dpotrf; when it fails,
@@ -837,13 +896,10 @@ class TestEigenvaluesOnly:
         # dpttrf, spectral._proven_definite) and reads no contraction.
         # Its T, of order 40, is tridiagonal: one bisection over its
         # middle indices (dstebz) and no reduction.  With a dense
-        # potential the row is routed on the contraction, one triangular
-        # solve (dtbtrs, L^(-1) W with the bidiagonal L of the
-        # tridiagonal U^2) and its Gram matrix, of order 20, dsyevd
-        # without vectors, and T is dense: one tridiagonalization
-        # (dsytrd) and one bisection.  Neither solves for a vector.
-        # From order 32 up the dense one's Gram matrix is reduced
-        # (dsytrd) and bisected at its top (dstebz)
+        # potential the row is routed on a proven -Q(mu) > 0 too (one
+        # shifted dpotrf), with no triangular solve and no Gram matrix,
+        # and T is dense: one tridiagonalization (dsytrd) and one
+        # bisection.  Neither solves for a vector
         calls = []
 
         def spy(name):
@@ -862,11 +918,11 @@ class TestEigenvaluesOnly:
         for name in names:
             spy(name)
         spectral.eigen_spectra(spec, (1.0,), 0.0, nearest=3)
-        contraction = [("dtbtrs", None), ("dsyevd", 0)]
+        reduction = [("dsytrd", None), ("dstebz", None)]
         assert calls == [("dstebz", None)]
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
-        assert calls == contraction + [("dsytrd", None), ("dstebz", None)]
+        assert calls == reduction
         spec = harmonic_model(HarmonicParams(alpha=0.3, grid_points=64))
         dense = spec.with_potential(spec.v + 1e-3 * np.ones((64, 64)), "dense")
         calls.clear()
@@ -874,8 +930,7 @@ class TestEigenvaluesOnly:
         assert calls == [("dstebz", None)]
         calls.clear()
         spectral.eigen_spectra(dense, (1.0,), 0.0, nearest=3)
-        reduction = [("dsytrd", None), ("dstebz", None)]
-        assert calls == [("dtbtrs", None)] + reduction * 2
+        assert calls == reduction
 
 
 class TestTridiagonalPencil:
@@ -979,24 +1034,33 @@ class TestTridiagonalPencil:
         couplings = np.array([0.3, 0.6, 0.9])
         w = core.shifted_potential(spec, 0.0, couplings[1:2])[0]
         failing = spec.u_squared - w @ w.T
-        dpttrf, cholesky = spectral.lapack.dpttrf, np.linalg.cholesky
+        dpttrf, dpotrf, cholesky = spectral.lapack.dpttrf, spectral.lapack.dpotrf, np.linalg.cholesky
 
         def fail_pttrf(d, e, *args, **kwargs):
             factors = dpttrf(d, e, *args, **kwargs)
             hit = np.array_equal(d, failing.diagonal())
             return (*factors[:2], 1) if hit else factors
 
+        def hit(a):
+            return np.any(np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-14)
+
         def fail_cholesky(a, *args, **kwargs):
-            hit = np.abs(np.asarray(a) - failing).max(axis=(-2, -1)) <= 1e-14
-            if np.any(hit):
+            if hit(a):
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return cholesky(a, *args, **kwargs)
+
+        def fail_potrf(a, **kwargs):
+            m, info = dpotrf(a, **kwargs)
+            return m, 1 if hit(a) else info
 
         monkeypatch.setattr(spectral.lapack, "dpttrf", fail_pttrf)
         tri = spectral.eigen_spectra(spec, couplings, 0.0)
         tri_z = eigenpairs(spec, 0.0, couplings)[1]
+        # the dense route proves every row (its shifted -Q(mu) is no hit),
+        # and the one factorization for M, stacked and then row by row, fails
         monkeypatch.setattr(spectral, "_TRIDIAGONAL_MIN_ORDER", 10**9)
         monkeypatch.setattr(np.linalg, "cholesky", fail_cholesky)
+        monkeypatch.setattr(spectral.lapack, "dpotrf", fail_potrf)
         dense = spectral.eigen_spectra(spec, couplings, 0.0)
         np.testing.assert_array_equal(tri_z[1], eigenpairs(spec, 0.0, couplings)[1][1])
         assert tri.pencil.tolist() == dense.pencil.tolist() == [True, False, True]
@@ -1123,13 +1187,12 @@ class TestSturmCounts:
         decided = 0
         for alpha, shift in itertools.product((0.3, 0.985), (0.0, 0.2, -0.2)):
             spec = harmonic_model(HarmonicParams(alpha=alpha, grid_points=grid_points))
-            b = core.contraction(spec, shift)
-            if not spectral._certified_definite(spec, b):
+            if not spectral._proven_definite(spec, (spec.v_band - shift)[None])[0]:
                 assert alpha == 0.985 and shift != 0.0
                 continue
             with monkeypatch.context() as patch:   # certified by counts: no Z
                 patch.setattr(spectral.lapack, "dstevd", forbidden_dstevd)
-                stack = spectral.eigen_spectra(spec, (1.0,), shift, (b,))
+                stack = spectral.eigen_spectra(spec, (1.0,), shift)
             lam = stack.eigenvalues[0]
             radius = spectral._count_enclosures(spec, lam[None], np.ones(1), shift)[0]
             assert (radius <= 2.0**-27 * np.abs(lam - shift)).all()
@@ -1315,15 +1378,21 @@ def lowest_eigenvalue_40(d, e, c, guess):
         return lo
 
 
+def coupled_contraction(spec, shift, t):
+    """b(t) = ||(t V - shift) U^(-1)|| of a diagonal V: core.contraction of the
+    potential t V, formed as eigen_spectra forms it."""
+    return core.contraction(spec.with_potential(t * spec.v_band, ""), shift)
+
+
 def unit_coupling_at_one(spec, shift):
-    """The coupling t > 0 with b(t) = ||(t V - shift) U^(-1)|| = 1, bisected on
-    core.contraction to 1e-13 relative."""
+    """The coupling t > 0 with b(t) = 1, bisected on core.contraction to 1e-13
+    relative."""
     lo, hi = 0.0, 1.0
-    while core.contraction(spec, shift, (hi,))[0] < 1.0:
+    while coupled_contraction(spec, shift, hi) < 1.0:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if core.contraction(spec, shift, (mid,))[0] < 1.0 else (lo, mid)
+        lo, hi = (mid, hi) if coupled_contraction(spec, shift, mid) < 1.0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -1367,15 +1436,14 @@ class TestProvenDefinite:
     @pytest.mark.parametrize("grid_points", [8, 24, 80, 160, 1000])
     def test_every_contraction_below_one_is_proven(self, grid_points):
         # couplings on either side of b = 1, at least 1e-9 from it: a row
-        # with b below one is proven and factored, so it takes the pencil
-        # (every row the closed-form certificate accepts among them), and
-        # none above one is
+        # with b below one is proven and factored, so it takes the pencil,
+        # and none above one is
         spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=grid_points))
         offsets = np.array([1e-8, 1e-6, 1e-3, 0.1, 0.5])
         for shift in (0.0, 0.3, -0.2):
             one = unit_coupling_at_one(spec, shift)
             t = one * np.concatenate([1.0 - offsets, 1.0 + offsets, [0.0]])
-            b = core.contraction(spec, shift, t)
+            b = np.array([coupled_contraction(spec, shift, tk) for tk in t])
             below = b <= 1.0 - 1e-9
             assert (below | (b >= 1.0 + 1e-9)).all() and below.sum() == 6
             w = np.multiply.outer(t, spec.v_band) - shift
@@ -1385,16 +1453,14 @@ class TestProvenDefinite:
             if grid_points <= 80:
                 stack = spectral.eigen_spectra(spec, t, shift, nearest=1)
                 assert stack.pencil.tolist() == below.tolist()
-            certified = spectral._certified_definite(spec, b)
-            assert not (certified & ~proven).any()
 
     def test_contraction_just_below_one_takes_the_pencil(self):
-        # b = 1 - 1e-13, refused by the closed-form certificate's margin:
-        # the spectrum is real and semisimple, and the pencil certifies it
+        # b = 1 - 1e-13, below any margin on b: the spectrum is real and
+        # semisimple, and the pencil certifies it
         spec = harmonic_model(HarmonicParams(alpha=1.0, grid_points=24))
         t = 1.000386940043097
-        b = core.contraction(spec, 0.0, (t,))[0]
-        assert 0.0 < 1.0 - b < 1e-12 and not spectral._certified_definite(spec, b)
+        b = coupled_contraction(spec, 0.0, t)
+        assert 0.0 < 1.0 - b < 1e-12
         stack = spectral.eigen_spectra(spec, (t,), 0.0)
         assert stack.pencil.tolist() == [True] and stack.witnesses == (None,)
         assert stack.is_real.tolist() == [True] and np.isfinite(stack.residuals).all()
@@ -1426,10 +1492,98 @@ class TestProvenDefinite:
 
         monkeypatch.setattr(spectral.lapack, "dpttrf", spy_dpttrf)
         monkeypatch.setattr(spectral, "_k_frame_eigensolve", spy_k_frame)
-        monkeypatch.setattr(spectral, "contraction", None)   # never called
+        monkeypatch.setattr(core, "contraction", None)   # never called
         for nearest in (None, 1):
             calls.clear()
             factors.clear()
             stack = spectral.eigen_spectra(spec, t, 0.0, nearest=nearest)
             assert stack.pencil.tolist() == [True] * 11 + [False] * 2
             assert calls == [24] * (13 + 11) and factors == [11]
+
+
+def dense_shift(spec, a):
+    """The shift c of the dense certificate (spectral._proven_dense) for the
+    formed -Q(mu) = a, as its docstring states it."""
+    n, u = spec.order, EPS / 2
+    kappa = (n + 4) * u / (1 - 2 * (n + 4) * u)
+    trace = np.trace(a)
+    forming = kappa * (np.trace(spec.u_squared) - (1 - u) * trace)
+    return kappa * trace + forming + 4 * n * (n + 1) * 2.0**-1074
+
+
+def lowest_dense_40(spec, mu):
+    """lambda_min(U^2 - (V - mu)^2) to 40 digits, from the float data exactly."""
+    with mpmath.workdps(40):
+        u2 = mpmath.matrix(spec.u_squared.tolist())
+        w = mpmath.matrix(spec.v.tolist()) - mpmath.mpf(mu) * mpmath.eye(spec.order)
+        return min(mpmath.eigsy(u2 - w * w, eigvals_only=True))
+
+
+def dense_model_at(ratio, seed, n=8, mu=0.3):
+    """A dense spec whose exact lambda_min(-Q(mu)) is ratio * c, and its formed
+    -Q(mu): U^2 = (V - mu)^2 + X X^T + s I, X of rank n - 1, with s moved,
+    from U^2's rounded entries, until the 40-digit lambda_min is ratio * c,
+    to the rounding of U^2's diagonal."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    v = rng.normal(size=(n, n))
+    v = v + v.T
+    x = rng.normal(size=(n, n - 1))
+    w = v - mu * np.eye(n)
+    base = w @ w + 0.5 * x @ x.T
+    base = 0.5 * (base + base.T)
+    s = 0.0
+    for _ in range(8):
+        spec = ModelSpec(base + s * np.eye(n), v)
+        w_row = core.shifted_potential(spec, mu, (1.0,))
+        a = spec.u_squared - w_row @ w_row.swapaxes(-1, -2)
+        c = dense_shift(spec, a[0])
+        lowest = lowest_dense_40(spec, mu)
+        s += float(ratio * c - lowest)
+    # U^2's diagonal moves by its rounding, about 2 % of c here
+    assert abs(lowest / c - ratio) < 0.03 * ratio
+    return spec, a, c
+
+
+class TestProvenDense:
+    """spectral._proven_definite's dense back end: one Cholesky factorization
+    of fl(-Q(mu)) - cI, c of the docstring, routes a dense pencil row."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("ratio, proven", [(1.05, True), (0.95, False)])
+    def test_margin_is_c(self, ratio, proven, seed):
+        # lambda_min(-Q(mu)) about 5 % above and below c, at 40 digits: a c halved
+        # proves the lower one, and so does a c without its forming term,
+        # for the traces of A make under a third of tr U^2 here
+        spec, a, c = dense_model_at(ratio, seed)
+        assert np.trace(a[0]) < np.trace(spec.u_squared) / 3
+        assert spectral._proven_definite(spec, a).tolist() == [proven]
+        assert spectral.eigen_spectra(spec, (1.0,), 0.3, nearest=1).pencil[0] == proven
+
+    def test_nan_or_inf_is_never_proven(self):
+        # alone (dpotrf) and in a stack (numpy's Cholesky, then dpotrf per
+        # row): a nan or inf entry, on the diagonal or off it, proves nothing
+        spec, _ = random_model(np.random.Generator(np.random.PCG64(5)), n=4)
+        w = core.shifted_potential(spec, 0.0, np.ones(6))
+        a = spec.u_squared - w @ w.swapaxes(-1, -2)
+        a[1, 0, 2] = a[1, 2, 0] = np.nan
+        a[2, 3, 1] = a[2, 1, 3] = np.inf
+        a[3, 2, 2] = np.nan
+        a[4, 1, 1] = -np.inf
+        a[5, 0, 3] = a[5, 3, 0] = -np.inf
+        expected = [True] + [False] * 5
+        with np.errstate(invalid="ignore"):
+            assert spectral._proven_definite(spec, a).tolist() == expected
+            assert [spectral._proven_definite(spec, m[None])[0] for m in a] == expected
+
+    def test_rows_clear_of_one_are_proven(self):
+        # 20 dense models of order 160 with b in [0.3, 0.98], and the coupling
+        # giving each b = 1 - 1e-6: every row is proven, so it takes the
+        # pencil, as the contraction's margin routed it before
+        rng = np.random.Generator(np.random.PCG64(160))
+        for _ in range(20):
+            spec, _ = random_model(rng, n=160, b_lo=0.3, b_hi=0.98)
+            b = core.contraction(spec, 0.0)
+            assert 0.3 <= b <= 0.98 + 1e-12
+            w = core.shifted_potential(spec, 0.0, [1.0, (1.0 - 1e-6) / b])
+            a = spec.u_squared - w @ w.swapaxes(-1, -2)
+            assert spectral._proven_definite(spec, a).all()

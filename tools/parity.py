@@ -33,6 +33,10 @@ the well at tau = 0 (V = 0: the mixed product vanishes and
 kappa_disjoint is printed), ``spectrum`` on the well at tau = 2.1 (a
 non-real spectrum, gated at its complex eigenvalues), ``sweep`` on the
 well over tau = 2.1 .. 2.3 (non-real, simple spectra, not defective),
+``sweep`` on the well over 1.2 .. 1.25, whose rows straddle b = 1 at
+t = 1.2247 and the dense certificate with it, ``spectrum`` on the well
+at tau = 2 - 1e-13 at the paper shift (b = 1 - 5e-14: the pencil row a
+proven -Q(mu) > 0 admits),
 three random model files (orders 2 to 8,
 from a fixed PCG64 seed), one random model file of order 40 with
 contraction 0.5 (the dense pencil route from core._SUBSET_MIN_ORDER
@@ -138,6 +142,8 @@ def commands(models: list[str]) -> list[list[str]]:
         ["spectrum", "--tau", "2.1"],
         ["sweep", *well, "--sweep-range", "0:2.2", "--steps", "23"],
         ["sweep", *well, "--sweep-range", "2.1:2.3", "--steps", "3"],
+        ["sweep", *well, "--sweep-range", "1.2:1.25", "--steps", "9"],
+        ["spectrum", "--tau", "1.9999999999999", "--paper-shift"],
         ["verify", "--tau", "1.7", "--paper-shift", "--eta", "0.35"],
         ["bounds", "--tau", "2.5", "--shift", "-1.25", "--eta", "0.1"],
         ["bounds", "--tau", "0", "--eta", "0.1"],
